@@ -16,8 +16,8 @@
 //!
 //! Determinism contract: an actor's entire contribution is a function of
 //! the `participant_seed` delivered in [`NodeEvent::IterationStart`] — the
-//! actor derives the same noise/encryption sub-streams as the monolithic
-//! runner's device closure, in the same order.  Actors never see the run's
+//! actor builds it with the very function the in-process executor maps over
+//! its simulated population.  Actors never see the run's
 //! master RNG, and they never threshold-decrypt (their backend is rebuilt
 //! from public material only; the key shares stay with the coordinator).
 //!
@@ -27,7 +27,6 @@
 //! one side of a socket decodes identically on the other.
 
 use std::sync::Arc;
-
 
 use chiaroscuro_crypto::backend::CipherBackend;
 use chiaroscuro_crypto::encoding::FixedPointEncoder;
@@ -41,9 +40,8 @@ use chiaroscuro_node::frame::HEADER_BYTES;
 use chiaroscuro_node::{Actor, NodeEvent, NodeId, Phase};
 use chiaroscuro_timeseries::TimeSeries;
 
-use crate::diptych::{Diptych, PackedMeans};
 use crate::evalue::BackendVector;
-use crate::noise::NoiseShareVector;
+use crate::iteration::{device_contribution, DeviceKit};
 
 /// Encoded-frame overhead of one means-phase exchange message beyond the
 /// raw unit payload: the frame header plus the phase byte, the EESum
@@ -305,12 +303,9 @@ pub(crate) fn decode_readout<B: CipherBackend>(
 /// Provisioned per-node material, installed by [`NodeEvent::Hello`].
 #[derive(Debug)]
 struct Provision<B: CipherBackend> {
-    backend: Arc<B>,
-    encoder: FixedPointEncoder,
-    packer: Option<PackedEncoder>,
+    kit: DeviceKit<B>,
     k: usize,
     series_length: usize,
-    num_noise_shares: usize,
     series: TimeSeries,
 }
 
@@ -354,66 +349,39 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
         });
         assert_eq!(spec.series.len(), spec.series_length as usize, "series length mismatch");
         self.provision = Some(Provision {
-            backend,
-            encoder,
-            packer,
+            kit: DeviceKit {
+                backend,
+                encoder,
+                packer,
+                num_noise_shares: spec.num_noise_shares as usize,
+            },
             k: spec.k as usize,
             series_length: spec.series_length as usize,
-            num_noise_shares: spec.num_noise_shares as usize,
             series: TimeSeries::new(spec.series),
         });
     }
 
-    /// The monolithic runner's device closure, verbatim: derive the noise
-    /// and encryption sub-streams from the participant seed, draw the noise
-    /// shares, then encrypt the Diptych plus the noise vector (packed or
-    /// legacy) under the encryption stream.
+    /// Builds this device's contribution from its delivered seed — the
+    /// same `device_contribution` the in-process executor maps over the
+    /// population — and resets the per-iteration protocol state.
     fn start_iteration(&mut self, inputs: &IterationInputs) {
         let p = self.provision.as_ref().expect("IterationStart before Hello");
-        let (k, n) = (p.k, p.series_length);
-        let centroids: Vec<TimeSeries> =
-            inputs.centroids_flat.chunks_exact(n).map(|c| TimeSeries::new(c.to_vec())).collect();
-        assert_eq!(centroids.len(), k, "IterationStart must carry k centroids");
-
-        let mut streams = crate::seedmix::device_streams(inputs.participant_seed);
-        let noise = NoiseShareVector::generate(
-            k,
-            n,
+        let centroids: Vec<TimeSeries> = inputs
+            .centroids_flat
+            .chunks_exact(p.series_length)
+            .map(|c| TimeSeries::new(c.to_vec()))
+            .collect();
+        assert_eq!(centroids.len(), p.k, "IterationStart must carry k centroids");
+        let (_assigned, flat) = device_contribution(
+            &p.kit,
+            &centroids,
+            &p.series,
+            inputs.participant_seed,
             inputs.sum_scale,
             inputs.count_scale,
-            p.num_noise_shares,
-            &mut streams.noise,
         );
-        let mut device_rng = streams.encryption;
-        let backend: &B = &p.backend;
-        let flat: Vec<B::Unit> = if let Some(packer) = &p.packer {
-            let (means, _assigned) =
-                PackedMeans::initialise(&centroids, &p.series, backend, packer, &mut device_rng);
-            let mut flat = means.units;
-            flat.reserve(flat.len() + 1);
-            for m in packer.pack(&noise.flatten()) {
-                flat.push(backend.encrypt(&m, &mut device_rng));
-            }
-            flat.push(backend.encrypt(&packer.counter_plaintext(), &mut device_rng));
-            flat
-        } else {
-            let entries = k * (n + 1);
-            let (diptych, _assigned) =
-                Diptych::initialise(&centroids, &p.series, backend, &p.encoder, &mut device_rng);
-            let mut flat: Vec<B::Unit> = Vec::with_capacity(2 * entries);
-            for mean in &diptych.means {
-                flat.extend(mean.sums.iter().cloned());
-            }
-            for mean in &diptych.means {
-                flat.push(mean.count.clone());
-            }
-            for share in noise.flatten() {
-                flat.push(backend.encrypt(&backend.encode(&p.encoder, share), &mut device_rng));
-            }
-            flat
-        };
-        let value = BackendVector::new(p.backend.clone(), flat);
-        // Node 0 seeds both epidemic weights, as in the monolithic phases.
+        let value = BackendVector::new(p.kit.backend.clone(), flat);
+        // Node 0 seeds both epidemic weights, as in the simulated phases.
         self.ees = Some(if self.id == 0 { EesState::new_seed(value) } else { EesState::new(value) });
         self.counter =
             Some(if self.id == 0 { SumState::new_seed(1.0) } else { SumState::new(1.0) });
@@ -428,7 +396,7 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
                 put_f64(&mut buf, ees.weight);
                 put_u32(&mut buf, ees.exchanges);
                 buf.extend_from_slice(&serialize_units::<B>(
-                    self.provision().backend.as_ref(),
+                    self.provision().kit.backend.as_ref(),
                     ees.value.units(),
                 ));
                 buf
@@ -454,10 +422,10 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
                 let mut r = Reader::new(bytes);
                 let weight = r.f64();
                 let exchanges = r.u32();
-                let units = deserialize_units::<B>(p.backend.as_ref(), r.rest())
+                let units = deserialize_units::<B>(p.kit.backend.as_ref(), r.rest())
                     .expect("a means exchange payload must deserialize under the run's backend");
                 PhaseState::Means(EesState {
-                    value: BackendVector::new(p.backend.clone(), units),
+                    value: BackendVector::new(p.kit.backend.clone(), units),
                     weight,
                     exchanges,
                 })
@@ -532,7 +500,7 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
         if include_units {
             buf.push(1);
             buf.extend_from_slice(&serialize_units::<B>(
-                self.provision().backend.as_ref(),
+                self.provision().kit.backend.as_ref(),
                 ees.value.units(),
             ));
         } else {

@@ -1,7 +1,7 @@
 //! The actor-driven execution path: [`DistributedRun::via_actors`] runs the
-//! same protocol as the monolithic [`DistributedRun::execute`], but every
-//! participant is a [`ChiaroscuroNodeActor`] behind a
-//! [`chiaroscuro_node::Transport`] link and every piece of
+//! same iteration driver as the monolithic [`DistributedRun::execute`], on
+//! an executor for which every participant is a [`ChiaroscuroNodeActor`]
+//! behind a [`chiaroscuro_node::Transport`] link and every piece of
 //! per-node protocol state lives on the node's side of that link.
 //!
 //! # Topology and scheduling
@@ -26,45 +26,37 @@
 //! A pinned scenario driven through `via_actors` reproduces the monolithic
 //! `execute` **bit for bit** from the same seed — identical centroids,
 //! identical per-iteration network statistics, identical audit log — under
-//! both the in-memory and the socket transports.  The contract holds
-//! because the coordinator consumes master-RNG draws in exactly the
-//! monolith's order (backend setup, initial centroids, participant seeds,
-//! gossip schedules, correction proposals) while each actor derives its
-//! contribution from its delivered participant seed exactly as the
-//! monolithic device closure does; no RNG lives on a thread boundary.
+//! both the in-memory and the socket transports.  The contract holds by
+//! construction: the sequence and every master-RNG draw outside the gossip
+//! schedules belong to the one driver, this executor plans its schedules
+//! with the round engine's own planner, and each actor builds its
+//! contribution from its delivered participant seed with the function the
+//! in-process executor uses; no RNG lives on a thread boundary.
 //!
-//! Only the coordinator ever threshold-decrypts: nodes are provisioned with
+//! Only the driver ever threshold-decrypts: nodes are provisioned with
 //! exported *public* material, so the key shares never cross a link.
-
-use std::sync::Arc;
 
 use rand::Rng;
 
-use chiaroscuro_crypto::backend::{BackendSetup, CipherBackend};
-use chiaroscuro_crypto::encoding::FixedPointEncoder;
-use chiaroscuro_gossip::churn::ChurnModel;
+use chiaroscuro_crypto::backend::CipherBackend;
 use chiaroscuro_gossip::engine::plan_round_with_mask;
 use chiaroscuro_gossip::metrics::ExchangeMetrics;
-use chiaroscuro_gossip::sim::NetworkModel;
-use chiaroscuro_kmeans::report::{IterationReport, RunReport};
+use chiaroscuro_gossip::sim::{AdversaryState, NetworkModel};
+use chiaroscuro_gossip::sum::SumState;
 use chiaroscuro_node::{
     FramedSocketTransport, LocalBus, NodeEvent, NodeId, Phase, Transport, COORDINATOR,
 };
-use chiaroscuro_timeseries::inertia::dataset_inertia;
-use chiaroscuro_timeseries::inertia::intra_inertia;
 use chiaroscuro_timeseries::TimeSeries;
 
 use crate::actor::{
     decode_readout, encode_correction, ChiaroscuroNodeActor, IterationInputs, NodeSpec,
     PackingSpec, Readout, MEANS_FRAME_OVERHEAD_BYTES,
 };
-use crate::audit::{DataClass, SecurityAudit};
 use crate::config::TransportKind;
 use crate::diptych::closest_centroid;
+use crate::iteration::{drive, Executor, PhaseStats, RunContext};
 use crate::noise::NoiseCorrection;
-use crate::runner::{
-    aberrant_centroid, assignment_from_labels, DistributedRun, IterationNetworkStats, RunOutcome,
-};
+use crate::runner::{DistributedRun, RunOutcome};
 
 impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     /// Executes the run through per-node actors over the transport selected
@@ -142,12 +134,12 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     /// method plus link setup; the multi-process example calls it directly
     /// over sockets whose serve loops live in child processes.
     ///
-    /// Consumes master-RNG draws in exactly the monolithic order, so the
-    /// outcome is bit-identical to [`Self::execute`] from the same seed.
-    /// `frame_overhead` is added to each reported gossip payload size
-    /// (socket deployments transmit a frame header per protocol message —
-    /// pass [`MEANS_FRAME_OVERHEAD_BYTES`]; pass 0 for in-memory links to
-    /// report the monolith's figure unchanged).
+    /// This is the one iteration driver (`crate::iteration`) on the link
+    /// executor, so the outcome is bit-identical to [`Self::execute`] from
+    /// the same seed.  `frame_overhead` is added to each reported gossip
+    /// payload size (socket deployments transmit a frame header per
+    /// protocol message — pass [`MEANS_FRAME_OVERHEAD_BYTES`]; pass 0 for
+    /// in-memory links to report the monolith's figure unchanged).
     ///
     /// # Panics
     /// Panics under a non-round network model, on a link-count mismatch,
@@ -158,360 +150,216 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
         frame_overhead: usize,
         rng: &mut R,
     ) -> RunOutcome {
-        let params = &self.params;
-        let data = self.data;
-        let population = data.len();
-        assert_eq!(links.len(), population, "one transport link per participant");
+        assert_eq!(links.len(), self.data.len(), "one transport link per participant");
         assert!(
-            matches!(params.network, NetworkModel::Rounds),
+            matches!(self.params.network, NetworkModel::Rounds),
             "via_actors drives the round-based schedule; the event-driven simulator models \
              the network itself and has no per-exchange message flow to relay"
         );
         assert!(
-            !params.adversary.is_active(),
+            !self.params.adversary.is_active(),
             "via_actors has no fault-injection hooks; run adversarial scenarios through \
              DistributedRun's simulated engines instead"
         );
-        let n = data.series_length();
-        let k = params.k;
-        let entries = k * (n + 1);
-        let packing = self.plan_packing();
-
-        // --- Bootstrap: identical master-RNG draws to the monolith. ---
-        let setup = BackendSetup {
-            key_bits: params.key_bits,
-            damgard_jurik_s: params.damgard_jurik_s,
-            population,
-            key_share_threshold: params.key_share_threshold,
-            packed_layout: packing.as_ref().map(|p| p.layout()),
-        };
-        let backend = Arc::new(B::setup(&setup, rng));
-        backend.precompute();
-        if let (Some(packer), Some(capacity)) = (&packing, backend.plaintext_capacity_bits()) {
-            let layout = packer.layout();
-            assert!(
-                layout.lanes as u64 * layout.lane_bits <= capacity,
-                "planned lane layout exceeds the generated key's plaintext capacity"
-            );
+        let mut outcome = drive(self, &mut LinkExecutor { links, readouts: Vec::new() }, rng);
+        for stats in &mut outcome.network {
+            stats.sum_payload_bytes += frame_overhead;
         }
-        let encoder = FixedPointEncoder::new(params.encoding_digits);
-        let mut centroids = match &self.initial_centroids {
-            Some(c) => c.clone(),
-            None => {
-                use rand::seq::SliceRandom;
-                data.series().choose_multiple(rng, k).cloned().collect()
-            }
+        outcome
+    }
+}
+
+/// The deployed population: every piece of per-node state lives behind a
+/// transport link, and a gossip phase is the round engine's exact schedule
+/// with each exchange relayed through the star as a request/reply pair.
+struct LinkExecutor<'l, T: Transport, B: CipherBackend> {
+    links: &'l mut [T],
+    /// Every node's view once the epidemic weights and counters are frozen
+    /// (dissemination never touches them).
+    readouts: Vec<Readout<B>>,
+}
+
+impl<T: Transport, B: CipherBackend> LinkExecutor<'_, T, B> {
+    /// Relays one phase's rounds.  `shadow_ids`, when given, mirrors the
+    /// min-id update rule per exchange so the phase can stop on agreement
+    /// (`run_until` semantics: checked before each round, then once more
+    /// when the budget is exhausted) without a readout per round.
+    fn relay_phase<R: Rng + ?Sized>(
+        &mut self,
+        ctx: &RunContext<'_, B>,
+        phase: Phase,
+        rng: &mut R,
+        mut shadow_ids: Option<&mut [u64]>,
+    ) -> PhaseStats {
+        let population = self.links.len();
+        let agreed = |ids: &Option<&mut [u64]>| match ids {
+            Some(ids) => ids.iter().all(|&id| id == ids[0]),
+            None => false,
         };
-        assert_eq!(centroids.len(), k, "k must not exceed the population when sampling initial centroids");
+        let mut metrics = ExchangeMetrics::default();
+        for _ in 0..ctx.exchanges {
+            if agreed(&shadow_ids) {
+                break;
+            }
+            let online = ctx.churn.sample_mask(population, rng);
+            for (initiator, contact) in plan_round_with_mask(population, &online, rng) {
+                relay_exchange(self.links, phase, initiator, contact);
+                if let Some(ids) = &mut shadow_ids {
+                    let merged = ids[initiator].min(ids[contact]);
+                    ids[initiator] = merged;
+                    ids[contact] = merged;
+                }
+                metrics.record_exchange();
+            }
+            metrics.record_round();
+        }
+        let converged = shadow_ids.is_none() || agreed(&shadow_ids);
+        PhaseStats { metrics, converged, sim_time: 0.0, peak_in_flight: 0 }
+    }
 
-        let schedule = params.budget_schedule();
-        let sensitivity = chiaroscuro_dp::laplace::Sensitivity::from_range(
-            n,
-            data.range().min,
-            data.range().max,
-        );
-        let churn = ChurnModel::new(params.churn);
-        let exchanges = params.effective_exchanges(population, n);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(params.pool_threads)
-            .build()
-            .expect("the offline pool cannot fail to build");
+    /// Requests and decodes every node's readout (`with_units` additionally
+    /// asks that one node for its accumulated unit vector).
+    fn read_out(&mut self, ctx: &RunContext<'_, B>, with_units: Option<usize>) -> Vec<Readout<B>> {
+        let (k, n) = (ctx.run.params.k, ctx.run.data.series_length());
+        let backend: &B = &ctx.kit.backend;
+        self.links
+            .iter_mut()
+            .enumerate()
+            .map(|(node, link)| {
+                send(link, node, NodeEvent::ReadoutRequest { include_units: with_units == Some(node) });
+                let frame =
+                    link.recv().unwrap_or_else(|e| panic!("receiving node {node}'s readout failed: {e}"));
+                match NodeEvent::from_frame(&frame).expect("a readout reply decodes") {
+                    NodeEvent::ReadoutReply { payload } => decode_readout::<B>(backend, &payload, k, n),
+                    other => panic!("expected a readout reply from node {node}, got {other:?}"),
+                }
+            })
+            .collect()
+    }
+}
 
-        // --- Provisioning: public material only; key shares stay here. ---
-        let packing_spec = self.packing_budget().map(|budget| PackingSpec {
+impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T, B> {
+    /// Public material only; the key shares stay with the driver's backend.
+    fn provision(&mut self, ctx: &RunContext<'_, B>) {
+        let params = &ctx.run.params;
+        let packing = ctx.run.packing_budget().map(|budget| PackingSpec {
             capacity_bits: params.packing_capacity_bits(),
             contributors: budget.contributors as u64,
             doubling_budget: budget.doubling_budget,
             max_abs_value: budget.max_abs_value,
             biased_vectors: budget.biased_vectors,
         });
-        let public = backend.export_public();
-        for (node, link) in links.iter_mut().enumerate() {
+        let public = ctx.kit.backend.export_public();
+        for (node, link) in self.links.iter_mut().enumerate() {
             let spec = NodeSpec {
-                k: k as u32,
-                series_length: n as u32,
+                k: params.k as u32,
+                series_length: ctx.run.data.series_length() as u32,
                 encoding_digits: params.encoding_digits,
                 num_noise_shares: params.num_noise_shares as u32,
-                packing: packing_spec.clone(),
+                packing: packing.clone(),
                 public: public.clone(),
-                series: data.series()[node].values().to_vec(),
+                series: ctx.run.data.series()[node].values().to_vec(),
             };
             send(link, node, NodeEvent::Hello { config: spec.encode() });
         }
+    }
 
-        let mut audit = SecurityAudit::new();
-        let mut iterations = Vec::new();
-        let mut network = Vec::new();
-        let mut run_converged = false;
-
-        for iteration in 0..params.max_iterations {
-            let epsilon_i = schedule.epsilon_for_iteration(iteration);
-            if epsilon_i <= 0.0 {
-                break;
-            }
-            let mechanism = chiaroscuro_dp::laplace::LaplaceMechanism::new(sensitivity, epsilon_i)
-                .with_gossip_error_bound(params.gossip_error_bound);
-            let sum_scale = mechanism.sum_scale();
-            let count_scale = mechanism.count_scale();
-
-            // --- Assignment step, distributed: one seed per device off the
-            // master RNG (the monolith's draw), then each actor derives its
-            // whole contribution on its own side of the link. ---
-            let participant_seeds: Vec<u64> = (0..population).map(|_| rng.gen()).collect();
-            let centroids_flat: Vec<f64> =
-                centroids.iter().flat_map(|c| c.values().iter().copied()).collect();
-            for (node, link) in links.iter_mut().enumerate() {
-                let inputs = IterationInputs {
-                    participant_seed: participant_seeds[node],
-                    sum_scale,
-                    count_scale,
-                    centroids_flat: centroids_flat.clone(),
-                };
-                send(link, node, NodeEvent::IterationStart { payload: inputs.encode() });
-            }
-            // The label each actor assigned itself is a pure function of
-            // the centroids and its series; the coordinator recomputes it
-            // for the reporting-only PRE metrics instead of asking.
-            let labels: Vec<usize> =
-                data.series().iter().map(|s| closest_centroid(&centroids, s)).collect();
-
-            let sum_payload_ciphertexts = match &packing {
-                Some(packer) => 2 * packer.ciphertexts_for(entries) + 1,
-                None => 2 * entries,
+    fn contribute(
+        &mut self,
+        ctx: &RunContext<'_, B>,
+        centroids: &[TimeSeries],
+        participant_seeds: &[u64],
+        sum_scale: f64,
+        count_scale: f64,
+    ) -> Vec<usize> {
+        let centroids_flat: Vec<f64> =
+            centroids.iter().flat_map(|c| c.values().iter().copied()).collect();
+        for (node, link) in self.links.iter_mut().enumerate() {
+            let inputs = IterationInputs {
+                participant_seed: participant_seeds[node],
+                sum_scale,
+                count_scale,
+                centroids_flat: centroids_flat.clone(),
             };
-            let sum_payload_bytes =
-                sum_payload_ciphertexts * backend.unit_bytes() + frame_overhead;
+            send(link, node, NodeEvent::IterationStart { payload: inputs.encode() });
+        }
+        // The label each actor assigned itself is a pure function of the
+        // centroids and its series; the coordinator recomputes it for the
+        // reporting-only PRE metrics instead of asking.
+        ctx.run.data.series().iter().map(|s| closest_centroid(centroids, s)).collect()
+    }
 
-            // --- Computation step (a): epidemic sums, one relayed
-            // request/reply per planned exchange. ---
-            let sum_metrics = run_gossip_rounds(links, Phase::Means, population, exchanges, &churn, rng);
-            audit.record_n(iteration, "encrypted means contribution", DataClass::Encrypted, population);
-            audit.record_n(iteration, "encrypted noise shares", DataClass::Encrypted, population);
-            audit.record_n(
-                iteration,
-                "epidemic weight and exchange counter",
-                DataClass::DataIndependent,
-                population,
-            );
-            let counter_metrics =
-                run_gossip_rounds(links, Phase::Counter, population, exchanges, &churn, rng);
-            audit.record(iteration, "cleartext contributor counter", DataClass::DataIndependent);
+    fn means_phase<R: Rng + ?Sized>(
+        &mut self,
+        ctx: &RunContext<'_, B>,
+        rng: &mut R,
+        _adversary: Option<&mut AdversaryState>,
+    ) -> PhaseStats {
+        self.relay_phase(ctx, Phase::Means, rng, None)
+    }
 
-            // Epidemic weights and counters are frozen now (dissemination
-            // never touches them), so this readout is the final view.
-            let first_readouts: Vec<Readout<B>> = (0..population)
-                .map(|node| {
-                    request_readout::<T, B>(backend.as_ref(), &mut links[node], node, false, k, n)
-                })
-                .collect();
+    fn counter_phase<R: Rng + ?Sized>(
+        &mut self,
+        ctx: &RunContext<'_, B>,
+        rng: &mut R,
+        _adversary: Option<&mut AdversaryState>,
+    ) -> PhaseStats {
+        let stats = self.relay_phase(ctx, Phase::Counter, rng, None);
+        self.readouts = self.read_out(ctx, None);
+        stats
+    }
 
-            // Reporting-only PRE metrics (never exchanged between devices).
-            let assignment = assignment_from_labels(&labels, k);
-            let (exact_sums, exact_counts) = assignment.cluster_sums(data, k);
-            let exact_means: Vec<TimeSeries> = exact_sums
-                .iter()
-                .zip(exact_counts.iter())
-                .enumerate()
-                .map(|(i, (sum, &count))| if count > 0.0 { sum.scaled(1.0 / count) } else { centroids[i].clone() })
-                .collect();
-            let pre_inertia = intra_inertia(data, &exact_means, &assignment);
+    fn weight(&self, node: usize) -> f64 {
+        self.readouts[node].weight
+    }
 
-            // Reference participant: same selection rule as the monolith
-            // (weight and counter estimate from the same device).
-            let reference = (0..population)
-                .position(|i| first_readouts[i].weight > 0.0 && first_readouts[i].omega > 0.0)
-                .expect("after the epidemic sums at least one node holds both weights");
-            let counter_estimate = first_readouts[reference].sigma / first_readouts[reference].omega;
+    fn counter_estimate(&self, node: usize) -> Option<f64> {
+        let Readout { sigma, omega, .. } = self.readouts[node];
+        SumState { sigma, omega }.estimate()
+    }
 
-            // --- Computation step (b): noise surplus correction. ---
-            let contributors = (counter_estimate.round() as i64).min(population as i64);
-            let expected_shares = params.num_noise_shares as i64;
-            let surplus = (contributors - expected_shares).max(0) as usize;
-            let noise_share_deficit = (expected_shares - contributors).max(0) as usize;
-            let corrections: Vec<NoiseCorrection> = (0..population)
-                .map(|_| {
-                    NoiseCorrection::generate(
-                        surplus,
-                        k,
-                        n,
-                        sum_scale,
-                        count_scale,
-                        params.num_noise_shares,
-                        rng,
-                    )
-                })
-                .collect();
-            for (node, link) in links.iter_mut().enumerate() {
-                let c = &corrections[node];
-                let payload = encode_correction(c.id, &c.sum_correction, &c.count_correction);
-                send(link, node, NodeEvent::CorrectionProposal { payload });
-            }
-            // The coordinator shadows only the identifiers (the min-id
-            // update rule is trivially mirrored per exchange) to evaluate
-            // the convergence predicate without readouts; payloads stay on
-            // the nodes and are cross-checked below.
-            let mut ids: Vec<u64> = corrections.iter().map(|c| c.id).collect();
-            let mut dissemination_metrics = ExchangeMetrics::default();
-            // `run_until` semantics: predicate before each round, then one
-            // final evaluation when the budget is exhausted.
-            let mut satisfied = false;
-            for _ in 0..exchanges {
-                if ids.iter().all(|&id| id == ids[0]) {
-                    satisfied = true;
-                    break;
-                }
-                let online = churn.sample_mask(population, rng);
-                for (initiator, contact) in plan_round_with_mask(population, &online, rng) {
-                    relay_exchange(links, Phase::Correction, initiator, contact);
-                    let merged = ids[initiator].min(ids[contact]);
-                    ids[initiator] = merged;
-                    ids[contact] = merged;
-                    dissemination_metrics.record_exchange();
-                }
-                dissemination_metrics.record_round();
-            }
-            let dissemination_converged = satisfied || ids.iter().all(|&id| id == ids[0]);
-            audit.record_n(iteration, "noise correction proposal", DataClass::DataIndependent, population);
+    fn settle<R: Rng + ?Sized>(
+        &mut self,
+        ctx: &RunContext<'_, B>,
+        proposals: Vec<NoiseCorrection>,
+        reference: usize,
+        rng: &mut R,
+        _adversary: Option<&mut AdversaryState>,
+    ) -> (NoiseCorrection, PhaseStats, Vec<B::Unit>) {
+        for ((node, link), c) in self.links.iter_mut().enumerate().zip(&proposals) {
+            let payload = encode_correction(c.id, &c.sum_correction, &c.count_correction);
+            send(link, node, NodeEvent::CorrectionProposal { payload });
+        }
+        // The coordinator shadows only the identifiers; payloads stay on
+        // the nodes and are cross-checked below.
+        let mut ids: Vec<u64> = proposals.iter().map(|c| c.id).collect();
+        let stats = self.relay_phase(ctx, Phase::Correction, rng, Some(&mut ids));
 
-            // --- Computation step (c): readout, perturbation, decryption. ---
-            let final_readouts: Vec<Readout<B>> = (0..population)
-                .map(|node| {
-                    request_readout::<T, B>(
-                        backend.as_ref(),
-                        &mut links[node],
-                        node,
-                        node == reference,
-                        k,
-                        n,
-                    )
-                })
-                .collect();
-            let winner_id = *ids.iter().min().expect("non-empty population");
-            let mut winning_payload: Option<&[f64]> = None;
-            for (node, readout) in final_readouts.iter().enumerate() {
-                let (id, payload) =
-                    readout.correction.as_ref().expect("every node holds a correction state");
-                assert_eq!(*id, ids[node], "the coordinator's shadow ids must match the nodes'");
-                if *id == winner_id {
-                    match winning_payload {
-                        None => winning_payload = Some(payload),
-                        Some(expected) => assert_eq!(
-                            &payload[..],
-                            expected,
-                            "every node holding the winning identifier must carry the same payload"
-                        ),
-                    }
-                }
-            }
-            let winning_row = winning_payload.expect("the winning identifier is held somewhere");
-            let winning_correction = NoiseCorrection {
-                id: winner_id,
-                sum_correction: winning_row[..k * n].to_vec(),
-                count_correction: winning_row[k * n..].to_vec(),
-            };
-
-            let weight = first_readouts[reference].weight;
-            let cts = final_readouts[reference]
-                .units
-                .as_ref()
-                .expect("the reference node reports its accumulated units");
-            let decrypted: Vec<f64> = match &packing {
-                Some(packer) => {
-                    let blocks = packer.ciphertexts_for(entries);
-                    let plaintexts: Vec<num_bigint::BigUint> = pool.map_range(blocks + 1, |i| {
-                        if i < blocks {
-                            backend.threshold_decrypt(&backend.add(&cts[i], &cts[blocks + i]))
-                        } else {
-                            backend.threshold_decrypt(&cts[2 * blocks])
-                        }
-                    });
-                    let counter = &plaintexts[blocks];
-                    packer
-                        .unpack(&plaintexts[..blocks], entries, counter, 2)
-                        .iter()
-                        .map(|v| v / weight)
-                        .collect()
-                }
-                None => pool.map_range(entries, |i| {
-                    let perturbed = backend.add(&cts[i], &cts[entries + i]);
-                    backend.decode(&encoder, &backend.threshold_decrypt(&perturbed)) / weight
-                }),
-            };
-            audit.record(iteration, "partial decryptions of perturbed means", DataClass::DifferentiallyPrivate);
-
-            // Rebuild the perturbed means, apply the correction and smoothing.
-            let mut new_centroids = Vec::with_capacity(k);
-            let mut aberrant = vec![false; k];
-            for cluster in 0..k {
-                let mut sum_values: Vec<f64> = decrypted[cluster * n..(cluster + 1) * n].to_vec();
-                let mut count_value = decrypted[k * n + cluster];
-                if surplus > 0 {
-                    for (j, value) in sum_values.iter_mut().enumerate() {
-                        *value -= winning_correction.sum_correction[cluster * n + j];
-                    }
-                    count_value -= winning_correction.count_correction[cluster];
-                }
-                let mean = if count_value.abs() < 0.5 {
-                    aberrant[cluster] = true;
-                    aberrant_centroid(n, data.range().max, cluster)
-                } else {
-                    let mut mean = TimeSeries::new(sum_values.iter().map(|v| v / count_value).collect());
-                    mean = params.smoothing.apply(&mean);
-                    mean
-                };
-                new_centroids.push(mean);
-            }
-            audit.record(iteration, "perturbed cleartext centroids", DataClass::DifferentiallyPrivate);
-
-            let post_inertia = chiaroscuro_kmeans::perturbed::post_perturbation_inertia(
-                data,
-                &new_centroids,
-                &assignment,
-                &aberrant,
-            );
-            iterations.push(IterationReport {
-                iteration,
-                epsilon: epsilon_i,
-                pre_inertia,
-                post_inertia,
-                surviving_centroids: assignment.non_empty_clusters(),
-                participating_series: population,
-            });
-            network.push(IterationNetworkStats {
-                iteration,
-                sum_messages_per_node: sum_metrics.messages_per_node(population)
-                    + counter_metrics.messages_per_node(population),
-                dissemination_messages_per_node: dissemination_metrics.messages_per_node(population),
-                sum_rounds: sum_metrics.rounds(),
-                dissemination_converged,
-                noise_share_deficit,
-                sum_payload_ciphertexts,
-                sum_payload_bytes,
-                gossip_sim_time: 0.0,
-                peak_messages_in_flight: 0,
-                faults: chiaroscuro_gossip::sim::FaultStats::ZERO,
-            });
-
-            // --- Convergence step. ---
-            let displacement: f64 =
-                centroids.iter().zip(new_centroids.iter()).map(|(c, m)| c.distance(m)).sum();
-            centroids = new_centroids;
-            if displacement <= params.convergence_threshold {
-                run_converged = true;
-                break;
+        let mut readouts = self.read_out(ctx, Some(reference));
+        let winner_id = *ids.iter().min().expect("non-empty population");
+        let mut winning_row: Option<&[f64]> = None;
+        for (node, readout) in readouts.iter().enumerate() {
+            let (id, row) = readout.correction.as_ref().expect("every node holds a correction state");
+            assert_eq!(*id, ids[node], "the coordinator's shadow ids must match the nodes'");
+            if *id == winner_id {
+                let expected = *winning_row.get_or_insert(row);
+                assert_eq!(
+                    &row[..],
+                    expected,
+                    "every node holding the winning identifier must carry the same payload"
+                );
             }
         }
-
-        RunOutcome {
-            report: RunReport {
-                iterations,
-                final_centroids: centroids,
-                converged: run_converged,
-                dataset_inertia: dataset_inertia(data),
-            },
-            audit,
-            network,
-        }
+        let sums = proposals[0].sum_correction.len();
+        let winning_row = winning_row.expect("the winning identifier is held somewhere");
+        let winning = NoiseCorrection {
+            id: winner_id,
+            sum_correction: winning_row[..sums].to_vec(),
+            count_correction: winning_row[sums..].to_vec(),
+        };
+        let units =
+            readouts[reference].units.take().expect("the reference node reports its accumulated units");
+        (winning, stats, units)
     }
 }
 
@@ -519,28 +367,6 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
 fn send<T: Transport>(link: &mut T, node: usize, event: NodeEvent) {
     link.send(&event.into_frame(COORDINATOR, node as NodeId))
         .unwrap_or_else(|e| panic!("sending to node {node} failed: {e}"));
-}
-
-/// Runs one phase's gossip rounds: the round engine's exact schedule, each
-/// exchange relayed through the star as a request/reply pair.
-fn run_gossip_rounds<T: Transport, R: Rng + ?Sized>(
-    links: &mut [T],
-    phase: Phase,
-    population: usize,
-    rounds: u32,
-    churn: &ChurnModel,
-    rng: &mut R,
-) -> ExchangeMetrics {
-    let mut metrics = ExchangeMetrics::default();
-    for _ in 0..rounds {
-        let online = churn.sample_mask(population, rng);
-        for (initiator, contact) in plan_round_with_mask(population, &online, rng) {
-            relay_exchange(links, phase, initiator, contact);
-            metrics.record_exchange();
-        }
-        metrics.record_round();
-    }
-    metrics
 }
 
 /// Delivers one planned exchange: tell the initiator to start, route its
@@ -569,31 +395,12 @@ fn relay_exchange<T: Transport>(links: &mut [T], phase: Phase, initiator: usize,
         .unwrap_or_else(|e| panic!("routing to node {initiator} failed: {e}"));
 }
 
-/// Requests and decodes one node's end-of-phase readout.
-fn request_readout<T: Transport, B: CipherBackend>(
-    backend: &B,
-    link: &mut T,
-    node: usize,
-    include_units: bool,
-    k: usize,
-    n: usize,
-) -> Readout<B> {
-    send(link, node, NodeEvent::ReadoutRequest { include_units });
-    let frame = link
-        .recv()
-        .unwrap_or_else(|e| panic!("receiving node {node}'s readout failed: {e}"));
-    match NodeEvent::from_frame(&frame).expect("a readout reply decodes") {
-        NodeEvent::ReadoutReply { payload } => decode_readout::<B>(backend, &payload, k, n),
-        other => panic!("expected a readout reply from node {node}, got {other:?}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use chiaroscuro_crypto::backend::DamgardJurik;
+    use chiaroscuro_crypto::backend::{BackendSetup, DamgardJurik};
     use chiaroscuro_node::Actor;
     use chiaroscuro_timeseries::{TimeSeriesSet, ValueRange};
     use crate::config::ChiaroscuroParams;

@@ -14,7 +14,6 @@
 //!   [`CipherBackend`](chiaroscuro_crypto::backend::CipherBackend) so the
 //!   same protocol runs over real Damgård–Jurik ciphertexts or the exact
 //!   plaintext surrogate that scales to millions of simulated devices;
-//! * [`participant`] — per-device state (local series, key-share, Diptych);
 //! * [`noise`] — the epidemic noise generation and surplus correction
 //!   (§4.2.2);
 //! * [`runner`] — [`runner::DistributedRun`], the end-to-end execution of
@@ -36,8 +35,8 @@ pub mod config;
 pub mod cost_model;
 pub mod diptych;
 pub mod evalue;
+mod iteration;
 pub mod noise;
-pub mod participant;
 pub mod runner;
 pub mod seedmix;
 pub mod surrogate;

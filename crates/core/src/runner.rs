@@ -1,8 +1,11 @@
 //! The end-to-end distributed execution sequence (Algorithms 1 and 3).
 //!
-//! [`DistributedRun`] simulates a population of personal devices, one per
-//! time-series, and executes the full Chiaroscuro iteration on top of the
-//! workspace substrates:
+//! [`DistributedRun`] describes a run over a population of personal
+//! devices, one per time-series.  The sequence itself is written once, in
+//! the crate-private iteration driver; this module holds its *in-process
+//! executor* (the whole population simulated in one address space, on the
+//! gossip engines), and [`crate::cluster`] holds the other one (node actors
+//! behind transport links).  Either way one iteration is:
 //!
 //! 1. **Assignment step** — each participant assigns its series to the
 //!    closest cleartext (differentially-private) centroid and initialises
@@ -101,41 +104,32 @@
 //! represent negative noise shares without modular arithmetic.
 
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use num_bigint::BigUint;
-
-use chiaroscuro_crypto::backend::{BackendSetup, CipherBackend, DamgardJurik};
+use chiaroscuro_crypto::backend::{CipherBackend, DamgardJurik};
 use chiaroscuro_crypto::encoding::FixedPointEncoder;
-use chiaroscuro_crypto::keys::PublicKey;
 use chiaroscuro_crypto::packing::{LaneBudget, PackedEncoder};
 use chiaroscuro_dp::laplace::{LaplaceMechanism, Sensitivity};
 use chiaroscuro_dp::noise_share::NoiseShareGenerator;
-use chiaroscuro_gossip::churn::ChurnModel;
 use chiaroscuro_gossip::dissemination::{
     converged, winning_state, DisseminationProtocol, MinIdArena, MinIdState,
 };
 use chiaroscuro_gossip::eesum::{initial_states as eesum_initial_states, EesState, EesSumProtocol};
-use chiaroscuro_gossip::metrics::ExchangeMetrics;
 use chiaroscuro_gossip::sim::arena::EesUnitArena;
 use chiaroscuro_gossip::sim::{
-    run_async_phase_until_with_adversary, run_async_phase_with_adversary,
-    run_phase_until_with_adversary, run_phase_with_adversary, AdversaryState, FaultStats,
-    NetworkModel, PhaseOutcome,
+    run_async_phase, run_phase, AdversaryState, FaultStats, NetworkModel, PhaseOpts, PhaseOutcome,
 };
-use chiaroscuro_gossip::sum::{initial_states as sum_initial_states, PushPullSum};
-use chiaroscuro_kmeans::report::{IterationReport, RunReport};
-use chiaroscuro_timeseries::inertia::{dataset_inertia, intra_inertia, Assignment};
+use chiaroscuro_gossip::sum::{initial_states as sum_initial_states, PushPullSum, SumState};
+use chiaroscuro_kmeans::report::RunReport;
 use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
 
-use crate::audit::{DataClass, SecurityAudit};
+use crate::audit::SecurityAudit;
 use crate::config::ChiaroscuroParams;
-use crate::diptych::{Diptych, PackedMeans};
 use crate::evalue::BackendVector;
-use crate::noise::{NoiseCorrection, NoiseShareVector};
+use crate::iteration::{device_contribution, drive, Executor, PhaseStats, RunContext};
+use crate::noise::NoiseCorrection;
 
 /// Participants per work batch when filling the lane arena: bounds the
 /// transient per-node unit vectors so the peak footprint stays close to the
@@ -363,604 +357,226 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
         self.execute_with_rng(&mut rng)
     }
 
-    /// Executes the run with the provided RNG.
+    /// Executes the run with the provided RNG: the one iteration driver
+    /// (`crate::iteration`) on the in-process executor.
     pub fn execute_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> RunOutcome {
-        let params = &self.params;
-        let data = self.data;
-        let population = data.len();
-        let n = data.series_length();
-        let k = params.k;
-        // Coordinates of one perturbed-values vector: k dimension-wise sums
-        // of length n plus k counts.
-        let entries = k * (n + 1);
-        let packing = self.plan_packing();
+        drive(self, &mut InProcessExecutor { means: MeansStore::default(), counter: Vec::new() }, rng)
+    }
+}
 
-        // --- Bootstrap: backend key material and initial centroids. ---
-        let setup = BackendSetup {
-            key_bits: params.key_bits,
-            damgard_jurik_s: params.damgard_jurik_s,
-            population,
-            key_share_threshold: params.key_share_threshold,
-            packed_layout: packing.as_ref().map(|p| p.layout()),
+/// The epidemic-sum state of the population in whichever storage runs it.
+enum MeansStore<B: CipherBackend> {
+    /// Per-node states: encrypted backends (their units are not plain
+    /// integers) and round-based runs (whose footprint tolerates it).
+    PerNode(Vec<EesState<BackendVector<B>>>),
+    /// The struct-of-arrays lane arena: plaintext lane integers under an
+    /// event-driven network model, i.e. the configuration meant to scale
+    /// to 100k–10M nodes.
+    Arena(EesUnitArena),
+}
+
+/// The simulated population, in process: per-node state lives here and each
+/// gossip phase runs on the engine [`ChiaroscuroParams::network`] selects.
+/// The event loop is storage-agnostic and consumes identical RNG draws over
+/// per-node vectors and over the arenas.
+struct InProcessExecutor<B: CipherBackend> {
+    means: MeansStore<B>,
+    counter: Vec<SumState>,
+}
+
+impl<B: CipherBackend> Default for MeansStore<B> {
+    fn default() -> Self {
+        MeansStore::PerNode(Vec::new())
+    }
+}
+
+/// Splits a phase outcome into the final store and the driver's accounting.
+fn split<S>(outcome: PhaseOutcome<S>) -> (S, PhaseStats) {
+    let PhaseOutcome { nodes, metrics, converged, sim_time, peak_in_flight, .. } = outcome;
+    (nodes, PhaseStats { metrics, converged, sim_time, peak_in_flight })
+}
+
+impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
+    fn contribute(
+        &mut self,
+        ctx: &RunContext<'_, B>,
+        centroids: &[TimeSeries],
+        participant_seeds: &[u64],
+        sum_scale: f64,
+        count_scale: f64,
+    ) -> Vec<usize> {
+        let series_all = ctx.run.data.series();
+        let population = series_all.len();
+        let device = |i: usize, series: &TimeSeries| {
+            device_contribution(&ctx.kit, centroids, series, participant_seeds[i], sum_scale, count_scale)
         };
-        let backend = Arc::new(B::setup(&setup, rng));
-        // Pay for derived lookup state (Montgomery contexts, fixed-base
-        // tables) up front, outside the per-iteration accounting.
-        backend.precompute();
-        if let (Some(packer), Some(capacity)) = (&packing, backend.plaintext_capacity_bits()) {
-            // The layout was planned from the pre-keygen capacity bound;
-            // re-check it against the modulus actually generated so a
-            // packed plaintext can never reach n^s (belt and braces — the
-            // conservative bound already covers every possible key).
-            let layout = packer.layout();
-            assert!(
-                layout.lanes as u64 * layout.lane_bits <= capacity,
-                "planned lane layout exceeds the generated key's plaintext capacity"
-            );
-        }
-        let encoder = FixedPointEncoder::new(params.encoding_digits);
-        let mut centroids = match &self.initial_centroids {
-            Some(c) => c.clone(),
-            None => {
-                use rand::seq::SliceRandom;
-                data.series().choose_multiple(rng, k).cloned().collect()
-            }
-        };
-        assert_eq!(centroids.len(), k, "k must not exceed the population when sampling initial centroids");
-
-        let schedule = params.budget_schedule();
-        let sensitivity = Sensitivity::from_range(n, data.range().min, data.range().max);
-        let churn = ChurnModel::new(params.churn);
-        let exchanges = params.effective_exchanges(population, n);
-        // Byzantine adversary: the fault schedule runs on a dedicated
-        // seed-derived RNG sub-stream.  An inactive model draws NOTHING
-        // here and is never materialised, so honest runs stay bit-identical
-        // to every historical baseline seed.
-        let mut adversary_state =
-            params.adversary.is_active().then(|| AdversaryState::new(params.adversary, rng.gen()));
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(params.pool_threads)
-            .build()
-            .expect("the offline pool cannot fail to build");
-        // The struct-of-arrays EESum arena: plaintext lane integers under an
-        // event-driven network model, i.e. the configuration meant to scale
-        // to 100k–10M nodes.  Encrypted backends always use per-node states
-        // (their units are not plain integers); the round engine keeps the
-        // per-node layout too, whose footprint it tolerates.
-        let use_arena = !B::ENCRYPTED && params.network.is_async();
-
-        let mut audit = SecurityAudit::new();
-        let mut iterations = Vec::new();
-        let mut network = Vec::new();
-        let mut run_converged = false;
-
-        for iteration in 0..params.max_iterations {
-            let epsilon_i = schedule.epsilon_for_iteration(iteration);
-            if epsilon_i <= 0.0 {
-                break;
-            }
-            let mechanism =
-                LaplaceMechanism::new(sensitivity, epsilon_i).with_gossip_error_bound(params.gossip_error_bound);
-            let sum_scale = mechanism.sum_scale();
-            let count_scale = mechanism.count_scale();
-
-            // --- Assignment step: local, per participant (parallelised). ---
-            // Each device draws from its own RNG stream whose seed comes off
-            // the master RNG before dispatch, so ciphertext randomness is
-            // identical whatever the pool size.  The device stream is split
-            // further into a noise sub-stream and an encryption sub-stream:
-            // noise draws are then identical whichever encoding path runs
-            // (the packed path encrypts fewer ciphertexts, so interleaving
-            // noise with encryption would desynchronise the two pipelines
-            // and break their bit-equality).
-            let participant_seeds: Vec<u64> = (0..population).map(|_| rng.gen()).collect();
-            let centroids_view = &centroids;
-            let packing_view = &packing;
-            let backend_view: &B = &backend;
-            let device = |i: usize, series: &TimeSeries| -> (usize, Vec<B::Unit>) {
-                let mut streams = crate::seedmix::device_streams(participant_seeds[i]);
-                let noise = NoiseShareVector::generate(
-                    k,
-                    n,
-                    sum_scale,
-                    count_scale,
-                    params.num_noise_shares,
-                    &mut streams.noise,
-                );
-                let mut device_rng = streams.encryption;
-                if let Some(packer) = packing_view {
-                    // Lane-packed contribution: ⌈k·(n+1)/L⌉ means units, as
-                    // many noise-share units (same lane layout, so the
-                    // runner can add them pairwise before decryption), and
-                    // one shared counter unit for the accumulated bias.
-                    let (means, assigned) = PackedMeans::initialise(
-                        centroids_view,
-                        series,
-                        backend_view,
-                        packer,
-                        &mut device_rng,
-                    );
-                    let mut flat = means.units;
-                    flat.reserve(flat.len() + 1);
-                    for m in packer.pack(&noise.flatten()) {
-                        flat.push(backend_view.encrypt(&m, &mut device_rng));
-                    }
-                    flat.push(backend_view.encrypt(&packer.counter_plaintext(), &mut device_rng));
-                    (assigned, flat)
-                } else {
-                    let (diptych, assigned) = Diptych::initialise(
-                        centroids_view,
-                        series,
-                        backend_view,
-                        &encoder,
-                        &mut device_rng,
-                    );
-                    // Flatten: all sum units (cluster-major), then all counts,
-                    // then the participant's encrypted noise shares in the same layout.
-                    let mut flat: Vec<B::Unit> = Vec::with_capacity(2 * entries);
-                    for mean in &diptych.means {
-                        flat.extend(mean.sums.iter().cloned());
-                    }
-                    for mean in &diptych.means {
-                        flat.push(mean.count.clone());
-                    }
-                    for share in noise.flatten() {
-                        flat.push(
-                            backend_view.encrypt(&backend_view.encode(&encoder, share), &mut device_rng),
-                        );
-                    }
-                    (assigned, flat)
-                }
-            };
-
-            // One gossip message carries one whole contribution vector; its
-            // unit count is the per-message sum payload (reported in the
-            // iteration stats, where lane packing's saving is visible), and
-            // the byte size follows the backend's honest unit size.
-            let sum_payload_ciphertexts = match &packing {
-                Some(packer) => 2 * packer.ciphertexts_for(entries) + 1,
-                None => 2 * entries,
-            };
-            let sum_payload_bytes = sum_payload_ciphertexts * backend.unit_bytes();
-
-            // --- Computation step (a): epidemic encrypted sums + counter. ---
-            // Both phases dispatch on `params.network`: the round engine
-            // (same RNG draws as driving it directly) or the event-driven
-            // asynchronous engine, whose wall-clock latency shows up in
-            // this iteration's stats.  The storage is per-node vectors, or
-            // the lane arena on the plaintext scale path — the event loop
-            // consumes identical draws either way.
-            let (labels, sum_phase) = if use_arena {
-                let packer = packing.as_ref().expect("plaintext backends require lane packing");
-                let blocks = packer.ciphertexts_for(entries);
-                let layout = packer.layout();
-                let value_bits = layout.lanes as u64 * layout.lane_bits;
-                let limbs_per_unit = value_bits.div_ceil(64) as usize + 1;
-                let mut labels = Vec::with_capacity(population);
-                let mut arena = EesUnitArena::new(population, 2 * blocks + 1, limbs_per_unit);
-                let series_all = data.series();
-                let mut start = 0usize;
-                while start < population {
-                    let end = (start + ARENA_FILL_CHUNK).min(population);
-                    let chunk: Vec<(usize, Vec<B::Unit>)> =
-                        pool.map(&series_all[start..end], |offset, series| device(start + offset, series));
-                    for (offset, (assigned, units)) in chunk.into_iter().enumerate() {
-                        labels.push(assigned);
-                        for (u, unit) in units.iter().enumerate() {
-                            arena.set_unit_from_digits(
-                                start + offset,
-                                u,
-                                backend.plaintext_of(unit).iter_u64_digits(),
-                            );
-                        }
-                    }
-                    start = end;
-                }
-                let NetworkModel::Async(config) = &params.network else {
-                    unreachable!("the arena path is only selected under the async model")
-                };
-                let (arena, metrics, sim_time, sim) = run_async_phase_with_adversary(
-                    config,
-                    arena,
-                    churn,
-                    &EesSumProtocol,
-                    exchanges,
-                    rng,
-                    adversary_state.as_mut(),
-                );
-                (labels, SumPhase::<B>::Arena { arena, metrics, sim_time, peak_in_flight: sim.peak_in_flight })
-            } else {
-                let contributions: Vec<(usize, Vec<B::Unit>)> =
-                    pool.map(data.series(), |i, series| device(i, series));
-                let mut labels = Vec::with_capacity(population);
-                let mut contribution_vectors = Vec::with_capacity(population);
-                for (assigned, units) in contributions {
+        let mut labels = Vec::with_capacity(population);
+        self.means = if !B::ENCRYPTED && ctx.run.params.network.is_async() {
+            let layout =
+                ctx.kit.packer.as_ref().expect("plaintext backends require lane packing").layout();
+            let value_bits = layout.lanes as u64 * layout.lane_bits;
+            let limbs_per_unit = value_bits.div_ceil(64) as usize + 1;
+            let mut arena = EesUnitArena::new(population, ctx.contribution_units, limbs_per_unit);
+            let mut start = 0usize;
+            while start < population {
+                let end = (start + ARENA_FILL_CHUNK).min(population);
+                let chunk = ctx.pool.map(&series_all[start..end], |offset, series| device(start + offset, series));
+                for (offset, (assigned, units)) in chunk.into_iter().enumerate() {
                     labels.push(assigned);
-                    contribution_vectors.push(BackendVector::new(backend.clone(), units));
-                }
-                let phase = run_phase_with_adversary(
-                    &params.network,
-                    eesum_initial_states(contribution_vectors),
-                    churn,
-                    &EesSumProtocol,
-                    exchanges,
-                    rng,
-                    adversary_state.as_mut(),
-                );
-                (labels, SumPhase::PerNode(phase))
-            };
-            audit.record_n(iteration, "encrypted means contribution", DataClass::Encrypted, population);
-            audit.record_n(iteration, "encrypted noise shares", DataClass::Encrypted, population);
-            audit.record_n(
-                iteration,
-                "epidemic weight and exchange counter",
-                DataClass::DataIndependent,
-                population,
-            );
-
-            let counter_values = vec![1.0; population];
-            let counter_phase = run_phase_with_adversary(
-                &params.network,
-                sum_initial_states(&counter_values),
-                churn,
-                &PushPullSum,
-                exchanges,
-                rng,
-                adversary_state.as_mut(),
-            );
-            audit.record(iteration, "cleartext contributor counter", DataClass::DataIndependent);
-
-            // Reporting-only PRE metrics (never exchanged between devices).
-            let assignment = assignment_from_labels(&labels, k);
-            let (exact_sums, exact_counts) = assignment.cluster_sums(data, k);
-            let exact_means: Vec<TimeSeries> = exact_sums
-                .iter()
-                .zip(exact_counts.iter())
-                .enumerate()
-                .map(|(i, (sum, &count))| if count > 0.0 { sum.scaled(1.0 / count) } else { centroids[i].clone() })
-                .collect();
-            let pre_inertia = intra_inertia(data, &exact_means, &assignment);
-
-            // Reference participant: the single node that reads out the
-            // aggregates.  Counter estimate and perturbed sums MUST come
-            // from the same device — mixing two nodes' views can pair a
-            // counter that saw the weight with sums that did not (or vice
-            // versa) and mis-size the surplus correction.  Byzantine nodes
-            // are never trusted as the reference: `is_byzantine` is a pure
-            // hash (no RNG), and with an inactive adversary it is false for
-            // every node, so honest runs pick the same reference as ever.
-            let reference = (0..population)
-                .position(|i| {
-                    !params.adversary.is_byzantine(i)
-                        && sum_phase.weight(i) > 0.0
-                        && counter_phase.nodes[i].estimate().is_some()
-                })
-                .expect("after the epidemic sums at least one honest node holds both weights");
-            let counter_estimate = counter_phase.nodes[reference]
-                .estimate()
-                .expect("reference node was selected for holding a counter estimate");
-
-            // --- Computation step (b): noise surplus correction. ---
-            // More contributors than the expected nν means surplus noise to
-            // subtract; fewer means a deficit — there is nothing to
-            // subtract, and the shortfall is surfaced in the iteration's
-            // stats rather than silently mapped to zero.  The push-pull
-            // counter is only an estimate of the contributor count; before
-            // full mixing it can transiently overshoot the population by
-            // orders of magnitude, and no run can have more contributors
-            // than devices, so the estimate is clamped to the population
-            // rather than over-correcting by a physically impossible
-            // surplus.
-            let contributors = (counter_estimate.round() as i64).min(population as i64);
-            let expected_shares = params.num_noise_shares as i64;
-            let surplus = (contributors - expected_shares).max(0) as usize;
-            let noise_share_deficit = (expected_shares - contributors).max(0) as usize;
-            // Proposals are always generated in node order from the run RNG,
-            // whatever storage the dissemination runs on, so the draw
-            // sequence (and hence the whole run) is storage-independent.
-            let corrections: Vec<NoiseCorrection> = (0..population)
-                .map(|_| {
-                    NoiseCorrection::generate(
-                        surplus,
-                        k,
-                        n,
-                        sum_scale,
-                        count_scale,
-                        params.num_noise_shares,
-                        rng,
-                    )
-                })
-                .collect();
-            // The agreed-upon correction is the proposal with the globally
-            // smallest identifier — the value dissemination converges to —
-            // not whatever node 0 happens to hold (under churn an
-            // unconverged node 0 may still carry a losing proposal).
-            let (
-                winning_correction,
-                dissemination_metrics,
-                dissemination_converged,
-                dissemination_sim_time,
-                dissemination_peak_in_flight,
-            ) = match &params.network {
-                NetworkModel::Async(config) => {
-                    // Struct-of-arrays dissemination: the event-driven
-                    // engines drive a MinIdArena (one id lane plus flat
-                    // payload rows) instead of per-node boxed
-                    // NoiseCorrection clones.  The async schedule is
-                    // state-independent, so the result is bit-identical to
-                    // the boxed store from the same RNG.
-                    let payload_len = k * n + k;
-                    let arena = MinIdArena::build(population, payload_len, |node, row| {
-                        let c = &corrections[node];
-                        row[..k * n].copy_from_slice(&c.sum_correction);
-                        row[k * n..].copy_from_slice(&c.count_correction);
-                        c.id
-                    });
-                    let (arena, metrics, sim_time, sim, phase_converged) =
-                        run_async_phase_until_with_adversary(
-                            config,
-                            arena,
-                            churn,
-                            &DisseminationProtocol,
-                            exchanges,
-                            rng,
-                            |arena: &MinIdArena| arena.converged(),
-                            adversary_state.as_mut(),
+                    for (u, unit) in units.iter().enumerate() {
+                        arena.set_unit_from_digits(
+                            start + offset,
+                            u,
+                            ctx.kit.backend.plaintext_of(unit).iter_u64_digits(),
                         );
-                    let winner = arena.winning_node();
-                    let winner_id = arena.id(winner);
-                    assert!(
-                        (0..population)
-                            .filter(|&node| arena.id(node) == winner_id)
-                            .all(|node| arena.payload(node) == arena.payload(winner)),
-                        "every node holding the winning identifier must carry the same payload"
-                    );
-                    let row = arena.payload(winner);
-                    let winning = NoiseCorrection {
-                        id: winner_id,
-                        sum_correction: row[..k * n].to_vec(),
-                        count_correction: row[k * n..].to_vec(),
-                    };
-                    (winning, metrics, phase_converged, sim_time, sim.peak_in_flight)
-                }
-                NetworkModel::Rounds => {
-                    let correction_states: Vec<MinIdState<NoiseCorrection>> =
-                        corrections.iter().map(|c| MinIdState::new(c.id, c.clone())).collect();
-                    let phase = run_phase_until_with_adversary(
-                        &params.network,
-                        correction_states,
-                        churn,
-                        &DisseminationProtocol,
-                        exchanges,
-                        rng,
-                        converged,
-                        adversary_state.as_mut(),
-                    );
-                    let winner = winning_state(&phase.nodes);
-                    assert!(
-                        phase.nodes.iter().filter(|s| s.id == winner.id).all(|s| s.payload == winner.payload),
-                        "every node holding the winning identifier must carry the same payload"
-                    );
-                    let winning = winner.payload.clone();
-                    (winning, phase.metrics, phase.converged, phase.sim_time, phase.peak_in_flight)
-                }
-            };
-            audit.record_n(iteration, "noise correction proposal", DataClass::DataIndependent, population);
-
-            // --- Computation step (c): perturbation and threshold decryption. ---
-            let weight = sum_phase.weight(reference);
-            // Each unit is independent: one homomorphic add of the means
-            // part and the noise part (same epidemic scaling because they
-            // travelled in the same vector), then one threshold decryption.
-            // No randomness is involved, so the parallel map is trivially
-            // deterministic.
-            let decrypted: Vec<f64> = match (&sum_phase, &packing) {
-                (SumPhase::Arena { arena, .. }, Some(packer)) => {
-                    // The arena carries the plaintext lane integers by
-                    // construction, so "threshold decryption" is exactly
-                    // the identity read the surrogate backend performs.
-                    let blocks = packer.ciphertexts_for(entries);
-                    let unit_of = |u: usize| biguint_from_limbs(arena.unit_limbs(reference, u));
-                    let plaintexts: Vec<BigUint> =
-                        (0..blocks).map(|b| unit_of(b) + unit_of(blocks + b)).collect();
-                    let counter = unit_of(2 * blocks);
-                    packer.unpack(&plaintexts, entries, &counter, 2).iter().map(|v| v / weight).collect()
-                }
-                (SumPhase::PerNode(phase), Some(packer)) => {
-                    // Packed: ⌈entries/L⌉ perturbed data units plus the
-                    // counter — an ~L× cut in threshold decryptions.  The
-                    // counter recovers the accumulated bias (2·B·C: means
-                    // and noise are both biased) and feeds the overflow
-                    // guard.
-                    let blocks = packer.ciphertexts_for(entries);
-                    let cts = phase.nodes[reference].value.units();
-                    let plaintexts: Vec<BigUint> = pool.map_range(blocks + 1, |i| {
-                        if i < blocks {
-                            backend.threshold_decrypt(&backend.add(&cts[i], &cts[blocks + i]))
-                        } else {
-                            backend.threshold_decrypt(&cts[2 * blocks])
-                        }
-                    });
-                    let counter = &plaintexts[blocks];
-                    packer
-                        .unpack(&plaintexts[..blocks], entries, counter, 2)
-                        .iter()
-                        .map(|v| v / weight)
-                        .collect()
-                }
-                (SumPhase::PerNode(phase), None) => {
-                    let cts = phase.nodes[reference].value.units();
-                    pool.map_range(entries, |i| {
-                        let perturbed = backend.add(&cts[i], &cts[entries + i]);
-                        backend.decode(&encoder, &backend.threshold_decrypt(&perturbed)) / weight
-                    })
-                }
-                (SumPhase::Arena { .. }, None) => {
-                    unreachable!("the arena path requires lane packing")
-                }
-            };
-            audit.record(iteration, "partial decryptions of perturbed means", DataClass::DifferentiallyPrivate);
-
-            // Rebuild the perturbed means, apply the correction and smoothing.
-            let mut new_centroids = Vec::with_capacity(k);
-            let mut aberrant = vec![false; k];
-            for cluster in 0..k {
-                let mut sum_values: Vec<f64> = decrypted[cluster * n..(cluster + 1) * n].to_vec();
-                let mut count_value = decrypted[k * n + cluster];
-                if surplus > 0 {
-                    for (j, value) in sum_values.iter_mut().enumerate() {
-                        *value -= winning_correction.sum_correction[cluster * n + j];
                     }
-                    count_value -= winning_correction.count_correction[cluster];
                 }
-                let mean = if count_value.abs() < 0.5 {
-                    aberrant[cluster] = true;
-                    aberrant_centroid(n, data.range().max, cluster)
-                } else {
-                    let mut mean = TimeSeries::new(sum_values.iter().map(|v| v / count_value).collect());
-                    mean = params.smoothing.apply(&mean);
-                    mean
-                };
-                new_centroids.push(mean);
+                start = end;
             }
-            audit.record(iteration, "perturbed cleartext centroids", DataClass::DifferentiallyPrivate);
-
-            let post_inertia =
-                chiaroscuro_kmeans::perturbed::post_perturbation_inertia(data, &new_centroids, &assignment, &aberrant);
-            iterations.push(IterationReport {
-                iteration,
-                epsilon: epsilon_i,
-                pre_inertia,
-                post_inertia,
-                surviving_centroids: assignment.non_empty_clusters(),
-                participating_series: population,
-            });
-            // Snapshot this iteration's fault counters (honest runs never
-            // materialise a state and report the zero statistics) and fold
-            // them into the security audit's running totals.
-            let iteration_faults = match adversary_state.as_mut() {
-                Some(state) => state.take_stats(),
-                None => FaultStats::ZERO,
-            };
-            if adversary_state.is_some() {
-                audit.record_faults(&iteration_faults);
+            MeansStore::Arena(arena)
+        } else {
+            let mut vectors = Vec::with_capacity(population);
+            for (assigned, units) in ctx.pool.map(series_all, device) {
+                labels.push(assigned);
+                vectors.push(BackendVector::new(ctx.kit.backend.clone(), units));
             }
-            network.push(IterationNetworkStats {
-                iteration,
-                sum_messages_per_node: sum_phase.metrics().messages_per_node(population)
-                    + counter_phase.metrics.messages_per_node(population),
-                dissemination_messages_per_node: dissemination_metrics.messages_per_node(population),
-                sum_rounds: sum_phase.metrics().rounds(),
-                dissemination_converged,
-                noise_share_deficit,
-                sum_payload_ciphertexts,
-                sum_payload_bytes,
-                gossip_sim_time: sum_phase.sim_time()
-                    + counter_phase.sim_time
-                    + dissemination_sim_time,
-                peak_messages_in_flight: sum_phase
-                    .peak_in_flight()
-                    .max(counter_phase.peak_in_flight)
-                    .max(dissemination_peak_in_flight),
-                faults: iteration_faults,
-            });
-
-            // --- Convergence step. ---
-            let displacement: f64 = centroids.iter().zip(new_centroids.iter()).map(|(c, m)| c.distance(m)).sum();
-            centroids = new_centroids;
-            if displacement <= params.convergence_threshold {
-                run_converged = true;
-                break;
-            }
-        }
-
-        RunOutcome {
-            report: RunReport {
-                iterations,
-                final_centroids: centroids,
-                converged: run_converged,
-                dataset_inertia: dataset_inertia(data),
-            },
-            audit,
-            network,
-        }
+            MeansStore::PerNode(eesum_initial_states(vectors))
+        };
+        labels
     }
-}
 
-/// The epidemic-sum phase outcome in whichever storage ran it: per-node
-/// states (encrypted backends, round-based runs) or the struct-of-arrays
-/// lane arena (plaintext backends under the asynchronous model).
-enum SumPhase<B: CipherBackend> {
-    /// Per-node `EesState` vector, as produced by `run_phase`.
-    PerNode(PhaseOutcome<EesState<BackendVector<B>>>),
-    /// The lane arena plus the accounting `run_phase` would have reported.
-    Arena {
-        arena: EesUnitArena,
-        metrics: ExchangeMetrics,
-        sim_time: f64,
-        peak_in_flight: usize,
-    },
-}
+    fn means_phase<R: Rng + ?Sized>(
+        &mut self,
+        ctx: &RunContext<'_, B>,
+        rng: &mut R,
+        adversary: Option<&mut AdversaryState>,
+    ) -> PhaseStats {
+        let (network, churn, budget) = (&ctx.run.params.network, ctx.churn, ctx.exchanges);
+        let protocol = &EesSumProtocol;
+        let (means, stats) = match (std::mem::take(&mut self.means), network) {
+            (MeansStore::Arena(arena), NetworkModel::Async(config)) => {
+                let opts = PhaseOpts { until: None, adversary };
+                let (arena, stats) = split(run_async_phase(config, arena, churn, protocol, budget, rng, opts));
+                (MeansStore::Arena(arena), stats)
+            }
+            (MeansStore::PerNode(nodes), _) => {
+                let opts = PhaseOpts { until: None, adversary };
+                let (nodes, stats) = split(run_phase(network, nodes, churn, protocol, budget, rng, opts));
+                (MeansStore::PerNode(nodes), stats)
+            }
+            (MeansStore::Arena(_), NetworkModel::Rounds) => {
+                unreachable!("the arena is only filled under the async model")
+            }
+        };
+        self.means = means;
+        stats
+    }
 
-impl<B: CipherBackend> SumPhase<B> {
+    fn counter_phase<R: Rng + ?Sized>(
+        &mut self,
+        ctx: &RunContext<'_, B>,
+        rng: &mut R,
+        adversary: Option<&mut AdversaryState>,
+    ) -> PhaseStats {
+        let states = sum_initial_states(&vec![1.0; ctx.run.data.len()]);
+        let opts = PhaseOpts { until: None, adversary };
+        let (counter, stats) =
+            split(run_phase(&ctx.run.params.network, states, ctx.churn, &PushPullSum, ctx.exchanges, rng, opts));
+        self.counter = counter;
+        stats
+    }
+
     fn weight(&self, node: usize) -> f64 {
-        match self {
-            SumPhase::PerNode(phase) => phase.nodes[node].weight,
-            SumPhase::Arena { arena, .. } => arena.weight(node),
+        match &self.means {
+            MeansStore::PerNode(nodes) => nodes[node].weight,
+            MeansStore::Arena(arena) => arena.weight(node),
         }
     }
 
-    fn metrics(&self) -> &ExchangeMetrics {
-        match self {
-            SumPhase::PerNode(phase) => &phase.metrics,
-            SumPhase::Arena { metrics, .. } => metrics,
-        }
+    fn counter_estimate(&self, node: usize) -> Option<f64> {
+        self.counter[node].estimate()
     }
 
-    fn sim_time(&self) -> f64 {
-        match self {
-            SumPhase::PerNode(phase) => phase.sim_time,
-            SumPhase::Arena { sim_time, .. } => *sim_time,
-        }
+    fn settle<R: Rng + ?Sized>(
+        &mut self,
+        ctx: &RunContext<'_, B>,
+        proposals: Vec<NoiseCorrection>,
+        reference: usize,
+        rng: &mut R,
+        adversary: Option<&mut AdversaryState>,
+    ) -> (NoiseCorrection, PhaseStats, Vec<B::Unit>) {
+        let population = proposals.len();
+        let (churn, budget) = (ctx.churn, ctx.exchanges);
+        let protocol = &DisseminationProtocol;
+        const SAME_PAYLOAD: &str = "every node holding the winning identifier must carry the same payload";
+        let (winning, stats) = match &ctx.run.params.network {
+            NetworkModel::Async(config) => {
+                // Struct-of-arrays dissemination: the event-driven engines
+                // drive a MinIdArena (one id lane plus flat payload rows)
+                // instead of per-node boxed NoiseCorrection clones.  The
+                // async schedule is state-independent, so the result is
+                // bit-identical to the boxed store from the same RNG.
+                let sums = proposals[0].sum_correction.len();
+                let counts = proposals[0].count_correction.len();
+                let arena = MinIdArena::build(population, sums + counts, |node, row| {
+                    let c = &proposals[node];
+                    row[..sums].copy_from_slice(&c.sum_correction);
+                    row[sums..].copy_from_slice(&c.count_correction);
+                    c.id
+                });
+                drop(proposals);
+                let opts = PhaseOpts { until: Some(&mut MinIdArena::converged), adversary };
+                let (arena, stats) = split(run_async_phase(config, arena, churn, protocol, budget, rng, opts));
+                let winner = arena.winning_node();
+                let (id, row) = (arena.id(winner), arena.payload(winner));
+                assert!(
+                    (0..population).filter(|&node| arena.id(node) == id).all(|node| arena.payload(node) == row),
+                    "{SAME_PAYLOAD}"
+                );
+                let winning = NoiseCorrection {
+                    id,
+                    sum_correction: row[..sums].to_vec(),
+                    count_correction: row[sums..].to_vec(),
+                };
+                (winning, stats)
+            }
+            network @ NetworkModel::Rounds => {
+                let states: Vec<MinIdState<NoiseCorrection>> =
+                    proposals.into_iter().map(|c| MinIdState::new(c.id, c)).collect();
+                let opts = PhaseOpts { until: Some(&mut converged), adversary };
+                let (nodes, stats) = split(run_phase(network, states, churn, protocol, budget, rng, opts));
+                let winner = winning_state(&nodes);
+                assert!(
+                    nodes.iter().filter(|s| s.id == winner.id).all(|s| s.payload == winner.payload),
+                    "{SAME_PAYLOAD}"
+                );
+                (winner.payload.clone(), stats)
+            }
+        };
+        // The iteration's per-node state is spent once the reference is read
+        // out: release it before the driver decrypts, so it never coexists
+        // with the next iteration's.
+        self.counter = Vec::new();
+        let units = match std::mem::take(&mut self.means) {
+            MeansStore::PerNode(nodes) => nodes[reference].value.units().to_vec(),
+            // The arena carries the plaintext lane integers a plaintext
+            // backend's units are; its own codec turns them back into units.
+            MeansStore::Arena(arena) => (0..arena.units_per_node())
+                .map(|u| {
+                    let bytes: Vec<u8> =
+                        arena.unit_limbs(reference, u).iter().rev().flat_map(|limb| limb.to_be_bytes()).collect();
+                    ctx.kit.backend.unit_from_bytes(&bytes).expect("a plaintext unit is any integer")
+                })
+                .collect(),
+        };
+        (winning, stats, units)
     }
-
-    fn peak_in_flight(&self) -> usize {
-        match self {
-            SumPhase::PerNode(phase) => phase.peak_in_flight,
-            SumPhase::Arena { peak_in_flight, .. } => *peak_in_flight,
-        }
-    }
-}
-
-/// Rebuilds a big integer from the little-endian limbs of an arena unit.
-fn biguint_from_limbs(limbs: &[u64]) -> BigUint {
-    limbs.iter().rev().fold(BigUint::from(0u32), |acc, &limb| (acc << 64u32) + BigUint::from(limb))
-}
-
-/// Builds an [`Assignment`] from per-participant labels.
-pub(crate) fn assignment_from_labels(labels: &[usize], k: usize) -> Assignment {
-    let mut sizes = vec![0usize; k];
-    for &l in labels {
-        sizes[l] += 1;
-    }
-    Assignment { labels: labels.to_vec(), sizes }
-}
-
-/// Same far-away sentinel as the centralized surrogate (footnote 8): an
-/// aberrant mean that will attract no series at the next iteration.
-pub(crate) fn aberrant_centroid(series_length: usize, range_max: f64, cluster: usize) -> TimeSeries {
-    TimeSeries::constant(series_length, range_max * 1e6 * (cluster + 2) as f64)
-}
-
-/// Re-export used by tests and benches to check the wire model of a Diptych
-/// without running a whole iteration.
-pub fn diptych_wire_kilobytes(public_key: &PublicKey, k: usize, series_length: usize) -> f64 {
-    chiaroscuro_crypto::wire::MeansWireModel::new(public_key, k, series_length).set_kilobytes()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::DataClass;
     use crate::config::ChiaroscuroParams;
     use chiaroscuro_crypto::backend::PlaintextSurrogate;
     use chiaroscuro_dp::budget::BudgetStrategy;

@@ -4,10 +4,14 @@
 //! centroid values, identical per-iteration network statistics, identical
 //! audit events — under both transports and under every encoding path
 //! (lane-packed Damgård–Jurik, legacy Damgård–Jurik, plaintext surrogate).
+//! Both paths are executors of one iteration driver; these tests pin that
+//! the two executors consume the master RNG identically, to the last draw.
 
 use chiaroscuro_core::prelude::*;
 use chiaroscuro_core::runner::IterationNetworkStats;
-use chiaroscuro_core::MEANS_FRAME_OVERHEAD_BYTES;
+use chiaroscuro_core::seedmix::run_rng;
+use chiaroscuro_core::{ChiaroscuroNodeActor, MEANS_FRAME_OVERHEAD_BYTES};
+use chiaroscuro_node::{LocalBus, NodeId};
 use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet, ValueRange};
 
 /// A `population`-device dataset of two well-separated constant profiles.
@@ -69,30 +73,65 @@ fn assert_bit_identical(a: &RunOutcome, b: &RunOutcome, payload_delta: usize) {
     }
 }
 
+/// Runs `params` over `data` through the in-process executor and through
+/// node actors on a `LocalBus`, each from a clone of one master stream, and
+/// asserts identical outcomes **and** identical RNG end states — a trailing
+/// draw-order slip moves no outcome bit, only the stream.  Returns the
+/// (shared) outcome for case-specific assertions.
+fn assert_localbus_parity<B: CipherBackend>(
+    params: ChiaroscuroParams,
+    data: &TimeSeriesSet,
+    seed: u64,
+) -> RunOutcome {
+    let run = DistributedRun::<B>::with_backend(params, data);
+    let mut monolith_rng = run_rng(seed);
+    let mut actors_rng = monolith_rng.clone();
+    let monolith = run.execute_with_rng(&mut monolith_rng);
+    let mut bus = LocalBus::spawn(
+        (0..data.len()).map(|i| ChiaroscuroNodeActor::<B>::new(i as NodeId)).collect(),
+    );
+    let actors = run.execute_via_links(bus.links_mut(), 0, &mut actors_rng);
+    bus.shutdown().expect("the node actors must shut down cleanly");
+    assert_bit_identical(&actors, &monolith, 0);
+    assert_eq!(actors_rng, monolith_rng, "both executors must leave the master RNG in one state");
+    // `execute` / `via_actors` are those two calls behind `run_rng(seed)`.
+    assert_bit_identical(&run.via_actors(seed), &monolith, 0);
+    monolith
+}
+
 #[test]
 fn localbus_actors_reproduce_the_packed_crypto_monolith_bit_for_bit() {
-    let data = dataset(14);
-    let monolith = DistributedRun::new(params(true, 0.25), &data).execute(42);
-    let actors = DistributedRun::new(params(true, 0.25), &data).via_actors(42);
-    assert_bit_identical(&actors, &monolith, 0);
+    assert_localbus_parity::<DamgardJurik>(params(true, 0.25), &dataset(14), 42);
 }
 
 #[test]
 fn localbus_actors_reproduce_the_legacy_crypto_monolith_bit_for_bit() {
-    let data = dataset(12);
-    let monolith = DistributedRun::new(params(false, 0.0), &data).execute(7);
-    let actors = DistributedRun::new(params(false, 0.0), &data).via_actors(7);
-    assert_bit_identical(&actors, &monolith, 0);
+    assert_localbus_parity::<DamgardJurik>(params(false, 0.0), &dataset(12), 7);
 }
 
 #[test]
 fn localbus_actors_reproduce_the_surrogate_monolith_bit_for_bit() {
-    let data = dataset(16);
-    let monolith =
-        DistributedRun::<PlaintextSurrogate>::with_backend(params(true, 0.25), &data).execute(9);
-    let actors =
-        DistributedRun::<PlaintextSurrogate>::with_backend(params(true, 0.25), &data).via_actors(9);
-    assert_bit_identical(&actors, &monolith, 0);
+    assert_localbus_parity::<PlaintextSurrogate>(params(true, 0.25), &dataset(16), 9);
+}
+
+/// A convergence threshold no displacement can exceed: both executors must
+/// take the convergence break at iteration 0, leaving no draw behind it.
+#[test]
+fn both_executors_break_at_the_same_early_convergence() {
+    let early = ChiaroscuroParams { convergence_threshold: f64::MAX, ..params(true, 0.25) };
+    let outcome = assert_localbus_parity::<DamgardJurik>(early, &dataset(14), 5);
+    assert!(outcome.report.converged);
+    assert_eq!(outcome.report.iterations.len(), 1);
+}
+
+/// The ε schedule (two uniform iterations) runs out before `max_iterations`:
+/// both executors must stop on the exhausted budget, unconverged.
+#[test]
+fn both_executors_stop_when_the_budget_is_exhausted() {
+    let starved = ChiaroscuroParams { max_iterations: 4, ..params(false, 0.25) };
+    let outcome = assert_localbus_parity::<DamgardJurik>(starved, &dataset(12), 13);
+    assert!(!outcome.report.converged);
+    assert_eq!(outcome.report.iterations.len(), 2);
 }
 
 /// The socket transport must change nothing but the *reported* payload

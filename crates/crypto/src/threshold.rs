@@ -270,6 +270,8 @@ mod tests {
     #[test]
     fn threshold_decryption_round_trip() {
         let (kp, shares, mut rng) = setup(1, 1, 7, 3);
+        let indices: Vec<usize> = shares.iter().map(KeyShare::index).collect();
+        assert_eq!(indices, (1..=7).collect::<Vec<_>>(), "one distinct 1-based share per participant");
         let m = BigUint::from(123_456u32);
         let c = kp.public.encrypt(&m, &mut rng);
         let partials: Vec<PartialDecryption> =

@@ -15,9 +15,10 @@
 //! engine (the dispatcher consumes exactly the same RNG draws as driving
 //! [`GossipEngine`] directly — asserted by a lockstep test), while
 //! `Async` routes every gossip phase through the event queue.
-//! [`run_phase`] / [`run_phase_until`] dispatch one protocol phase over
-//! either engine and return a uniform [`PhaseOutcome`], which is what the
-//! Chiaroscuro runner consumes.
+//! [`run_phase`] dispatches one protocol phase over either engine
+//! ([`run_async_phase`] is its event-driven arm, open to any store) under
+//! optional [`PhaseOpts`] and returns a uniform [`PhaseOutcome`], which is
+//! what the Chiaroscuro iteration driver consumes.
 //!
 //! Determinism contract: a simulation is a pure function of
 //! `(initial states, config, churn, seed)`.  The event heap is totally
@@ -83,11 +84,12 @@ impl NetworkModel {
     }
 }
 
-/// The uniform result of one gossip phase, whichever engine ran it.
+/// The uniform result of one gossip phase, whichever engine ran it over
+/// whichever store `S` (per-node `Vec`s or a struct-of-arrays arena).
 #[derive(Debug, Clone)]
-pub struct PhaseOutcome<N> {
+pub struct PhaseOutcome<S> {
     /// The final node states.
-    pub nodes: Vec<N>,
+    pub nodes: S,
     /// Round/exchange accounting (async engines record one round per
     /// elapsed exchange period, keeping message-per-node figures
     /// comparable).
@@ -110,11 +112,31 @@ pub struct PhaseOutcome<N> {
     pub messages_lost: u64,
 }
 
+/// What one phase may additionally be run under; the default (neither) is
+/// byte-identical — states, counters, RNG stream — to the engine's plain
+/// `run_rounds` / `run_for`.
+pub struct PhaseOpts<'a, S: ?Sized> {
+    /// Stop as soon as this holds over the store instead of exhausting the
+    /// budget; [`PhaseOutcome::converged`] reports whether it did.  The
+    /// serial engines evaluate it after every exchange, the sharded engine
+    /// at window barriers (see [`ShardedAsyncEngine::run_until`]).
+    pub until: Option<&'a mut dyn FnMut(&S) -> bool>,
+    /// The fault schedule (see [`adversary`]): the network schedule and its
+    /// RNG draws are unchanged; the adversary only voids a seeded subset of
+    /// the scheduled exchanges and accounts them per fault class.
+    pub adversary: Option<&'a mut AdversaryState>,
+}
+
+impl<S: ?Sized> Default for PhaseOpts<'_, S> {
+    fn default() -> Self {
+        Self { until: None, adversary: None }
+    }
+}
+
 /// Runs one protocol phase on the event-driven engine over **any** node
-/// store for its full budget (`budget_rounds × exchange_period` of
-/// simulated time), returning the store plus the accounting [`run_phase`]
-/// reports.  This is the single home of the async-phase recipe — horizon
-/// arithmetic, clock read-out, metrics extraction — shared by
+/// store, for `budget_rounds × exchange_period` of simulated time at most.
+/// This is the single home of the async-phase recipe — horizon arithmetic,
+/// engine selection, clock read-out, metrics extraction — shared by
 /// [`run_phase`]'s async arm and the runner's arena-backed scale path, so
 /// the two storages can never drift out of RNG-draw or accounting lockstep.
 ///
@@ -129,122 +151,42 @@ pub fn run_async_phase<S, P, R>(
     protocol: &P,
     budget_rounds: u32,
     rng: &mut R,
-) -> (S, ExchangeMetrics, f64, SimMetrics)
-where
-    S: ParallelProtocolStore<P>,
-    P: Sync,
-    R: Rng + ?Sized,
-{
-    run_async_phase_with_adversary(config, nodes, churn, protocol, budget_rounds, rng, None)
-}
-
-/// [`run_async_phase`] under an optional adversary (see
-/// [`adversary`]); `None` is byte-identical to
-/// [`run_async_phase`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_async_phase_with_adversary<S, P, R>(
-    config: &AsyncNetworkConfig,
-    nodes: S,
-    churn: ChurnModel,
-    protocol: &P,
-    budget_rounds: u32,
-    rng: &mut R,
-    adversary: Option<&mut AdversaryState>,
-) -> (S, ExchangeMetrics, f64, SimMetrics)
+    opts: PhaseOpts<'_, S>,
+) -> PhaseOutcome<S>
 where
     S: ParallelProtocolStore<P>,
     P: Sync,
     R: Rng + ?Sized,
 {
     let horizon = f64::from(budget_rounds) * config.exchange_period;
-    if config.sim_shards == 1 {
+    let PhaseOpts { mut until, adversary } = opts;
+    let unbounded = until.is_none();
+    // A predicate that never holds draws nothing and stops nothing, so the
+    // plain full-budget phase is the same engine call.
+    let done = |nodes: &S| until.as_mut().is_some_and(|done| done(nodes));
+    let (stopped, sim_time, (nodes, metrics, sim)) = if config.sim_shards == 1 {
         let mut engine = AsyncGossipEngine::new(nodes, config.clone(), churn);
-        engine.run_for_with_adversary(protocol, horizon, rng, adversary);
-        let sim_time = engine.now();
-        let (nodes, metrics, sim) = engine.into_parts();
-        (nodes, metrics, sim_time, sim)
+        let stopped = engine.run_until_with_adversary(protocol, horizon, rng, done, adversary);
+        (stopped, engine.now(), engine.into_parts())
     } else {
         let mut engine = ShardedAsyncEngine::new(nodes, config.clone(), churn);
-        engine.run_for_with_adversary(protocol, horizon, rng, adversary);
-        let sim_time = engine.now();
-        let (nodes, metrics, sim) = engine.into_parts();
-        (nodes, metrics, sim_time, sim)
-    }
-}
-
-/// [`run_async_phase`] with a store-level convergence predicate: runs until
-/// `done` holds or the budget is exhausted, returning the store, the
-/// accounting, and whether the predicate was satisfied.  Used by the
-/// runner's arena-backed dissemination phase, which needs predicates over
-/// non-`Vec` storage.  Engine selection follows
-/// [`AsyncNetworkConfig::sim_shards`] exactly as in [`run_async_phase`];
-/// note the sharded engine evaluates the predicate at window barriers
-/// rather than after every exchange (see [`ShardedAsyncEngine::run_until`]).
-pub fn run_async_phase_until<S, P, R, F>(
-    config: &AsyncNetworkConfig,
-    nodes: S,
-    churn: ChurnModel,
-    protocol: &P,
-    budget_rounds: u32,
-    rng: &mut R,
-    done: F,
-) -> (S, ExchangeMetrics, f64, SimMetrics, bool)
-where
-    S: ParallelProtocolStore<P>,
-    P: Sync,
-    R: Rng + ?Sized,
-    F: FnMut(&S) -> bool,
-{
-    run_async_phase_until_with_adversary(
-        config,
+        let stopped = engine.run_until_with_adversary(protocol, horizon, rng, done, adversary);
+        (stopped, engine.now(), engine.into_parts())
+    };
+    PhaseOutcome {
         nodes,
-        churn,
-        protocol,
-        budget_rounds,
-        rng,
-        done,
-        None,
-    )
-}
-
-/// [`run_async_phase_until`] under an optional adversary; `None` is
-/// byte-identical to [`run_async_phase_until`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_async_phase_until_with_adversary<S, P, R, F>(
-    config: &AsyncNetworkConfig,
-    nodes: S,
-    churn: ChurnModel,
-    protocol: &P,
-    budget_rounds: u32,
-    rng: &mut R,
-    done: F,
-    adversary: Option<&mut AdversaryState>,
-) -> (S, ExchangeMetrics, f64, SimMetrics, bool)
-where
-    S: ParallelProtocolStore<P>,
-    P: Sync,
-    R: Rng + ?Sized,
-    F: FnMut(&S) -> bool,
-{
-    let horizon = f64::from(budget_rounds) * config.exchange_period;
-    if config.sim_shards == 1 {
-        let mut engine = AsyncGossipEngine::new(nodes, config.clone(), churn);
-        let converged = engine.run_until_with_adversary(protocol, horizon, rng, done, adversary);
-        let sim_time = engine.now();
-        let (nodes, metrics, sim) = engine.into_parts();
-        (nodes, metrics, sim_time, sim, converged)
-    } else {
-        let mut engine = ShardedAsyncEngine::new(nodes, config.clone(), churn);
-        let converged = engine.run_until_with_adversary(protocol, horizon, rng, done, adversary);
-        let sim_time = engine.now();
-        let (nodes, metrics, sim) = engine.into_parts();
-        (nodes, metrics, sim_time, sim, converged)
+        metrics,
+        converged: unbounded || stopped,
+        sim_time,
+        peak_in_flight: sim.peak_in_flight,
+        messages_sent: sim.messages_sent,
+        messages_lost: sim.messages_lost,
     }
 }
 
-/// Runs one gossip phase to its full budget: `budget_rounds` rounds on the
-/// round engine, or `budget_rounds × exchange_period` of simulated time on
-/// the async engine.
+/// Runs one gossip phase over per-node states on whichever engine `network`
+/// selects: at most `budget_rounds` rounds on the round engine, or
+/// [`run_async_phase`] on the event-driven one.
 pub fn run_phase<N, P, R>(
     network: &NetworkModel,
     nodes: Vec<N>,
@@ -252,123 +194,26 @@ pub fn run_phase<N, P, R>(
     protocol: &P,
     budget_rounds: u32,
     rng: &mut R,
-) -> PhaseOutcome<N>
+    opts: PhaseOpts<'_, [N]>,
+) -> PhaseOutcome<Vec<N>>
 where
     N: Send,
     P: PairwiseProtocol<N> + Sync,
     R: Rng + ?Sized,
 {
-    run_phase_with_adversary(network, nodes, churn, protocol, budget_rounds, rng, None)
-}
-
-/// [`run_phase`] under an optional adversary (see
-/// [`adversary`]): the network schedule and its RNG
-/// draws are identical; the adversary only voids a seeded subset of the
-/// scheduled exchanges and accounts them per fault class.  `None` is
-/// byte-identical to [`run_phase`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_phase_with_adversary<N, P, R>(
-    network: &NetworkModel,
-    nodes: Vec<N>,
-    churn: ChurnModel,
-    protocol: &P,
-    budget_rounds: u32,
-    rng: &mut R,
-    adversary: Option<&mut AdversaryState>,
-) -> PhaseOutcome<N>
-where
-    N: Send,
-    P: PairwiseProtocol<N> + Sync,
-    R: Rng + ?Sized,
-{
+    let PhaseOpts { mut until, adversary } = opts;
     match network {
         NetworkModel::Rounds => {
+            let unbounded = until.is_none();
+            let done = |nodes: &[N]| until.as_mut().is_some_and(|done| done(nodes));
             let mut engine = GossipEngine::new(nodes, churn);
-            engine.run_rounds_with_adversary(protocol, budget_rounds, rng, adversary);
-            let (nodes, metrics) = engine.into_parts();
-            PhaseOutcome {
-                nodes,
-                metrics,
-                converged: true,
-                sim_time: 0.0,
-                peak_in_flight: 0,
-                messages_sent: 0,
-                messages_lost: 0,
-            }
-        }
-        NetworkModel::Async(config) => {
-            let (nodes, metrics, sim_time, sim) = run_async_phase_with_adversary(
-                config,
-                nodes,
-                churn,
-                protocol,
-                budget_rounds,
-                rng,
-                adversary,
-            );
-            PhaseOutcome {
-                nodes,
-                metrics,
-                converged: true,
-                sim_time,
-                peak_in_flight: sim.peak_in_flight,
-                messages_sent: sim.messages_sent,
-                messages_lost: sim.messages_lost,
-            }
-        }
-    }
-}
-
-/// Runs one gossip phase until `done` holds over the node states or the
-/// budget is exhausted (same budget semantics as [`run_phase`]);
-/// [`PhaseOutcome::converged`] reports which.
-pub fn run_phase_until<N, P, R, F>(
-    network: &NetworkModel,
-    nodes: Vec<N>,
-    churn: ChurnModel,
-    protocol: &P,
-    budget_rounds: u32,
-    rng: &mut R,
-    done: F,
-) -> PhaseOutcome<N>
-where
-    N: Send,
-    P: PairwiseProtocol<N> + Sync,
-    R: Rng + ?Sized,
-    F: FnMut(&[N]) -> bool,
-{
-    run_phase_until_with_adversary(network, nodes, churn, protocol, budget_rounds, rng, done, None)
-}
-
-/// [`run_phase_until`] under an optional adversary; `None` is
-/// byte-identical to [`run_phase_until`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_phase_until_with_adversary<N, P, R, F>(
-    network: &NetworkModel,
-    nodes: Vec<N>,
-    churn: ChurnModel,
-    protocol: &P,
-    budget_rounds: u32,
-    rng: &mut R,
-    mut done: F,
-    adversary: Option<&mut AdversaryState>,
-) -> PhaseOutcome<N>
-where
-    N: Send,
-    P: PairwiseProtocol<N> + Sync,
-    R: Rng + ?Sized,
-    F: FnMut(&[N]) -> bool,
-{
-    match network {
-        NetworkModel::Rounds => {
-            let mut engine = GossipEngine::new(nodes, churn);
-            let converged =
+            let stopped =
                 engine.run_until_with_adversary(protocol, budget_rounds, rng, done, adversary);
             let (nodes, metrics) = engine.into_parts();
             PhaseOutcome {
                 nodes,
                 metrics,
-                converged,
+                converged: unbounded || stopped,
                 sim_time: 0.0,
                 peak_in_flight: 0,
                 messages_sent: 0,
@@ -376,25 +221,10 @@ where
             }
         }
         NetworkModel::Async(config) => {
-            let (nodes, metrics, sim_time, sim, converged) = run_async_phase_until_with_adversary(
-                config,
-                nodes,
-                churn,
-                protocol,
-                budget_rounds,
-                rng,
-                |nodes: &Vec<N>| done(nodes),
-                adversary,
-            );
-            PhaseOutcome {
-                nodes,
-                metrics,
-                converged,
-                sim_time,
-                peak_in_flight: sim.peak_in_flight,
-                messages_sent: sim.messages_sent,
-                messages_lost: sim.messages_lost,
-            }
+            let mut over_vec = until.map(|done| move |nodes: &Vec<N>| done(nodes));
+            let until = over_vec.as_mut().map(|done| done as &mut dyn FnMut(&Vec<N>) -> bool);
+            let opts = PhaseOpts { until, adversary };
+            run_async_phase(config, nodes, churn, protocol, budget_rounds, rng, opts)
         }
     }
 }
@@ -424,6 +254,15 @@ mod tests {
 
     fn exact_sum(population: usize) -> f64 {
         (0..population).map(|i| (i % 13) as f64).sum()
+    }
+
+    /// The simulator counters a [`PhaseOutcome`] carries.
+    fn sim_counters<S>(outcome: &PhaseOutcome<S>) -> (usize, u64, u64) {
+        (outcome.peak_in_flight, outcome.messages_sent, outcome.messages_lost)
+    }
+
+    fn sim_counters_of(sim: &SimMetrics) -> (usize, u64, u64) {
+        (sim.peak_in_flight, sim.messages_sent, sim.messages_lost)
     }
 
     #[test]
@@ -581,6 +420,7 @@ mod tests {
             &PushPullSum,
             12,
             &mut phase_rng,
+            PhaseOpts::default(),
         );
         assert_eq!(direct_rng, phase_rng, "run_phase must consume the exact same draws");
         assert_eq!(outcome.nodes, engine.nodes());
@@ -601,6 +441,7 @@ mod tests {
             &PushPullSum,
             16,
             &mut rng,
+            PhaseOpts::default(),
         );
         assert_eq!(outcome.sim_time, 16.0);
         assert_eq!(outcome.metrics.rounds(), 16);
@@ -615,29 +456,29 @@ mod tests {
 
     #[test]
     fn run_phase_until_dispatches_on_both_models() {
-        let done = |nodes: &[u64]| nodes.iter().all(|&v| v == 63);
+        let mut done = |nodes: &[u64]| nodes.iter().all(|&v| v == 63);
         let mut rng = StdRng::seed_from_u64(5);
-        let rounds = run_phase_until(
+        let rounds = run_phase(
             &NetworkModel::Rounds,
             (0..64u64).collect(),
             ChurnModel::NONE,
             &MaxProtocol,
             40,
             &mut rng,
-            done,
+            PhaseOpts { until: Some(&mut done), adversary: None },
         );
         assert!(rounds.converged);
         let mut rng = StdRng::seed_from_u64(5);
         let config = AsyncNetworkConfig::default()
             .with_latency(LatencyModel::LogNormal { median: 0.2, sigma: 0.5 });
-        let asynchronous = run_phase_until(
+        let asynchronous = run_phase(
             &NetworkModel::Async(config),
             (0..64u64).collect(),
             ChurnModel::NONE,
             &MaxProtocol,
             40,
             &mut rng,
-            done,
+            PhaseOpts { until: Some(&mut done), adversary: None },
         );
         assert!(asynchronous.converged);
         assert!(asynchronous.sim_time > 0.0 && asynchronous.sim_time < 40.0);
@@ -736,40 +577,59 @@ mod tests {
         engine.run_for(&PushPullSum, 10.0, &mut direct_rng);
 
         let mut phase_rng = StdRng::seed_from_u64(23);
-        let (nodes, metrics, sim_time, sim) = run_async_phase(
+        let outcome = run_async_phase(
             &config,
             sum_states(40),
             ChurnModel::new(0.1),
             &PushPullSum,
             10,
             &mut phase_rng,
+            PhaseOpts::default(),
         );
         assert_eq!(direct_rng, phase_rng, "dispatch must consume the exact same draws");
-        assert_eq!(&nodes, engine.nodes());
-        assert_eq!(&metrics, engine.metrics());
-        assert_eq!(sim_time, engine.now());
-        assert_eq!(&sim, engine.sim_metrics());
+        assert_eq!(&outcome.nodes, engine.nodes());
+        assert_eq!(&outcome.metrics, engine.metrics());
+        assert_eq!(outcome.sim_time, engine.now());
+        assert_eq!(sim_counters(&outcome), sim_counters_of(engine.sim_metrics()));
+        assert!(outcome.converged, "a phase without a predicate reports convergence");
 
-        // Any other value routes through the sharded engine, whose results
-        // are bit-invariant in the shard count.
+        // Any other value routes through the sharded engine — again
+        // byte-identical to driving it directly with its plain `run_for`.
         let sharded = |shards: usize| {
             let mut rng = StdRng::seed_from_u64(23);
-            run_async_phase(
+            let outcome = run_async_phase(
                 &config.clone().with_sim_shards(shards),
                 sum_states(40),
                 ChurnModel::new(0.1),
                 &PushPullSum,
                 10,
                 &mut rng,
-            )
+                PhaseOpts::default(),
+            );
+            (outcome, rng)
         };
-        let (nodes_2, metrics_2, time_2, sim_2) = sharded(2);
-        let (nodes_4, metrics_4, time_4, sim_4) = sharded(4);
-        assert_eq!(nodes_2, nodes_4, "sharded dispatch must be shard-count invariant");
-        assert_eq!(metrics_2, metrics_4);
-        assert_eq!(time_2, time_4);
-        assert_eq!(sim_2, sim_4);
-        assert!(metrics_2.exchanges() > 0);
+        let (two, rng_2) = sharded(2);
+        let mut direct_rng = StdRng::seed_from_u64(23);
+        let mut engine = ShardedAsyncEngine::new(
+            sum_states(40),
+            config.clone().with_sim_shards(2),
+            ChurnModel::new(0.1),
+        );
+        engine.run_for(&PushPullSum, 10.0, &mut direct_rng);
+        assert_eq!(direct_rng, rng_2, "sharded dispatch must consume the exact same draws");
+        assert_eq!(&two.nodes, engine.nodes());
+        assert_eq!(&two.metrics, engine.metrics());
+        assert_eq!(two.sim_time, engine.now());
+        assert_eq!(sim_counters(&two), sim_counters_of(engine.sim_metrics()));
+
+        // ... and its results are bit-invariant in the shard count.
+        let (four, rng_4) = sharded(4);
+        assert_eq!(rng_2, rng_4);
+        assert_eq!(two.nodes, four.nodes, "sharded dispatch must be shard-count invariant");
+        assert_eq!(two.metrics, four.metrics);
+        assert_eq!(two.sim_time, four.sim_time);
+        assert_eq!(sim_counters(&two), sim_counters(&four));
+        assert!(two.metrics.exchanges() > 0);
     }
 
     #[test]
@@ -778,14 +638,17 @@ mod tests {
             .with_latency(LatencyModel::LogNormal { median: 0.2, sigma: 0.5 })
             .with_sim_shards(3);
         let mut rng = StdRng::seed_from_u64(5);
-        let outcome = run_phase_until(
+        let outcome = run_phase(
             &NetworkModel::Async(config),
             (0..64u64).collect(),
             ChurnModel::NONE,
             &MaxProtocol,
             40,
             &mut rng,
-            |nodes: &[u64]| nodes.iter().all(|&v| v == 63),
+            PhaseOpts {
+                until: Some(&mut |nodes: &[u64]| nodes.iter().all(|&v| v == 63)),
+                adversary: None,
+            },
         );
         assert!(outcome.converged);
         assert!(outcome.sim_time > 0.0 && outcome.sim_time < 40.0);

@@ -33,8 +33,6 @@ mod unix {
         serve, FramedSocketTransport, NodeEvent, NodeId, Transport, COORDINATOR,
     };
     use chiaroscuro::timeseries::{TimeSeries, TimeSeriesSet, ValueRange};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     const POPULATION: usize = 4;
     const SEED: u64 = 42;
@@ -141,7 +139,7 @@ mod unix {
             links.into_iter().map(|l| l.expect("every node registered")).collect();
 
         let run = DistributedRun::new(params(), &data);
-        let mut rng = StdRng::seed_from_u64(SEED);
+        let mut rng = chiaroscuro::core::seedmix::run_rng(SEED);
         let multiprocess =
             run.execute_via_links(&mut links, MEANS_FRAME_OVERHEAD_BYTES, &mut rng);
 
