@@ -118,8 +118,6 @@ pub struct ChiaroscuroParams {
     pub lane_packing: bool,
 
     // --- gossip ---
-    /// Size of the local view Λ.
-    pub view_size: usize,
     /// Number of gossip exchanges `ne` per epidemic sum (if `None`, derived
     /// from Theorem 3 for the target error below).
     pub exchanges_override: Option<u32>,
@@ -242,7 +240,6 @@ impl ChiaroscuroParams {
         assert!(self.key_bits >= 64, "keys below 64 bits cannot hold the encoded sums");
         assert!(self.damgard_jurik_s >= 1);
         assert!(self.key_share_threshold >= 1);
-        assert!(self.view_size >= 1);
         assert!((0.0..1.0).contains(&self.churn));
         assert!(self.gossip_error_bound >= 0.0 && self.gossip_error_bound < 1.0);
         self.network.validate();
@@ -309,7 +306,6 @@ impl Default for ChiaroscuroParamsBuilder {
                 key_share_threshold: 3,
                 encoding_digits: 3,
                 lane_packing: false,
-                view_size: 30,
                 exchanges_override: None,
                 gossip_error_bound: 1e-3,
                 churn: 0.0,
@@ -387,12 +383,6 @@ impl ChiaroscuroParamsBuilder {
     /// Sets a fixed number of gossip exchanges (otherwise Theorem 3 is used).
     pub fn exchanges(mut self, exchanges: u32) -> Self {
         self.params.exchanges_override = Some(exchanges);
-        self
-    }
-
-    /// Sets the local-view size Λ.
-    pub fn view_size(mut self, view_size: usize) -> Self {
-        self.params.view_size = view_size;
         self
     }
 
@@ -548,7 +538,6 @@ mod tests {
             .num_noise_shares(1_000)
             .churn(0.25)
             .exchanges(40)
-            .view_size(20)
             .convergence_threshold(1e-2)
             .smoothing(Smoothing::None)
             .build();

@@ -218,8 +218,8 @@ where
         packed_layout: packer.as_ref().map(|p| p.layout()),
     };
     let backend = Arc::new(B::setup(&setup, rng));
-    // Pay for derived lookup state (Montgomery contexts, fixed-base tables)
-    // up front, outside the per-iteration accounting.
+    // Pay for derived lookup state (Montgomery contexts) up front,
+    // outside the per-iteration accounting.
     backend.precompute();
     if let (Some(packer), Some(capacity)) = (&packer, backend.plaintext_capacity_bits()) {
         // The layout was planned from the pre-keygen capacity bound;

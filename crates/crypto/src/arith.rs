@@ -1,7 +1,6 @@
 //! Modular-arithmetic helpers shared by the encryption scheme and the
 //! threshold machinery.
 
-use num_bigint::montgomery::{MontInt, MontgomeryCtx};
 use num_bigint::{BigInt, BigUint};
 use num_integer::Integer;
 use num_traits::{One, Signed, Zero};
@@ -101,170 +100,6 @@ pub fn extract_plaintext(a: &BigUint, n: &BigUint, s: u32) -> BigUint {
     i
 }
 
-/// Precomputed fixed-base windowed exponentiation (Brauer/BGMW style).
-///
-/// For a base that is exponentiated thousands of times per iteration (the
-/// Damgård–Jurik generator `g`, raised to every encoded plaintext of every
-/// encryption), the squaring half of square-and-multiply can be paid once:
-/// the table stores `base^(j · 2^{w·i}) mod modulus` for every window level
-/// `i` and every window digit `j ∈ 1..2^w`, so one exponentiation becomes at
-/// most `⌈bits/w⌉ − 1` modular multiplications and **zero** squarings —
-/// roughly a 5× multiplication-count reduction at `w = 4` for full-width
-/// exponents, and near-free for small ones (only non-zero digits multiply).
-///
-/// The table is immutable after construction, so it is freely shared across
-/// threads by the parallel encryption path.
-///
-/// For odd moduli the rows are additionally kept in Montgomery form, so a
-/// whole exponentiation runs as REDC multiplications with a single final
-/// conversion — the per-call `to_mont`/`from_mont` overhead of the generic
-/// dispatch disappears.  The Montgomery mirror is derived state: equality
-/// ignores it, and the global [`num_bigint::fastpath`] switch decides at
-/// call time whether [`FixedBaseTable::pow`] uses it.
-#[derive(Debug, Clone)]
-pub struct FixedBaseTable {
-    base: BigUint,
-    modulus: BigUint,
-    window_bits: u64,
-    /// `table[i][j - 1] = base^(j << (window_bits · i)) mod modulus`.
-    table: Vec<Vec<BigUint>>,
-    /// The same rows in Montgomery form, for odd moduli.
-    mont: Option<MontRows>,
-}
-
-/// Montgomery mirror of a [`FixedBaseTable`]: the shared REDC context plus
-/// every row converted with `to_mont` once at construction.
-#[derive(Debug, Clone)]
-struct MontRows {
-    ctx: MontgomeryCtx,
-    rows: Vec<Vec<MontInt>>,
-}
-
-impl PartialEq for FixedBaseTable {
-    fn eq(&self, other: &Self) -> bool {
-        // The Montgomery mirror is a performance artefact, not identity.
-        self.base == other.base
-            && self.modulus == other.modulus
-            && self.window_bits == other.window_bits
-            && self.table == other.table
-    }
-}
-
-impl Eq for FixedBaseTable {}
-
-/// Window width: 16-entry rows keep the one-time table cost (≈ `4·bits`
-/// multiplications) negligible against the thousands of exponentiations that
-/// reuse it, while quartering the per-exponentiation work.
-const FIXED_BASE_WINDOW_BITS: u64 = 4;
-
-impl FixedBaseTable {
-    /// Precomputes the windowed powers of `base` for exponents of up to
-    /// `max_exponent_bits` bits.
-    ///
-    /// # Panics
-    /// Panics if the modulus is zero.
-    pub fn new(base: &BigUint, modulus: &BigUint, max_exponent_bits: u64) -> Self {
-        assert!(!modulus.is_zero(), "fixed-base table with zero modulus");
-        let window_bits = FIXED_BASE_WINDOW_BITS;
-        let levels = max_exponent_bits.div_ceil(window_bits).max(1) as usize;
-        let digit_span = 1u64 << window_bits;
-        let mut table = Vec::with_capacity(levels);
-        // level_base = base^(2^{w·i}); each row is its successive powers.
-        let mut level_base = base % modulus;
-        for _ in 0..levels {
-            let mut row = Vec::with_capacity(digit_span as usize - 1);
-            let mut acc = level_base.clone();
-            for _ in 1..digit_span {
-                row.push(acc.clone());
-                acc = &acc * &level_base % modulus;
-            }
-            // acc now holds level_base^(2^w), the next level's base.
-            level_base = acc;
-            table.push(row);
-        }
-        let mont = MontgomeryCtx::new(modulus).map(|ctx| {
-            let rows = table
-                .iter()
-                .map(|row| row.iter().map(|value| ctx.to_mont(value)).collect())
-                .collect();
-            MontRows { ctx, rows }
-        });
-        Self { base: base % modulus, modulus: modulus.clone(), window_bits, table, mont }
-    }
-
-    /// The number of exponent bits the table covers.
-    pub fn capacity_bits(&self) -> u64 {
-        self.window_bits * self.table.len() as u64
-    }
-
-    /// The window digit of `exponent` (as little-endian limbs) at `level`.
-    fn window_digit(&self, digits: &[u64], level: usize) -> u64 {
-        let mask = (1u64 << self.window_bits) - 1;
-        let bit = level as u64 * self.window_bits;
-        let limb = (bit / 64) as usize;
-        if limb >= digits.len() {
-            return 0;
-        }
-        let offset = bit % 64;
-        let mut digit = (digits[limb] >> offset) & mask;
-        // A window can straddle two 64-bit limbs (64 % window_bits == 0
-        // for w = 4, but keep the general form in case w changes).
-        if offset + self.window_bits > 64 {
-            if let Some(&next) = digits.get(limb + 1) {
-                digit |= (next << (64 - offset)) & mask;
-            }
-        }
-        digit
-    }
-
-    /// `base^exponent mod modulus` using only multiplications of
-    /// precomputed powers.  Exponents beyond [`Self::capacity_bits`] fall
-    /// back to the generic square-and-multiply modpow.
-    pub fn pow(&self, exponent: &BigUint) -> BigUint {
-        if exponent.bits() > self.capacity_bits() {
-            return self.base.modpow(exponent, &self.modulus);
-        }
-        let digits = exponent.to_u64_digits();
-        let levels = exponent.bits().div_ceil(self.window_bits) as usize;
-        if num_bigint::fastpath::enabled() {
-            if let Some(mont) = &self.mont {
-                let mut acc: Option<MontInt> = None;
-                for (level, row) in mont.rows.iter().enumerate().take(levels) {
-                    let digit = self.window_digit(&digits, level);
-                    if digit == 0 {
-                        continue;
-                    }
-                    let factor = &row[digit as usize - 1];
-                    acc = Some(match acc {
-                        Some(a) => mont.ctx.mont_mul(&a, factor),
-                        None => factor.clone(),
-                    });
-                }
-                return match acc {
-                    Some(a) => mont.ctx.from_mont(&a),
-                    None => BigUint::one() % &self.modulus,
-                };
-            }
-        }
-        let mut result = BigUint::one();
-        let mut first = true;
-        for (level, row) in self.table.iter().enumerate().take(levels) {
-            let digit = self.window_digit(&digits, level);
-            if digit == 0 {
-                continue;
-            }
-            let factor = &row[digit as usize - 1];
-            if first {
-                result = factor.clone();
-                first = false;
-            } else {
-                result = result * factor % &self.modulus;
-            }
-        }
-        result % &self.modulus
-    }
-}
-
 /// The integer Lagrange coefficient `Δ · ∏_{j ∈ subset, j ≠ index} j / (j − index)`
 /// evaluated at 0, where `Δ = ℓ!`.  The factor Δ clears every denominator so
 /// the result is an exact integer (Shoup's trick, reused by Damgård–Jurik
@@ -359,41 +194,6 @@ mod tests {
                 assert_eq!(extract_plaintext(&a, &n, s), x, "failed for s={s}");
             }
         }
-    }
-
-    #[test]
-    fn fixed_base_table_matches_generic_modpow() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let modulus = BigUint::from(0xFFFF_FFFB_u64) * BigUint::from(0xFFFF_FFA3_u64);
-        let base = BigUint::from(1_234_567u64);
-        let table = FixedBaseTable::new(&base, &modulus, 192);
-        assert_eq!(table.capacity_bits(), 192);
-        for _ in 0..50 {
-            let e = rng.gen_biguint(192);
-            assert_eq!(table.pow(&e), base.modpow(&e, &modulus), "e = {e}");
-        }
-    }
-
-    #[test]
-    fn fixed_base_table_edge_exponents() {
-        let modulus = BigUint::from(1_000_003u64);
-        let base = BigUint::from(7u32);
-        let table = FixedBaseTable::new(&base, &modulus, 64);
-        assert_eq!(table.pow(&BigUint::zero()), BigUint::one());
-        assert_eq!(table.pow(&BigUint::one()), base.clone());
-        assert_eq!(table.pow(&BigUint::from(2u32)), BigUint::from(49u32));
-        // Largest exponent within capacity.
-        let max = (BigUint::one() << 64u32) - BigUint::one();
-        assert_eq!(table.pow(&max), base.modpow(&max, &modulus));
-    }
-
-    #[test]
-    fn fixed_base_table_falls_back_beyond_capacity() {
-        let modulus = BigUint::from(982_451_653u64);
-        let base = BigUint::from(3u32);
-        let table = FixedBaseTable::new(&base, &modulus, 16);
-        let oversized = BigUint::one() << 40u32;
-        assert_eq!(table.pow(&oversized), base.modpow(&oversized, &modulus));
     }
 
     #[test]

@@ -97,8 +97,8 @@ pub trait CipherBackend: std::fmt::Debug + Send + Sync + Sized + 'static {
     /// the RNG-parity equivalent for surrogates).
     fn setup<R: Rng + ?Sized>(config: &BackendSetup<'_>, rng: &mut R) -> Self;
 
-    /// Eagerly builds derived lookup state (Montgomery contexts, fixed-base
-    /// tables) so the first timed operation does not pay for it.
+    /// Eagerly builds derived lookup state (Montgomery contexts) so the
+    /// first timed operation does not pay for it.
     /// Idempotent; a no-op for backends without derived state.
     fn precompute(&self) {}
 
@@ -171,12 +171,11 @@ pub trait CipherBackend: std::fmt::Debug + Send + Sync + Sized + 'static {
 ///
 /// Because this backend plays every role of the simulated deployment —
 /// dealer, encrypting devices, decrypting share-holders — it also keeps the
-/// CRT fast-path context derived from the factorisation it generated
+/// CRT context derived from the factorisation it generated
 /// ([`CrtContext`]; see that type's docs for the trust boundary).  The
 /// context never leaves the struct: [`CipherBackend::export_public`] ships
-/// only the public key, so provisioned node actors run at public-key speed.
-/// Usage is gated at call time on [`num_bigint::fastpath`], so disabling
-/// the switch yields the full schoolbook pipeline from the same backend.
+/// only the public key, so a backend rebuilt from it (a provisioned node
+/// actor) holds none and runs at public-key speed.
 #[derive(Debug, Clone)]
 pub struct DamgardJurik {
     public: PublicKey,
@@ -199,15 +198,10 @@ impl DamgardJurik {
         &self.public
     }
 
-    /// The CRT fast-path context, when the factorisation is held *and* the
-    /// global fast-path switch is on (`None` means every operation takes
-    /// the public, direct route).
+    /// The CRT context, when the factorisation is held (`None` means every
+    /// operation takes the public, direct route).
     fn crt(&self) -> Option<&CrtContext> {
-        if num_bigint::fastpath::enabled() {
-            self.crt.as_deref()
-        } else {
-            None
-        }
+        self.crt.as_deref()
     }
 }
 
@@ -222,8 +216,7 @@ impl CipherBackend for DamgardJurik {
         let dealer = ThresholdDealer::new(&keypair, config.population, config.key_share_threshold);
         let shares = dealer.deal(rng);
         // The CRT context is derived state (no RNG draws), so building it
-        // unconditionally keeps the parity contract; whether it is *used*
-        // is decided per call by the fastpath switch.
+        // keeps the RNG parity contract with the surrogate backend.
         let crt = keypair.secret.crt_context(&keypair.public).map(Arc::new);
         Self { public: keypair.public, shares, threshold: config.key_share_threshold, crt }
     }

@@ -18,21 +18,17 @@ use num_traits::One;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::arith::{lcm, mod_inverse, FixedBaseTable};
+use crate::arith::{lcm, mod_inverse};
 use crate::crt::CrtContext;
 use crate::primes::generate_prime_pair;
 
 /// The public encryption key `χ = (n, g)` plus the precomputed powers of `n`.
 ///
-/// The key also lazily caches a fixed-base windowed-exponentiation table for
-/// `g` (see [`FixedBaseTable`]): every encryption raises `g` to an encoded
-/// plaintext, and negative fixed-point encodings are full-width exponents,
-/// so the thousands of encryptions per distributed iteration amortise one
-/// table against all their `g^m` modpows.  A second cache holds the
-/// Montgomery context for the ciphertext modulus `n^{s+1}` (see
-/// [`PublicKey::modpow_ciphertext`]), amortising the per-modulus REDC setup
-/// across every exponentiation of a run.  Both caches are invisible to
-/// equality and serialisation (they are derived state, rebuilt on demand).
+/// The key also lazily caches the Montgomery context for the ciphertext
+/// modulus `n^{s+1}` (see [`PublicKey::modpow_ciphertext`]), amortising the
+/// per-modulus REDC setup across every exponentiation of a run.  The cache
+/// is invisible to equality and serialisation (it is derived state, rebuilt
+/// on demand).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PublicKey {
     n: BigUint,
@@ -41,13 +37,12 @@ pub struct PublicKey {
     n_s1: BigUint,
     g: BigUint,
     key_bits: u64,
-    g_table: OnceLock<Arc<FixedBaseTable>>,
     ct_ctx: OnceLock<Arc<MontgomeryCtx>>,
 }
 
 impl PartialEq for PublicKey {
     fn eq(&self, other: &Self) -> bool {
-        // n and s determine every derived field; the cached table is
+        // n and s determine every derived field; the cached context is
         // deliberately excluded (it is a performance artefact, not identity).
         self.n == other.n && self.s == other.s && self.key_bits == other.key_bits
     }
@@ -61,7 +56,7 @@ impl PublicKey {
         let n_s = n.pow(s);
         let n_s1 = &n_s * &n;
         let g = &n + BigUint::one();
-        Self { n, s, n_s, n_s1, g, key_bits, g_table: OnceLock::new(), ct_ctx: OnceLock::new() }
+        Self { n, s, n_s, n_s1, g, key_bits, ct_ctx: OnceLock::new() }
     }
 
     /// The RSA modulus `n`.
@@ -104,9 +99,7 @@ impl PublicKey {
     /// theorem collapses to `Σ_{i=0}^{s} C(m,i)·n^i` (every higher term
     /// vanishes modulo `n^{s+1}`) — for `s = 1` literally `1 + m·n`, one
     /// modular multiplication (Damgård & Jurik, PKC 2001, §4.2).  This is
-    /// the `g^m` half of every encryption; it beats even the windowed
-    /// fixed-base table ([`PublicKey::generator_table`]), which remains the
-    /// generic facility for bases without the `1 + n` structure.
+    /// the `g^m` half of every encryption.
     ///
     /// Exact for every `m ≥ 0` (no plaintext-range precondition).
     pub fn generator_pow(&self, m: &BigUint) -> BigUint {
@@ -132,24 +125,11 @@ impl PublicKey {
         result
     }
 
-    /// The cached fixed-base window table for `g` over `Z_{n^{s+1}}`,
-    /// covering every plaintext exponent (`m < n^s`).  Built once on first
-    /// use; call [`PublicKey::precompute`] to pay the cost eagerly.
-    ///
-    /// This is the generic fixed-base facility (at most `⌈bits/4⌉` modular
-    /// multiplications per exponentiation, zero squarings); for `g = 1 + n`
-    /// itself the closed-form [`PublicKey::generator_pow`] is cheaper still,
-    /// and is what [`PublicKey::encrypt`] uses.
-    pub fn generator_table(&self) -> &FixedBaseTable {
-        self.g_table
-            .get_or_init(|| Arc::new(FixedBaseTable::new(&self.g, &self.n_s1, self.n_s.bits())))
-    }
-
     /// The cached Montgomery context for the ciphertext modulus `n^{s+1}`.
     ///
     /// `n^{s+1}` is odd for every real key (both prime factors are odd), so
     /// this only returns `None` for degenerate hand-built keys; callers fall
-    /// back to the generic [`BigUint::modpow`] dispatch.
+    /// back to the generic [`BigUint::modpow`].
     pub fn ciphertext_ctx(&self) -> Option<&Arc<MontgomeryCtx>> {
         if self.ct_ctx.get().is_none() {
             let ctx = MontgomeryCtx::new(&self.n_s1)?;
@@ -161,21 +141,16 @@ impl PublicKey {
     /// `base^exponent mod n^{s+1}` through the cached Montgomery context —
     /// the batched form every ciphertext-space exponentiation of a run
     /// should use (one REDC setup for all of them).  Value-identical to
-    /// `base.modpow(exponent, n^{s+1})`; honours the global
-    /// [`num_bigint::fastpath`] switch, falling back to the schoolbook
-    /// ladder when the fast path is disabled.
+    /// `base.modpow(exponent, n^{s+1})`.
     pub fn modpow_ciphertext(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
-        if num_bigint::fastpath::enabled() {
-            if let Some(ctx) = self.ciphertext_ctx() {
-                return ctx.modpow(base, exponent);
-            }
+        match self.ciphertext_ctx() {
+            Some(ctx) => ctx.modpow(base, exponent),
+            None => base.modpow(exponent, &self.n_s1),
         }
-        base.modpow(exponent, &self.n_s1)
     }
 
-    /// Eagerly builds the derived lookup tables (idempotent).
+    /// Eagerly builds the cached Montgomery context (idempotent).
     pub fn precompute(&self) {
-        self.generator_table();
         let _ = self.ciphertext_ctx();
     }
 }
@@ -327,36 +302,22 @@ mod tests {
     }
 
     #[test]
-    fn generator_table_covers_the_whole_plaintext_space() {
-        use num_bigint::RandBigInt;
-        for s in 1..=2u32 {
-            let kp = small_keypair(20 + s as u64, s);
-            let pk = &kp.public;
-            let table = pk.generator_table();
-            assert!(table.capacity_bits() >= pk.plaintext_modulus().bits());
-            let mut rng = StdRng::seed_from_u64(99);
-            for _ in 0..10 {
-                let m = rng.gen_biguint_below(pk.plaintext_modulus());
-                let reference = pk.generator().modpow(&m, pk.ciphertext_modulus());
-                assert_eq!(table.pow(&m), reference, "table: s = {s}, m = {m}");
-                assert_eq!(pk.generator_pow(&m), reference, "closed form: s = {s}, m = {m}");
-            }
-        }
-    }
-
-    #[test]
     fn generator_pow_closed_form_handles_edge_exponents() {
+        use num_bigint::RandBigInt;
+        let mut rng = StdRng::seed_from_u64(99);
         for s in 1..=3u32 {
             let kp = small_keypair(40 + s as u64, s);
             let pk = &kp.public;
             let n2 = pk.ciphertext_modulus();
-            // m = 0, 1, tiny m (smaller than the binomial index i), and the
-            // largest plaintext.
+            // m = 0, 1, tiny m (smaller than the binomial index i), the
+            // largest plaintext, and two random ones.
             for m in [
                 BigUint::zero(),
                 BigUint::one(),
                 BigUint::from(2u32),
                 pk.plaintext_modulus() - BigUint::one(),
+                rng.gen_biguint_below(pk.plaintext_modulus()),
+                rng.gen_biguint_below(pk.plaintext_modulus()),
             ] {
                 assert_eq!(pk.generator_pow(&m), pk.generator().modpow(&m, n2), "s = {s}, m = {m}");
             }
@@ -368,12 +329,14 @@ mod tests {
         let kp = small_keypair(30, 1);
         let cold = kp.public.clone();
         kp.public.precompute();
-        // One side has the table built, the other does not: still equal.
+        // One side has the context built, the other does not: still equal.
         assert_eq!(kp.public, cold);
         // A clone taken after precompute carries the cache and still works.
         let warm = kp.public.clone();
-        assert_eq!(warm.generator_table().pow(&BigUint::from(5u32)), {
-            kp.public.generator().modpow(&BigUint::from(5u32), kp.public.ciphertext_modulus())
-        });
+        let (base, exp) = (BigUint::from(12_345u32), BigUint::from(678u32));
+        assert_eq!(
+            warm.modpow_ciphertext(&base, &exp),
+            base.modpow_schoolbook(&exp, kp.public.ciphertext_modulus())
+        );
     }
 }

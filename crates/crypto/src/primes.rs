@@ -40,8 +40,7 @@ pub fn is_probably_prime<R: Rng + ?Sized>(candidate: &BigUint, rng: &mut R) -> b
 /// Every candidate reaching this point is odd (2 belongs to the trial
 /// divisors), so one [`MontgomeryCtx`] serves all `rounds` witness
 /// exponentiations and their follow-up squarings — the per-modulus REDC
-/// setup is paid once per candidate instead of once per modpow.  The
-/// schoolbook route stays available behind the global fast-path switch.
+/// setup is paid once per candidate instead of once per modpow.
 fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
     let one = BigUint::one();
     let two = BigUint::from(2u32);
@@ -53,19 +52,15 @@ fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) -> boo
         d >>= 1;
         r += 1;
     }
-    let ctx = if num_bigint::fastpath::enabled() { MontgomeryCtx::new(n) } else { None };
-    let pow = |base: &BigUint, exp: &BigUint| match &ctx {
-        Some(ctx) => ctx.modpow(base, exp),
-        None => base.modpow(exp, n),
-    };
+    let ctx = MontgomeryCtx::new(n).expect("trial division removed every even candidate");
     'witness: for _ in 0..rounds {
         let a = rng.gen_biguint_range(&two, &n_minus_one);
-        let mut x = pow(&a, &d);
+        let mut x = ctx.modpow(&a, &d);
         if x == one || x == n_minus_one {
             continue 'witness;
         }
         for _ in 0..(r - 1) {
-            x = pow(&x, &two);
+            x = ctx.modpow(&x, &two);
             if x == n_minus_one {
                 continue 'witness;
             }

@@ -123,8 +123,8 @@ impl SecretKey {
         // The secret key knows the factorisation, so `c^d` gets the full
         // CRT split when available (bit-identical to the direct modpow).
         let stripped = match self.crt_context(pk) {
-            Some(crt) if num_bigint::fastpath::enabled() => crt.modpow(c.raw(), self.d()),
-            _ => pk.modpow_ciphertext(c.raw(), self.d()),
+            Some(crt) => crt.modpow(c.raw(), self.d()),
+            None => pk.modpow_ciphertext(c.raw(), self.d()),
         };
         extract_plaintext(&stripped, pk.modulus(), pk.s())
     }

@@ -222,34 +222,16 @@ impl<N> GossipEngine<N> {
     /// initiator and the contact checks — a node is either reachable for the
     /// entire round or unreachable for the entire round, never both.
     ///
-    /// Uniform contact selection models a well-mixed Newscast overlay (see
-    /// [`crate::newscast`]); the approximation is standard for aggregation
-    /// analyses and keeps million-node simulations tractable.
+    /// Contacts are drawn uniformly over the online set, as in every engine
+    /// of this crate — the well-mixed-overlay approximation standard for
+    /// aggregation analyses, which keeps million-node simulations tractable.
     pub fn run_round<P, R>(&mut self, protocol: &P, rng: &mut R)
     where
         P: PairwiseProtocol<N>,
         R: Rng + ?Sized,
     {
         let online = self.churn.sample_mask(self.nodes.len(), rng);
-        self.run_round_with_mask(protocol, &online, rng);
-    }
-
-    /// [`GossipEngine::run_round`] under an optional adversary: each planned
-    /// exchange is classified first, and voided ones leave both endpoints
-    /// untouched (and uncounted).  With `None` this is byte-identical to
-    /// [`GossipEngine::run_round`] — the plan and its RNG draws never
-    /// depend on the adversary.
-    pub fn run_round_with_adversary<P, R>(
-        &mut self,
-        protocol: &P,
-        rng: &mut R,
-        adversary: Option<&mut AdversaryState>,
-    ) where
-        P: PairwiseProtocol<N>,
-        R: Rng + ?Sized,
-    {
-        let online = self.churn.sample_mask(self.nodes.len(), rng);
-        self.run_round_with_mask_and_adversary(protocol, &online, rng, adversary);
+        self.round(protocol, &online, rng, None);
     }
 
     /// Runs one gossip round against an explicit per-round connectivity
@@ -263,15 +245,15 @@ impl<N> GossipEngine<N> {
         P: PairwiseProtocol<N>,
         R: Rng + ?Sized,
     {
-        self.run_round_with_mask_and_adversary(protocol, online, rng, None);
+        self.round(protocol, online, rng, None);
     }
 
-    /// [`GossipEngine::run_round_with_mask`] under an optional adversary.
-    /// The exchange schedule (and thus the caller's RNG stream) is planned
-    /// exactly as without one; the adversary only decides, per planned
-    /// exchange and from its own dedicated sub-stream, whether the exchange
-    /// applies or is voided.
-    pub fn run_round_with_mask_and_adversary<P, R>(
+    /// One round under an optional adversary.  The exchange schedule (and
+    /// thus the caller's RNG stream) is planned exactly as without one; the
+    /// adversary only decides, per planned exchange and from its own
+    /// dedicated sub-stream, whether the exchange applies or is voided
+    /// (leaving both endpoints untouched and uncounted).
+    fn round<P, R>(
         &mut self,
         protocol: &P,
         online: &[bool],
@@ -298,22 +280,8 @@ impl<N> GossipEngine<N> {
         P: PairwiseProtocol<N>,
         R: Rng + ?Sized,
     {
-        self.run_rounds_with_adversary(protocol, rounds, rng, None);
-    }
-
-    /// [`GossipEngine::run_rounds`] under an optional adversary.
-    pub fn run_rounds_with_adversary<P, R>(
-        &mut self,
-        protocol: &P,
-        rounds: u32,
-        rng: &mut R,
-        mut adversary: Option<&mut AdversaryState>,
-    ) where
-        P: PairwiseProtocol<N>,
-        R: Rng + ?Sized,
-    {
         for _ in 0..rounds {
-            self.run_round_with_adversary(protocol, rng, adversary.as_deref_mut());
+            self.run_round(protocol, rng);
         }
     }
 
@@ -328,7 +296,8 @@ impl<N> GossipEngine<N> {
         self.run_until_with_adversary(protocol, max_rounds, rng, done, None)
     }
 
-    /// [`GossipEngine::run_until`] under an optional adversary.
+    /// [`GossipEngine::run_until`] under an optional adversary (see
+    /// [`crate::sim::adversary`]); `None` is byte-identical to `run_until`.
     pub fn run_until_with_adversary<P, R, F>(
         &mut self,
         protocol: &P,
@@ -346,7 +315,8 @@ impl<N> GossipEngine<N> {
             if done(&self.nodes) {
                 return true;
             }
-            self.run_round_with_adversary(protocol, rng, adversary.as_deref_mut());
+            let online = self.churn.sample_mask(self.nodes.len(), rng);
+            self.round(protocol, &online, rng, adversary.as_deref_mut());
         }
         done(&self.nodes)
     }

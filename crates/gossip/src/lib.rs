@@ -9,7 +9,6 @@
 //!
 //! * [`engine`] — the round-based pairwise-exchange simulation engine with
 //!   churn and message accounting;
-//! * [`view`] / [`newscast`] — local views and Newscast-style peer sampling;
 //! * [`sum`] — the plaintext push-pull epidemic sum (Kempe et al. /
 //!   Jelasity et al.), used for the count aggregate and the latency/error
 //!   experiments (Figures 3(b) and 4(a));
@@ -35,10 +34,8 @@ pub mod dissemination;
 pub mod eesum;
 pub mod engine;
 pub mod metrics;
-pub mod newscast;
 pub mod sim;
 pub mod sum;
-pub mod view;
 
 pub use churn::ChurnModel;
 pub use eesum::{EpidemicValue, EesState};
@@ -62,5 +59,4 @@ pub mod prelude {
         CrashWindow, FaultCounters, FaultStats, LatencyModel, NetworkModel, ShardedAsyncEngine,
     };
     pub use crate::sum::{PushPullSum, SumState};
-    pub use crate::view::LocalView;
 }

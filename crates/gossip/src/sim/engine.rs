@@ -482,24 +482,9 @@ impl<S: StateStore> AsyncGossipEngine<S> {
         S: ProtocolStore<P>,
         R: Rng + ?Sized,
     {
-        self.run_for_with_adversary(protocol, duration, rng, None);
-    }
-
-    /// [`AsyncGossipEngine::run_for`] under an optional adversary (see
-    /// [`crate::sim::adversary`]); `None` is byte-identical to `run_for`.
-    pub fn run_for_with_adversary<P, R>(
-        &mut self,
-        protocol: &P,
-        duration: f64,
-        rng: &mut R,
-        adversary: Option<&mut AdversaryState>,
-    ) where
-        S: ProtocolStore<P>,
-        R: Rng + ?Sized,
-    {
         assert!(duration >= 0.0 && duration.is_finite());
         let target = self.horizon + duration;
-        self.drive(protocol, target, rng, adversary, |_, _, _, _| false);
+        self.drive(protocol, target, rng, None, |_, _, _, _| false);
     }
 
     /// Advances the simulation until `done` holds over the node states or
@@ -518,8 +503,8 @@ impl<S: StateStore> AsyncGossipEngine<S> {
         self.run_until_with_adversary(protocol, duration, rng, done, None)
     }
 
-    /// [`AsyncGossipEngine::run_until`] under an optional adversary;
-    /// `None` is byte-identical to `run_until`.
+    /// [`AsyncGossipEngine::run_until`] under an optional adversary (see
+    /// [`crate::sim::adversary`]); `None` is byte-identical to `run_until`.
     pub fn run_until_with_adversary<P, R, F>(
         &mut self,
         protocol: &P,

@@ -584,26 +584,10 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         P: Sync,
         R: Rng + ?Sized,
     {
-        self.run_for_with_adversary(protocol, duration, rng, None);
-    }
-
-    /// [`ShardedAsyncEngine::run_for`] under an optional adversary (see
-    /// [`crate::sim::adversary`]); `None` is byte-identical to `run_for`.
-    pub fn run_for_with_adversary<P, R>(
-        &mut self,
-        protocol: &P,
-        duration: f64,
-        rng: &mut R,
-        adversary: Option<&mut AdversaryState>,
-    ) where
-        S: ParallelProtocolStore<P>,
-        P: Sync,
-        R: Rng + ?Sized,
-    {
         assert!(duration >= 0.0 && duration.is_finite());
         self.ensure_started(rng);
         let target = self.horizon + duration;
-        self.drive(protocol, target, adversary, |_, _| false);
+        self.drive(protocol, target, None, |_, _| false);
     }
 
     /// Advances the simulation until `done` holds over the node states or
@@ -629,8 +613,8 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         self.run_until_with_adversary(protocol, duration, rng, done, None)
     }
 
-    /// [`ShardedAsyncEngine::run_until`] under an optional adversary;
-    /// `None` is byte-identical to `run_until`.
+    /// [`ShardedAsyncEngine::run_until`] under an optional adversary (see
+    /// [`crate::sim::adversary`]); `None` is byte-identical to `run_until`.
     pub fn run_until_with_adversary<P, R, F>(
         &mut self,
         protocol: &P,

@@ -329,32 +329,29 @@ impl BigUint {
 
     /// `self^exponent mod modulus`.
     ///
-    /// Odd moduli dispatch to the Montgomery/REDC windowed path
-    /// ([`crate::montgomery::MontgomeryCtx`]) unless the global
-    /// [`crate::fastpath`] switch is off; even moduli (and the disabled
-    /// switch) fall back to [`Self::modpow_schoolbook`].  Both paths are
-    /// value-identical on every input — the differential test battery in
-    /// `tests/montgomery_differential.rs` pins this — so callers observe
-    /// only a speed difference.
+    /// Odd moduli take the Montgomery/REDC windowed path
+    /// ([`crate::montgomery::MontgomeryCtx`]); even moduli take
+    /// [`Self::modpow_schoolbook`].  The two are value-identical on every
+    /// input — the differential test battery in
+    /// `tests/montgomery_differential.rs` pins this.
     ///
     /// Callers exponentiating repeatedly against one odd modulus should
     /// hold a [`crate::montgomery::MontgomeryCtx`] themselves to amortise
     /// the per-modulus precomputation this convenience wrapper redoes.
     pub fn modpow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "modpow with zero modulus");
-        if crate::fastpath::enabled() && modulus.bit(0) {
-            if let Some(ctx) = crate::montgomery::MontgomeryCtx::new(modulus) {
-                return ctx.modpow(self, exponent);
-            }
+        match crate::montgomery::MontgomeryCtx::new(modulus) {
+            Some(ctx) => ctx.modpow(self, exponent),
+            None => self.modpow_schoolbook(exponent, modulus),
         }
-        self.modpow_schoolbook(exponent, modulus)
     }
 
     /// `self^exponent mod modulus` by left-to-right binary exponentiation
     /// with a full Knuth-D division per step.
     ///
-    /// This is the pre-Montgomery baseline, kept public as the oracle for
-    /// the differential tests and the "before" leg of the speedup benches.
+    /// This is the reference the differential tests and the benchmark's
+    /// `bigint.schoolbook_ratio_2048` probe compare the Montgomery path
+    /// against.
     pub fn modpow_schoolbook(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "modpow with zero modulus");
         if modulus.is_one() {
@@ -960,8 +957,7 @@ mod tests {
     #[test]
     fn modpow_dispatch_agrees_with_schoolbook_both_parities() {
         // The public modpow must agree with the schoolbook baseline for
-        // odd moduli (Montgomery path) and even moduli (fallback), with
-        // the fastpath switch in either position.
+        // odd moduli (Montgomery path) and even moduli (fallback).
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xD1F0);
@@ -978,10 +974,6 @@ mod tests {
             let exp = BigUint::from_limbs((0..3).map(|_| rng.gen::<u64>()).collect());
             let expected = base.modpow_schoolbook(&exp, &m);
             assert_eq!(base.modpow(&exp, &m), expected);
-            crate::fastpath::set_enabled(false);
-            let under_baseline = base.modpow(&exp, &m);
-            crate::fastpath::set_enabled(true);
-            assert_eq!(under_baseline, expected);
         }
     }
 

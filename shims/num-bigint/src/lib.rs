@@ -11,11 +11,11 @@
 //! RSA moduli with Damgård–Jurik exponent `s ≤ 2` give `n^{s+1}` ≈ 3072
 //! bits), so quadratic multiplication is the right trade-off — no Karatsuba.
 //! Modular exponentiation, the crypto hot path, additionally ships a
-//! Montgomery/REDC fast path ([`montgomery::MontgomeryCtx`]) with windowed
-//! exponentiation that [`BigUint::modpow`] dispatches to for odd moduli;
-//! the binary schoolbook ladder survives as
-//! [`BigUint::modpow_schoolbook`] and as the differential-testing baseline
-//! (see [`fastpath`]).
+//! Montgomery/REDC path ([`montgomery::MontgomeryCtx`]) with windowed
+//! exponentiation that [`BigUint::modpow`] takes for every odd modulus;
+//! the binary schoolbook ladder, [`BigUint::modpow_schoolbook`], serves
+//! even moduli and is the reference the differential test battery
+//! compares against.
 
 #![forbid(unsafe_code)]
 
@@ -28,36 +28,11 @@ pub use bigint::BigInt;
 pub use biguint::BigUint;
 pub use rand_support::RandBigInt;
 
-/// Process-wide switch between the Montgomery/CRT fast path and the
-/// schoolbook baseline.
-///
-/// Both paths are value-identical on every input — the differential test
-/// battery pins this — so the switch only ever changes *speed*, never a
-/// result bit.  It exists for two callers:
-///
-/// * differential tests that re-run a whole pipeline under the baseline
-///   and assert bit-for-bit equality with the fast path, and
-/// * the speedup benches (`parallel_speedup`, `packing_speedup`), which
-///   measure the before/after ratio the regression gate asserts on.
-///
-/// Because values never differ, the relaxed global is safe even when
-/// parallel tests toggle it around an unrelated run: the worst case is a
-/// measurement running at the wrong speed, never a wrong answer.  Layers
-/// above the shim (e.g. the Damgård–Jurik CRT split in `crates/crypto`)
-/// consult the same switch so "disabled" means the full schoolbook
-/// pipeline, not a partial one.
+#[doc(hidden)]
 pub mod fastpath {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static ENABLED: AtomicBool = AtomicBool::new(true);
-
-    /// Enables (default) or disables the Montgomery/CRT fast path.
-    pub fn set_enabled(enabled: bool) {
-        ENABLED.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether the Montgomery/CRT fast path is currently enabled.
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
+    // `chiarobench/src/measure.rs` asserts this and cannot change in a
+    // protocol PR; it goes when a benchmark PR drops that assert.
+    pub const fn enabled() -> bool {
+        true
     }
 }

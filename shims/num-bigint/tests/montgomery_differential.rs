@@ -142,17 +142,3 @@ fn modpow_modulus_one_is_zero() {
         assert_eq!(base.modpow(&exp, &one), BigUint::zero());
     }
 }
-
-#[test]
-fn fastpath_switch_changes_speed_never_values() {
-    let m = odd_modulus(99, 512);
-    let mut rng = StdRng::seed_from_u64(99);
-    let base = rng.gen_biguint(512);
-    let exp = rng.gen_biguint(512);
-    let fast = base.modpow(&exp, &m);
-    num_bigint::fastpath::set_enabled(false);
-    let slow = base.modpow(&exp, &m);
-    num_bigint::fastpath::set_enabled(true);
-    assert_eq!(fast, slow);
-    assert_eq!(fast, base.modpow_schoolbook(&exp, &m));
-}
