@@ -102,7 +102,7 @@ fn sum_part(args: &Args) -> Vec<Json> {
         let states: Vec<MinIdState<u64>> =
             (0..population).map(|_| MinIdState::new(rng.gen(), rng.gen())).collect();
         let mut dis_engine = GossipEngine::new(states, ChurnModel::NONE);
-        dis_engine.run_until(&DisseminationProtocol, 100, &mut rng, converged);
+        dis_engine.run_until(&DisseminationProtocol, 100, &mut rng, |s| converged(s), None);
         cells.push(format!("{:.0}", dis_engine.metrics().messages_per_node(population)));
         table.row(&cells);
         let targets: Vec<Json> = pending

@@ -177,7 +177,7 @@ wire_paths = ["crates/node/src"]
 seed_mixers = ["mix", "stream_rng"]
 
 [allow]
-D1 = ["crates/bench", "shims/criterion"]
+D1 = ["crates/bench"]
 "#;
 
     #[test]

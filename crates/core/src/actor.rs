@@ -117,18 +117,6 @@ impl<'a> Reader<'a> {
 
 // --- provisioning (Hello) ---
 
-/// The lane-packing plan inputs: [`PackedEncoder::plan`] is a pure
-/// function, so shipping the inputs and re-planning on the node yields the
-/// coordinator's exact layout without serialising the encoder itself.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PackingSpec {
-    pub(crate) capacity_bits: u64,
-    pub(crate) contributors: u64,
-    pub(crate) doubling_budget: u32,
-    pub(crate) max_abs_value: f64,
-    pub(crate) biased_vectors: u32,
-}
-
 /// Everything a node actor needs to participate: run shape, public cipher
 /// material, and the node's own series (in a deployment the series never
 /// leaves the device — here the coordinator is the simulation harness that
@@ -139,7 +127,11 @@ pub(crate) struct NodeSpec {
     pub(crate) series_length: u32,
     pub(crate) encoding_digits: u32,
     pub(crate) num_noise_shares: u32,
-    pub(crate) packing: Option<PackingSpec>,
+    /// The lane-packing plan inputs (capacity bits and lane budget):
+    /// [`PackedEncoder::plan`] is a pure function, so shipping the inputs
+    /// and re-planning on the node yields the coordinator's exact layout
+    /// without serialising the encoder itself.
+    pub(crate) packing: Option<(u64, LaneBudget)>,
     pub(crate) public: Vec<u8>,
     pub(crate) series: Vec<f64>,
 }
@@ -152,13 +144,13 @@ impl NodeSpec {
         put_u32(&mut buf, self.encoding_digits);
         put_u32(&mut buf, self.num_noise_shares);
         match &self.packing {
-            Some(p) => {
+            Some((capacity_bits, budget)) => {
                 buf.push(1);
-                put_u64(&mut buf, p.capacity_bits);
-                put_u64(&mut buf, p.contributors);
-                put_u32(&mut buf, p.doubling_budget);
-                put_f64(&mut buf, p.max_abs_value);
-                put_u32(&mut buf, p.biased_vectors);
+                put_u64(&mut buf, *capacity_bits);
+                put_u64(&mut buf, budget.contributors as u64);
+                put_u32(&mut buf, budget.doubling_budget);
+                put_f64(&mut buf, budget.max_abs_value);
+                put_u32(&mut buf, budget.biased_vectors);
             }
             None => buf.push(0),
         }
@@ -179,13 +171,15 @@ impl NodeSpec {
         let num_noise_shares = r.u32();
         let packing = match r.u8() {
             0 => None,
-            1 => Some(PackingSpec {
-                capacity_bits: r.u64(),
-                contributors: r.u64(),
-                doubling_budget: r.u32(),
-                max_abs_value: r.f64(),
-                biased_vectors: r.u32(),
-            }),
+            1 => Some((
+                r.u64(),
+                LaneBudget {
+                    contributors: r.u64() as usize,
+                    doubling_budget: r.u32(),
+                    max_abs_value: r.f64(),
+                    biased_vectors: r.u32(),
+                },
+            )),
             other => panic!("unknown packing flag {other} in node spec"),
         };
         let public_len = r.u32() as usize;
@@ -337,14 +331,8 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
                 .expect("the provisioned public cipher material must be well-formed"),
         );
         let encoder = FixedPointEncoder::new(spec.encoding_digits);
-        let packer = spec.packing.as_ref().map(|p| {
-            let budget = LaneBudget {
-                contributors: p.contributors as usize,
-                doubling_budget: p.doubling_budget,
-                max_abs_value: p.max_abs_value,
-                biased_vectors: p.biased_vectors,
-            };
-            PackedEncoder::plan(p.capacity_bits, &encoder, &budget)
+        let packer = spec.packing.as_ref().map(|(capacity_bits, budget)| {
+            PackedEncoder::plan(*capacity_bits, &encoder, budget)
                 .expect("the coordinator validated this lane layout before provisioning")
         });
         assert_eq!(spec.series.len(), spec.series_length as usize, "series length mismatch");
@@ -568,13 +556,15 @@ mod tests {
             series_length: 4,
             encoding_digits: 3,
             num_noise_shares: 12,
-            packing: Some(PackingSpec {
-                capacity_bits: 254,
-                contributors: 16,
-                doubling_budget: 96,
-                max_abs_value: 80.0,
-                biased_vectors: 2,
-            }),
+            packing: Some((
+                254,
+                LaneBudget {
+                    contributors: 16,
+                    doubling_budget: 96,
+                    max_abs_value: 80.0,
+                    biased_vectors: 2,
+                },
+            )),
             public: vec![1, 2, 3, 4, 5],
             series: vec![1.5, -2.25, 0.0, 7.0],
         };

@@ -7,9 +7,11 @@
 //! # Topology and scheduling
 //!
 //! The coordinator holds one link per node (a star overlay standing in for
-//! the Newscast mesh) and plans each gossip round with
-//! [`plan_round_with_mask`] — the exact RNG draws of the in-place
-//! round engine.  Each planned exchange is delivered as:
+//! the Newscast mesh) and wraps them in a node store whose `apply_exchange`
+//! is a relay; the round engine ([`GossipEngine`]) then runs each phase over
+//! that store exactly as the monolith runs it over in-process state — one
+//! planner, one stop rule, one fault schedule, one set of counters.  Each
+//! exchange the engine applies is delivered as:
 //!
 //! ```text
 //! coordinator ── InitiateExchange(phase, contact) ──▶ initiator
@@ -21,17 +23,27 @@
 //! `2 × exchanges` message accounting); `InitiateExchange` is uncounted
 //! control traffic, standing in for the node's own gossip timer.
 //!
+//! Under an active adversary ([`ChiaroscuroParams::adversary`]) the engine
+//! voids a seeded subset of the planned exchanges before they reach the
+//! store, so on a link a voided exchange is simply never relayed — the
+//! simulator's own definition of a void (both endpoints keep their
+//! pre-exchange state, nothing is counted).  These are schedule-level
+//! faults; byte-level injection on the links themselves is not modelled.
+//!
+//! [`ChiaroscuroParams::adversary`]: crate::config::ChiaroscuroParams::adversary
+//!
 //! # Determinism contract
 //!
 //! A pinned scenario driven through `via_actors` reproduces the monolithic
 //! `execute` **bit for bit** from the same seed — identical centroids,
 //! identical per-iteration network statistics, identical audit log — under
 //! both the in-memory and the socket transports.  The contract holds by
-//! construction: the sequence and every master-RNG draw outside the gossip
-//! schedules belong to the one driver, this executor plans its schedules
-//! with the round engine's own planner, and each actor builds its
-//! contribution from its delivered participant seed with the function the
-//! in-process executor uses; no RNG lives on a thread boundary.
+//! construction, with or without an adversary: the sequence and every
+//! master-RNG draw outside the gossip schedules belong to the one driver,
+//! the gossip schedules are drawn by the round engine itself, and each
+//! actor builds its contribution from its delivered participant seed with
+//! the function the in-process executor uses; no RNG lives on a thread
+//! boundary.
 //!
 //! Only the driver ever threshold-decrypts: nodes are provisioned with
 //! exported *public* material, so the key shares never cross a link.
@@ -39,9 +51,8 @@
 use rand::Rng;
 
 use chiaroscuro_crypto::backend::CipherBackend;
-use chiaroscuro_gossip::engine::plan_round_with_mask;
-use chiaroscuro_gossip::metrics::ExchangeMetrics;
-use chiaroscuro_gossip::sim::{AdversaryState, NetworkModel};
+use chiaroscuro_gossip::engine::{GossipEngine, ProtocolStore, StateStore};
+use chiaroscuro_gossip::sim::{AdversaryState, NetworkModel, PhaseStats};
 use chiaroscuro_gossip::sum::SumState;
 use chiaroscuro_node::{
     FramedSocketTransport, LocalBus, NodeEvent, NodeId, Phase, Transport, COORDINATOR,
@@ -49,12 +60,12 @@ use chiaroscuro_node::{
 use chiaroscuro_timeseries::TimeSeries;
 
 use crate::actor::{
-    decode_readout, encode_correction, ChiaroscuroNodeActor, IterationInputs, NodeSpec,
-    PackingSpec, Readout, MEANS_FRAME_OVERHEAD_BYTES,
+    decode_readout, encode_correction, ChiaroscuroNodeActor, IterationInputs, NodeSpec, Readout,
+    MEANS_FRAME_OVERHEAD_BYTES,
 };
 use crate::config::TransportKind;
 use crate::diptych::closest_centroid;
-use crate::iteration::{drive, Executor, PhaseStats, RunContext};
+use crate::iteration::{drive, Executor, RunContext};
 use crate::noise::NoiseCorrection;
 use crate::runner::{DistributedRun, RunOutcome};
 
@@ -74,57 +85,34 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     /// on non-Unix platforms when the socket transport is selected.
     pub fn via_actors(&self, seed: u64) -> RunOutcome {
         let mut rng = crate::seedmix::run_rng(seed);
-        let population = self.data.len();
+        let actors: Vec<ChiaroscuroNodeActor<B>> =
+            (0..self.data.len()).map(|i| ChiaroscuroNodeActor::new(i as NodeId)).collect();
         match self.params.transport {
             TransportKind::InMemory => {
-                let actors: Vec<ChiaroscuroNodeActor<B>> =
-                    (0..population).map(|i| ChiaroscuroNodeActor::new(i as NodeId)).collect();
                 let mut bus = LocalBus::spawn(actors);
                 let outcome = self.execute_via_links(bus.links_mut(), 0, &mut rng);
                 bus.shutdown().expect("the node actors must shut down cleanly");
                 outcome
             }
-            TransportKind::UnixSocket => self.via_socket_actors(population, &mut rng),
+            // The socket deployment shape, in-process: one Unix-domain
+            // socket pair per node, every frame crossing a real byte stream.
+            // The multi-process example replays exactly this wire protocol
+            // with the serve loops in forked processes.
+            #[cfg(unix)]
+            TransportKind::UnixSocket => {
+                let mut bus = LocalBus::spawn_over(actors, || {
+                    let (coordinator_side, node_side) = std::os::unix::net::UnixStream::pair()
+                        .expect("socketpair(2) cannot fail for in-process links");
+                    (FramedSocketTransport::new(coordinator_side), FramedSocketTransport::new(node_side))
+                });
+                let outcome =
+                    self.execute_via_links(bus.links_mut(), MEANS_FRAME_OVERHEAD_BYTES, &mut rng);
+                bus.shutdown().expect("the node serve loops must exit cleanly");
+                outcome
+            }
+            #[cfg(not(unix))]
+            TransportKind::UnixSocket => panic!("TransportKind::UnixSocket requires a Unix platform"),
         }
-    }
-
-    /// The socket deployment shape, in-process: one Unix-domain socket pair
-    /// and one serve thread per node, every frame crossing a real byte
-    /// stream.  The multi-process example replays exactly this wire
-    /// protocol with the serve loops in forked processes.
-    #[cfg(unix)]
-    fn via_socket_actors<R: Rng + ?Sized>(&self, population: usize, rng: &mut R) -> RunOutcome {
-        use std::os::unix::net::UnixStream;
-
-        let mut links = Vec::with_capacity(population);
-        let mut threads = Vec::with_capacity(population);
-        for node in 0..population {
-            let (coordinator_side, node_side) =
-                UnixStream::pair().expect("socketpair(2) cannot fail for in-process links");
-            links.push(FramedSocketTransport::new(coordinator_side));
-            threads.push(std::thread::spawn(move || {
-                let mut transport = FramedSocketTransport::new(node_side);
-                let mut actor = ChiaroscuroNodeActor::<B>::new(node as NodeId);
-                chiaroscuro_node::serve(node as NodeId, &mut transport, &mut actor)
-            }));
-        }
-        let outcome = self.execute_via_links(&mut links, MEANS_FRAME_OVERHEAD_BYTES, rng);
-        for (node, link) in links.iter_mut().enumerate() {
-            link.send(&NodeEvent::Shutdown.into_frame(COORDINATOR, node as NodeId))
-                .expect("shutdown frame");
-        }
-        for thread in threads {
-            thread
-                .join()
-                .expect("node thread panicked")
-                .expect("the node serve loop must exit cleanly");
-        }
-        outcome
-    }
-
-    #[cfg(not(unix))]
-    fn via_socket_actors<R: Rng + ?Sized>(&self, _population: usize, _rng: &mut R) -> RunOutcome {
-        panic!("TransportKind::UnixSocket requires a Unix platform");
     }
 
     /// Drives the full execution sequence over caller-provided transport
@@ -156,11 +144,6 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
             "via_actors drives the round-based schedule; the event-driven simulator models \
              the network itself and has no per-exchange message flow to relay"
         );
-        assert!(
-            !self.params.adversary.is_active(),
-            "via_actors has no fault-injection hooks; run adversarial scenarios through \
-             DistributedRun's simulated engines instead"
-        );
         let mut outcome = drive(self, &mut LinkExecutor { links, readouts: Vec::new() }, rng);
         for stats in &mut outcome.network {
             stats.sum_payload_bytes += frame_overhead;
@@ -169,9 +152,67 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     }
 }
 
-/// The deployed population: every piece of per-node state lives behind a
-/// transport link, and a gossip phase is the round engine's exact schedule
-/// with each exchange relayed through the star as a request/reply pair.
+/// The deployed population as a node store: every piece of per-node state
+/// lives behind a transport link, and applying an exchange is relaying it
+/// through the star as a request/reply pair.  The protocol it is driven
+/// with is the wire [`Phase`] tag — the update rule itself runs on the
+/// nodes.
+struct LinkStore<'l, T> {
+    links: &'l mut [T],
+    /// The coordinator's shadow of the nodes' proposal identifiers, when the
+    /// phase stops on agreement: the min-id rule is mirrored per relayed
+    /// exchange, which saves a readout per round.
+    ids: Option<&'l mut [u64]>,
+}
+
+impl<T> LinkStore<'_, T> {
+    /// Whether the tracked identifiers all agree (`false` when none are).
+    fn agreed(&self) -> bool {
+        self.ids.as_ref().is_some_and(|ids| ids.iter().all(|&id| id == ids[0]))
+    }
+}
+
+impl<T> StateStore for LinkStore<'_, T> {
+    fn population(&self) -> usize {
+        self.links.len()
+    }
+}
+
+impl<T: Transport> ProtocolStore<Phase> for LinkStore<'_, T> {
+    /// Tells the initiator to start, routes its request to the contact and
+    /// the merged reply back.  Strict lockstep — the coordinator never
+    /// interleaves two exchanges, exactly like an in-place store's
+    /// sequential pair updates.
+    fn apply_exchange(&mut self, phase: &Phase, initiator: usize, contact: usize) {
+        send(
+            &mut self.links[initiator],
+            initiator,
+            NodeEvent::InitiateExchange { phase: *phase, contact: contact as NodeId },
+        );
+        let request = self.links[initiator]
+            .recv()
+            .unwrap_or_else(|e| panic!("receiving node {initiator}'s exchange request failed: {e}"));
+        assert_eq!(request.to, contact as NodeId, "the initiator must address its planned contact");
+        self.links[contact]
+            .send(&request)
+            .unwrap_or_else(|e| panic!("routing to node {contact} failed: {e}"));
+        let reply = self.links[contact]
+            .recv()
+            .unwrap_or_else(|e| panic!("receiving node {contact}'s exchange reply failed: {e}"));
+        assert_eq!(reply.to, initiator as NodeId, "the contact must reply to the initiator");
+        self.links[initiator]
+            .send(&reply)
+            .unwrap_or_else(|e| panic!("routing to node {initiator} failed: {e}"));
+        if let Some(ids) = &mut self.ids {
+            let merged = ids[initiator].min(ids[contact]);
+            ids[initiator] = merged;
+            ids[contact] = merged;
+        }
+    }
+}
+
+/// The link executor: the deployed population plus what the coordinator
+/// has read out of it.
 struct LinkExecutor<'l, T: Transport, B: CipherBackend> {
     links: &'l mut [T],
     /// Every node's view once the epidemic weights and counters are frozen
@@ -180,41 +221,21 @@ struct LinkExecutor<'l, T: Transport, B: CipherBackend> {
 }
 
 impl<T: Transport, B: CipherBackend> LinkExecutor<'_, T, B> {
-    /// Relays one phase's rounds.  `shadow_ids`, when given, mirrors the
-    /// min-id update rule per exchange so the phase can stop on agreement
-    /// (`run_until` semantics: checked before each round, then once more
-    /// when the budget is exhausted) without a readout per round.
+    /// Runs one phase of the round engine over the links.  With `ids` the
+    /// phase stops on agreement over them; without, it runs its budget.
     fn relay_phase<R: Rng + ?Sized>(
         &mut self,
         ctx: &RunContext<'_, B>,
         phase: Phase,
         rng: &mut R,
-        mut shadow_ids: Option<&mut [u64]>,
+        ids: Option<&mut [u64]>,
+        adversary: Option<&mut AdversaryState>,
     ) -> PhaseStats {
-        let population = self.links.len();
-        let agreed = |ids: &Option<&mut [u64]>| match ids {
-            Some(ids) => ids.iter().all(|&id| id == ids[0]),
-            None => false,
-        };
-        let mut metrics = ExchangeMetrics::default();
-        for _ in 0..ctx.exchanges {
-            if agreed(&shadow_ids) {
-                break;
-            }
-            let online = ctx.churn.sample_mask(population, rng);
-            for (initiator, contact) in plan_round_with_mask(population, &online, rng) {
-                relay_exchange(self.links, phase, initiator, contact);
-                if let Some(ids) = &mut shadow_ids {
-                    let merged = ids[initiator].min(ids[contact]);
-                    ids[initiator] = merged;
-                    ids[contact] = merged;
-                }
-                metrics.record_exchange();
-            }
-            metrics.record_round();
-        }
-        let converged = shadow_ids.is_none() || agreed(&shadow_ids);
-        PhaseStats { metrics, converged, sim_time: 0.0, peak_in_flight: 0 }
+        let unbounded = ids.is_none();
+        let mut engine = GossipEngine::new(LinkStore { links: &mut *self.links, ids }, ctx.churn);
+        let stopped = engine.run_until(&phase, ctx.exchanges, rng, LinkStore::agreed, adversary);
+        let (_, metrics) = engine.into_parts();
+        PhaseStats { metrics, converged: unbounded || stopped, sim_time: 0.0, peak_in_flight: 0 }
     }
 
     /// Requests and decodes every node's readout (`with_units` additionally
@@ -242,13 +263,7 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T, B> {
     /// Public material only; the key shares stay with the driver's backend.
     fn provision(&mut self, ctx: &RunContext<'_, B>) {
         let params = &ctx.run.params;
-        let packing = ctx.run.packing_budget().map(|budget| PackingSpec {
-            capacity_bits: params.packing_capacity_bits(),
-            contributors: budget.contributors as u64,
-            doubling_budget: budget.doubling_budget,
-            max_abs_value: budget.max_abs_value,
-            biased_vectors: budget.biased_vectors,
-        });
+        let packing = ctx.run.packing_budget().map(|budget| (params.packing_capacity_bits(), budget));
         let public = ctx.kit.backend.export_public();
         for (node, link) in self.links.iter_mut().enumerate() {
             let spec = NodeSpec {
@@ -256,7 +271,7 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T, B> {
                 series_length: ctx.run.data.series_length() as u32,
                 encoding_digits: params.encoding_digits,
                 num_noise_shares: params.num_noise_shares as u32,
-                packing: packing.clone(),
+                packing,
                 public: public.clone(),
                 series: ctx.run.data.series()[node].values().to_vec(),
             };
@@ -293,18 +308,18 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T, B> {
         &mut self,
         ctx: &RunContext<'_, B>,
         rng: &mut R,
-        _adversary: Option<&mut AdversaryState>,
+        adversary: Option<&mut AdversaryState>,
     ) -> PhaseStats {
-        self.relay_phase(ctx, Phase::Means, rng, None)
+        self.relay_phase(ctx, Phase::Means, rng, None, adversary)
     }
 
     fn counter_phase<R: Rng + ?Sized>(
         &mut self,
         ctx: &RunContext<'_, B>,
         rng: &mut R,
-        _adversary: Option<&mut AdversaryState>,
+        adversary: Option<&mut AdversaryState>,
     ) -> PhaseStats {
-        let stats = self.relay_phase(ctx, Phase::Counter, rng, None);
+        let stats = self.relay_phase(ctx, Phase::Counter, rng, None, adversary);
         self.readouts = self.read_out(ctx, None);
         stats
     }
@@ -324,8 +339,8 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T, B> {
         proposals: Vec<NoiseCorrection>,
         reference: usize,
         rng: &mut R,
-        _adversary: Option<&mut AdversaryState>,
-    ) -> (NoiseCorrection, PhaseStats, Vec<B::Unit>) {
+        adversary: Option<&mut AdversaryState>,
+    ) -> (Vec<f64>, PhaseStats, Vec<B::Unit>) {
         for ((node, link), c) in self.links.iter_mut().enumerate().zip(&proposals) {
             let payload = encode_correction(c.id, &c.sum_correction, &c.count_correction);
             send(link, node, NodeEvent::CorrectionProposal { payload });
@@ -333,7 +348,7 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T, B> {
         // The coordinator shadows only the identifiers; payloads stay on
         // the nodes and are cross-checked below.
         let mut ids: Vec<u64> = proposals.iter().map(|c| c.id).collect();
-        let stats = self.relay_phase(ctx, Phase::Correction, rng, Some(&mut ids));
+        let stats = self.relay_phase(ctx, Phase::Correction, rng, Some(&mut ids), adversary);
 
         let mut readouts = self.read_out(ctx, Some(reference));
         let winner_id = *ids.iter().min().expect("non-empty population");
@@ -350,13 +365,7 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T, B> {
                 );
             }
         }
-        let sums = proposals[0].sum_correction.len();
-        let winning_row = winning_row.expect("the winning identifier is held somewhere");
-        let winning = NoiseCorrection {
-            id: winner_id,
-            sum_correction: winning_row[..sums].to_vec(),
-            count_correction: winning_row[sums..].to_vec(),
-        };
+        let winning = winning_row.expect("the winning identifier is held somewhere").to_vec();
         let units =
             readouts[reference].units.take().expect("the reference node reports its accumulated units");
         (winning, stats, units)
@@ -367,32 +376,6 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T, B> {
 fn send<T: Transport>(link: &mut T, node: usize, event: NodeEvent) {
     link.send(&event.into_frame(COORDINATOR, node as NodeId))
         .unwrap_or_else(|e| panic!("sending to node {node} failed: {e}"));
-}
-
-/// Delivers one planned exchange: tell the initiator to start, route its
-/// request to the contact, route the merged reply back.  Strict lockstep —
-/// the coordinator never interleaves two exchanges, exactly like the
-/// in-place engine's sequential pair updates.
-fn relay_exchange<T: Transport>(links: &mut [T], phase: Phase, initiator: usize, contact: usize) {
-    send(
-        &mut links[initiator],
-        initiator,
-        NodeEvent::InitiateExchange { phase, contact: contact as NodeId },
-    );
-    let request = links[initiator]
-        .recv()
-        .unwrap_or_else(|e| panic!("receiving node {initiator}'s exchange request failed: {e}"));
-    assert_eq!(request.to, contact as NodeId, "the initiator must address its planned contact");
-    links[contact]
-        .send(&request)
-        .unwrap_or_else(|e| panic!("routing to node {contact} failed: {e}"));
-    let reply = links[contact]
-        .recv()
-        .unwrap_or_else(|e| panic!("receiving node {contact}'s exchange reply failed: {e}"));
-    assert_eq!(reply.to, initiator as NodeId, "the contact must reply to the initiator");
-    links[initiator]
-        .send(&reply)
-        .unwrap_or_else(|e| panic!("routing to node {initiator} failed: {e}"));
 }
 
 #[cfg(test)]
@@ -461,13 +444,7 @@ mod tests {
                 series_length: n as u32,
                 encoding_digits: params.encoding_digits,
                 num_noise_shares: params.num_noise_shares as u32,
-                packing: run.packing_budget().map(|b| PackingSpec {
-                    capacity_bits: params.packing_capacity_bits(),
-                    contributors: b.contributors as u64,
-                    doubling_budget: b.doubling_budget,
-                    max_abs_value: b.max_abs_value,
-                    biased_vectors: b.biased_vectors,
-                }),
+                packing: run.packing_budget().map(|b| (params.packing_capacity_bits(), b)),
                 public: backend.export_public(),
                 series: data.series()[0].values().to_vec(),
             };

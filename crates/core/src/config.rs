@@ -391,10 +391,10 @@ impl ChiaroscuroParamsBuilder {
     /// applies any `sim_shards` request recorded before the switch.
     pub fn network(mut self, network: NetworkModel) -> Self {
         self.params.network = network;
-        if let (NetworkModel::Async(ref mut config), Some(requested)) =
-            (&mut self.params.network, self.params.sim_shards_request.take())
-        {
-            config.sim_shards = requested;
+        if let NetworkModel::Async(config) = &mut self.params.network {
+            if let Some(requested) = self.params.sim_shards_request.take() {
+                config.sim_shards = requested;
+            }
         }
         self
     }
@@ -683,6 +683,16 @@ mod tests {
         // request that never reaches an Async model now surfaces as a
         // ConfigError at population validation instead.
         let p = ChiaroscuroParams::builder().sim_shards(4).num_noise_shares(2).build();
+        assert_eq!(
+            p.validate_for_population(100),
+            Err(ConfigError::SimShardsUnderRounds { requested: 4 })
+        );
+        // Re-selecting the round model must not consume the request.
+        let p = ChiaroscuroParams::builder()
+            .sim_shards(4)
+            .network(NetworkModel::Rounds)
+            .num_noise_shares(2)
+            .build();
         assert_eq!(
             p.validate_for_population(100),
             Err(ConfigError::SimShardsUnderRounds { requested: 4 })

@@ -8,12 +8,14 @@
 //! choice and the surplus arithmetic, the decryption and the report
 //! assembly; the draw order is tabulated once, in `docs/ARCHITECTURE.md`
 //! ("Master-RNG draw order").  What differs between deployment shapes —
-//! where per-node state lives and how one gossip phase is carried out —
-//! sits behind [`Executor`]: the in-process executor of
-//! [`crate::runner`] (per-node `Vec`s or the lane arena, on the simulated
-//! engines) and the link executor of [`crate::cluster`] (node actors
-//! behind transport links).  Both consume the gossip-schedule draws the
-//! round engine would, so the two are bit-identical from one seed.
+//! where per-node state lives — sits behind [`Executor`]: the in-process
+//! executor of [`crate::runner`] (per-node `Vec`s or the arenas) and the
+//! link executor of [`crate::cluster`] (node actors behind transport
+//! links).  *How* one gossip phase is carried out is not theirs to decide:
+//! each names its node store and hands it to the gossip crate's engines, so
+//! under the round model both run the one round loop — schedule draws,
+//! fault schedule and accounting included — and are bit-identical from one
+//! seed.
 //!
 //! [`device_contribution`] is likewise the only copy of what one device
 //! computes per iteration; the in-process executor maps it over the
@@ -29,8 +31,7 @@ use chiaroscuro_crypto::encoding::FixedPointEncoder;
 use chiaroscuro_crypto::packing::PackedEncoder;
 use chiaroscuro_dp::laplace::{LaplaceMechanism, Sensitivity};
 use chiaroscuro_gossip::churn::ChurnModel;
-use chiaroscuro_gossip::metrics::ExchangeMetrics;
-use chiaroscuro_gossip::sim::{AdversaryState, FaultStats};
+use chiaroscuro_gossip::sim::{AdversaryState, FaultStats, PhaseStats};
 use chiaroscuro_kmeans::report::{IterationReport, RunReport};
 use chiaroscuro_timeseries::inertia::{dataset_inertia, intra_inertia, Assignment};
 use chiaroscuro_timeseries::TimeSeries;
@@ -124,15 +125,6 @@ pub(crate) struct RunContext<'a, B: CipherBackend> {
     pub(crate) exchanges: u32,
 }
 
-/// The accounting of one gossip phase.
-pub(crate) struct PhaseStats {
-    pub(crate) metrics: ExchangeMetrics,
-    /// Whether the phase's stop predicate held (`true` without one).
-    pub(crate) converged: bool,
-    pub(crate) sim_time: f64,
-    pub(crate) peak_in_flight: usize,
-}
-
 /// Where per-node state lives and how a gossip phase is carried out.  The
 /// methods are called once per iteration, in declaration order
 /// ([`Self::provision`] once per run, first).  Every `rng` is the run's
@@ -179,9 +171,10 @@ pub(crate) trait Executor<B: CipherBackend> {
 
     /// Installs one correction proposal per node (in node order), runs the
     /// min-identifier dissemination until agreement or the budget, and
-    /// returns the proposal with the globally smallest identifier — the
-    /// value dissemination converges to, not whatever one node happens to
-    /// hold — plus the accumulated contribution vector `reference` holds.
+    /// returns the flat row (all sum corrections, then all count
+    /// corrections) of the proposal with the globally smallest identifier —
+    /// the value dissemination converges to, not whatever one node happens
+    /// to hold — plus the accumulated contribution vector `reference` holds.
     fn settle<R: Rng + ?Sized>(
         &mut self,
         ctx: &RunContext<'_, B>,
@@ -189,7 +182,7 @@ pub(crate) trait Executor<B: CipherBackend> {
         reference: usize,
         rng: &mut R,
         adversary: Option<&mut AdversaryState>,
-    ) -> (NoiseCorrection, PhaseStats, Vec<B::Unit>);
+    ) -> (Vec<f64>, PhaseStats, Vec<B::Unit>);
 }
 
 /// Executes `run` on `exec`.
@@ -359,7 +352,7 @@ where
                 NoiseCorrection::generate(surplus, k, n, sum_scale, count_scale, params.num_noise_shares, rng)
             })
             .collect();
-        let (winning_correction, dissemination_stats, cts) =
+        let (correction, dissemination_stats, cts) =
             exec.settle(&ctx, proposals, reference, rng, adversary_state.as_mut());
         audit.record_n(iteration, "noise correction proposal", DataClass::DataIndependent, population);
 
@@ -393,7 +386,8 @@ where
         };
         audit.record(iteration, "partial decryptions of perturbed means", DataClass::DifferentiallyPrivate);
 
-        // Rebuild the perturbed means, apply the correction and smoothing.
+        // Rebuild the perturbed means, apply the correction (laid out like
+        // the decrypted vector: k·n sums, then k counts) and smoothing.
         let mut new_centroids = Vec::with_capacity(k);
         let mut aberrant = vec![false; k];
         for cluster in 0..k {
@@ -401,9 +395,9 @@ where
             let mut count_value = decrypted[k * n + cluster];
             if surplus > 0 {
                 for (j, value) in sum_values.iter_mut().enumerate() {
-                    *value -= winning_correction.sum_correction[cluster * n + j];
+                    *value -= correction[cluster * n + j];
                 }
-                count_value -= winning_correction.count_correction[cluster];
+                count_value -= correction[k * n + cluster];
             }
             let mean = if count_value.abs() < 0.5 {
                 aberrant[cluster] = true;

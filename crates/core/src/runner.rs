@@ -54,15 +54,18 @@
 //!
 //! # Scale path: the lane arena
 //!
-//! Under a plaintext backend with an asynchronous network model the EESum
-//! phase runs on a struct-of-arrays
-//! [`EesUnitArena`] instead
-//! of per-node `Vec`s of big integers: the entire population's lane-packed
+//! Storage and engine are independent choices: every engine (round, serial
+//! async, sharded async) drives any node store, and consumes identical RNG
+//! draws over each, so a store changes memory behaviour only — never a
+//! decoded bit (asserted by a scenario test that compares the arena path
+//! against the crypto path from the same seed).  The executor's one policy
+//! is which store `contribute` fills: under a plaintext backend with an
+//! asynchronous network model — the configuration meant to scale — the
+//! EESum phase runs on a struct-of-arrays [`EesUnitArena`] instead of
+//! per-node `Vec`s of big integers (the entire population's lane-packed
 //! state lives in a handful of flat allocations and each exchange is a pair
-//! of limb-window operations.  The event loop is storage-agnostic and
-//! consumes identical RNG draws either way, so the arena changes memory
-//! behaviour only — never a decoded bit (asserted by a scenario test that
-//! compares the arena path against the crypto path from the same seed).
+//! of limb-window operations); the correction dissemination always runs on
+//! a [`MinIdArena`].
 //!
 //! # Network models
 //!
@@ -113,14 +116,10 @@ use chiaroscuro_crypto::encoding::FixedPointEncoder;
 use chiaroscuro_crypto::packing::{LaneBudget, PackedEncoder};
 use chiaroscuro_dp::laplace::{LaplaceMechanism, Sensitivity};
 use chiaroscuro_dp::noise_share::NoiseShareGenerator;
-use chiaroscuro_gossip::dissemination::{
-    converged, winning_state, DisseminationProtocol, MinIdArena, MinIdState,
-};
+use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdArena};
 use chiaroscuro_gossip::eesum::{initial_states as eesum_initial_states, EesState, EesSumProtocol};
 use chiaroscuro_gossip::sim::arena::EesUnitArena;
-use chiaroscuro_gossip::sim::{
-    run_async_phase, run_phase, AdversaryState, FaultStats, NetworkModel, PhaseOpts, PhaseOutcome,
-};
+use chiaroscuro_gossip::sim::{run_phase, AdversaryState, FaultStats, PhaseOpts, PhaseStats};
 use chiaroscuro_gossip::sum::{initial_states as sum_initial_states, PushPullSum, SumState};
 use chiaroscuro_kmeans::report::RunReport;
 use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
@@ -128,7 +127,7 @@ use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
 use crate::audit::SecurityAudit;
 use crate::config::ChiaroscuroParams;
 use crate::evalue::BackendVector;
-use crate::iteration::{device_contribution, drive, Executor, PhaseStats, RunContext};
+use crate::iteration::{device_contribution, drive, Executor, RunContext};
 use crate::noise::NoiseCorrection;
 
 /// Participants per work batch when filling the lane arena: bounds the
@@ -375,10 +374,9 @@ enum MeansStore<B: CipherBackend> {
     Arena(EesUnitArena),
 }
 
-/// The simulated population, in process: per-node state lives here and each
-/// gossip phase runs on the engine [`ChiaroscuroParams::network`] selects.
-/// The event loop is storage-agnostic and consumes identical RNG draws over
-/// per-node vectors and over the arenas.
+/// The simulated population, in process: per-node state lives here, and a
+/// gossip phase is one `run_phase` call over whichever store holds it, on
+/// the engine [`ChiaroscuroParams::network`] selects.
 struct InProcessExecutor<B: CipherBackend> {
     means: MeansStore<B>,
     counter: Vec<SumState>,
@@ -388,12 +386,6 @@ impl<B: CipherBackend> Default for MeansStore<B> {
     fn default() -> Self {
         MeansStore::PerNode(Vec::new())
     }
-}
-
-/// Splits a phase outcome into the final store and the driver's accounting.
-fn split<S>(outcome: PhaseOutcome<S>) -> (S, PhaseStats) {
-    let PhaseOutcome { nodes, metrics, converged, sim_time, peak_in_flight, .. } = outcome;
-    (nodes, PhaseStats { metrics, converged, sim_time, peak_in_flight })
 }
 
 impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
@@ -453,19 +445,16 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
     ) -> PhaseStats {
         let (network, churn, budget) = (&ctx.run.params.network, ctx.churn, ctx.exchanges);
         let protocol = &EesSumProtocol;
-        let (means, stats) = match (std::mem::take(&mut self.means), network) {
-            (MeansStore::Arena(arena), NetworkModel::Async(config)) => {
+        let (means, stats) = match std::mem::take(&mut self.means) {
+            MeansStore::Arena(arena) => {
                 let opts = PhaseOpts { until: None, adversary };
-                let (arena, stats) = split(run_async_phase(config, arena, churn, protocol, budget, rng, opts));
+                let (arena, stats) = run_phase(network, arena, churn, protocol, budget, rng, opts);
                 (MeansStore::Arena(arena), stats)
             }
-            (MeansStore::PerNode(nodes), _) => {
+            MeansStore::PerNode(nodes) => {
                 let opts = PhaseOpts { until: None, adversary };
-                let (nodes, stats) = split(run_phase(network, nodes, churn, protocol, budget, rng, opts));
+                let (nodes, stats) = run_phase(network, nodes, churn, protocol, budget, rng, opts);
                 (MeansStore::PerNode(nodes), stats)
-            }
-            (MeansStore::Arena(_), NetworkModel::Rounds) => {
-                unreachable!("the arena is only filled under the async model")
             }
         };
         self.means = means;
@@ -481,7 +470,7 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
         let states = sum_initial_states(&vec![1.0; ctx.run.data.len()]);
         let opts = PhaseOpts { until: None, adversary };
         let (counter, stats) =
-            split(run_phase(&ctx.run.params.network, states, ctx.churn, &PushPullSum, ctx.exchanges, rng, opts));
+            run_phase(&ctx.run.params.network, states, ctx.churn, &PushPullSum, ctx.exchanges, rng, opts);
         self.counter = counter;
         stats
     }
@@ -504,55 +493,36 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
         reference: usize,
         rng: &mut R,
         adversary: Option<&mut AdversaryState>,
-    ) -> (NoiseCorrection, PhaseStats, Vec<B::Unit>) {
+    ) -> (Vec<f64>, PhaseStats, Vec<B::Unit>) {
+        // Struct-of-arrays dissemination on every engine: one id lane plus
+        // flat payload rows instead of per-node boxed proposals.
         let population = proposals.len();
-        let (churn, budget) = (ctx.churn, ctx.exchanges);
-        let protocol = &DisseminationProtocol;
-        const SAME_PAYLOAD: &str = "every node holding the winning identifier must carry the same payload";
-        let (winning, stats) = match &ctx.run.params.network {
-            NetworkModel::Async(config) => {
-                // Struct-of-arrays dissemination: the event-driven engines
-                // drive a MinIdArena (one id lane plus flat payload rows)
-                // instead of per-node boxed NoiseCorrection clones.  The
-                // async schedule is state-independent, so the result is
-                // bit-identical to the boxed store from the same RNG.
-                let sums = proposals[0].sum_correction.len();
-                let counts = proposals[0].count_correction.len();
-                let arena = MinIdArena::build(population, sums + counts, |node, row| {
-                    let c = &proposals[node];
-                    row[..sums].copy_from_slice(&c.sum_correction);
-                    row[sums..].copy_from_slice(&c.count_correction);
-                    c.id
-                });
-                drop(proposals);
-                let opts = PhaseOpts { until: Some(&mut MinIdArena::converged), adversary };
-                let (arena, stats) = split(run_async_phase(config, arena, churn, protocol, budget, rng, opts));
-                let winner = arena.winning_node();
-                let (id, row) = (arena.id(winner), arena.payload(winner));
-                assert!(
-                    (0..population).filter(|&node| arena.id(node) == id).all(|node| arena.payload(node) == row),
-                    "{SAME_PAYLOAD}"
-                );
-                let winning = NoiseCorrection {
-                    id,
-                    sum_correction: row[..sums].to_vec(),
-                    count_correction: row[sums..].to_vec(),
-                };
-                (winning, stats)
-            }
-            network @ NetworkModel::Rounds => {
-                let states: Vec<MinIdState<NoiseCorrection>> =
-                    proposals.into_iter().map(|c| MinIdState::new(c.id, c)).collect();
-                let opts = PhaseOpts { until: Some(&mut converged), adversary };
-                let (nodes, stats) = split(run_phase(network, states, churn, protocol, budget, rng, opts));
-                let winner = winning_state(&nodes);
-                assert!(
-                    nodes.iter().filter(|s| s.id == winner.id).all(|s| s.payload == winner.payload),
-                    "{SAME_PAYLOAD}"
-                );
-                (winner.payload.clone(), stats)
-            }
-        };
+        let sums = proposals[0].sum_correction.len();
+        let width = sums + proposals[0].count_correction.len();
+        let arena = MinIdArena::build(population, width, |node, row| {
+            let c = &proposals[node];
+            row[..sums].copy_from_slice(&c.sum_correction);
+            row[sums..].copy_from_slice(&c.count_correction);
+            c.id
+        });
+        drop(proposals);
+        let opts = PhaseOpts { until: Some(&mut MinIdArena::converged), adversary };
+        let (arena, stats) = run_phase(
+            &ctx.run.params.network,
+            arena,
+            ctx.churn,
+            &DisseminationProtocol,
+            ctx.exchanges,
+            rng,
+            opts,
+        );
+        let winner = arena.winning_node();
+        let (id, row) = (arena.id(winner), arena.payload(winner));
+        assert!(
+            (0..population).filter(|&node| arena.id(node) == id).all(|node| arena.payload(node) == row),
+            "every node holding the winning identifier must carry the same payload"
+        );
+        let winning = row.to_vec();
         // The iteration's per-node state is spent once the reference is read
         // out: release it before the driver decrypts, so it never coexists
         // with the next iteration's.

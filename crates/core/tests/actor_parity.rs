@@ -134,6 +134,33 @@ fn both_executors_stop_when_the_budget_is_exhausted() {
     assert_eq!(outcome.report.iterations.len(), 2);
 }
 
+/// Schedule-level faults run through the deployed path: the link executor
+/// runs the round engine itself, so the seeded fault schedule voids the same
+/// exchanges on both executors (a voided exchange is never relayed) and the
+/// per-class counters in `IterationNetworkStats::faults` and the audit agree.
+/// Salt 1 keeps node 0 — the seed of both epidemic weights — honest.
+#[test]
+fn adversary_byzantine_mix_is_bit_identical_across_executors() {
+    let byzantine =
+        ChiaroscuroParams { adversary: AdversaryModel::mixed(0.25, 1), ..params(true, 0.25) };
+    let data = dataset(16);
+    assert!(!byzantine.adversary.is_byzantine(0) && (0..16).any(|i| byzantine.adversary.is_byzantine(i)));
+    let outcome = assert_localbus_parity::<DamgardJurik>(byzantine, &data, 21);
+    assert!(outcome.audit.fault_stats().injected_total() > 0, "a quarter of 16 nodes must inject");
+}
+
+/// Eclipse bias voids honest-to-honest exchanges, on the links as in process.
+#[test]
+fn adversary_eclipse_is_bit_identical_across_executors() {
+    let eclipsed = ChiaroscuroParams {
+        adversary: AdversaryModel { eclipse: 0.3, ..AdversaryModel::NONE },
+        ..params(true, 0.25)
+    };
+    let outcome = assert_localbus_parity::<PlaintextSurrogate>(eclipsed, &dataset(16), 9);
+    let faults = outcome.audit.fault_stats();
+    assert!(faults.eclipsed.injected > 0 && faults.injected_total() == faults.eclipsed.injected);
+}
+
 /// The socket transport must change nothing but the *reported* payload
 /// size, which grows by exactly the frame overhead actually transmitted
 /// per protocol message.

@@ -129,9 +129,13 @@ pub fn simulate_decryption<R: Rng + ?Sized>(
     let states: Vec<DecryptionState> =
         (0..population as ShareId).map(|i| DecryptionState::new(i, threshold)).collect();
     let mut engine = GossipEngine::new(states, churn);
-    let completed = engine.run_until(&DecryptionProtocol, max_rounds, rng, |nodes| {
-        nodes.iter().all(DecryptionState::is_complete)
-    });
+    let completed = engine.run_until(
+        &DecryptionProtocol,
+        max_rounds,
+        rng,
+        |nodes| nodes.iter().all(DecryptionState::is_complete),
+        None,
+    );
     DecryptionSimReport {
         population,
         threshold,

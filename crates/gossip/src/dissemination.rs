@@ -258,7 +258,7 @@ mod tests {
         let expected_min = global_minimum(&states);
         let expected_payload = states.iter().find(|s| s.id == expected_min).unwrap().payload;
         let mut engine = GossipEngine::new(states, ChurnModel::NONE);
-        let ok = engine.run_until(&DisseminationProtocol, 40, &mut rng, converged);
+        let ok = engine.run_until(&DisseminationProtocol, 40, &mut rng, |s| converged(s), None);
         assert!(ok, "dissemination must converge within 40 rounds");
         for s in engine.nodes() {
             assert_eq!(s.id, expected_min);
@@ -276,7 +276,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let states = random_states(population, seed);
             let mut engine = GossipEngine::new(states, ChurnModel::NONE);
-            let ok = engine.run_until(&DisseminationProtocol, 60, &mut rng, converged);
+            let ok = engine.run_until(&DisseminationProtocol, 60, &mut rng, |s| converged(s), None);
             assert!(ok);
             rounds.push(engine.metrics().rounds());
         }
@@ -295,7 +295,7 @@ mod tests {
         let expected_payload = states.iter().find(|s| s.id == expected_min).unwrap().payload;
         let mut rng = StdRng::seed_from_u64(4);
         let mut engine = GossipEngine::new(states, ChurnModel::new(0.6));
-        let ok = engine.run_until(&DisseminationProtocol, 3, &mut rng, converged);
+        let ok = engine.run_until(&DisseminationProtocol, 3, &mut rng, |s| converged(s), None);
         assert!(!ok, "3 rounds at 60% churn must not converge a 600-node population");
         let winner = winning_state(engine.nodes());
         assert_eq!(winner.id, expected_min, "the global minimum can never be displaced");
@@ -396,12 +396,39 @@ mod tests {
     }
 
     #[test]
+    fn round_engine_drives_the_arena_and_the_vec_store_identically() {
+        // The round plan is state-independent too, so clones of one RNG
+        // drive both storages through the same exchanges and stop them at
+        // the same round, converged or not.
+        for churn in [0.0, 0.3, 0.6] {
+            let model = if churn == 0.0 { ChurnModel::NONE } else { ChurnModel::new(churn) };
+            let (arena, states) = arena_and_vec_twins(120, 3, 77);
+            let mut arena_engine = GossipEngine::new(arena, model);
+            let mut vec_engine = GossipEngine::new(states, model);
+            let mut rng_a = StdRng::seed_from_u64(31);
+            let mut rng_b = rng_a.clone();
+            let stopped_a =
+                arena_engine.run_until(&DisseminationProtocol, 12, &mut rng_a, MinIdArena::converged, None);
+            let stopped_b =
+                vec_engine.run_until(&DisseminationProtocol, 12, &mut rng_b, |s| converged(s), None);
+            assert_eq!(stopped_a, stopped_b, "stop flag at churn {churn}");
+            assert_eq!(rng_a, rng_b, "RNG end state at churn {churn}");
+            assert_eq!(arena_engine.metrics(), vec_engine.metrics(), "metrics at churn {churn}");
+            let (arena, states) = (arena_engine.nodes(), vec_engine.nodes());
+            assert_arena_matches_vec(arena, states);
+            let (winner, expected) = (arena.winning_node(), winning_state(states));
+            assert_eq!(arena.id(winner), expected.id);
+            assert_eq!(arena.payload(winner), expected.payload.as_slice());
+        }
+    }
+
+    #[test]
     fn dissemination_survives_churn() {
         let mut rng = StdRng::seed_from_u64(3);
         let states = random_states(1_000, 11);
         let expected_min = global_minimum(&states);
         let mut engine = GossipEngine::new(states, ChurnModel::new(0.25));
-        let ok = engine.run_until(&DisseminationProtocol, 80, &mut rng, converged);
+        let ok = engine.run_until(&DisseminationProtocol, 80, &mut rng, |s| converged(s), None);
         assert!(ok, "dissemination must still converge under 25% churn");
         assert_eq!(engine.nodes()[0].id, expected_min);
     }

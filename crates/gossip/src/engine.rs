@@ -6,6 +6,13 @@
 //! selected online contact.  The number of messages (two per exchange, one
 //! per direction) and the number of rounds are tracked so that the latency
 //! figures can be reproduced.
+//!
+//! Like the two event-driven engines of [`crate::sim`], the round engine is
+//! generic over its storage: it plans a state-independent schedule
+//! ([`plan_round_with_mask`]) and applies each exchange through
+//! [`ProtocolStore::apply_exchange`], so the same round loop drives per-node
+//! `Vec`s, the struct-of-arrays arenas, and a store whose exchange is a
+//! request/reply relayed to node actors behind transport links.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -170,37 +177,39 @@ where
     }
 }
 
-/// The round-based engine driving one protocol over a population of nodes.
+/// The round-based engine driving one protocol over a population of nodes
+/// held in any [`StateStore`] — per-node `Vec`s, a struct-of-arrays arena,
+/// or a store whose nodes live behind transport links.
 #[derive(Debug, Clone)]
-pub struct GossipEngine<N> {
-    nodes: Vec<N>,
+pub struct GossipEngine<S> {
+    nodes: S,
     churn: ChurnModel,
     metrics: ExchangeMetrics,
 }
 
-impl<N> GossipEngine<N> {
-    /// Creates an engine over the given per-node states.
+impl<S: StateStore> GossipEngine<S> {
+    /// Creates an engine over the given node store.
     ///
     /// # Panics
-    /// Panics if fewer than two nodes are provided.
-    pub fn new(nodes: Vec<N>, churn: ChurnModel) -> Self {
-        assert!(nodes.len() >= 2, "gossip needs at least two participants");
+    /// Panics if the store holds fewer than two nodes.
+    pub fn new(nodes: S, churn: ChurnModel) -> Self {
+        assert!(nodes.population() >= 2, "gossip needs at least two participants");
         Self { nodes, churn, metrics: ExchangeMetrics::default() }
     }
 
     /// The population size.
     pub fn population(&self) -> usize {
-        self.nodes.len()
+        self.nodes.population()
     }
 
-    /// Immutable access to the node states.
-    pub fn nodes(&self) -> &[N] {
+    /// Immutable access to the node store.
+    pub fn nodes(&self) -> &S {
         &self.nodes
     }
 
-    /// Mutable access to the node states (used by protocols that need a
+    /// Mutable access to the node store (used by protocols that need a
     /// post-round hook, e.g. to inject corrections).
-    pub fn nodes_mut(&mut self) -> &mut [N] {
+    pub fn nodes_mut(&mut self) -> &mut S {
         &mut self.nodes
     }
 
@@ -227,10 +236,10 @@ impl<N> GossipEngine<N> {
     /// aggregation analyses, which keeps million-node simulations tractable.
     pub fn run_round<P, R>(&mut self, protocol: &P, rng: &mut R)
     where
-        P: PairwiseProtocol<N>,
+        S: ProtocolStore<P>,
         R: Rng + ?Sized,
     {
-        let online = self.churn.sample_mask(self.nodes.len(), rng);
+        let online = self.churn.sample_mask(self.nodes.population(), rng);
         self.round(protocol, &online, rng, None);
     }
 
@@ -242,7 +251,7 @@ impl<N> GossipEngine<N> {
     /// Panics if the mask length differs from the population.
     pub fn run_round_with_mask<P, R>(&mut self, protocol: &P, online: &[bool], rng: &mut R)
     where
-        P: PairwiseProtocol<N>,
+        S: ProtocolStore<P>,
         R: Rng + ?Sized,
     {
         self.round(protocol, online, rng, None);
@@ -260,15 +269,14 @@ impl<N> GossipEngine<N> {
         rng: &mut R,
         mut adversary: Option<&mut AdversaryState>,
     ) where
-        P: PairwiseProtocol<N>,
+        S: ProtocolStore<P>,
         R: Rng + ?Sized,
     {
-        for (initiator, contact) in plan_round_with_mask(self.nodes.len(), online, rng) {
+        for (initiator, contact) in plan_round_with_mask(self.nodes.population(), online, rng) {
             if classify_exchange(&mut adversary, initiator, contact) == ExchangeFate::Void {
                 continue;
             }
-            let (a, b) = pair_mut(&mut self.nodes, initiator, contact);
-            protocol.exchange(a, b);
+            self.nodes.apply_exchange(protocol, initiator, contact);
             self.metrics.record_exchange();
         }
         self.metrics.record_round();
@@ -277,7 +285,7 @@ impl<N> GossipEngine<N> {
     /// Runs `rounds` rounds.
     pub fn run_rounds<P, R>(&mut self, protocol: &P, rounds: u32, rng: &mut R)
     where
-        P: PairwiseProtocol<N>,
+        S: ProtocolStore<P>,
         R: Rng + ?Sized,
     {
         for _ in 0..rounds {
@@ -285,20 +293,11 @@ impl<N> GossipEngine<N> {
         }
     }
 
-    /// Runs rounds until `done` holds over the node states or `max_rounds`
-    /// is reached; returns whether the predicate was satisfied.
-    pub fn run_until<P, R, F>(&mut self, protocol: &P, max_rounds: u32, rng: &mut R, done: F) -> bool
-    where
-        P: PairwiseProtocol<N>,
-        R: Rng + ?Sized,
-        F: FnMut(&[N]) -> bool,
-    {
-        self.run_until_with_adversary(protocol, max_rounds, rng, done, None)
-    }
-
-    /// [`GossipEngine::run_until`] under an optional adversary (see
-    /// [`crate::sim::adversary`]); `None` is byte-identical to `run_until`.
-    pub fn run_until_with_adversary<P, R, F>(
+    /// Runs rounds until `done` holds over the node store or `max_rounds`
+    /// is reached; returns whether the predicate was satisfied.  Under an
+    /// adversary (see [`crate::sim::adversary`]) a seeded subset of the
+    /// planned exchanges is voided; `None` plans and applies every one.
+    pub fn run_until<P, R, F>(
         &mut self,
         protocol: &P,
         max_rounds: u32,
@@ -307,22 +306,22 @@ impl<N> GossipEngine<N> {
         mut adversary: Option<&mut AdversaryState>,
     ) -> bool
     where
-        P: PairwiseProtocol<N>,
+        S: ProtocolStore<P>,
         R: Rng + ?Sized,
-        F: FnMut(&[N]) -> bool,
+        F: FnMut(&S) -> bool,
     {
         for _ in 0..max_rounds {
             if done(&self.nodes) {
                 return true;
             }
-            let online = self.churn.sample_mask(self.nodes.len(), rng);
+            let online = self.churn.sample_mask(self.nodes.population(), rng);
             self.round(protocol, &online, rng, adversary.as_deref_mut());
         }
         done(&self.nodes)
     }
 
-    /// Consumes the engine, returning the node states and the metrics.
-    pub fn into_parts(self) -> (Vec<N>, ExchangeMetrics) {
+    /// Consumes the engine, returning the node store and the metrics.
+    pub fn into_parts(self) -> (S, ExchangeMetrics) {
         (self.nodes, self.metrics)
     }
 }
@@ -463,7 +462,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let nodes: Vec<u64> = (0..500).map(|i| i as u64).collect();
         let mut engine = GossipEngine::new(nodes, ChurnModel::NONE);
-        let converged = engine.run_until(&MaxProtocol, 30, &mut rng, |nodes| nodes.iter().all(|&v| v == 499));
+        let converged =
+            engine.run_until(&MaxProtocol, 30, &mut rng, |nodes| nodes.iter().all(|&v| v == 499), None);
         assert!(converged, "the max should spread to everyone within 30 rounds");
         // Epidemic spreading is logarithmic: 500 nodes need far fewer than 30 rounds.
         assert!(engine.metrics().rounds() <= 20);
@@ -492,7 +492,7 @@ mod tests {
             let model = if churn == 0.0 { ChurnModel::NONE } else { ChurnModel::new(churn) };
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
-            let mut engine = GossipEngine::new((0..97u64).collect(), model);
+            let mut engine = GossipEngine::new((0..97u64).collect::<Vec<_>>(), model);
             let mut mirror: Vec<u64> = (0..97).collect();
             for _ in 0..6 {
                 let mask = model.sample_mask(97, &mut rng_a);
@@ -656,8 +656,8 @@ mod tests {
         let churn = ChurnModel::new(0.35);
         let mut rng_a = StdRng::seed_from_u64(77);
         let mut rng_b = StdRng::seed_from_u64(77);
-        let mut implicit = GossipEngine::new((0..64u64).collect(), churn);
-        let mut explicit = GossipEngine::new((0..64u64).collect(), churn);
+        let mut implicit = GossipEngine::new((0..64u64).collect::<Vec<_>>(), churn);
+        let mut explicit = GossipEngine::new((0..64u64).collect::<Vec<_>>(), churn);
         for _ in 0..10 {
             implicit.run_round(&MaxProtocol, &mut rng_a);
             let mask = churn.sample_mask(64, &mut rng_b);
@@ -672,7 +672,8 @@ mod tests {
     fn run_until_stops_early_when_done() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut engine = GossipEngine::new(vec![7u64; 50], ChurnModel::NONE);
-        let converged = engine.run_until(&MaxProtocol, 100, &mut rng, |nodes| nodes.iter().all(|&v| v == 7));
+        let converged =
+            engine.run_until(&MaxProtocol, 100, &mut rng, |nodes| nodes.iter().all(|&v| v == 7), None);
         assert!(converged);
         assert_eq!(engine.metrics().rounds(), 0, "predicate already true: no rounds needed");
     }

@@ -494,18 +494,9 @@ impl<S: StateStore> AsyncGossipEngine<S> {
     /// [`AsyncNetworkConfig::convergence_check_period`] of simulated time
     /// when that knob is positive (whole-population predicates are
     /// `O(population)` per call, so per-exchange checking does not scale).
-    pub fn run_until<P, R, F>(&mut self, protocol: &P, duration: f64, rng: &mut R, done: F) -> bool
-    where
-        S: ProtocolStore<P>,
-        R: Rng + ?Sized,
-        F: FnMut(&S) -> bool,
-    {
-        self.run_until_with_adversary(protocol, duration, rng, done, None)
-    }
-
-    /// [`AsyncGossipEngine::run_until`] under an optional adversary (see
-    /// [`crate::sim::adversary`]); `None` is byte-identical to `run_until`.
-    pub fn run_until_with_adversary<P, R, F>(
+    /// Under an adversary (see [`crate::sim::adversary`]) a seeded subset of
+    /// the delivered exchanges is voided; `None` applies every one.
+    pub fn run_until<P, R, F>(
         &mut self,
         protocol: &P,
         duration: f64,
@@ -602,9 +593,13 @@ mod tests {
             .with_synchronized_start(true);
         let mut engine = AsyncGossipEngine::new(vec![1u64, 7u64], config, ChurnModel::NONE);
         let mut rng = StdRng::seed_from_u64(5);
-        let converged = engine.run_until(&MaxProtocol, 10.0, &mut rng, |nodes: &Vec<u64>| {
-            nodes.iter().all(|&v| v == 7)
-        });
+        let converged = engine.run_until(
+            &MaxProtocol,
+            10.0,
+            &mut rng,
+            |nodes: &Vec<u64>| nodes.iter().all(|&v| v == 7),
+            None,
+        );
         assert!(converged, "the pair must converge at the first delivery");
         assert!((engine.now() - 0.5).abs() < 1e-12, "stop time {}", engine.now());
         let mean = engine.sim_metrics().mean_in_flight(engine.now());

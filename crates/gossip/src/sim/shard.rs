@@ -596,26 +596,10 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
     /// at window **barriers** (further throttled by
     /// [`AsyncNetworkConfig::convergence_check_period`] when positive) —
     /// barrier times are pure functions of the config, so the stop time is
-    /// shard-count invariant.
+    /// shard-count invariant.  Under an adversary (see
+    /// [`crate::sim::adversary`]) a seeded subset of the delivered exchanges
+    /// is voided; `None` applies every one.
     pub fn run_until<P, R, F>(
-        &mut self,
-        protocol: &P,
-        duration: f64,
-        rng: &mut R,
-        done: F,
-    ) -> bool
-    where
-        S: ParallelProtocolStore<P>,
-        P: Sync,
-        R: Rng + ?Sized,
-        F: FnMut(&S) -> bool,
-    {
-        self.run_until_with_adversary(protocol, duration, rng, done, None)
-    }
-
-    /// [`ShardedAsyncEngine::run_until`] under an optional adversary (see
-    /// [`crate::sim::adversary`]); `None` is byte-identical to `run_until`.
-    pub fn run_until_with_adversary<P, R, F>(
         &mut self,
         protocol: &P,
         duration: f64,
@@ -791,7 +775,7 @@ mod tests {
             let nodes: Vec<u64> = (0..100).collect();
             let mut engine = ShardedAsyncEngine::new(nodes, config, ChurnModel::NONE);
             let done = engine
-                .run_until(&MaxProtocol, 50.0, &mut rng, |nodes| nodes.iter().all(|&v| v == 99));
+                .run_until(&MaxProtocol, 50.0, &mut rng, |nodes| nodes.iter().all(|&v| v == 99), None);
             (done, engine.now(), engine.nodes().clone())
         };
         let (done_1, now_1, nodes_1) = run(1);
@@ -920,7 +904,7 @@ mod tests {
     #[test]
     fn serial_engine_default_is_unchanged_by_the_knob() {
         // sim_shards = 1 routes phases through the untouched serial engine
-        // (see sim::run_async_phase); the sharded engine itself is only
+        // (see sim::run_phase); the sharded engine itself is only
         // entered for other values.  This pins that the config default is
         // 1, so pinned scenario seeds cannot move.
         assert_eq!(AsyncNetworkConfig::default().sim_shards, 1);

@@ -1,5 +1,5 @@
-//! An in-process cluster: one thread per actor, channel transports, and a
-//! coordinator-side link bundle.
+//! An in-process cluster: one thread per actor, one transport link each
+//! (channels by default), and a coordinator-side link bundle.
 
 use std::thread::JoinHandle;
 
@@ -8,29 +8,43 @@ use crate::event::NodeEvent;
 use crate::transport::{InMemoryTransport, Transport};
 use crate::{NodeId, COORDINATOR};
 
-/// Spawns each actor on its own thread behind an [`InMemoryTransport`] and
-/// hands the coordinator the other end of every link.
+/// Spawns each actor on its own thread behind one end of a transport link
+/// and hands the coordinator the other end of every link.
 ///
-/// The bus is the cheapest full-fidelity deployment: every frame crosses
-/// the real codec and a real thread boundary, so a protocol driven through
-/// it exercises exactly the message flow of the socket deployment while
-/// remaining deterministic and fast enough for tests.
+/// Over the default [`InMemoryTransport`] the bus is the cheapest
+/// full-fidelity deployment: every frame crosses the real codec and a real
+/// thread boundary, so a protocol driven through it exercises exactly the
+/// message flow of the socket deployment while remaining deterministic and
+/// fast enough for tests.  [`LocalBus::spawn_over`] stands the same cluster
+/// up over any other link type (e.g. Unix-domain socket pairs).
 ///
 /// Dropping the bus shuts the cluster down: each node receives
 /// [`NodeEvent::Shutdown`] and its thread is joined.
-pub struct LocalBus {
-    links: Vec<InMemoryTransport>,
+pub struct LocalBus<T: Transport = InMemoryTransport> {
+    links: Vec<T>,
     threads: Vec<JoinHandle<std::io::Result<()>>>,
 }
 
 impl LocalBus {
-    /// Spawns `actors[i]` as node `i`.
+    /// Spawns `actors[i]` as node `i` behind an in-memory link.
     pub fn spawn<A: Actor + Send + 'static>(actors: Vec<A>) -> LocalBus {
+        LocalBus::spawn_over(actors, InMemoryTransport::pair)
+    }
+}
+
+impl<T: Transport> LocalBus<T> {
+    /// Spawns `actors[i]` as node `i` behind a link from `make_pair`, which
+    /// returns one connected `(coordinator side, node side)` pair per call.
+    pub fn spawn_over<A>(actors: Vec<A>, mut make_pair: impl FnMut() -> (T, T)) -> LocalBus<T>
+    where
+        A: Actor + Send + 'static,
+        T: Send + 'static,
+    {
         let mut links = Vec::with_capacity(actors.len());
         let mut threads = Vec::with_capacity(actors.len());
         for (index, mut actor) in actors.into_iter().enumerate() {
             let id = index as NodeId;
-            let (coordinator_side, mut node_side) = InMemoryTransport::pair();
+            let (coordinator_side, mut node_side) = make_pair();
             links.push(coordinator_side);
             threads.push(std::thread::spawn(move || {
                 serve(id, &mut node_side, &mut actor)
@@ -50,12 +64,12 @@ impl LocalBus {
     }
 
     /// The coordinator's link to `node`.
-    pub fn link(&mut self, node: NodeId) -> &mut InMemoryTransport {
+    pub fn link(&mut self, node: NodeId) -> &mut T {
         &mut self.links[node as usize]
     }
 
     /// All coordinator-side links, indexed by node id.
-    pub fn links_mut(&mut self) -> &mut [InMemoryTransport] {
+    pub fn links_mut(&mut self) -> &mut [T] {
         &mut self.links
     }
 
@@ -74,7 +88,7 @@ impl LocalBus {
     }
 }
 
-impl Drop for LocalBus {
+impl<T: Transport> Drop for LocalBus<T> {
     fn drop(&mut self) {
         if self.threads.is_empty() {
             return;
