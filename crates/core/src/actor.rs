@@ -193,11 +193,15 @@ impl NodeSpec {
 
 // --- per-iteration inputs (IterationStart) ---
 
-/// One iteration's inputs to a node: its device seed, the iteration's
-/// Laplace scales and the current cleartext centroids.
+/// One iteration's inputs to a node: its device seed, whether it seeds the
+/// epidemic weights, the iteration's Laplace scales and the current
+/// cleartext centroids.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct IterationInputs {
     pub(crate) participant_seed: u64,
+    /// Whether this node is the one that seeds both epidemic weights (EESum
+    /// and push-pull counter) with 1.
+    pub(crate) weight_seed: bool,
     pub(crate) sum_scale: f64,
     pub(crate) count_scale: f64,
     /// `k × n` centroid values, cluster-major.
@@ -206,8 +210,9 @@ pub(crate) struct IterationInputs {
 
 impl IterationInputs {
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(24 + 8 * self.centroids_flat.len());
+        let mut buf = Vec::with_capacity(25 + 8 * self.centroids_flat.len());
         put_u64(&mut buf, self.participant_seed);
+        buf.push(u8::from(self.weight_seed));
         put_f64(&mut buf, self.sum_scale);
         put_f64(&mut buf, self.count_scale);
         for &v in &self.centroids_flat {
@@ -219,11 +224,12 @@ impl IterationInputs {
     pub(crate) fn decode(bytes: &[u8], k: usize, series_length: usize) -> Self {
         let mut r = Reader::new(bytes);
         let participant_seed = r.u64();
+        let weight_seed = r.u8() != 0;
         let sum_scale = r.f64();
         let count_scale = r.f64();
         let centroids_flat = r.f64s(k * series_length);
         r.finish();
-        Self { participant_seed, sum_scale, count_scale, centroids_flat }
+        Self { participant_seed, weight_seed, sum_scale, count_scale, centroids_flat }
     }
 }
 
@@ -307,18 +313,23 @@ struct Provision<B: CipherBackend> {
 /// docs for the event lifecycle and the determinism contract).
 #[derive(Debug)]
 pub struct ChiaroscuroNodeActor<B: CipherBackend> {
-    id: NodeId,
     provision: Option<Provision<B>>,
     ees: Option<EesState<BackendVector<B>>>,
     counter: Option<SumState>,
     correction: Option<MinIdState<Vec<f64>>>,
 }
 
+impl<B: CipherBackend> Default for ChiaroscuroNodeActor<B> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
-    /// A blank actor for node `id`; every capability arrives via
-    /// [`NodeEvent::Hello`].
-    pub fn new(id: NodeId) -> Self {
-        Self { id, provision: None, ees: None, counter: None, correction: None }
+    /// A blank actor; every capability arrives via [`NodeEvent::Hello`],
+    /// and its identity is the link it serves.
+    pub fn new() -> Self {
+        Self { provision: None, ees: None, counter: None, correction: None }
     }
 
     fn provision(&self) -> &Provision<B> {
@@ -369,10 +380,14 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
             inputs.count_scale,
         );
         let value = BackendVector::new(p.kit.backend.clone(), flat);
-        // Node 0 seeds both epidemic weights, as in the simulated phases.
-        self.ees = Some(if self.id == 0 { EesState::new_seed(value) } else { EesState::new(value) });
-        self.counter =
-            Some(if self.id == 0 { SumState::new_seed(1.0) } else { SumState::new(1.0) });
+        // One node seeds both epidemic weights, as in the simulated phases.
+        let (ees, counter) = if inputs.weight_seed {
+            (EesState::new_seed(value), SumState::new_seed(1.0))
+        } else {
+            (EesState::new(value), SumState::new(1.0))
+        };
+        self.ees = Some(ees);
+        self.counter = Some(counter);
         self.correction = None;
     }
 
@@ -577,12 +592,14 @@ mod tests {
     fn iteration_inputs_round_trip_bit_exactly() {
         let inputs = IterationInputs {
             participant_seed: 0xDEAD_BEEF_0BAD_F00D,
+            weight_seed: true,
             sum_scale: 123.456,
             count_scale: -0.0,
             centroids_flat: vec![10.0, f64::MIN_POSITIVE, -3.5, 0.1, 1e300, 2.0],
         };
         let decoded = IterationInputs::decode(&inputs.encode(), 3, 2);
         assert_eq!(decoded.participant_seed, inputs.participant_seed);
+        assert!(decoded.weight_seed);
         assert_eq!(decoded.sum_scale.to_bits(), inputs.sum_scale.to_bits());
         assert_eq!(decoded.count_scale.to_bits(), inputs.count_scale.to_bits());
         assert_eq!(decoded.centroids_flat, inputs.centroids_flat);

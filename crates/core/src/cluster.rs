@@ -86,7 +86,7 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     pub fn via_actors(&self, seed: u64) -> RunOutcome {
         let mut rng = crate::seedmix::run_rng(seed);
         let actors: Vec<ChiaroscuroNodeActor<B>> =
-            (0..self.data.len()).map(|i| ChiaroscuroNodeActor::new(i as NodeId)).collect();
+            (0..self.data.len()).map(|_| ChiaroscuroNodeActor::new()).collect();
         match self.params.transport {
             TransportKind::InMemory => {
                 let mut bus = LocalBus::spawn(actors);
@@ -292,6 +292,7 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T, B> {
         for (node, link) in self.links.iter_mut().enumerate() {
             let inputs = IterationInputs {
                 participant_seed: participant_seeds[node],
+                weight_seed: node == ctx.weight_seed,
                 sum_scale,
                 count_scale,
                 centroids_flat: centroids_flat.clone(),
@@ -448,12 +449,13 @@ mod tests {
                 public: backend.export_public(),
                 series: data.series()[0].values().to_vec(),
             };
-            let mut actor = ChiaroscuroNodeActor::<DamgardJurik>::new(0);
+            let mut actor = ChiaroscuroNodeActor::<DamgardJurik>::new();
             assert!(actor.on_event(COORDINATOR, NodeEvent::Hello { config: spec.encode() }).is_empty());
             let centroids_flat: Vec<f64> =
                 data.series()[..k].iter().flat_map(|c| c.values().iter().copied()).collect();
             let inputs = IterationInputs {
                 participant_seed: 99,
+                weight_seed: true,
                 sum_scale: 1.5,
                 count_scale: 0.5,
                 centroids_flat,

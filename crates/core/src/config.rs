@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use chiaroscuro_dp::accountant::ProbabilisticDpParams;
 use chiaroscuro_dp::budget::{BudgetSchedule, BudgetStrategy};
 use chiaroscuro_gossip::sim::{AdversaryModel, NetworkModel};
-use chiaroscuro_kmeans::perturbed::Smoothing;
+use chiaroscuro_kmeans::perturbed::{PerturbedKMeans, PerturbedKMeansConfig, Smoothing};
 
 /// A typed rejection from [`ChiaroscuroParams::validate_for_population`]:
 /// a parameter combination that is well-formed in isolation but wrong for
@@ -179,6 +179,22 @@ impl ChiaroscuroParams {
     /// The per-iteration privacy-budget schedule implied by the strategy.
     pub fn budget_schedule(&self) -> BudgetSchedule {
         BudgetSchedule::new(self.strategy, self.epsilon, self.max_iterations)
+    }
+
+    /// These parameters as the perturbed k-means they configure: the one
+    /// Algorithm-1 loop both the quality surrogate and the distributed
+    /// execution run.  `iteration_churn` is the surrogate's per-iteration
+    /// offline probability (§6.1.5); the distributed run models churn per
+    /// gossip exchange instead and passes 0.
+    pub(crate) fn perturbed_kmeans(&self, iteration_churn: f64) -> PerturbedKMeans {
+        PerturbedKMeans::new(PerturbedKMeansConfig {
+            schedule: self.budget_schedule(),
+            max_iterations: self.max_iterations,
+            convergence_threshold: self.convergence_threshold,
+            smoothing: self.smoothing,
+            iteration_churn,
+            gossip_error_bound: self.gossip_error_bound,
+        })
     }
 
     /// The probabilistic-DP parameters for a series length `n`.

@@ -1,26 +1,32 @@
-//! The one iteration driver (Algorithms 1 and 3) and the seam its two
+//! The distributed half of Algorithms 1 and 3 and the seam its two
 //! executors implement.
 //!
-//! [`drive`] is the only copy of the execution sequence: bootstrap, then
-//! per iteration assign → epidemic sums → surplus-correction dissemination
-//! → threshold decryption → convergence.  It owns every master-RNG draw
-//! that is not a gossip schedule, every audit record, the reference-node
-//! choice and the surplus arithmetic, the decryption and the report
-//! assembly; the draw order is tabulated once, in `docs/ARCHITECTURE.md`
-//! ("Master-RNG draw order").  What differs between deployment shapes —
-//! where per-node state lives — sits behind [`Executor`]: the in-process
-//! executor of [`crate::runner`] (per-node `Vec`s or the arenas) and the
-//! link executor of [`crate::cluster`] (node actors behind transport
-//! links).  *How* one gossip phase is carried out is not theirs to decide:
-//! each names its node store and hands it to the gossip crate's engines, so
-//! under the round model both run the one round loop — schedule draws,
-//! fault schedule and accounting included — and are bit-identical from one
-//! seed.
+//! Algorithm 1's loop — ε schedule, exact means and PRE inertia, perturbed
+//! means with the aberrant sentinel and smoothing, POST inertia, report,
+//! convergence test — is `chiaroscuro_kmeans`'s
+//! [`PerturbedKMeans::run_with_step`](chiaroscuro_kmeans::perturbed::PerturbedKMeans::run_with_step),
+//! the same code the centralized quality surrogate runs.  [`drive`] is the
+//! bootstrap plus that loop over this module's `DistributedStep`, which
+//! produces one iteration's perturbed sums and counts: assign → epidemic
+//! sums → surplus-correction dissemination → threshold decryption.  The
+//! step owns every master-RNG draw that is not a gossip schedule, every
+//! audit record, the reference-node choice and the surplus arithmetic, the
+//! decryption and the network statistics; the draw order is tabulated once,
+//! in `docs/ARCHITECTURE.md` ("Master-RNG draw order").  What differs
+//! between deployment shapes — where per-node state lives — sits behind
+//! [`Executor`]: the in-process executor of [`crate::runner`] (per-node
+//! `Vec`s or the arenas) and the link executor of [`crate::cluster`] (node
+//! actors behind transport links).  *How* one gossip phase is carried out
+//! is not theirs to decide: each names its node store and hands it to the
+//! gossip crate's engines, so under the round model both run the one round
+//! loop — schedule draws, fault schedule and accounting included — and are
+//! bit-identical from one seed.
 //!
 //! [`device_contribution`] is likewise the only copy of what one device
 //! computes per iteration; the in-process executor maps it over the
 //! population and each node actor calls it for itself.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use num_bigint::BigUint;
@@ -29,12 +35,12 @@ use rand::Rng;
 use chiaroscuro_crypto::backend::{BackendSetup, CipherBackend};
 use chiaroscuro_crypto::encoding::FixedPointEncoder;
 use chiaroscuro_crypto::packing::PackedEncoder;
-use chiaroscuro_dp::laplace::{LaplaceMechanism, Sensitivity};
+use chiaroscuro_dp::laplace::LaplaceMechanism;
 use chiaroscuro_gossip::churn::ChurnModel;
 use chiaroscuro_gossip::sim::{AdversaryState, FaultStats, PhaseStats};
-use chiaroscuro_kmeans::report::{IterationReport, RunReport};
-use chiaroscuro_timeseries::inertia::{dataset_inertia, intra_inertia, Assignment};
-use chiaroscuro_timeseries::TimeSeries;
+use chiaroscuro_kmeans::perturbed::{AggregateStep, Aggregates};
+use chiaroscuro_timeseries::inertia::Assignment;
+use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
 
 use crate::audit::{DataClass, SecurityAudit};
 use crate::diptych::{Diptych, PackedMeans};
@@ -123,6 +129,11 @@ pub(crate) struct RunContext<'a, B: CipherBackend> {
     pub(crate) churn: ChurnModel,
     /// Gossip budget of every phase, in rounds (or exchange periods).
     pub(crate) exchanges: u32,
+    /// The node that seeds both epidemic weights (EESum and the push-pull
+    /// counter) with 1: the lowest-indexed honest one.  A byzantine seed
+    /// would have most of its exchanges voided and could starve the epidemic
+    /// of its only weight.
+    pub(crate) weight_seed: usize,
 }
 
 /// Where per-node state lives and how a gossip phase is carried out.  The
@@ -185,7 +196,9 @@ pub(crate) trait Executor<B: CipherBackend> {
     ) -> (Vec<f64>, PhaseStats, Vec<B::Unit>);
 }
 
-/// Executes `run` on `exec`.
+/// Executes `run` on `exec`: bootstrap (backend key material, initial
+/// centroids, adversary seed — in that master-RNG order), then the one
+/// Algorithm-1 loop of `chiaroscuro_kmeans` over the [`DistributedStep`].
 pub(crate) fn drive<B, X, R>(run: &DistributedRun<'_, B>, exec: &mut X, rng: &mut R) -> RunOutcome
 where
     B: CipherBackend,
@@ -197,12 +210,8 @@ where
     let population = data.len();
     let n = data.series_length();
     let k = params.k;
-    // Coordinates of one perturbed-values vector: k dimension-wise sums of
-    // length n plus k counts.
-    let entries = k * (n + 1);
     let packer = run.plan_packing();
 
-    // --- Bootstrap: backend key material and initial centroids. ---
     let setup = BackendSetup {
         key_bits: params.key_bits,
         damgard_jurik_s: params.damgard_jurik_s,
@@ -225,7 +234,7 @@ where
             "planned lane layout exceeds the generated key's plaintext capacity"
         );
     }
-    let mut centroids = match &run.initial_centroids {
+    let centroids = match &run.initial_centroids {
         Some(c) => c.clone(),
         None => {
             use rand::seq::SliceRandom;
@@ -237,51 +246,87 @@ where
     // seed-derived RNG sub-stream.  An inactive model draws NOTHING here and
     // is never materialised, so honest runs stay bit-identical to every
     // historical baseline seed.
-    let mut adversary_state =
+    let adversary =
         params.adversary.is_active().then(|| AdversaryState::new(params.adversary, rng.gen()));
 
-    let contribution_units = match &packer {
-        Some(packer) => 2 * packer.ciphertexts_for(entries) + 1,
-        None => 2 * entries,
-    };
+    // Coordinates of one perturbed-values vector: k dimension-wise sums of
+    // length n plus k counts.
+    let entries = k * (n + 1);
     let ctx = RunContext {
         run,
+        contribution_units: match &packer {
+            Some(packer) => 2 * packer.ciphertexts_for(entries) + 1,
+            None => 2 * entries,
+        },
         kit: DeviceKit {
             backend,
             encoder: FixedPointEncoder::new(params.encoding_digits),
             packer,
             num_noise_shares: params.num_noise_shares,
         },
-        contribution_units,
         pool: rayon::ThreadPoolBuilder::new()
             .num_threads(params.pool_threads)
             .build()
             .expect("the offline pool cannot fail to build"),
         churn: ChurnModel::new(params.churn),
         exchanges: params.effective_exchanges(population, n),
+        // `is_byzantine` is a pure hash (no RNG) and false for every node
+        // under an inactive adversary, so honest runs seed at node 0 as ever.
+        weight_seed: (0..population)
+            .find(|&node| !params.adversary.is_byzantine(node))
+            .expect("the epidemic weights need an honest node to seed them"),
     };
-    let DeviceKit { backend, encoder, packer, .. } = &ctx.kit;
     exec.provision(&ctx);
 
-    let schedule = params.budget_schedule();
-    let sensitivity = Sensitivity::from_range(n, data.range().min, data.range().max);
-    // One gossip message carries one whole contribution vector (where lane
-    // packing's saving is visible); its byte size follows the backend's
-    // honest unit size.
-    let sum_payload_bytes = contribution_units * backend.unit_bytes();
+    let mut step = DistributedStep {
+        ctx: &ctx,
+        exec,
+        rng,
+        adversary,
+        audit: SecurityAudit::new(),
+        network: Vec::new(),
+    };
+    let report = params.perturbed_kmeans(0.0).run_with_step(data, centroids, &mut step);
+    RunOutcome { report, audit: step.audit, network: step.network }
+}
 
-    let mut audit = SecurityAudit::new();
-    let mut iterations = Vec::new();
-    let mut network = Vec::new();
-    let mut run_converged = false;
+/// The distributed [`AggregateStep`]: one iteration's perturbed sums and
+/// counts out of the population — participant seeds → contributions →
+/// epidemic sums and counter → reference readout → surplus-correction
+/// dissemination → threshold decryption → correction subtracted.  It owns
+/// every per-iteration master-RNG draw (the numbered table in
+/// `docs/ARCHITECTURE.md`), every audit record and every
+/// [`IterationNetworkStats`] row.
+struct DistributedStep<'a, B: CipherBackend, X, R: ?Sized> {
+    ctx: &'a RunContext<'a, B>,
+    exec: &'a mut X,
+    rng: &'a mut R,
+    adversary: Option<AdversaryState>,
+    audit: SecurityAudit,
+    network: Vec<IterationNetworkStats>,
+}
 
-    for iteration in 0..params.max_iterations {
-        let epsilon_i = schedule.epsilon_for_iteration(iteration);
-        if epsilon_i <= 0.0 {
-            break;
-        }
-        let mechanism =
-            LaplaceMechanism::new(sensitivity, epsilon_i).with_gossip_error_bound(params.gossip_error_bound);
+impl<B, X, R> AggregateStep for DistributedStep<'_, B, X, R>
+where
+    B: CipherBackend,
+    X: Executor<B>,
+    R: Rng + ?Sized,
+{
+    fn aggregate<'d>(
+        &mut self,
+        data: &'d TimeSeriesSet,
+        iteration: usize,
+        mechanism: &LaplaceMechanism,
+        centroids: &[TimeSeries],
+    ) -> Aggregates<'d> {
+        let Self { ctx, exec, rng, adversary, audit, network } = self;
+        let ctx = *ctx;
+        let params = &ctx.run.params;
+        let DeviceKit { backend, encoder, packer, .. } = &ctx.kit;
+        let population = data.len();
+        let n = data.series_length();
+        let k = params.k;
+        let entries = k * (n + 1);
         let sum_scale = mechanism.sum_scale();
         let count_scale = mechanism.count_scale();
 
@@ -290,10 +335,10 @@ where
         // its ciphertext randomness is identical wherever and on however
         // many threads it runs.
         let participant_seeds: Vec<u64> = (0..population).map(|_| rng.gen()).collect();
-        let labels = exec.contribute(&ctx, &centroids, &participant_seeds, sum_scale, count_scale);
+        let labels = exec.contribute(ctx, centroids, &participant_seeds, sum_scale, count_scale);
 
         // --- Computation step (a): epidemic encrypted sums + counter. ---
-        let sum_stats = exec.means_phase(&ctx, rng, adversary_state.as_mut());
+        let sum_stats = exec.means_phase(ctx, rng, adversary.as_mut());
         audit.record_n(iteration, "encrypted means contribution", DataClass::Encrypted, population);
         audit.record_n(iteration, "encrypted noise shares", DataClass::Encrypted, population);
         audit.record_n(
@@ -302,19 +347,8 @@ where
             DataClass::DataIndependent,
             population,
         );
-        let counter_stats = exec.counter_phase(&ctx, rng, adversary_state.as_mut());
+        let counter_stats = exec.counter_phase(ctx, rng, adversary.as_mut());
         audit.record(iteration, "cleartext contributor counter", DataClass::DataIndependent);
-
-        // Reporting-only PRE metrics (never exchanged between devices).
-        let assignment = assignment_from_labels(&labels, k);
-        let (exact_sums, exact_counts) = assignment.cluster_sums(data, k);
-        let exact_means: Vec<TimeSeries> = exact_sums
-            .iter()
-            .zip(exact_counts.iter())
-            .enumerate()
-            .map(|(i, (sum, &count))| if count > 0.0 { sum.scaled(1.0 / count) } else { centroids[i].clone() })
-            .collect();
-        let pre_inertia = intra_inertia(data, &exact_means, &assignment);
 
         // Reference participant: the single node that reads out the
         // aggregates.  Counter estimate and perturbed sums MUST come from
@@ -353,7 +387,7 @@ where
             })
             .collect();
         let (correction, dissemination_stats, cts) =
-            exec.settle(&ctx, proposals, reference, rng, adversary_state.as_mut());
+            exec.settle(ctx, proposals, reference, rng, adversary.as_mut());
         audit.record_n(iteration, "noise correction proposal", DataClass::DataIndependent, population);
 
         // --- Computation step (c): perturbation and threshold decryption. ---
@@ -362,7 +396,7 @@ where
         // in the same vector), then one threshold decryption.  No
         // randomness is involved, so the parallel map is trivially
         // deterministic.
-        let decrypted: Vec<f64> = match packer {
+        let mut decrypted: Vec<f64> = match packer {
             Some(packer) => {
                 // Packed: ⌈entries/L⌉ perturbed data units plus the counter
                 // — an ~L× cut in threshold decryptions.  The counter
@@ -386,44 +420,20 @@ where
         };
         audit.record(iteration, "partial decryptions of perturbed means", DataClass::DifferentiallyPrivate);
 
-        // Rebuild the perturbed means, apply the correction (laid out like
-        // the decrypted vector: k·n sums, then k counts) and smoothing.
-        let mut new_centroids = Vec::with_capacity(k);
-        let mut aberrant = vec![false; k];
-        for cluster in 0..k {
-            let mut sum_values: Vec<f64> = decrypted[cluster * n..(cluster + 1) * n].to_vec();
-            let mut count_value = decrypted[k * n + cluster];
-            if surplus > 0 {
-                for (j, value) in sum_values.iter_mut().enumerate() {
-                    *value -= correction[cluster * n + j];
-                }
-                count_value -= correction[k * n + cluster];
+        // The correction is laid out like the decrypted vector: k·n sums,
+        // then k counts.
+        if surplus > 0 {
+            for (value, c) in decrypted.iter_mut().zip(&correction) {
+                *value -= c;
             }
-            let mean = if count_value.abs() < 0.5 {
-                aberrant[cluster] = true;
-                aberrant_centroid(n, data.range().max, cluster)
-            } else {
-                let mean = TimeSeries::new(sum_values.iter().map(|v| v / count_value).collect());
-                params.smoothing.apply(&mean)
-            };
-            new_centroids.push(mean);
         }
+        let counts = decrypted.split_off(k * n);
         audit.record(iteration, "perturbed cleartext centroids", DataClass::DifferentiallyPrivate);
 
-        let post_inertia =
-            chiaroscuro_kmeans::perturbed::post_perturbation_inertia(data, &new_centroids, &assignment, &aberrant);
-        iterations.push(IterationReport {
-            iteration,
-            epsilon: epsilon_i,
-            pre_inertia,
-            post_inertia,
-            surviving_centroids: assignment.non_empty_clusters(),
-            participating_series: population,
-        });
         // Snapshot this iteration's fault counters (honest runs never
         // materialise a state and report the zero statistics) and fold them
         // into the security audit's running totals.
-        let faults = match adversary_state.as_mut() {
+        let faults = match adversary.as_mut() {
             Some(state) => {
                 let faults = state.take_stats();
                 audit.record_faults(&faults);
@@ -439,8 +449,11 @@ where
             sum_rounds: sum_stats.metrics.rounds(),
             dissemination_converged: dissemination_stats.converged,
             noise_share_deficit,
-            sum_payload_ciphertexts: contribution_units,
-            sum_payload_bytes,
+            sum_payload_ciphertexts: ctx.contribution_units,
+            // One gossip message carries one whole contribution vector
+            // (where lane packing's saving is visible); its byte size
+            // follows the backend's honest unit size.
+            sum_payload_bytes: ctx.contribution_units * backend.unit_bytes(),
             gossip_sim_time: sum_stats.sim_time + counter_stats.sim_time + dissemination_stats.sim_time,
             peak_messages_in_flight: sum_stats
                 .peak_in_flight
@@ -449,38 +462,20 @@ where
             faults,
         });
 
-        // --- Convergence step. ---
-        let displacement: f64 = centroids.iter().zip(new_centroids.iter()).map(|(c, m)| c.distance(m)).sum();
-        centroids = new_centroids;
-        if displacement <= params.convergence_threshold {
-            run_converged = true;
-            break;
+        Aggregates {
+            participants: Cow::Borrowed(data),
+            assignment: assignment_from_labels(labels, k),
+            sums: decrypted,
+            counts,
         }
-    }
-
-    RunOutcome {
-        report: RunReport {
-            iterations,
-            final_centroids: centroids,
-            converged: run_converged,
-            dataset_inertia: dataset_inertia(data),
-        },
-        audit,
-        network,
     }
 }
 
 /// Builds an [`Assignment`] from per-participant labels.
-fn assignment_from_labels(labels: &[usize], k: usize) -> Assignment {
+fn assignment_from_labels(labels: Vec<usize>, k: usize) -> Assignment {
     let mut sizes = vec![0usize; k];
-    for &l in labels {
+    for &l in &labels {
         sizes[l] += 1;
     }
-    Assignment { labels: labels.to_vec(), sizes }
-}
-
-/// Same far-away sentinel as the centralized surrogate (footnote 8): an
-/// aberrant mean that will attract no series at the next iteration.
-fn aberrant_centroid(series_length: usize, range_max: f64, cluster: usize) -> TimeSeries {
-    TimeSeries::constant(series_length, range_max * 1e6 * (cluster + 2) as f64)
+    Assignment { labels, sizes }
 }

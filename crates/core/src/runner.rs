@@ -117,10 +117,10 @@ use chiaroscuro_crypto::packing::{LaneBudget, PackedEncoder};
 use chiaroscuro_dp::laplace::{LaplaceMechanism, Sensitivity};
 use chiaroscuro_dp::noise_share::NoiseShareGenerator;
 use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdArena};
-use chiaroscuro_gossip::eesum::{initial_states as eesum_initial_states, EesState, EesSumProtocol};
+use chiaroscuro_gossip::eesum::{initial_states_seeded_at as eesum_states_seeded_at, EesState, EesSumProtocol};
 use chiaroscuro_gossip::sim::arena::EesUnitArena;
 use chiaroscuro_gossip::sim::{run_phase, AdversaryState, FaultStats, PhaseOpts, PhaseStats};
-use chiaroscuro_gossip::sum::{initial_states as sum_initial_states, PushPullSum, SumState};
+use chiaroscuro_gossip::sum::{initial_states_seeded_at as sum_states_seeded_at, PushPullSum, SumState};
 use chiaroscuro_kmeans::report::RunReport;
 use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
 
@@ -408,7 +408,8 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
                 ctx.kit.packer.as_ref().expect("plaintext backends require lane packing").layout();
             let value_bits = layout.lanes as u64 * layout.lane_bits;
             let limbs_per_unit = value_bits.div_ceil(64) as usize + 1;
-            let mut arena = EesUnitArena::new(population, ctx.contribution_units, limbs_per_unit);
+            let mut arena =
+                EesUnitArena::seeded_at(population, ctx.contribution_units, limbs_per_unit, ctx.weight_seed);
             let mut start = 0usize;
             while start < population {
                 let end = (start + ARENA_FILL_CHUNK).min(population);
@@ -432,7 +433,7 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
                 labels.push(assigned);
                 vectors.push(BackendVector::new(ctx.kit.backend.clone(), units));
             }
-            MeansStore::PerNode(eesum_initial_states(vectors))
+            MeansStore::PerNode(eesum_states_seeded_at(vectors, ctx.weight_seed))
         };
         labels
     }
@@ -467,7 +468,7 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
         rng: &mut R,
         adversary: Option<&mut AdversaryState>,
     ) -> PhaseStats {
-        let states = sum_initial_states(&vec![1.0; ctx.run.data.len()]);
+        let states = sum_states_seeded_at(&vec![1.0; ctx.run.data.len()], ctx.weight_seed);
         let opts = PhaseOpts { until: None, adversary };
         let (counter, stats) =
             run_phase(&ctx.run.params.network, states, ctx.churn, &PushPullSum, ctx.exchanges, rng, opts);

@@ -12,7 +12,6 @@ use rand::Rng;
 
 use chiaroscuro_kmeans::init::InitialCentroids;
 use chiaroscuro_kmeans::lloyd::{KMeans, KMeansConfig};
-use chiaroscuro_kmeans::perturbed::{PerturbedKMeans, PerturbedKMeansConfig};
 use chiaroscuro_kmeans::report::RunReport;
 use chiaroscuro_timeseries::TimeSeriesSet;
 
@@ -48,15 +47,7 @@ impl QualitySurrogate {
         init: &InitialCentroids,
         rng: &mut R,
     ) -> RunReport {
-        let config = PerturbedKMeansConfig {
-            schedule: self.params.budget_schedule(),
-            max_iterations: self.params.max_iterations,
-            convergence_threshold: self.params.convergence_threshold,
-            smoothing: self.params.smoothing,
-            iteration_churn: self.iteration_churn,
-            gossip_error_bound: self.params.gossip_error_bound,
-        };
-        PerturbedKMeans::new(config).run(data, init, rng)
+        self.params.perturbed_kmeans(self.iteration_churn).run(data, init, rng)
     }
 
     /// Runs the unperturbed baseline with the same iteration limit (the "No

@@ -11,7 +11,7 @@ use chiaroscuro_core::prelude::*;
 use chiaroscuro_core::runner::IterationNetworkStats;
 use chiaroscuro_core::seedmix::run_rng;
 use chiaroscuro_core::{ChiaroscuroNodeActor, MEANS_FRAME_OVERHEAD_BYTES};
-use chiaroscuro_node::{LocalBus, NodeId};
+use chiaroscuro_node::LocalBus;
 use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet, ValueRange};
 
 /// A `population`-device dataset of two well-separated constant profiles.
@@ -88,7 +88,7 @@ fn assert_localbus_parity<B: CipherBackend>(
     let mut actors_rng = monolith_rng.clone();
     let monolith = run.execute_with_rng(&mut monolith_rng);
     let mut bus = LocalBus::spawn(
-        (0..data.len()).map(|i| ChiaroscuroNodeActor::<B>::new(i as NodeId)).collect(),
+        (0..data.len()).map(|_| ChiaroscuroNodeActor::<B>::new()).collect(),
     );
     let actors = run.execute_via_links(bus.links_mut(), 0, &mut actors_rng);
     bus.shutdown().expect("the node actors must shut down cleanly");
@@ -138,7 +138,7 @@ fn both_executors_stop_when_the_budget_is_exhausted() {
 /// runs the round engine itself, so the seeded fault schedule voids the same
 /// exchanges on both executors (a voided exchange is never relayed) and the
 /// per-class counters in `IterationNetworkStats::faults` and the audit agree.
-/// Salt 1 keeps node 0 — the seed of both epidemic weights — honest.
+/// Salt 1 keeps node 0 honest.
 #[test]
 fn adversary_byzantine_mix_is_bit_identical_across_executors() {
     let byzantine =
@@ -147,6 +147,25 @@ fn adversary_byzantine_mix_is_bit_identical_across_executors() {
     assert!(!byzantine.adversary.is_byzantine(0) && (0..16).any(|i| byzantine.adversary.is_byzantine(i)));
     let outcome = assert_localbus_parity::<DamgardJurik>(byzantine, &data, 21);
     assert!(outcome.audit.fault_stats().injected_total() > 0, "a quarter of 16 nodes must inject");
+}
+
+/// Under these five salts the membership hash marks node 0 byzantine.  Both
+/// epidemic weights are seeded at the lowest-indexed *honest* node, on the
+/// links as in process, so the run completes (a byzantine seed has most of
+/// its exchanges voided and could starve the epidemic of its only weight) and
+/// every injected fault is accounted for.
+#[test]
+fn adversary_with_a_byzantine_node_zero_is_bit_identical_across_executors() {
+    let data = dataset(16);
+    for salt in [0, 3, 7, 10, 11] {
+        let adversary = AdversaryModel::mixed(0.25, salt);
+        assert!(adversary.is_byzantine(0), "salt {salt} must mark node 0");
+        let byzantine = ChiaroscuroParams { adversary, ..params(true, 0.25) };
+        let faults =
+            assert_localbus_parity::<PlaintextSurrogate>(byzantine, &data, 21 + salt).audit.fault_stats();
+        assert!(faults.injected_total() > 0, "salt {salt}: a quarter of 16 nodes must inject");
+        assert_eq!(faults.injected_total(), faults.detected_total() + faults.absorbed_total(), "salt {salt}");
+    }
 }
 
 /// Eclipse bias voids honest-to-honest exchanges, on the links as in process.

@@ -286,8 +286,13 @@ impl CipherBackend for DamgardJurik {
         unit.raw().to_bytes_be()
     }
 
+    /// Fails closed on peer bytes: a ciphertext lives in `[1, n^{s+1})`, so
+    /// `0` and anything at or above the modulus is rejected before it can
+    /// reach [`Self::add`].
     fn unit_from_bytes(&self, bytes: &[u8]) -> Option<Self::Unit> {
-        Some(crate::scheme::Ciphertext::from_raw(BigUint::from_bytes_be(bytes)))
+        let value = BigUint::from_bytes_be(bytes);
+        (!value.is_zero() && &value < self.public.ciphertext_modulus())
+            .then(|| crate::scheme::Ciphertext::from_raw(value))
     }
 
     fn plaintext_capacity_bits(&self) -> Option<u64> {

@@ -286,6 +286,45 @@ proptest! {
     }
 
     #[test]
+    fn wire_unit_vectors_reject_zero_and_out_of_range_units(
+        values in prop::collection::vec(any::<u32>(), 1..8),
+        position in 0usize..8,
+        excess in any::<u32>(),
+        seed in any::<u64>(),
+    ) {
+        // Peer bytes fail closed: a Damgård–Jurik unit lives in
+        // [1, n^{s+1}), so a vector carrying 0, n^{s+1} itself or anything
+        // above it must not deserialize (and so never reaches `add`).
+        use chiaroscuro_crypto::backend::{CipherBackend, DamgardJurik};
+        use chiaroscuro_crypto::wire::{deserialize_units, serialize_units};
+        let kp = keypair();
+        let backend = DamgardJurik::from_public_key(kp.public.clone());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let units: Vec<_> =
+            values.iter().map(|&v| backend.encrypt(&BigUint::from(v), &mut rng)).collect();
+        let honest = serialize_units(&backend, &units).to_vec();
+        let width = backend.unit_bytes();
+        let slot = 8 + (position % units.len()) * width;
+        let modulus = kp.public.ciphertext_modulus();
+        for bad in [BigUint::from(0u32), modulus.clone(), modulus + BigUint::from(excess)] {
+            let mut raw = bad.to_bytes_be();
+            if raw.len() > width {
+                raw = vec![0xFF; width]; // still ≥ n^{s+1}, which fits the width
+            }
+            let mut bytes = honest.clone();
+            bytes[slot..slot + width].fill(0);
+            bytes[slot + width - raw.len()..slot + width].copy_from_slice(&raw);
+            prop_assert!(deserialize_units(&backend, &bytes).is_none());
+        }
+        // The largest in-range value is still accepted.
+        let mut bytes = honest;
+        let top = (modulus - BigUint::from(1u32)).to_bytes_be();
+        bytes[slot..slot + width].fill(0);
+        bytes[slot + width - top.len()..slot + width].copy_from_slice(&top);
+        prop_assert!(deserialize_units(&backend, &bytes).is_some());
+    }
+
+    #[test]
     fn wire_unit_vectors_round_trip_packed_lanes(
         coordinates in prop::collection::vec(-500.0f64..500.0, 9),
         seed in any::<u64>(),

@@ -10,8 +10,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{
-    pair_mut, PairwiseProtocol, ParallelProtocolStore, ProtocolStore, SendPtr, StateStore,
-    PARALLEL_EXCHANGE_THRESHOLD,
+    apply_disjoint_pairs, pair_mut, rows_mut, PairwiseProtocol, ParallelProtocolStore, ProtocolStore,
+    SendPtr, StateStore,
 };
 
 /// One participant's dissemination state: the best (smallest-id) proposal
@@ -149,27 +149,26 @@ impl StateStore for MinIdArena {
     }
 }
 
+/// The min-id rule over one pair of arena rows (each an identifier and its
+/// payload row): the smaller identifier wins on both sides, ties going to
+/// the initiator, and the winning row overwrites the losing one — exactly
+/// [`DisseminationProtocol`]'s exchange over `MinIdState<Vec<f64>>`.
+fn exchange_rows(initiator: (&mut u64, &mut [f64]), contact: (&mut u64, &mut [f64])) {
+    let ((i_id, i_row), (c_id, c_row)) = (initiator, contact);
+    if *i_id <= *c_id {
+        *c_id = *i_id;
+        c_row.copy_from_slice(i_row);
+    } else {
+        *i_id = *c_id;
+        i_row.copy_from_slice(c_row);
+    }
+}
+
 impl ProtocolStore<DisseminationProtocol> for MinIdArena {
     fn apply_exchange(&mut self, _protocol: &DisseminationProtocol, initiator: usize, contact: usize) {
         let (i_id, c_id) = pair_mut(&mut self.ids, initiator, contact);
-        // Smaller identifier wins on both sides; copy the winning row over
-        // the losing one.
-        let (winner, loser) = if *i_id <= *c_id {
-            *c_id = *i_id;
-            (initiator, contact)
-        } else {
-            *i_id = *c_id;
-            (contact, initiator)
-        };
-        let stride = self.payload_len;
-        let (src, dst) = if winner < loser {
-            let (left, right) = self.payloads.split_at_mut(loser * stride);
-            (&left[winner * stride..(winner + 1) * stride], &mut right[..stride])
-        } else {
-            let (left, right) = self.payloads.split_at_mut(winner * stride);
-            (&right[..stride], &mut left[loser * stride..(loser + 1) * stride])
-        };
-        dst.copy_from_slice(src);
+        let (i_row, c_row) = rows_mut(&mut self.payloads, self.payload_len, initiator, contact);
+        exchange_rows((i_id, i_row), (c_id, c_row));
     }
 }
 
@@ -177,49 +176,24 @@ impl ParallelProtocolStore<DisseminationProtocol> for MinIdArena {
     fn apply_exchanges(
         &mut self,
         pool: &rayon::ThreadPool,
-        protocol: &DisseminationProtocol,
+        _protocol: &DisseminationProtocol,
         pairs: &[(u32, u32)],
     ) {
-        let population = self.ids.len();
-        for &(i, c) in pairs {
-            assert!(
-                i != c && (i as usize) < population && (c as usize) < population,
-                "bad exchange pair ({i}, {c})"
-            );
-        }
-        crate::engine::debug_assert_disjoint_pairs(pairs);
-        if pool.current_num_threads() <= 1 || pairs.len() < PARALLEL_EXCHANGE_THRESHOLD {
-            for &(i, c) in pairs {
-                self.apply_exchange(protocol, i as usize, c as usize);
-            }
-            return;
-        }
         let stride = self.payload_len;
         let ids = SendPtr(self.ids.as_mut_ptr());
         let payloads = SendPtr(self.payloads.as_mut_ptr());
-        pool.map_range(pairs.len(), |k| {
+        apply_disjoint_pairs(pool, self.ids.len(), pairs, |i, c| {
             // Capture the SendPtr wrappers whole (2021 disjoint-field
             // capture would otherwise grab the raw pointers, which are
             // deliberately not Send).
             let (ids, payloads) = (ids, payloads);
-            let (i, c) = (pairs[k].0 as usize, pairs[k].1 as usize);
-            // SAFETY: the batch is node-disjoint (trait contract) and both
-            // indices were bounds-checked above, so no two closures touch
-            // the same identifier or payload row.
+            // SAFETY: `apply_disjoint_pairs` hands out distinct in-bounds
+            // indices and the batch is node-disjoint (trait contract), so no
+            // two calls touch the same identifier or payload row.
             unsafe {
-                let i_id = &mut *ids.0.add(i);
-                let c_id = &mut *ids.0.add(c);
-                let (winner, loser) = if *i_id <= *c_id {
-                    *c_id = *i_id;
-                    (i, c)
-                } else {
-                    *i_id = *c_id;
-                    (c, i)
-                };
-                std::ptr::copy_nonoverlapping(
-                    payloads.0.add(winner * stride),
-                    payloads.0.add(loser * stride),
-                    stride,
+                exchange_rows(
+                    (&mut *ids.0.add(i), std::slice::from_raw_parts_mut(payloads.0.add(i * stride), stride)),
+                    (&mut *ids.0.add(c), std::slice::from_raw_parts_mut(payloads.0.add(c * stride), stride)),
                 );
             }
         });

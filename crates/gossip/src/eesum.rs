@@ -135,11 +135,17 @@ impl<V: EpidemicValue> PairwiseProtocol<EesState<V>> for EesSumProtocol {
 /// Builds the EESum initial states over per-participant local vectors; the
 /// first participant seeds the weight.
 pub fn initial_states<V: EpidemicValue>(values: Vec<V>) -> Vec<EesState<V>> {
-    assert!(!values.is_empty());
+    initial_states_seeded_at(values, 0)
+}
+
+/// [`initial_states`] with participant `seed` seeding the weight (a run
+/// under a byzantine adversary seeds at an honest node).
+pub fn initial_states_seeded_at<V: EpidemicValue>(values: Vec<V>, seed: usize) -> Vec<EesState<V>> {
+    assert!(seed < values.len(), "the weight seed must be a participant");
     values
         .into_iter()
         .enumerate()
-        .map(|(i, v)| if i == 0 { EesState::new_seed(v) } else { EesState::new(v) })
+        .map(|(i, v)| if i == seed { EesState::new_seed(v) } else { EesState::new(v) })
         .collect()
 }
 

@@ -98,28 +98,50 @@ pub trait ParallelProtocolStore<P>: ProtocolStore<P> + Send {
     fn apply_exchanges(&mut self, pool: &rayon::ThreadPool, protocol: &P, pairs: &[(u32, u32)]);
 }
 
-/// Debug-build re-check of the node-disjointness contract: every node
-/// index in a wavefront batch must appear at most once.  The release
-/// scheduler guarantees this by construction; this assert catches a
-/// future scheduler bug *before* the `SendPtr` writes turn it into
-/// undefined behaviour.  Runs on every batch (including the small ones
-/// the serial path takes), and compiles to nothing in release builds.
-#[inline]
-pub(crate) fn debug_assert_disjoint_pairs(pairs: &[(u32, u32)]) {
+/// The one wavefront batch-apply every [`ParallelProtocolStore`] goes
+/// through: validates the pairs, re-checks node-disjointness in debug
+/// builds, then calls `exchange(initiator, contact)` once per pair — in
+/// slice order on the calling thread when the pool has one worker or the
+/// batch is below [`PARALLEL_EXCHANGE_THRESHOLD`], on the pool otherwise.
+///
+/// `exchange` typically reaches its two nodes through [`SendPtr`]s; what it
+/// may rely on is exactly what this function establishes: both indices are
+/// below `population` and distinct, and — the trait contract, enforced by
+/// the debug check — no index occurs in two pairs of the batch, so
+/// concurrent calls touch disjoint nodes.
+///
+/// # Panics
+/// Panics on an out-of-bounds index or a pair with `initiator == contact`.
+pub(crate) fn apply_disjoint_pairs(
+    pool: &rayon::ThreadPool,
+    population: usize,
+    pairs: &[(u32, u32)],
+    exchange: impl Fn(usize, usize) + Sync,
+) {
+    for &(i, c) in pairs {
+        assert!(
+            i != c && (i as usize) < population && (c as usize) < population,
+            "bad exchange pair ({i}, {c})"
+        );
+    }
+    // The release scheduler guarantees disjointness by construction; this
+    // catches a future scheduler bug *before* the `SendPtr` writes turn it
+    // into undefined behaviour.  Runs on every batch (including the small
+    // ones the serial path takes), and compiles to nothing in release builds.
     #[cfg(debug_assertions)]
     {
         let mut seen = std::collections::BTreeSet::new();
-        for &(i, c) in pairs {
-            for node in [i, c] {
-                assert!(
-                    seen.insert(node),
-                    "exchange batch is not node-disjoint: node {node} appears twice"
-                );
-            }
+        for node in pairs.iter().flat_map(|&(i, c)| [i, c]) {
+            assert!(seen.insert(node), "exchange batch is not node-disjoint: node {node} appears twice");
         }
     }
-    #[cfg(not(debug_assertions))]
-    let _ = pairs;
+    if pool.current_num_threads() <= 1 || pairs.len() < PARALLEL_EXCHANGE_THRESHOLD {
+        for &(i, c) in pairs {
+            exchange(i as usize, c as usize);
+        }
+    } else {
+        pool.map_range(pairs.len(), |k| exchange(pairs[k].0 as usize, pairs[k].1 as usize));
+    }
 }
 
 /// A raw pointer that may cross thread boundaries.  Safety rests on the
@@ -137,7 +159,7 @@ impl<T> Copy for SendPtr<T> {}
 
 // SAFETY: SendPtr is only handed to worker closures that dereference
 // node-disjoint offsets (the `ParallelProtocolStore` contract, re-checked
-// in debug builds by `debug_assert_disjoint_pairs`), so sending or
+// in debug builds by `apply_disjoint_pairs`), so sending or
 // sharing the wrapper across threads never produces two live references
 // to the same node.  `T: Send` keeps the pointee itself movable.
 unsafe impl<T: Send> Send for SendPtr<T> {}
@@ -150,28 +172,15 @@ where
     P: PairwiseProtocol<N> + Sync,
 {
     fn apply_exchanges(&mut self, pool: &rayon::ThreadPool, protocol: &P, pairs: &[(u32, u32)]) {
-        let len = self.len();
-        for &(i, c) in pairs {
-            assert!(i != c && (i as usize) < len && (c as usize) < len, "bad exchange pair ({i}, {c})");
-        }
-        debug_assert_disjoint_pairs(pairs);
-        if pool.current_num_threads() <= 1 || pairs.len() < PARALLEL_EXCHANGE_THRESHOLD {
-            for &(i, c) in pairs {
-                self.apply_exchange(protocol, i as usize, c as usize);
-            }
-            return;
-        }
         let base = SendPtr(self.as_mut_ptr());
-        pool.map_range(pairs.len(), |k| {
+        apply_disjoint_pairs(pool, self.len(), pairs, |i, c| {
             // Capture the SendPtr wrapper whole (2021 disjoint-field capture
             // would otherwise grab the raw pointer, which is not Send).
             let ptr = base;
-            let (i, c) = pairs[k];
-            // SAFETY: the batch is node-disjoint (trait contract) and both
-            // indices were bounds-checked above, so these two &mut borrows
-            // alias no other live reference.
-            let a = unsafe { &mut *ptr.0.add(i as usize) };
-            let b = unsafe { &mut *ptr.0.add(c as usize) };
+            // SAFETY: `apply_disjoint_pairs` hands out distinct in-bounds
+            // indices and the batch is node-disjoint (trait contract), so
+            // these two &mut borrows alias no other live reference.
+            let (a, b) = unsafe { (&mut *ptr.0.add(i), &mut *ptr.0.add(c)) };
             protocol.exchange(a, b);
         });
     }
@@ -205,12 +214,6 @@ impl<S: StateStore> GossipEngine<S> {
     /// Immutable access to the node store.
     pub fn nodes(&self) -> &S {
         &self.nodes
-    }
-
-    /// Mutable access to the node store (used by protocols that need a
-    /// post-round hook, e.g. to inject corrections).
-    pub fn nodes_mut(&mut self) -> &mut S {
-        &mut self.nodes
     }
 
     /// The churn model in force.
@@ -395,6 +398,24 @@ pub fn pair_mut<T>(slice: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
     } else {
         let (left, right) = slice.split_at_mut(i);
         (&mut right[0], &mut left[j])
+    }
+}
+
+/// Borrows the `stride`-wide rows of two distinct nodes of a flat
+/// row-major slab mutably — [`pair_mut`] for struct-of-arrays stores, so
+/// their hot loops run over slices (no per-element bounds checks or offset
+/// math).
+///
+/// # Panics
+/// Panics if `a == b` or either row is out of bounds.
+pub(crate) fn rows_mut<T>(slab: &mut [T], stride: usize, a: usize, b: usize) -> (&mut [T], &mut [T]) {
+    assert_ne!(a, b, "cannot mutably borrow the same row twice");
+    if a < b {
+        let (left, right) = slab.split_at_mut(b * stride);
+        (&mut left[a * stride..(a + 1) * stride], &mut right[..stride])
+    } else {
+        let (left, right) = slab.split_at_mut(a * stride);
+        (&mut right[..stride], &mut left[b * stride..(b + 1) * stride])
     }
 }
 

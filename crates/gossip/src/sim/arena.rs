@@ -29,8 +29,7 @@
 
 use crate::eesum::EesSumProtocol;
 use crate::engine::{
-    pair_mut, ParallelProtocolStore, ProtocolStore, SendPtr, StateStore,
-    PARALLEL_EXCHANGE_THRESHOLD,
+    apply_disjoint_pairs, pair_mut, rows_mut, ParallelProtocolStore, ProtocolStore, SendPtr, StateStore,
 };
 
 /// Flat struct-of-arrays storage of per-node EESum states over fixed-width
@@ -57,11 +56,20 @@ impl EesUnitArena {
     /// Panics on a degenerate shape (fewer than two nodes, zero units or
     /// zero limbs).
     pub fn new(population: usize, units_per_node: usize, limbs_per_unit: usize) -> Self {
+        Self::seeded_at(population, units_per_node, limbs_per_unit, 0)
+    }
+
+    /// [`Self::new`] with node `seed` seeding the epidemic weight, exactly as
+    /// [`crate::eesum::initial_states_seeded_at`] does.
+    ///
+    /// # Panics
+    /// As [`Self::new`], and if `seed` is not a node.
+    pub fn seeded_at(population: usize, units_per_node: usize, limbs_per_unit: usize, seed: usize) -> Self {
         assert!(population >= 2, "gossip needs at least two participants");
         assert!(units_per_node >= 1, "a node carries at least one unit");
         assert!(limbs_per_unit >= 1, "a unit needs at least one limb");
         let mut weights = vec![0.0; population];
-        weights[0] = 1.0;
+        weights[seed] = 1.0;
         Self {
             population,
             units_per_node,
@@ -150,24 +158,6 @@ impl EesUnitArena {
         (node * self.units_per_node + unit) * self.limbs_per_unit
     }
 
-}
-
-/// Borrows the `stride`-limb windows of two distinct nodes mutably.
-fn node_windows_mut(
-    limbs: &mut [u64],
-    stride: usize,
-    a: usize,
-    b: usize,
-) -> (&mut [u64], &mut [u64]) {
-    // Borrow the two disjoint node windows once, so the hot limb loops run
-    // over slices (no per-limb bounds checks or offset math).
-    if a < b {
-        let (left, right) = limbs.split_at_mut(b * stride);
-        (&mut left[a * stride..(a + 1) * stride], &mut right[..stride])
-    } else {
-        let (left, right) = limbs.split_at_mut(a * stride);
-        (&mut right[..stride], &mut left[b * stride..(b + 1) * stride])
-    }
 }
 
 /// Scales every unit of a node window by `2^diff` (limb shift), panicking
@@ -291,10 +281,9 @@ impl StateStore for EesUnitArena {
 
 impl ProtocolStore<EesSumProtocol> for EesUnitArena {
     fn apply_exchange(&mut self, _protocol: &EesSumProtocol, initiator: usize, contact: usize) {
-        assert_ne!(initiator, contact, "cannot exchange a node with itself");
         let limbs_per_unit = self.limbs_per_unit;
         let stride = self.units_per_node * limbs_per_unit;
-        let (i_limbs, c_limbs) = node_windows_mut(&mut self.limbs, stride, initiator, contact);
+        let (i_limbs, c_limbs) = rows_mut(&mut self.limbs, stride, initiator, contact);
         let (i_weight, c_weight) = pair_mut(&mut self.weights, initiator, contact);
         let (i_n, c_n) = pair_mut(&mut self.exchanges, initiator, contact);
         exchange_windows(limbs_per_unit, (i_limbs, i_weight, i_n), (c_limbs, c_weight, c_n));
@@ -305,37 +294,23 @@ impl ParallelProtocolStore<EesSumProtocol> for EesUnitArena {
     fn apply_exchanges(
         &mut self,
         pool: &rayon::ThreadPool,
-        protocol: &EesSumProtocol,
+        _protocol: &EesSumProtocol,
         pairs: &[(u32, u32)],
     ) {
-        let population = self.population;
-        for &(i, c) in pairs {
-            assert!(
-                i != c && (i as usize) < population && (c as usize) < population,
-                "bad exchange pair ({i}, {c})"
-            );
-        }
-        crate::engine::debug_assert_disjoint_pairs(pairs);
-        if pool.current_num_threads() <= 1 || pairs.len() < PARALLEL_EXCHANGE_THRESHOLD {
-            for &(i, c) in pairs {
-                self.apply_exchange(protocol, i as usize, c as usize);
-            }
-            return;
-        }
         let stride = self.units_per_node * self.limbs_per_unit;
         let limbs_per_unit = self.limbs_per_unit;
         let limbs = SendPtr(self.limbs.as_mut_ptr());
         let weights = SendPtr(self.weights.as_mut_ptr());
         let counters = SendPtr(self.exchanges.as_mut_ptr());
-        pool.map_range(pairs.len(), |k| {
+        apply_disjoint_pairs(pool, self.population, pairs, |i, c| {
             // Capture the SendPtr wrappers whole (2021 disjoint-field
             // capture would otherwise grab the raw pointers, which are
             // deliberately not Send).
             let (limbs, weights, counters) = (limbs, weights, counters);
-            let (i, c) = (pairs[k].0 as usize, pairs[k].1 as usize);
-            // SAFETY: the batch is node-disjoint (trait contract) and every
-            // index was bounds-checked above, so the windows and scalars
-            // reconstructed here alias no other live reference.
+            // SAFETY: `apply_disjoint_pairs` hands out distinct in-bounds
+            // indices and the batch is node-disjoint (trait contract), so the
+            // windows and scalars reconstructed here alias no other live
+            // reference.
             unsafe {
                 let i_limbs = std::slice::from_raw_parts_mut(limbs.0.add(i * stride), stride);
                 let c_limbs = std::slice::from_raw_parts_mut(limbs.0.add(c * stride), stride);
@@ -353,7 +328,7 @@ impl ParallelProtocolStore<EesSumProtocol> for EesUnitArena {
 mod tests {
     use super::*;
     use crate::eesum::{initial_states, EesState, EpidemicValue};
-    use crate::engine::ProtocolStore;
+    use crate::engine::{ProtocolStore, PARALLEL_EXCHANGE_THRESHOLD};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -271,10 +271,6 @@ impl<S: StateStore> AsyncGossipEngine<S> {
         &self.nodes
     }
 
-    /// Mutable access to the node-state storage.
-    pub fn nodes_mut(&mut self) -> &mut S {
-        &mut self.nodes
-    }
 
     /// Round/exchange accounting, comparable with the round engine's (one
     /// round is recorded per completed exchange period).

@@ -328,10 +328,6 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         &self.nodes
     }
 
-    /// Mutable access to the node-state storage.
-    pub fn nodes_mut(&mut self) -> &mut S {
-        &mut self.nodes
-    }
 
     /// Round/exchange accounting, comparable with the serial engines'.
     pub fn metrics(&self) -> &ExchangeMetrics {

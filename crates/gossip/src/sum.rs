@@ -66,11 +66,17 @@ impl PairwiseProtocol<SumState> for PushPullSum {
 /// (the first participant is the weight seed, as footnote 5 of the paper
 /// prescribes: exactly one participant sets ω = 1).
 pub fn initial_states(values: &[f64]) -> Vec<SumState> {
-    assert!(!values.is_empty());
+    initial_states_seeded_at(values, 0)
+}
+
+/// [`initial_states`] with participant `seed` as the weight seed (a run
+/// under a byzantine adversary seeds at an honest node).
+pub fn initial_states_seeded_at(values: &[f64], seed: usize) -> Vec<SumState> {
+    assert!(seed < values.len(), "the weight seed must be a participant");
     values
         .iter()
         .enumerate()
-        .map(|(i, &v)| if i == 0 { SumState::new_seed(v) } else { SumState::new(v) })
+        .map(|(i, &v)| if i == seed { SumState::new_seed(v) } else { SumState::new(v) })
         .collect()
 }
 

@@ -11,8 +11,10 @@
 //!   SMA moving average (§5.2), and aberrant ("lost") centroids are tracked.
 //!
 //! The distributed execution sequence of Chiaroscuro (gossip + encryption)
-//! computes exactly the same quantities; `chiaroscuro-core` therefore reuses
-//! this crate's iteration logic and reports.
+//! is the same Algorithm 1: `chiaroscuro-core` runs [`perturbed`]'s loop
+//! ([`PerturbedKMeans::run_with_step`]) over its own
+//! [`perturbed::AggregateStep`], which produces each iteration's perturbed
+//! sums and counts from the population instead of drawing Laplace noise.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

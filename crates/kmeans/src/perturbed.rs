@@ -1,27 +1,35 @@
-//! The perturbed centralized k-means: the paper's vehicle for evaluating
-//! clustering quality at dataset scale (§5 and §6.1–6.2).
+//! The perturbed k-means (Algorithm 1): the paper's vehicle for evaluating
+//! clustering quality at dataset scale (§5 and §6.1–6.2), and the loop the
+//! distributed execution runs too.
 //!
-//! Every iteration follows Chiaroscuro's computation semantics, minus the
-//! distribution machinery (which affects latency, not quality — modulo the
-//! gossip approximation error, which is orders of magnitude below the DP
-//! noise):
+//! The paper's quality evaluation rests on the perturbed *centralized*
+//! k-means being a faithful proxy of the distributed run: both are
+//! Algorithm 1, and only the way an iteration's perturbed aggregates come
+//! into being differs (the distribution machinery affects latency, not
+//! quality — modulo the gossip approximation error, which is orders of
+//! magnitude below the DP noise).  The loop is therefore written once,
+//! [`PerturbedKMeans::run_with_step`], over an [`AggregateStep`] with two
+//! implementers: the centralized one of this module and the distributed one
+//! of `chiaroscuro-core`.  Every iteration:
 //!
-//! 1. assignment of every series to the closest current centroid;
-//! 2. exact cluster sums and counts;
-//! 3. Laplace perturbation of each sum dimension
-//!    (`L(n·max(|d_min|,|d_max|)/ε_i)`) and of each count (`L(1/ε_i)`),
-//!    where `ε_i` comes from the budget-concentration strategy;
-//! 4. division sum/count to obtain the perturbed means, optional SMA
-//!    smoothing (§5.2), and aberrant-centroid handling (clusters whose
-//!    perturbed count collapses produce unusable means that no series will
-//!    select at the next iteration, exactly as footnote 8 describes);
-//! 5. convergence / iteration-limit check.
+//! 1. the step assigns every participating series to the closest current
+//!    centroid and returns the cluster sums and counts, each sum dimension
+//!    perturbed by `L(n·max(|d_min|,|d_max|)/ε_i)` and each count by
+//!    `L(1/ε_i)`, where `ε_i` comes from the budget-concentration strategy;
+//! 2. the loop divides sum/count to obtain the perturbed means, applies the
+//!    optional SMA smoothing (§5.2), and handles aberrant centroids
+//!    (clusters whose perturbed count collapses produce unusable means that
+//!    no series will select at the next iteration, exactly as footnote 8
+//!    describes);
+//! 3. convergence / iteration-limit check.
+
+use std::borrow::Cow;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use chiaroscuro_dp::budget::BudgetSchedule;
-use chiaroscuro_dp::laplace::{Laplace, LaplaceMechanism, Sensitivity};
+use chiaroscuro_dp::laplace::{LaplaceMechanism, Sensitivity};
 use chiaroscuro_timeseries::inertia::{dataset_inertia, intra_inertia, Assignment};
 use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
 
@@ -105,7 +113,75 @@ impl PerturbedKMeansConfig {
     }
 }
 
-/// The perturbed centralized k-means runner.
+/// One iteration's perturbed aggregates, however they came into being.
+#[derive(Debug)]
+pub struct Aggregates<'d> {
+    /// The series that took part in the iteration (the whole dataset unless
+    /// churn kept some devices away).
+    pub participants: Cow<'d, TimeSeriesSet>,
+    /// Their assignment to the iteration's input centroids.
+    pub assignment: Assignment,
+    /// The perturbed dimension-wise cluster sums: `k·n` values,
+    /// cluster-major.
+    pub sums: Vec<f64>,
+    /// The `k` perturbed cluster counts.
+    pub counts: Vec<f64>,
+}
+
+/// How one iteration's perturbed sums and counts are produced — the only
+/// thing in which the centralized surrogate and the distributed execution
+/// differ.  [`PerturbedKMeans::run`] computes exact sums and draws the
+/// Laplace noise itself; `chiaroscuro-core`'s distributed step has the
+/// population gossip encrypted sums and noise shares and threshold-decrypts
+/// the result.  Every random draw of a run belongs to its step: the loop
+/// that calls it ([`PerturbedKMeans::run_with_step`]) draws nothing.
+pub trait AggregateStep {
+    /// Assigns the participating series of `data` to `centroids` and returns
+    /// their sums and counts perturbed under `mechanism` (iteration
+    /// `iteration`'s share of the budget).
+    fn aggregate<'d>(
+        &mut self,
+        data: &'d TimeSeriesSet,
+        iteration: usize,
+        mechanism: &LaplaceMechanism,
+        centroids: &[TimeSeries],
+    ) -> Aggregates<'d>;
+}
+
+/// The centralized step: a churned working set, exact sums and counts, one
+/// Laplace draw per sum dimension and per count (cluster by cluster).
+struct CentralStep<'r, R: ?Sized> {
+    iteration_churn: f64,
+    rng: &'r mut R,
+}
+
+impl<R: Rng + ?Sized> AggregateStep for CentralStep<'_, R> {
+    fn aggregate<'d>(
+        &mut self,
+        data: &'d TimeSeriesSet,
+        _iteration: usize,
+        mechanism: &LaplaceMechanism,
+        centroids: &[TimeSeries],
+    ) -> Aggregates<'d> {
+        // Churn: a random fraction of the devices is offline this iteration.
+        let participants = if self.iteration_churn > 0.0 {
+            Cow::Owned(data.churned(self.iteration_churn, self.rng))
+        } else {
+            Cow::Borrowed(data)
+        };
+        let assignment = Assignment::compute(&participants, centroids);
+        let (exact, mut counts) = assignment.cluster_sums(&participants, centroids.len());
+        let mut sums: Vec<f64> = exact.iter().flat_map(|sum| sum.values()).copied().collect();
+        for (sum, count) in sums.chunks_exact_mut(data.series_length()).zip(&mut counts) {
+            mechanism.perturb_sum(sum, self.rng);
+            *count = mechanism.perturb_count(*count, self.rng);
+        }
+        Aggregates { participants, assignment, sums, counts }
+    }
+}
+
+/// The perturbed k-means runner (Algorithm 1's loop over any
+/// [`AggregateStep`]).
 #[derive(Debug, Clone)]
 pub struct PerturbedKMeans {
     config: PerturbedKMeansConfig,
@@ -118,9 +194,25 @@ impl PerturbedKMeans {
         Self { config }
     }
 
-    /// Runs the perturbed k-means on `data` from `init` centroids.
+    /// Runs the perturbed centralized k-means on `data` from `init`
+    /// centroids.
     pub fn run<R: Rng + ?Sized>(&self, data: &TimeSeriesSet, init: &InitialCentroids, rng: &mut R) -> RunReport {
-        let mut centroids = init.materialize(data, rng);
+        let centroids = init.materialize(data, rng);
+        self.run_with_step(data, centroids, &mut CentralStep { iteration_churn: self.config.iteration_churn, rng })
+    }
+
+    /// Algorithm 1 from `centroids`, with each iteration's perturbed
+    /// aggregates produced by `step`: budget schedule → aggregates → exact
+    /// means and PRE inertia → perturbed means (`sum / count`, aberrant
+    /// sentinel, smoothing) → POST inertia → convergence test.
+    /// [`PerturbedKMeansConfig::iteration_churn`] is the centralized step's
+    /// business and is not read here.
+    pub fn run_with_step<S: AggregateStep>(
+        &self,
+        data: &TimeSeriesSet,
+        mut centroids: Vec<TimeSeries>,
+        step: &mut S,
+    ) -> RunReport {
         let k = centroids.len();
         let n = data.series_length();
         let sensitivity = Sensitivity::from_range(n, data.range().min, data.range().max);
@@ -132,62 +224,41 @@ impl PerturbedKMeans {
             if epsilon_i <= 0.0 {
                 break; // Budget exhausted (UNIFORM_FAST's hard limit).
             }
-            // Churn: a random fraction of the devices is offline this iteration.
-            let working_set;
-            let active: &TimeSeriesSet = if self.config.iteration_churn > 0.0 {
-                working_set = data.churned(self.config.iteration_churn, rng);
-                &working_set
-            } else {
-                data
-            };
+            let mechanism = LaplaceMechanism::new(sensitivity, epsilon_i)
+                .with_gossip_error_bound(self.config.gossip_error_bound);
+            let Aggregates { participants, assignment, sums, counts } =
+                step.aggregate(data, iteration, &mechanism, &centroids);
+            let active: &TimeSeriesSet = &participants;
 
-            // Assignment step on the (perturbed) centroids of the previous iteration.
-            let assignment = Assignment::compute(active, &centroids);
-            let surviving = assignment.non_empty_clusters();
-
-            // Computation step: exact sums/counts, then the exact means for the PRE metric.
-            let (sums, counts) = assignment.cluster_sums(active, k);
-            let exact_means: Vec<TimeSeries> = sums
+            // Reporting-only PRE metric: the exact means of this assignment.
+            let (exact_sums, exact_counts) = assignment.cluster_sums(active, k);
+            let exact_means: Vec<TimeSeries> = exact_sums
                 .iter()
-                .zip(counts.iter())
+                .zip(exact_counts.iter())
                 .enumerate()
-                .map(|(i, (sum, &count))| {
-                    if count > 0.0 {
-                        sum.scaled(1.0 / count)
-                    } else {
-                        centroids[i].clone()
-                    }
-                })
+                .map(|(i, (sum, &count))| if count > 0.0 { sum.scaled(1.0 / count) } else { centroids[i].clone() })
                 .collect();
             let pre_inertia = intra_inertia(active, &exact_means, &assignment);
 
-            // Perturbation: Laplace noise on every sum dimension and count.
-            let mechanism = LaplaceMechanism::new(sensitivity, epsilon_i)
-                .with_gossip_error_bound(self.config.gossip_error_bound);
-            let sum_noise = Laplace::new(mechanism.sum_scale());
-            let count_noise = Laplace::new(mechanism.count_scale());
-            let compensation = mechanism.compensation_factor();
-            let mut perturbed: Vec<TimeSeries> = Vec::with_capacity(k);
+            // Perturbed means: division, then smoothing.
             let mut aberrant = vec![false; k];
-            for (i, (sum, &count)) in sums.iter().zip(counts.iter()).enumerate() {
-                let mut noisy_sum = sum.clone();
-                for v in noisy_sum.values_mut() {
-                    *v += compensation * sum_noise.sample(rng);
-                }
-                let noisy_count = count + compensation * count_noise.sample(rng);
-                let mean = if noisy_count.abs() < 0.5 {
-                    // The cluster is too small for the noise: its mean becomes
-                    // aberrant and will attract no series at the next
-                    // iteration (footnote 8).  A far-away sentinel makes that
-                    // explicit while keeping the arithmetic finite.
-                    aberrant[i] = true;
-                    aberrant_centroid(n, data.range().max, i)
-                } else {
-                    noisy_sum.scale(1.0 / noisy_count);
-                    self.config.smoothing.apply(&noisy_sum)
-                };
-                perturbed.push(mean);
-            }
+            let perturbed: Vec<TimeSeries> = (0..k)
+                .map(|cluster| {
+                    let count = counts[cluster];
+                    if count.abs() < 0.5 {
+                        // The cluster is too small for the noise: its mean
+                        // becomes aberrant and will attract no series at the
+                        // next iteration (footnote 8).  A far-away sentinel
+                        // makes that explicit while keeping the arithmetic
+                        // finite.
+                        aberrant[cluster] = true;
+                        aberrant_centroid(n, data.range().max, cluster)
+                    } else {
+                        let sum = &sums[cluster * n..(cluster + 1) * n];
+                        self.config.smoothing.apply(&TimeSeries::new(sum.iter().map(|v| v / count).collect()))
+                    }
+                })
+                .collect();
             // POST inertia is measured like Figure 2(e)/(f): same assignment,
             // perturbed centroids, with the aberrant centroids removed (the
             // series they owned are excluded rather than charged the sentinel
@@ -199,7 +270,7 @@ impl PerturbedKMeans {
                 epsilon: epsilon_i,
                 pre_inertia,
                 post_inertia,
-                surviving_centroids: surviving,
+                surviving_centroids: assignment.non_empty_clusters(),
                 participating_series: active.len(),
             });
 
@@ -230,7 +301,7 @@ fn aberrant_centroid(series_length: usize, range_max: f64, cluster: usize) -> Ti
 /// Intra-cluster inertia of the perturbed centroids under the pre-existing
 /// assignment, with the aberrant centroids (and the series assigned to them)
 /// removed — the POST metric of Figures 2(e)/(f).
-pub fn post_perturbation_inertia(
+fn post_perturbation_inertia(
     data: &TimeSeriesSet,
     perturbed_centroids: &[TimeSeries],
     assignment: &Assignment,
@@ -273,6 +344,98 @@ mod tests {
         )
     }
 
+    /// A step with no RNG: the real assignment, then whatever sums and
+    /// counts the script holds for the iteration (cycling).
+    struct ScriptedStep {
+        script: Vec<(Vec<f64>, Vec<f64>)>,
+        epsilons: Vec<f64>,
+    }
+
+    impl AggregateStep for ScriptedStep {
+        fn aggregate<'d>(
+            &mut self,
+            data: &'d TimeSeriesSet,
+            iteration: usize,
+            mechanism: &LaplaceMechanism,
+            centroids: &[TimeSeries],
+        ) -> Aggregates<'d> {
+            assert_eq!(iteration, self.epsilons.len(), "one call per iteration, in order");
+            self.epsilons.push(mechanism.epsilon());
+            let (sums, counts) = self.script[iteration % self.script.len()].clone();
+            Aggregates {
+                participants: Cow::Borrowed(data),
+                assignment: Assignment::compute(data, centroids),
+                sums,
+                counts,
+            }
+        }
+    }
+
+    #[test]
+    fn scripted_step_pins_the_loop_once() {
+        use chiaroscuro_timeseries::ValueRange;
+        let flat = |v: f64| TimeSeries::constant(4, v);
+        let data =
+            TimeSeriesSet::new(vec![flat(0.0), flat(2.0), flat(10.0), flat(50.0)], ValueRange::new(0.0, 100.0));
+        let init = vec![flat(1.0), flat(10.0), flat(50.0)];
+        // Cluster 0 gets an uneven mean (to see the smoothing), cluster 1 a
+        // flat one, and cluster 2's count drowns in the noise.
+        let fixed = (
+            [vec![4.0, 0.0, 4.0, 0.0], vec![20.0; 4], vec![123.0; 4]].concat(),
+            vec![2.0, 2.0, 0.4],
+        );
+        let config = |smoothing, budget_iterations| PerturbedKMeansConfig {
+            schedule: BudgetSchedule::new(
+                BudgetStrategy::UniformFast { max_iterations: budget_iterations },
+                1.0,
+                5,
+            ),
+            max_iterations: 5,
+            convergence_threshold: 1e-9,
+            smoothing,
+            iteration_churn: 0.0,
+            gossip_error_bound: 0.0,
+        };
+
+        // Same aggregates every iteration: the second one moves nothing.
+        let mut step = ScriptedStep { script: vec![fixed.clone()], epsilons: Vec::new() };
+        let report = PerturbedKMeans::new(config(Smoothing::MovingAverage { window_fraction: 0.5 }, 5))
+            .run_with_step(&data, init.clone(), &mut step);
+        assert!(report.converged, "zero displacement must take the convergence break");
+        assert_eq!(report.num_iterations(), 2);
+        assert_eq!(step.epsilons, vec![0.2, 0.2], "the step sees the schedule's ε, once per iteration run");
+        // sum / count, then the 3-wide circular average; the flat mean is a
+        // fixed point of it; |count| < 0.5 yields the sentinel, not 123/0.4.
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-12 * b.abs().max(1.0);
+        let smoothed = &report.final_centroids[0];
+        assert!(smoothed.values().iter().zip([2.0 / 3.0, 4.0 / 3.0, 2.0 / 3.0, 4.0 / 3.0]).all(|(&a, b)| close(a, b)));
+        assert_eq!(report.final_centroids[1], flat(10.0));
+        assert_eq!(report.final_centroids[2], flat(100.0 * 1e6 * 4.0));
+        // Iteration 0: every cluster owns its seed's neighbours.  PRE uses the
+        // exact means (1, 10, 50); POST drops the aberrant cluster's series
+        // instead of charging it the sentinel distance.
+        let first = &report.iterations[0];
+        assert_eq!((first.surviving_centroids, first.participating_series), (3, 4));
+        assert!(close(first.pre_inertia, 2.0));
+        assert!(close(first.post_inertia, (80.0 / 9.0) / 3.0));
+        // Iteration 1: the sentinel attracts nobody, so 50 joins cluster 1
+        // and is charged its distance to the perturbed centroid (10).
+        let second = &report.iterations[1];
+        assert_eq!(second.surviving_centroids, 2);
+        assert!(close(second.pre_inertia, (8.0 + 2.0 * 4.0 * 400.0) / 4.0));
+        assert!(close(second.post_inertia, (80.0 / 9.0 + 4.0 * 1600.0) / 4.0));
+
+        // Aggregates that keep moving, and a budget of two iterations out of
+        // five: the loop stops on ε, unconverged, without a third call.
+        let moved = ([vec![8.0; 4], vec![40.0; 4], vec![100.0; 4]].concat(), vec![2.0, 2.0, 2.0]);
+        let mut step = ScriptedStep { script: vec![fixed, moved], epsilons: Vec::new() };
+        let report = PerturbedKMeans::new(config(Smoothing::None, 2)).run_with_step(&data, init, &mut step);
+        assert!(!report.converged);
+        assert_eq!(report.num_iterations(), 2);
+        assert_eq!(step.epsilons, vec![0.5, 0.5]);
+        assert_eq!(report.final_centroids, vec![flat(4.0), flat(20.0), flat(50.0)]);
+    }
+
     #[test]
     fn runs_and_respects_iteration_limit() {
         let data = cer_data(500, 1);
@@ -285,16 +448,6 @@ mod tests {
         assert!(report.num_iterations() <= 5);
         assert!(report.num_iterations() >= 1);
         assert!(report.total_epsilon() <= EPSILON + 1e-9);
-    }
-
-    #[test]
-    fn uniform_fast_stops_at_its_own_limit() {
-        let data = cer_data(300, 2);
-        let mut rng = StdRng::seed_from_u64(2);
-        let schedule = BudgetSchedule::new(BudgetStrategy::UniformFast { max_iterations: 3 }, EPSILON, 10);
-        let config = PerturbedKMeansConfig::new(schedule, 10);
-        let report = PerturbedKMeans::new(config).run(&data, &InitialCentroids::RandomFromData { k: 5 }, &mut rng);
-        assert!(report.num_iterations() <= 3);
     }
 
     #[test]
@@ -394,12 +547,6 @@ mod tests {
         let avg_post: f64 =
             report.iterations.iter().map(|it| it.post_inertia).sum::<f64>() / report.num_iterations() as f64;
         assert!(avg_post >= avg_pre * 0.99, "avg post {avg_post} vs avg pre {avg_pre}");
-    }
-
-    #[test]
-    fn aberrant_sentinels_are_outside_the_data_range() {
-        let c = aberrant_centroid(24, 80.0, 3);
-        assert!(c.min() > 80.0 * 1e5);
     }
 
     #[test]

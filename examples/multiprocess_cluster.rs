@@ -88,7 +88,7 @@ mod unix {
         transport
             .send(&NodeEvent::ReadoutReply { payload: Vec::new() }.into_frame(id, COORDINATOR))
             .expect("registration frame");
-        let mut actor = chiaroscuro::core::ChiaroscuroNodeActor::<DamgardJurik>::new(id);
+        let mut actor = chiaroscuro::core::ChiaroscuroNodeActor::<DamgardJurik>::new();
         serve(id, &mut transport, &mut actor).expect("node serve loop");
     }
 
