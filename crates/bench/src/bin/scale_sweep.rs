@@ -118,7 +118,7 @@ fn dataset(population: usize, k: usize) -> TimeSeriesSet {
     TimeSeriesSet::new(series, ValueRange::new(RANGE.0, RANGE.1))
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one sweep point: the parsed CLI flags, passed through flat")]
 fn run_population(
     population: usize,
     sim_shards: usize,
@@ -251,7 +251,7 @@ fn print_table(rows: &[SweepRow]) {
     table.print();
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "echoes every parsed CLI flag into the JSON header")]
 fn render_json(
     rows: &[SweepRow],
     k: usize,

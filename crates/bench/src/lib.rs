@@ -10,10 +10,6 @@
 //! a laptop-friendly scale and can be pushed towards the paper's scale
 //! explicitly.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod args;
 pub mod json;
 pub mod table;

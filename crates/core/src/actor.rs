@@ -24,24 +24,32 @@
 //! Event payloads cross the transport as explicit big-endian fields (f64s
 //! as IEEE-754 bit patterns, unit vectors via
 //! [`chiaroscuro_crypto::wire::serialize_units`]), so a frame produced on
-//! one side of a socket decodes identically on the other.
+//! one side of a socket decodes identically on the other.  Decoding lives
+//! in the private `decode` sub-module and fails closed: exchange state
+//! bytes originate at peers, so a malformed payload is a typed
+//! [`FrameError`], never a panic inside a decoder.
 
 use std::sync::Arc;
 
 use chiaroscuro_crypto::backend::CipherBackend;
 use chiaroscuro_crypto::encoding::FixedPointEncoder;
 use chiaroscuro_crypto::packing::{LaneBudget, PackedEncoder};
-use chiaroscuro_crypto::wire::{deserialize_units, serialize_units};
+use chiaroscuro_crypto::wire::serialize_units;
 use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdState};
 use chiaroscuro_gossip::eesum::{EesState, EesSumProtocol};
 use chiaroscuro_gossip::engine::PairwiseProtocol;
 use chiaroscuro_gossip::sum::{PushPullSum, SumState};
 use chiaroscuro_node::frame::HEADER_BYTES;
-use chiaroscuro_node::{Actor, NodeEvent, NodeId, Phase};
+use chiaroscuro_node::{Actor, FrameError, NodeEvent, NodeId, Phase};
 use chiaroscuro_timeseries::TimeSeries;
 
 use crate::evalue::BackendVector;
 use crate::iteration::{device_contribution, DeviceKit};
+
+mod decode;
+
+pub(crate) use decode::decode_readout;
+use decode::{decode_correction, decode_phase_state, PhaseState};
 
 /// Encoded-frame overhead of one means-phase exchange message beyond the
 /// raw unit payload: the frame header plus the phase byte, the EESum
@@ -64,55 +72,6 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
 
 fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_bits().to_be_bytes());
-}
-
-/// A panicking big-endian reader: event payloads are produced by this
-/// crate's own coordinator, so a malformed one is a protocol bug worth a
-/// loud stop, not a recoverable condition (byte-level hardening lives in
-/// the frame codec, which rejects malformed *frames* before this layer).
-struct Reader<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes }
-    }
-
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        assert!(self.bytes.len() >= n, "truncated actor payload: needed {n} more bytes");
-        let (head, tail) = self.bytes.split_at(n);
-        self.bytes = tail;
-        head
-    }
-
-    fn u8(&mut self) -> u8 {
-        self.take(1)[0]
-    }
-
-    fn u32(&mut self) -> u32 {
-        u32::from_be_bytes(self.take(4).try_into().expect("4 bytes"))
-    }
-
-    fn u64(&mut self) -> u64 {
-        u64::from_be_bytes(self.take(8).try_into().expect("8 bytes"))
-    }
-
-    fn f64(&mut self) -> f64 {
-        f64::from_bits(self.u64())
-    }
-
-    fn f64s(&mut self, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.f64()).collect()
-    }
-
-    fn rest(self) -> &'a [u8] {
-        self.bytes
-    }
-
-    fn finish(self) {
-        assert!(self.bytes.is_empty(), "trailing garbage in actor payload");
-    }
 }
 
 // --- provisioning (Hello) ---
@@ -162,33 +121,6 @@ impl NodeSpec {
         }
         buf
     }
-
-    pub(crate) fn decode(bytes: &[u8]) -> Self {
-        let mut r = Reader::new(bytes);
-        let k = r.u32();
-        let series_length = r.u32();
-        let encoding_digits = r.u32();
-        let num_noise_shares = r.u32();
-        let packing = match r.u8() {
-            0 => None,
-            1 => Some((
-                r.u64(),
-                LaneBudget {
-                    contributors: r.u64() as usize,
-                    doubling_budget: r.u32(),
-                    max_abs_value: r.f64(),
-                    biased_vectors: r.u32(),
-                },
-            )),
-            other => panic!("unknown packing flag {other} in node spec"),
-        };
-        let public_len = r.u32() as usize;
-        let public = r.take(public_len).to_vec();
-        let series_len = r.u32() as usize;
-        let series = r.f64s(series_len);
-        r.finish();
-        Self { k, series_length, encoding_digits, num_noise_shares, packing, public, series }
-    }
 }
 
 // --- per-iteration inputs (IterationStart) ---
@@ -220,17 +152,6 @@ impl IterationInputs {
         }
         buf
     }
-
-    pub(crate) fn decode(bytes: &[u8], k: usize, series_length: usize) -> Self {
-        let mut r = Reader::new(bytes);
-        let participant_seed = r.u64();
-        let weight_seed = r.u8() != 0;
-        let sum_scale = r.f64();
-        let count_scale = r.f64();
-        let centroids_flat = r.f64s(k * series_length);
-        r.finish();
-        Self { participant_seed, weight_seed, sum_scale, count_scale, centroids_flat }
-    }
 }
 
 // --- correction proposals ---
@@ -242,14 +163,6 @@ pub(crate) fn encode_correction(id: u64, sums: &[f64], counts: &[f64]) -> Vec<u8
         put_f64(&mut buf, v);
     }
     buf
-}
-
-fn decode_correction(bytes: &[u8], k: usize, series_length: usize) -> (u64, Vec<f64>) {
-    let mut r = Reader::new(bytes);
-    let id = r.u64();
-    let payload = r.f64s(k * series_length + k);
-    r.finish();
-    (id, payload)
 }
 
 // --- end-of-iteration readout ---
@@ -268,34 +181,6 @@ pub(crate) struct Readout<B: CipherBackend> {
     pub(crate) correction: Option<(u64, Vec<f64>)>,
     /// The accumulated means/noise unit vector (reference node only).
     pub(crate) units: Option<Vec<B::Unit>>,
-}
-
-pub(crate) fn decode_readout<B: CipherBackend>(
-    backend: &B,
-    bytes: &[u8],
-    k: usize,
-    series_length: usize,
-) -> Readout<B> {
-    let mut r = Reader::new(bytes);
-    let weight = r.f64();
-    let sigma = r.f64();
-    let omega = r.f64();
-    let correction = match r.u8() {
-        0 => None,
-        _ => {
-            let id = r.u64();
-            let payload = r.f64s(k * series_length + k);
-            Some((id, payload))
-        }
-    };
-    let units = match r.u8() {
-        0 => None,
-        _ => Some(
-            deserialize_units::<B>(backend, r.rest())
-                .expect("a readout's unit vector must deserialize under the run's backend"),
-        ),
-    };
-    Readout { weight, sigma, omega, correction, units }
 }
 
 // --- the actor ---
@@ -418,46 +303,17 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
         }
     }
 
-    fn deserialize_phase_state(&self, phase: Phase, bytes: &[u8]) -> PhaseState<B> {
+    fn phase_state(&self, phase: Phase, bytes: &[u8]) -> Result<PhaseState<B>, FrameError> {
         let p = self.provision();
-        match phase {
-            Phase::Means => {
-                let mut r = Reader::new(bytes);
-                let weight = r.f64();
-                let exchanges = r.u32();
-                let units = deserialize_units::<B>(p.kit.backend.as_ref(), r.rest())
-                    .expect("a means exchange payload must deserialize under the run's backend");
-                PhaseState::Means(EesState {
-                    value: BackendVector::new(p.kit.backend.clone(), units),
-                    weight,
-                    exchanges,
-                })
-            }
-            Phase::Counter => {
-                let mut r = Reader::new(bytes);
-                let state = SumState { sigma: r.f64(), omega: r.f64() };
-                r.finish();
-                PhaseState::Counter(state)
-            }
-            Phase::Correction => {
-                // A correction payload is one flat row; decode it with
-                // k·n = len, k = 0 to reuse the shared codec shape.
-                let mut r = Reader::new(bytes);
-                let id = r.u64();
-                let len = p.k * p.series_length + p.k;
-                let payload = r.f64s(len);
-                r.finish();
-                PhaseState::Correction(MinIdState::new(id, payload))
-            }
-        }
+        decode_phase_state(&p.kit.backend, phase, bytes, p.k, p.series_length)
     }
 
     /// Contact side of one exchange: merge the initiator's state into our
     /// own with the real pairwise protocol (initiator first — the engines'
     /// argument order), then report the merged state, which both peers end
     /// the exchange holding.
-    fn apply_exchange(&mut self, phase: Phase, initiator_state: &[u8]) -> Vec<u8> {
-        match self.deserialize_phase_state(phase, initiator_state) {
+    fn apply_exchange(&mut self, phase: Phase, initiator_state: &[u8]) -> Result<Vec<u8>, FrameError> {
+        match self.phase_state(phase, initiator_state)? {
             PhaseState::Means(mut peer) => {
                 let own = self.ees.as_mut().expect("exchange before IterationStart");
                 EesSumProtocol.exchange(&mut peer, own);
@@ -471,16 +327,17 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
                 DisseminationProtocol.exchange(&mut peer, own);
             }
         }
-        self.serialize_phase_state(phase)
+        Ok(self.serialize_phase_state(phase))
     }
 
     /// Initiator side, reply half: adopt the merged state wholesale.
-    fn adopt(&mut self, phase: Phase, merged: &[u8]) {
-        match self.deserialize_phase_state(phase, merged) {
+    fn adopt(&mut self, phase: Phase, merged: &[u8]) -> Result<(), FrameError> {
+        match self.phase_state(phase, merged)? {
             PhaseState::Means(state) => self.ees = Some(state),
             PhaseState::Counter(state) => self.counter = Some(state),
             PhaseState::Correction(state) => self.correction = Some(state),
         }
+        Ok(())
     }
 
     fn readout(&self, include_units: bool) -> Vec<u8> {
@@ -511,25 +368,18 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
         }
         buf
     }
-}
 
-/// A decoded phase state (the three protocols the run gossips).
-enum PhaseState<B: CipherBackend> {
-    Means(EesState<BackendVector<B>>),
-    Counter(SumState),
-    Correction(MinIdState<Vec<f64>>),
-}
-
-impl<B: CipherBackend> Actor for ChiaroscuroNodeActor<B> {
-    fn on_event(&mut self, from: NodeId, event: NodeEvent) -> Vec<(NodeId, NodeEvent)> {
-        match event {
+    /// Reacts to one event; a payload that does not decode is a typed error
+    /// and leaves the actor's state untouched.
+    fn handle(&mut self, from: NodeId, event: NodeEvent) -> Result<Vec<(NodeId, NodeEvent)>, FrameError> {
+        Ok(match event {
             NodeEvent::Hello { config } => {
-                self.install(NodeSpec::decode(&config));
+                self.install(NodeSpec::decode(&config)?);
                 Vec::new()
             }
             NodeEvent::IterationStart { payload } => {
                 let p = self.provision();
-                let inputs = IterationInputs::decode(&payload, p.k, p.series_length);
+                let inputs = IterationInputs::decode(&payload, p.k, p.series_length)?;
                 self.start_iteration(&inputs);
                 Vec::new()
             }
@@ -538,16 +388,16 @@ impl<B: CipherBackend> Actor for ChiaroscuroNodeActor<B> {
                 vec![(contact, NodeEvent::ExchangeRequest { phase, state })]
             }
             NodeEvent::ExchangeRequest { phase, state } => {
-                let merged = self.apply_exchange(phase, &state);
+                let merged = self.apply_exchange(phase, &state)?;
                 vec![(from, NodeEvent::ExchangeReply { phase, state: merged })]
             }
             NodeEvent::ExchangeReply { phase, state } => {
-                self.adopt(phase, &state);
+                self.adopt(phase, &state)?;
                 Vec::new()
             }
             NodeEvent::CorrectionProposal { payload } => {
                 let p = self.provision();
-                let (id, row) = decode_correction(&payload, p.k, p.series_length);
+                let (id, row) = decode_correction(&payload, p.k, p.series_length)?;
                 self.correction = Some(MinIdState::new(id, row));
                 Vec::new()
             }
@@ -556,17 +406,35 @@ impl<B: CipherBackend> Actor for ChiaroscuroNodeActor<B> {
                 vec![(from, NodeEvent::ReadoutReply { payload })]
             }
             NodeEvent::Shutdown | NodeEvent::ReadoutReply { .. } => Vec::new(),
-        }
+        })
+    }
+}
+
+impl<B: CipherBackend> Actor for ChiaroscuroNodeActor<B> {
+    #[expect(
+        clippy::expect_used,
+        reason = "Actor::on_event cannot return an error: until a ProtocolError can travel back, a payload \
+                  that fails to decode stops this node's serve loop loudly instead of being merged"
+    )]
+    fn on_event(&mut self, from: NodeId, event: NodeEvent) -> Vec<(NodeId, NodeEvent)> {
+        self.handle(from, event).expect("malformed actor payload")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chiaroscuro_crypto::backend::{BackendSetup, DamgardJurik, PlaintextSurrogate};
+    use num_bigint::BigUint;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-    #[test]
-    fn node_spec_round_trips_with_and_without_packing() {
-        let spec = NodeSpec {
+    const K: usize = 2;
+    const N: usize = 3;
+
+    fn spec() -> NodeSpec {
+        NodeSpec {
             k: 3,
             series_length: 4,
             encoding_digits: 3,
@@ -582,22 +450,106 @@ mod tests {
             )),
             public: vec![1, 2, 3, 4, 5],
             series: vec![1.5, -2.25, 0.0, 7.0],
-        };
-        assert_eq!(NodeSpec::decode(&spec.encode()), spec);
-        let legacy = NodeSpec { packing: None, ..spec };
-        assert_eq!(NodeSpec::decode(&legacy.encode()), legacy);
+        }
     }
 
-    #[test]
-    fn iteration_inputs_round_trip_bit_exactly() {
-        let inputs = IterationInputs {
+    fn inputs() -> IterationInputs {
+        IterationInputs {
             participant_seed: 0xDEAD_BEEF_0BAD_F00D,
             weight_seed: true,
             sum_scale: 123.456,
             count_scale: -0.0,
             centroids_flat: vec![10.0, f64::MIN_POSITIVE, -3.5, 0.1, 1e300, 2.0],
+        }
+    }
+
+    fn backend<B: CipherBackend>() -> Arc<B> {
+        let setup = BackendSetup {
+            key_bits: 128,
+            damgard_jurik_s: 1,
+            population: 4,
+            key_share_threshold: 2,
+            packed_layout: None,
         };
-        let decoded = IterationInputs::decode(&inputs.encode(), 3, 2);
+        Arc::new(B::setup(&setup, &mut StdRng::seed_from_u64(17)))
+    }
+
+    /// An actor of a `K × N` run after one iteration start and a correction
+    /// proposal: it serialises a well-formed payload of every kind.
+    fn provisioned<B: CipherBackend>(backend: &Arc<B>) -> ChiaroscuroNodeActor<B> {
+        let mut rng = StdRng::seed_from_u64(18);
+        let units = (1..=4u32).map(|v| backend.encrypt(&BigUint::from(v), &mut rng)).collect();
+        ChiaroscuroNodeActor {
+            provision: Some(Provision {
+                kit: DeviceKit {
+                    backend: Arc::clone(backend),
+                    encoder: FixedPointEncoder::new(3),
+                    packer: None,
+                    num_noise_shares: 4,
+                },
+                k: K,
+                series_length: N,
+                series: TimeSeries::constant(N, 1.0),
+            }),
+            ees: Some(EesState::new_seed(BackendVector::new(Arc::clone(backend), units))),
+            counter: Some(SumState::new_seed(1.0)),
+            correction: Some(MinIdState::new(7, vec![0.5; K * N + K])),
+        }
+    }
+
+    /// The entry points of `actor::decode`, by index.
+    const DECODERS: usize = 7;
+
+    /// Whether decoder `which` accepts `bytes`.
+    fn accepts<B: CipherBackend>(backend: &Arc<B>, which: usize, bytes: &[u8]) -> bool {
+        let phase = |phase| decode_phase_state(backend, phase, bytes, K, N).is_ok();
+        match which {
+            0 => NodeSpec::decode(bytes).is_ok(),
+            1 => IterationInputs::decode(bytes, K, N).is_ok(),
+            2 => decode_correction(bytes, K, N).is_ok(),
+            3 => decode_readout(backend.as_ref(), bytes, K, N).is_ok(),
+            4 => phase(Phase::Means),
+            5 => phase(Phase::Counter),
+            _ => phase(Phase::Correction),
+        }
+    }
+
+    /// Well-formed payloads, each with the index of the decoder it is for.
+    fn well_formed<B: CipherBackend>(backend: &Arc<B>) -> Vec<(usize, Vec<u8>)> {
+        let actor = provisioned(backend);
+        vec![
+            (0, spec().encode()),
+            (0, NodeSpec { packing: None, ..spec() }.encode()),
+            (1, inputs().encode()),
+            (2, encode_correction(42, &[0.25; K * N], &[-1.5, 2.0])),
+            (3, actor.readout(false)),
+            (3, actor.readout(true)),
+            (4, actor.serialize_phase_state(Phase::Means)),
+            (5, actor.serialize_phase_state(Phase::Counter)),
+            (6, actor.serialize_phase_state(Phase::Correction)),
+        ]
+    }
+
+    fn bad_payload<T>(decoded: Result<T, FrameError>, what: &str) {
+        match decoded {
+            Err(FrameError::BadPayload(reason)) => assert!(reason.contains(what), "{reason} lacks {what}"),
+            Err(other) => panic!("expected BadPayload({what}), got {other}"),
+            Ok(_) => panic!("expected BadPayload({what}), got a decoded value"),
+        }
+    }
+
+    #[test]
+    fn node_spec_round_trips_with_and_without_packing() {
+        let spec = spec();
+        assert_eq!(NodeSpec::decode(&spec.encode()).unwrap(), spec);
+        let legacy = NodeSpec { packing: None, ..spec };
+        assert_eq!(NodeSpec::decode(&legacy.encode()).unwrap(), legacy);
+    }
+
+    #[test]
+    fn iteration_inputs_round_trip_bit_exactly() {
+        let inputs = inputs();
+        let decoded = IterationInputs::decode(&inputs.encode(), 3, 2).unwrap();
         assert_eq!(decoded.participant_seed, inputs.participant_seed);
         assert!(decoded.weight_seed);
         assert_eq!(decoded.sum_scale.to_bits(), inputs.sum_scale.to_bits());
@@ -610,15 +562,104 @@ mod tests {
         let sums = vec![0.25; 6];
         let counts = vec![-1.5, 2.0];
         let bytes = encode_correction(42, &sums, &counts);
-        let (id, row) = decode_correction(&bytes, 2, 3);
+        let (id, row) = decode_correction(&bytes, 2, 3).unwrap();
         assert_eq!(id, 42);
         assert_eq!(row[..6], sums[..]);
         assert_eq!(row[6..], counts[..]);
     }
 
+    fn malformed_payloads_are_typed_errors<B: CipherBackend>() {
+        let backend = backend::<B>();
+        let actor = provisioned(&backend);
+
+        // Truncated: every strict prefix of every well-formed payload.
+        bad_payload(decode_correction(&[0, 0, 0], K, N), "truncated");
+        for (which, payload) in well_formed(&backend) {
+            assert!(accepts(&backend, which, &payload), "decoder {which} rejected its own payload");
+            for cut in 0..payload.len() {
+                assert!(!accepts(&backend, which, &payload[..cut]), "decoder {which} took a {cut}-byte prefix");
+            }
+        }
+
+        // Trailing bytes, including after a readout that carries no units.
+        let with_tail = |mut bytes: Vec<u8>| {
+            bytes.push(0);
+            bytes
+        };
+        bad_payload(NodeSpec::decode(&with_tail(spec().encode())), "trailing");
+        bad_payload(IterationInputs::decode(&with_tail(inputs().encode()), 3, 2), "trailing");
+        bad_payload(decode_correction(&with_tail(encode_correction(1, &[0.0; K * N], &[0.0; K])), K, N), "trailing");
+        bad_payload(decode_readout(backend.as_ref(), &with_tail(actor.readout(false)), K, N), "trailing");
+        bad_payload(decode_readout(backend.as_ref(), &with_tail(actor.readout(true)), K, N), "unit vector");
+        for phase in [Phase::Counter, Phase::Correction] {
+            let bytes = with_tail(actor.serialize_phase_state(phase));
+            bad_payload(decode_phase_state(&backend, phase, &bytes, K, N), "trailing");
+        }
+
+        // Flag bytes are 0 or 1: packing (offset 16), weight seed (8), and the
+        // readout's correction (24) and units (last byte without units) flags.
+        let with_byte = |mut bytes: Vec<u8>, at: usize, value: u8| {
+            bytes[at] = value;
+            bytes
+        };
+        bad_payload(NodeSpec::decode(&with_byte(spec().encode(), 16, 2)), "flag");
+        bad_payload(IterationInputs::decode(&with_byte(inputs().encode(), 8, 2), 3, 2), "flag");
+        let readout = actor.readout(false);
+        let last = readout.len() - 1;
+        bad_payload(decode_readout(backend.as_ref(), &with_byte(readout.clone(), 24, 0xFF), K, N), "flag");
+        bad_payload(decode_readout(backend.as_ref(), &with_byte(readout, last, 2), K, N), "flag");
+
+        // An epidemic vector is never empty: a zero-unit means state is
+        // rejected here rather than tripping `BackendVector::new`.
+        let mut empty_means = Vec::new();
+        put_f64(&mut empty_means, 1.0);
+        put_u32(&mut empty_means, 0);
+        empty_means.extend_from_slice(&[0; 8]);
+        bad_payload(decode_phase_state(&backend, Phase::Means, &empty_means, K, N), "unit vector");
+    }
+
     #[test]
-    #[should_panic(expected = "truncated actor payload")]
-    fn truncated_payloads_stop_loudly() {
-        let _ = decode_correction(&[0, 0, 0], 2, 3);
+    fn malformed_payloads_are_typed_errors_on_both_backends() {
+        malformed_payloads_are_typed_errors::<DamgardJurik>();
+        malformed_payloads_are_typed_errors::<PlaintextSurrogate>();
+    }
+
+    /// A malformed peer state reaches `on_event` as a loud stop of this
+    /// node (the one annotated boundary), not as a merged value.
+    #[test]
+    #[should_panic(expected = "malformed actor payload")]
+    fn the_actor_boundary_stops_on_a_malformed_exchange_request() {
+        let mut actor = provisioned(&backend::<PlaintextSurrogate>());
+        actor.on_event(1, NodeEvent::ExchangeRequest { phase: Phase::Counter, state: vec![0; 15] });
+    }
+
+    proptest! {
+        /// Arbitrary bytes, and well-formed payloads cut, extended and
+        /// overwritten at arbitrary offsets, never panic a decoder.
+        #[test]
+        fn arbitrary_bytes_never_panic_a_decoder(
+            noise in prop::collection::vec(any::<u8>(), 0..160),
+            pick in any::<usize>(),
+            cut in any::<usize>(),
+        ) {
+            fn fuzz<B: CipherBackend>(noise: &[u8], pick: usize, cut: usize) {
+                let backend = backend::<B>();
+                let samples = well_formed(&backend);
+                let (_, sample) = &samples[pick % samples.len()];
+                let cut = cut % (sample.len() + 1);
+                let spliced: Vec<u8> = sample[..cut].iter().chain(noise).copied().collect();
+                let mut overwritten = sample.clone();
+                for (byte, &n) in overwritten[cut..].iter_mut().zip(noise) {
+                    *byte = n;
+                }
+                for which in 0..DECODERS {
+                    for bytes in [noise, &spliced, &overwritten] {
+                        accepts(&backend, which, bytes);
+                    }
+                }
+            }
+            fuzz::<DamgardJurik>(&noise, pick, cut);
+            fuzz::<PlaintextSurrogate>(&noise, pick, cut);
+        }
     }
 }

@@ -55,7 +55,7 @@ use chiaroscuro_gossip::engine::{GossipEngine, ProtocolStore, StateStore};
 use chiaroscuro_gossip::sim::{AdversaryState, NetworkModel, PhaseStats};
 use chiaroscuro_gossip::sum::SumState;
 use chiaroscuro_node::{
-    FramedSocketTransport, LocalBus, NodeEvent, NodeId, Phase, Transport, COORDINATOR,
+    FrameError, FramedSocketTransport, LocalBus, NodeEvent, NodeId, Phase, Transport, COORDINATOR,
 };
 use chiaroscuro_timeseries::TimeSeries;
 
@@ -240,6 +240,11 @@ impl<T: Transport, B: CipherBackend> LinkExecutor<'_, T, B> {
 
     /// Requests and decodes every node's readout (`with_units` additionally
     /// asks that one node for its accumulated unit vector).
+    #[expect(
+        clippy::expect_used,
+        reason = "Executor::settle cannot return an error: until a ProtocolError can, a readout that \
+                  fails to arrive or decode stops the run instead of entering the decrypted aggregate"
+    )]
     fn read_out(&mut self, ctx: &RunContext<'_, B>, with_units: Option<usize>) -> Vec<Readout<B>> {
         let (k, n) = (ctx.run.params.k, ctx.run.data.series_length());
         let backend: &B = &ctx.kit.backend;
@@ -248,14 +253,13 @@ impl<T: Transport, B: CipherBackend> LinkExecutor<'_, T, B> {
             .enumerate()
             .map(|(node, link)| {
                 send(link, node, NodeEvent::ReadoutRequest { include_units: with_units == Some(node) });
-                let frame =
-                    link.recv().unwrap_or_else(|e| panic!("receiving node {node}'s readout failed: {e}"));
-                match NodeEvent::from_frame(&frame).expect("a readout reply decodes") {
+                match NodeEvent::from_frame(&link.recv()?)? {
                     NodeEvent::ReadoutReply { payload } => decode_readout::<B>(backend, &payload, k, n),
-                    other => panic!("expected a readout reply from node {node}, got {other:?}"),
+                    _ => Err(FrameError::BadPayload("expected a readout reply")),
                 }
             })
-            .collect()
+            .collect::<Result<_, FrameError>>()
+            .expect("every node answers the readout request with a well-formed readout")
     }
 }
 

@@ -37,11 +37,6 @@ impl<B: CipherBackend> BackendVector<B> {
         &self.units
     }
 
-    /// The units, under the historical ciphertext-centric name.
-    pub fn ciphertexts(&self) -> &[B::Unit] {
-        &self.units
-    }
-
     /// Number of units.
     pub fn len(&self) -> usize {
         self.units.len()

@@ -200,6 +200,86 @@ impl RunOutcome {
     pub fn centroids(&self) -> &[TimeSeries] {
         &self.report.final_centroids
     }
+
+    /// The first field in which `self` and `other` differ, or `None` when
+    /// the two outcomes are bit-identical: every report row, every audit
+    /// event and fault counter, every [`IterationNetworkStats`] field and,
+    /// last because they are the end product of everything before, the
+    /// final centroid values — floats by bit pattern.  `payload_delta` is
+    /// the constant by which `self`'s per-message `sum_payload_bytes` is
+    /// expected to exceed `other`'s (a socket run's frame overhead; `0`
+    /// between in-memory runs).  The bit-parity contracts (monolith ≡
+    /// actors, shard-count invariance, pool-size invariance) assert this is
+    /// `None`, so a broken one names where the runs part.
+    pub fn first_divergence(&self, other: &RunOutcome, payload_delta: usize) -> Option<String> {
+        let (ours, theirs) = (self.projection(0), other.projection(payload_delta));
+        ours.iter().zip(&theirs).find(|(a, b)| a != b).map(|(a, b)| format!("{a} != {b}"))
+    }
+
+    /// The outcome as `field = value` lines in a fixed order, floats with
+    /// their bit pattern, `payload_delta` added to each `sum_payload_bytes`.
+    /// Every list is preceded by its length, so two projections of unequal
+    /// length already differ in a line they both have.
+    fn projection(&self, payload_delta: usize) -> Vec<String> {
+        let bits = |v: f64| format!("{v:?} ({:#018x})", v.to_bits());
+        let mut out = Vec::new();
+        macro_rules! row {
+            ($($field:tt)+) => { out.push(format!($($field)+)) };
+        }
+        let report = &self.report;
+        row!("report.iterations.len() = {}", report.iterations.len());
+        for (i, x) in report.iterations.iter().enumerate() {
+            row!("report.iterations[{i}].iteration = {}", x.iteration);
+            row!("report.iterations[{i}].epsilon = {}", bits(x.epsilon));
+            row!("report.iterations[{i}].pre_inertia = {}", bits(x.pre_inertia));
+            row!("report.iterations[{i}].post_inertia = {}", bits(x.post_inertia));
+            row!("report.iterations[{i}].surviving_centroids = {}", x.surviving_centroids);
+            row!("report.iterations[{i}].participating_series = {}", x.participating_series);
+        }
+        row!("report.converged = {}", report.converged);
+        row!("report.dataset_inertia = {}", bits(report.dataset_inertia));
+        row!("audit.events().len() = {}", self.audit.events().len());
+        for (i, event) in self.audit.events().iter().enumerate() {
+            row!("audit.events()[{i}] = {event:?}");
+        }
+        row!("audit.fault_stats() = {:?}", self.audit.fault_stats());
+        row!("network.len() = {}", self.network.len());
+        for (i, stats) in self.network.iter().enumerate() {
+            // Destructured in full: a new field must be projected here.
+            let IterationNetworkStats {
+                iteration,
+                sum_messages_per_node,
+                dissemination_messages_per_node,
+                sum_rounds,
+                dissemination_converged,
+                noise_share_deficit,
+                sum_payload_ciphertexts,
+                sum_payload_bytes,
+                gossip_sim_time,
+                peak_messages_in_flight,
+                faults,
+            } = *stats;
+            row!("network[{i}].iteration = {iteration}");
+            row!("network[{i}].sum_messages_per_node = {}", bits(sum_messages_per_node));
+            row!("network[{i}].dissemination_messages_per_node = {}", bits(dissemination_messages_per_node));
+            row!("network[{i}].sum_rounds = {sum_rounds}");
+            row!("network[{i}].dissemination_converged = {dissemination_converged}");
+            row!("network[{i}].noise_share_deficit = {noise_share_deficit}");
+            row!("network[{i}].sum_payload_ciphertexts = {sum_payload_ciphertexts}");
+            row!("network[{i}].sum_payload_bytes = {}", sum_payload_bytes + payload_delta);
+            row!("network[{i}].gossip_sim_time = {}", bits(gossip_sim_time));
+            row!("network[{i}].peak_messages_in_flight = {peak_messages_in_flight}");
+            row!("network[{i}].faults = {faults:?}");
+        }
+        row!("centroids().len() = {}", self.centroids().len());
+        for (c, centroid) in self.centroids().iter().enumerate() {
+            row!("centroids()[{c}].len() = {}", centroid.len());
+            for (j, &v) in centroid.values().iter().enumerate() {
+                row!("centroids()[{c}][{j}] = {}", bits(v));
+            }
+        }
+        out
+    }
 }
 
 /// A fully-distributed Chiaroscuro execution over a simulated population
@@ -694,10 +774,7 @@ mod tests {
         let b = DistributedRun::new(make_params(), &data)
             .with_initial_centroids(vec![TimeSeries::constant(4, 20.0), TimeSeries::constant(4, 60.0)])
             .execute(43);
-        let a_values: Vec<Vec<f64>> = a.centroids().iter().map(|c| c.values().to_vec()).collect();
-        let b_values: Vec<Vec<f64>> = b.centroids().iter().map(|c| c.values().to_vec()).collect();
-        assert_eq!(a_values, b_values, "async runs must be bit-reproducible from the seed");
-        assert_eq!(a.network, b.network);
+        assert_eq!(a.first_divergence(&b, 0), None, "async runs must be bit-reproducible from the seed");
         for stats in &a.network {
             assert!(stats.gossip_sim_time > 0.0, "async phases consume simulated time");
             assert!(stats.peak_messages_in_flight > 0, "requests must have been in flight");
@@ -726,13 +803,38 @@ mod tests {
             params.pool_threads = 4;
             DistributedRun::new(params, &data).execute(23)
         };
-        let serial_values: Vec<Vec<f64>> =
-            serial.centroids().iter().map(|c| c.values().to_vec()).collect();
-        let parallel_values: Vec<Vec<f64>> =
-            parallel.centroids().iter().map(|c| c.values().to_vec()).collect();
-        assert_eq!(serial_values, parallel_values, "pool size must not change the outcome");
-        assert_eq!(serial.network, parallel.network);
-        assert_eq!(serial.audit.events().len(), parallel.audit.events().len());
+        assert_eq!(serial.first_divergence(&parallel, 0), None, "pool size must not change the outcome");
+    }
+
+    #[test]
+    fn first_divergence_names_the_first_differing_field() {
+        let data = tiny_dataset(16);
+        let run = DistributedRun::new(tiny_params(2, 2), &data).execute(23);
+        assert_eq!(run.first_divergence(&run, 0), None);
+
+        // The constant per-message payload delta, and nothing else.
+        let mut framed = run.clone();
+        for stats in &mut framed.network {
+            stats.sum_payload_bytes += 37;
+        }
+        assert_eq!(framed.first_divergence(&run, 37), None);
+        let named = framed.first_divergence(&run, 0).expect("the payload sizes differ");
+        assert!(named.starts_with("network[0].sum_payload_bytes"), "{named}");
+
+        // Floats by bit pattern: `==` cannot tell these two rows apart.
+        let mut signed = run.clone();
+        signed.network[1].gossip_sim_time = -0.0;
+        assert_eq!(signed.network, run.network);
+        let named = signed.first_divergence(&run, 0).expect("the sign bit differs");
+        assert!(named.starts_with("network[1].gossip_sim_time"), "{named}");
+
+        // An earlier report row wins over the final centroids it produced.
+        let mut moved = run.clone();
+        moved.report.final_centroids[0] = TimeSeries::constant(4, 1.0);
+        assert!(moved.first_divergence(&run, 0).expect("a centroid moved").starts_with("centroids()[0][0]"));
+        moved.report.iterations[1].post_inertia += 1.0;
+        let named = moved.first_divergence(&run, 0).expect("a report row moved");
+        assert!(named.starts_with("report.iterations[1].post_inertia"), "{named}");
     }
 
     #[test]
@@ -786,12 +888,7 @@ mod tests {
         };
         let serial = run(1);
         let pooled = run(4);
-        let serial_values: Vec<Vec<f64>> =
-            serial.centroids().iter().map(|c| c.values().to_vec()).collect();
-        let pooled_values: Vec<Vec<f64>> =
-            pooled.centroids().iter().map(|c| c.values().to_vec()).collect();
-        assert_eq!(serial_values, pooled_values);
-        assert_eq!(serial.network, pooled.network);
+        assert_eq!(serial.first_divergence(&pooled, 0), None);
     }
 
     #[test]
@@ -810,9 +907,7 @@ mod tests {
         };
         let a = run();
         let b = run();
-        let a_values: Vec<Vec<f64>> = a.centroids().iter().map(|c| c.values().to_vec()).collect();
-        let b_values: Vec<Vec<f64>> = b.centroids().iter().map(|c| c.values().to_vec()).collect();
-        assert_eq!(a_values, b_values, "packed churny runs must stay deterministic");
+        assert_eq!(a.first_divergence(&b, 0), None, "packed churny runs must stay deterministic");
         assert!(a.network[0].sum_payload_ciphertexts < 2 * 2 * (4 + 1));
     }
 

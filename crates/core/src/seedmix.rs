@@ -1,5 +1,6 @@
 //! Named seed-mix helpers: the only approved routes from a `u64` seed to
-//! an RNG stream in protocol code (enforced by chiarolint rule D3).
+//! an RNG stream in protocol code (contract D3: `clippy.toml` bans
+//! `seed_from_u64` everywhere else in product code).
 //!
 //! Concentrating every `seed_from_u64` behind a named helper keeps the
 //! stream-derivation tree auditable: the run seed feeds [`run_rng`], the
@@ -18,6 +19,7 @@ use rand::{Rng, SeedableRng};
 /// Every deployment shape (monolithic runner, actor cluster, bench
 /// harness) must start from this helper so that a given seed names the
 /// same master stream everywhere.
+#[expect(clippy::disallowed_methods, reason = "D3: the named run-level seed helper")]
 pub fn run_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
@@ -36,6 +38,7 @@ pub struct DeviceStreams {
 /// stream from the *second*; noise generation therefore never perturbs
 /// the encryption stream, so the packed and legacy encoding paths (which
 /// encrypt different unit counts) still consume bit-identical noise.
+#[expect(clippy::disallowed_methods, reason = "D3: the named device-level seed helper")]
 pub fn device_streams(participant_seed: u64) -> DeviceStreams {
     let mut device_rng = StdRng::seed_from_u64(participant_seed);
     let noise_seed: u64 = device_rng.gen();

@@ -8,7 +8,6 @@
 //! the two executors consume the master RNG identically, to the last draw.
 
 use chiaroscuro_core::prelude::*;
-use chiaroscuro_core::runner::IterationNetworkStats;
 use chiaroscuro_core::seedmix::run_rng;
 use chiaroscuro_core::{ChiaroscuroNodeActor, MEANS_FRAME_OVERHEAD_BYTES};
 use chiaroscuro_node::LocalBus;
@@ -43,36 +42,6 @@ fn params(lane_packing: bool, churn: f64) -> ChiaroscuroParams {
         .build()
 }
 
-fn centroid_bits(outcome: &RunOutcome) -> Vec<Vec<u64>> {
-    outcome
-        .centroids()
-        .iter()
-        .map(|c| c.values().iter().map(|v| v.to_bits()).collect())
-        .collect()
-}
-
-/// Asserts two outcomes identical except for an expected constant
-/// per-message payload-size delta (0 = fully identical network stats).
-fn assert_bit_identical(a: &RunOutcome, b: &RunOutcome, payload_delta: usize) {
-    assert_eq!(centroid_bits(a), centroid_bits(b), "centroids must match bit for bit");
-    assert_eq!(a.report.converged, b.report.converged);
-    assert_eq!(a.report.iterations.len(), b.report.iterations.len());
-    for (x, y) in a.report.iterations.iter().zip(b.report.iterations.iter()) {
-        assert_eq!(x.pre_inertia.to_bits(), y.pre_inertia.to_bits());
-        assert_eq!(x.post_inertia.to_bits(), y.post_inertia.to_bits());
-        assert_eq!(x.surviving_centroids, y.surviving_centroids);
-    }
-    assert_eq!(a.audit.events(), b.audit.events(), "audit logs must match event for event");
-    assert_eq!(a.network.len(), b.network.len());
-    for (x, y) in a.network.iter().zip(b.network.iter()) {
-        let expected = IterationNetworkStats {
-            sum_payload_bytes: y.sum_payload_bytes + payload_delta,
-            ..*y
-        };
-        assert_eq!(*x, expected, "network stats must match (modulo the frame overhead)");
-    }
-}
-
 /// Runs `params` over `data` through the in-process executor and through
 /// node actors on a `LocalBus`, each from a clone of one master stream, and
 /// asserts identical outcomes **and** identical RNG end states — a trailing
@@ -92,10 +61,10 @@ fn assert_localbus_parity<B: CipherBackend>(
     );
     let actors = run.execute_via_links(bus.links_mut(), 0, &mut actors_rng);
     bus.shutdown().expect("the node actors must shut down cleanly");
-    assert_bit_identical(&actors, &monolith, 0);
+    assert_eq!(actors.first_divergence(&monolith, 0), None);
     assert_eq!(actors_rng, monolith_rng, "both executors must leave the master RNG in one state");
     // `execute` / `via_actors` are those two calls behind `run_rng(seed)`.
-    assert_bit_identical(&run.via_actors(seed), &monolith, 0);
+    assert_eq!(run.via_actors(seed).first_divergence(&monolith, 0), None);
     monolith
 }
 
@@ -190,7 +159,7 @@ fn socket_actors_match_the_monolith_and_report_the_frame_overhead() {
     let monolith = DistributedRun::new(params(true, 0.0), &data).execute(11);
     let socket_params = ChiaroscuroParams { transport: TransportKind::UnixSocket, ..params(true, 0.0) };
     let actors = DistributedRun::new(socket_params, &data).via_actors(11);
-    assert_bit_identical(&actors, &monolith, MEANS_FRAME_OVERHEAD_BYTES);
+    assert_eq!(actors.first_divergence(&monolith, MEANS_FRAME_OVERHEAD_BYTES), None);
 }
 
 /// The two actor transports must agree with *each other* bit for bit too
@@ -203,9 +172,5 @@ fn in_memory_and_socket_transports_agree() {
     let socket_params =
         ChiaroscuroParams { transport: TransportKind::UnixSocket, ..params(false, 0.25) };
     let socket = DistributedRun::new(socket_params, &data).via_actors(3);
-    assert_bit_identical(
-        &socket,
-        &in_memory,
-        MEANS_FRAME_OVERHEAD_BYTES,
-    );
+    assert_eq!(socket.first_divergence(&in_memory, MEANS_FRAME_OVERHEAD_BYTES), None);
 }

@@ -43,10 +43,6 @@
 //! code has not been audited, does not attempt constant-time execution, and
 //! must not be used to protect real personal data.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod arith;
 pub mod backend;
 pub mod crt;

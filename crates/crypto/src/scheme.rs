@@ -30,11 +30,6 @@ impl Ciphertext {
     pub fn raw(&self) -> &BigUint {
         &self.value
     }
-
-    /// The serialised size of this ciphertext in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.value.bits().div_ceil(8).max(1) as usize
-    }
 }
 
 impl PublicKey {

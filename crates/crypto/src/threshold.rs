@@ -221,7 +221,7 @@ pub fn combine_with(
         return Err(CombineError::NotEnoughShares { provided: partials.len(), required: threshold });
     }
     // BTreeSet, not HashSet: insert-only today, but protocol code must
-    // never be one `.iter()` away from randomized order (chiarolint D2).
+    // never be one `.iter()` away from randomized order (contract D2).
     let mut seen = std::collections::BTreeSet::new();
     for p in partials {
         if !seen.insert(p.share_index) {

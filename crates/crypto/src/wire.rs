@@ -49,23 +49,7 @@ impl MeansWireModel {
     /// (legacy per-coordinate encoding: one ciphertext per coordinate, no
     /// counter).
     pub fn new(pk: &PublicKey, num_means: usize, measures_per_mean: usize) -> Self {
-        Self {
-            counter_ciphertexts: 0,
-            ..Self::new_packed(pk, num_means, measures_per_mean, 1)
-        }
-    }
-
-    /// Builds the model for a lane-packed set: `lanes` coordinates share
-    /// each ciphertext and one counter ciphertext rides along for the
-    /// accumulated-bias bookkeeping (even in the degenerate `lanes = 1`
-    /// layout, which a valid plan can produce on small keys).
-    pub fn new_packed(
-        pk: &PublicKey,
-        num_means: usize,
-        measures_per_mean: usize,
-        lanes: usize,
-    ) -> Self {
-        Self::with_unit_bytes(pk.ciphertext_bytes(), num_means, measures_per_mean, Some(lanes))
+        Self::with_unit_bytes(pk.ciphertext_bytes(), num_means, measures_per_mean, None)
     }
 
     /// Builds the model for whatever [`CipherBackend`](crate::backend::CipherBackend)
@@ -104,15 +88,6 @@ impl MeansWireModel {
             counter_ciphertexts: usize::from(lanes.is_some()),
             frame_overhead_bytes: 0,
         }
-    }
-
-    /// Returns the model with a per-message transport framing overhead (the
-    /// frame header plus any serialised state metadata).  Use this when a
-    /// socket transport carries the set, so reported payload bytes match
-    /// the bytes actually written to the wire.
-    pub fn with_frame_overhead(mut self, frame_overhead_bytes: usize) -> Self {
-        self.frame_overhead_bytes = frame_overhead_bytes;
-        self
     }
 
     /// Number of coordinates in one set of means: `k · (n + 1)` (sums plus
@@ -426,7 +401,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let kp = KeyPair::generate(128, 1, &mut rng);
         let bare = MeansWireModel::new(&kp.public, 5, 4);
-        let framed = bare.with_frame_overhead(37);
+        let framed = MeansWireModel { frame_overhead_bytes: 37, ..bare };
         assert_eq!(framed.set_bytes(), bare.set_bytes() + 37);
         assert_eq!(framed.sum_exchange_bytes(), bare.sum_exchange_bytes() + 2 * 37);
         assert_eq!(framed.ciphertexts_per_set(), bare.ciphertexts_per_set());

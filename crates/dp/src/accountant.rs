@@ -3,20 +3,19 @@
 //!
 //! The gossip computation of sums is approximate, so Chiaroscuro relaxes
 //! ε-differential privacy to its probabilistic variant: the mechanism is
-//! ε-DP with probability at least δ.  The accountant implements:
+//! ε-DP with probability at least δ.  This module implements:
 //!
 //! * the split of the global δ into a per-perturbed-value `δ_atom`
 //!   (`δ_atom = δ^(1 / (n_max_it · 2n))`, Appendix B.1.1);
 //! * Theorem 3 (Newscast convergence): the minimum number of gossip
 //!   exchanges per participant needed to reach a target approximation error
-//!   with probability `1 − ι`;
-//! * the Lemma-2 noise-compensation factor for the bounded gossip error;
-//! * composition of per-iteration ε values (the budget is additive, δ is
-//!   multiplicative).
+//!   with probability `1 − ι`.
+//!
+//! The per-iteration ε values themselves come from
+//! [`crate::budget::BudgetSchedule`], whose cumulative spend never exceeds
+//! the total ε by construction.
 
 use serde::{Deserialize, Serialize};
-
-use crate::budget::BudgetSchedule;
 
 /// Global probabilistic-DP parameters of a Chiaroscuro run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,94 +60,6 @@ impl ProbabilisticDpParams {
     }
 }
 
-/// The privacy accountant: verifies budgets, computes exchange counts and
-/// tracks the ε spent across iterations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Accountant {
-    params: ProbabilisticDpParams,
-    spent: Vec<f64>,
-}
-
-impl Accountant {
-    /// Creates an accountant for the given global parameters.
-    pub fn new(params: ProbabilisticDpParams) -> Self {
-        Self { params, spent: Vec::new() }
-    }
-
-    /// The global parameters.
-    pub fn params(&self) -> ProbabilisticDpParams {
-        self.params
-    }
-
-    /// Records that one iteration consumed `epsilon_i` of the budget.
-    ///
-    /// Returns an error if the cumulative spend would exceed the total ε.
-    pub fn record_iteration(&mut self, epsilon_i: f64) -> Result<(), BudgetExceeded> {
-        assert!(epsilon_i >= 0.0, "per-iteration epsilon cannot be negative");
-        let new_total = self.total_spent() + epsilon_i;
-        if new_total > self.params.epsilon + 1e-12 {
-            return Err(BudgetExceeded { requested: epsilon_i, spent: self.total_spent(), total: self.params.epsilon });
-        }
-        self.spent.push(epsilon_i);
-        Ok(())
-    }
-
-    /// The total ε spent so far.
-    pub fn total_spent(&self) -> f64 {
-        self.spent.iter().sum()
-    }
-
-    /// The remaining ε.
-    pub fn remaining(&self) -> f64 {
-        (self.params.epsilon - self.total_spent()).max(0.0)
-    }
-
-    /// Number of iterations recorded.
-    pub fn iterations_recorded(&self) -> usize {
-        self.spent.len()
-    }
-
-    /// Checks a whole schedule against the budget before running anything.
-    pub fn validate_schedule(&self, schedule: &BudgetSchedule) -> Result<(), BudgetExceeded> {
-        let total = schedule.cumulative_epsilon(self.params.max_iterations);
-        if total > self.params.epsilon + 1e-9 {
-            Err(BudgetExceeded { requested: total, spent: 0.0, total: self.params.epsilon })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// The (ε, δ) guarantee resulting from the composition of what was spent
-    /// so far: `(Σ εᵢ, δ)` — δ is already accounted for globally through the
-    /// `δ_atom` split, so it does not degrade further per iteration.
-    pub fn composed_guarantee(&self) -> (f64, f64) {
-        (self.total_spent(), self.params.delta)
-    }
-}
-
-/// Error returned when an operation would exceed the privacy budget.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BudgetExceeded {
-    /// The ε that was requested.
-    pub requested: f64,
-    /// The ε already spent.
-    pub spent: f64,
-    /// The total available ε.
-    pub total: f64,
-}
-
-impl std::fmt::Display for BudgetExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "privacy budget exceeded: requested {:.4} with {:.4} already spent out of {:.4}",
-            self.requested, self.spent, self.total
-        )
-    }
-}
-
-impl std::error::Error for BudgetExceeded {}
-
 /// Theorem 3 (from Kowalczyk & Vlassis, Newscast EM): with probability
 /// `1 − ι`, after
 /// `ne = ⌈0.581 · (ln n_p + 2 ln s + 2 ln(1/e_max) + ln(1/ι))⌉`
@@ -173,26 +84,9 @@ pub fn exchanges_for_params(params: &ProbabilisticDpParams, population: usize, d
     exchanges_for(population, data_variance, e_max, params.iota())
 }
 
-/// Rough probability that a value disseminated with `exchanges` push-pull
-/// gossip exchanges per participant reaches the whole population.  A rumor
-/// reaches ~2^e nodes after `e` exchanges, so coverage saturates once
-/// `2^e ≥ n_p`; past that point the per-node miss probability decays
-/// exponentially in the surplus exchanges.  Used only for reporting.
-pub fn dissemination_success_probability(exchanges: usize, population: usize) -> f64 {
-    assert!(population > 0);
-    let needed = (population as f64).log2();
-    let surplus = exchanges as f64 - needed;
-    if surplus <= 0.0 {
-        (2f64.powi(exchanges as i32) / population as f64).min(1.0)
-    } else {
-        1.0 - (-surplus).exp().min(1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::BudgetStrategy;
 
     /// The paper's worked example (Appendix B.1.1): δ = 0.995, e_max = 1e-12,
     /// s² = 1, n_max_it = 10, n_p = 1e6, n = 24 ⇒ δ_atom = 0.995^(1/480) and
@@ -232,46 +126,6 @@ mod tests {
         let loose = exchanges_for(10_000, 1.0, 1e-1, 1e-3);
         let tight = exchanges_for(10_000, 1.0, 1e-6, 1e-3);
         assert!(tight > loose);
-    }
-
-    #[test]
-    fn accountant_tracks_and_rejects_overspend() {
-        let params = ProbabilisticDpParams::new(1.0, 0.99, 10, 24);
-        let mut acc = Accountant::new(params);
-        acc.record_iteration(0.5).unwrap();
-        acc.record_iteration(0.4).unwrap();
-        assert!((acc.total_spent() - 0.9).abs() < 1e-12);
-        assert!((acc.remaining() - 0.1).abs() < 1e-12);
-        let err = acc.record_iteration(0.2).unwrap_err();
-        assert!(err.to_string().contains("exceeded"));
-        assert_eq!(acc.iterations_recorded(), 2);
-    }
-
-    #[test]
-    fn accountant_validates_schedules() {
-        let params = ProbabilisticDpParams::new(0.69, 0.995, 10, 24);
-        let acc = Accountant::new(params);
-        for strategy in [
-            BudgetStrategy::Greedy,
-            BudgetStrategy::GreedyFloor { floor_size: 4 },
-            BudgetStrategy::UniformFast { max_iterations: 5 },
-        ] {
-            let schedule = BudgetSchedule::new(strategy, 0.69, 10);
-            acc.validate_schedule(&schedule).unwrap();
-        }
-        // A schedule built for a larger ε than the accountant's must fail.
-        let bad = BudgetSchedule::new(BudgetStrategy::UniformFast { max_iterations: 5 }, 2.0, 10);
-        assert!(acc.validate_schedule(&bad).is_err());
-    }
-
-    #[test]
-    fn composed_guarantee_reports_spent_epsilon() {
-        let params = ProbabilisticDpParams::new(0.69, 0.995, 10, 24);
-        let mut acc = Accountant::new(params);
-        acc.record_iteration(0.345).unwrap();
-        let (eps, delta) = acc.composed_guarantee();
-        assert!((eps - 0.345).abs() < 1e-12);
-        assert_eq!(delta, 0.995);
     }
 
     #[test]

@@ -13,13 +13,9 @@
 //! * [`budget`] — the privacy-budget concentration strategies of §5.1
 //!   (GREEDY, GREEDY_FLOOR, UNIFORM_FAST) expressed as per-iteration ε
 //!   schedules;
-//! * [`accountant`] — (ε, δ)-probabilistic differential privacy accounting
-//!   (Definition 3), the per-aggregate δ_atom split, the Theorem-3 gossip
-//!   exchange calculator and the Lemma-2/3 approximation-error compensation.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
+//! * [`accountant`] — the (ε, δ)-probabilistic differential privacy
+//!   parameters (Definition 3), the per-aggregate δ_atom split and the
+//!   Theorem-3 gossip exchange calculator.
 
 pub mod accountant;
 pub mod budget;
@@ -27,14 +23,14 @@ pub mod gamma;
 pub mod laplace;
 pub mod noise_share;
 
-pub use accountant::{Accountant, ProbabilisticDpParams};
+pub use accountant::ProbabilisticDpParams;
 pub use budget::{BudgetSchedule, BudgetStrategy};
 pub use laplace::{Laplace, LaplaceMechanism, Sensitivity};
 pub use noise_share::{NoiseShare, NoiseShareGenerator};
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::accountant::{Accountant, ProbabilisticDpParams};
+    pub use crate::accountant::ProbabilisticDpParams;
     pub use crate::budget::{BudgetSchedule, BudgetStrategy};
     pub use crate::laplace::{Laplace, LaplaceMechanism, Sensitivity};
     pub use crate::noise_share::{NoiseShare, NoiseShareGenerator};

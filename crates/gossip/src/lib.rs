@@ -24,10 +24,6 @@
 //!   (per-edge latency, message loss, crash/rejoin schedules) behind the
 //!   [`sim::NetworkModel`] knob, with wall-clock latency metrics.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod churn;
 pub mod decryption;
 pub mod dissemination;

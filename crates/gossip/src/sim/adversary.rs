@@ -54,10 +54,10 @@
 //!   and worker counts.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::sim::shard::{mix, unit_f64};
+use crate::sim::shard::{mix, mixed_rng, unit_f64};
 
 /// Configuration of a byzantine adversary: who misbehaves and how.
 ///
@@ -349,7 +349,7 @@ impl AdversaryState {
     fn decision_rng(&mut self) -> StdRng {
         let seq = self.seq;
         self.seq += 1;
-        StdRng::seed_from_u64(mix(self.fault_seed, seq, 0x0B5E_55ED))
+        mixed_rng(self.fault_seed, seq, 0x0B5E_55ED)
     }
 }
 

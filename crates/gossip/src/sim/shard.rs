@@ -154,6 +154,13 @@ pub(crate) fn mix(seed: u64, a: u64, b: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The RNG stream named by `mix(seed, a, b)`: this crate's one route from
+/// a `u64` to an RNG (contract D3).
+#[expect(clippy::disallowed_methods, reason = "D3: this is the gossip crate's named seed-mix helper")]
+pub(crate) fn mixed_rng(seed: u64, a: u64, b: u64) -> StdRng {
+    StdRng::seed_from_u64(mix(seed, a, b))
+}
+
 /// Maps a hash to a uniform f64 in `[0, 1)`.
 pub(crate) fn unit_f64(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -173,7 +180,7 @@ fn online_at(downtime: &HashMap<u32, Vec<(f64, f64)>>, node: usize, t: f64) -> b
 /// Generates one shard's initiations for window `window` restricted to
 /// `[gen_from, gen_to)` (`full` widens the upper bound to the whole window,
 /// absorbing boundary rounding), resolving each message end to end.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "called once, from the pool closure, with the engine's fields; a parameter struct would only rename them")]
 fn generate_shard(
     shard: usize,
     shards: usize,
@@ -216,7 +223,7 @@ fn generate_shard(
         // The per-event stream: every draw of this initiation (and of its
         // delivery) comes from here, in the same order as the serial
         // engine's event loop.
-        let mut ev = StdRng::seed_from_u64(mix(run_seed, node as u64, window));
+        let mut ev = mixed_rng(run_seed, node as u64, window);
         if !churn.is_online(&mut ev) {
             continue;
         }

@@ -16,10 +16,6 @@
 //! [`perturbed::AggregateStep`], which produces each iteration's perturbed
 //! sums and counts from the population instead of drawing Laplace noise.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod init;
 pub mod lloyd;
 pub mod perturbed;

@@ -89,12 +89,14 @@ impl<T: Transport> LocalBus<T> {
 }
 
 impl<T: Transport> Drop for LocalBus<T> {
+    #[expect(
+        clippy::expect_used,
+        reason = "P1: Drop cannot return an error, and a failed serve loop must not be silently swallowed at teardown"
+    )]
     fn drop(&mut self) {
         if self.threads.is_empty() {
             return;
         }
-        // chiarolint: allow(P1) -- Drop cannot return an error, and a failed
-        // serve loop must not be silently swallowed at teardown.
         self.shutdown().expect("node serve loop failed during shutdown");
     }
 }

@@ -23,9 +23,9 @@
 //! substrate is centralised, mirroring how the PeerSim harness of the
 //! paper delivers messages).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
+// Contract P1: every byte this crate parses may come from a peer, so a
+// malformed frame is a typed error, never an `unwrap`/`expect` panic.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod actor;
 pub mod bus;

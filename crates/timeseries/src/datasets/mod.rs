@@ -37,6 +37,7 @@ pub trait DatasetGenerator {
 /// Helper: builds a deterministic RNG from a generator seed and a stream id,
 /// so that e.g. data and initial centroids use disjoint random streams (the
 /// paper forbids using raw member series as initial centroids).
+#[expect(clippy::disallowed_methods, reason = "D3: the named dataset-stream seed helper")]
 pub(crate) fn stream_rng(seed: u64, stream: u64) -> StdRng {
     // SplitMix64-style mix keeps distinct streams decorrelated even for
     // adjacent seeds.

@@ -19,10 +19,6 @@
 //! * [`stats`] — small statistics helpers shared by the generators and the
 //!   evaluation harness.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod datasets;
 pub mod distance;
 pub mod inertia;

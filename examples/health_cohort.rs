@@ -10,7 +10,7 @@
 //! archetypes, plus the privacy accounting of the run.
 
 use chiaroscuro::core::prelude::*;
-use chiaroscuro::dp::accountant::{exchanges_for_params, Accountant};
+use chiaroscuro::dp::accountant::exchanges_for_params;
 use chiaroscuro::kmeans::init::InitialCentroids;
 use chiaroscuro::timeseries::datasets::numed::{NumedLikeGenerator, PatientProfile};
 use chiaroscuro::timeseries::TimeSeries;
@@ -38,12 +38,10 @@ fn main() {
     // many gossip exchanges the distributed deployment would need.
     let schedule = params.budget_schedule();
     let dp = params.dp_params(data.series_length());
-    let mut accountant = Accountant::new(dp);
     println!("Privacy plan (ε = {}, δ = {}):", params.epsilon, params.delta);
     for iteration in 0..4 {
         let e = schedule.epsilon_for_iteration(iteration);
-        accountant.record_iteration(e).expect("schedule fits the budget");
-        println!("  iteration {}: ε_i = {:.3}, cumulative {:.3}", iteration + 1, e, accountant.total_spent());
+        println!("  iteration {}: ε_i = {:.3}, cumulative {:.3}", iteration + 1, e, schedule.cumulative_epsilon(iteration + 1));
     }
     println!(
         "  gossip exchanges needed per epidemic sum for 1M devices (Theorem 3): {}\n",

@@ -28,7 +28,7 @@ mod unix {
     use std::process::{Child, Command};
 
     use chiaroscuro::core::prelude::*;
-    use chiaroscuro::core::{RunOutcome, MEANS_FRAME_OVERHEAD_BYTES};
+    use chiaroscuro::core::MEANS_FRAME_OVERHEAD_BYTES;
     use chiaroscuro::node::{
         serve, FramedSocketTransport, NodeEvent, NodeId, Transport, COORDINATOR,
     };
@@ -159,12 +159,11 @@ mod unix {
         let _ = std::fs::remove_file(&socket_path);
 
         // The determinism contract, end to end.
-        assert_bit_identical("multi-process vs in-process actors", &multiprocess, &in_process, 0);
-        assert_bit_identical(
-            "multi-process vs monolithic run",
-            &multiprocess,
-            &monolith,
-            MEANS_FRAME_OVERHEAD_BYTES,
+        assert_eq!(multiprocess.first_divergence(&in_process, 0), None, "multi-process vs in-process actors");
+        assert_eq!(
+            multiprocess.first_divergence(&monolith, MEANS_FRAME_OVERHEAD_BYTES),
+            None,
+            "multi-process vs monolithic run: the payload bytes differ by exactly the frame overhead"
         );
 
         println!("\niteration  epsilon   pre-inertia  post-inertia  payload bytes/message");
@@ -184,34 +183,5 @@ mod unix {
         println!(
             "BIT-IDENTICAL: multi-process == in-process actors == monolithic run (seed {SEED})"
         );
-    }
-
-    /// Centroid values, network statistics and audit events must agree; the
-    /// only permitted difference is the constant per-message frame overhead
-    /// a socket run honestly adds to its reported payload bytes.
-    fn assert_bit_identical(label: &str, a: &RunOutcome, b: &RunOutcome, payload_delta: usize) {
-        let bits = |o: &RunOutcome| -> Vec<Vec<u64>> {
-            o.centroids()
-                .iter()
-                .map(|c| c.values().iter().map(|v| v.to_bits()).collect())
-                .collect()
-        };
-        assert_eq!(bits(a), bits(b), "{label}: centroids must match bit for bit");
-        assert_eq!(a.audit.events(), b.audit.events(), "{label}: audit logs must match");
-        assert_eq!(a.network.len(), b.network.len(), "{label}: iteration counts must match");
-        for (x, y) in a.network.iter().zip(b.network.iter()) {
-            assert_eq!(
-                x.sum_payload_bytes,
-                y.sum_payload_bytes + payload_delta,
-                "{label}: payload bytes must differ by exactly the frame overhead"
-            );
-            assert_eq!(x.sum_messages_per_node, y.sum_messages_per_node, "{label}");
-            assert_eq!(
-                x.dissemination_messages_per_node, y.dissemination_messages_per_node,
-                "{label}"
-            );
-            assert_eq!(x.sum_rounds, y.sum_rounds, "{label}");
-            assert_eq!(x.noise_share_deficit, y.noise_share_deficit, "{label}");
-        }
     }
 }

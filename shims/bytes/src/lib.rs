@@ -2,8 +2,6 @@
 //! [`BufMut`] write methods the workspace's wire module uses, backed by a
 //! plain `Vec<u8>`.
 
-#![forbid(unsafe_code)]
-
 use std::ops::Deref;
 
 /// An immutable byte buffer (cheaply cloneable via `Arc` in upstream; a

@@ -17,8 +17,6 @@
 //! even moduli and is the reference the differential test battery
 //! compares against.
 
-#![forbid(unsafe_code)]
-
 mod bigint;
 mod biguint;
 pub mod montgomery;

@@ -5,8 +5,6 @@
 //! integer types of the sibling `num-bigint` shim implement this trait, just
 //! as the upstream crates do.
 
-#![forbid(unsafe_code)]
-
 use num_traits::{One, Zero};
 
 /// Integer operations beyond the primitive arithmetic operators.

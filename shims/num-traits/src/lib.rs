@@ -6,8 +6,6 @@
 //! [`Signed`].  The API mirrors the upstream crate so the source code keeps
 //! compiling unchanged if the real dependency is ever restored.
 
-#![forbid(unsafe_code)]
-
 use std::ops::{Add, Mul, Neg};
 
 /// Additive identity.

@@ -17,8 +17,6 @@
 //! deterministically from the test's name and the case index, so a failure
 //! report identifies the failing case exactly and re-runs reproduce it.
 
-#![forbid(unsafe_code)]
-
 pub mod arbitrary;
 pub mod collection_impl;
 pub mod strategy;

@@ -16,8 +16,6 @@
 //! `StdRng` stream the seed code used — see the crypto crate's security
 //! caveat).
 
-#![forbid(unsafe_code)]
-
 /// Low-level source of randomness.
 pub trait RngCore {
     /// Next 32 random bits.

@@ -24,8 +24,6 @@
 //! `num_threads` is — the property the runner's serial-vs-parallel
 //! equivalence tests assert.
 
-#![forbid(unsafe_code)]
-
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -6,8 +6,6 @@
 //! traits for every type, so these derives can expand to nothing while
 //! keeping every `#[derive(Serialize, Deserialize)]` in the tree compiling.
 
-#![forbid(unsafe_code)]
-
 use proc_macro::TokenStream;
 
 /// No-op `Serialize` derive (the trait is blanket-implemented).

@@ -49,10 +49,6 @@
 //! simulations skip the modular arithmetic without changing one decoded
 //! bit.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub use chiaroscuro_core as core;
 pub use chiaroscuro_crypto as crypto;
 pub use chiaroscuro_dp as dp;

@@ -163,22 +163,14 @@ fn scenario_runs_are_deterministic() {
     let spec = baseline();
     let a = spec.run();
     let b = spec.run();
-    let a_values: Vec<Vec<f64>> =
-        a.distributed.centroids().iter().map(|c| c.values().to_vec()).collect();
-    let b_values: Vec<Vec<f64>> =
-        b.distributed.centroids().iter().map(|c| c.values().to_vec()).collect();
-    assert_eq!(a_values, b_values, "same seed must reproduce identical centroids");
-    assert_eq!(a.distributed.audit.events().len(), b.distributed.audit.events().len());
-    assert_eq!(a.distributed.report.num_iterations(), b.distributed.report.num_iterations());
+    assert_eq!(a.distributed.first_divergence(&b.distributed, 0), None, "same seed must reproduce the run");
 
     // A different seed re-keys and re-noises the run: the exact centroid
     // values must differ even though the structure is the same.
     let mut other = spec;
     other.seed = 0xC1A0_9999;
     let c = other.run();
-    let c_values: Vec<Vec<f64>> =
-        c.distributed.centroids().iter().map(|cc| cc.values().to_vec()).collect();
-    assert_ne!(a_values, c_values, "different seeds must produce different noise");
+    assert_ne!(centroid_values(&a), centroid_values(&c), "different seeds must produce different noise");
 }
 
 #[test]
@@ -206,13 +198,7 @@ fn scenario_parallel_pool_is_bit_exact_with_serial() {
     parallel.pool_threads = 3;
     let a = serial.run();
     let b = parallel.run();
-    let a_values: Vec<Vec<f64>> =
-        a.distributed.centroids().iter().map(|c| c.values().to_vec()).collect();
-    let b_values: Vec<Vec<f64>> =
-        b.distributed.centroids().iter().map(|c| c.values().to_vec()).collect();
-    assert_eq!(a_values, b_values, "pool size must not change any decrypted value");
-    assert_eq!(a.distributed.network, b.distributed.network);
-    assert_eq!(a.distributed.audit.events().len(), b.distributed.audit.events().len());
+    assert_eq!(a.distributed.first_divergence(&b.distributed, 0), None, "pool size must not change the run");
     b.assert_all();
 }
 
@@ -393,15 +379,10 @@ fn scenario_async_sharded_engine_keeps_quality_and_is_shard_count_agnostic() {
     other.name = "async-sharded-wan-5";
     other.sim_shards = 5;
     let resharded = other.run();
-    let a: Vec<Vec<f64>> =
-        sharded.distributed.centroids().iter().map(|c| c.values().to_vec()).collect();
-    let b: Vec<Vec<f64>> =
-        resharded.distributed.centroids().iter().map(|c| c.values().to_vec()).collect();
-    assert_eq!(a, b, "the shard count must not change a single decoded bit");
-    assert_eq!(sharded.distributed.network, resharded.distributed.network);
     assert_eq!(
-        sharded.distributed.audit.events().len(),
-        resharded.distributed.audit.events().len()
+        sharded.distributed.first_divergence(&resharded.distributed, 0),
+        None,
+        "the shard count must not change a single bit of the run"
     );
 }
 
@@ -419,13 +400,7 @@ fn scenario_async_runs_are_bit_reproducible() {
     );
     let a = spec.run();
     let b = spec.run();
-    let a_values: Vec<Vec<f64>> =
-        a.distributed.centroids().iter().map(|c| c.values().to_vec()).collect();
-    let b_values: Vec<Vec<f64>> =
-        b.distributed.centroids().iter().map(|c| c.values().to_vec()).collect();
-    assert_eq!(a_values, b_values, "async runs must be bit-reproducible");
-    assert_eq!(a.distributed.network, b.distributed.network);
-    assert_eq!(a.distributed.audit.events().len(), b.distributed.audit.events().len());
+    assert_eq!(a.distributed.first_divergence(&b.distributed, 0), None, "async runs must be bit-reproducible");
 }
 
 #[test]
@@ -558,12 +533,10 @@ fn scenario_adversary_fraction_zero_is_bit_identical_to_honest_baseline() {
     let a = honest.run();
     let b = zeroed.run();
     assert_eq!(
-        centroid_values(&a),
-        centroid_values(&b),
-        "an inactive adversary model must not move a single centroid bit"
+        a.distributed.first_divergence(&b.distributed, 0),
+        None,
+        "an inactive adversary model must not move a single bit of the run"
     );
-    assert_eq!(a.distributed.network, b.distributed.network);
-    assert_eq!(a.distributed.audit.events(), b.distributed.audit.events());
     assert_eq!(
         b.distributed.audit.fault_stats(),
         chiaroscuro::core::prelude::FaultStats::ZERO,
@@ -585,11 +558,10 @@ fn scenario_adversary_smoke_10pct_byzantine() {
     let a = spec.run();
     let b = spec.run();
     assert_eq!(
-        centroid_values(&a),
-        centroid_values(&b),
+        a.distributed.first_divergence(&b.distributed, 0),
+        None,
         "adversarial runs must be bit-reproducible from the seed"
     );
-    assert_eq!(a.distributed.network, b.distributed.network);
     a.assert_r2_audit();
     a.assert_budget_respected();
     let faults = a.distributed.audit.fault_stats();
@@ -624,15 +596,9 @@ fn scenario_adversary_async_sharded_engine_is_shard_count_agnostic() {
     other.sim_shards = 4;
     let four = other.run();
     assert_eq!(
-        centroid_values(&two),
-        centroid_values(&four),
-        "the shard count must not change a single decoded bit under an adversary"
-    );
-    assert_eq!(two.distributed.network, four.distributed.network);
-    assert_eq!(
-        two.distributed.audit.fault_stats(),
-        four.distributed.audit.fault_stats(),
-        "fault counters are shard-count-invariant"
+        two.distributed.first_divergence(&four.distributed, 0),
+        None,
+        "the shard count must not change a single bit, fault counters included, under an adversary"
     );
     assert!(two.distributed.audit.fault_stats().injected_total() > 0);
     two.assert_r2_audit();
@@ -644,8 +610,7 @@ fn scenario_adversary_async_sharded_engine_is_shard_count_agnostic() {
     serial.sim_shards = 1;
     let s1 = serial.run();
     let s2 = serial.run();
-    assert_eq!(centroid_values(&s1), centroid_values(&s2));
-    assert_eq!(s1.distributed.network, s2.distributed.network);
+    assert_eq!(s1.distributed.first_divergence(&s2.distributed, 0), None);
 }
 
 #[test]
@@ -689,8 +654,6 @@ fn scenario_adversary_fault_counters_match_across_cipher_backends() {
 #[ignore = "release-mode scale smoke lane (CI runs it explicitly)"]
 fn scenario_scale_100k_surrogate_async() {
     use chiaroscuro::core::prelude::{AsyncNetworkConfig, LatencyModel};
-    // chiarolint: allow(D1) -- wall-clock budget assertion in an ignored
-    // release-mode smoke lane; protocol outputs never depend on it.
     let started = std::time::Instant::now();
     let scale_spec = ScenarioSpec {
         name: "scale-100k-surrogate",
@@ -787,8 +750,6 @@ fn scenario_scale_100k_surrogate_async() {
 #[ignore = "release-mode adversary smoke lane (CI runs it explicitly)"]
 fn scenario_adversary_release_e2e_2k_nodes() {
     use chiaroscuro::core::prelude::{AsyncNetworkConfig, LatencyModel};
-    // chiarolint: allow(D1) -- wall-clock budget assertion in an ignored
-    // release-mode smoke lane; protocol outputs never depend on it.
     let started = std::time::Instant::now();
     let spec = ScenarioSpec {
         name: "adversary-release-2k",

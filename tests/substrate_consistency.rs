@@ -64,7 +64,7 @@ fn encrypted_and_plaintext_eesum_agree() {
         if plain.weight <= 0.0 {
             continue;
         }
-        let decrypted = encoder.decode(&keypair.secret.decrypt(&keypair.public, &enc.value.ciphertexts()[0]), &keypair.public);
+        let decrypted = encoder.decode(&keypair.secret.decrypt(&keypair.public, &enc.value.units()[0]), &keypair.public);
         let enc_estimate = decrypted / enc.weight;
         let plain_estimate = plain.value.0[0] / plain.weight;
         assert!(
@@ -131,7 +131,7 @@ fn threshold_decryption_of_a_gossip_summed_ciphertext() {
     engine.run_rounds(&EesSumProtocol, 20, &mut rng);
 
     let reference = engine.nodes().iter().find(|s| s.weight > 0.0).unwrap();
-    let ciphertext = &reference.value.ciphertexts()[0];
+    let ciphertext = &reference.value.units()[0];
     let partials: Vec<PartialDecryption> =
         shares[3..7].iter().map(|s| s.partial_decrypt(&keypair.public, ciphertext)).collect();
     let plaintext = combine(&keypair.public, &partials, 4, 10).unwrap();
