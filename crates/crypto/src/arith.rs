@@ -6,12 +6,22 @@ use num_integer::Integer;
 use num_traits::{One, Signed, Zero};
 
 /// Extended Euclid: returns `(g, x, y)` with `a·x + b·y = g = gcd(a, b)`.
+///
+/// One division per step: the remainder sequence `r` and the two Bézout
+/// sequences advance together off a single `div_rem`.
 pub fn extended_gcd(a: &BigInt, b: &BigInt) -> (BigInt, BigInt, BigInt) {
-    if b.is_zero() {
-        return (a.clone(), BigInt::one(), BigInt::zero());
+    let (mut r0, mut r1) = (a.clone(), b.clone());
+    let (mut x0, mut x1) = (BigInt::one(), BigInt::zero());
+    let (mut y0, mut y1) = (BigInt::zero(), BigInt::one());
+    while !r1.is_zero() {
+        let (q, r2) = r0.div_rem(&r1);
+        let x2 = x0 - &q * &x1;
+        let y2 = y0 - &q * &y1;
+        (r0, r1) = (r1, r2);
+        (x0, x1) = (x1, x2);
+        (y0, y1) = (y1, y2);
     }
-    let (g, x, y) = extended_gcd(b, &(a % b));
-    (g, y.clone(), x - (a / b) * y)
+    (r0, x0, y0)
 }
 
 /// Modular inverse of `a` modulo `m`, if it exists.
@@ -129,6 +139,33 @@ mod tests {
     use num_bigint::RandBigInt;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The recursive two-division formulation `extended_gcd` replaced,
+    /// kept as the reference its values are pinned to.
+    fn extended_gcd_recursive(a: &BigInt, b: &BigInt) -> (BigInt, BigInt, BigInt) {
+        if b.is_zero() {
+            return (a.clone(), BigInt::one(), BigInt::zero());
+        }
+        let (g, x, y) = extended_gcd_recursive(b, &(a % b));
+        (g, y.clone(), x - (a / b) * y)
+    }
+
+    #[test]
+    fn extended_gcd_matches_the_recursive_reference_value_for_value() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let zero = BigInt::zero();
+        assert_eq!(extended_gcd(&zero, &zero), extended_gcd_recursive(&zero, &zero));
+        for round in 0..200u64 {
+            let a = BigInt::from(rng.gen_biguint(1 + (round * 37) % 700));
+            let b = BigInt::from(rng.gen_biguint(1 + (round * 53) % 700));
+            // Every sign combination, both argument orders, and a zero side.
+            for (a, b) in [(a.clone(), b.clone()), (-a.clone(), b.clone()), (a.clone(), -b.clone()), (b.clone(), zero.clone()), (zero.clone(), -a.clone())] {
+                let got = extended_gcd(&a, &b);
+                assert_eq!(got, extended_gcd_recursive(&a, &b), "a = {a}, b = {b}");
+                assert_eq!(&a * &got.1 + &b * &got.2, got.0, "Bézout identity");
+            }
+        }
+    }
 
     #[test]
     fn mod_inverse_round_trip() {

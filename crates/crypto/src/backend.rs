@@ -29,11 +29,13 @@
 //! draws — comes off the caller's master RNG.  For a surrogate run to be
 //! comparable value-for-value with a crypto run from the same seed, setup
 //! must consume **exactly the same draws**: [`PlaintextSurrogate::setup`]
-//! therefore performs the real key generation and the dealer's polynomial
-//! coefficient draws (both population-independent or cheap) and then
-//! discards the key material.  The per-device *encryption* randomness needs
-//! no mirroring: the runner isolates it in per-participant sub-streams that
-//! nothing else reads.
+//! therefore draws the real prime factors and the dealer's polynomial
+//! coefficients (both population-independent or cheap) through the very
+//! functions key generation and dealing draw them with, and derives no key
+//! material from them — no `d`, no CRT context, no mask base `h_s` (which
+//! takes no draw: it is a function of `n`).  The per-device *encryption*
+//! randomness needs no mirroring: the runner isolates it in
+//! per-participant sub-streams that nothing else reads.
 //!
 //! # What stays backend-independent
 //!
@@ -53,9 +55,11 @@ use rand::Rng;
 
 use crate::crt::CrtContext;
 use crate::encoding::FixedPointEncoder;
-use crate::keys::{KeyPair, PublicKey};
+use crate::keys::{draw_factors, sharing_modulus_of, KeyPair, PublicKey};
 use crate::packing::PackedLayout;
-use crate::threshold::{combine_with, KeyShare, PartialDecryption, ThresholdDealer};
+use crate::threshold::{
+    combine_with, draw_blinding_coefficients, KeyShare, PartialDecryption, ThresholdDealer,
+};
 
 /// Everything a backend needs to bootstrap one distributed run.
 #[derive(Debug, Clone, Copy)]
@@ -172,10 +176,11 @@ pub trait CipherBackend: std::fmt::Debug + Send + Sync + Sized + 'static {
 /// Because this backend plays every role of the simulated deployment —
 /// dealer, encrypting devices, decrypting share-holders — it also keeps the
 /// CRT context derived from the factorisation it generated
-/// ([`CrtContext`]; see that type's docs for the trust boundary).  The
-/// context never leaves the struct: [`CipherBackend::export_public`] ships
-/// only the public key, so a backend rebuilt from it (a provisioned node
-/// actor) holds none and runs at public-key speed.
+/// ([`CrtContext`]; see that type's docs for the trust boundary) and
+/// threshold-decrypts through it.  The context never leaves the struct:
+/// [`CipherBackend::export_public`] ships only the public key, so a backend
+/// rebuilt from it (a provisioned node actor) holds none.  Encryption is
+/// the same code at the same speed on both: it never takes the context.
 #[derive(Debug, Clone)]
 pub struct DamgardJurik {
     public: PublicKey,
@@ -198,8 +203,8 @@ impl DamgardJurik {
         &self.public
     }
 
-    /// The CRT context, when the factorisation is held (`None` means every
-    /// operation takes the public, direct route).
+    /// The CRT context, when the factorisation is held (`None` means
+    /// threshold decryption takes the public, direct route).
     fn crt(&self) -> Option<&CrtContext> {
         self.crt.as_deref()
     }
@@ -215,8 +220,6 @@ impl CipherBackend for DamgardJurik {
         let keypair = KeyPair::generate(config.key_bits, config.damgard_jurik_s, rng);
         let dealer = ThresholdDealer::new(&keypair, config.population, config.key_share_threshold);
         let shares = dealer.deal(rng);
-        // The CRT context is derived state (no RNG draws), so building it
-        // keeps the RNG parity contract with the surrogate backend.
         let crt = keypair.secret.crt_context(&keypair.public).map(Arc::new);
         Self { public: keypair.public, shares, threshold: config.key_share_threshold, crt }
     }
@@ -226,11 +229,7 @@ impl CipherBackend for DamgardJurik {
     }
 
     fn encrypt<R: Rng + ?Sized>(&self, plaintext: &BigUint, rng: &mut R) -> Self::Unit {
-        self.public.encrypt_with(plaintext, rng, self.crt())
-    }
-
-    fn encrypt_zero<R: Rng + ?Sized>(&self, rng: &mut R) -> Self::Unit {
-        self.public.encrypt_with(&BigUint::zero(), rng, self.crt())
+        self.public.encrypt(plaintext, rng)
     }
 
     fn add(&self, a: &Self::Unit, b: &Self::Unit) -> Self::Unit {
@@ -325,11 +324,12 @@ impl CipherBackend for PlaintextSurrogate {
 
     fn setup<R: Rng + ?Sized>(config: &BackendSetup<'_>, rng: &mut R) -> Self {
         // RNG parity with DamgardJurik::setup: the same keygen draws and the
-        // same τ−1 polynomial-coefficient draws, with the population-sized
-        // share evaluation (which consumes no randomness) skipped.
-        let keypair = KeyPair::generate(config.key_bits, config.damgard_jurik_s, rng);
-        let dealer = ThresholdDealer::new(&keypair, config.population, config.key_share_threshold);
-        let _ = dealer.draw_coefficients(rng);
+        // same τ−1 polynomial-coefficient draws, with everything that
+        // consumes no randomness skipped (the mask-base exponentiation and
+        // the population-sized share evaluation above all).
+        let (p, q) = draw_factors(config.key_bits, config.damgard_jurik_s, rng);
+        let sharing_modulus = sharing_modulus_of(&p, &q, config.damgard_jurik_s);
+        let _ = draw_blinding_coefficients(&sharing_modulus, config.key_share_threshold, rng);
         let payload_bits = match config.packed_layout {
             Some(layout) => layout.lanes as u64 * layout.lane_bits,
             // No packed layout (rejected by the runner, but keep the wire

@@ -15,13 +15,14 @@
 //! * [`primes`] — Miller–Rabin primality testing and random prime generation;
 //! * [`arith`] — modular inverses, the Damgård–Jurik plaintext-extraction
 //!   function, factorials and Lagrange coefficients;
-//! * [`keys`] — key generation (`n = p·q`, `g = 1 + n`, the CRT-combined
-//!   threshold exponent `d`);
+//! * [`keys`] — key generation (`n = p·q`, `g = 1 + n`, the mask base
+//!   `h_s = h^{n^s}`, the CRT-combined threshold exponent `d`);
 //! * [`crt`] — CRT-split exponentiation modulo `n^{s+1}` for holders of the
 //!   factorisation (half-width Montgomery halves, group-order exponent
 //!   reduction, Garner recombination — the Damgård–Jurik fast path);
-//! * [`scheme`] — encryption, decryption, homomorphic addition and scalar
-//!   multiplication, re-randomisation;
+//! * [`scheme`] — encryption (`g^m · h_s^α`, the short-exponent fixed-base
+//!   mask of Damgård–Jurik–Nielsen), decryption, homomorphic addition and
+//!   scalar multiplication, re-randomisation;
 //! * [`threshold`] — Shamir sharing of `d`, partial decryption with one
 //!   key-share, and combination of τ partial decryptions;
 //! * [`encoding`] — fixed-point encoding of real-valued time-series measures

@@ -2,13 +2,11 @@
 //! additive homomorphism (§3.3.1 of the paper).
 
 use num_bigint::{BigUint, RandBigInt};
-use num_integer::Integer;
 use num_traits::{One, Zero};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::arith::extract_plaintext;
-use crate::crt::CrtContext;
 use crate::keys::{PublicKey, SecretKey};
 
 /// A ciphertext: an element of `Z*_{n^{s+1}}`.
@@ -34,35 +32,18 @@ impl Ciphertext {
 
 impl PublicKey {
     /// Encrypts an integer plaintext `m ∈ Z_{n^s}`:
-    /// `E(m) = g^m · r^{n^s} mod n^{s+1}` with `r` uniform in `Z*_n`.
+    /// `E(m) = g^m · h_s^α mod n^{s+1}` with `α` uniform below
+    /// `2^⌈|n|/2⌉` — one draw of [`PublicKey::mask_exponent_bits`] bits from
+    /// `rng`.  The mask `h_s^α` is an `n^s`-th power exactly like the
+    /// textbook `r^{n^s}`, so decryption and the homomorphism cannot tell
+    /// the two apart.  Every party runs this one path: holding the
+    /// factorisation makes encryption no faster.
     ///
     /// # Panics
     /// Panics if `m ≥ n^s`.
     pub fn encrypt<R: Rng + ?Sized>(&self, m: &BigUint, rng: &mut R) -> Ciphertext {
-        self.encrypt_with(m, rng, None)
-    }
-
-    /// [`PublicKey::encrypt`] with an optional CRT fast-path context for the
-    /// mask exponentiation `r^{n^s}` — the dominant cost of every
-    /// encryption.  Holders of the factorisation (the simulation-side
-    /// backend, tests, benches) pass `Some`; the result is bit-identical
-    /// either way and the RNG draws are the same, so the two forms are
-    /// interchangeable under any pinned seed.
-    ///
-    /// # Panics
-    /// Panics if `m ≥ n^s`.
-    pub fn encrypt_with<R: Rng + ?Sized>(
-        &self,
-        m: &BigUint,
-        rng: &mut R,
-        crt: Option<&CrtContext>,
-    ) -> Ciphertext {
         assert!(m < self.plaintext_modulus(), "plaintext must be below n^s");
-        let r = self.random_unit(rng);
-        let mask = match crt {
-            Some(ctx) => ctx.modpow(&r, self.plaintext_modulus()),
-            None => self.modpow_ciphertext(&r, self.plaintext_modulus()),
-        };
+        let mask = self.mask_pow(&rng.gen_biguint(self.mask_exponent_bits()));
         // g = 1 + n, so g^m collapses to the closed-form binomial sum
         // (1 + m·n for s = 1) — negative fixed-point encodings are
         // full-width exponents, so this replaces an entire square-and-
@@ -99,15 +80,6 @@ impl PublicKey {
     pub fn rerandomize<R: Rng + ?Sized>(&self, a: &Ciphertext, rng: &mut R) -> Ciphertext {
         self.add(a, &self.encrypt_zero(rng))
     }
-
-    fn random_unit<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
-        loop {
-            let candidate = rng.gen_biguint_below(self.modulus());
-            if !candidate.is_zero() && candidate.gcd(self.modulus()).is_one() {
-                return candidate;
-            }
-        }
-    }
 }
 
 impl SecretKey {
@@ -116,11 +88,8 @@ impl SecretKey {
     /// from the discrete logarithm of `1 + n`.
     pub fn decrypt(&self, pk: &PublicKey, c: &Ciphertext) -> BigUint {
         // The secret key knows the factorisation, so `c^d` gets the full
-        // CRT split when available (bit-identical to the direct modpow).
-        let stripped = match self.crt_context(pk) {
-            Some(crt) => crt.modpow(c.raw(), self.d()),
-            None => pk.modpow_ciphertext(c.raw(), self.d()),
-        };
+        // CRT split (bit-identical to the direct modpow).
+        let stripped = self.crt().modpow(c.raw(), self.d());
         extract_plaintext(&stripped, pk.modulus(), pk.s())
     }
 }

@@ -15,11 +15,11 @@
 //! population scale is simulated in the `gossip` crate (see DESIGN.md §4).
 
 use num_bigint::{BigInt, BigUint, RandBigInt};
-use num_traits::One;
+use num_traits::{One, Signed};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::arith::{extract_plaintext, factorial, lagrange_at_zero, mod_inverse, modpow_signed};
+use crate::arith::{extract_plaintext, factorial, lagrange_at_zero, mod_inverse};
 use crate::crt::CrtContext;
 use crate::keys::{KeyPair, PublicKey};
 use crate::scheme::Ciphertext;
@@ -142,11 +142,8 @@ impl ThresholdDealer {
     /// `crate::backend::PlaintextSurrogate`) can replay the exact dealing
     /// draws without paying the population-sized evaluation.
     pub fn draw_coefficients<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<BigUint> {
-        let mut coefficients = Vec::with_capacity(self.threshold);
-        coefficients.push(self.d.clone());
-        for _ in 1..self.threshold {
-            coefficients.push(rng.gen_biguint_below(&self.sharing_modulus));
-        }
+        let mut coefficients = vec![self.d.clone()];
+        coefficients.extend(draw_blinding_coefficients(&self.sharing_modulus, self.threshold, rng));
         coefficients
     }
 
@@ -166,6 +163,16 @@ impl ThresholdDealer {
             })
             .collect()
     }
+}
+
+/// The `τ − 1` uniform draws below the sharing modulus that blind `d` in
+/// the sharing polynomial — every draw dealing takes from the caller's RNG.
+pub(crate) fn draw_blinding_coefficients<R: Rng + ?Sized>(
+    sharing_modulus: &BigUint,
+    threshold: usize,
+    rng: &mut R,
+) -> Vec<BigUint> {
+    (1..threshold).map(|_| rng.gen_biguint_below(sharing_modulus)).collect()
 }
 
 /// Errors that can occur while combining partial decryptions.
@@ -210,6 +217,10 @@ pub fn combine(
 /// [`combine`] with an optional CRT fast-path context for the Δ-scaled
 /// Lagrange exponentiations (which grow with `ℓ!` just like the partial
 /// decryption exponents).  Value-identical to the direct path.
+///
+/// Partials with a negative Lagrange coefficient are gathered into one
+/// denominator and inverted together: a modular inversion costs several
+/// times the short exponentiation it would otherwise precede.
 pub fn combine_with(
     pk: &PublicKey,
     partials: &[PartialDecryption],
@@ -234,15 +245,21 @@ pub fn combine_with(
     let delta = factorial(num_shares);
 
     // c' = Π cᵢ^{2·λ_i} where λ_i is the Δ-scaled integer Lagrange coefficient.
-    let mut combined = BigUint::one();
+    let modulus = pk.ciphertext_modulus();
+    let (mut combined, mut denominator) = (BigUint::one(), BigUint::one());
     for p in used {
         let coeff = lagrange_at_zero(p.share_index, &subset, &delta);
         let exponent: BigInt = BigInt::from(2u32) * coeff;
         let factor = match crt {
-            Some(ctx) => ctx.modpow_signed(&p.value, &exponent),
-            None => modpow_signed(&p.value, &exponent, pk.ciphertext_modulus()),
+            Some(ctx) => ctx.modpow(&p.value, exponent.magnitude()),
+            None => pk.modpow_ciphertext(&p.value, exponent.magnitude()),
         };
-        combined = (combined * factor) % pk.ciphertext_modulus();
+        let side = if exponent.is_negative() { &mut denominator } else { &mut combined };
+        *side = &*side * factor % modulus;
+    }
+    if !denominator.is_one() {
+        let inverse = mod_inverse(&denominator, modulus).expect("partial decryptions are units of Z_{n^{s+1}}");
+        combined = combined * inverse % modulus;
     }
     // combined = c^{4Δ²·d} = (1+n)^{4Δ²·m}; extract and divide by 4Δ² mod n^s.
     let log = extract_plaintext(&combined, pk.modulus(), pk.s());

@@ -9,9 +9,11 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use num_bigint::BigUint;
+use num_integer::Integer;
+use num_traits::One;
 use serde::{Deserialize, Serialize};
 
-use crate::keys::PublicKey;
+use crate::keys::{PublicKey, MAX_S};
 use crate::scheme::Ciphertext;
 
 /// Size model for one set of encrypted means.
@@ -143,50 +145,61 @@ pub fn serialize_ciphertext(c: &Ciphertext) -> Bytes {
 ///
 /// Returns `None` if the buffer is malformed.
 pub fn deserialize_ciphertext(bytes: &[u8]) -> Option<Ciphertext> {
-    if bytes.len() < 4 {
-        return None;
-    }
-    let len = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-    if bytes.len() != 4 + len {
-        return None;
-    }
-    Some(Ciphertext::from_raw(BigUint::from_bytes_be(&bytes[4..])))
+    let (raw, rest) = take_field(bytes)?;
+    rest.is_empty().then(|| Ciphertext::from_raw(BigUint::from_bytes_be(raw)))
 }
 
-/// Serialises a public key — the modulus `n`, the Damgård–Jurik exponent
-/// `s` and the nominal key size — as `s (u32) | key_bits (u64) |
-/// n_len (u32) | n (big-endian)`.  This is the provisioning payload a
-/// coordinator hands to remote node actors: everything needed to encrypt
-/// and run the homomorphic operators, none of the key-shares.
+/// Splits one `len (u32) | bytes` field off the front of `bytes`.
+fn take_field(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let (len, rest) = bytes.split_first_chunk::<4>()?;
+    let len = u32::from_be_bytes(*len) as usize;
+    (rest.len() >= len).then(|| rest.split_at(len))
+}
+
+/// Serialises a public key — the Damgård–Jurik exponent `s`, the nominal
+/// key size, the modulus `n` and the mask base `h_s` — as `s (u32) |
+/// key_bits (u64) | n_len (u32) | n | h_len (u32) | h_s` (big-endian).
+/// This is the provisioning payload a coordinator hands to remote node
+/// actors: everything needed to encrypt and run the homomorphic operators,
+/// none of the key-shares.
 pub fn serialize_public_key(pk: &PublicKey) -> Bytes {
     let n = pk.modulus().to_bytes_be();
-    let mut buf = BytesMut::with_capacity(n.len() + 16);
+    let h_s = pk.mask_base().to_bytes_be();
+    let mut buf = BytesMut::with_capacity(n.len() + h_s.len() + 20);
     buf.put_u32(pk.s());
     buf.put_u64(pk.key_bits());
-    buf.put_u32(n.len() as u32);
-    buf.put_slice(&n);
+    for field in [&n, &h_s] {
+        buf.put_u32(field.len() as u32);
+        buf.put_slice(field);
+    }
     buf.freeze()
 }
 
 /// Deserialises a public key produced by [`serialize_public_key`].
 ///
-/// Returns `None` if the buffer is malformed (wrong length, zero exponent,
-/// or an implausibly small modulus).
+/// Fails closed: returns `None` if the buffer is malformed (a missing,
+/// truncated or trailing field, an exponent outside `1..=16`, an
+/// implausibly small modulus) or if the mask base is not key material a
+/// generated key could carry — `h_s` must lie strictly between 1 and
+/// `n^{s+1}` and share no factor with `n`, or every mask would be trivial,
+/// out of range or a non-unit no share-holder can decrypt around.
 pub fn deserialize_public_key(bytes: &[u8]) -> Option<PublicKey> {
-    if bytes.len() < 16 {
+    let (s, rest) = bytes.split_first_chunk::<4>()?;
+    let (key_bits, rest) = rest.split_first_chunk::<8>()?;
+    let (s, key_bits) = (u32::from_be_bytes(*s), u64::from_be_bytes(*key_bits));
+    let (n, rest) = take_field(rest)?;
+    let (h_s, rest) = take_field(rest)?;
+    if !rest.is_empty() || s == 0 || s > MAX_S || key_bits < 64 {
         return None;
     }
-    let s = u32::from_be_bytes(bytes[0..4].try_into().ok()?);
-    let key_bits = u64::from_be_bytes(bytes[4..12].try_into().ok()?);
-    let n_len = u32::from_be_bytes(bytes[12..16].try_into().ok()?) as usize;
-    if bytes.len() != 16 + n_len || s == 0 || key_bits < 64 {
-        return None;
-    }
-    let n = BigUint::from_bytes_be(&bytes[16..]);
+    let n = BigUint::from_bytes_be(n);
     if n.bits() < 8 {
         return None;
     }
-    Some(PublicKey::new(n, s, key_bits))
+    let pk = PublicKey::new(n, s, key_bits, BigUint::from_bytes_be(h_s));
+    let h_s = pk.mask_base();
+    (h_s > &BigUint::one() && h_s < pk.ciphertext_modulus() && h_s.gcd(pk.modulus()).is_one())
+        .then_some(pk)
 }
 
 /// Serialises a vector of backend units at a fixed per-unit width:
@@ -332,9 +345,7 @@ mod tests {
             let kp = KeyPair::generate(bits, s, &mut rng);
             let bytes = serialize_public_key(&kp.public);
             let back = deserialize_public_key(&bytes).expect("round trip");
-            assert_eq!(back.modulus(), kp.public.modulus());
-            assert_eq!(back.s(), kp.public.s());
-            assert_eq!(back.key_bits(), kp.public.key_bits());
+            assert_eq!(back, kp.public, "modulus, exponent, key size and mask base all round-trip");
             // The rebuilt key must encrypt interoperably: the original
             // secret key decrypts a ciphertext produced by the copy.
             let m = BigUint::from(42_001u32);
@@ -347,15 +358,45 @@ mod tests {
     fn malformed_public_keys_rejected() {
         assert!(deserialize_public_key(&[]).is_none());
         assert!(deserialize_public_key(&[0u8; 15]).is_none());
-        // Declared modulus length not matching the buffer.
-        let mut bytes = serialize_public_key(&KeyPair::generate(128, 1, &mut StdRng::seed_from_u64(5)).public).to_vec();
-        bytes.pop();
-        assert!(deserialize_public_key(&bytes).is_none());
+        let pk = KeyPair::generate(128, 1, &mut StdRng::seed_from_u64(5)).public;
+        let good = serialize_public_key(&pk).to_vec();
+        assert!(deserialize_public_key(&good).is_some());
+        // Declared length not matching the buffer: a truncated mask base,
+        // and a trailing byte after it.
+        assert!(deserialize_public_key(&good[..good.len() - 1]).is_none());
+        assert!(deserialize_public_key(&[good.as_slice(), &[0]].concat()).is_none());
         // Zero exponent.
         let mut zero_s = vec![0u8; 20];
         zero_s[4..12].copy_from_slice(&128u64.to_be_bytes());
         zero_s[12..16].copy_from_slice(&4u32.to_be_bytes());
         assert!(deserialize_public_key(&zero_s).is_none());
+
+        // The same key with its exponent or mask-base field replaced.
+        let with = |s: u32, mask_field: Option<&BigUint>| {
+            let n = pk.modulus().to_bytes_be();
+            let mut bytes = [&s.to_be_bytes()[..], &128u64.to_be_bytes(), &(n.len() as u32).to_be_bytes(), &n].concat();
+            if let Some(h_s) = mask_field {
+                let h_s = h_s.to_bytes_be();
+                bytes.extend_from_slice(&(h_s.len() as u32).to_be_bytes());
+                bytes.extend_from_slice(&h_s);
+            }
+            deserialize_public_key(&bytes)
+        };
+        assert_eq!(with(1, Some(pk.mask_base())), Some(pk.clone()), "the helper rebuilds the good key");
+        // An exponent the parser would have to allocate unboundedly for.
+        assert!(with(u32::MAX, Some(pk.mask_base())).is_none());
+        // No mask base at all (the pre-`h_s` format), or an empty one.
+        assert!(with(1, None).is_none());
+        assert!(with(1, Some(&BigUint::from(0u32))).is_none());
+        // Outside (1, n^{s+1}): a trivial mask, the modulus itself, beyond it.
+        let n_s1 = pk.ciphertext_modulus();
+        assert!(with(1, Some(&BigUint::one())).is_none());
+        assert!(with(1, Some(n_s1)).is_none());
+        assert!(with(1, Some(&(n_s1 + pk.mask_base()))).is_none());
+        assert!(with(1, Some(&(n_s1 - BigUint::one()))).is_some(), "−1 is in range and a unit");
+        // In range but sharing a factor with n: masks would be non-units.
+        assert!(with(1, Some(&(pk.modulus() * BigUint::from(2u32)))).is_none());
+        assert!(with(1, Some(pk.modulus())).is_none());
     }
 
     #[test]

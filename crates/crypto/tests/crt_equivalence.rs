@@ -2,17 +2,23 @@
 //! bit-identical to the same operation given `None`, across the scenario
 //! grid of `(s, key_bits, threshold)` and under random plaintexts.
 //!
-//! The dealer-side route threads a [`CrtContext`] through encryption masks,
-//! partial decryptions and share combination; none of those routes may move
-//! a single output bit or consume a different RNG draw, because the pinned
-//! scenario baselines (seed `0xC1A0_0007` and friends) were recorded on the
-//! direct path.  This suite is the contract: same seed in, same bytes out.
+//! The dealer-side route threads a [`CrtContext`] through partial
+//! decryptions and share combination; neither route may move a single
+//! output bit, because the pinned scenario baselines (seed `0xC1A0_0007`
+//! and friends) were recorded on the direct path.  This suite is the
+//! contract: same ciphertext in, same bytes out.  (Encryption has one route
+//! — it takes no context — so there is nothing of it to compare here.)
 
-use chiaroscuro_crypto::keys::KeyPair;
+use chiaroscuro_crypto::arith::{
+    extract_plaintext, factorial, lagrange_at_zero, mod_inverse, modpow_signed,
+};
+use chiaroscuro_crypto::crt::CrtContext;
+use chiaroscuro_crypto::keys::{KeyPair, PublicKey};
 use chiaroscuro_crypto::threshold::{combine, combine_with, PartialDecryption, ThresholdDealer};
-use num_bigint::{BigUint, RandBigInt};
+use num_bigint::{BigInt, BigUint, RandBigInt};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// One scenario: generate a key pair, deal shares, and drive a handful of
@@ -35,23 +41,17 @@ fn assert_crt_equivalence(seed: u64, key_bits: u64, s: u32, shares: usize, thres
         rng.gen_biguint_below(&n_s),
     ];
     for (i, m) in plaintexts.iter().enumerate() {
-        // Same RNG sub-stream for both routes: identical mask draws, so the
-        // ciphertexts must be identical bytes, not merely equivalent.
-        let mut direct_rng = StdRng::seed_from_u64(seed ^ ((i as u64) << 8));
-        let mut crt_rng = direct_rng.clone();
-        let direct_ct = kp.public.encrypt_with(m, &mut direct_rng, None);
-        let crt_ct = kp.public.encrypt_with(m, &mut crt_rng, Some(&crt));
-        assert_eq!(direct_ct, crt_ct, "encryption diverged (m index {i})");
-        assert_eq!(direct_rng, crt_rng, "the CRT route consumed different draws");
+        let mut ct_rng = StdRng::seed_from_u64(seed ^ ((i as u64) << 8));
+        let ct = kp.public.encrypt(m, &mut ct_rng);
 
         // Partial decryptions: every share, both routes.
         let direct_partials: Vec<PartialDecryption> = key_shares[..threshold]
             .iter()
-            .map(|sh| sh.partial_decrypt_with(&kp.public, &direct_ct, None))
+            .map(|sh| sh.partial_decrypt_with(&kp.public, &ct, None))
             .collect();
         let crt_partials: Vec<PartialDecryption> = key_shares[..threshold]
             .iter()
-            .map(|sh| sh.partial_decrypt_with(&kp.public, &crt_ct, Some(&crt)))
+            .map(|sh| sh.partial_decrypt_with(&kp.public, &ct, Some(&crt)))
             .collect();
         assert_eq!(direct_partials, crt_partials, "partial decryption diverged");
 
@@ -63,7 +63,60 @@ fn assert_crt_equivalence(seed: u64, key_bits: u64, s: u32, shares: usize, thres
         assert_eq!(&direct, m, "threshold decryption must round-trip");
 
         // Full-secret-key decryption agrees too.
-        assert_eq!(&kp.secret.decrypt(&kp.public, &crt_ct), m);
+        assert_eq!(&kp.secret.decrypt(&kp.public, &ct), m);
+    }
+}
+
+/// `combine_with` as it was before the negative-coefficient partials were
+/// gathered under one inversion: one signed exponentiation — and so one
+/// modular inversion — per negative Lagrange coefficient.
+fn combine_inverting_each(
+    pk: &PublicKey,
+    partials: &[PartialDecryption],
+    num_shares: usize,
+    crt: Option<&CrtContext>,
+) -> BigUint {
+    let subset: Vec<usize> = partials.iter().map(|p| p.share_index).collect();
+    let delta = factorial(num_shares);
+    let mut combined = BigUint::from(1u32);
+    for p in partials {
+        let exponent = BigInt::from(2u32) * lagrange_at_zero(p.share_index, &subset, &delta);
+        let factor = match crt {
+            Some(ctx) => ctx.modpow_signed(p.raw(), &exponent),
+            None => modpow_signed(p.raw(), &exponent, pk.ciphertext_modulus()),
+        };
+        combined = combined * factor % pk.ciphertext_modulus();
+    }
+    let log = extract_plaintext(&combined, pk.modulus(), pk.s());
+    let four_delta_sq = BigUint::from(4u32) * &delta * &delta;
+    let inv = mod_inverse(&(four_delta_sq % pk.plaintext_modulus()), pk.plaintext_modulus()).unwrap();
+    log * inv % pk.plaintext_modulus()
+}
+
+/// The single-inversion `combine_with` returns what the per-coefficient
+/// inversion returned, for random τ-subsets in random order (so the
+/// negative coefficients land anywhere, including nowhere and first), on
+/// both routes and for both `s`.
+#[test]
+fn combine_inverts_once_and_matches_inverting_each() {
+    for (seed, s, shares, threshold) in [(0xC1A0_0008u64, 1u32, 9usize, 4usize), (0xC1A0_0009, 2, 6, 3), (0xC1A0_000A, 1, 5, 1)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let kp = KeyPair::generate(128, s, &mut rng);
+        let key_shares = ThresholdDealer::new(&kp, shares, threshold).deal(&mut rng);
+        let crt = kp.secret.crt_context(&kp.public).unwrap();
+        let m = rng.gen_biguint_below(kp.public.plaintext_modulus());
+        let ct = kp.public.encrypt(&m, &mut rng);
+        for round in 0..12 {
+            let mut picked: Vec<usize> = (0..shares).collect();
+            picked.shuffle(&mut rng);
+            let partials: Vec<PartialDecryption> =
+                picked[..threshold].iter().map(|&i| key_shares[i].partial_decrypt(&kp.public, &ct)).collect();
+            for route in [None, Some(&crt)] {
+                let new = combine_with(&kp.public, &partials, threshold, shares, route).unwrap();
+                assert_eq!(new, combine_inverting_each(&kp.public, &partials, shares, route), "s = {s}, round {round}");
+                assert_eq!(new, m);
+            }
+        }
     }
 }
 
@@ -116,8 +169,8 @@ fn crt_modpow_matches_direct_on_random_inputs() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random plaintexts through the whole encrypt → partial → combine
-    /// pipeline, both routes, bit-for-bit.
+    /// Random plaintexts through the whole partial → combine pipeline,
+    /// both routes, bit-for-bit.
     #[test]
     fn crt_pipeline_equivalence_over_random_plaintexts(
         seed in any::<u64>(),
@@ -130,19 +183,15 @@ proptest! {
         let crt = kp.secret.crt_context(&kp.public).unwrap();
         let m = StdRng::seed_from_u64(m_seed).gen_biguint_below(kp.public.plaintext_modulus());
 
-        let mut direct_rng = StdRng::seed_from_u64(m_seed ^ 0xD1FF);
-        let mut crt_rng = direct_rng.clone();
-        let direct_ct = kp.public.encrypt_with(&m, &mut direct_rng, None);
-        let crt_ct = kp.public.encrypt_with(&m, &mut crt_rng, Some(&crt));
-        prop_assert_eq!(&direct_ct, &crt_ct);
+        let ct = kp.public.encrypt(&m, &mut StdRng::seed_from_u64(m_seed ^ 0xD1FF));
 
         let direct_partials: Vec<PartialDecryption> = key_shares[..2]
             .iter()
-            .map(|sh| sh.partial_decrypt_with(&kp.public, &direct_ct, None))
+            .map(|sh| sh.partial_decrypt_with(&kp.public, &ct, None))
             .collect();
         let crt_partials: Vec<PartialDecryption> = key_shares[..2]
             .iter()
-            .map(|sh| sh.partial_decrypt_with(&kp.public, &crt_ct, Some(&crt)))
+            .map(|sh| sh.partial_decrypt_with(&kp.public, &ct, Some(&crt)))
             .collect();
         prop_assert_eq!(&direct_partials, &crt_partials);
         let direct = combine(&kp.public, &direct_partials, 2, 5).unwrap();

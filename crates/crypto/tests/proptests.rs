@@ -95,22 +95,65 @@ proptest! {
         subset_seed in any::<u64>(),
         seed in any::<u64>(),
     ) {
-        let kp = keypair();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let dealer = ThresholdDealer::new(kp, 8, 3);
-        let shares = dealer.deal(&mut rng);
-        let m = BigUint::from(m);
-        let c = kp.public.encrypt(&m, &mut rng);
-        // Pick 3 distinct share indices from the subset seed.
-        let mut pick_rng = StdRng::seed_from_u64(subset_seed);
-        let mut indices: Vec<usize> = (0..8).collect();
-        use rand::seq::SliceRandom;
-        indices.shuffle(&mut pick_rng);
-        let partials: Vec<PartialDecryption> = indices[..3]
-            .iter()
-            .map(|&i| shares[i].partial_decrypt(&kp.public, &c))
-            .collect();
-        prop_assert_eq!(combine(&kp.public, &partials, 3, 8).unwrap(), m);
+        for kp in [keypair(), keypair_s2()] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dealer = ThresholdDealer::new(kp, 8, 3);
+            let shares = dealer.deal(&mut rng);
+            let m = BigUint::from(m);
+            let c = kp.public.encrypt(&m, &mut rng);
+            // Pick 3 distinct share indices from the subset seed.
+            let mut pick_rng = StdRng::seed_from_u64(subset_seed);
+            let mut indices: Vec<usize> = (0..8).collect();
+            use rand::seq::SliceRandom;
+            indices.shuffle(&mut pick_rng);
+            let partials: Vec<PartialDecryption> = indices[..3]
+                .iter()
+                .map(|&i| shares[i].partial_decrypt(&kp.public, &c))
+                .collect();
+            prop_assert_eq!(combine(&kp.public, &partials, 3, 8).unwrap(), m);
+        }
+    }
+
+    #[test]
+    fn textbook_and_short_exponent_masks_interoperate(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        e in 0u32..12,
+        seed in any::<u64>(),
+    ) {
+        // A ciphertext masked the textbook way, g^a · r^{n^s} for a fresh
+        // unit r, is a ciphertext of the same scheme as the h_s^α-masked
+        // ones `encrypt` makes: they add, scale, re-randomise and decrypt
+        // (full key and τ-of-ℓ) together, for s = 1 and s = 2.
+        use chiaroscuro_crypto::wire::deserialize_ciphertext;
+        use num_bigint::RandBigInt;
+        for kp in [keypair(), keypair_s2()] {
+            let pk = &kp.public;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (a, b) = (BigUint::from(a), BigUint::from(b));
+            let r = rng.gen_biguint_range(&BigUint::from(2u32), pk.modulus());
+            let textbook = pk.generator_pow(&a) * pk.modpow_ciphertext(&r, pk.plaintext_modulus())
+                % pk.ciphertext_modulus();
+            let raw = textbook.to_bytes_be();
+            let framed = [&(raw.len() as u32).to_be_bytes()[..], &raw].concat();
+            let textbook = deserialize_ciphertext(&framed).unwrap();
+            prop_assert_eq!(kp.secret.decrypt(pk, &textbook), a.clone());
+
+            let sum = pk.add(&textbook, &pk.encrypt(&b, &mut rng));
+            let expected = (&a + &b) % pk.plaintext_modulus();
+            prop_assert_eq!(kp.secret.decrypt(pk, &sum), expected.clone());
+            let fresh = pk.rerandomize(&sum, &mut rng);
+            prop_assert_ne!(&fresh, &sum);
+            prop_assert_eq!(kp.secret.decrypt(pk, &fresh), expected.clone());
+            let scaled = pk.scale_pow2(&fresh, e);
+            let expected = (expected << e) % pk.plaintext_modulus();
+            prop_assert_eq!(kp.secret.decrypt(pk, &scaled), expected.clone());
+
+            let shares = ThresholdDealer::new(kp, 5, 2).deal(&mut rng);
+            let partials: Vec<PartialDecryption> =
+                shares[1..3].iter().map(|share| share.partial_decrypt(pk, &scaled)).collect();
+            prop_assert_eq!(combine(pk, &partials, 2, 5).unwrap(), expected);
+        }
     }
 
     #[test]
@@ -255,12 +298,41 @@ proptest! {
         use chiaroscuro_crypto::wire::{deserialize_public_key, serialize_public_key};
         for kp in [keypair(), keypair_s2()] {
             let back = deserialize_public_key(&serialize_public_key(&kp.public)).unwrap();
-            prop_assert_eq!(back.modulus(), kp.public.modulus());
-            prop_assert_eq!(back.s(), kp.public.s());
-            prop_assert_eq!(back.key_bits(), kp.public.key_bits());
+            prop_assert_eq!(&back, &kp.public);
             let mut rng = StdRng::seed_from_u64(seed);
             let c = back.encrypt(&BigUint::from(m), &mut rng);
             prop_assert_eq!(kp.secret.decrypt(&kp.public, &c), BigUint::from(m));
+        }
+    }
+
+    #[test]
+    fn wire_public_key_bytes_never_panic_the_parser(
+        noise in prop::collection::vec(any::<u8>(), 0..96),
+        cut in any::<usize>(),
+    ) {
+        // Arbitrary bytes, and a well-formed key cut, extended and
+        // overwritten at an arbitrary offset: a typed refusal or a key that
+        // passes every wire check, never a panic (or an allocation sized by
+        // a peer's exponent).
+        use chiaroscuro_crypto::backend::{CipherBackend, DamgardJurik};
+        use chiaroscuro_crypto::wire::{deserialize_public_key, serialize_public_key};
+        use num_traits::One;
+        for kp in [keypair(), keypair_s2()] {
+            let sample = serialize_public_key(&kp.public).to_vec();
+            let cut = cut % (sample.len() + 1);
+            let spliced: Vec<u8> = sample[..cut].iter().chain(&noise).copied().collect();
+            let mut overwritten = sample.clone();
+            for (byte, &n) in overwritten[cut..].iter_mut().zip(&noise) {
+                *byte = n;
+            }
+            for bytes in [&noise, &spliced, &overwritten, &sample[..cut].to_vec()] {
+                let parsed = deserialize_public_key(bytes);
+                prop_assert_eq!(DamgardJurik::import_public(bytes).is_some(), parsed.is_some());
+                if let Some(pk) = parsed {
+                    let h_s = pk.mask_base();
+                    prop_assert!(h_s > &BigUint::one() && h_s < pk.ciphertext_modulus());
+                }
+            }
         }
     }
 

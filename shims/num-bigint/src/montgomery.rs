@@ -56,6 +56,39 @@ pub struct MontgomeryCtx {
     one: Vec<u64>,
 }
 
+/// A Lim–Lee comb table (CRYPTO '94) for powers of one fixed base: the
+/// exponent is cut into `teeth` blocks of `spacing` bits, and entry `j`
+/// holds `∏ base^{2^{i·spacing}}` over the set bits `i` of `j`, so one
+/// table product consumes one bit of every block at once.  An in-bound
+/// exponentiation then costs `spacing − 1` squarings and at most `spacing`
+/// products, whatever the base — against one squaring per exponent bit for
+/// [`MontgomeryCtx::modpow`].
+///
+/// Built by [`MontgomeryCtx::fixed_base_table`] and only meaningful to the
+/// context that built it (like [`MontInt`], debug-asserted via the limb
+/// length).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FixedBaseTable {
+    teeth: u32,
+    spacing: u64,
+    /// Entries `1..2^teeth` in Montgomery form, `L` limbs each, entry `j`
+    /// at `(j − 1)·L` (entry 0, the identity, is never multiplied in).
+    limbs: Vec<u64>,
+}
+
+impl FixedBaseTable {
+    /// The widest exponent the table serves, in bits: the width asked for
+    /// at construction rounded up to a multiple of the tooth count.
+    pub fn exponent_bits(&self) -> u64 {
+        self.spacing * u64::from(self.teeth)
+    }
+
+    /// The table's heap footprint in bytes: `(2^teeth − 1)·L` limbs.
+    pub fn heap_bytes(&self) -> usize {
+        self.limbs.len() * std::mem::size_of::<u64>()
+    }
+}
+
 /// `-a⁻¹ mod 2⁶⁴` for odd `a`, by Newton–Hensel lifting (5 doublings of
 /// precision from the 4-bit seed `a⁻¹ ≡ a mod 16`).
 fn neg_inv_u64(a: u64) -> u64 {
@@ -379,6 +412,82 @@ impl MontgomeryCtx {
             }
         }
         self.from_mont(&MontInt { limbs: acc })
+    }
+
+    /// Builds the comb table of `base` for exponents of up to
+    /// `exponent_bits` bits: `(teeth − 1)·spacing` squarings for the block
+    /// powers and one product per remaining entry.
+    ///
+    /// # Panics
+    /// Panics unless `1 ≤ teeth ≤ 16` (the table has `2^teeth − 1` entries).
+    pub fn fixed_base_table(&self, base: &BigUint, exponent_bits: u64, teeth: u32) -> FixedBaseTable {
+        assert!((1..=16).contains(&teeth), "a comb has between 1 and 16 teeth");
+        let l = self.width();
+        let spacing = exponent_bits.div_ceil(u64::from(teeth));
+        let mut limbs = vec![0u64; ((1usize << teeth) - 1) * l];
+        let mut t = vec![0u64; 2 * l + 1];
+        let mut tmp = vec![0u64; l];
+        // base^{2^{tooth·spacing}}, the power tooth `tooth` contributes.
+        let mut power = self.to_mont(base).limbs;
+        for tooth in 0..teeth {
+            let single = 1usize << tooth;
+            limbs[(single - 1) * l..single * l].copy_from_slice(&power);
+            // Every entry whose top set bit is this tooth: entry(single) · entry(lower).
+            for lower in 1..single {
+                let (done, rest) = limbs.split_at_mut((single + lower - 1) * l);
+                let (a, b) = (&done[(single - 1) * l..single * l], &done[(lower - 1) * l..lower * l]);
+                self.mul_raw(a, b, &mut t, &mut rest[..l]);
+            }
+            if tooth + 1 < teeth {
+                for _ in 0..spacing {
+                    self.sqr_raw(&power, &mut t, &mut tmp);
+                    std::mem::swap(&mut power, &mut tmp);
+                }
+            }
+        }
+        FixedBaseTable { teeth, spacing, limbs }
+    }
+
+    /// `base^exponent mod n` for the base `table` was built from.
+    /// Value-identical to [`MontgomeryCtx::modpow`] for every exponent of
+    /// at most [`FixedBaseTable::exponent_bits`] bits; `None` for a wider
+    /// one (the table has no entry for its top bits).
+    pub fn fixed_base_pow(&self, table: &FixedBaseTable, exponent: &BigUint) -> Option<BigUint> {
+        if exponent.bits() > table.exponent_bits() {
+            return None;
+        }
+        if self.modulus.is_one() {
+            return Some(BigUint::zero());
+        }
+        let l = self.width();
+        debug_assert_eq!(table.limbs.len(), ((1 << table.teeth) - 1) * l, "table from a different context");
+        let digits = exponent.to_u64_digits();
+        let bit = |i: u64| digits.get((i / 64) as usize).map_or(0, |d| (d >> (i % 64)) as usize & 1);
+        let mut t = vec![0u64; 2 * l + 1];
+        let mut acc = vec![0u64; l];
+        let mut tmp = vec![0u64; l];
+        // Until the first non-zero column the accumulator is the identity.
+        let mut started = false;
+        for column in (0..table.spacing).rev() {
+            if started {
+                self.sqr_raw(&acc, &mut t, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+            let entry = (0..table.teeth)
+                .fold(0, |entry, tooth| entry | bit(u64::from(tooth) * table.spacing + column) << tooth);
+            if entry == 0 {
+                continue;
+            }
+            let factor = &table.limbs[(entry - 1) * l..entry * l];
+            if started {
+                self.mul_raw(&acc, factor, &mut t, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
+            } else {
+                acc.copy_from_slice(factor);
+                started = true;
+            }
+        }
+        Some(if started { self.from_mont(&MontInt { limbs: acc }) } else { BigUint::one() })
     }
 }
 

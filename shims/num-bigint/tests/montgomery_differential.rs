@@ -8,7 +8,8 @@
 //! proptests pin that equivalence over random odd moduli from 1 to 4096
 //! bits, plus the edge cases the dispatch has to get right: base ≥
 //! modulus, zero/one exponents, exponent bit lengths straddling limb
-//! boundaries, and modulus = 1.
+//! boundaries, and modulus = 1.  The fixed-base comb is pinned to both
+//! (`fixed_base_pow` ≡ `MontgomeryCtx::modpow` ≡ `modpow_schoolbook`).
 
 use num_bigint::montgomery::MontgomeryCtx;
 use num_bigint::{BigUint, RandBigInt};
@@ -110,6 +111,45 @@ proptest! {
             );
         }
     }
+
+    /// Lim–Lee comb == windowed Montgomery modpow == schoolbook modpow for
+    /// every in-bound exponent, over random odd moduli (1–4096 bits),
+    /// random tooth counts and table widths from 0 bits (below any tooth
+    /// count) up; an exponent one bit past the bound is refused.
+    #[test]
+    fn fixed_base_comb_matches_modpow_and_schoolbook(
+        seed in 0u64..1u64 << 40,
+        bits in 1u64..4097,
+        teeth in 1u32..9,
+    ) {
+        let m = odd_modulus(seed, bits);
+        let ctx = MontgomeryCtx::new(&m).expect("odd modulus");
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xC0B);
+        let base_bits = rng.gen_range(0..bits + 65);
+        let base = rng.gen_biguint(base_bits);
+        let asked = rng.gen_range(0..bits.min(384) + 3);
+        let table = ctx.fixed_base_table(&base, asked, teeth);
+        let bound = table.exponent_bits();
+        prop_assert!(asked <= bound && bound < asked + u64::from(teeth));
+        let all_ones = (BigUint::one() << bound) - BigUint::one();
+        let narrow = rng.gen_range(0..bound + 1);
+        for exp in [
+            BigUint::zero(),
+            BigUint::one(),
+            all_ones.clone(),
+            &all_ones >> 1,
+            rng.gen_biguint(bound),
+            rng.gen_biguint(narrow),
+        ] {
+            if exp.bits() > bound {
+                continue; // `one` against a 0-bit table
+            }
+            let got = ctx.fixed_base_pow(&table, &exp);
+            prop_assert_eq!(got.as_ref(), Some(&ctx.modpow(&base, &exp)), "exponent bits = {}", exp.bits());
+            prop_assert_eq!(got, Some(base.modpow_schoolbook(&exp, &m)));
+        }
+        prop_assert_eq!(ctx.fixed_base_pow(&table, &(all_ones + BigUint::one())), None);
+    }
 }
 
 #[test]
@@ -141,4 +181,41 @@ fn modpow_modulus_one_is_zero() {
         assert_eq!(ctx.modpow(&base, &exp), base.modpow_schoolbook(&exp, &one));
         assert_eq!(base.modpow(&exp, &one), BigUint::zero());
     }
+}
+
+/// The comb's edge widths, exhaustively where the bound is small: tables
+/// narrower than their tooth count (some teeth never fire), a single
+/// tooth (plain square-and-multiply), and widths straddling a limb.
+#[test]
+fn fixed_base_comb_edge_widths() {
+    let m = odd_modulus(17, 200);
+    let ctx = MontgomeryCtx::new(&m).expect("odd modulus");
+    let base = StdRng::seed_from_u64(18).gen_biguint(230);
+    for teeth in [1u32, 2, 6, 8] {
+        for asked in [0u64, 1, 2, 5, 7, 63, 64, 65, 130] {
+            let table = ctx.fixed_base_table(&base, asked, teeth);
+            let bound = table.exponent_bits();
+            let exponents: Vec<BigUint> = if bound <= 8 {
+                (0..1u32 << bound).map(BigUint::from).collect()
+            } else {
+                let top = BigUint::one() << (bound - 1);
+                vec![BigUint::zero(), BigUint::one(), top.clone(), (&top << 1) - BigUint::one(), top + BigUint::one()]
+            };
+            for exp in exponents {
+                assert_eq!(
+                    ctx.fixed_base_pow(&table, &exp),
+                    Some(base.modpow_schoolbook(&exp, &m)),
+                    "teeth = {teeth}, asked = {asked}, exp = {exp}"
+                );
+            }
+            assert_eq!(ctx.fixed_base_pow(&table, &(BigUint::one() << bound)), None);
+        }
+    }
+    // Modulus 1: every power is 0, the refusal still applies.
+    let one = BigUint::one();
+    let ctx = MontgomeryCtx::new(&one).expect("1 is odd");
+    let table = ctx.fixed_base_table(&base, 12, 6);
+    assert_eq!(ctx.fixed_base_pow(&table, &BigUint::zero()), Some(BigUint::zero()));
+    assert_eq!(ctx.fixed_base_pow(&table, &BigUint::from(77u32)), Some(BigUint::zero()));
+    assert_eq!(ctx.fixed_base_pow(&table, &(BigUint::one() << 12)), None);
 }
