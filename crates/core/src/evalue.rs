@@ -57,6 +57,13 @@ impl<B: CipherBackend> Clone for BackendVector<B> {
     fn clone(&self) -> Self {
         Self { backend: Arc::clone(&self.backend), units: self.units.clone() }
     }
+
+    /// Overwrites unit by unit into the buffers `self` already owns: the
+    /// contact's half of every EESum exchange.
+    fn clone_from(&mut self, source: &Self) {
+        self.backend.clone_from(&source.backend);
+        self.units.clone_from(&source.units);
+    }
 }
 
 impl<B: CipherBackend> std::fmt::Debug for BackendVector<B> {
@@ -70,19 +77,13 @@ impl<B: CipherBackend> std::fmt::Debug for BackendVector<B> {
 
 impl<B: CipherBackend> EpidemicValue for BackendVector<B> {
     fn scale_pow2(&mut self, exponent: u32) {
-        if exponent == 0 {
-            return;
-        }
-        for unit in &mut self.units {
-            *unit = self.backend.scale_pow2(unit, exponent);
+        if exponent > 0 {
+            self.backend.scale_pow2_assign(&mut self.units, exponent);
         }
     }
 
     fn add_assign(&mut self, other: &Self) {
-        assert_eq!(self.units.len(), other.units.len(), "dimension mismatch");
-        for (a, b) in self.units.iter_mut().zip(other.units.iter()) {
-            *a = self.backend.add(a, b);
-        }
+        self.backend.add_assign(&mut self.units, &other.units);
     }
 
     fn payload_units(&self) -> usize {

@@ -25,14 +25,25 @@ pub fn extended_gcd(a: &BigInt, b: &BigInt) -> (BigInt, BigInt, BigInt) {
 }
 
 /// Modular inverse of `a` modulo `m`, if it exists.
+///
+/// [`extended_gcd`] with the Bézout sequence of `m` left out: the inverse
+/// is the coefficient of `a` alone, and the other sequence costs as many
+/// multiplications again.  Value-identical to reading `x` off
+/// `extended_gcd(a, m)`.
 pub fn mod_inverse(a: &BigUint, m: &BigUint) -> Option<BigUint> {
-    let a = BigInt::from(a.clone());
     let m_int = BigInt::from(m.clone());
-    let (g, x, _) = extended_gcd(&a, &m_int);
-    if !g.is_one() {
+    let (mut r0, mut r1) = (BigInt::from(a.clone()), m_int.clone());
+    let (mut x0, mut x1) = (BigInt::one(), BigInt::zero());
+    while !r1.is_zero() {
+        let (q, r2) = r0.div_rem(&r1);
+        let x2 = x0 - &q * &x1;
+        (r0, r1) = (r1, r2);
+        (x0, x1) = (x1, x2);
+    }
+    if !r0.is_one() {
         return None;
     }
-    let mut x = x % &m_int;
+    let mut x = x0 % &m_int;
     if x.is_negative() {
         x += &m_int;
     }
@@ -165,6 +176,39 @@ mod tests {
                 assert_eq!(&a * &got.1 + &b * &got.2, got.0, "Bézout identity");
             }
         }
+    }
+
+    #[test]
+    fn mod_inverse_is_the_x_coefficient_of_extended_gcd() {
+        // Coprime pairs and pairs sharing a planted factor, 1 to 2048 bits,
+        // the value below, at and above the modulus.
+        let mut rng = StdRng::seed_from_u64(5);
+        let reference = |a: &BigUint, m: &BigUint| {
+            let m_int = BigInt::from(m.clone());
+            let (g, x, _) = extended_gcd(&BigInt::from(a.clone()), &m_int);
+            g.is_one().then(|| ((x % &m_int + &m_int) % &m_int).to_biguint().expect("reduced into [0, m)"))
+        };
+        let (mut invertible, mut refused) = (0, 0);
+        for round in 0..300u64 {
+            let (a_bits, m_bits) = (1 + (round * 41) % 2048, 1 + (round * 67) % 2048);
+            let shared = if round % 3 == 0 { rng.gen_biguint(1 + round % 40) + BigUint::from(2u32) } else { BigUint::one() };
+            let a = (rng.gen_biguint(a_bits) + BigUint::one()) * &shared;
+            let m = (rng.gen_biguint(m_bits) + BigUint::one()) * &shared;
+            for a in [a.clone(), &a % &m, &a + &m] {
+                let got = mod_inverse(&a, &m);
+                assert_eq!(got, reference(&a, &m), "a = {a}, m = {m}");
+                match got {
+                    Some(inv) => {
+                        assert!(inv < m && (a * inv % &m) == BigUint::one() % &m);
+                        invertible += 1;
+                    }
+                    None => refused += 1,
+                }
+            }
+        }
+        assert!(invertible > 100 && refused > 100, "{invertible} invertible, {refused} refused");
+        assert_eq!(mod_inverse(&BigUint::zero(), &BigUint::from(7u32)), None);
+        assert_eq!(mod_inverse(&BigUint::from(5u32), &BigUint::one()), Some(BigUint::zero()));
     }
 
     #[test]

@@ -114,11 +114,35 @@ pub trait CipherBackend: std::fmt::Debug + Send + Sync + Sized + 'static {
         self.encrypt(&BigUint::zero(), rng)
     }
 
-    /// Homomorphic addition of two units.
-    fn add(&self, a: &Self::Unit, b: &Self::Unit) -> Self::Unit;
+    /// Homomorphic addition in place, unit by unit over two vectors of one
+    /// length: `acc[i] ← acc[i] +ₕ other[i]`.  Slice-level so that a
+    /// backend's scratch serves a whole epidemic vector; the EESum exchange
+    /// runs on this and [`CipherBackend::scale_pow2_assign`] and allocates
+    /// nothing per unit.
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length.
+    fn add_assign(&self, acc: &mut [Self::Unit], other: &[Self::Unit]);
 
-    /// Homomorphic scaling by `2^exponent` (the EESum update rule).
-    fn scale_pow2(&self, a: &Self::Unit, exponent: u32) -> Self::Unit;
+    /// Homomorphic scaling by `2^exponent` in place, every unit of a vector
+    /// (the EESum update rule).
+    fn scale_pow2_assign(&self, units: &mut [Self::Unit], exponent: u32);
+
+    /// Homomorphic addition of two units: [`CipherBackend::add_assign`] on
+    /// a copy of `a`.
+    fn add(&self, a: &Self::Unit, b: &Self::Unit) -> Self::Unit {
+        let mut sum = a.clone();
+        self.add_assign(std::slice::from_mut(&mut sum), std::slice::from_ref(b));
+        sum
+    }
+
+    /// Homomorphic scaling of one unit by `2^exponent`:
+    /// [`CipherBackend::scale_pow2_assign`] on a copy of `a`.
+    fn scale_pow2(&self, a: &Self::Unit, exponent: u32) -> Self::Unit {
+        let mut scaled = a.clone();
+        self.scale_pow2_assign(std::slice::from_mut(&mut scaled), exponent);
+        scaled
+    }
 
     /// Recovers the plaintext integer of an accumulated unit with τ
     /// distinct key-shares (an identity read for plaintext backends).
@@ -155,7 +179,10 @@ pub trait CipherBackend: std::fmt::Debug + Send + Sync + Sized + 'static {
 
     /// Serialises one unit as raw big-endian bytes, **without** length
     /// framing — the fixed-width vector encoding of
-    /// [`crate::wire::serialize_units`] supplies it.
+    /// [`crate::wire::serialize_units`] supplies it.  The bytes are the
+    /// unit as the backend holds it (a Damgård–Jurik ciphertext travels as
+    /// its resident residue): only [`Self::unit_from_bytes`] of a backend
+    /// with the same public material gives them meaning.
     fn unit_to_bytes(&self, unit: &Self::Unit) -> Vec<u8>;
 
     /// Rebuilds a unit from [`Self::unit_to_bytes`] bytes (leading
@@ -232,12 +259,12 @@ impl CipherBackend for DamgardJurik {
         self.public.encrypt(plaintext, rng)
     }
 
-    fn add(&self, a: &Self::Unit, b: &Self::Unit) -> Self::Unit {
-        self.public.add(a, b)
+    fn add_assign(&self, acc: &mut [Self::Unit], other: &[Self::Unit]) {
+        self.public.add_assign(acc, other);
     }
 
-    fn scale_pow2(&self, a: &Self::Unit, exponent: u32) -> Self::Unit {
-        self.public.scale_pow2(a, exponent)
+    fn scale_pow2_assign(&self, units: &mut [Self::Unit], exponent: u32) {
+        self.public.scale_pow2_assign(units, exponent);
     }
 
     fn threshold_decrypt(&self, unit: &Self::Unit) -> BigUint {
@@ -282,16 +309,14 @@ impl CipherBackend for DamgardJurik {
     }
 
     fn unit_to_bytes(&self, unit: &Self::Unit) -> Vec<u8> {
-        unit.raw().to_bytes_be()
+        self.public.ciphertext_to_bytes(unit)
     }
 
     /// Fails closed on peer bytes: a ciphertext lives in `[1, n^{s+1})`, so
     /// `0` and anything at or above the modulus is rejected before it can
-    /// reach [`Self::add`].
+    /// reach [`Self::add_assign`].
     fn unit_from_bytes(&self, bytes: &[u8]) -> Option<Self::Unit> {
-        let value = BigUint::from_bytes_be(bytes);
-        (!value.is_zero() && &value < self.public.ciphertext_modulus())
-            .then(|| crate::scheme::Ciphertext::from_raw(value))
+        self.public.ciphertext_from_bytes(bytes)
     }
 
     fn plaintext_capacity_bits(&self) -> Option<u64> {
@@ -343,12 +368,17 @@ impl CipherBackend for PlaintextSurrogate {
         plaintext.clone()
     }
 
-    fn add(&self, a: &Self::Unit, b: &Self::Unit) -> Self::Unit {
-        a + b
+    fn add_assign(&self, acc: &mut [Self::Unit], other: &[Self::Unit]) {
+        assert_eq!(acc.len(), other.len(), "dimension mismatch");
+        for (a, b) in acc.iter_mut().zip(other) {
+            *a += b;
+        }
     }
 
-    fn scale_pow2(&self, a: &Self::Unit, exponent: u32) -> Self::Unit {
-        a << exponent
+    fn scale_pow2_assign(&self, units: &mut [Self::Unit], exponent: u32) {
+        for unit in units {
+            *unit <<= exponent;
+        }
     }
 
     fn threshold_decrypt(&self, unit: &Self::Unit) -> BigUint {

@@ -19,7 +19,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use num_bigint::montgomery::{FixedBaseTable, MontgomeryCtx};
+use num_bigint::montgomery::{FixedBaseTable, MontInt, MontgomeryCtx};
 use num_bigint::{BigUint, RandBigInt};
 use num_integer::Integer;
 use num_traits::One;
@@ -76,8 +76,13 @@ impl PartialEq for PublicKey {
 impl Eq for PublicKey {}
 
 impl PublicKey {
+    /// # Panics
+    /// Panics if `s` is 0 or `n` is even: ciphertexts live in Montgomery
+    /// form modulo `n^{s+1}`, which only an odd modulus has (and no product
+    /// of two odd primes is even).  The wire parser refuses both first.
     pub(crate) fn new(n: BigUint, s: u32, key_bits: u64, h_s: BigUint) -> Self {
         assert!(s >= 1, "the Damgard-Jurik exponent s must be at least 1");
+        assert!(n.is_odd(), "the modulus n must be odd");
         let n_s = n.pow(s);
         let n_s1 = &n_s * &n;
         let g = &n + BigUint::one();
@@ -163,17 +168,13 @@ impl PublicKey {
         result
     }
 
-    /// The cached Montgomery context for the ciphertext modulus `n^{s+1}`.
-    ///
-    /// `n^{s+1}` is odd for every real key (both prime factors are odd), so
-    /// this only returns `None` for degenerate hand-built keys; callers fall
-    /// back to the generic [`BigUint::modpow`].
-    pub fn ciphertext_ctx(&self) -> Option<&Arc<MontgomeryCtx>> {
-        if self.ct_ctx.get().is_none() {
-            let ctx = MontgomeryCtx::new(&self.n_s1)?;
-            let _ = self.ct_ctx.set(Arc::new(ctx));
-        }
-        self.ct_ctx.get()
+    /// The cached Montgomery context for the ciphertext modulus `n^{s+1}`
+    /// (odd: a key is only ever built, or parsed, around an odd `n`): the one
+    /// arithmetic every ciphertext-space operation runs on, and the `R`
+    /// resident ciphertexts are held against.
+    pub fn ciphertext_ctx(&self) -> &Arc<MontgomeryCtx> {
+        self.ct_ctx
+            .get_or_init(|| Arc::new(MontgomeryCtx::new(&self.n_s1).expect("n is odd, so is every power of it")))
     }
 
     /// `base^exponent mod n^{s+1}` through the cached Montgomery context —
@@ -181,26 +182,22 @@ impl PublicKey {
     /// should use (one REDC setup for all of them).  Value-identical to
     /// `base.modpow(exponent, n^{s+1})`.
     pub fn modpow_ciphertext(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
-        match self.ciphertext_ctx() {
-            Some(ctx) => ctx.modpow(base, exponent),
-            None => base.modpow(exponent, &self.n_s1),
-        }
+        self.ciphertext_ctx().modpow(base, exponent)
     }
 
-    /// The encryption mask `h_s^α mod n^{s+1}` through the cached comb
-    /// table of `h_s`, built by the first call: `⌈bits/6⌉` squarings and as
-    /// many products instead of one squaring per bit of a full-width
-    /// exponent.  Value-identical to `h_s.modpow(α, n^{s+1})` for `α` of at
-    /// most [`PublicKey::mask_exponent_bits`] bits, which is all the table
+    /// The encryption mask `h_s^α mod n^{s+1}`, in Montgomery form, through
+    /// the cached comb table of `h_s`, built by the first call: `⌈bits/6⌉`
+    /// squarings and as many products instead of one squaring per bit of a
+    /// full-width exponent.  The Montgomery form of
+    /// `h_s.modpow(α, n^{s+1})` for `α` of at most
+    /// [`PublicKey::mask_exponent_bits`] bits, which is all the table
     /// covers.
-    pub(crate) fn mask_pow(&self, alpha: &BigUint) -> BigUint {
-        let Some(ctx) = self.ciphertext_ctx() else {
-            return self.h_s.modpow(alpha, &self.n_s1);
-        };
+    pub(crate) fn mask_pow(&self, alpha: &BigUint) -> MontInt {
+        let ctx = self.ciphertext_ctx();
         let table = self.mask_table.get_or_init(|| {
             Arc::new(ctx.fixed_base_table(&self.h_s, self.mask_exponent_bits(), MASK_COMB_TEETH))
         });
-        ctx.fixed_base_pow(table, alpha).expect("a mask exponent is drawn within the table's bound")
+        ctx.fixed_base_pow_mont(table, alpha).expect("a mask exponent is drawn within the table's bound")
     }
 
     /// Eagerly builds the cached Montgomery context (idempotent).  The
@@ -474,7 +471,7 @@ mod tests {
             let all_ones = (BigUint::one() << bits) - BigUint::one();
             for alpha in [BigUint::from(0u32), BigUint::one(), all_ones, rng.gen_biguint(bits), rng.gen_biguint(bits / 3)] {
                 let expected = pk.mask_base().modpow_schoolbook(&alpha, pk.ciphertext_modulus());
-                assert_eq!(pk.mask_pow(&alpha), expected, "s = {s}, alpha = {alpha}");
+                assert_eq!(pk.ciphertext_ctx().from_mont(&pk.mask_pow(&alpha)), expected, "s = {s}, alpha = {alpha}");
             }
         }
     }
@@ -491,6 +488,12 @@ mod tests {
         let table = pk.mask_table.get().expect("built by the first mask");
         assert!(table.exponent_bits() >= 512);
         assert!(table.heap_bytes() <= 16 << 10, "{} bytes: every node actor holds one", table.heap_bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "must be odd")]
+    fn even_modulus_is_refused_where_a_key_is_built() {
+        let _ = PublicKey::new(BigUint::one() << 127u32, 1, 128, BigUint::from(3u32));
     }
 
     #[test]

@@ -69,7 +69,7 @@
 //! the packed and legacy pipelines bit-identical.
 
 use num_bigint::BigUint;
-use num_traits::{One, Zero};
+use num_traits::One;
 
 use crate::encoding::{biguint_to_f64, FixedPointEncoder};
 use crate::keys::PublicKey;
@@ -284,9 +284,11 @@ impl PackedEncoder {
         values
             .chunks(layout.lanes)
             .map(|chunk| {
-                let mut plaintext = BigUint::zero();
-                // Highest lane first so each shift-accumulate is one mul-add.
-                for &v in chunk.iter().rev() {
+                // One buffer sized for the chunk's lanes: they are disjoint
+                // bit ranges, so each payload is shifted to its offset and
+                // or-ed into place.
+                let mut digits = vec![0u64; (chunk.len() as u64 * layout.lane_bits).div_ceil(64) as usize];
+                for (lane, &v) in chunk.iter().enumerate() {
                     assert!(v.is_finite(), "cannot pack a non-finite value");
                     let magnitude = (v.abs() * self.scale as f64).round();
                     let mag_int = magnitude as u128;
@@ -302,9 +304,19 @@ impl PackedEncoder {
                     } else {
                         layout.bias + mag_int
                     };
-                    plaintext = (plaintext << layout.lane_bits) + BigUint::from(payload);
+                    let offset = lane as u64 * layout.lane_bits;
+                    let (low, high, shift) = (payload as u64, (payload >> 64) as u64, offset % 64);
+                    let shifted = match shift {
+                        0 => [low, high, 0],
+                        _ => [low << shift, high << shift | low >> (64 - shift), high >> (64 - shift)],
+                    };
+                    // A payload is below 2^lane_bits (plan sized the lane for
+                    // far more), so only zeros fall past the buffer's end.
+                    for (digit, part) in digits[(offset / 64) as usize..].iter_mut().zip(shifted) {
+                        *digit |= part;
+                    }
                 }
-                plaintext
+                BigUint::from_u64_digits(digits)
             })
             .collect()
     }
@@ -399,6 +411,7 @@ impl PublicKey {
 mod tests {
     use super::*;
     use crate::keys::KeyPair;
+    use num_traits::Zero;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -565,6 +578,37 @@ mod tests {
     fn pack_rejects_non_finite_values()  {
         let packer = PackedEncoder::plan(511, &encoder(), &budget()).unwrap();
         packer.pack(&[f64::NAN]);
+    }
+
+    #[test]
+    fn pack_places_every_lane_exactly_where_the_layout_says() {
+        // Σ payload_l · 2^(l·W), spelled with big-integer shifts and adds,
+        // for lane widths below, at and above one and two limbs, full and
+        // partial last chunks, and magnitudes up to the packer's own limit.
+        let mut cases = Vec::new();
+        for (capacity, doubling_budget, max_abs_value) in
+            [(160, 0, 1.0), (511, 8, 100.0), (1023, 33, 100.0), (1023, 40, 3.0e5), (2046, 100, 1.0e9), (3000, 200, 8.0e34)]
+        {
+            let budget = LaneBudget { doubling_budget, max_abs_value, ..budget() };
+            let packer = PackedEncoder::plan(capacity, &encoder(), &budget).unwrap();
+            let layout = packer.layout().clone();
+            cases.push(layout.lane_bits);
+            let values: Vec<f64> = (0..2 * layout.lanes + 3)
+                .map(|i| [1.0, -1.0, 0.37, -0.61, 0.0][i % 5] * max_abs_value / (1 + i / 5) as f64)
+                .collect();
+            let expected: Vec<BigUint> = values
+                .chunks(layout.lanes)
+                .map(|chunk| {
+                    chunk.iter().rev().fold(BigUint::zero(), |acc, &v| {
+                        let magnitude = (v.abs() * packer.scale() as f64).round() as u128;
+                        let payload = if v < 0.0 { layout.bias - magnitude } else { layout.bias + magnitude };
+                        (acc << layout.lane_bits) + BigUint::from(payload)
+                    })
+                })
+                .collect();
+            assert_eq!(packer.pack(&values), expected, "lane_bits = {}", layout.lane_bits);
+        }
+        assert!(cases.iter().any(|&w| w < 64) && cases.iter().any(|&w| w > 128), "lane widths {cases:?}");
     }
 
     #[test]

@@ -66,9 +66,12 @@ impl KeyShare {
     ) -> PartialDecryption {
         let delta = factorial(self.num_shares);
         let exponent = BigUint::from(2u32) * &delta * &self.value;
+        // One reduction out of the resident form, then the exponentiation
+        // (≈ 1 µs before ≥ 0.9 ms); a partial decryption is canonical.
+        let c = pk.canonical(c);
         let value = match crt {
-            Some(ctx) => ctx.modpow(c.raw(), &exponent),
-            None => pk.modpow_ciphertext(c.raw(), &exponent),
+            Some(ctx) => ctx.modpow(&c, &exponent),
+            None => pk.modpow_ciphertext(&c, &exponent),
         };
         PartialDecryption { share_index: self.index, value }
     }

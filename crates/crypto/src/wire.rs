@@ -3,9 +3,11 @@
 //! A gossip exchange transfers a whole set of encrypted means.  Each mean
 //! consists of `n` encrypted sum components plus one encrypted count, plus a
 //! cleartext weight and exchange counter.  This module computes the payload
-//! sizes that the bandwidth figure reports, and provides a helper that
-//! serialises ciphertexts to bytes so the model can be cross-checked against
-//! actual encodings.
+//! sizes that the bandwidth figure reports, and the codecs of what actually
+//! travels: the public key a coordinator provisions node actors with, and
+//! fixed-width vectors of backend units.  A lone unit has no codec here —
+//! only a backend, which holds the key, can range-check one
+//! ([`CipherBackend::unit_from_bytes`](crate::backend::CipherBackend::unit_from_bytes)).
 
 use bytes::{BufMut, Bytes, BytesMut};
 use num_bigint::BigUint;
@@ -14,7 +16,6 @@ use num_traits::One;
 use serde::{Deserialize, Serialize};
 
 use crate::keys::{PublicKey, MAX_S};
-use crate::scheme::Ciphertext;
 
 /// Size model for one set of encrypted means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -132,23 +133,6 @@ impl MeansWireModel {
     }
 }
 
-/// Serialises a ciphertext as a length-prefixed big-endian byte string.
-pub fn serialize_ciphertext(c: &Ciphertext) -> Bytes {
-    let raw = c.raw().to_bytes_be();
-    let mut buf = BytesMut::with_capacity(raw.len() + 4);
-    buf.put_u32(raw.len() as u32);
-    buf.put_slice(&raw);
-    buf.freeze()
-}
-
-/// Deserialises a ciphertext produced by [`serialize_ciphertext`].
-///
-/// Returns `None` if the buffer is malformed.
-pub fn deserialize_ciphertext(bytes: &[u8]) -> Option<Ciphertext> {
-    let (raw, rest) = take_field(bytes)?;
-    rest.is_empty().then(|| Ciphertext::from_raw(BigUint::from_bytes_be(raw)))
-}
-
 /// Splits one `len (u32) | bytes` field off the front of `bytes`.
 fn take_field(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
     let (len, rest) = bytes.split_first_chunk::<4>()?;
@@ -179,10 +163,12 @@ pub fn serialize_public_key(pk: &PublicKey) -> Bytes {
 ///
 /// Fails closed: returns `None` if the buffer is malformed (a missing,
 /// truncated or trailing field, an exponent outside `1..=16`, an
-/// implausibly small modulus) or if the mask base is not key material a
-/// generated key could carry — `h_s` must lie strictly between 1 and
-/// `n^{s+1}` and share no factor with `n`, or every mask would be trivial,
-/// out of range or a non-unit no share-holder can decrypt around.
+/// implausibly small or an even modulus — ciphertexts are held in
+/// Montgomery form, which an even `n^{s+1}` does not have) or if the mask
+/// base is not key material a generated key could carry — `h_s` must lie
+/// strictly between 1 and `n^{s+1}` and share no factor with `n`, or every
+/// mask would be trivial, out of range or a non-unit no share-holder can
+/// decrypt around.
 pub fn deserialize_public_key(bytes: &[u8]) -> Option<PublicKey> {
     let (s, rest) = bytes.split_first_chunk::<4>()?;
     let (key_bits, rest) = rest.split_first_chunk::<8>()?;
@@ -193,7 +179,7 @@ pub fn deserialize_public_key(bytes: &[u8]) -> Option<PublicKey> {
         return None;
     }
     let n = BigUint::from_bytes_be(n);
-    if n.bits() < 8 {
+    if n.bits() < 8 || n.is_even() {
         return None;
     }
     let pk = PublicKey::new(n, s, key_bits, BigUint::from_bytes_be(h_s));
@@ -310,32 +296,43 @@ mod tests {
 
     #[test]
     fn model_matches_real_ciphertext_sizes() {
+        use crate::backend::{CipherBackend, DamgardJurik};
         let mut rng = StdRng::seed_from_u64(1);
         let kp = KeyPair::generate(256, 1, &mut rng);
         let model = MeansWireModel::new(&kp.public, 5, 4);
-        let c = kp.public.encrypt(&BigUint::from(123u32), &mut rng);
-        // The serialised ciphertext (minus the 4-byte length prefix) must not
-        // exceed the model's per-ciphertext size.
-        let serialized = serialize_ciphertext(&c);
-        assert!(serialized.len() - 4 <= model.ciphertext_bytes);
-        assert!(serialized.len() - 4 >= model.ciphertext_bytes - 2);
+        let backend = DamgardJurik::from_public_key(kp.public.clone());
+        let c = backend.encrypt(&BigUint::from(123u32), &mut rng);
+        // A serialised unit is exactly the model's per-ciphertext size.
+        assert_eq!(backend.unit_to_bytes(&c).len(), model.ciphertext_bytes);
     }
 
     #[test]
     fn ciphertext_serialization_round_trip() {
+        use crate::backend::{CipherBackend, DamgardJurik};
         let mut rng = StdRng::seed_from_u64(2);
         let kp = KeyPair::generate(128, 1, &mut rng);
+        let backend = DamgardJurik::from_public_key(kp.public.clone());
         let m = BigUint::from(9_999u32);
-        let c = kp.public.encrypt(&m, &mut rng);
-        let bytes = serialize_ciphertext(&c);
-        let back = deserialize_ciphertext(&bytes).unwrap();
+        let c = backend.encrypt(&m, &mut rng);
+        let back = backend.unit_from_bytes(&backend.unit_to_bytes(&c)).unwrap();
+        assert_eq!(back, c, "the wire carries the unit as it stands");
         assert_eq!(kp.secret.decrypt(&kp.public, &back), m);
     }
 
     #[test]
     fn malformed_buffers_rejected() {
-        assert!(deserialize_ciphertext(&[]).is_none());
-        assert!(deserialize_ciphertext(&[0, 0, 0, 10, 1, 2]).is_none());
+        use crate::backend::{CipherBackend, DamgardJurik};
+        let pk = KeyPair::generate(128, 1, &mut StdRng::seed_from_u64(2)).public;
+        let backend = DamgardJurik::from_public_key(pk.clone());
+        // Empty and all-zero bytes are the unit 0; the modulus is out of
+        // range however it is padded; over-long bytes are beyond it.
+        assert!(backend.unit_from_bytes(&[]).is_none());
+        assert!(backend.unit_from_bytes(&vec![0; backend.unit_bytes()]).is_none());
+        let modulus = pk.ciphertext_modulus().to_bytes_be();
+        assert!(backend.unit_from_bytes(&modulus).is_none());
+        assert!(backend.unit_from_bytes(&[&[0u8; 9][..], &modulus].concat()).is_none());
+        assert!(backend.unit_from_bytes(&vec![1; backend.unit_bytes() + 9]).is_none());
+        assert!(backend.unit_from_bytes(&[1]).is_some());
     }
 
     #[test]
@@ -371,9 +368,9 @@ mod tests {
         zero_s[12..16].copy_from_slice(&4u32.to_be_bytes());
         assert!(deserialize_public_key(&zero_s).is_none());
 
-        // The same key with its exponent or mask-base field replaced.
-        let with = |s: u32, mask_field: Option<&BigUint>| {
-            let n = pk.modulus().to_bytes_be();
+        // The same key with its modulus, exponent or mask-base field replaced.
+        let with_modulus = |n: &BigUint, s: u32, mask_field: Option<&BigUint>| {
+            let n = n.to_bytes_be();
             let mut bytes = [&s.to_be_bytes()[..], &128u64.to_be_bytes(), &(n.len() as u32).to_be_bytes(), &n].concat();
             if let Some(h_s) = mask_field {
                 let h_s = h_s.to_bytes_be();
@@ -382,6 +379,7 @@ mod tests {
             }
             deserialize_public_key(&bytes)
         };
+        let with = |s: u32, mask_field: Option<&BigUint>| with_modulus(pk.modulus(), s, mask_field);
         assert_eq!(with(1, Some(pk.mask_base())), Some(pk.clone()), "the helper rebuilds the good key");
         // An exponent the parser would have to allocate unboundedly for.
         assert!(with(u32::MAX, Some(pk.mask_base())).is_none());
@@ -394,6 +392,13 @@ mod tests {
         assert!(with(1, Some(n_s1)).is_none());
         assert!(with(1, Some(&(n_s1 + pk.mask_base()))).is_none());
         assert!(with(1, Some(&(n_s1 - BigUint::one()))).is_some(), "−1 is in range and a unit");
+        // An even modulus has no Montgomery form to hold a ciphertext in.
+        // Its mask base passes every other check (in range, coprime), so
+        // only the parity check can be what refuses the key.
+        let (two, three, four) = (BigUint::from(2u32), BigUint::from(3u32), BigUint::from(4u32));
+        assert!(with_modulus(&(pk.modulus() + BigUint::one()), 1, Some(pk.modulus())).is_none(), "gcd(n, n + 1) = 1");
+        assert!(with_modulus(&(BigUint::one() << 127u32), 1, Some(&three)).is_none());
+        assert!(with_modulus(&(pk.modulus() + two), 1, Some(&four)).is_some(), "odd, and 4 is a unit");
         // In range but sharing a factor with n: masks would be non-units.
         assert!(with(1, Some(&(pk.modulus() * BigUint::from(2u32)))).is_none());
         assert!(with(1, Some(pk.modulus())).is_none());

@@ -125,7 +125,6 @@ proptest! {
         // unit r, is a ciphertext of the same scheme as the h_s^α-masked
         // ones `encrypt` makes: they add, scale, re-randomise and decrypt
         // (full key and τ-of-ℓ) together, for s = 1 and s = 2.
-        use chiaroscuro_crypto::wire::deserialize_ciphertext;
         use num_bigint::RandBigInt;
         for kp in [keypair(), keypair_s2()] {
             let pk = &kp.public;
@@ -134,9 +133,7 @@ proptest! {
             let r = rng.gen_biguint_range(&BigUint::from(2u32), pk.modulus());
             let textbook = pk.generator_pow(&a) * pk.modpow_ciphertext(&r, pk.plaintext_modulus())
                 % pk.ciphertext_modulus();
-            let raw = textbook.to_bytes_be();
-            let framed = [&(raw.len() as u32).to_be_bytes()[..], &raw].concat();
-            let textbook = deserialize_ciphertext(&framed).unwrap();
+            let textbook = pk.ciphertext_from_canonical(&textbook).expect("a unit of Z_{n^{s+1}}");
             prop_assert_eq!(kp.secret.decrypt(pk, &textbook), a.clone());
 
             let sum = pk.add(&textbook, &pk.encrypt(&b, &mut rng));
@@ -154,6 +151,82 @@ proptest! {
                 shares[1..3].iter().map(|share| share.partial_decrypt(pk, &scaled)).collect();
             prop_assert_eq!(combine(pk, &partials, 2, 5).unwrap(), expected);
         }
+    }
+
+    #[test]
+    fn resident_operators_read_out_as_the_textbook_group_operations(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        e in 0u32..=64,
+        seed in any::<u64>(),
+    ) {
+        // A ciphertext is held as c·R mod n^{s+1}; what it *is* is c.  Read
+        // out canonically, +ₕ is the modular product, a 2^e scaling is e
+        // modular squarings and a re-randomisation is a product with an
+        // encryption of zero — each computed here inline, the slow way.
+        use num_traits::One;
+        for kp in [keypair(), keypair_s2()] {
+            let pk = &kp.public;
+            let modulus = pk.ciphertext_modulus();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (ca, cb) = (pk.encrypt(&BigUint::from(a), &mut rng), pk.encrypt(&BigUint::from(b), &mut rng));
+            let (ra, rb) = (pk.canonical(&ca), pk.canonical(&cb));
+            prop_assert!(ra > BigUint::one() && &ra < modulus);
+            prop_assert_eq!(pk.ciphertext_from_canonical(&ra), Some(ca.clone()));
+
+            prop_assert_eq!(pk.canonical(&pk.add(&ca, &cb)), &ra * &rb % modulus);
+            let power = BigUint::one() << e;
+            prop_assert_eq!(pk.canonical(&pk.scale_pow2(&ca, e)), ra.modpow_schoolbook(&power, modulus));
+            prop_assert_eq!(pk.scale_pow2(&ca, e), pk.scalar_mul(&ca, &power));
+            let zero = pk.encrypt_zero(&mut StdRng::seed_from_u64(!seed));
+            let fresh = pk.rerandomize(&ca, &mut StdRng::seed_from_u64(!seed));
+            prop_assert_eq!(pk.canonical(&fresh), &ra * pk.canonical(&zero) % modulus);
+            prop_assert_eq!(kp.secret.decrypt(pk, &fresh), BigUint::from(a));
+        }
+    }
+
+    #[test]
+    fn in_place_operators_match_the_out_of_place_ones_on_both_backends(
+        values in prop::collection::vec(any::<u64>(), 1..6),
+        e in 0u32..=64,
+        seed in any::<u64>(),
+    ) {
+        use chiaroscuro_crypto::backend::{BackendSetup, CipherBackend, DamgardJurik, PlaintextSurrogate};
+        fn check<B: CipherBackend>(backend: &B, values: &[u64], e: u32, seed: u64) -> Result<(), TestCaseError>
+        where
+            B::Unit: PartialEq,
+        {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut units = |shift: u32| -> Vec<B::Unit> {
+                values.iter().map(|&v| backend.encrypt(&(BigUint::from(v) << shift), &mut rng)).collect()
+            };
+            let (ours, theirs) = (units(0), units(70));
+            let mut acc = ours.clone();
+            backend.scale_pow2_assign(&mut acc, e);
+            for (scaled, unit) in acc.iter().zip(&ours) {
+                prop_assert!(*scaled == backend.scale_pow2(unit, e));
+            }
+            let scaled = acc.clone();
+            backend.add_assign(&mut acc, &theirs);
+            for ((sum, a), b) in acc.iter().zip(&scaled).zip(&theirs) {
+                prop_assert!(*sum == backend.add(a, b));
+            }
+            // The contact's overwrite lands on the same units too.
+            let mut contact = theirs;
+            contact.clone_from(&acc);
+            prop_assert!(contact == acc);
+            Ok(())
+        }
+        check(&DamgardJurik::from_public_key(keypair().public.clone()), &values, e, seed)?;
+        check(&DamgardJurik::from_public_key(keypair_s2().public.clone()), &values, e, seed)?;
+        let setup = BackendSetup {
+            key_bits: 128,
+            damgard_jurik_s: 1,
+            population: 4,
+            key_share_threshold: 2,
+            packed_layout: None,
+        };
+        check(&PlaintextSurrogate::setup(&setup, &mut StdRng::seed_from_u64(1)), &values, e, seed)?;
     }
 
     #[test]
@@ -283,14 +356,72 @@ proptest! {
     // payloads, under both the real cipher and the plaintext surrogate).
 
     #[test]
-    fn wire_ciphertext_round_trips(m in any::<u64>(), seed in any::<u64>()) {
-        use chiaroscuro_crypto::wire::{deserialize_ciphertext, serialize_ciphertext};
-        let kp = keypair();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let m = BigUint::from(m);
-        let c = kp.public.encrypt(&m, &mut rng);
-        let back = deserialize_ciphertext(&serialize_ciphertext(&c)).unwrap();
-        prop_assert_eq!(kp.secret.decrypt(&kp.public, &back), m);
+    fn wire_ciphertext_round_trips(m in any::<u64>(), doublings in 0u32..40, seed in any::<u64>()) {
+        // One unit, fresh and after an exchange's worth of operators: the
+        // bytes are never wider than the backend's honest unit size (they
+        // are exactly that wide) and read back as the unit that was sent —
+        // the resident residue travels as it stands.
+        use chiaroscuro_crypto::backend::{CipherBackend, DamgardJurik};
+        for kp in [keypair(), keypair_s2()] {
+            let backend = DamgardJurik::from_public_key(kp.public.clone());
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = BigUint::from(m);
+            let fresh = backend.encrypt(&m, &mut rng);
+            let merged = backend.add(&backend.scale_pow2(&fresh, doublings), &backend.encrypt_zero(&mut rng));
+            for (unit, plaintext) in [(&fresh, m.clone()), (&merged, &m << doublings)] {
+                let bytes = backend.unit_to_bytes(unit);
+                prop_assert!(bytes.len() <= backend.unit_bytes());
+                prop_assert_eq!(bytes.len(), kp.public.ciphertext_bytes());
+                let back = backend.unit_from_bytes(&bytes).unwrap();
+                prop_assert_eq!(&back, unit);
+                prop_assert_eq!(kp.secret.decrypt(&kp.public, &back), plaintext);
+            }
+        }
+    }
+
+    #[test]
+    fn wire_unit_bytes_are_refused_or_safe_to_operate_on(
+        noise in prop::collection::vec(any::<u8>(), 0..80),
+        excess in any::<u32>(),
+        seed in any::<u64>(),
+    ) {
+        // Whatever a peer sends as one unit — nothing, zeros, the modulus,
+        // just past it, over-long bytes, noise of any length — is refused
+        // or is a value below the modulus, which the in-place kernels take
+        // without a panic (they assume exactly that of their inputs).
+        use chiaroscuro_crypto::backend::{CipherBackend, DamgardJurik};
+        for kp in [keypair(), keypair_s2()] {
+            let backend = DamgardJurik::from_public_key(kp.public.clone());
+            let modulus = kp.public.ciphertext_modulus();
+            let width = backend.unit_bytes();
+            let honest = backend.encrypt(&BigUint::from(excess), &mut StdRng::seed_from_u64(seed));
+            let refused = [
+                Vec::new(),
+                vec![0u8; width],
+                modulus.to_bytes_be(),
+                (modulus + BigUint::from(1u32)).to_bytes_be(),
+                (modulus + BigUint::from(excess)).to_bytes_be(),
+                [&[0u8; 11][..], &modulus.to_bytes_be()].concat(),
+                vec![0xFF; width],
+                [&[1u8][..], &backend.unit_to_bytes(&honest)].concat(),
+            ];
+            for bytes in &refused {
+                prop_assert!(backend.unit_from_bytes(bytes).is_none(), "{} bytes accepted", bytes.len());
+            }
+            let in_range = (modulus - BigUint::from(1u32)).to_bytes_be();
+            let padded = [&[0u8; 11][..], &in_range].concat();
+            for bytes in [&noise, &in_range, &padded, &vec![1u8]] {
+                let Some(unit) = backend.unit_from_bytes(bytes) else { continue };
+                prop_assert_eq!(BigUint::from_bytes_be(&backend.unit_to_bytes(&unit)), BigUint::from_bytes_be(bytes));
+                let mut acc = [honest.clone(), unit.clone()];
+                backend.add_assign(&mut acc, &[unit.clone(), unit]);
+                backend.scale_pow2_assign(&mut acc, 12);
+                // Products and powers of units are units: still on the wire's terms.
+                for merged in &acc {
+                    prop_assert_eq!(backend.unit_from_bytes(&backend.unit_to_bytes(merged)), Some(merged.clone()));
+                }
+            }
+        }
     }
 
     #[test]
@@ -325,12 +456,23 @@ proptest! {
             for (byte, &n) in overwritten[cut..].iter_mut().zip(&noise) {
                 *byte = n;
             }
-            for bytes in [&noise, &spliced, &overwritten, &sample[..cut].to_vec()] {
+            // The same key with the low `cut % 8 + 1` bits of its modulus
+            // cleared: an even modulus, every other field as a generated
+            // key carries it.
+            let n_len = kp.public.modulus().to_bytes_be().len();
+            let mut even = sample.clone();
+            even[16 + n_len - 1] &= 0xFE << (cut % 8);
+            prop_assert!(deserialize_public_key(&even).is_none(), "an even modulus was accepted");
+            for bytes in [&noise, &spliced, &overwritten, &sample[..cut].to_vec(), &even] {
                 let parsed = deserialize_public_key(bytes);
                 prop_assert_eq!(DamgardJurik::import_public(bytes).is_some(), parsed.is_some());
                 if let Some(pk) = parsed {
                     let h_s = pk.mask_base();
                     prop_assert!(h_s > &BigUint::one() && h_s < pk.ciphertext_modulus());
+                    // Odd, so the key has the Montgomery form its ciphertexts
+                    // live in: the first encryption must not panic.
+                    prop_assert!(pk.modulus().bit(0));
+                    let _ = pk.encrypt(&BigUint::one(), &mut StdRng::seed_from_u64(cut as u64));
                 }
             }
         }

@@ -126,7 +126,7 @@ impl<V: EpidemicValue> PairwiseProtocol<EesState<V>> for EesSumProtocol {
         initiator.value.add_assign(&contact.value);
         initiator.weight += contact.weight;
         initiator.exchanges = target + 1;
-        contact.value = initiator.value.clone();
+        contact.value.clone_from(&initiator.value);
         contact.weight = initiator.weight;
         contact.exchanges = initiator.exchanges;
     }

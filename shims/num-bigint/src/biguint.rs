@@ -8,9 +8,24 @@ use num_traits::{One, Zero};
 
 /// An unsigned big integer: little-endian 64-bit limbs, normalized so the
 /// top limb is non-zero (zero is the empty limb vector).
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(PartialEq, Eq, Hash, Default)]
 pub struct BigUint {
     pub(crate) limbs: Vec<u64>,
+}
+
+impl Clone for BigUint {
+    fn clone(&self) -> Self {
+        Self { limbs: self.limbs.clone() }
+    }
+
+    /// Reuses `self`'s buffer, growing it to exactly the source's length:
+    /// a gossip state overwritten a thousand times keeps one allocation
+    /// and never holds doubled slack.
+    fn clone_from(&mut self, source: &Self) {
+        self.limbs.clear();
+        self.limbs.reserve_exact(source.limbs.len());
+        self.limbs.extend_from_slice(&source.limbs);
+    }
 }
 
 // --- limb-level kernels -------------------------------------------------
@@ -47,6 +62,35 @@ fn add_limbs(a: &[u64], b: &[u64]) -> Vec<u64> {
         out.push(carry as u64);
     }
     out
+}
+
+/// `a += b` where `a` stands, growing it by exactly the limbs the sum
+/// needs (`reserve_exact`: amortised doubling would leave up to one spare
+/// copy of every long-lived accumulator on the heap).
+fn add_assign_limbs(a: &mut Vec<u64>, b: &[u64]) {
+    if b.len() > a.len() {
+        a.reserve_exact(b.len() - a.len());
+        a.resize(b.len(), 0);
+    }
+    let (low, high) = a.split_at_mut(b.len());
+    let mut carry = 0u128;
+    for (x, &y) in low.iter_mut().zip(b) {
+        let sum = *x as u128 + y as u128 + carry;
+        *x = sum as u64;
+        carry = sum >> 64;
+    }
+    for x in high {
+        if carry == 0 {
+            return;
+        }
+        let sum = *x as u128 + carry;
+        *x = sum as u64;
+        carry = sum >> 64;
+    }
+    if carry > 0 {
+        a.reserve_exact(1);
+        a.push(carry as u64);
+    }
 }
 
 /// `a - b`; requires `a >= b`.
@@ -104,6 +148,33 @@ fn shl_limbs(a: &[u64], bits: usize) -> Vec<u64> {
     }
     normalize(&mut out);
     out
+}
+
+/// `a <<= bits` where `a` stands: the limbs move up from the top down, and
+/// the buffer grows by exactly the limbs the shifted value occupies.
+fn shl_assign_limbs(a: &mut Vec<u64>, bits: usize) {
+    let old = a.len();
+    if old == 0 || bits == 0 {
+        return;
+    }
+    let limb_shift = bits / 64;
+    let bit_shift = bits % 64;
+    let spill = if bit_shift == 0 { 0 } else { a[old - 1] >> (64 - bit_shift) };
+    let new = old + limb_shift + usize::from(spill != 0);
+    a.reserve_exact(new - old);
+    a.resize(new, 0);
+    if bit_shift == 0 {
+        a.copy_within(..old, limb_shift);
+    } else {
+        if spill != 0 {
+            a[new - 1] = spill;
+        }
+        for i in (0..old).rev() {
+            let below = if i == 0 { 0 } else { a[i - 1] >> (64 - bit_shift) };
+            a[i + limb_shift] = (a[i] << bit_shift) | below;
+        }
+    }
+    a[..limb_shift].fill(0);
 }
 
 fn shr_limbs(a: &[u64], bits: usize) -> Vec<u64> {
@@ -438,6 +509,14 @@ impl BigUint {
         BigUint::from_limbs(limbs)
     }
 
+    /// The number with these little-endian 64-bit digits (trailing zero
+    /// digits allowed), taking the buffer as it is: the inverse of
+    /// [`Self::to_u64_digits`] for a caller that assembles a value digit by
+    /// digit.
+    pub fn from_u64_digits(digits: Vec<u64>) -> BigUint {
+        BigUint::from_limbs(digits)
+    }
+
     /// The little-endian 64-bit digits.
     pub fn to_u64_digits(&self) -> Vec<u64> {
         self.limbs.clone()
@@ -647,8 +726,19 @@ macro_rules! impl_assign_ops {
     )*};
 }
 
+impl std::ops::AddAssign<&BigUint> for BigUint {
+    fn add_assign(&mut self, rhs: &BigUint) {
+        add_assign_limbs(&mut self.limbs, &rhs.limbs);
+    }
+}
+
+impl std::ops::AddAssign<BigUint> for BigUint {
+    fn add_assign(&mut self, rhs: BigUint) {
+        *self += &rhs;
+    }
+}
+
 impl_assign_ops!(
-    (AddAssign, add_assign, +),
     (SubAssign, sub_assign, -),
     (MulAssign, mul_assign, *),
     (DivAssign, div_assign, /),
@@ -683,7 +773,7 @@ macro_rules! impl_shifts {
         }
         impl std::ops::ShlAssign<$t> for BigUint {
             fn shl_assign(&mut self, rhs: $t) {
-                self.limbs = shl_limbs(&self.limbs, rhs as usize);
+                shl_assign_limbs(&mut self.limbs, rhs as usize);
             }
         }
         impl std::ops::ShrAssign<$t> for BigUint {
@@ -1054,6 +1144,96 @@ mod tests {
         assert_eq!(big(48).gcd(&big(36)), big(12));
         assert_eq!(big(17).gcd(&big(13)), big(1));
         assert_eq!(big(0).gcd(&big(5)), big(5));
+    }
+
+    /// Operands around every edge the in-place kernels branch on: zero,
+    /// one limb, all-ones limbs (a carry out of the top limb), and values
+    /// shorter than, as long as and longer than 16 limbs.
+    fn in_place_operands() -> Vec<BigUint> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x1A);
+        let mut values = vec![BigUint::zero(), BigUint::one(), big(u64::MAX as u128), big(u128::MAX)];
+        for limbs in [1usize, 2, 15, 16, 17, 40] {
+            values.push(BigUint::from_limbs(vec![u64::MAX; limbs]));
+            values.push(BigUint::from_limbs((0..limbs).map(|_| rng.gen::<u64>() | 1).collect()));
+        }
+        values
+    }
+
+    #[test]
+    fn in_place_add_shift_and_clone_from_match_the_allocating_operators() {
+        let values = in_place_operands();
+        for a in &values {
+            for b in &values {
+                let mut sum = a.clone();
+                sum += b;
+                assert_eq!(sum, a + b, "{a} += {b}");
+                let mut owned = a.clone();
+                owned += b.clone();
+                assert_eq!(owned, sum);
+                let mut copy = a.clone();
+                copy.clone_from(b);
+                assert_eq!(copy, b.clone());
+                assert_eq!(copy.limbs, b.limbs, "a clone is normalised like its source");
+            }
+            let mut doubled = a.clone();
+            doubled += &a.clone();
+            assert_eq!(doubled, a << 1u32, "a value added to a copy of itself");
+            for bits in [0u32, 1, 63, 64, 65, 127, 128, 1_000] {
+                let mut shifted = a.clone();
+                shifted <<= bits;
+                assert_eq!(shifted, a << bits, "{a} <<= {bits}");
+                assert_eq!(&shifted >> bits, *a);
+                assert_ne!(shifted.limbs.last(), Some(&0), "the top limb stays significant");
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_operators_grow_their_buffer_exactly() {
+        // A gossip unit: 16 limbs, added to, doubled and overwritten by a
+        // peer's a few hundred times.  Amortised doubling would leave it
+        // holding up to twice what it uses; exact growth never leaves more
+        // than the one limb a shift's spill may have asked for.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x1B);
+        let mut random = |limbs: usize| BigUint::from_limbs((0..limbs).map(|_| rng.gen::<u64>() | 1).collect());
+        let mut value = random(16);
+        let mut mirror = value.clone();
+        for step in 0..200usize {
+            match step % 4 {
+                0 => {
+                    let addend = random(1 + step % value.limbs.len());
+                    value += &addend;
+                    mirror = &mirror + &addend;
+                }
+                1 => {
+                    let bits = [1u32, 3, 64, 7][step / 4 % 4];
+                    value <<= bits;
+                    mirror = &mirror << bits;
+                }
+                2 => {
+                    let addend = random(value.limbs.len());
+                    value += &addend;
+                    mirror = &mirror + &addend;
+                }
+                _ => {
+                    // A peer's merged state is never shorter than ours.
+                    let peer = &value + random(value.limbs.len() + step % 3);
+                    value.clone_from(&peer);
+                    mirror = peer;
+                }
+            }
+            assert_eq!(value, mirror, "step {step}");
+            assert!(
+                value.limbs.capacity() <= value.limbs.len() + 1,
+                "step {step}: {} limbs in a buffer of {}",
+                value.limbs.len(),
+                value.limbs.capacity()
+            );
+        }
     }
 
     #[test]

@@ -9,6 +9,20 @@
 //! and `R² mod n` with `R = 2^{64·L}`) across every operation on the same
 //! modulus.
 //!
+//! # Values that stay in Montgomery form
+//!
+//! A caller whose values only ever multiply against each other under one
+//! modulus — a Damgård–Jurik ciphertext between encryption and decryption
+//! — need not leave Montgomery form at all.  For it the two kernels are
+//! public **in place, on caller-owned scratch**
+//! ([`MontgomeryCtx::mont_mul_assign`], [`MontgomeryCtx::mont_sqr_n_assign`]):
+//! no allocation, no reduction in or out.  The comb has a Montgomery exit
+//! ([`MontgomeryCtx::fixed_base_pow_mont`]) and a [`MontInt`] has a
+//! fixed-width byte codec that ships it as it stands
+//! ([`MontgomeryCtx::mont_to_bytes_be`] / [`MontgomeryCtx::mont_from_bytes_be`],
+//! which refuses anything at or above the modulus: the kernels assume
+//! reduced inputs).
+//!
 //! # Determinism contract
 //!
 //! Every function here is **value-identical** to the schoolbook path: for
@@ -30,9 +44,29 @@ use crate::biguint::BigUint;
 /// Montgomery integers are only meaningful relative to the
 /// [`MontgomeryCtx`] that produced them; mixing contexts is a logic error
 /// (debug-asserted via the limb length).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct MontInt {
     limbs: Vec<u64>,
+}
+
+impl Clone for MontInt {
+    fn clone(&self) -> Self {
+        Self { limbs: self.limbs.clone() }
+    }
+
+    /// Copies into the buffer `self` already owns (every value of one
+    /// context is `L` limbs, so this never allocates).
+    fn clone_from(&mut self, source: &Self) {
+        self.limbs.clone_from(&source.limbs);
+    }
+}
+
+impl MontInt {
+    /// Whether the residue is 0 (the one value whose Montgomery form is
+    /// itself: the map `x ↦ x·R mod n` is a bijection fixing 0).
+    pub fn is_zero(&self) -> bool {
+        self.limbs.iter().all(|&limb| limb == 0)
+    }
 }
 
 /// Precomputed per-modulus state for Montgomery multiplication (REDC) and
@@ -225,27 +259,24 @@ impl MontgomeryCtx {
         t[2 * l] = s as u64;
         debug_assert_eq!(s >> 64, 0, "REDC intermediate exceeded its buffer");
         // t / R < 2n: at most one final subtraction.
-        let needs_sub = t[2 * l] != 0 || cmp_fixed(&t[l..2 * l], n) != std::cmp::Ordering::Less;
-        if needs_sub {
-            let borrow = sub_fixed(&t[l..2 * l], n, out);
-            debug_assert_eq!(borrow, t[2 * l], "REDC result must be below 2n");
-        } else {
-            out.copy_from_slice(&t[l..2 * l]);
-        }
+        self.settle(&t[l..], out);
     }
 
-    /// `out = a·b·R⁻¹ mod n` over raw `L`-limb slices by fused CIOS
+    /// `t[..=L] = a·b·R⁻¹ + (0 or n)` over raw `L`-limb slices by fused CIOS
     /// (coarsely integrated operand scanning): each outer round multiplies
     /// one limb of `a` in and immediately folds one REDC step, so the
     /// working set stays at `L + 2` limbs and every intermediate limb is
     /// touched once per round instead of once per pass.  `t` is scratch of
-    /// at least `L + 2` limbs (clobbered, need not be zeroed on entry).
-    fn mul_raw(&self, a: &[u64], b: &[u64], t: &mut [u64], out: &mut [u64]) {
+    /// at least `L + 2` limbs (clobbered, need not be zeroed on entry); the
+    /// caller finishes with [`Self::settle`], into a third buffer or back
+    /// into `a` — which nothing reads once the scan is over.
+    #[inline]
+    fn cios(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
         let n = self.n.as_slice();
         let l = n.len();
         // One up-front check lets the optimizer drop the per-limb bounds
         // checks in the hot loops below.
-        assert!(a.len() == l && b.len() == l && t.len() >= l + 2 && out.len() == l);
+        assert!(a.len() == l && b.len() == l && t.len() >= l + 2);
         let t = &mut t[..l + 2];
         t.fill(0);
         for &ai in a {
@@ -271,20 +302,42 @@ impl MontgomeryCtx {
             t[l - 1] = s as u64;
             t[l] = t[l + 1] + (s >> 64) as u64;
         }
-        // t < 2n: at most one final subtraction.
+    }
+
+    /// The one conditional subtraction that ends a CIOS or a REDC: `t` is
+    /// `L + 1` limbs holding a value below `2n`, `out` receives it mod `n`.
+    #[inline]
+    fn settle(&self, t: &[u64], out: &mut [u64]) {
+        let n = self.n.as_slice();
+        let l = n.len();
+        assert!(t.len() == l + 1 && out.len() == l);
         if t[l] != 0 || cmp_fixed(&t[..l], n) != std::cmp::Ordering::Less {
             let borrow = sub_fixed(&t[..l], n, out);
-            debug_assert_eq!(borrow, t[l], "CIOS result must be below 2n");
+            debug_assert_eq!(borrow, t[l], "a settled value must be below 2n");
         } else {
             out.copy_from_slice(&t[..l]);
         }
     }
 
-    /// `out = a²·R⁻¹ mod n` over raw `L`-limb slices (squaring-optimised).
-    fn sqr_raw(&self, a: &[u64], t: &mut [u64], out: &mut [u64]) {
+    /// `out = a·b·R⁻¹ mod n` ([`Self::cios`], settled into `out`).
+    fn mul_raw(&self, a: &[u64], b: &[u64], t: &mut [u64], out: &mut [u64]) {
+        self.cios(a, b, t);
+        self.settle(&t[..=self.n.len()], out);
+    }
+
+    /// `a = a·b·R⁻¹ mod n` where `a` stands.
+    fn mul_assign_raw(&self, a: &mut [u64], b: &[u64], t: &mut [u64]) {
+        self.cios(a, b, t);
+        self.settle(&t[..=self.n.len()], a);
+    }
+
+    /// `a = a²·R⁻¹ mod n` where `a` stands (squaring-optimised): the
+    /// product is complete in `t`, exactly `2L + 1` limbs of scratch,
+    /// before the reduction writes anything back.
+    fn sqr_assign_raw(&self, a: &mut [u64], t: &mut [u64]) {
         t.fill(0);
         sqr_into(a, t);
-        self.redc(t, out);
+        self.redc(t, a);
     }
 
     /// Converts a plain integer (any size — it is reduced modulo `n`
@@ -330,10 +383,65 @@ impl MontgomeryCtx {
     pub fn mont_sqr(&self, a: &MontInt) -> MontInt {
         let l = self.width();
         debug_assert_eq!(a.limbs.len(), l);
-        let mut t = vec![0u64; 2 * l + 1];
-        let mut out = vec![0u64; l];
-        self.sqr_raw(&a.limbs, &mut t, &mut out);
-        MontInt { limbs: out }
+        let mut out = a.clone();
+        self.sqr_assign_raw(&mut out.limbs, &mut vec![0u64; 2 * l + 1]);
+        out
+    }
+
+    /// `a = mont(a·b)` where `a` stands, on the caller's scratch: no
+    /// allocation once `scratch` has served one call of this context (it is
+    /// sized here, so `Vec::new()` is a valid first scratch).  One scratch
+    /// serves any number of values in turn.  Value-identical to
+    /// [`Self::mont_mul`].
+    pub fn mont_mul_assign(&self, a: &mut MontInt, b: &MontInt, scratch: &mut Vec<u64>) {
+        scratch.resize(2 * self.width() + 1, 0);
+        self.mul_assign_raw(&mut a.limbs, &b.limbs, scratch);
+    }
+
+    /// `a = mont(a^{2^count})` where `a` stands: `count` squarings on the
+    /// caller's scratch (see [`Self::mont_mul_assign`]), `count = 0` leaving
+    /// `a` as it is.  Value-identical to `count` calls of
+    /// [`Self::mont_sqr`].
+    pub fn mont_sqr_n_assign(&self, a: &mut MontInt, count: u32, scratch: &mut Vec<u64>) {
+        scratch.resize(2 * self.width() + 1, 0);
+        for _ in 0..count {
+            self.sqr_assign_raw(&mut a.limbs, scratch);
+        }
+    }
+
+    /// The residue of `x` **as it stands** — `x·R mod n`, not `x` — as
+    /// big-endian bytes, exactly as many as the modulus has;
+    /// [`Self::mont_from_bytes_be`] reads them back.  Nothing is reduced in
+    /// either direction: a party that keeps its values resident ships them
+    /// resident.
+    pub fn mont_to_bytes_be(&self, x: &MontInt) -> Vec<u8> {
+        debug_assert_eq!(x.limbs.len(), self.width(), "MontInt from a different context");
+        let mut bytes: Vec<u8> = x.limbs.iter().rev().flat_map(|limb| limb.to_be_bytes()).collect();
+        // A residue is below the modulus, so the bytes the top limb has
+        // beyond the modulus' own length are zero.
+        let excess = bytes.len() - self.modulus.bits().div_ceil(8) as usize;
+        debug_assert!(bytes[..excess].iter().all(|&b| b == 0));
+        bytes.drain(..excess);
+        bytes
+    }
+
+    /// Reads a resident residue from big-endian bytes of any length
+    /// (leading zero padding is ignored).  `None` unless the value is below
+    /// the modulus, which the multiplication kernels assume of every input;
+    /// every value below it *is* the Montgomery form of exactly one
+    /// residue, so there is nothing else to check.
+    pub fn mont_from_bytes_be(&self, bytes: &[u8]) -> Option<MontInt> {
+        let mut limbs = vec![0u64; self.width()];
+        let (padding, body) = bytes.split_at(bytes.len().saturating_sub(8 * limbs.len()));
+        let (partial, whole) = body.as_rchunks::<8>();
+        for (limb, chunk) in limbs.iter_mut().zip(whole.iter().rev()) {
+            *limb = u64::from_be_bytes(*chunk);
+        }
+        if let Some(limb) = limbs.get_mut(whole.len()) {
+            *limb = partial.iter().fold(0, |acc, &b| acc << 8 | u64::from(b));
+        }
+        let in_range = padding.iter().all(|&b| b == 0) && cmp_fixed(&limbs, &self.n) == std::cmp::Ordering::Less;
+        in_range.then_some(MontInt { limbs })
     }
 
     /// Fixed-window width for an exponent of `bits` bits: table cost
@@ -399,16 +507,13 @@ impl MontgomeryCtx {
         let top = digit_at(windows - 1);
         debug_assert!(top != 0);
         let mut acc = table[top as usize].clone();
-        let mut tmp = vec![0u64; l];
         for window in (0..windows - 1).rev() {
             for _ in 0..w {
-                self.sqr_raw(&acc, &mut t, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
+                self.sqr_assign_raw(&mut acc, &mut t);
             }
             let digit = digit_at(window);
             if digit != 0 {
-                self.mul_raw(&acc, &table[digit as usize], &mut t, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
+                self.mul_assign_raw(&mut acc, &table[digit as usize], &mut t);
             }
         }
         self.from_mont(&MontInt { limbs: acc })
@@ -426,7 +531,6 @@ impl MontgomeryCtx {
         let spacing = exponent_bits.div_ceil(u64::from(teeth));
         let mut limbs = vec![0u64; ((1usize << teeth) - 1) * l];
         let mut t = vec![0u64; 2 * l + 1];
-        let mut tmp = vec![0u64; l];
         // base^{2^{tooth·spacing}}, the power tooth `tooth` contributes.
         let mut power = self.to_mont(base).limbs;
         for tooth in 0..teeth {
@@ -440,8 +544,7 @@ impl MontgomeryCtx {
             }
             if tooth + 1 < teeth {
                 for _ in 0..spacing {
-                    self.sqr_raw(&power, &mut t, &mut tmp);
-                    std::mem::swap(&mut power, &mut tmp);
+                    self.sqr_assign_raw(&mut power, &mut t);
                 }
             }
         }
@@ -453,25 +556,28 @@ impl MontgomeryCtx {
     /// at most [`FixedBaseTable::exponent_bits`] bits; `None` for a wider
     /// one (the table has no entry for its top bits).
     pub fn fixed_base_pow(&self, table: &FixedBaseTable, exponent: &BigUint) -> Option<BigUint> {
+        self.fixed_base_pow_mont(table, exponent).map(|power| self.from_mont(&power))
+    }
+
+    /// [`Self::fixed_base_pow`] left in Montgomery form, where the comb
+    /// accumulates it: `to_mont(base^exponent)` without the reduction out
+    /// and back in, for a caller whose next step is another Montgomery
+    /// product.
+    pub fn fixed_base_pow_mont(&self, table: &FixedBaseTable, exponent: &BigUint) -> Option<MontInt> {
         if exponent.bits() > table.exponent_bits() {
             return None;
-        }
-        if self.modulus.is_one() {
-            return Some(BigUint::zero());
         }
         let l = self.width();
         debug_assert_eq!(table.limbs.len(), ((1 << table.teeth) - 1) * l, "table from a different context");
         let digits = exponent.to_u64_digits();
         let bit = |i: u64| digits.get((i / 64) as usize).map_or(0, |d| (d >> (i % 64)) as usize & 1);
         let mut t = vec![0u64; 2 * l + 1];
-        let mut acc = vec![0u64; l];
-        let mut tmp = vec![0u64; l];
         // Until the first non-zero column the accumulator is the identity.
+        let mut acc = self.one.clone();
         let mut started = false;
         for column in (0..table.spacing).rev() {
             if started {
-                self.sqr_raw(&acc, &mut t, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
+                self.sqr_assign_raw(&mut acc, &mut t);
             }
             let entry = (0..table.teeth)
                 .fold(0, |entry, tooth| entry | bit(u64::from(tooth) * table.spacing + column) << tooth);
@@ -480,14 +586,13 @@ impl MontgomeryCtx {
             }
             let factor = &table.limbs[(entry - 1) * l..entry * l];
             if started {
-                self.mul_raw(&acc, factor, &mut t, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
+                self.mul_assign_raw(&mut acc, factor, &mut t);
             } else {
                 acc.copy_from_slice(factor);
                 started = true;
             }
         }
-        Some(if started { self.from_mont(&MontInt { limbs: acc }) } else { BigUint::one() })
+        Some(MontInt { limbs: acc })
     }
 }
 

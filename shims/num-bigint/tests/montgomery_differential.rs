@@ -9,7 +9,10 @@
 //! bits, plus the edge cases the dispatch has to get right: base ≥
 //! modulus, zero/one exponents, exponent bit lengths straddling limb
 //! boundaries, and modulus = 1.  The fixed-base comb is pinned to both
-//! (`fixed_base_pow` ≡ `MontgomeryCtx::modpow` ≡ `modpow_schoolbook`).
+//! (`fixed_base_pow` ≡ `MontgomeryCtx::modpow` ≡ `modpow_schoolbook`), and
+//! the in-place kernels a resident value lives on — `mont_mul_assign`,
+//! `mont_sqr_n_assign`, the comb's Montgomery exit and the resident byte
+//! codec — to the allocating ones and to the schoolbook.
 
 use num_bigint::montgomery::MontgomeryCtx;
 use num_bigint::{BigUint, RandBigInt};
@@ -47,6 +50,79 @@ proptest! {
         prop_assert_eq!(got, &a * &b % &m);
         let sq = ctx.from_mont(&ctx.mont_sqr(&ctx.to_mont(&a)));
         prop_assert_eq!(sq, &a * &a % &m);
+    }
+
+    /// The in-place product and `count`-fold squaring on one reused scratch
+    /// == `mont_mul` / repeated `mont_sqr` == the schoolbook, and a value
+    /// kept resident across a chain of them reads out canonically right.
+    #[test]
+    fn in_place_kernels_match_allocating_kernels_and_schoolbook(
+        seed in 0u64..1u64 << 40,
+        bits in 1u64..4097,
+        count in 0u32..65,
+    ) {
+        let m = odd_modulus(seed, bits);
+        let ctx = MontgomeryCtx::new(&m).expect("odd modulus");
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1A7E);
+        let (a, b) = (rng.gen_biguint(bits + 3), rng.gen_biguint(bits + 3));
+        let (am, bm) = (ctx.to_mont(&a), ctx.to_mont(&b));
+        // A fresh scratch is sized by its first call and then reused.
+        let mut scratch = Vec::new();
+
+        let mut product = am.clone();
+        ctx.mont_mul_assign(&mut product, &bm, &mut scratch);
+        prop_assert_eq!(&product, &ctx.mont_mul(&am, &bm));
+        prop_assert_eq!(ctx.from_mont(&product), &a * &b % &m);
+        let mut square = am.clone();
+        ctx.mont_mul_assign(&mut square, &am, &mut scratch);
+        prop_assert_eq!(&square, &ctx.mont_sqr(&am), "a value times a copy of itself");
+
+        let mut power = am.clone();
+        ctx.mont_sqr_n_assign(&mut power, count, &mut scratch);
+        let by_steps = (0..count).fold(am.clone(), |x, _| ctx.mont_sqr(&x));
+        prop_assert_eq!(&power, &by_steps);
+        prop_assert_eq!(ctx.from_mont(&power), a.modpow_schoolbook(&(BigUint::one() << count), &m));
+
+        // The exchange's shape: scale, then add, on the same scratch.
+        ctx.mont_mul_assign(&mut power, &product, &mut scratch);
+        let expected = a.modpow_schoolbook(&(BigUint::one() << count), &m) * (&a * &b % &m) % &m;
+        prop_assert_eq!(ctx.from_mont(&power), expected);
+    }
+
+    /// The resident byte codec: exactly as wide as the modulus, an identity
+    /// on the residue as it stands (no reduction either way), indifferent
+    /// to zero padding, and closed to anything at or above the modulus.
+    #[test]
+    fn resident_bytes_round_trip_and_refuse_out_of_range(
+        seed in 0u64..1u64 << 40,
+        bits in 1u64..4097,
+        padding in 0usize..20,
+    ) {
+        let m = odd_modulus(seed, bits);
+        let ctx = MontgomeryCtx::new(&m).expect("odd modulus");
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xB17E);
+        let width = bits.div_ceil(8) as usize;
+        for x in [BigUint::zero(), BigUint::one(), &m - BigUint::one(), rng.gen_biguint(bits + 3)] {
+            let resident = ctx.to_mont(&x);
+            let bytes = ctx.mont_to_bytes_be(&resident);
+            prop_assert_eq!(bytes.len(), width);
+            let padded = [vec![0u8; padding], bytes.clone()].concat();
+            prop_assert_eq!(ctx.mont_from_bytes_be(&bytes), Some(resident.clone()));
+            prop_assert_eq!(ctx.mont_from_bytes_be(&padded), Some(resident.clone()));
+            // The bytes are the residue itself, not its canonical value.
+            prop_assert_eq!(BigUint::from_bytes_be(&bytes), &x % &m * (BigUint::one() << (64 * bits.div_ceil(64))) % &m);
+            prop_assert_eq!(resident.is_zero(), (&x % &m).is_zero());
+        }
+        // Every value below the modulus is some residue's resident form.
+        let below = rng.gen_biguint_below(&m);
+        let read = ctx.mont_from_bytes_be(&below.to_bytes_be()).expect("below the modulus");
+        prop_assert_eq!(BigUint::from_bytes_be(&ctx.mont_to_bytes_be(&read)), below);
+        prop_assert!(ctx.mont_from_bytes_be(&[]).is_some_and(|zero| zero.is_zero()));
+        // The modulus, anything above it, and a set bit beyond the limbs.
+        let extra = BigUint::from(rng.gen_range(1u64..1 << 20));
+        for bad in [m.clone(), &m + &extra, &m << 64u32, (&m - BigUint::one()) + (BigUint::one() << (64 * bits.div_ceil(64) + 8 * padding as u64))] {
+            prop_assert_eq!(ctx.mont_from_bytes_be(&bad.to_bytes_be()), None, "{} bits", bad.bits());
+        }
     }
 
     /// Windowed Montgomery modpow == schoolbook modpow, random everything.
@@ -146,9 +222,14 @@ proptest! {
             }
             let got = ctx.fixed_base_pow(&table, &exp);
             prop_assert_eq!(got.as_ref(), Some(&ctx.modpow(&base, &exp)), "exponent bits = {}", exp.bits());
+            // The Montgomery exit is the same power, not yet reduced out.
+            let resident = got.as_ref().map(|power| ctx.to_mont(power));
+            prop_assert_eq!(ctx.fixed_base_pow_mont(&table, &exp), resident);
             prop_assert_eq!(got, Some(base.modpow_schoolbook(&exp, &m)));
         }
-        prop_assert_eq!(ctx.fixed_base_pow(&table, &(all_ones + BigUint::one())), None);
+        let too_wide = all_ones + BigUint::one();
+        prop_assert_eq!(ctx.fixed_base_pow(&table, &too_wide), None);
+        prop_assert_eq!(ctx.fixed_base_pow_mont(&table, &too_wide), None);
     }
 }
 
