@@ -239,7 +239,9 @@ impl<T: Transport, B: CipherBackend> LinkExecutor<'_, T, B> {
     }
 
     /// Requests and decodes every node's readout (`with_units` additionally
-    /// asks that one node for its accumulated unit vector).
+    /// asks that one node for its accumulated unit vector).  Every request
+    /// goes out before the first reply is awaited, so the nodes answer
+    /// concurrently instead of one socket round trip after another.
     #[expect(
         clippy::expect_used,
         reason = "Executor::settle cannot return an error: until a ProtocolError can, a readout that \
@@ -248,15 +250,14 @@ impl<T: Transport, B: CipherBackend> LinkExecutor<'_, T, B> {
     fn read_out(&mut self, ctx: &RunContext<'_, B>, with_units: Option<usize>) -> Vec<Readout<B>> {
         let (k, n) = (ctx.run.params.k, ctx.run.data.series_length());
         let backend: &B = &ctx.kit.backend;
+        for (node, link) in self.links.iter_mut().enumerate() {
+            send(link, node, NodeEvent::ReadoutRequest { include_units: with_units == Some(node) });
+        }
         self.links
             .iter_mut()
-            .enumerate()
-            .map(|(node, link)| {
-                send(link, node, NodeEvent::ReadoutRequest { include_units: with_units == Some(node) });
-                match NodeEvent::from_frame(&link.recv()?)? {
-                    NodeEvent::ReadoutReply { payload } => decode_readout::<B>(backend, &payload, k, n),
-                    _ => Err(FrameError::BadPayload("expected a readout reply")),
-                }
+            .map(|link| match NodeEvent::from_frame(&link.recv()?)? {
+                NodeEvent::ReadoutReply { payload } => decode_readout::<B>(backend, &payload, k, n),
+                _ => Err(FrameError::BadPayload("expected a readout reply")),
             })
             .collect::<Result<_, FrameError>>()
             .expect("every node answers the readout request with a well-formed readout")

@@ -72,9 +72,19 @@ impl<N, P: PairwiseProtocol<N>> ProtocolStore<P> for Vec<N> {
     }
 }
 
-/// Below this many exchanges a parallel batch is not worth the spawn cost
-/// (each scoped-thread spawn is tens of microseconds; an exchange is
-/// typically well under one).
+/// Below this many exchanges a batch is applied on the calling thread.
+///
+/// What a pooled batch pays is per call, not per exchange: the pool claims
+/// blocks of a batch, so the cost is one scoped-thread spawn and join per
+/// worker beyond the caller — ≈ 60 µs at the median for a two-thread pool on
+/// the 2-vCPU reference box (`pool.map_overhead_us`) — against ≈ 300 ns for
+/// the widest exchange this crate applies (an `EesUnitArena` means exchange)
+/// and ≈ 6 ns for the lightest (two `f64` averages), whose break-evens lie
+/// near 400 and 20 000 exchanges.  The value was set by sweeping it on the
+/// 20 000-node sharded workload (`chiarobench`'s `sim_sharded`, wave applies
+/// in ms per iteration, means / counter / dissemination): 256 → 44–50 /
+/// 4.9–6.3 / 7.9–8.6, 1 024 → 43 / 4.6 / 7.0, 4 096 → 47–48 / 3.1 / 5.5 —
+/// the heavy phase dominates the sum, and 1 024 serves it best.
 pub(crate) const PARALLEL_EXCHANGE_THRESHOLD: usize = 1024;
 
 /// Storage that can additionally apply a **node-disjoint batch** of

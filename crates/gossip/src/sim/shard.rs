@@ -871,7 +871,8 @@ mod tests {
         // Drive enough exchanges through one barrier that the parallel
         // threshold trips, and compare with a single-worker engine (which
         // applies the sorted list serially): the wave decomposition must
-        // not move a single bit.
+        // not move a single bit.  Worker counts that do not divide a wave
+        // put the pool's block edges inside it.
         let population = 4096;
         let run = |shards: usize| {
             let config = AsyncNetworkConfig::default()
@@ -884,10 +885,12 @@ mod tests {
             engine.into_parts()
         };
         let serial = run(1);
-        let parallel = run(6);
-        assert_eq!(serial.0, parallel.0, "node states");
-        assert_eq!(serial.1, parallel.1, "exchange metrics");
-        assert_eq!(serial.2, parallel.2, "sim metrics");
+        for workers in [2, 3, 6, 7] {
+            let parallel = run(workers);
+            assert_eq!(serial.0, parallel.0, "node states, {workers} workers");
+            assert_eq!(serial.1, parallel.1, "exchange metrics, {workers} workers");
+            assert_eq!(serial.2, parallel.2, "sim metrics, {workers} workers");
+        }
     }
 
     #[test]
