@@ -20,7 +20,7 @@
 
 use chiaroscuro_bench::{Args, Json, Table};
 use chiaroscuro_gossip::churn::ChurnModel;
-use chiaroscuro_gossip::sim::{AsyncGossipEngine, AsyncNetworkConfig, LatencyModel};
+use chiaroscuro_gossip::sim::{AsyncNetworkConfig, LatencyModel, ShardedAsyncEngine};
 use chiaroscuro_gossip::sum::{convergence_report, initial_states, PushPullSum, SumState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -89,7 +89,7 @@ fn measure(
     // y-axis, now in simulated time rather than rounds).
     let mut rng = StdRng::seed_from_u64(seed + population as u64);
     let mut engine =
-        AsyncGossipEngine::new(initial_states(&values), config.clone(), ChurnModel::NONE);
+        ShardedAsyncEngine::new(initial_states(&values), config.clone(), ChurnModel::NONE);
     let mut targets: Vec<(f64, Option<f64>, Option<f64>)> =
         error_targets.iter().map(|&e| (e, None, None)).collect();
     let mut elapsed = 0.0;
@@ -115,7 +115,7 @@ fn measure(
     let tight = error_targets[0];
     let mut rng = StdRng::seed_from_u64(seed + population as u64);
     let mut engine =
-        AsyncGossipEngine::new(initial_states(&values), config.clone(), ChurnModel::NONE);
+        ShardedAsyncEngine::new(initial_states(&values), config.clone(), ChurnModel::NONE);
     let node_done = move |s: &SumState| match s.estimate() {
         Some(est) => (est - exact).abs() <= tight,
         None => false,

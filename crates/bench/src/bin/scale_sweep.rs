@@ -25,11 +25,11 @@
 //!               [--shard-counts 1] [--json-out BENCH_scale.json]
 //!
 //! `--shard-counts` takes a comma-separated list of simulator shard counts
-//! (`1` = the serial event-queue engine, `n ≥ 2` = the sharded windowed
-//! engine with `n` workers); every population is run once per count, so the
-//! artifact reports node-iterations/sec per worker count.  Results are
-//! bit-invariant in the shard count by construction, but throughput is not —
-//! that is the point of the sweep.
+//! (the one windowed engine on that many workers, `1` included); every
+//! population is run once per count, so the artifact reports
+//! node-iterations/sec per worker count.  Results are bit-identical for
+//! every count by construction, but throughput is not — that is the point
+//! of the sweep.
 
 use std::time::Instant;
 
@@ -46,7 +46,7 @@ const SERIES_LEN: usize = 6;
 
 struct SweepRow {
     population: usize,
-    /// Simulator shard count the row ran with (1 = serial event queue).
+    /// Simulator shard (= worker) count the row ran with.
     sim_shards: usize,
     wall_secs: f64,
     /// Device-iterations processed per wall-clock second (population ×

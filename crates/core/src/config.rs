@@ -135,7 +135,9 @@ pub struct ChiaroscuroParams {
     /// message loss and crash/rejoin schedules, with wall-clock latency
     /// metrics surfaced in the iteration's network stats.  One gossip
     /// exchange of budget corresponds to one exchange period of simulated
-    /// time, so `exchanges` keeps its meaning under both models.
+    /// time, so `exchanges` keeps its meaning under both models.  Each
+    /// asynchronous phase consumes exactly one master-RNG draw, and its
+    /// `sim_shards` worker count never changes a result.
     pub network: NetworkModel,
     /// A `sim_shards` request made while the network model was round-based
     /// (the builder records it instead of panicking; switching to an
@@ -421,9 +423,9 @@ impl ChiaroscuroParamsBuilder {
         self
     }
 
-    /// Sets the event-driven simulator's shard count (`1` = the pinned
-    /// serial engine, `0` = auto-detect, `n ≥ 2` = the sharded multi-worker
-    /// engine; results are bit-invariant in the shard count).  Applied to
+    /// Sets the event-driven simulator's shard (= worker) count (`1` = one
+    /// worker, `0` = auto-detect, `n ≥ 2` = that many; a pure performance
+    /// setting — results are bit-identical for every value).  Applied to
     /// the current `Async` network model, or recorded and applied by a
     /// later [`Self::network`] switch; if the model is still round-based
     /// with shards > 1 requested at run time,
@@ -713,8 +715,8 @@ mod tests {
             p.validate_for_population(100),
             Err(ConfigError::SimShardsUnderRounds { requested: 4 })
         );
-        // A degenerate single-shard request is the serial engine either
-        // way, so it stays valid under the round model.
+        // A single-shard request asks for no parallelism, so it stays
+        // valid under the round model.
         let p = ChiaroscuroParams::builder().sim_shards(1).num_noise_shares(2).build();
         assert_eq!(p.validate_for_population(100), Ok(()));
     }

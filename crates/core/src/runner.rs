@@ -78,7 +78,10 @@
 //! crash/rejoin schedules.  Asynchronous iterations additionally report
 //! wall-clock latency in [`IterationNetworkStats::gossip_sim_time`] and
 //! [`IterationNetworkStats::peak_messages_in_flight`]; either way the run
-//! stays a pure function of the seed.
+//! stays a pure function of the seed.  There is one asynchronous engine:
+//! each phase draws one run seed from the master RNG, and
+//! `AsyncNetworkConfig::sim_shards` only sets how many workers simulate it
+//! (results are bit-identical for every value).
 //!
 //! # Parallel execution
 //!

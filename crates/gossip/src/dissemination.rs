@@ -80,7 +80,7 @@ pub fn winning_state<T>(states: &[MinIdState<T>]) -> &MinIdState<T> {
 /// `payload_len`-stride payload matrix), so ten-million-node dissemination
 /// phases avoid per-node heap boxes and clone traffic.  Implements
 /// [`ProtocolStore`] and [`ParallelProtocolStore`] for
-/// [`DisseminationProtocol`], so both the serial engines and the sharded
+/// [`DisseminationProtocol`], so both the round engine and the async
 /// engine's wavefront batches can drive it directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MinIdArena {

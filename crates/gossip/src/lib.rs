@@ -21,8 +21,9 @@
 //! * [`churn`] — the uniform-disconnection churn model of §6.1.5;
 //! * [`metrics`] — message counts and error summaries;
 //! * [`sim`] — the deterministic event-driven *asynchronous* engine
-//!   (per-edge latency, message loss, crash/rejoin schedules) behind the
-//!   [`sim::NetworkModel`] knob, with wall-clock latency metrics.
+//!   (per-edge latency, message loss, crash/rejoin schedules; one engine on
+//!   one or many workers) behind the [`sim::NetworkModel`] knob, with
+//!   wall-clock latency metrics.
 
 pub mod churn;
 pub mod decryption;
@@ -38,8 +39,8 @@ pub use eesum::{EpidemicValue, EesState};
 pub use engine::{GossipEngine, PairwiseProtocol, ParallelProtocolStore};
 pub use metrics::ExchangeMetrics;
 pub use sim::{
-    AdversaryModel, AdversaryState, AsyncGossipEngine, AsyncNetworkConfig, FaultCounters,
-    FaultStats, LatencyModel, NetworkModel, ShardedAsyncEngine,
+    AdversaryModel, AdversaryState, AsyncNetworkConfig, FaultCounters, FaultStats, LatencyModel,
+    NetworkModel, ShardedAsyncEngine,
 };
 
 /// Commonly used items.
@@ -51,8 +52,8 @@ pub mod prelude {
     pub use crate::engine::{GossipEngine, PairwiseProtocol};
     pub use crate::metrics::ExchangeMetrics;
     pub use crate::sim::{
-        AdversaryModel, AdversaryState, AsyncGossipEngine, AsyncNetworkConfig, CrashSchedule,
-        CrashWindow, FaultCounters, FaultStats, LatencyModel, NetworkModel, ShardedAsyncEngine,
+        AdversaryModel, AdversaryState, AsyncNetworkConfig, CrashSchedule, CrashWindow,
+        FaultCounters, FaultStats, LatencyModel, NetworkModel, ShardedAsyncEngine,
     };
     pub use crate::sum::{PushPullSum, SumState};
 }

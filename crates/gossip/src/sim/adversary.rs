@@ -48,10 +48,10 @@
 //!   an extra draw.
 //! * Decisions are indexed by a monotone counter advanced only for
 //!   byzantine-involved (or eclipse-eligible) exchanges, evaluated in each
-//!   engine's globally ordered apply stream (delivery order on the serial
-//!   engines, the `(time, init_window, initiator)` barrier merge on the
-//!   sharded engine) — so fault outcomes are bit-invariant in the shard
-//!   and worker counts.
+//!   engine's globally ordered apply stream (the planned round order on
+//!   the round engine, the `(time, init_window, initiator)` barrier merge
+//!   on the async engine) — so fault outcomes are bit-invariant in the
+//!   shard and worker counts.
 
 use rand::rngs::StdRng;
 use rand::Rng;

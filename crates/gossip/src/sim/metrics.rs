@@ -72,7 +72,7 @@ impl SimMetrics {
 }
 
 /// Per-node convergence times collected by
-/// [`AsyncGossipEngine::run_tracked`](crate::sim::AsyncGossipEngine::run_tracked).
+/// [`ShardedAsyncEngine::run_tracked`](crate::sim::ShardedAsyncEngine::run_tracked).
 ///
 /// A node's convergence time is the start of its *final* stretch of
 /// satisfying the tracked predicate: each time an exchange flips the

@@ -3,8 +3,8 @@
 //! The paper evaluates Chiaroscuro on PeerSim with asynchronous message
 //! delivery (§6.3); the round-based [`GossipEngine`](crate::engine) can
 //! only express lockstep rounds, so its latency figures are round counts.
-//! This module adds the missing axis: a seeded event-queue engine
-//! ([`AsyncGossipEngine`]) that drives the *same*
+//! This module adds the missing axis: one seeded event-driven engine
+//! ([`ShardedAsyncEngine`]) that drives the *same*
 //! [`PairwiseProtocol`](crate::engine::PairwiseProtocol)
 //! implementations under per-edge latency distributions
 //! ([`LatencyModel`]), message loss, and node crash/rejoin schedules
@@ -15,35 +15,40 @@
 //! [`NetworkModel`] is the run-level knob: `Rounds` keeps the synchronous
 //! engine (the dispatcher consumes exactly the same RNG draws as driving
 //! [`GossipEngine`] directly — asserted by a lockstep test), while
-//! `Async` routes every gossip phase through the event queue.
+//! `Async` routes every gossip phase through the event-driven engine.
 //! [`run_phase`] is the one phase dispatcher: it runs one protocol phase
-//! over any node store on whichever of the three engines the model selects,
-//! under optional [`PhaseOpts`], and returns the final store with a uniform
+//! over any node store on the engine the model selects, under optional
+//! [`PhaseOpts`], and returns the final store with a uniform
 //! [`PhaseStats`], which is what the Chiaroscuro iteration driver consumes.
 //!
 //! Determinism contract: a simulation is a pure function of
-//! `(initial states, config, churn, seed)`.  The event heap is totally
-//! ordered by `(time, seq)`, all randomness flows through the caller's
-//! seeded RNG in event order, and per-edge heterogeneity is a pure hash —
-//! asserted by the reproducibility tests here and in the scenario matrix.
+//! `(initial states, config, churn, seed)`.  An asynchronous phase consumes
+//! exactly one draw from the caller's seeded RNG (its run seed); every
+//! event draws from a stream hashed from `(run seed, node, window)`,
+//! exchanges apply in `(time, seq)` order, and per-edge heterogeneity is a
+//! pure hash — so results are bit-identical for every
+//! [`AsyncNetworkConfig::sim_shards`], asserted by the invariance tests in
+//! [`shard`] and in the scenario matrix.
 
 pub mod adversary;
 pub mod arena;
-pub mod engine;
 pub mod latency;
 pub mod metrics;
-pub mod queue;
 pub mod schedule;
 pub mod shard;
 
 pub use adversary::{AdversaryModel, AdversaryState, ExchangeFate, FaultCounters, FaultStats};
 pub use arena::EesUnitArena;
-pub use engine::{AsyncGossipEngine, AsyncNetworkConfig};
 pub use latency::LatencyModel;
 pub use metrics::{ConvergenceTimes, SimMetrics};
-pub use queue::EventQueue;
 pub use schedule::{CrashSchedule, CrashWindow};
 pub use shard::ShardedAsyncEngine;
+
+// `AsyncGossipEngine` is a name only: `chiarobench/src/layers.rs` builds one
+// for its `gossip.serial_exchanges_per_s` probe and cannot change in a
+// protocol PR; the alias goes when a benchmark PR retires that probe.
+#[doc(hidden)]
+pub type AsyncGossipEngine<S> = ShardedAsyncEngine<S>;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -62,9 +67,10 @@ pub enum NetworkModel {
     /// directly, so this knob never moves a round-based schedule.
     #[default]
     Rounds,
-    /// Event-driven asynchronous delivery ([`AsyncGossipEngine`]) with the
+    /// Event-driven asynchronous delivery ([`ShardedAsyncEngine`]) with the
     /// given network characteristics.  One round of budget corresponds to
-    /// one [`AsyncNetworkConfig::exchange_period`] of simulated time.
+    /// one [`AsyncNetworkConfig::exchange_period`] of simulated time, and a
+    /// phase consumes exactly one draw from the caller's RNG.
     Async(AsyncNetworkConfig),
 }
 
@@ -85,11 +91,144 @@ impl NetworkModel {
     }
 }
 
+/// Configuration of the simulated network.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct AsyncNetworkConfig {
+    /// Per-message delay distribution.
+    pub latency: LatencyModel,
+    /// Probability that any single message (request or reply) is lost.
+    pub loss_probability: f64,
+    /// Time between two initiations of the same node (the asynchronous
+    /// analogue of one gossip round; `1.0` keeps horizons comparable to
+    /// round counts).
+    pub exchange_period: f64,
+    /// Heterogeneous-delay spread: edge `(i, j)` scales every latency
+    /// sample by a deterministic factor in `[1 − spread, 1 + spread]`
+    /// derived from a hash of the pair.  `0.0` = homogeneous network.
+    pub edge_spread: f64,
+    /// Salt of the per-edge factor hash (lets two runs disagree about which
+    /// edges are slow without touching the RNG stream).
+    pub edge_salt: u64,
+    /// When `true`, every node's first initiation fires at time 0 — with
+    /// zero latency this reproduces the synchronous round structure.  When
+    /// `false` (default), initiations are staggered across the period by a
+    /// per-node phase offset, as unsynchronised real devices would be.
+    pub synchronized_start: bool,
+    /// Correlated downtime windows (crash/rejoin events).
+    pub crash: CrashSchedule,
+    /// How often `run_until` evaluates its convergence predicate, in
+    /// simulated time: `0.0` (the default) checks at every barrier (one per
+    /// exchange period); a positive period checks at most once per that
+    /// much simulated time.  Whole-population predicates are
+    /// `O(population)` per evaluation.  Throttling consumes no RNG draws
+    /// (the predicate is deterministic), so it only moves the stopping
+    /// time, never the event schedule.
+    pub convergence_check_period: f64,
+    /// How many shards (and worker threads) the simulator uses: `1` (the
+    /// default) runs the engine on one worker, `0` selects the machine's
+    /// available parallelism, `n >= 2` uses exactly `n` shards/workers.  A
+    /// pure performance setting: results are bit-identical for every value
+    /// (see the [`shard`] module docs for the determinism contract).
+    pub sim_shards: usize,
+}
+
+impl Default for AsyncNetworkConfig {
+    fn default() -> Self {
+        Self {
+            latency: LatencyModel::ZERO,
+            loss_probability: 0.0,
+            exchange_period: 1.0,
+            edge_spread: 0.0,
+            edge_salt: 0x1A7E_ECED,
+            synchronized_start: false,
+            crash: CrashSchedule::NONE,
+            convergence_check_period: 0.0,
+            sim_shards: 1,
+        }
+    }
+}
+
+impl AsyncNetworkConfig {
+    /// Checks the configuration is usable.
+    ///
+    /// # Panics
+    /// Panics on an invalid latency model, a loss probability outside
+    /// `[0, 1)`, a non-positive exchange period, or an edge spread outside
+    /// `[0, 1)`.
+    pub fn validate(&self) {
+        self.latency.validate();
+        assert!(
+            (0.0..1.0).contains(&self.loss_probability),
+            "loss probability must be in [0, 1), got {}",
+            self.loss_probability
+        );
+        assert!(
+            self.exchange_period.is_finite() && self.exchange_period > 0.0,
+            "exchange period must be finite and > 0, got {}",
+            self.exchange_period
+        );
+        assert!(
+            (0.0..1.0).contains(&self.edge_spread),
+            "edge spread must be in [0, 1), got {}",
+            self.edge_spread
+        );
+        assert!(
+            self.convergence_check_period.is_finite() && self.convergence_check_period >= 0.0,
+            "convergence check period must be finite and >= 0, got {}",
+            self.convergence_check_period
+        );
+    }
+
+    /// Replaces the latency model (builder-style convenience).
+    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
+        self.latency = latency;
+        self
+    }
+
+    /// Replaces the loss probability.
+    pub fn with_loss(mut self, loss_probability: f64) -> Self {
+        self.loss_probability = loss_probability;
+        self
+    }
+
+    /// Replaces the crash/rejoin schedule.
+    pub fn with_crash(mut self, crash: CrashSchedule) -> Self {
+        self.crash = crash;
+        self
+    }
+
+    /// Replaces the heterogeneous-delay spread.
+    pub fn with_edge_spread(mut self, edge_spread: f64) -> Self {
+        self.edge_spread = edge_spread;
+        self
+    }
+
+    /// Switches to synchronized (round-like) initiation phases.
+    pub fn with_synchronized_start(mut self, synchronized_start: bool) -> Self {
+        self.synchronized_start = synchronized_start;
+        self
+    }
+
+    /// Replaces the convergence-predicate check period (see
+    /// [`AsyncNetworkConfig::convergence_check_period`]).
+    pub fn with_convergence_check_period(mut self, period: f64) -> Self {
+        self.convergence_check_period = period;
+        self
+    }
+
+    /// Replaces the shard/worker count (see
+    /// [`AsyncNetworkConfig::sim_shards`]).
+    pub fn with_sim_shards(mut self, sim_shards: usize) -> Self {
+        self.sim_shards = sim_shards;
+        self
+    }
+}
+
 /// The accounting of one gossip phase, whichever engine ran it over
 /// whichever store.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseStats {
-    /// Round/exchange accounting (async engines record one round per
+    /// Round/exchange accounting (the async engine records one round per
     /// elapsed exchange period, keeping message-per-node figures
     /// comparable).
     pub metrics: ExchangeMetrics,
@@ -110,9 +249,9 @@ pub struct PhaseStats {
 pub struct PhaseOpts<'a, S> {
     /// Stop as soon as this holds over the store instead of exhausting the
     /// budget; [`PhaseStats::converged`] reports whether it did.  The round
-    /// engine evaluates it before every round, the serial async engine after
-    /// every exchange, the sharded engine at window barriers (see
-    /// [`ShardedAsyncEngine::run_until`]).
+    /// engine evaluates it before every round, the async engine at window
+    /// barriers — a pure function of the config, whatever the shard count
+    /// (see [`ShardedAsyncEngine::run_until`]).
     pub until: Option<&'a mut dyn FnMut(&S) -> bool>,
     /// The fault schedule (see [`adversary`]): the network schedule and its
     /// RNG draws are unchanged; the adversary only voids a seeded subset of
@@ -126,18 +265,17 @@ impl<S> Default for PhaseOpts<'_, S> {
     }
 }
 
-/// Runs one protocol phase over **any** node store on whichever engine
-/// `network` selects, and returns the final store with the phase's
-/// accounting.  This is the single home of the phase recipe — engine
-/// selection, horizon arithmetic, clock read-out, metrics extraction — so no
-/// two storages can drift out of RNG-draw or accounting lockstep.
+/// Runs one protocol phase over **any** node store on the engine `network`
+/// selects, and returns the final store with the phase's accounting.  This
+/// is the single home of the phase recipe — engine selection, horizon
+/// arithmetic, clock read-out, metrics extraction — so no two storages can
+/// drift out of RNG-draw or accounting lockstep.
 ///
 /// [`NetworkModel::Rounds`] runs at most `budget_rounds` rounds of the
 /// [`GossipEngine`]; [`NetworkModel::Async`] runs
-/// `budget_rounds × exchange_period` of simulated time at most, on the
-/// serial [`AsyncGossipEngine`] (and its historical, pinned event schedule)
-/// when [`AsyncNetworkConfig::sim_shards`] is `1` (the default) and on the
-/// sharded multi-worker [`ShardedAsyncEngine`] otherwise.
+/// `budget_rounds × exchange_period` of simulated time at most on the
+/// [`ShardedAsyncEngine`], with [`AsyncNetworkConfig::sim_shards`] workers
+/// (one by default) and the same result for every worker count.
 pub fn run_phase<S, P, R>(
     network: &NetworkModel,
     nodes: S,
@@ -166,15 +304,10 @@ where
         }
         NetworkModel::Async(config) => {
             let horizon = f64::from(budget_rounds) * config.exchange_period;
-            let (stopped, sim_time, (nodes, metrics, sim)) = if config.sim_shards == 1 {
-                let mut engine = AsyncGossipEngine::new(nodes, config.clone(), churn);
-                let stopped = engine.run_until(protocol, horizon, rng, done, adversary);
-                (stopped, engine.now(), engine.into_parts())
-            } else {
-                let mut engine = ShardedAsyncEngine::new(nodes, config.clone(), churn);
-                let stopped = engine.run_until(protocol, horizon, rng, done, adversary);
-                (stopped, engine.now(), engine.into_parts())
-            };
+            let mut engine = ShardedAsyncEngine::new(nodes, config.clone(), churn);
+            let stopped = engine.run_until(protocol, horizon, rng, done, adversary);
+            let sim_time = engine.now();
+            let (nodes, metrics, sim) = engine.into_parts();
             (stopped, sim_time, nodes, metrics, sim.peak_in_flight)
         }
     };
@@ -187,7 +320,7 @@ mod tests {
     use crate::engine::PairwiseProtocol;
     use crate::sum::{convergence_report, initial_states, PushPullSum, SumState};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// A toy protocol: both peers keep the max of their values.
     struct MaxProtocol;
@@ -210,118 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_latency_synchronized_async_matches_round_engine_quality() {
-        // The engine-equivalence satellite: with zero latency and
-        // synchronized (per-round barrier) initiations, the async engine
-        // reproduces the round engine's structure — every node initiates
-        // once per period, all deliveries apply before the next period —
-        // so convergence quality and exchange counts must match.
-        let population = 512;
-        let rounds = 30u32;
-        let mut round_rng = StdRng::seed_from_u64(41);
-        let mut round_engine = GossipEngine::new(sum_states(population), ChurnModel::NONE);
-        round_engine.run_rounds(&PushPullSum, rounds, &mut round_rng);
-        let round_report = convergence_report(round_engine.nodes(), exact_sum(population));
-
-        let mut async_rng = StdRng::seed_from_u64(41);
-        let config = AsyncNetworkConfig::default().with_synchronized_start(true);
-        let mut async_engine = AsyncGossipEngine::new(sum_states(population), config, ChurnModel::NONE);
-        async_engine.run_for(&PushPullSum, f64::from(rounds), &mut async_rng);
-        let async_report = convergence_report(async_engine.nodes(), exact_sum(population));
-
-        assert_eq!(
-            async_engine.metrics().exchanges(),
-            round_engine.metrics().exchanges(),
-            "one initiation per node per period, none lost"
-        );
-        assert_eq!(async_engine.metrics().rounds(), rounds);
-        assert_eq!(round_report.without_estimate, 0.0);
-        assert_eq!(async_report.without_estimate, 0.0);
-        assert!(round_report.max_relative_error < 1e-5, "round err {}", round_report.max_relative_error);
-        assert!(async_report.max_relative_error < 1e-5, "async err {}", async_report.max_relative_error);
-    }
-
-    #[test]
-    fn async_runs_are_bit_reproducible_from_the_same_seed() {
-        // Full-feature config: log-normal latency, loss, heterogeneous
-        // edges, staggered start, crash/rejoin.  Two runs from the same
-        // seed must agree on every state bit and every counter.
-        let config = AsyncNetworkConfig::default()
-            .with_latency(LatencyModel::LogNormal { median: 0.4, sigma: 0.6 })
-            .with_loss(0.1)
-            .with_edge_spread(0.5)
-            .with_crash(CrashSchedule::new(vec![
-                CrashWindow { node: 3, crash_at: 2.0, rejoin_at: 9.0 },
-                CrashWindow { node: 11, crash_at: 0.5, rejoin_at: f64::INFINITY },
-            ]));
-        let run = || {
-            let mut rng = StdRng::seed_from_u64(1234);
-            let mut engine =
-                AsyncGossipEngine::new(sum_states(64), config.clone(), ChurnModel::new(0.2));
-            engine.run_for(&PushPullSum, 25.0, &mut rng);
-            (engine.nodes().to_vec(), *engine.metrics(), *engine.sim_metrics())
-        };
-        let (nodes_a, metrics_a, sim_a) = run();
-        let (nodes_b, metrics_b, sim_b) = run();
-        assert_eq!(nodes_a, nodes_b, "same seed must reproduce identical states");
-        assert_eq!(metrics_a, metrics_b);
-        assert_eq!(sim_a, sim_b);
-        assert!(metrics_a.exchanges() > 0, "the lossy churny run must still exchange");
-
-        let mut other = StdRng::seed_from_u64(1235);
-        let mut engine = AsyncGossipEngine::new(sum_states(64), config, ChurnModel::new(0.2));
-        engine.run_for(&PushPullSum, 25.0, &mut other);
-        assert_ne!(engine.nodes(), &nodes_a[..], "a different seed must diverge");
-    }
-
-    #[test]
-    fn message_loss_voids_the_expected_fraction_of_exchanges() {
-        // Request and reply each survive with probability 1 − p, so the
-        // completed-exchange rate is (1 − p)² of initiations.
-        let loss = 0.3f64;
-        let config = AsyncNetworkConfig::default().with_loss(loss);
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut engine = AsyncGossipEngine::new(vec![0u64; 200], config, ChurnModel::NONE);
-        engine.run_for(&MaxProtocol, 50.0, &mut rng);
-        let initiations = 200.0 * 50.0;
-        let expected = initiations * (1.0 - loss) * (1.0 - loss);
-        let observed = engine.metrics().exchanges() as f64;
-        assert!(
-            (observed - expected).abs() / expected < 0.05,
-            "observed {observed} exchanges vs expected {expected}"
-        );
-        let sim = engine.sim_metrics();
-        assert!(sim.messages_lost > 0);
-        assert!(sim.messages_sent > sim.messages_lost);
-    }
-
-    #[test]
-    fn crashed_nodes_are_silent_until_rejoin_then_catch_up() {
-        // Node 5 is down for [0, 20): its state must be untouched while the
-        // rest converges, then catch up after rejoining.
-        let population = 32;
-        let config = AsyncNetworkConfig::default()
-            .with_crash(CrashSchedule::new(vec![CrashWindow {
-                node: 5,
-                crash_at: 0.0,
-                rejoin_at: 20.0,
-            }]));
-        let nodes: Vec<u64> = (0..population as u64).collect();
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut engine = AsyncGossipEngine::new(nodes, config, ChurnModel::NONE);
-        engine.run_for(&MaxProtocol, 19.5, &mut rng);
-        assert!(!engine.is_online(5));
-        assert_eq!(engine.nodes()[5], 5, "a crashed node's state must not move");
-        assert!(
-            engine.nodes().iter().enumerate().filter(|&(i, _)| i != 5).all(|(_, &v)| v == 31),
-            "the rest of the population converges around the crash"
-        );
-        engine.run_for(&MaxProtocol, 10.0, &mut rng);
-        assert!(engine.is_online(5));
-        assert_eq!(engine.nodes()[5], 31, "the rejoined node must catch up");
-    }
-
-    #[test]
     fn in_flight_peak_reflects_synchronized_bursts() {
         // Synchronized start + constant latency of half a period: all N
         // requests of a period are in flight at once.
@@ -329,22 +350,10 @@ mod tests {
             .with_latency(LatencyModel::Constant(0.5))
             .with_synchronized_start(true);
         let mut rng = StdRng::seed_from_u64(9);
-        let mut engine = AsyncGossipEngine::new(vec![0u64; 40], config, ChurnModel::NONE);
+        let mut engine = ShardedAsyncEngine::new(vec![0u64; 40], config, ChurnModel::NONE);
         engine.run_for(&MaxProtocol, 10.0, &mut rng);
         assert_eq!(engine.sim_metrics().peak_in_flight, 40);
         assert!(engine.sim_metrics().mean_in_flight(10.0) > 10.0);
-    }
-
-    #[test]
-    fn run_until_stops_at_the_first_satisfying_exchange() {
-        let config = AsyncNetworkConfig::default();
-        let mut rng = StdRng::seed_from_u64(11);
-        let nodes: Vec<u64> = (0..100).collect();
-        let mut engine = AsyncGossipEngine::new(nodes, config, ChurnModel::NONE);
-        let done = engine
-            .run_until(&MaxProtocol, 50.0, &mut rng, |nodes| nodes.iter().all(|&v| v == 99), None);
-        assert!(done, "the max must spread within 50 periods");
-        assert!(engine.now() < 20.0, "epidemic spreading is logarithmic, stop early");
     }
 
     #[test]
@@ -464,42 +473,12 @@ mod tests {
             let mut config = base.clone();
             config.edge_salt = salt;
             let mut rng = StdRng::seed_from_u64(77);
-            let mut engine = AsyncGossipEngine::new(sum_states(32), config, ChurnModel::NONE);
+            let mut engine = ShardedAsyncEngine::new(sum_states(32), config, ChurnModel::NONE);
             engine.run_for(&PushPullSum, 15.0, &mut rng);
             engine.nodes().to_vec()
         };
         assert_eq!(run(1), run(1), "same salt: same simulation");
         assert_ne!(run(1), run(2), "a different salt re-draws the slow edges");
-    }
-
-    #[test]
-    fn async_exchange_counter_growth_stays_within_the_packing_budget() {
-        // The lane-packed overflow contract sizes lanes for a doubling
-        // allowance of 8·budget + 32 (see the core runner).  That law was
-        // pinned for the round engine; large-scale surrogate runs drive
-        // EESum through the *event-driven* engine, so the same bound must
-        // hold under asynchronous delivery cascades (staggered starts and
-        // log-normal latencies included) or packed decodes would trip
-        // their guard at scale.
-        use crate::eesum::{initial_states as ees_states, EesSumProtocol, PlainVector};
-        for &population in &[64usize, 1_000] {
-            for &periods in &[8u32, 24] {
-                for latency in [LatencyModel::ZERO, LatencyModel::LogNormal { median: 0.3, sigma: 0.5 }] {
-                    let config = AsyncNetworkConfig::default().with_latency(latency);
-                    let mut rng = StdRng::seed_from_u64(5);
-                    let states =
-                        ees_states((0..population).map(|i| PlainVector(vec![i as f64])).collect());
-                    let mut engine = AsyncGossipEngine::new(states, config, ChurnModel::NONE);
-                    engine.run_for(&EesSumProtocol, f64::from(periods), &mut rng);
-                    let max_n = engine.nodes().iter().map(|n| n.exchanges).max().unwrap();
-                    assert!(
-                        max_n <= 8 * periods + 32,
-                        "pop {population}, {periods} periods: async max exchange counter \
-                         {max_n} breaches the packing doubling budget"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -512,7 +491,7 @@ mod tests {
                 .with_latency(LatencyModel::Uniform { min: 0.05, max: 0.4 })
                 .with_convergence_check_period(period);
             let mut rng = StdRng::seed_from_u64(13);
-            let mut engine = AsyncGossipEngine::new(sum_states(48), config, ChurnModel::NONE);
+            let mut engine = ShardedAsyncEngine::new(sum_states(48), config, ChurnModel::NONE);
             let done = engine.run_until(&PushPullSum, 12.0, &mut rng, |_: &Vec<SumState>| false, None);
             assert!(!done);
             (engine.nodes().clone(), *engine.metrics())
@@ -523,7 +502,7 @@ mod tests {
         // convergence (at a check boundary or the horizon).
         let config = AsyncNetworkConfig::default().with_convergence_check_period(2.0);
         let mut rng = StdRng::seed_from_u64(17);
-        let mut engine = AsyncGossipEngine::new((0..64u64).collect::<Vec<_>>(), config, ChurnModel::NONE);
+        let mut engine = ShardedAsyncEngine::new((0..64u64).collect::<Vec<_>>(), config, ChurnModel::NONE);
         let done = engine.run_until(
             &MaxProtocol,
             50.0,
@@ -536,71 +515,47 @@ mod tests {
     }
 
     #[test]
-    fn async_phase_dispatch_pins_the_serial_default_and_routes_shards() {
+    fn async_phase_dispatch_matches_direct_engine_use_for_every_shard_count() {
+        // run_phase must be byte-identical — states, counters, clock, and
+        // the caller's RNG left one draw further — to driving the engine
+        // directly with its plain `run_for`, and sim_shards (1 included)
+        // must not move a bit of any of it.
         let config = AsyncNetworkConfig::default()
             .with_latency(LatencyModel::LogNormal { median: 0.3, sigma: 0.5 })
             .with_loss(0.05);
+        let mut one_draw = StdRng::seed_from_u64(23);
+        let _: u64 = one_draw.gen();
 
-        // sim_shards = 1 (the default) must be byte-identical — states,
-        // counters, RNG stream — to driving the serial engine directly, so
-        // threading the knob can never move a pinned scenario seed.
-        let mut direct_rng = StdRng::seed_from_u64(23);
-        let mut engine =
-            AsyncGossipEngine::new(sum_states(40), config.clone(), ChurnModel::new(0.1));
-        engine.run_for(&PushPullSum, 10.0, &mut direct_rng);
+        let dispatched = |shards: usize| {
+            let config = config.clone().with_sim_shards(shards);
+            let mut direct_rng = StdRng::seed_from_u64(23);
+            let mut engine =
+                ShardedAsyncEngine::new(sum_states(40), config.clone(), ChurnModel::new(0.1));
+            engine.run_for(&PushPullSum, 10.0, &mut direct_rng);
 
-        let mut phase_rng = StdRng::seed_from_u64(23);
-        let (nodes, stats) = run_phase(
-            &NetworkModel::Async(config.clone()),
-            sum_states(40),
-            ChurnModel::new(0.1),
-            &PushPullSum,
-            10,
-            &mut phase_rng,
-            PhaseOpts::default(),
-        );
-        assert_eq!(direct_rng, phase_rng, "dispatch must consume the exact same draws");
-        assert_eq!(&nodes, engine.nodes());
-        assert_eq!(&stats.metrics, engine.metrics());
-        assert_eq!(stats.sim_time, engine.now());
-        assert_eq!(stats.peak_in_flight, engine.sim_metrics().peak_in_flight);
-        assert!(stats.converged, "a phase without a predicate reports convergence");
-
-        // Any other value routes through the sharded engine — again
-        // byte-identical to driving it directly with its plain `run_for`.
-        let sharded = |shards: usize| {
-            let mut rng = StdRng::seed_from_u64(23);
-            let outcome = run_phase(
-                &NetworkModel::Async(config.clone().with_sim_shards(shards)),
+            let mut phase_rng = StdRng::seed_from_u64(23);
+            let (nodes, stats) = run_phase(
+                &NetworkModel::Async(config),
                 sum_states(40),
                 ChurnModel::new(0.1),
                 &PushPullSum,
                 10,
-                &mut rng,
+                &mut phase_rng,
                 PhaseOpts::default(),
             );
-            (outcome, rng)
+            assert_eq!(phase_rng, one_draw, "an async phase consumes exactly one draw");
+            assert_eq!(direct_rng, phase_rng, "dispatch must consume the exact same draws");
+            assert_eq!(&nodes, engine.nodes());
+            assert_eq!(&stats.metrics, engine.metrics());
+            assert_eq!(stats.sim_time, engine.now());
+            assert_eq!(stats.peak_in_flight, engine.sim_metrics().peak_in_flight);
+            assert!(stats.converged, "a phase without a predicate reports convergence");
+            (nodes, stats)
         };
-        let ((nodes_2, two), rng_2) = sharded(2);
-        let mut direct_rng = StdRng::seed_from_u64(23);
-        let mut engine = ShardedAsyncEngine::new(
-            sum_states(40),
-            config.clone().with_sim_shards(2),
-            ChurnModel::new(0.1),
-        );
-        engine.run_for(&PushPullSum, 10.0, &mut direct_rng);
-        assert_eq!(direct_rng, rng_2, "sharded dispatch must consume the exact same draws");
-        assert_eq!(&nodes_2, engine.nodes());
-        assert_eq!(&two.metrics, engine.metrics());
-        assert_eq!(two.sim_time, engine.now());
-        assert_eq!(two.peak_in_flight, engine.sim_metrics().peak_in_flight);
-
-        // ... and its results are bit-invariant in the shard count.
-        let ((nodes_4, four), rng_4) = sharded(4);
-        assert_eq!(rng_2, rng_4);
-        assert_eq!(nodes_2, nodes_4, "sharded dispatch must be shard-count invariant");
-        assert_eq!(two, four);
-        assert!(two.metrics.exchanges() > 0);
+        let one = dispatched(1);
+        assert!(one.1.metrics.exchanges() > 0);
+        assert_eq!(one, dispatched(2), "dispatch must be shard-count invariant");
+        assert_eq!(one, dispatched(4), "dispatch must be shard-count invariant");
     }
 
     #[test]
@@ -630,6 +585,7 @@ mod tests {
     fn network_model_default_is_rounds_and_validates() {
         assert_eq!(NetworkModel::default(), NetworkModel::Rounds);
         assert!(!NetworkModel::Rounds.is_async());
+        assert_eq!(AsyncNetworkConfig::default().sim_shards, 1, "one worker unless asked");
         let model = NetworkModel::Async(AsyncNetworkConfig::default());
         assert!(model.is_async());
         model.validate();

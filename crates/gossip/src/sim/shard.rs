@@ -1,17 +1,41 @@
-//! The sharded multi-threaded asynchronous gossip engine.
+//! The event-driven asynchronous gossip engine: windowed, sharded,
+//! multi-threaded.
 //!
-//! [`AsyncGossipEngine`](crate::sim::engine::AsyncGossipEngine) pops one
-//! global event heap on one core; at 10M nodes the heap and the serial RNG
-//! stream become the wall.  This engine partitions the population into `P`
-//! contiguous **shards**, runs each shard's schedule on its own
-//! `shims/rayon` worker between deterministic **barriers**, and applies the
-//! resulting exchanges in a globally ordered, wave-parallel pass — scaling
-//! the simulator across cores without giving up bit-reproducibility.
+//! Where [`GossipEngine`](crate::engine::GossipEngine) advances the whole
+//! population in lockstep rounds, this engine advances a simulated clock:
+//! every node *initiates* one exchange per
+//! [`exchange_period`](AsyncNetworkConfig::exchange_period), the request
+//! travels for a sampled per-edge latency, may be lost, and the push-pull
+//! exchange is applied **atomically at delivery time** against both peers'
+//! then-current states.  The same
+//! [`PairwiseProtocol`](crate::engine::PairwiseProtocol) implementations
+//! run unchanged.  A global event heap popped on one core would make the
+//! heap and its serial RNG stream the wall at 10M nodes; instead the
+//! population is partitioned into `P` contiguous **shards**, each shard's
+//! schedule runs on its own `shims/rayon` worker between deterministic
+//! **barriers**, and the resulting exchanges are applied in a globally
+//! ordered, wave-parallel pass — scaling the simulator across cores
+//! without giving up bit-reproducibility.  `P = 1` (the
+//! [`sim_shards`](AsyncNetworkConfig::sim_shards) default) is the same
+//! engine on one worker.
+//!
+//! # Fidelity notes
+//!
+//! * An initiator cannot know who is online, so it addresses *any* other
+//!   node uniformly; requests to offline nodes are lost in transit.  (The
+//!   round engine's omniscient online-set sampling is the synchronous
+//!   idealisation of the same overlay.)
+//! * A push-pull exchange is two messages.  Because `PairwiseProtocol` is
+//!   atomic, a lost *reply* voids the whole exchange rather than leaving it
+//!   half-applied; the request still counts as sent and the asymmetry is
+//!   visible in [`SimMetrics`].
+//! * [`ExchangeMetrics::messages`] keeps its round-engine meaning (two per
+//!   *completed* exchange); [`SimMetrics`] additionally counts real traffic
+//!   including losses.
 //!
 //! # Design: windows, mailboxes, barriers
 //!
-//! Simulated time is cut into *windows* of one
-//! [`exchange_period`](crate::sim::engine::AsyncNetworkConfig::exchange_period).
+//! Simulated time is cut into *windows* of one exchange period.
 //! The engine exploits a structural property of the async gossip model:
 //! **no scheduling decision reads node state**.  Initiation times, churn
 //! coins, contact choices, loss coins and latency samples are all
@@ -38,8 +62,8 @@
 //! no node commute, and same-node exchanges always land in distinct waves
 //! in their original order, so applying waves in sequence (each wave in
 //! parallel via [`ParallelProtocolStore`]) reproduces the serial in-order
-//! result bit for bit.  A single-worker pool skips the decomposition and
-//! applies the sorted list directly.
+//! result bit for bit.  A single-worker pool skips the decomposition (and
+//! allocates no wavefront state) and applies the sorted list directly.
 //!
 //! # Determinism contract
 //!
@@ -49,20 +73,14 @@
 //!
 //! * a run is a pure function of `(initial states, config, churn, seed)`;
 //! * the result is **bit-identical for every shard count and worker
-//!   count** (the per-event streams don't depend on the partition, and the
-//!   barrier merge key doesn't either) — asserted by the invariance suite
-//!   below and enforced by CI's shard-equality smoke lane;
-//! * the trajectory is a *different* (equally valid) sample than the
-//!   serial engine's, whose draws interleave through one global stream.
-//!   The `sim_shards = 1` default therefore keeps phases on the untouched
-//!   serial engine, so every pinned scenario seed reproduces the exact
-//!   pre-sharding results.
+//!   count**, one included (the per-event streams don't depend on the
+//!   partition, and the barrier merge key doesn't either) — asserted by the
+//!   invariance suite below and enforced by CI's shard-equality lanes.
 //!
-//! Semantic differences from the serial engine, both deliberate:
 //! `run_until` evaluates its predicate at window barriers (not after every
-//! exchange), and reply/loss accounting for a message is booked at its
-//! delivery barrier, so messages still in flight at the horizon count only
-//! their request leg — same rule as the serial engine.
+//! exchange), so the stop time is a pure function of the config.
+//! Reply/loss accounting for a message is booked at its delivery barrier,
+//! so messages still in flight at the horizon count only their request leg.
 
 use std::collections::HashMap;
 
@@ -74,8 +92,8 @@ use crate::churn::ChurnModel;
 use crate::engine::{ParallelProtocolStore, StateStore, PARALLEL_EXCHANGE_THRESHOLD};
 use crate::metrics::ExchangeMetrics;
 use crate::sim::adversary::{classify_exchange, AdversaryState, ExchangeFate};
-use crate::sim::engine::{edge_factor, record_rounds_up_to, AsyncNetworkConfig};
-use crate::sim::metrics::SimMetrics;
+use crate::sim::metrics::{ConvergenceTimes, SimMetrics};
+use crate::sim::AsyncNetworkConfig;
 
 /// The exchange of this record applies at delivery time.
 const FLAG_APPLY: u8 = 1;
@@ -98,6 +116,10 @@ struct DeliveryRecord {
     flags: u8,
 }
 
+/// What a tracked run calls after every applied exchange: the population,
+/// the two touched indices and the delivery time.
+type Observer<'a, S> = &'a mut dyn FnMut(&S, usize, usize, f64);
+
 /// What one shard produced for one generation range.
 struct ShardOutput {
     records: Vec<DeliveryRecord>,
@@ -107,9 +129,16 @@ struct ShardOutput {
     lost: u64,
 }
 
-/// The sharded event-driven engine.  See the module docs for the design
-/// and determinism contract; the public surface mirrors
-/// [`AsyncGossipEngine`](crate::sim::engine::AsyncGossipEngine).
+/// The event-driven engine driving one
+/// [`PairwiseProtocol`](crate::engine::PairwiseProtocol) over a population
+/// of nodes.  See the module docs for the design and determinism contract.
+///
+/// The per-node state storage is pluggable ([`StateStore`] /
+/// [`ParallelProtocolStore`]): the natural `Vec<N>` array-of-structs
+/// layout, or a struct-of-arrays arena such as
+/// [`EesUnitArena`](crate::sim::arena::EesUnitArena) whose flat allocations
+/// let 100k–10M-node populations stream through the barriers.  The window
+/// loop is storage-agnostic and consumes identical RNG draws either way.
 #[derive(Debug)]
 pub struct ShardedAsyncEngine<S> {
     nodes: S,
@@ -127,7 +156,8 @@ pub struct ShardedAsyncEngine<S> {
     pending: std::collections::VecDeque<Vec<DeliveryRecord>>,
     pending_base: u64,
     /// Wavefront stamps (`epoch << 32 | wave`), epoch-tagged so the array
-    /// never needs clearing between barriers.
+    /// never needs clearing between barriers; empty on one worker, which
+    /// never decomposes.
     stamps: Vec<u64>,
     epoch: u64,
     metrics: ExchangeMetrics,
@@ -164,6 +194,21 @@ pub(crate) fn mixed_rng(seed: u64, a: u64, b: u64) -> StdRng {
 /// Maps a hash to a uniform f64 in `[0, 1)`.
 pub(crate) fn unit_f64(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The deterministic per-edge latency factor: a pure SplitMix64 hash of
+/// `(edge, salt)` mapped into `[1 − spread, 1 + spread]`.
+fn edge_factor(spread: f64, salt: u64, a: usize, b: usize) -> f64 {
+    if spread == 0.0 {
+        return 1.0;
+    }
+    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+    // SplitMix64 finalizer over (edge, salt).
+    let mut x = ((lo as u64) << 32 | hi as u64).wrapping_add(salt);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    1.0 - spread + 2.0 * spread * unit_f64(x)
 }
 
 /// Whether `node` is up at time `t` under the crash schedule.
@@ -221,8 +266,8 @@ fn generate_shard(
             continue;
         }
         // The per-event stream: every draw of this initiation (and of its
-        // delivery) comes from here, in the same order as the serial
-        // engine's event loop.
+        // delivery) comes from here, in event order: initiator churn,
+        // contact, request loss, latency, contact churn, reply loss.
         let mut ev = mixed_rng(run_seed, node as u64, window);
         if !churn.is_online(&mut ev) {
             continue;
@@ -241,8 +286,8 @@ fn generate_shard(
         let delivery = time + delay;
         // Resolve the delivery-side outcome now (all draws are
         // state-independent); its metrics effects are booked at the
-        // delivery barrier so in-flight messages account like the serial
-        // engine's.
+        // delivery barrier, so a message still in flight at the horizon
+        // counts only its request leg.
         let mut flags = 0u8;
         if !online_at(downtime, contact, delivery) || !churn.is_online(&mut ev) {
             flags |= FLAG_LOST;
@@ -298,7 +343,7 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
             downtime.entry(window.node as u32).or_default().push((window.crash_at, window.rejoin_at));
         }
         Self {
-            stamps: vec![0u64; population],
+            stamps: if shards > 1 { vec![0u64; population] } else { Vec::new() },
             nodes,
             config,
             churn,
@@ -336,7 +381,8 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
     }
 
 
-    /// Round/exchange accounting, comparable with the serial engines'.
+    /// Round/exchange accounting, comparable with the round engine's (one
+    /// round is recorded per completed exchange period).
     pub fn metrics(&self) -> &ExchangeMetrics {
         &self.metrics
     }
@@ -364,6 +410,28 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         }
         self.started = true;
         self.run_seed = rng.gen();
+    }
+
+    /// Records one round per exchange period boundary fully elapsed by
+    /// `time`.
+    ///
+    /// The boundary test needs slack because `time` reaches a boundary
+    /// through accumulated additions (horizon + duration, barrier times)
+    /// while the boundary itself is computed as `k * period` — the two can
+    /// disagree by rounding noise.  An absolute `1e-9` covers that at small
+    /// times, but at the simulated times a 10M-node run reaches (≥ 1e7) a
+    /// single f64 ULP already exceeds `1e-9`, so the slack is additionally
+    /// scaled to a few ULPs of the boundary's own magnitude.
+    fn record_rounds_up_to(&mut self, time: f64) {
+        loop {
+            let boundary = (self.periods_recorded + 1) as f64 * self.config.exchange_period;
+            let slack = 1e-9_f64.max(boundary * 4.0 * f64::EPSILON);
+            if boundary > time + slack {
+                break;
+            }
+            self.metrics.record_round();
+            self.periods_recorded += 1;
+        }
     }
 
     /// The mailbox of window `w`, growing the deque as needed.
@@ -430,12 +498,15 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
     /// An adversary, when present, classifies the surviving exchanges
     /// inside each barrier's serially merged `(time, seq)`-ordered pass —
     /// so its decision stream (and all fault counters) is bit-invariant in
-    /// the shard and worker counts, like every other outcome.
+    /// the shard and worker counts, like every other outcome.  `observe`,
+    /// when present, sees the population after every applied exchange (see
+    /// [`Self::barrier`]).
     fn drive<P, F>(
         &mut self,
         protocol: &P,
         target: f64,
         mut adversary: Option<&mut AdversaryState>,
+        mut observe: Option<Observer<'_, S>>,
         mut on_barrier: F,
     ) -> bool
     where
@@ -479,13 +550,13 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
                     }
                 }
                 departs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                self.barrier(protocol, w, gen_to, &departs, &mut adversary);
+                self.barrier(protocol, w, gen_to, &departs, &mut adversary, &mut observe);
             } else {
-                self.barrier(protocol, w, gen_to, &[], &mut adversary);
+                self.barrier(protocol, w, gen_to, &[], &mut adversary, &mut observe);
             }
 
             self.sim.advance(gen_to);
-            record_rounds_up_to(&mut self.metrics, &mut self.periods_recorded, period, gen_to);
+            self.record_rounds_up_to(gen_to);
             self.generated_to = gen_to;
             if full {
                 // Roll the completed mailbox forward: boundary-rounded
@@ -514,7 +585,7 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         self.now = target;
         self.horizon = target;
         self.sim.advance(target);
-        record_rounds_up_to(&mut self.metrics, &mut self.periods_recorded, period, target);
+        self.record_rounds_up_to(target);
         self.generated_to = self.generated_to.max(target);
         false
     }
@@ -522,7 +593,9 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
     /// The barrier for window `w` up to `apply_to`: drains the due
     /// mailbox records in `(time, seq)` order, replays the merged
     /// depart/arrive stream through the gauge, and applies the surviving
-    /// exchanges in order.
+    /// exchanges in order — one by one under an `observe`r, which is handed
+    /// the population, the two touched indices and the delivery time after
+    /// each.
     fn barrier<P>(
         &mut self,
         protocol: &P,
@@ -530,6 +603,7 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         apply_to: f64,
         departs: &[(f64, u32)],
         adversary: &mut Option<&mut AdversaryState>,
+        observe: &mut Option<Observer<'_, S>>,
     ) where
         S: ParallelProtocolStore<P>,
         P: Sync,
@@ -571,7 +645,14 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
                 ) == ExchangeFate::Apply
             {
                 self.metrics.record_exchange();
-                applies.push((record.initiator, record.contact));
+                match observe {
+                    None => applies.push((record.initiator, record.contact)),
+                    Some(observe) => {
+                        let (i, c) = (record.initiator as usize, record.contact as usize);
+                        self.nodes.apply_exchange(protocol, i, c);
+                        observe(&self.nodes, i, c, record.time);
+                    }
+                }
             }
         }
         for &(time, _) in &departs[di..] {
@@ -590,13 +671,13 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         assert!(duration >= 0.0 && duration.is_finite());
         self.ensure_started(rng);
         let target = self.horizon + duration;
-        self.drive(protocol, target, None, |_, _| false);
+        self.drive(protocol, target, None, None, |_, _| false);
     }
 
     /// Advances the simulation until `done` holds over the node states or
     /// `duration` time units have elapsed; returns whether the predicate
-    /// was satisfied.  Unlike the serial engine, the predicate is checked
-    /// at window **barriers** (further throttled by
+    /// was satisfied.  It is checked up front, after the horizon, and at
+    /// window **barriers** (further throttled by
     /// [`AsyncNetworkConfig::convergence_check_period`] when positive) —
     /// barrier times are pure functions of the config, so the stop time is
     /// shard-count invariant.  Under an adversary (see
@@ -624,7 +705,7 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         let target = self.horizon + duration;
         let check_period = self.config.convergence_check_period;
         let mut next_check = self.horizon + check_period;
-        let stopped = self.drive(protocol, target, adversary, |nodes, time| {
+        let stopped = self.drive(protocol, target, adversary, None, |nodes, time| {
             if check_period > 0.0 {
                 if time < next_check {
                     return false;
@@ -640,11 +721,47 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
     }
 }
 
+impl<N> ShardedAsyncEngine<Vec<N>> {
+    /// Advances the simulation by `duration` while tracking, per node, the
+    /// start of its final stretch of satisfying `node_done` — the wall-clock
+    /// convergence times behind the latency percentiles (§6.3).  A tracked
+    /// run applies each barrier's sorted exchanges one by one and observes
+    /// the two touched nodes at the record's delivery time, so the times
+    /// keep exchange resolution and are shard-count invariant; states and
+    /// accounting end up bit-identical to [`Self::run_for`]'s.
+    pub fn run_tracked<P, R, F>(
+        &mut self,
+        protocol: &P,
+        duration: f64,
+        rng: &mut R,
+        node_done: F,
+    ) -> ConvergenceTimes
+    where
+        Vec<N>: ParallelProtocolStore<P>,
+        P: Sync,
+        R: Rng + ?Sized,
+        F: Fn(&N) -> bool,
+    {
+        assert!(duration >= 0.0 && duration.is_finite());
+        self.ensure_started(rng);
+        let mut tracker = ConvergenceTimes::new(self.nodes.len());
+        let start = self.horizon;
+        for (i, node) in self.nodes.iter().enumerate() {
+            tracker.observe(i, start, node_done(node));
+        }
+        let mut observe = |nodes: &Vec<N>, initiator: usize, contact: usize, time: f64| {
+            tracker.observe(initiator, time, node_done(&nodes[initiator]));
+            tracker.observe(contact, time, node_done(&nodes[contact]));
+        };
+        self.drive(protocol, start + duration, None, Some(&mut observe), |_, _| false);
+        tracker
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::PairwiseProtocol;
-    use crate::sim::engine::AsyncGossipEngine;
     use crate::sim::latency::LatencyModel;
     use crate::sim::schedule::{CrashSchedule, CrashWindow};
     use crate::sum::{convergence_report, initial_states, PushPullSum, SumState};
@@ -684,13 +801,15 @@ mod tests {
             .with_sim_shards(shards)
     }
 
-    fn full_feature_run(shards: usize) -> (Vec<SumState>, ExchangeMetrics, SimMetrics) {
+    type Parts = (Vec<SumState>, ExchangeMetrics, SimMetrics);
+
+    fn full_feature_engine(shards: usize) -> ShardedAsyncEngine<Vec<SumState>> {
+        ShardedAsyncEngine::new(sum_states(64), full_feature_config(shards), ChurnModel::new(0.2))
+    }
+
+    fn full_feature_run(shards: usize) -> Parts {
         let mut rng = StdRng::seed_from_u64(1234);
-        let mut engine = ShardedAsyncEngine::new(
-            sum_states(64),
-            full_feature_config(shards),
-            ChurnModel::new(0.2),
-        );
+        let mut engine = full_feature_engine(shards);
         engine.run_for(&PushPullSum, 25.0, &mut rng);
         engine.into_parts()
     }
@@ -719,8 +838,7 @@ mod tests {
         assert_eq!(sim_a, sim_b);
 
         let mut rng = StdRng::seed_from_u64(1235);
-        let mut engine =
-            ShardedAsyncEngine::new(sum_states(64), full_feature_config(4), ChurnModel::new(0.2));
+        let mut engine = full_feature_engine(4);
         engine.run_for(&PushPullSum, 25.0, &mut rng);
         assert_ne!(engine.nodes(), &nodes_a, "a different seed must diverge");
     }
@@ -794,8 +912,8 @@ mod tests {
 
     #[test]
     fn message_loss_voids_the_expected_fraction_of_exchanges() {
-        // The statistical sanity check the serial engine also passes: the
-        // derived per-event streams must produce the same loss process.
+        // Request and reply each survive with probability 1 − p, so the
+        // completed-exchange rate is (1 − p)² of initiations.
         let loss = 0.3f64;
         let config = AsyncNetworkConfig::default().with_loss(loss).with_sim_shards(4);
         let mut rng = StdRng::seed_from_u64(7);
@@ -870,10 +988,10 @@ mod tests {
     fn wavefront_application_matches_forced_serial_application() {
         // Drive enough exchanges through one barrier that the parallel
         // threshold trips, and compare with a single-worker engine (which
-        // applies the sorted list serially): the wave decomposition must
-        // not move a single bit.  Worker counts that do not divide a wave
-        // put the pool's block edges inside it.
-        let population = 4096;
+        // applies the sorted list serially, and so carries no stamp array):
+        // the wave decomposition must not move a single bit.  Worker counts
+        // that do not divide a wave put the pool's block edges inside it.
+        let population = 4 * PARALLEL_EXCHANGE_THRESHOLD;
         let run = |shards: usize| {
             let config = AsyncNetworkConfig::default()
                 .with_synchronized_start(true)
@@ -882,10 +1000,11 @@ mod tests {
             let mut engine =
                 ShardedAsyncEngine::new(sum_states(population), config, ChurnModel::NONE);
             engine.run_for(&PushPullSum, 3.0, &mut rng);
+            assert_eq!(engine.stamps.len(), if shards == 1 { 0 } else { population });
             engine.into_parts()
         };
         let serial = run(1);
-        for workers in [2, 3, 6, 7] {
+        for workers in [2, 3, 4, 6, 7] {
             let parallel = run(workers);
             assert_eq!(serial.0, parallel.0, "node states, {workers} workers");
             assert_eq!(serial.1, parallel.1, "exchange metrics, {workers} workers");
@@ -907,28 +1026,111 @@ mod tests {
         assert_eq!(rng, reference, "the sharded engine must consume exactly one draw");
     }
 
+    /// The full-feature run of [`full_feature_run`], tracked: each node's
+    /// predicate is "my estimate is within 5 % of the exact sum".
+    fn tracked_run(shards: usize) -> (ConvergenceTimes, Parts) {
+        let exact = exact_sum(64);
+        let mut rng = StdRng::seed_from_u64(1234);
+        let mut engine = full_feature_engine(shards);
+        let times = engine.run_tracked(&PushPullSum, 25.0, &mut rng, |s: &SumState| {
+            s.estimate().is_some_and(|e| (e - exact).abs() <= 0.05 * exact)
+        });
+        (times, engine.into_parts())
+    }
+
     #[test]
-    fn serial_engine_default_is_unchanged_by_the_knob() {
-        // sim_shards = 1 routes phases through the untouched serial engine
-        // (see sim::run_phase); the sharded engine itself is only
-        // entered for other values.  This pins that the config default is
-        // 1, so pinned scenario seeds cannot move.
-        assert_eq!(AsyncNetworkConfig::default().sim_shards, 1);
-        // And the serial engine ignores the knob entirely: two configs
-        // differing only in sim_shards produce identical serial runs.
-        let run = |shards: usize| {
-            let config = AsyncNetworkConfig::default()
-                .with_latency(LatencyModel::LogNormal { median: 0.3, sigma: 0.5 })
-                .with_sim_shards(shards);
-            let mut rng = StdRng::seed_from_u64(13);
-            let mut engine = AsyncGossipEngine::new(sum_states(32), config, ChurnModel::NONE);
-            engine.run_for(&PushPullSum, 10.0, &mut rng);
-            engine.into_parts()
-        };
-        let (nodes_a, metrics_a, sim_a) = run(1);
-        let (nodes_b, metrics_b, sim_b) = run(8);
-        assert_eq!(nodes_a, nodes_b);
-        assert_eq!(metrics_a, metrics_b);
-        assert_eq!(sim_a, sim_b);
+    fn tracked_run_leaves_the_same_bits_as_run_for() {
+        let (times, tracked) = tracked_run(4);
+        assert_eq!(tracked, full_feature_run(4));
+        // Exchange-time resolution: convergence times fall strictly inside
+        // windows, not on barrier times.
+        assert!(times.converged_fraction() > 0.5, "{}", times.converged_fraction());
+        assert!(times.times().iter().flatten().any(|t| t.fract() != 0.0));
+    }
+
+    #[test]
+    fn convergence_times_are_shard_count_invariant() {
+        let (times_1, _) = tracked_run(1);
+        for shards in [2usize, 4, 7] {
+            assert_eq!(tracked_run(shards).0, times_1, "times diverge at {shards} shards");
+        }
+    }
+
+    #[test]
+    fn tracked_predicate_flipping_back_restarts_the_clock() {
+        // Two nodes, synchronized start, constant latency 0.25: every
+        // window delivers two exchanges at t = w + 0.25, each adding one to
+        // both counters, so both nodes read 2(w + 1) after window w.  The
+        // predicate "count is 2 or at least 6" holds from 0.25, flips back
+        // at 1.25 (count 4) and holds for good from 2.25.
+        struct Count;
+        impl PairwiseProtocol<u64> for Count {
+            fn exchange(&self, a: &mut u64, b: &mut u64) {
+                *a += 1;
+                *b += 1;
+            }
+        }
+        let config = AsyncNetworkConfig::default()
+            .with_latency(LatencyModel::Constant(0.25))
+            .with_synchronized_start(true);
+        let mut engine = ShardedAsyncEngine::new(vec![0u64, 0], config, ChurnModel::NONE);
+        let mut rng = StdRng::seed_from_u64(1);
+        let done = |n: &u64| *n == 2 || *n >= 6;
+        let times = engine.run_tracked(&Count, 1.0, &mut rng, done);
+        assert_eq!(times.times(), &[Some(0.25), Some(0.25)]);
+        // A second tracked call observes the standing states at its start.
+        let times = engine.run_tracked(&Count, 3.0, &mut rng, done);
+        assert_eq!(engine.nodes(), &vec![8, 8]);
+        assert_eq!(times.times(), &[Some(2.25), Some(2.25)]);
+    }
+
+    #[test]
+    fn early_stop_advances_the_in_flight_integral_to_the_barrier() {
+        // Two nodes, synchronized start, constant latency 1.5: two requests
+        // depart at t = 0 and two more at t = 1; the first pair delivers at
+        // t = 1.5 and converges the nodes, which the barrier at t = 2 sees.
+        // The in-flight integral must cover the full stretch up to the stop
+        // time — 2 over [0, 1), 4 over [1, 1.5), 2 over [1.5, 2) — not end
+        // at the last arrival.
+        let config = AsyncNetworkConfig::default()
+            .with_latency(LatencyModel::Constant(1.5))
+            .with_synchronized_start(true);
+        let mut engine = ShardedAsyncEngine::new(vec![1u64, 7u64], config, ChurnModel::NONE);
+        let mut rng = StdRng::seed_from_u64(5);
+        let converged = engine.run_until(
+            &MaxProtocol,
+            10.0,
+            &mut rng,
+            |nodes: &Vec<u64>| nodes.iter().all(|&v| v == 7),
+            None,
+        );
+        assert!(converged, "the pair must converge at the first delivery");
+        assert_eq!(engine.now(), 2.0, "the stop time is the barrier after the delivery");
+        assert_eq!(engine.metrics().rounds(), 2);
+        let mean = engine.sim_metrics().mean_in_flight(engine.now());
+        assert!((mean - 2.5).abs() < 1e-12, "mean in-flight {mean}: integral stops short of the stop");
+        assert_eq!(engine.sim_metrics().peak_in_flight, 4);
+    }
+
+    #[test]
+    fn round_accounting_stays_exact_at_large_sim_times() {
+        // At sim times >= 1e7 one f64 ULP exceeds the historical absolute
+        // 1e-9 slack: with period 2.5e7/11 the 11th boundary (11 * period)
+        // rounds ~3.7e-9 ABOVE the exactly-representable horizon 2.5e7, so
+        // an absolute slack miscounts the final boundary round.  The
+        // ULP-scaled slack must record all 11.
+        let period = 2.5e7 / 11.0;
+        let config = AsyncNetworkConfig::default()
+            .with_synchronized_start(true)
+            .with_latency(LatencyModel::ZERO);
+        let config = AsyncNetworkConfig { exchange_period: period, ..config };
+        let mut engine = ShardedAsyncEngine::new(vec![0u64, 1u64], config, ChurnModel::NONE);
+        let mut rng = StdRng::seed_from_u64(9);
+        engine.run_for(&MaxProtocol, 2.5e7, &mut rng);
+        assert_eq!(
+            engine.metrics().rounds(),
+            11,
+            "boundary round at t = 2.5e7 miscounted by the period slack"
+        );
     }
 }
