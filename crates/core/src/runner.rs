@@ -54,18 +54,19 @@
 //!
 //! # Scale path: the lane arena
 //!
-//! Storage and engine are independent choices: every engine (round, serial
-//! async, sharded async) drives any node store, and consumes identical RNG
-//! draws over each, so a store changes memory behaviour only — never a
-//! decoded bit (asserted by a scenario test that compares the arena path
-//! against the crypto path from the same seed).  The executor's one policy
-//! is which store `contribute` fills: under a plaintext backend with an
-//! asynchronous network model — the configuration meant to scale — the
-//! EESum phase runs on a struct-of-arrays [`EesUnitArena`] instead of
-//! per-node `Vec`s of big integers (the entire population's lane-packed
-//! state lives in a handful of flat allocations and each exchange is a pair
-//! of limb-window operations); the correction dissemination always runs on
-//! a [`MinIdArena`].
+//! Storage and engine are independent choices: either engine (lockstep
+//! rounds, event-driven async) drives any node store, and consumes identical
+//! RNG draws over each, so a store changes memory behaviour only — never a
+//! decoded bit (asserted by the backend-equivalence proptests, which compare
+//! the arena path against the crypto path from the same seed under both
+//! engines).  The executor's one policy is which store `contribute` fills,
+//! and it follows the unit kind alone: a plaintext backend's units are plain
+//! lane integers, so its EESum phase runs on a struct-of-arrays
+//! [`EesUnitArena`] on every engine (the entire population's lane-packed
+//! state lives in a handful of flat allocations and each exchange is one
+//! sweep over two limb windows); an encrypted backend's units are
+//! ciphertexts only the backend can combine, so it keeps per-node vectors.
+//! The correction dissemination always runs on a [`MinIdArena`].
 //!
 //! # Network models
 //!
@@ -134,9 +135,15 @@ use crate::iteration::{device_contribution, drive, Executor, RunContext};
 use crate::noise::NoiseCorrection;
 
 /// Participants per work batch when filling the lane arena: bounds the
-/// transient per-node unit vectors so the peak footprint stays close to the
-/// arena itself at million-node populations.
-const ARENA_FILL_CHUNK: usize = 16_384;
+/// transient boxed per-node contributions that co-reside with the slab, so
+/// the peak footprint stays close to the arena itself.  The bound must bite
+/// below the smallest populations that matter, not only at a million nodes:
+/// at 16 384 a 2 000-node round-based run held every contribution beside the
+/// slab (peak RSS 11.9 MB against 9.2 MB on per-node vectors); at 512 it
+/// reads 9.3 MB, and the 20 000-node sharded run drops 30–31 → 26 MB at an
+/// unchanged iteration time — its 40 batches carry ≈ 1.5 ms of work each,
+/// against ≈ 60 µs of pool overhead per batch.
+const ARENA_FILL_CHUNK: usize = 512;
 
 /// Network-level statistics of one distributed iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -446,14 +453,15 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     }
 }
 
-/// The epidemic-sum state of the population in whichever storage runs it.
+/// The epidemic-sum state of the population in the storage its unit kind
+/// calls for, whichever engine runs the phase.
 enum MeansStore<B: CipherBackend> {
-    /// Per-node states: encrypted backends (their units are not plain
-    /// integers) and round-based runs (whose footprint tolerates it).
+    /// Per-node vectors of backend units: encrypted backends, whose
+    /// ciphertexts only the backend itself can scale and add.
     PerNode(Vec<EesState<BackendVector<B>>>),
-    /// The struct-of-arrays lane arena: plaintext lane integers under an
-    /// event-driven network model, i.e. the configuration meant to scale
-    /// to 100k–10M nodes.
+    /// The struct-of-arrays lane arena: plaintext backends, whose units are
+    /// the lane integers themselves — every surrogate run, from the
+    /// 2 000-node quality sweeps to 10M-node scale runs.
     Arena(EesUnitArena),
 }
 
@@ -486,7 +494,7 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
             device_contribution(&ctx.kit, centroids, series, participant_seeds[i], sum_scale, count_scale)
         };
         let mut labels = Vec::with_capacity(population);
-        self.means = if !B::ENCRYPTED && ctx.run.params.network.is_async() {
+        self.means = if !B::ENCRYPTED {
             let layout =
                 ctx.kit.packer.as_ref().expect("plaintext backends require lane packing").layout();
             let value_bits = layout.lanes as u64 * layout.lane_bits;
@@ -982,6 +990,82 @@ mod tests {
             assert_eq!(c.sum_messages_per_node, s.sum_messages_per_node);
             assert_eq!(c.gossip_sim_time, s.gossip_sim_time);
             assert_eq!(c.peak_messages_in_flight, s.peak_messages_in_flight);
+        }
+    }
+
+    #[test]
+    fn arena_rounds_stay_in_lockstep_with_per_node_surrogate_vectors() {
+        use chiaroscuro_gossip::churn::ChurnModel;
+        use chiaroscuro_gossip::eesum::initial_states;
+        use chiaroscuro_gossip::engine::GossipEngine;
+        use chiaroscuro_gossip::sim::AdversaryModel;
+        use rand::SeedableRng;
+        // What moving plaintext round-based runs onto the slab rests on: at
+        // the lane layout of a 2 000-device, k = 4, n = 8, 14-exchange run
+        // (17 units of 14 value limbs plus the head-room limb), churny
+        // adversarial rounds leave the arena and the boxed surrogate vectors
+        // it replaced bit-identical.
+        let series = (0..2_000).map(|i| TimeSeries::constant(8, f64::from(i % 4) * 20.0 + 10.0)).collect();
+        let data = TimeSeriesSet::new(series, ValueRange::new(0.0, 80.0));
+        let params = ChiaroscuroParams::builder()
+            .k(4)
+            .max_iterations(2)
+            .key_bits(1024)
+            .key_share_threshold(4)
+            .num_noise_shares(2_000)
+            .exchanges(14)
+            .lane_packing(true)
+            .strategy(BudgetStrategy::UniformFast { max_iterations: 2 })
+            .epsilon(40.0)
+            .build();
+        let packer = DistributedRun::<PlaintextSurrogate>::with_backend(params, &data)
+            .plan_packing()
+            .expect("lane packing is on");
+        let value_bits = packer.layout().lanes as u64 * packer.layout().lane_bits;
+        let limbs_per_unit = value_bits.div_ceil(64) as usize + 1;
+        let units = 2 * packer.ciphertexts_for(4 * (8 + 1)) + 1;
+        assert_eq!((units, limbs_per_unit), (17, 15));
+
+        let population = 96;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(61);
+        let backend = std::sync::Arc::new(
+            PlaintextSurrogate::import_public(&value_bits.to_be_bytes()).expect("eight bytes"),
+        );
+        let mut arena = EesUnitArena::new(population, units, limbs_per_unit);
+        let vectors = (0..population)
+            .map(|node| {
+                let mut coordinates = || (0..36).map(|_| rng.gen_range(0.0..80.0)).collect::<Vec<f64>>();
+                let mut contribution = packer.pack(&coordinates());
+                contribution.extend(packer.pack(&coordinates()));
+                contribution.push(packer.counter_plaintext());
+                for (u, unit) in contribution.iter().enumerate() {
+                    arena.set_unit_from_digits(node, u, unit.iter_u64_digits());
+                }
+                BackendVector::new(backend.clone(), contribution)
+            })
+            .collect();
+
+        let churn = ChurnModel::new(0.25);
+        let faults = || AdversaryState::new(AdversaryModel::mixed(0.10, 5), 67);
+        let (mut arena_faults, mut boxed_faults) = (faults(), faults());
+        let mut arena_engine = GossipEngine::new(arena, churn);
+        let mut boxed_engine = GossipEngine::new(initial_states(vectors), churn);
+        let mut boxed_rng = rng.clone();
+        arena_engine.run_until(&EesSumProtocol, 14, &mut rng, |_| false, Some(&mut arena_faults));
+        boxed_engine.run_until(&EesSumProtocol, 14, &mut boxed_rng, |_| false, Some(&mut boxed_faults));
+
+        assert_eq!(arena_engine.metrics(), boxed_engine.metrics());
+        assert_eq!(arena_faults.stats(), boxed_faults.stats());
+        assert!(arena_faults.stats().injected_total() > 0, "the adversary must have voided exchanges");
+        let arena = arena_engine.nodes();
+        for (node, state) in boxed_engine.nodes().iter().enumerate() {
+            assert_eq!(arena.weight(node).to_bits(), state.weight.to_bits(), "weight of node {node}");
+            assert_eq!(arena.exchange_counter(node), state.exchanges, "counter of node {node}");
+            for (u, unit) in state.value.units().iter().enumerate() {
+                let mut limbs: Vec<u64> = unit.iter_u64_digits().collect();
+                limbs.resize(limbs_per_unit, 0);
+                assert_eq!(arena.unit_limbs(node, u), limbs, "unit {u} of node {node}");
+            }
         }
     }
 

@@ -108,6 +108,29 @@ pub trait ParallelProtocolStore<P>: ProtocolStore<P> + Send {
     fn apply_exchanges(&mut self, pool: &rayon::ThreadPool, protocol: &P, pairs: &[(u32, u32)]);
 }
 
+/// The one ordered apply loop of both engines: applies `pairs` one by one
+/// in iteration order on the calling thread.  The pairs hit random node
+/// rows, so each step first hints the pair eight steps on
+/// ([`StateStore::prefetch_node`]): a no-op for `Vec` stores, most of the
+/// DRAM latency hidden for slab-backed ones.
+pub(crate) fn apply_in_order<S, P>(
+    nodes: &mut S,
+    protocol: &P,
+    pairs: impl Iterator<Item = (usize, usize)> + Clone,
+) where
+    S: ProtocolStore<P>,
+{
+    const PREFETCH_AHEAD: usize = 8;
+    let mut ahead = pairs.clone().skip(PREFETCH_AHEAD);
+    for (initiator, contact) in pairs {
+        if let Some((i, c)) = ahead.next() {
+            nodes.prefetch_node(i);
+            nodes.prefetch_node(c);
+        }
+        nodes.apply_exchange(protocol, initiator, contact);
+    }
+}
+
 /// The one wavefront batch-apply every [`ParallelProtocolStore`] goes
 /// through: validates the pairs, re-checks node-disjointness in debug
 /// builds, then calls `exchange(initiator, contact)` once per pair — in
@@ -285,11 +308,12 @@ impl<S: StateStore> GossipEngine<S> {
         S: ProtocolStore<P>,
         R: Rng + ?Sized,
     {
-        for (initiator, contact) in plan_round_with_mask(self.nodes.population(), online, rng) {
-            if classify_exchange(&mut adversary, initiator, contact) == ExchangeFate::Void {
-                continue;
-            }
-            self.nodes.apply_exchange(protocol, initiator, contact);
+        let mut plan = plan_round_with_mask(self.nodes.population(), online, rng);
+        plan.retain(|&(initiator, contact)| {
+            classify_exchange(&mut adversary, initiator, contact) == ExchangeFate::Apply
+        });
+        apply_in_order(&mut self.nodes, protocol, plan.iter().copied());
+        for _ in &plan {
             self.metrics.record_exchange();
         }
         self.metrics.record_round();

@@ -15,10 +15,12 @@
 //! [`EesState`](crate::eesum::EesState) implementation applies: scale the
 //! lagging peer by `2^Δn` (a limb shift), add the values (limb-wise integer
 //! addition — lane-packed payloads are plain non-negative integers, see
-//! `chiaroscuro_crypto::packing`), sum the weights, bump the exchange
-//! counter, and copy the combined state to the contact.  A lockstep test
-//! pins bit-equality with the `Vec<EesState<_>>` path under a shared random
-//! schedule.
+//! `chiaroscuro_crypto::packing`) and leave the combined state on both
+//! peers — one fused sweep over the two limb windows — then sum the
+//! weights and bump the exchange counter.  A lockstep test pins
+//! bit-equality with the `Vec<EesState<_>>` path under a shared random
+//! schedule, and a property test with the multi-pass kernel the sweep
+//! replaced.
 //!
 //! Each node holds `units_per_node` fixed-width *units* (the lane-packed
 //! data blocks plus the overflow-counter block of one gossip contribution)
@@ -160,57 +162,45 @@ impl EesUnitArena {
 
 }
 
-/// Scales every unit of a node window by `2^diff` (limb shift), panicking
-/// if any unit would shift set bits out of its window — that is the
-/// epidemic exceeding the doubling budget the lane plan promised, and
-/// silently dropping bits would corrupt the decoded sums.
-fn scale_units(window: &mut [u64], limbs_per_unit: usize, diff: u32) {
-    let limb_shift = (diff / 64) as usize;
-    let bit_shift = diff % 64;
-    for unit in window.chunks_exact_mut(limbs_per_unit) {
-        // Check the top `diff` bits of the window are clear.
-        for (index, &limb) in unit.iter().enumerate().rev() {
-            if limb == 0 {
-                continue;
-            }
-            let top_bit = index as u64 * 64 + (64 - limb.leading_zeros() as u64);
-            assert!(
-                top_bit + u64::from(diff) <= limbs_per_unit as u64 * 64,
-                "EESum doubling budget exceeded: scaling by 2^{diff} would overflow a \
-                 {limbs_per_unit}-limb arena unit (value uses {top_bit} bits)"
-            );
-            break;
-        }
-        // Word-granularity move, highest limb first.
+/// The value half of an Algorithm-2 exchange as one sweep over both node
+/// windows: per unit, low limb to high, the lagging peer's limb is scaled
+/// (`shifted = lag << diff | spill`), the leading peer's is added
+/// (`sum = shifted + lead + carry`) and `sum` is written to both windows —
+/// scale, add and push-pull mirror in a single pass.  `diff == 0` is the
+/// same sweep with a zero shift; the rare `diff >= 64` (a counter gap of 64
+/// exchanges) first moves the lagging unit up by whole limbs.
+///
+/// # Panics
+/// Panics instead of corrupting a neighbouring unit if the scaling pushes
+/// set bits out of a unit window (the epidemic exceeded the doubling budget
+/// the lane plan promised) or the addition carries out of one (it exceeded
+/// the planned lane capacity).
+fn scale_add_mirror(lag: &mut [u64], lead: &mut [u64], limbs_per_unit: usize, diff: u32) {
+    let (limb_shift, shift) = (((diff / 64) as usize).min(limbs_per_unit), diff % 64);
+    let wrapped = (1u64 << shift) - 1;
+    for (lag, lead) in lag.chunks_exact_mut(limbs_per_unit).zip(lead.chunks_exact_mut(limbs_per_unit)) {
+        let mut lost = 0u64;
         if limb_shift > 0 {
-            for i in (0..limbs_per_unit).rev() {
-                unit[i] = if i >= limb_shift { unit[i - limb_shift] } else { 0 };
-            }
+            let kept = limbs_per_unit - limb_shift;
+            lost = lag[kept..].iter().fold(0, |bits, &limb| bits | limb);
+            lag.copy_within(..kept, limb_shift);
+            lag[..limb_shift].fill(0);
         }
-        if bit_shift > 0 {
-            let mut carry = 0u64;
-            for limb in unit.iter_mut() {
-                let new_carry = *limb >> (64 - bit_shift);
-                *limb = (*limb << bit_shift) | carry;
-                carry = new_carry;
-            }
-            debug_assert_eq!(carry, 0, "carry-out already excluded by the bit check");
+        let (mut spill, mut carry) = (0u64, 0u64);
+        for (a, b) in lag.iter_mut().zip(lead.iter_mut()) {
+            // One rotate yields both halves of the shift: the bits at and
+            // above `shift` are `lag << shift`, those below it wrapped
+            // round and spill into the next limb.
+            let rotated = a.rotate_left(shift);
+            let sum = u128::from(rotated & !wrapped | spill) + u128::from(*b) + u128::from(carry);
+            (spill, carry) = (rotated & wrapped, (sum >> 64) as u64);
+            (*a, *b) = (sum as u64, sum as u64);
         }
-    }
-}
-
-/// Adds every unit of the `src` window into the matching unit of the `dst`
-/// window, panicking on a carry out of a unit window.
-fn add_units(dst: &mut [u64], src: &[u64], limbs_per_unit: usize) {
-    for (d_unit, s_unit) in
-        dst.chunks_exact_mut(limbs_per_unit).zip(src.chunks_exact(limbs_per_unit))
-    {
-        let mut carry = 0u128;
-        for (d, &s) in d_unit.iter_mut().zip(s_unit.iter()) {
-            let sum = u128::from(*d) + u128::from(s) + carry;
-            *d = sum as u64;
-            carry = sum >> 64;
-        }
+        assert!(
+            lost | spill == 0,
+            "EESum doubling budget exceeded: scaling by 2^{diff} would overflow a \
+             {limbs_per_unit}-limb arena unit"
+        );
         assert_eq!(
             carry, 0,
             "EESum accumulation overflowed a {limbs_per_unit}-limb arena unit: the \
@@ -232,25 +222,17 @@ fn exchange_windows(
     let (i_limbs, i_weight, i_n) = initiator;
     let (c_limbs, c_weight, c_n) = contact;
     // Lines 1–5 of Algorithm 2: scale the lagging state to the common
-    // exchange count (identical to EesState::scale_to).
-    let target = (*i_n).max(*c_n);
-    let i_diff = target - *i_n;
-    if i_diff > 0 {
-        scale_units(i_limbs, limbs_per_unit, i_diff);
-        *i_weight *= 2f64.powi(i_diff as i32);
-    }
-    let c_diff = target - *c_n;
-    if c_diff > 0 {
-        scale_units(c_limbs, limbs_per_unit, c_diff);
-        *c_weight *= 2f64.powi(c_diff as i32);
-    }
-    // Line 6: combine into the initiator, bump the counter, and mirror the
-    // combined state onto the contact (push-pull symmetry).
-    add_units(i_limbs, c_limbs, limbs_per_unit);
+    // exchange count (identical to EesState::scale_to) ...
+    let diff = i_n.abs_diff(*c_n);
+    let (lag, lag_weight, lead) =
+        if *i_n < *c_n { (i_limbs, &mut *i_weight, c_limbs) } else { (c_limbs, &mut *c_weight, i_limbs) };
+    *lag_weight *= 2f64.powi(diff as i32);
+    // ... and line 6: combine, bump the counter, and leave the combined
+    // state on both peers (push-pull symmetry).
+    scale_add_mirror(lag, lead, limbs_per_unit, diff);
     *i_weight += *c_weight;
-    *i_n = target + 1;
-    c_limbs.copy_from_slice(i_limbs);
     *c_weight = *i_weight;
+    *i_n = (*i_n).max(*c_n) + 1;
     *c_n = *i_n;
 }
 
@@ -329,6 +311,7 @@ mod tests {
     use super::*;
     use crate::eesum::{initial_states, EesState, EpidemicValue};
     use crate::engine::{ProtocolStore, PARALLEL_EXCHANGE_THRESHOLD};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -368,6 +351,189 @@ mod tests {
             assert_eq!(l, 0, "test value exceeds the u128 comparison range");
         }
         u128::from(limbs[0]) | (u128::from(*limbs.get(1).unwrap_or(&0)) << 64)
+    }
+
+    /// The multi-pass exchange the fused sweep replaced, kept as the
+    /// reference the kernel proptest compares against: scale the lagging
+    /// window (top-bit scan, whole-limb move, bit shift), add the contact
+    /// into the initiator, copy the sum back.
+    fn reference_exchange(arena: &mut EesUnitArena, initiator: usize, contact: usize) {
+        fn scale_units(window: &mut [u64], limbs_per_unit: usize, diff: u32) {
+            let limb_shift = (diff / 64) as usize;
+            let bit_shift = diff % 64;
+            for unit in window.chunks_exact_mut(limbs_per_unit) {
+                for (index, &limb) in unit.iter().enumerate().rev() {
+                    if limb == 0 {
+                        continue;
+                    }
+                    let top_bit = index as u64 * 64 + (64 - limb.leading_zeros() as u64);
+                    assert!(
+                        top_bit + u64::from(diff) <= limbs_per_unit as u64 * 64,
+                        "EESum doubling budget exceeded"
+                    );
+                    break;
+                }
+                if limb_shift > 0 {
+                    for i in (0..limbs_per_unit).rev() {
+                        unit[i] = if i >= limb_shift { unit[i - limb_shift] } else { 0 };
+                    }
+                }
+                if bit_shift > 0 {
+                    let mut carry = 0u64;
+                    for limb in unit.iter_mut() {
+                        let new_carry = *limb >> (64 - bit_shift);
+                        *limb = (*limb << bit_shift) | carry;
+                        carry = new_carry;
+                    }
+                }
+            }
+        }
+        fn add_units(dst: &mut [u64], src: &[u64], limbs_per_unit: usize) {
+            for (d_unit, s_unit) in
+                dst.chunks_exact_mut(limbs_per_unit).zip(src.chunks_exact(limbs_per_unit))
+            {
+                let mut carry = 0u128;
+                for (d, &s) in d_unit.iter_mut().zip(s_unit.iter()) {
+                    let sum = u128::from(*d) + u128::from(s) + carry;
+                    *d = sum as u64;
+                    carry = sum >> 64;
+                }
+                assert_eq!(carry, 0, "EESum accumulation overflowed");
+            }
+        }
+        let limbs_per_unit = arena.limbs_per_unit;
+        let stride = arena.units_per_node * limbs_per_unit;
+        let (i_limbs, c_limbs) = rows_mut(&mut arena.limbs, stride, initiator, contact);
+        let (i_weight, c_weight) = pair_mut(&mut arena.weights, initiator, contact);
+        let (i_n, c_n) = pair_mut(&mut arena.exchanges, initiator, contact);
+        let target = (*i_n).max(*c_n);
+        let i_diff = target - *i_n;
+        if i_diff > 0 {
+            scale_units(i_limbs, limbs_per_unit, i_diff);
+            *i_weight *= 2f64.powi(i_diff as i32);
+        }
+        let c_diff = target - *c_n;
+        if c_diff > 0 {
+            scale_units(c_limbs, limbs_per_unit, c_diff);
+            *c_weight *= 2f64.powi(c_diff as i32);
+        }
+        add_units(i_limbs, c_limbs, limbs_per_unit);
+        *i_weight += *c_weight;
+        *i_n = target + 1;
+        c_limbs.copy_from_slice(i_limbs);
+        *c_weight = *i_weight;
+        *c_n = *i_n;
+    }
+
+    /// A two-node, one-unit arena: node 0 holds `lag` and trails node 1,
+    /// which holds `lead`, by `diff` exchanges.
+    fn lagging_pair(limbs_per_unit: usize, diff: u32, lag: &[u64], lead: &[u64]) -> EesUnitArena {
+        let mut arena = EesUnitArena::new(2, 1, limbs_per_unit);
+        arena.set_unit(0, 0, lag);
+        arena.set_unit(1, 0, lead);
+        arena.exchanges[1] = diff;
+        arena
+    }
+
+    /// `2^bit` as little-endian limbs.
+    fn pow2(bit: u32) -> Vec<u64> {
+        let mut limbs = vec![0u64; bit as usize / 64 + 1];
+        limbs[bit as usize / 64] = 1 << (bit % 64);
+        limbs
+    }
+
+    /// The panic message of one exchange between the two nodes, if it panics.
+    fn exchange_panic(mut arena: EesUnitArena) -> Option<String> {
+        std::panic::catch_unwind(move || arena.apply_exchange(&EesSumProtocol, 0, 1)).err().map(|payload| {
+            payload.downcast_ref::<String>().cloned().expect("the kernel panics with a formatted message")
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fused sweep leaves both windows, weights and counters
+        /// bit-equal to the multi-pass reference, whichever side lags, at
+        /// the shift amounts either side of every limb boundary.
+        #[test]
+        fn fused_sweep_matches_the_multi_pass_reference(
+            units in 1usize..=4,
+            limbs_per_unit in 1usize..=5,
+            diff_index in 0usize..7,
+            initiator_lags in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let diff = [0u32, 1, 63, 64, 65, 127, 130][diff_index];
+            let width = limbs_per_unit as u32 * 64;
+            let (lag, lead) = if initiator_lags { (0, 1) } else { (1, 0) };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut arena = EesUnitArena::new(2, units, limbs_per_unit);
+            // Random limbs, top bits cleared so that neither the scaling nor
+            // the sum leaves the window: lag < 2^(width-diff-1), lead < 2^(width-1).
+            let mut fill = |arena: &mut EesUnitArena, node: usize, bits: u32| {
+                for unit in 0..units {
+                    let limbs: Vec<u64> = (0..limbs_per_unit as u32)
+                        .map(|i| match bits.saturating_sub(64 * i) {
+                            0 => 0,
+                            kept if kept >= 64 => rng.gen(),
+                            kept => rng.gen::<u64>() >> (64 - kept),
+                        })
+                        .collect();
+                    arena.set_unit(node, unit, &limbs);
+                }
+            };
+            fill(&mut arena, lag, width.saturating_sub(diff + 1));
+            fill(&mut arena, lead, width - 1);
+            arena.exchanges[lag] = 3;
+            arena.exchanges[lead] = 3 + diff;
+            arena.weights = vec![0.375, 1.5];
+            let mut reference = arena.clone();
+            arena.apply_exchange(&EesSumProtocol, 0, 1);
+            reference_exchange(&mut reference, 0, 1);
+            prop_assert_eq!(&arena.limbs, &reference.limbs);
+            prop_assert_eq!(arena.unit_limbs(0, 0), arena.unit_limbs(1, 0), "push-pull symmetry");
+            let bits = |weights: &[f64]| weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&arena.weights), bits(&reference.weights));
+            prop_assert_eq!(&arena.exchanges, &reference.exchanges);
+        }
+    }
+
+    #[test]
+    fn doubling_budget_is_exact_to_the_bit() {
+        // A 2-limb unit is 128 bits wide: a value using exactly
+        // `128 - diff` bits scales to the window's top bit and passes; one
+        // more bit must panic, whether it leaves by the bit shift (diff <
+        // 64), by the whole-limb move (diff = 64) or by both.
+        for diff in [1u32, 5, 63, 64, 70, 127] {
+            let mut fits = lagging_pair(2, diff, &pow2(127 - diff), &[0]);
+            fits.apply_exchange(&EesSumProtocol, 0, 1);
+            assert_eq!(fits.unit_limbs(0, 0), &[0, 1 << 63], "2^{} scaled by 2^{diff}", 127 - diff);
+            assert_eq!(fits.unit_limbs(1, 0), &[0, 1 << 63]);
+            let message = exchange_panic(lagging_pair(2, diff, &pow2(128 - diff), &[0]))
+                .unwrap_or_else(|| panic!("2^{} scaled by 2^{diff} must not fit", 128 - diff));
+            assert!(message.contains("doubling budget exceeded"), "{message}");
+        }
+        // A gap wider than the window fits only the zero value.
+        lagging_pair(2, 200, &[0], &[7]).apply_exchange(&EesSumProtocol, 0, 1);
+        let message = exchange_panic(lagging_pair(2, 200, &[1], &[7])).expect("1 · 2^200 leaves 128 bits");
+        assert!(message.contains("doubling budget exceeded"), "{message}");
+    }
+
+    #[test]
+    fn accumulation_capacity_is_exact_to_the_unit() {
+        // `lag · 2^diff + lead = 2^128 - 1` fills the window and passes;
+        // one more must panic instead of carrying into the next unit.
+        for diff in [0u32, 1, 63, 64, 70] {
+            let limbs = |v: u128| [v as u64, (v >> 64) as u64];
+            let (lag, below) = (limbs(u128::MAX >> diff), (1u128 << diff) - 1);
+            let mut full = lagging_pair(2, diff, &lag, &limbs(below));
+            full.apply_exchange(&EesSumProtocol, 0, 1);
+            assert_eq!(full.unit_limbs(0, 0), &[u64::MAX, u64::MAX], "diff {diff}");
+            assert_eq!(full.unit_limbs(1, 0), &[u64::MAX, u64::MAX], "diff {diff}");
+            let message = exchange_panic(lagging_pair(2, diff, &lag, &limbs(below + 1)))
+                .unwrap_or_else(|| panic!("2^128 must not fit (diff {diff})"));
+            assert!(message.contains("overflowed"), "{message}");
+        }
     }
 
     #[test]

@@ -89,7 +89,7 @@ use rand::{Rng, SeedableRng};
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
 use crate::churn::ChurnModel;
-use crate::engine::{ParallelProtocolStore, StateStore, PARALLEL_EXCHANGE_THRESHOLD};
+use crate::engine::{apply_in_order, ParallelProtocolStore, StateStore, PARALLEL_EXCHANGE_THRESHOLD};
 use crate::metrics::ExchangeMetrics;
 use crate::sim::adversary::{classify_exchange, AdversaryState, ExchangeFate};
 use crate::sim::metrics::{ConvergenceTimes, SimMetrics};
@@ -462,16 +462,8 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         P: Sync,
     {
         if self.pool.current_num_threads() <= 1 || applies.len() < PARALLEL_EXCHANGE_THRESHOLD {
-            // Applies hit random node rows; prefetching a few pairs ahead
-            // hides most of the DRAM latency on slab-backed stores.
-            const PREFETCH_AHEAD: usize = 8;
-            for (k, &(i, c)) in applies.iter().enumerate() {
-                if let Some(&(pi, pc)) = applies.get(k + PREFETCH_AHEAD) {
-                    self.nodes.prefetch_node(pi as usize);
-                    self.nodes.prefetch_node(pc as usize);
-                }
-                self.nodes.apply_exchange(protocol, i as usize, c as usize);
-            }
+            let pairs = applies.iter().map(|&(i, c)| (i as usize, c as usize));
+            apply_in_order(&mut self.nodes, protocol, pairs);
             return;
         }
         self.epoch += 1;

@@ -640,18 +640,11 @@ fn scenario_adversary_fault_counters_match_across_cipher_backends() {
     assert!(crypto.distributed.audit.fault_stats().injected_total() > 0);
 }
 
-/// The 100k-node scale scenario (run by CI's release smoke lane via
-/// `cargo test --release -- --ignored scale`): the full protocol — EESum
-/// over the lane arena, cleartext counter, surplus dissemination, packed
-/// decode — at a population the crypto backend cannot reach, with quality
-/// and ε agreement against a small-population crypto run of the same shape.
-#[test]
-#[ignore = "release-mode scale smoke lane (CI runs it explicitly)"]
-fn scenario_scale_100k_surrogate_async() {
-    use chiaroscuro::core::prelude::{AsyncNetworkConfig, LatencyModel};
-    let started = std::time::Instant::now();
-    let scale_spec = ScenarioSpec {
-        name: "scale-100k-surrogate",
+/// The shape of the two 100k-node scale scenarios: a population the crypto
+/// backend cannot reach, on the plaintext surrogate, under `network`.
+fn scale_100k(name: &'static str, network: NetworkModel) -> ScenarioSpec {
+    ScenarioSpec {
+        name,
         population: 100_000,
         k: 2,
         epsilon: 30.0,
@@ -664,18 +657,47 @@ fn scenario_scale_100k_surrogate_async() {
         pool_threads: 0, // auto: the assignment step parallelises trivially
         exchanges: 20,
         lane_packing: true,
-        network: NetworkModel::Async(
+        network,
+        sim_shards: 1,
+        surrogate: true,
+        key_bits: 1024, // paper-scale layout: the lane plan must fit 100k budgets
+        adversary: AdversaryModel::NONE,
+    }
+}
+
+/// Runtime budget of a scale scenario (release builds only): the lane
+/// historically runs in well under a minute; a silent multi-x slowdown would
+/// otherwise creep into CI unnoticed, so it fails loudly here instead.
+fn assert_scale_lane_budget(started: std::time::Instant) {
+    if !cfg!(debug_assertions) {
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(300),
+            "scale smoke lane took {elapsed:?}, past its 300 s runtime budget"
+        );
+    }
+}
+
+/// The 100k-node scale scenario (run by CI's release smoke lane via
+/// `cargo test --release -- --ignored scale`): the full protocol — EESum
+/// over the lane arena, cleartext counter, surplus dissemination, packed
+/// decode — at a population the crypto backend cannot reach, with quality
+/// and ε agreement against a small-population crypto run of the same shape.
+#[test]
+#[ignore = "release-mode scale smoke lane (CI runs it explicitly)"]
+fn scenario_scale_100k_surrogate_async() {
+    use chiaroscuro::core::prelude::{AsyncNetworkConfig, LatencyModel};
+    let started = std::time::Instant::now();
+    let scale_spec = scale_100k(
+        "scale-100k-surrogate",
+        NetworkModel::Async(
             AsyncNetworkConfig::default()
                 .with_latency(LatencyModel::LogNormal { median: 0.25, sigma: 0.5 })
                 // Whole-population convergence checks are O(population);
                 // once per simulated period is plenty at this scale.
                 .with_convergence_check_period(1.0),
         ),
-        sim_shards: 1,
-        surrogate: true,
-        key_bits: 1024, // paper-scale layout: the lane plan must fit 100k budgets
-        adversary: AdversaryModel::NONE,
-    };
+    );
     let scale = scale_spec.run();
     scale.assert_all();
     for stats in &scale.distributed.network {
@@ -723,16 +745,39 @@ fn scenario_scale_100k_surrogate_async() {
         );
     }
 
-    // Runtime budget (release builds only): this lane historically runs in
-    // well under a minute; a silent multi-x slowdown would otherwise creep
-    // into CI unnoticed, so it fails loudly here instead.
-    if !cfg!(debug_assertions) {
-        let elapsed = started.elapsed();
+    assert_scale_lane_budget(started);
+}
+
+/// The round-engine twin of the scale scenario (same CI lane): plaintext
+/// runs gossip on the lane arena under *every* engine, so the lockstep
+/// rounds of the quality and ε sweeps reach 100k nodes too — and the run
+/// stays bit-identical across worker-pool sizes at that population.
+#[test]
+#[ignore = "release-mode scale smoke lane (CI runs it explicitly)"]
+fn scenario_scale_100k_surrogate_rounds() {
+    let started = std::time::Instant::now();
+    let run = |pool_threads: usize| {
+        ScenarioSpec { pool_threads, ..scale_100k("scale-100k-surrogate-rounds", NetworkModel::Rounds) }.run()
+    };
+    let serial = run(1);
+    serial.assert_all();
+    for stats in &serial.distributed.network {
+        // 20 rounds leave the counter a fraction of a percent short of nν
+        // at this population, as the async twin's horizon does.
         assert!(
-            elapsed < std::time::Duration::from_secs(300),
-            "scale smoke lane took {elapsed:?}, past its 300 s runtime budget"
+            stats.noise_share_deficit <= 100_000 / 200,
+            "counter deficit {} exceeds 0.5% of the population",
+            stats.noise_share_deficit
         );
+        assert_eq!(stats.gossip_sim_time, 0.0, "the round engine has no clock");
     }
+    let pooled = run(2);
+    assert_eq!(
+        serial.distributed.first_divergence(&pooled.distributed, 0),
+        None,
+        "pool size must not change the run"
+    );
+    assert_scale_lane_budget(started);
 }
 
 /// The adversarial release e2e (run by CI's adversary smoke lane via
