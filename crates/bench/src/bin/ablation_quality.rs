@@ -26,7 +26,7 @@ const MAX_ITERATIONS: usize = 10;
 
 fn main() {
     let args = Args::from_env();
-    let dataset = Dataset::parse(&args.get_str("dataset", "cer"));
+    let dataset = Dataset::parse_or_exit(&args.get_str("dataset", "cer"));
     let series = args.get("series", 20_000usize);
     let k = args.get("k", 50usize);
     let seed = args.get("seed", 1u64);

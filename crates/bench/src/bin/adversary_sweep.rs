@@ -28,15 +28,11 @@
 
 use std::time::Instant;
 
+use chiaroscuro_bench::workloads::{constant_profile_dataset, profile_levels, SWEEP_SERIES_LEN};
 use chiaroscuro_bench::{Args, Json, Table};
 use chiaroscuro_core::prelude::*;
 use chiaroscuro_gossip::sim::{AsyncNetworkConfig, LatencyModel, NetworkModel};
-use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet, ValueRange};
-
-/// The CER-like value range every sweep dataset uses.
-const RANGE: (f64, f64) = (0.0, 80.0);
-/// Series length (short: the sweep is about the adversary, not k·(n+1)).
-const SERIES_LEN: usize = 6;
+use chiaroscuro_timeseries::TimeSeries;
 
 struct SweepRow {
     fraction: f64,
@@ -86,20 +82,6 @@ fn main() {
     println!("\nwrote {json_out}");
 }
 
-/// The true profile levels of the synthetic dataset (the scenario-matrix
-/// shape: k well-separated constant levels, round-robin).
-fn profile_levels(k: usize) -> Vec<f64> {
-    let (lo, hi) = RANGE;
-    (0..k).map(|c| lo + (hi - lo) * (c as f64 + 0.5) / k as f64).collect()
-}
-
-fn dataset(population: usize, k: usize) -> TimeSeriesSet {
-    let levels = profile_levels(k);
-    let series =
-        (0..population).map(|i| TimeSeries::constant(SERIES_LEN, levels[i % k])).collect();
-    TimeSeriesSet::new(series, ValueRange::new(RANGE.0, RANGE.1))
-}
-
 #[allow(clippy::too_many_arguments, reason = "one sweep point: the parsed CLI flags, passed through flat")]
 fn run_fraction(
     fraction: f64,
@@ -113,14 +95,14 @@ fn run_fraction(
     epsilon: f64,
     seed: u64,
 ) -> SweepRow {
-    let data = dataset(population, k);
+    let data = constant_profile_dataset(population, k);
     let levels = profile_levels(k);
     let init: Vec<TimeSeries> = levels
         .iter()
         .enumerate()
         .map(|(c, &level)| {
             let offset = if c % 2 == 0 { 6.0 } else { -6.0 };
-            TimeSeries::constant(SERIES_LEN, level + offset)
+            TimeSeries::constant(SWEEP_SERIES_LEN, level + offset)
         })
         .collect();
     let adversary = AdversaryModel::mixed(fraction, salt);
@@ -284,7 +266,7 @@ fn render_json(
                 .set("population", population)
                 .set("sim_shards", sim_shards)
                 .set("k", k)
-                .set("series_length", SERIES_LEN)
+                .set("series_length", SWEEP_SERIES_LEN)
                 .set("max_iterations", iterations)
                 .set("exchanges", exchanges)
                 .set("key_bits", key_bits)

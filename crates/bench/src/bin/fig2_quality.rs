@@ -28,7 +28,7 @@ const EPSILON: f64 = 0.69;
 
 fn main() {
     let args = Args::from_env();
-    let dataset = Dataset::parse(&args.get_str("dataset", "cer"));
+    let dataset = Dataset::parse_or_exit(&args.get_str("dataset", "cer"));
     let series = args.get("series", 20_000usize);
     let k = args.get("k", 50usize);
     let runs = args.get("runs", 3usize);

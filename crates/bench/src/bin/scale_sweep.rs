@@ -5,7 +5,7 @@
 //! (§6.1).  With the pluggable cipher backend the repo no longer has that
 //! limitation for *protocol* questions: this bin runs the complete
 //! distributed pipeline — Diptych assignment, lane-packed EESum on the
-//! struct-of-arrays arena, cleartext counter, noise-surplus dissemination,
+//! row-slab arena, cleartext counter, noise-surplus dissemination,
 //! packed decode, ε accounting — on the plaintext-surrogate backend over
 //! the event-driven asynchronous network, sweeping the population by
 //! decades and reporting throughput (node-iterations/sec), peak RSS, network load
@@ -33,16 +33,11 @@
 
 use std::time::Instant;
 
+use chiaroscuro_bench::workloads::{constant_profile_dataset, profile_levels, SWEEP_SERIES_LEN};
 use chiaroscuro_bench::{Args, Json, Table};
 use chiaroscuro_core::prelude::*;
 use chiaroscuro_gossip::sim::{AsyncNetworkConfig, LatencyModel, NetworkModel};
-use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet, ValueRange};
-
-/// The CER-like value range every sweep dataset uses.
-const RANGE: (f64, f64) = (0.0, 80.0);
-/// Series length (kept short: the protocol cost scales with k·(n+1) and
-/// the sweep is about population, not dimensionality).
-const SERIES_LEN: usize = 6;
+use chiaroscuro_timeseries::TimeSeries;
 
 struct SweepRow {
     population: usize,
@@ -104,20 +99,6 @@ fn main() {
     println!("\nwrote {json_out}");
 }
 
-/// The true profile levels of the synthetic dataset (the scenario-matrix
-/// shape: k well-separated constant levels, round-robin).
-fn profile_levels(k: usize) -> Vec<f64> {
-    let (lo, hi) = RANGE;
-    (0..k).map(|c| lo + (hi - lo) * (c as f64 + 0.5) / k as f64).collect()
-}
-
-fn dataset(population: usize, k: usize) -> TimeSeriesSet {
-    let levels = profile_levels(k);
-    let series =
-        (0..population).map(|i| TimeSeries::constant(SERIES_LEN, levels[i % k])).collect();
-    TimeSeriesSet::new(series, ValueRange::new(RANGE.0, RANGE.1))
-}
-
 #[allow(clippy::too_many_arguments, reason = "one sweep point: the parsed CLI flags, passed through flat")]
 fn run_population(
     population: usize,
@@ -131,14 +112,14 @@ fn run_population(
     median: f64,
     sigma: f64,
 ) -> SweepRow {
-    let data = dataset(population, k);
+    let data = constant_profile_dataset(population, k);
     let levels = profile_levels(k);
     let init: Vec<TimeSeries> = levels
         .iter()
         .enumerate()
         .map(|(c, &level)| {
             let offset = if c % 2 == 0 { 6.0 } else { -6.0 };
-            TimeSeries::constant(SERIES_LEN, level + offset)
+            TimeSeries::constant(SWEEP_SERIES_LEN, level + offset)
         })
         .collect();
     let params = ChiaroscuroParams::builder()
@@ -299,7 +280,7 @@ fn render_json(
             Json::object()
                 .set("backend", "plaintext-surrogate")
                 .set("k", k)
-                .set("series_length", SERIES_LEN)
+                .set("series_length", SWEEP_SERIES_LEN)
                 .set("max_iterations", iterations)
                 .set("exchanges", exchanges)
                 .set("key_bits", key_bits)

@@ -24,11 +24,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: appends a row of displayable values.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

@@ -6,7 +6,7 @@ use chiaroscuro_dp::budget::BudgetStrategy;
 use chiaroscuro_kmeans::init::InitialCentroids;
 use chiaroscuro_kmeans::perturbed::Smoothing;
 use chiaroscuro_timeseries::datasets::{cer::CerLikeGenerator, numed::NumedLikeGenerator, DatasetGenerator};
-use chiaroscuro_timeseries::TimeSeriesSet;
+use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet, ValueRange};
 
 /// Which evaluation dataset to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,12 +18,23 @@ pub enum Dataset {
 }
 
 impl Dataset {
-    /// Parses the `--dataset` option.
-    pub fn parse(name: &str) -> Dataset {
+    /// Parses the `--dataset` option (case-insensitive); an unknown name is
+    /// an error naming the accepted values, never a silent default.
+    pub fn parse(name: &str) -> Result<Dataset, String> {
         match name.to_ascii_lowercase().as_str() {
-            "numed" => Dataset::Numed,
-            _ => Dataset::Cer,
+            "cer" => Ok(Dataset::Cer),
+            "numed" => Ok(Dataset::Numed),
+            _ => Err(format!("unknown --dataset {name:?}: expected cer or numed")),
         }
+    }
+
+    /// [`Self::parse`] for a figure binary's `main`: prints the error and
+    /// exits non-zero on an unknown name.
+    pub fn parse_or_exit(name: &str) -> Dataset {
+        Dataset::parse(name).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2)
+        })
     }
 
     /// Dataset name for table headers.
@@ -52,6 +63,30 @@ impl Dataset {
             }
         }
     }
+}
+
+/// Series length of the sweep datasets (kept short: the protocol cost
+/// scales with k·(n+1) and the sweeps are about population and adversary
+/// fraction, not dimensionality).
+pub const SWEEP_SERIES_LEN: usize = 6;
+
+/// The CER-like value range every sweep dataset uses.
+const SWEEP_RANGE: (f64, f64) = (0.0, 80.0);
+
+/// The true profile levels of the sweeps' synthetic dataset (the
+/// scenario-matrix shape: k well-separated constant levels).
+pub fn profile_levels(k: usize) -> Vec<f64> {
+    let (lo, hi) = SWEEP_RANGE;
+    (0..k).map(|c| lo + (hi - lo) * (c as f64 + 0.5) / k as f64).collect()
+}
+
+/// The dataset `scale_sweep` and `adversary_sweep` cluster: `population`
+/// constant series at the [`profile_levels`], round-robin.
+pub fn constant_profile_dataset(population: usize, k: usize) -> TimeSeriesSet {
+    let levels = profile_levels(k);
+    let series =
+        (0..population).map(|i| TimeSeries::constant(SWEEP_SERIES_LEN, levels[i % k])).collect();
+    TimeSeriesSet::new(series, ValueRange::new(SWEEP_RANGE.0, SWEEP_RANGE.1))
 }
 
 /// The strategy variants plotted in Figure 2, in the paper's order.
@@ -87,9 +122,10 @@ mod tests {
 
     #[test]
     fn dataset_parsing_and_shapes() {
-        assert_eq!(Dataset::parse("numed"), Dataset::Numed);
-        assert_eq!(Dataset::parse("CER"), Dataset::Cer);
-        assert_eq!(Dataset::parse("anything"), Dataset::Cer);
+        assert_eq!(Dataset::parse("numed"), Ok(Dataset::Numed));
+        assert_eq!(Dataset::parse("CER"), Ok(Dataset::Cer));
+        let rejected = Dataset::parse("anything").expect_err("a typo must not run CER");
+        assert!(rejected.contains("anything") && rejected.contains("cer or numed"), "{rejected}");
         let (data, init) = Dataset::Cer.generate(50, 5, 1);
         assert_eq!(data.len(), 50);
         assert_eq!(data.series_length(), 24);

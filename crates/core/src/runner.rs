@@ -61,10 +61,10 @@
 //! the arena path against the crypto path from the same seed under both
 //! engines).  The executor's one policy is which store `contribute` fills,
 //! and it follows the unit kind alone: a plaintext backend's units are plain
-//! lane integers, so its EESum phase runs on a struct-of-arrays
+//! lane integers, so its EESum phase runs on the row-slab
 //! [`EesUnitArena`] on every engine (the entire population's lane-packed
-//! state lives in a handful of flat allocations and each exchange is one
-//! sweep over two limb windows); an encrypted backend's units are
+//! state lives in one flat allocation and each exchange is one sweep over
+//! two contiguous rows); an encrypted backend's units are
 //! ciphertexts only the backend can combine, so it keeps per-node vectors.
 //! The correction dissemination always runs on a [`MinIdArena`].
 //!
@@ -459,7 +459,7 @@ enum MeansStore<B: CipherBackend> {
     /// Per-node vectors of backend units: encrypted backends, whose
     /// ciphertexts only the backend itself can scale and add.
     PerNode(Vec<EesState<BackendVector<B>>>),
-    /// The struct-of-arrays lane arena: plaintext backends, whose units are
+    /// The row-slab lane arena: plaintext backends, whose units are
     /// the lane integers themselves — every surrogate run, from the
     /// 2 000-node quality sweeps to 10M-node scale runs.
     Arena(EesUnitArena),
@@ -586,8 +586,8 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
         rng: &mut R,
         adversary: Option<&mut AdversaryState>,
     ) -> (Vec<f64>, PhaseStats, Vec<B::Unit>) {
-        // Struct-of-arrays dissemination on every engine: one id lane plus
-        // flat payload rows instead of per-node boxed proposals.
+        // Slab dissemination on every engine: one flat `[id, payload…]` row
+        // per node instead of per-node boxed proposals.
         let population = proposals.len();
         let sums = proposals[0].sum_correction.len();
         let width = sums + proposals[0].count_correction.len();
@@ -609,12 +609,13 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
             opts,
         );
         let winner = arena.winning_node();
-        let (id, row) = (arena.id(winner), arena.payload(winner));
+        // A row is the identifier and its payload: whoever holds the winning
+        // identifier must hold the winner's row, bit for bit.
         assert!(
-            (0..population).filter(|&node| arena.id(node) == id).all(|node| arena.payload(node) == row),
+            (0..population).all(|node| arena.id(node) != arena.id(winner) || arena.row(node) == arena.row(winner)),
             "every node holding the winning identifier must carry the same payload"
         );
-        let winning = row.to_vec();
+        let winning = arena.payload(winner);
         // The iteration's per-node state is spent once the reference is read
         // out: release it before the driver decrypts, so it never coexists
         // with the next iteration's.
@@ -964,7 +965,7 @@ mod tests {
     fn surrogate_arena_path_matches_the_crypto_backend_under_async_delivery() {
         use chiaroscuro_gossip::sim::{AsyncNetworkConfig, LatencyModel, NetworkModel};
         // Under the async model the surrogate's EESum runs on the
-        // struct-of-arrays lane arena; the crypto run uses per-node
+        // row-slab lane arena; the crypto run uses per-node
         // ciphertext vectors.  Identical RNG streams + exact limb
         // arithmetic => bit-identical centroids and network accounting.
         let data = tiny_dataset(16);

@@ -149,7 +149,7 @@ pub trait CipherBackend: std::fmt::Debug + Send + Sync + Sized + 'static {
     fn threshold_decrypt(&self, unit: &Self::Unit) -> BigUint;
 
     /// The plaintext integer a unit carries, **without** any key material —
-    /// the bridge to struct-of-arrays lane arenas.  Only plaintext
+    /// the bridge to row-slab lane arenas.  Only plaintext
     /// backends can answer; encrypted backends panic.  Returns a borrow so
     /// the million-unit arena fill never clones big integers.
     fn plaintext_of<'a>(&self, unit: &'a Self::Unit) -> &'a BigUint;
@@ -223,11 +223,6 @@ impl DamgardJurik {
     /// benches that decrypt with the full secret key.
     pub fn from_public_key(public: PublicKey) -> Self {
         Self { public, shares: Vec::new(), threshold: 0, crt: None }
-    }
-
-    /// The public key this backend encrypts under.
-    pub fn public_key(&self) -> &PublicKey {
-        &self.public
     }
 
     /// The CRT context, when the factorisation is held (`None` means

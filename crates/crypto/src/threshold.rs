@@ -97,7 +97,6 @@ impl PartialDecryption {
 /// exponent into key-shares.
 #[derive(Debug, Clone)]
 pub struct ThresholdDealer {
-    public: PublicKey,
     sharing_modulus: BigUint,
     d: BigUint,
     num_shares: usize,
@@ -114,17 +113,11 @@ impl ThresholdDealer {
         assert!(threshold >= 1, "threshold must be at least 1");
         assert!(threshold <= num_shares, "threshold cannot exceed the number of shares");
         Self {
-            public: keypair.public.clone(),
             sharing_modulus: keypair.secret.sharing_modulus(&keypair.public),
             d: keypair.secret.d().clone(),
             num_shares,
             threshold,
         }
-    }
-
-    /// The public key the shares decrypt under.
-    pub fn public_key(&self) -> &PublicKey {
-        &self.public
     }
 
     /// The reconstruction threshold τ.

@@ -9,10 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{
-    apply_disjoint_pairs, pair_mut, rows_mut, PairwiseProtocol, ParallelProtocolStore, ProtocolStore,
-    SendPtr, StateStore,
-};
+use crate::engine::{PairwiseProtocol, StateStore};
+use crate::slab::{RowLayout, RowSlab};
 
 /// One participant's dissemination state: the best (smallest-id) proposal
 /// seen so far.
@@ -72,24 +70,26 @@ pub fn winning_state<T>(states: &[MinIdState<T>]) -> &MinIdState<T> {
     states.iter().min_by_key(|s| s.id).expect("non-empty population")
 }
 
-/// Struct-of-arrays storage for min-identifier dissemination over fixed-width
-/// `f64` payload vectors.
+/// The shape of a min-identifier row: the proposal identifier, then the
+/// `f64` payload as IEEE-754 bit patterns (the form it already travels in on
+/// the actor wire).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MinIdLayout;
+
+/// Flat storage for min-identifier dissemination over fixed-width `f64`
+/// payload vectors.
 ///
 /// Semantically equivalent to `Vec<MinIdState<Vec<f64>>>`, but the whole
-/// population lives in two flat allocations (one `u64` identifier lane, one
-/// `payload_len`-stride payload matrix), so ten-million-node dissemination
-/// phases avoid per-node heap boxes and clone traffic.  Implements
-/// [`ProtocolStore`] and [`ParallelProtocolStore`] for
-/// [`DisseminationProtocol`], so both the round engine and the async
-/// engine's wavefront batches can drive it directly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MinIdArena {
-    payload_len: usize,
-    ids: Vec<u64>,
-    payloads: Vec<f64>,
-}
+/// population lives in one flat allocation (a [`RowSlab`] of
+/// `[identifier, payload…]` rows), so ten-million-node dissemination phases
+/// avoid per-node heap boxes and clone traffic.  Like every slab it is a
+/// [`ProtocolStore`](crate::engine::ProtocolStore) and a
+/// [`ParallelProtocolStore`](crate::engine::ParallelProtocolStore), so both
+/// the round engine and the async engine's wavefront batches drive it
+/// directly.
+pub type MinIdArena = RowSlab<MinIdLayout>;
 
-impl MinIdArena {
+impl RowSlab<MinIdLayout> {
     /// Builds an arena of `population` nodes whose per-node proposal is
     /// produced by `init`: for each node the closure fills the (zeroed)
     /// payload row and returns the proposal identifier.
@@ -102,31 +102,39 @@ impl MinIdArena {
         mut init: impl FnMut(usize, &mut [f64]) -> u64,
     ) -> Self {
         assert!(population > 0, "dissemination needs a non-empty population");
-        let mut payloads = vec![0.0; population * payload_len];
-        let ids = (0..population)
-            .map(|node| init(node, &mut payloads[node * payload_len..(node + 1) * payload_len]))
-            .collect();
-        Self { payload_len, ids, payloads }
+        let mut arena = Self::zeroed(MinIdLayout, 1 + payload_len, population);
+        let mut payload = vec![0.0; payload_len];
+        for node in 0..population {
+            payload.fill(0.0);
+            let id = init(node, &mut payload);
+            let row = arena.row_mut(node);
+            row[0] = id;
+            for (cell, value) in row[1..].iter_mut().zip(&payload) {
+                *cell = value.to_bits();
+            }
+        }
+        arena
     }
 
     /// Width of every payload row.
     pub fn payload_len(&self) -> usize {
-        self.payload_len
+        self.row(0).len() - 1
     }
 
     /// The proposal identifier currently retained by `node`.
     pub fn id(&self, node: usize) -> u64 {
-        self.ids[node]
+        self.row(node)[0]
     }
 
-    /// The payload row currently retained by `node`.
-    pub fn payload(&self, node: usize) -> &[f64] {
-        &self.payloads[node * self.payload_len..(node + 1) * self.payload_len]
+    /// The payload currently retained by `node`.
+    pub fn payload(&self, node: usize) -> Vec<f64> {
+        self.row(node)[1..].iter().map(|&bits| f64::from_bits(bits)).collect()
     }
 
     /// Whether every node retains the same proposal identifier.
     pub fn converged(&self) -> bool {
-        self.ids.windows(2).all(|w| w[0] == w[1])
+        let first = self.id(0);
+        self.rows().all(|row| row[0] == first)
     }
 
     /// The node holding the globally smallest identifier — the arena
@@ -134,8 +142,8 @@ impl MinIdArena {
     /// has converged.
     pub fn winning_node(&self) -> usize {
         let mut best = 0;
-        for (node, &id) in self.ids.iter().enumerate() {
-            if id < self.ids[best] {
+        for node in 1..self.population() {
+            if self.id(node) < self.id(best) {
                 best = node;
             }
         }
@@ -143,60 +151,17 @@ impl MinIdArena {
     }
 }
 
-impl StateStore for MinIdArena {
-    fn population(&self) -> usize {
-        self.ids.len()
-    }
-}
-
-/// The min-id rule over one pair of arena rows (each an identifier and its
-/// payload row): the smaller identifier wins on both sides, ties going to
-/// the initiator, and the winning row overwrites the losing one — exactly
-/// [`DisseminationProtocol`]'s exchange over `MinIdState<Vec<f64>>`.
-fn exchange_rows(initiator: (&mut u64, &mut [f64]), contact: (&mut u64, &mut [f64])) {
-    let ((i_id, i_row), (c_id, c_row)) = (initiator, contact);
-    if *i_id <= *c_id {
-        *c_id = *i_id;
-        c_row.copy_from_slice(i_row);
-    } else {
-        *i_id = *c_id;
-        i_row.copy_from_slice(c_row);
-    }
-}
-
-impl ProtocolStore<DisseminationProtocol> for MinIdArena {
-    fn apply_exchange(&mut self, _protocol: &DisseminationProtocol, initiator: usize, contact: usize) {
-        let (i_id, c_id) = pair_mut(&mut self.ids, initiator, contact);
-        let (i_row, c_row) = rows_mut(&mut self.payloads, self.payload_len, initiator, contact);
-        exchange_rows((i_id, i_row), (c_id, c_row));
-    }
-}
-
-impl ParallelProtocolStore<DisseminationProtocol> for MinIdArena {
-    fn apply_exchanges(
-        &mut self,
-        pool: &rayon::ThreadPool,
-        _protocol: &DisseminationProtocol,
-        pairs: &[(u32, u32)],
-    ) {
-        let stride = self.payload_len;
-        let ids = SendPtr(self.ids.as_mut_ptr());
-        let payloads = SendPtr(self.payloads.as_mut_ptr());
-        apply_disjoint_pairs(pool, self.ids.len(), pairs, |i, c| {
-            // Capture the SendPtr wrappers whole (2021 disjoint-field
-            // capture would otherwise grab the raw pointers, which are
-            // deliberately not Send).
-            let (ids, payloads) = (ids, payloads);
-            // SAFETY: `apply_disjoint_pairs` hands out distinct in-bounds
-            // indices and the batch is node-disjoint (trait contract), so no
-            // two calls touch the same identifier or payload row.
-            unsafe {
-                exchange_rows(
-                    (&mut *ids.0.add(i), std::slice::from_raw_parts_mut(payloads.0.add(i * stride), stride)),
-                    (&mut *ids.0.add(c), std::slice::from_raw_parts_mut(payloads.0.add(c * stride), stride)),
-                );
-            }
-        });
+/// The min-id rule over one pair of rows: the smaller identifier wins on
+/// both sides, ties going to the initiator, and the winning row overwrites
+/// the losing one — exactly [`DisseminationProtocol`]'s exchange over
+/// `MinIdState<Vec<f64>>`.
+impl RowLayout<DisseminationProtocol> for MinIdLayout {
+    fn exchange_rows(&self, _protocol: &DisseminationProtocol, initiator: &mut [u64], contact: &mut [u64]) {
+        if initiator[0] <= contact[0] {
+            contact.copy_from_slice(initiator);
+        } else {
+            initiator.copy_from_slice(contact);
+        }
     }
 }
 
@@ -204,7 +169,7 @@ impl ParallelProtocolStore<DisseminationProtocol> for MinIdArena {
 mod tests {
     use super::*;
     use crate::churn::ChurnModel;
-    use crate::engine::GossipEngine;
+    use crate::engine::{GossipEngine, ParallelProtocolStore, ProtocolStore};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -312,7 +277,6 @@ mod tests {
 
     #[test]
     fn arena_exchanges_stay_in_lockstep_with_the_vec_store() {
-        use crate::engine::ProtocolStore;
         let (mut arena, mut states) = arena_and_vec_twins(200, 3, 21);
         let mut rng = StdRng::seed_from_u64(8);
         for _ in 0..2_000 {

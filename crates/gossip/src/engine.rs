@@ -11,7 +11,7 @@
 //! generic over its storage: it plans a state-independent schedule
 //! ([`plan_round_with_mask`]) and applies each exchange through
 //! [`ProtocolStore::apply_exchange`], so the same round loop drives per-node
-//! `Vec`s, the struct-of-arrays arenas, and a store whose exchange is a
+//! `Vec`s, the row slabs of [`crate::slab`], and a store whose exchange is a
 //! request/reply relayed to node actors behind transport links.
 
 use rand::seq::SliceRandom;
@@ -34,9 +34,10 @@ pub trait PairwiseProtocol<N> {
 /// size and the ability to apply one exchange between two indices
 /// ([`ProtocolStore`]).  Abstracting storage behind these traits lets the
 /// same event loop drive either the natural `Vec<N>` array-of-structs
-/// layout or a struct-of-arrays arena
-/// ([`EesUnitArena`](crate::sim::arena::EesUnitArena)) whose million-node
-/// footprint is a handful of flat allocations.
+/// layout or a [`RowSlab`](crate::slab::RowSlab)
+/// ([`EesUnitArena`](crate::sim::arena::EesUnitArena),
+/// [`MinIdArena`](crate::dissemination::MinIdArena)) whose million-node
+/// footprint is one flat allocation.
 pub trait StateStore {
     /// Number of nodes held.
     fn population(&self) -> usize;
@@ -51,8 +52,9 @@ pub trait StateStore {
 /// Storage that can apply one pairwise protocol exchange in place.
 ///
 /// `Vec<N>` implements this for every [`PairwiseProtocol`] (the exchange
-/// borrows the two states with [`pair_mut`]); arena storages implement the
-/// specific protocols their layout encodes.
+/// borrows the two states with [`pair_mut`]); a
+/// [`RowSlab`](crate::slab::RowSlab) implements it for every protocol its
+/// [`RowLayout`](crate::slab::RowLayout) encodes.
 pub trait ProtocolStore<P>: StateStore {
     /// Applies one atomic push-pull exchange between `initiator` and
     /// `contact` (distinct, in-bounds indices).
@@ -96,7 +98,10 @@ pub(crate) const PARALLEL_EXCHANGE_THRESHOLD: usize = 1024;
 /// commute, so running them concurrently reproduces the serial in-order
 /// result bit for bit.  Implementations rely on that contract: **every
 /// `apply_exchanges` call guarantees the pairs are node-disjoint** (no
-/// index occurs in more than one pair of the batch).
+/// index occurs in more than one pair of the batch).  Both implementations
+/// in this crate — `Vec<N>` and [`RowSlab`](crate::slab::RowSlab) — are one
+/// call to `apply_disjoint_rows`, the only place that hands two threads
+/// windows into one allocation.
 pub trait ParallelProtocolStore<P>: ProtocolStore<P> + Send {
     /// Applies every `(initiator, contact)` exchange of the node-disjoint
     /// batch, using up to `pool`'s workers.  The resulting states must be
@@ -132,25 +137,27 @@ pub(crate) fn apply_in_order<S, P>(
 }
 
 /// The one wavefront batch-apply every [`ParallelProtocolStore`] goes
-/// through: validates the pairs, re-checks node-disjointness in debug
-/// builds, then calls `exchange(initiator, contact)` once per pair — in
-/// slice order on the calling thread when the pool has one worker or the
-/// batch is below [`PARALLEL_EXCHANGE_THRESHOLD`], on the pool otherwise.
+/// through, and the crate's one disjoint-window site.  `cells` is a row-major
+/// slab of `stride`-wide node rows (a `Vec<N>` of per-node states is the
+/// `stride == 1` case).  The function validates the pairs, re-checks
+/// node-disjointness in debug builds, then calls `exchange(initiator row,
+/// contact row)` once per pair — in slice order on the calling thread when
+/// the pool has one worker or the batch is below
+/// [`PARALLEL_EXCHANGE_THRESHOLD`], on the pool otherwise.
 ///
-/// `exchange` typically reaches its two nodes through [`SendPtr`]s; what it
-/// may rely on is exactly what this function establishes: both indices are
-/// below `population` and distinct, and — the trait contract, enforced by
-/// the debug check — no index occurs in two pairs of the batch, so
-/// concurrent calls touch disjoint nodes.
+/// The caller's side of the contract is [`ParallelProtocolStore`]'s: no
+/// node index occurs in two pairs of the batch.
 ///
 /// # Panics
 /// Panics on an out-of-bounds index or a pair with `initiator == contact`.
-pub(crate) fn apply_disjoint_pairs(
+pub(crate) fn apply_disjoint_rows<T: Send>(
     pool: &rayon::ThreadPool,
-    population: usize,
+    cells: &mut [T],
+    stride: usize,
     pairs: &[(u32, u32)],
-    exchange: impl Fn(usize, usize) + Sync,
+    exchange: impl Fn(&mut [T], &mut [T]) + Sync,
 ) {
+    let population = cells.len() / stride;
     for &(i, c) in pairs {
         assert!(
             i != c && (i as usize) < population && (c as usize) < population,
@@ -158,7 +165,7 @@ pub(crate) fn apply_disjoint_pairs(
         );
     }
     // The release scheduler guarantees disjointness by construction; this
-    // catches a future scheduler bug *before* the `SendPtr` writes turn it
+    // catches a future scheduler bug *before* the window writes turn it
     // into undefined behaviour.  Runs on every batch (including the small
     // ones the serial path takes), and compiles to nothing in release builds.
     #[cfg(debug_assertions)]
@@ -168,19 +175,34 @@ pub(crate) fn apply_disjoint_pairs(
             assert!(seen.insert(node), "exchange batch is not node-disjoint: node {node} appears twice");
         }
     }
+    let slab = SendPtr(cells.as_mut_ptr());
+    let apply = |&(i, c): &(u32, u32)| {
+        // Capture the SendPtr wrapper whole (2021 disjoint-field capture
+        // would otherwise grab the raw pointer, which is not Send).
+        let base = slab;
+        // SAFETY: both indices were checked above to be distinct and below
+        // `population`, so the two `stride`-wide windows lie inside `cells`
+        // (exclusively borrowed for this call) and do not overlap; the batch
+        // is node-disjoint (trait contract, re-checked in debug builds), so
+        // no concurrent call builds a window over either row.
+        let (initiator, contact) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(base.0.add(i as usize * stride), stride),
+                std::slice::from_raw_parts_mut(base.0.add(c as usize * stride), stride),
+            )
+        };
+        exchange(initiator, contact);
+    };
     if pool.current_num_threads() <= 1 || pairs.len() < PARALLEL_EXCHANGE_THRESHOLD {
-        for &(i, c) in pairs {
-            exchange(i as usize, c as usize);
-        }
+        pairs.iter().for_each(apply);
     } else {
-        pool.map_range(pairs.len(), |k| exchange(pairs[k].0 as usize, pairs[k].1 as usize));
+        pool.map_range(pairs.len(), |k| apply(&pairs[k]));
     }
 }
 
-/// A raw pointer that may cross thread boundaries.  Safety rests on the
-/// node-disjointness contract of [`ParallelProtocolStore`]: concurrent
-/// closures only ever dereference disjoint offsets.
-pub(crate) struct SendPtr<T>(pub(crate) *mut T);
+/// The slab's base pointer in a form worker closures may share; private to
+/// [`apply_disjoint_rows`], the only place that dereferences it.
+struct SendPtr<T>(*mut T);
 
 impl<T> Clone for SendPtr<T> {
     fn clone(&self) -> Self {
@@ -190,13 +212,12 @@ impl<T> Clone for SendPtr<T> {
 
 impl<T> Copy for SendPtr<T> {}
 
-// SAFETY: SendPtr is only handed to worker closures that dereference
-// node-disjoint offsets (the `ParallelProtocolStore` contract, re-checked
-// in debug builds by `apply_disjoint_pairs`), so sending or
-// sharing the wrapper across threads never produces two live references
-// to the same node.  `T: Send` keeps the pointee itself movable.
+// SAFETY: `apply_disjoint_rows` only ever turns the pointer into windows over
+// node-disjoint rows, so sending or sharing the wrapper across threads never
+// produces two live references to the same node.  `T: Send` keeps the pointee
+// itself movable.
 unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: as above — shared access is only ever to disjoint offsets.
+// SAFETY: as above — shared access is only ever to disjoint rows.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<N, P> ParallelProtocolStore<P> for Vec<N>
@@ -205,22 +226,12 @@ where
     P: PairwiseProtocol<N> + Sync,
 {
     fn apply_exchanges(&mut self, pool: &rayon::ThreadPool, protocol: &P, pairs: &[(u32, u32)]) {
-        let base = SendPtr(self.as_mut_ptr());
-        apply_disjoint_pairs(pool, self.len(), pairs, |i, c| {
-            // Capture the SendPtr wrapper whole (2021 disjoint-field capture
-            // would otherwise grab the raw pointer, which is not Send).
-            let ptr = base;
-            // SAFETY: `apply_disjoint_pairs` hands out distinct in-bounds
-            // indices and the batch is node-disjoint (trait contract), so
-            // these two &mut borrows alias no other live reference.
-            let (a, b) = unsafe { (&mut *ptr.0.add(i), &mut *ptr.0.add(c)) };
-            protocol.exchange(a, b);
-        });
+        apply_disjoint_rows(pool, self, 1, pairs, |a, b| protocol.exchange(&mut a[0], &mut b[0]));
     }
 }
 
 /// The round-based engine driving one protocol over a population of nodes
-/// held in any [`StateStore`] — per-node `Vec`s, a struct-of-arrays arena,
+/// held in any [`StateStore`] — per-node `Vec`s, a row slab,
 /// or a store whose nodes live behind transport links.
 #[derive(Debug, Clone)]
 pub struct GossipEngine<S> {
@@ -436,7 +447,7 @@ pub fn pair_mut<T>(slice: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
 }
 
 /// Borrows the `stride`-wide rows of two distinct nodes of a flat
-/// row-major slab mutably — [`pair_mut`] for struct-of-arrays stores, so
+/// row-major slab mutably — [`pair_mut`] for slab stores, so
 /// their hot loops run over slices (no per-element bounds checks or offset
 /// math).
 ///
@@ -491,25 +502,98 @@ mod tests {
         pair_mut(&mut v, 1, 1);
     }
 
+    /// The exchange the helper's own tests apply: order-sensitive within a
+    /// pair (initiator and contact are not interchangeable) and touching
+    /// every cell of both rows.
+    fn mix_rows(initiator: &mut [u64], contact: &mut [u64]) {
+        for (a, b) in initiator.iter_mut().zip(contact.iter_mut()) {
+            *a = a.wrapping_mul(31).wrapping_add(*b);
+            *b ^= a.rotate_left(7);
+        }
+    }
+
+    fn pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
+    }
+
     /// Debug builds re-check the node-disjointness contract before any
-    /// `SendPtr` write: an overlapping batch must panic even on the small
+    /// window is built: an overlapping batch must panic even on the small
     /// serial path (release builds compile the check out entirely).
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "not node-disjoint")]
     fn overlapping_exchange_batch_panics_in_debug() {
-        let mut nodes: Vec<u64> = vec![3, 1, 4, 1];
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let mut cells: Vec<u64> = vec![3, 1, 4, 1];
         // Node 1 appears in two pairs of the same wavefront.
-        nodes.apply_exchanges(&pool, &MaxProtocol, &[(0, 1), (1, 2)]);
+        apply_disjoint_rows(&pool(2), &mut cells, 1, &[(0, 1), (1, 2)], mix_rows);
     }
 
     #[test]
     fn disjoint_exchange_batch_passes_the_debug_check() {
+        let mut cells: Vec<u64> = vec![3, 1, 4, 1, 5, 9, 2, 6];
+        apply_disjoint_rows(&pool(2), &mut cells, 2, &[(0, 1), (3, 2)], |i, c| {
+            let max = [i[0].max(c[0]), i[1].max(c[1])];
+            i.copy_from_slice(&max);
+            c.copy_from_slice(&max);
+        });
+        assert_eq!(cells, vec![4, 1, 4, 1, 5, 9, 5, 9]);
+        // The same helper behind the `Vec<N>` store, at stride 1.
         let mut nodes: Vec<u64> = vec![3, 1, 4, 1];
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        nodes.apply_exchanges(&pool, &MaxProtocol, &[(0, 1), (2, 3)]);
+        nodes.apply_exchanges(&pool(2), &MaxProtocol, &[(0, 1), (2, 3)]);
         assert_eq!(nodes, vec![3, 3, 4, 4]);
+    }
+
+    #[test]
+    fn out_of_bounds_and_self_pairs_panic_before_any_window_is_built() {
+        // Three rows of stride 2: row 3 is out of bounds (as is any index a
+        // trailing partial row would have), and a node cannot meet itself.
+        for bad in [(0, 3), (3, 0), (1, 1), (0, u32::MAX)] {
+            let mut cells = vec![7u64; 7];
+            let untouched = cells.clone();
+            let message = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                apply_disjoint_rows(&pool(2), &mut cells, 2, &[(0, 2), bad], mix_rows);
+            }))
+            .expect_err("a bad pair must panic");
+            let message = message.downcast_ref::<String>().expect("a formatted message");
+            assert!(message.contains("bad exchange pair"), "{bad:?}: {message}");
+            assert_eq!(cells, untouched, "{bad:?}: validation precedes every exchange");
+        }
+    }
+
+    proptest::proptest! {
+        /// Whatever the stride, the pool and the side of
+        /// `PARALLEL_EXCHANGE_THRESHOLD` the batch falls on, a node-disjoint
+        /// batch leaves the slab as in-order application over safe
+        /// `rows_mut` windows does.
+        #[test]
+        fn apply_disjoint_rows_matches_in_order_serial_application(
+            stride_index in 0usize..3,
+            threads_index in 0usize..4,
+            above_threshold in proptest::prelude::any::<bool>(),
+            spare_nodes in 0usize..40,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::seq::SliceRandom;
+            let (stride, threads) = ([1, 3, 17][stride_index], [1, 2, 3, 7][threads_index]);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let batch = if above_threshold {
+                rng.gen_range(PARALLEL_EXCHANGE_THRESHOLD..PARALLEL_EXCHANGE_THRESHOLD + 300)
+            } else {
+                rng.gen_range(0..PARALLEL_EXCHANGE_THRESHOLD)
+            };
+            let population = 2 * batch + spare_nodes;
+            let mut nodes: Vec<u32> = (0..population as u32).collect();
+            nodes.shuffle(&mut rng);
+            let pairs: Vec<(u32, u32)> = nodes.chunks_exact(2).take(batch).map(|p| (p[0], p[1])).collect();
+            let mut cells: Vec<u64> = (0..population * stride).map(|_| rng.gen()).collect();
+            let mut expected = cells.clone();
+            for &(i, c) in &pairs {
+                let (i, c) = rows_mut(&mut expected, stride, i as usize, c as usize);
+                mix_rows(i, c);
+            }
+            apply_disjoint_rows(&pool(threads), &mut cells, stride, &pairs, mix_rows);
+            proptest::prop_assert_eq!(cells, expected);
+        }
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //!   at message-count granularity (Figure 4(b));
 //! * [`churn`] — the uniform-disconnection churn model of §6.1.5;
 //! * [`metrics`] — message counts and error summaries;
+//! * [`slab`] — the one flat store for population-sized states: fixed-width
+//!   `u64` rows read through a [`slab::RowLayout`], which the EESum and
+//!   dissemination arenas are two layouts of;
 //! * [`sim`] — the deterministic event-driven *asynchronous* engine
 //!   (per-edge latency, message loss, crash/rejoin schedules; one engine on
 //!   one or many workers) behind the [`sim::NetworkModel`] knob, with
@@ -32,6 +35,7 @@ pub mod eesum;
 pub mod engine;
 pub mod metrics;
 pub mod sim;
+pub mod slab;
 pub mod sum;
 
 pub use churn::ChurnModel;

@@ -1,17 +1,16 @@
-//! Struct-of-arrays arena storage for million-node EESum populations.
+//! The EESum row layout: million-node Algorithm-2 populations on one slab.
 //!
-//! The natural per-node representation of an EESum state —
-//! `EesState<V>` holding a `Vec` of big integers — costs several heap
-//! allocations *per node*: at 10⁶ nodes that is tens of millions of small
-//! allocations, pointer-chasing on every exchange, and an allocator-
-//! dominated footprint.  [`EesUnitArena`] stores the same information in
-//! four flat arrays (one `u64` limb slab plus parallel weight and
-//! exchange-counter arrays), so the entire population lives in O(1)
-//! allocations and an exchange touches two contiguous limb windows.
+//! [`EesUnitArena`] is a [`RowSlab`] read through [`EesUnitLayout`]: a node's
+//! whole EESum state is one row of `u64` cells,
 //!
-//! The arena implements
-//! [`ProtocolStore<EesSumProtocol>`](crate::engine::ProtocolStore) with the
-//! **exact** Algorithm-2 update rule the per-node
+//! ```text
+//! [ weight ω·2^n as f64 bits | exchange counter n | unit 0 limbs … | unit 1 limbs … | … ]
+//! ```
+//!
+//! so the entire population lives in one allocation and an exchange touches
+//! two contiguous windows (see [`crate::slab`] for why not per-node boxes).
+//!
+//! The layout applies the **exact** Algorithm-2 update rule the per-node
 //! [`EesState`](crate::eesum::EesState) implementation applies: scale the
 //! lagging peer by `2^Δn` (a limb shift), add the values (limb-wise integer
 //! addition — lane-packed payloads are plain non-negative integers, see
@@ -30,26 +29,26 @@
 //! doubling budget) instead of corrupting a neighbouring unit.
 
 use crate::eesum::EesSumProtocol;
-use crate::engine::{
-    apply_disjoint_pairs, pair_mut, rows_mut, ParallelProtocolStore, ProtocolStore, SendPtr, StateStore,
-};
+use crate::slab::{RowLayout, RowSlab};
 
-/// Flat struct-of-arrays storage of per-node EESum states over fixed-width
-/// multi-limb integer units.
-#[derive(Debug, Clone)]
-pub struct EesUnitArena {
-    population: usize,
+/// Cells at the head of a row, before the unit limbs: the weight's bit
+/// pattern and the exchange counter.
+const HEAD: usize = 2;
+
+/// The shape of an EESum row: two scalar cells (the weight's bit pattern,
+/// the exchange counter), then `units_per_node` units of `limbs_per_unit`
+/// little-endian limbs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EesUnitLayout {
     units_per_node: usize,
     limbs_per_unit: usize,
-    /// `population × units_per_node × limbs_per_unit` little-endian limbs.
-    limbs: Vec<u64>,
-    /// The scaled epidemic weight `ω · 2^n` of each node.
-    weights: Vec<f64>,
-    /// The exchange counter `n` of each node.
-    exchanges: Vec<u32>,
 }
 
-impl EesUnitArena {
+/// Flat storage of per-node EESum states over fixed-width multi-limb
+/// integer units.
+pub type EesUnitArena = RowSlab<EesUnitLayout>;
+
+impl RowSlab<EesUnitLayout> {
     /// Creates a zeroed arena for `population` nodes of `units_per_node`
     /// units of `limbs_per_unit` limbs each.  Node 0 seeds the epidemic
     /// weight with 1, exactly as [`crate::eesum::initial_states`] does.
@@ -70,26 +69,20 @@ impl EesUnitArena {
         assert!(population >= 2, "gossip needs at least two participants");
         assert!(units_per_node >= 1, "a node carries at least one unit");
         assert!(limbs_per_unit >= 1, "a unit needs at least one limb");
-        let mut weights = vec![0.0; population];
-        weights[seed] = 1.0;
-        Self {
-            population,
-            units_per_node,
-            limbs_per_unit,
-            limbs: vec![0u64; population * units_per_node * limbs_per_unit],
-            weights,
-            exchanges: vec![0u32; population],
-        }
+        let layout = EesUnitLayout { units_per_node, limbs_per_unit };
+        let mut arena = Self::zeroed(layout, HEAD + units_per_node * limbs_per_unit, population);
+        arena.row_mut(seed)[0] = 1f64.to_bits();
+        arena
     }
 
     /// Units per node.
     pub fn units_per_node(&self) -> usize {
-        self.units_per_node
+        self.layout().units_per_node
     }
 
     /// Limbs per unit.
     pub fn limbs_per_unit(&self) -> usize {
-        self.limbs_per_unit
+        self.layout().limbs_per_unit
     }
 
     /// Writes one unit of one node from little-endian limbs (shorter slices
@@ -99,15 +92,15 @@ impl EesUnitArena {
     /// Panics if the limbs do not fit the unit width or the indices are out
     /// of bounds.
     pub fn set_unit(&mut self, node: usize, unit: usize, limbs_le: &[u64]) {
+        let window = self.unit_limbs_mut(node, unit);
         assert!(
-            limbs_le.len() <= self.limbs_per_unit,
+            limbs_le.len() <= window.len(),
             "unit value of {} limbs exceeds the arena's {}-limb unit width",
             limbs_le.len(),
-            self.limbs_per_unit
+            window.len()
         );
-        let start = self.unit_offset(node, unit);
-        self.limbs[start..start + limbs_le.len()].copy_from_slice(limbs_le);
-        self.limbs[start + limbs_le.len()..start + self.limbs_per_unit].fill(0);
+        window[..limbs_le.len()].copy_from_slice(limbs_le);
+        window[limbs_le.len()..].fill(0);
     }
 
     /// Writes one unit of one node from a little-endian digit iterator
@@ -123,8 +116,7 @@ impl EesUnitArena {
         unit: usize,
         digits_le: impl Iterator<Item = u64>,
     ) {
-        let start = self.unit_offset(node, unit);
-        let window = &mut self.limbs[start..start + self.limbs_per_unit];
+        let window = self.unit_limbs_mut(node, unit);
         let mut len = 0;
         for digit in digits_le {
             assert!(
@@ -140,26 +132,30 @@ impl EesUnitArena {
 
     /// The little-endian limbs of one unit of one node.
     pub fn unit_limbs(&self, node: usize, unit: usize) -> &[u64] {
-        let start = self.unit_offset(node, unit);
-        &self.limbs[start..start + self.limbs_per_unit]
+        let start = self.unit_offset(unit);
+        &self.row(node)[start..start + self.limbs_per_unit()]
     }
 
     /// The scaled epidemic weight `ω · 2^n` of a node.
     pub fn weight(&self, node: usize) -> f64 {
-        self.weights[node]
+        f64::from_bits(self.row(node)[0])
     }
 
     /// The exchange counter of a node.
     pub fn exchange_counter(&self, node: usize) -> u32 {
-        self.exchanges[node]
+        self.row(node)[1] as u32
     }
 
-    fn unit_offset(&self, node: usize, unit: usize) -> usize {
-        assert!(node < self.population, "node {node} out of {}", self.population);
-        assert!(unit < self.units_per_node, "unit {unit} out of {}", self.units_per_node);
-        (node * self.units_per_node + unit) * self.limbs_per_unit
+    fn unit_limbs_mut(&mut self, node: usize, unit: usize) -> &mut [u64] {
+        let (start, limbs_per_unit) = (self.unit_offset(unit), self.limbs_per_unit());
+        &mut self.row_mut(node)[start..start + limbs_per_unit]
     }
 
+    /// Where `unit` starts inside a node's row.
+    fn unit_offset(&self, unit: usize) -> usize {
+        assert!(unit < self.units_per_node(), "unit {unit} out of {}", self.units_per_node());
+        HEAD + unit * self.limbs_per_unit()
+    }
 }
 
 /// The value half of an Algorithm-2 exchange as one sweep over both node
@@ -209,100 +205,24 @@ fn scale_add_mirror(lag: &mut [u64], lead: &mut [u64], limbs_per_unit: usize, di
     }
 }
 
-/// The full Algorithm-2 exchange over two disjoint node windows: each
-/// argument is one node's `(limb window, weight, exchange counter)`.
-/// Factoring the rule over explicit borrows lets the serial path (safe
-/// `split_at_mut` windows) and the wave-parallel path (raw-pointer windows
-/// over a node-disjoint batch) share one implementation.
-fn exchange_windows(
-    limbs_per_unit: usize,
-    initiator: (&mut [u64], &mut f64, &mut u32),
-    contact: (&mut [u64], &mut f64, &mut u32),
-) {
-    let (i_limbs, i_weight, i_n) = initiator;
-    let (c_limbs, c_weight, c_n) = contact;
-    // Lines 1–5 of Algorithm 2: scale the lagging state to the common
-    // exchange count (identical to EesState::scale_to) ...
-    let diff = i_n.abs_diff(*c_n);
-    let (lag, lag_weight, lead) =
-        if *i_n < *c_n { (i_limbs, &mut *i_weight, c_limbs) } else { (c_limbs, &mut *c_weight, i_limbs) };
-    *lag_weight *= 2f64.powi(diff as i32);
-    // ... and line 6: combine, bump the counter, and leave the combined
-    // state on both peers (push-pull symmetry).
-    scale_add_mirror(lag, lead, limbs_per_unit, diff);
-    *i_weight += *c_weight;
-    *c_weight = *i_weight;
-    *i_n = (*i_n).max(*c_n) + 1;
-    *c_n = *i_n;
-}
-
-impl StateStore for EesUnitArena {
-    fn population(&self) -> usize {
-        self.population
-    }
-
-    fn prefetch_node(&self, node: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            debug_assert!(node < self.population);
-            let start = node * self.units_per_node * self.limbs_per_unit;
-            // SAFETY: prefetch is a pure cache hint with no memory access
-            // semantics, and both addresses are in-bounds for the slabs.
-            // One line is enough: the hardware streamer follows the row
-            // once its head is resident.
-            unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch(self.limbs.as_ptr().add(start).cast::<i8>(), _MM_HINT_T0);
-                _mm_prefetch(self.weights.as_ptr().add(node).cast::<i8>(), _MM_HINT_T0);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = node;
-    }
-}
-
-impl ProtocolStore<EesSumProtocol> for EesUnitArena {
-    fn apply_exchange(&mut self, _protocol: &EesSumProtocol, initiator: usize, contact: usize) {
-        let limbs_per_unit = self.limbs_per_unit;
-        let stride = self.units_per_node * limbs_per_unit;
-        let (i_limbs, c_limbs) = rows_mut(&mut self.limbs, stride, initiator, contact);
-        let (i_weight, c_weight) = pair_mut(&mut self.weights, initiator, contact);
-        let (i_n, c_n) = pair_mut(&mut self.exchanges, initiator, contact);
-        exchange_windows(limbs_per_unit, (i_limbs, i_weight, i_n), (c_limbs, c_weight, c_n));
-    }
-}
-
-impl ParallelProtocolStore<EesSumProtocol> for EesUnitArena {
-    fn apply_exchanges(
-        &mut self,
-        pool: &rayon::ThreadPool,
-        _protocol: &EesSumProtocol,
-        pairs: &[(u32, u32)],
-    ) {
-        let stride = self.units_per_node * self.limbs_per_unit;
-        let limbs_per_unit = self.limbs_per_unit;
-        let limbs = SendPtr(self.limbs.as_mut_ptr());
-        let weights = SendPtr(self.weights.as_mut_ptr());
-        let counters = SendPtr(self.exchanges.as_mut_ptr());
-        apply_disjoint_pairs(pool, self.population, pairs, |i, c| {
-            // Capture the SendPtr wrappers whole (2021 disjoint-field
-            // capture would otherwise grab the raw pointers, which are
-            // deliberately not Send).
-            let (limbs, weights, counters) = (limbs, weights, counters);
-            // SAFETY: `apply_disjoint_pairs` hands out distinct in-bounds
-            // indices and the batch is node-disjoint (trait contract), so the
-            // windows and scalars reconstructed here alias no other live
-            // reference.
-            unsafe {
-                let i_limbs = std::slice::from_raw_parts_mut(limbs.0.add(i * stride), stride);
-                let c_limbs = std::slice::from_raw_parts_mut(limbs.0.add(c * stride), stride);
-                exchange_windows(
-                    limbs_per_unit,
-                    (i_limbs, &mut *weights.0.add(i), &mut *counters.0.add(i)),
-                    (c_limbs, &mut *weights.0.add(c), &mut *counters.0.add(c)),
-                );
-            }
-        });
+impl RowLayout<EesSumProtocol> for EesUnitLayout {
+    fn exchange_rows(&self, _protocol: &EesSumProtocol, initiator: &mut [u64], contact: &mut [u64]) {
+        let (i_head, i_limbs) = initiator.split_at_mut(HEAD);
+        let (c_head, c_limbs) = contact.split_at_mut(HEAD);
+        let (mut i_weight, mut c_weight) = (f64::from_bits(i_head[0]), f64::from_bits(c_head[0]));
+        let (i_n, c_n) = (i_head[1] as u32, c_head[1] as u32);
+        // Lines 1–5 of Algorithm 2: scale the lagging state to the common
+        // exchange count (identical to EesState::scale_to) ...
+        let diff = i_n.abs_diff(c_n);
+        let (lag, lag_weight, lead) =
+            if i_n < c_n { (i_limbs, &mut i_weight, c_limbs) } else { (c_limbs, &mut c_weight, i_limbs) };
+        *lag_weight *= 2f64.powi(diff as i32);
+        // ... and line 6: combine, bump the counter, and leave the combined
+        // state on both peers (push-pull symmetry).
+        scale_add_mirror(lag, lead, self.limbs_per_unit, diff);
+        let head = [(i_weight + c_weight).to_bits(), u64::from(i_n.max(c_n) + 1)];
+        i_head.copy_from_slice(&head);
+        c_head.copy_from_slice(&head);
     }
 }
 
@@ -310,7 +230,7 @@ impl ParallelProtocolStore<EesSumProtocol> for EesUnitArena {
 mod tests {
     use super::*;
     use crate::eesum::{initial_states, EesState, EpidemicValue};
-    use crate::engine::{ProtocolStore, PARALLEL_EXCHANGE_THRESHOLD};
+    use crate::engine::{ParallelProtocolStore, ProtocolStore, StateStore, PARALLEL_EXCHANGE_THRESHOLD};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -401,11 +321,16 @@ mod tests {
                 assert_eq!(carry, 0, "EESum accumulation overflowed");
             }
         }
-        let limbs_per_unit = arena.limbs_per_unit;
-        let stride = arena.units_per_node * limbs_per_unit;
-        let (i_limbs, c_limbs) = rows_mut(&mut arena.limbs, stride, initiator, contact);
-        let (i_weight, c_weight) = pair_mut(&mut arena.weights, initiator, contact);
-        let (i_n, c_n) = pair_mut(&mut arena.exchanges, initiator, contact);
+        // Read both rows out into the shape the kernel was written for
+        // (limb window, weight, counter) and write them back afterwards.
+        let limbs_per_unit = arena.limbs_per_unit();
+        let split = |arena: &EesUnitArena, node: usize| {
+            (arena.row(node)[HEAD..].to_vec(), arena.weight(node), arena.exchange_counter(node))
+        };
+        let (mut i_limbs, mut i_weight, mut i_n) = split(arena, initiator);
+        let (mut c_limbs, mut c_weight, mut c_n) = split(arena, contact);
+        let (i_limbs, i_weight, i_n) = (i_limbs.as_mut_slice(), &mut i_weight, &mut i_n);
+        let (c_limbs, c_weight, c_n) = (c_limbs.as_mut_slice(), &mut c_weight, &mut c_n);
         let target = (*i_n).max(*c_n);
         let i_diff = target - *i_n;
         if i_diff > 0 {
@@ -423,6 +348,31 @@ mod tests {
         c_limbs.copy_from_slice(i_limbs);
         *c_weight = *i_weight;
         *c_n = *i_n;
+        for (node, limbs, weight, n) in [(initiator, i_limbs, i_weight, i_n), (contact, c_limbs, c_weight, c_n)] {
+            set_head(arena, node, *weight, *n);
+            arena.row_mut(node)[HEAD..].copy_from_slice(limbs);
+        }
+    }
+
+    /// Overwrites a node's weight and exchange counter.
+    fn set_head(arena: &mut EesUnitArena, node: usize, weight: f64, exchanges: u32) {
+        arena.row_mut(node)[..HEAD].copy_from_slice(&[weight.to_bits(), u64::from(exchanges)]);
+    }
+
+    /// Overwrites a node's exchange counter.
+    fn set_counter(arena: &mut EesUnitArena, node: usize, exchanges: u32) {
+        set_head(arena, node, arena.weight(node), exchanges);
+    }
+
+    /// The population's limbs, weight bit patterns and exchange counters,
+    /// each in node order.
+    fn parts(arena: &EesUnitArena) -> (Vec<u64>, Vec<u64>, Vec<u32>) {
+        let nodes = 0..arena.population();
+        (
+            arena.rows().flat_map(|row| &row[HEAD..]).copied().collect(),
+            nodes.clone().map(|node| arena.weight(node).to_bits()).collect(),
+            nodes.map(|node| arena.exchange_counter(node)).collect(),
+        )
     }
 
     /// A two-node, one-unit arena: node 0 holds `lag` and trails node 1,
@@ -431,7 +381,7 @@ mod tests {
         let mut arena = EesUnitArena::new(2, 1, limbs_per_unit);
         arena.set_unit(0, 0, lag);
         arena.set_unit(1, 0, lead);
-        arena.exchanges[1] = diff;
+        set_counter(&mut arena, 1, diff);
         arena
     }
 
@@ -484,17 +434,17 @@ mod tests {
             };
             fill(&mut arena, lag, width.saturating_sub(diff + 1));
             fill(&mut arena, lead, width - 1);
-            arena.exchanges[lag] = 3;
-            arena.exchanges[lead] = 3 + diff;
-            arena.weights = vec![0.375, 1.5];
+            let weights = [0.375, 1.5];
+            set_head(&mut arena, lag, weights[lag], 3);
+            set_head(&mut arena, lead, weights[lead], 3 + diff);
             let mut reference = arena.clone();
             arena.apply_exchange(&EesSumProtocol, 0, 1);
             reference_exchange(&mut reference, 0, 1);
-            prop_assert_eq!(&arena.limbs, &reference.limbs);
+            let ((limbs, weights, exchanges), expected) = (parts(&arena), parts(&reference));
+            prop_assert_eq!(limbs, expected.0);
             prop_assert_eq!(arena.unit_limbs(0, 0), arena.unit_limbs(1, 0), "push-pull symmetry");
-            let bits = |weights: &[f64]| weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&arena.weights), bits(&reference.weights));
-            prop_assert_eq!(&arena.exchanges, &reference.exchanges);
+            prop_assert_eq!(weights, expected.1);
+            prop_assert_eq!(exchanges, expected.2);
         }
     }
 
@@ -579,7 +529,7 @@ mod tests {
         let mut arena = EesUnitArena::new(2, 1, 3);
         arena.set_unit(0, 0, &[0xDEAD_BEEF, 0, 0]);
         arena.set_unit(1, 0, &[1, 0, 0]);
-        arena.exchanges[1] = 70;
+        set_counter(&mut arena, 1, 70);
         let before = arena_unit_u128(&arena, 0, 0);
         arena.apply_exchange(&EesSumProtocol, 1, 0);
         let combined = arena_unit_u128(&arena, 0, 0);
@@ -594,7 +544,7 @@ mod tests {
     fn shift_overflow_panics_instead_of_corrupting_neighbouring_units() {
         let mut arena = EesUnitArena::new(2, 2, 1);
         arena.set_unit(0, 0, &[1u64 << 60]);
-        arena.exchanges[1] = 10; // forces node 0 to scale by 2^10 on exchange
+        set_counter(&mut arena, 1, 10); // forces node 0 to scale by 2^10 on exchange
         arena.apply_exchange(&EesSumProtocol, 1, 0);
     }
 
@@ -637,7 +587,7 @@ mod tests {
         }
         // Stagger some counters so the batch exercises the scaling path too.
         for node in 0..population / 4 {
-            serial.exchanges[node * 4] = 3;
+            set_counter(&mut serial, node * 4, 3);
         }
         let mut parallel = serial.clone();
         let pairs: Vec<(u32, u32)> =
@@ -648,9 +598,7 @@ mod tests {
         }
         let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         parallel.apply_exchanges(&pool, &EesSumProtocol, &pairs);
-        assert_eq!(parallel.limbs, serial.limbs);
-        assert_eq!(parallel.weights, serial.weights);
-        assert_eq!(parallel.exchanges, serial.exchanges);
+        assert_eq!(parts(&parallel), parts(&serial));
     }
 
     #[test]
@@ -659,11 +607,11 @@ mod tests {
         let mut by_iter = by_slice.clone();
         by_slice.set_unit(1, 1, &[5, 6]);
         by_iter.set_unit_from_digits(1, 1, [5u64, 6].into_iter());
-        assert_eq!(by_iter.limbs, by_slice.limbs);
+        assert_eq!(by_iter, by_slice);
         // Stale high limbs are cleared exactly like set_unit.
         by_slice.set_unit(1, 1, &[9]);
         by_iter.set_unit_from_digits(1, 1, std::iter::once(9u64));
-        assert_eq!(by_iter.limbs, by_slice.limbs);
+        assert_eq!(by_iter, by_slice);
     }
 
     #[test]

@@ -29,16 +29,6 @@ pub struct SimMetrics {
 }
 
 impl SimMetrics {
-    /// Records one message leaving a node.
-    pub fn record_sent(&mut self) {
-        self.messages_sent += 1;
-    }
-
-    /// Records one message that was dropped (loss or offline endpoint).
-    pub fn record_lost(&mut self) {
-        self.messages_lost += 1;
-    }
-
     /// Records a request entering transit at `now`.
     pub fn depart(&mut self, now: f64) {
         self.advance(now);

@@ -135,9 +135,9 @@ struct ShardOutput {
 ///
 /// The per-node state storage is pluggable ([`StateStore`] /
 /// [`ParallelProtocolStore`]): the natural `Vec<N>` array-of-structs
-/// layout, or a struct-of-arrays arena such as
-/// [`EesUnitArena`](crate::sim::arena::EesUnitArena) whose flat allocations
-/// let 100k–10M-node populations stream through the barriers.  The window
+/// layout, or a row slab such as
+/// [`EesUnitArena`](crate::sim::arena::EesUnitArena) whose one flat allocation
+/// lets 100k–10M-node populations stream through the barriers.  The window
 /// loop is storage-agnostic and consumes identical RNG draws either way.
 #[derive(Debug)]
 pub struct ShardedAsyncEngine<S> {

@@ -189,12 +189,12 @@ impl NodeEvent {
                 })
             }
             6 => Ok(NodeEvent::CorrectionProposal { payload: payload.to_vec() }),
-            7 => {
-                if payload.len() != 1 {
-                    return Err(FrameError::BadPayload("ReadoutRequest needs 1 byte"));
-                }
-                Ok(NodeEvent::ReadoutRequest { include_units: payload[0] != 0 })
-            }
+            7 => match payload {
+                [0] => Ok(NodeEvent::ReadoutRequest { include_units: false }),
+                [1] => Ok(NodeEvent::ReadoutRequest { include_units: true }),
+                [_] => Err(FrameError::BadPayload("a flag byte must be 0 or 1")),
+                _ => Err(FrameError::BadPayload("ReadoutRequest needs 1 byte")),
+            },
             8 => Ok(NodeEvent::ReadoutReply { payload: payload.to_vec() }),
             9 => {
                 if !payload.is_empty() {
@@ -251,6 +251,11 @@ mod tests {
         assert!(matches!(NodeEvent::decode(3, &[9, 0, 0, 0, 1]), Err(FrameError::BadPayload(_))));
         assert!(matches!(NodeEvent::decode(4, &[]), Err(FrameError::BadPayload(_))));
         assert!(matches!(NodeEvent::decode(7, &[]), Err(FrameError::BadPayload(_))));
+        assert!(matches!(NodeEvent::decode(7, &[0, 0]), Err(FrameError::BadPayload(_))));
+        // A flag byte is strictly 0 or 1, as everywhere else on this wire.
+        for byte in 2..=u8::MAX {
+            assert!(matches!(NodeEvent::decode(7, &[byte]), Err(FrameError::BadPayload(_))), "flag byte {byte}");
+        }
         assert!(matches!(NodeEvent::decode(9, &[1]), Err(FrameError::BadPayload(_))));
     }
 }

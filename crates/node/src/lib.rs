@@ -43,4 +43,4 @@ pub use actor::{serve, serve_guarded, Actor, FrameGuard, RejectedFrames};
 pub use bus::LocalBus;
 pub use event::{NodeEvent, Phase};
 pub use frame::{Frame, FrameError};
-pub use transport::{FramedSocketTransport, InMemoryTransport, Mailbox, Transport};
+pub use transport::{FramedSocketTransport, InMemoryTransport, Transport};

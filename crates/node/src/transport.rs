@@ -32,29 +32,13 @@ pub trait Transport {
     fn bytes_received(&self) -> u64;
 }
 
-/// The receiving half of an in-memory link: a queue of encoded frames.
-///
-/// Wrapped separately so the serve loop owns a mailbox it can drain while
-/// the sending half is cloned into other threads if needed.
-pub struct Mailbox {
-    rx: Receiver<Vec<u8>>,
-}
-
-impl Mailbox {
-    /// Blocks until the next encoded frame arrives; `None` when every
-    /// sender has disconnected.
-    fn next(&mut self) -> Option<Vec<u8>> {
-        self.rx.recv().ok()
-    }
-}
-
 /// A channel-backed transport endpoint used by [`crate::bus::LocalBus`].
 ///
 /// Frames are encoded on send and decoded on receive so this path
 /// exercises the exact same codec as the socket transport.
 pub struct InMemoryTransport {
     tx: Sender<Vec<u8>>,
-    mailbox: Mailbox,
+    rx: Receiver<Vec<u8>>,
     sent: u64,
     received: u64,
 }
@@ -66,13 +50,13 @@ impl InMemoryTransport {
         let (tx_b, rx_b) = channel();
         let a = InMemoryTransport {
             tx: tx_b,
-            mailbox: Mailbox { rx: rx_a },
+            rx: rx_a,
             sent: 0,
             received: 0,
         };
         let b = InMemoryTransport {
             tx: tx_a,
-            mailbox: Mailbox { rx: rx_b },
+            rx: rx_b,
             sent: 0,
             received: 0,
         };
@@ -90,10 +74,8 @@ impl Transport for InMemoryTransport {
     }
 
     fn recv(&mut self) -> io::Result<Frame> {
-        let bytes = self
-            .mailbox
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "peer disconnected"))?;
+        let bytes =
+            self.rx.recv().map_err(|_| io::Error::new(io::ErrorKind::UnexpectedEof, "peer disconnected"))?;
         self.received += bytes.len() as u64;
         Frame::decode(&bytes).map_err(io::Error::from)
     }

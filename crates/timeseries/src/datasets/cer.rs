@@ -103,30 +103,17 @@ fn plateau_wrapping(x: f64, start: f64, end: f64, softness: f64) -> f64 {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CerLikeGenerator {
     seed: u64,
-    /// Multiplicative household-level scale spread (log-uniform around 1).
-    scale_spread: f64,
-    /// Additive per-hour Gaussian noise standard deviation.
-    noise_std: f64,
 }
+
+/// Multiplicative household-level scale spread (log-uniform around 1).
+const SCALE_SPREAD: f64 = 0.35;
+/// Additive per-hour Gaussian noise standard deviation.
+const NOISE_STD: f64 = 1.5;
 
 impl CerLikeGenerator {
     /// Creates a generator with the default noise model.
     pub fn new(seed: u64) -> Self {
-        Self { seed, scale_spread: 0.35, noise_std: 1.5 }
-    }
-
-    /// Overrides the per-hour additive noise standard deviation.
-    pub fn with_noise_std(mut self, noise_std: f64) -> Self {
-        assert!(noise_std >= 0.0);
-        self.noise_std = noise_std;
-        self
-    }
-
-    /// Overrides the household scale spread.
-    pub fn with_scale_spread(mut self, scale_spread: f64) -> Self {
-        assert!(scale_spread >= 0.0);
-        self.scale_spread = scale_spread;
-        self
+        Self { seed }
     }
 
     /// Generates `count` series together with their ground-truth profile
@@ -162,13 +149,13 @@ impl CerLikeGenerator {
     fn one_series<R: Rng + ?Sized>(&self, profile: HouseholdProfile, rng: &mut R) -> TimeSeries {
         let base = profile.base_curve();
         // Household-level multiplicative factor (consumption volume).
-        let scale = (1.0 + self.scale_spread * (rng.gen::<f64>() * 2.0 - 1.0)).max(0.05);
+        let scale = (1.0 + SCALE_SPREAD * (rng.gen::<f64>() * 2.0 - 1.0)).max(0.05);
         // Small circular phase shift (people's schedules differ by ±1h).
         let shift = rng.gen_range(-1isize..=1isize);
         let mut values = Vec::with_capacity(CER_SERIES_LENGTH);
         for hour in 0..CER_SERIES_LENGTH {
             let src = (hour as isize + shift).rem_euclid(CER_SERIES_LENGTH as isize) as usize;
-            let noise = self.noise_std * standard_normal(rng);
+            let noise = NOISE_STD * standard_normal(rng);
             let v = (base[src] * scale + noise).clamp(CER_RANGE.min, CER_RANGE.max);
             values.push(v);
         }

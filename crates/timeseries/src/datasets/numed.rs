@@ -81,21 +81,15 @@ pub struct NumedLikeGenerator {
     seed: u64,
     /// Relative spread of the per-patient Claret parameters.
     parameter_spread: f64,
-    /// Additive measurement noise standard deviation.
-    noise_std: f64,
 }
+
+/// Additive measurement noise standard deviation.
+const NOISE_STD: f64 = 0.8;
 
 impl NumedLikeGenerator {
     /// Creates a generator with the default noise model.
     pub fn new(seed: u64) -> Self {
-        Self { seed, parameter_spread: 0.15, noise_std: 0.8 }
-    }
-
-    /// Overrides the measurement noise standard deviation.
-    pub fn with_noise_std(mut self, noise_std: f64) -> Self {
-        assert!(noise_std >= 0.0);
-        self.noise_std = noise_std;
-        self
+        Self { seed, parameter_spread: 0.15 }
     }
 
     /// Generates `count` series together with ground-truth archetype labels.
@@ -139,7 +133,7 @@ impl NumedLikeGenerator {
         for week in 0..NUMED_SERIES_LENGTH {
             let t = week as f64;
             let clean = ts0 * ((-kd * t).exp() + kg * t);
-            let noisy = clean + self.noise_std * standard_normal(rng);
+            let noisy = clean + NOISE_STD * standard_normal(rng);
             values.push(noisy.clamp(NUMED_RANGE.min, NUMED_RANGE.max));
         }
         TimeSeries::new(values)

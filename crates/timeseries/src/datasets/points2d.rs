@@ -23,8 +23,6 @@ pub const POINTS2D_RANGE: ValueRange = ValueRange { min: 0.0, max: 100.0 };
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Points2dGenerator {
     seed: u64,
-    /// Number of distinct base points before duplication.
-    base_points: usize,
     /// Duplication factor (the paper uses 100).
     duplication: usize,
     /// Standard deviation of each Gaussian blob.
@@ -35,22 +33,15 @@ pub struct Points2dGenerator {
 
 impl Points2dGenerator {
     /// Creates a generator following the paper's protocol
-    /// (7.5K base points, ×100 duplication).
+    /// (×100 duplication; the base-point count follows from the requested
+    /// total — 7.5K for the paper's 750K points).
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            base_points: 7_500,
             duplication: 100,
             blob_std: 1.8,
             duplicate_jitter: 0.5,
         }
-    }
-
-    /// Overrides the number of base points (before duplication).
-    pub fn with_base_points(mut self, base_points: usize) -> Self {
-        assert!(base_points >= POINTS2D_CLUSTERS);
-        self.base_points = base_points;
-        self
     }
 
     /// Overrides the duplication factor.

@@ -55,16 +55,6 @@ impl TimeSeries {
         &self.values
     }
 
-    /// Mutable access to the underlying values.
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
-    /// Consumes the series, returning its values.
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
-    }
-
     /// Dimension-wise addition of `other` into `self`.
     ///
     /// # Panics

@@ -480,7 +480,7 @@ fn scenario_surrogate_backend_is_bit_exact_with_crypto() {
 #[test]
 fn scenario_surrogate_arena_is_bit_exact_with_crypto_under_async_delivery() {
     // Under the async model the surrogate's EESum runs on the
-    // struct-of-arrays lane arena; same seed as the per-node crypto run =>
+    // row-slab lane arena; same seed as the per-node crypto run =>
     // bit-identical centroids and gossip accounting (the arena is a storage
     // change, never an arithmetic one).
     let mut crypto_spec = ScenarioSpec {
