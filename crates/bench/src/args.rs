@@ -19,9 +19,23 @@ impl Args {
         self.values.get(key).cloned().unwrap_or_else(|| default.to_string())
     }
 
-    /// Numeric option with a default.
+    /// Numeric option with a default for an absent key; a value that is
+    /// present but does not parse is an error naming it, never a silent
+    /// default.
+    pub fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.values.get(key) {
+            None => Ok(default),
+            Some(value) => value.parse().map_err(|_| format!("invalid --{key} {value:?}")),
+        }
+    }
+
+    /// [`Self::try_get`] for a harness binary's `main`: prints the error
+    /// and exits non-zero on an unparsable value.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.values.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+        self.try_get(key, default).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2)
+        })
     }
 
     /// Boolean flag.
@@ -73,8 +87,11 @@ mod tests {
     }
 
     #[test]
-    fn invalid_numbers_use_default() {
-        let a = args(&["--series", "abc"]);
-        assert_eq!(a.get("series", 7usize), 7);
+    fn try_get_defaults_only_an_absent_key() {
+        let a = args(&["--series", "abc", "--runs", "3", "--max-population", "10k"]);
+        assert_eq!(a.try_get("scale", 7usize), Ok(7));
+        assert_eq!(a.try_get("runs", 7usize), Ok(3));
+        assert_eq!(a.try_get("series", 7usize), Err("invalid --series \"abc\"".to_string()));
+        assert_eq!(a.try_get("max-population", 1_000_000usize), Err("invalid --max-population \"10k\"".to_string()));
     }
 }

@@ -9,12 +9,10 @@
 //! that the [`DataClass::RawPersonalData`] class never appears, mirroring
 //! the case analysis of the security proof (Appendix B.2).
 
-use serde::{Deserialize, Serialize};
-
 use chiaroscuro_gossip::sim::FaultStats;
 
 /// Classification of a piece of information leaving a participant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataClass {
     /// Protected by semantically secure homomorphic encryption.
     Encrypted,
@@ -29,7 +27,7 @@ pub enum DataClass {
 }
 
 /// One audited transfer (or a batch of identical transfers).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditEvent {
     /// The k-means iteration during which the transfer happened.
     pub iteration: usize,
@@ -45,7 +43,7 @@ pub struct AuditEvent {
 }
 
 /// The audit log of a distributed run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SecurityAudit {
     events: Vec<AuditEvent>,
     /// Accumulated byzantine-fault counters (injected/detected/absorbed per

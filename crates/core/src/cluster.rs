@@ -8,10 +8,10 @@
 //!
 //! The coordinator holds one link per node (a star overlay standing in for
 //! the Newscast mesh) and wraps them in a node store whose `apply_exchange`
-//! is a relay; the round engine ([`GossipEngine`]) then runs each phase over
-//! that store exactly as the monolith runs it over in-process state — one
-//! planner, one stop rule, one fault schedule, one set of counters.  Each
-//! exchange the engine applies is delivered as:
+//! is a relay; [`run_phase`] then runs each phase over that store exactly as
+//! the monolith runs it over in-process state — one recipe, one planner,
+//! one stop rule, one fault schedule, one set of counters.  Each exchange
+//! the round engine applies is delivered as:
 //!
 //! ```text
 //! coordinator ── InitiateExchange(phase, contact) ──▶ initiator
@@ -51,8 +51,8 @@
 use rand::Rng;
 
 use chiaroscuro_crypto::backend::CipherBackend;
-use chiaroscuro_gossip::engine::{GossipEngine, ProtocolStore, StateStore};
-use chiaroscuro_gossip::sim::{AdversaryState, NetworkModel, PhaseStats};
+use chiaroscuro_gossip::engine::{ProtocolStore, StateStore};
+use chiaroscuro_gossip::sim::{run_phase, AdversaryState, NetworkModel, PhaseOpts, PhaseStats};
 use chiaroscuro_gossip::sum::SumState;
 use chiaroscuro_node::{
     FrameError, FramedSocketTransport, LocalBus, NodeEvent, NodeId, Phase, Transport, COORDINATOR,
@@ -221,8 +221,9 @@ struct LinkExecutor<'l, T: Transport, B: CipherBackend> {
 }
 
 impl<T: Transport, B: CipherBackend> LinkExecutor<'_, T, B> {
-    /// Runs one phase of the round engine over the links.  With `ids` the
-    /// phase stops on agreement over them; without, it runs its budget.
+    /// Runs one phase over the links (on the round engine:
+    /// `execute_via_links` admits no other).  With `ids` the phase stops
+    /// on agreement over them; without, it runs its budget.
     fn relay_phase<R: Rng + ?Sized>(
         &mut self,
         ctx: &RunContext<'_, B>,
@@ -231,11 +232,11 @@ impl<T: Transport, B: CipherBackend> LinkExecutor<'_, T, B> {
         ids: Option<&mut [u64]>,
         adversary: Option<&mut AdversaryState>,
     ) -> PhaseStats {
-        let unbounded = ids.is_none();
-        let mut engine = GossipEngine::new(LinkStore { links: &mut *self.links, ids }, ctx.churn);
-        let stopped = engine.run_until(&phase, ctx.exchanges, rng, LinkStore::agreed, adversary);
-        let (_, metrics) = engine.into_parts();
-        PhaseStats { metrics, converged: unbounded || stopped, sim_time: 0.0, peak_in_flight: 0 }
+        let mut agreed = LinkStore::agreed;
+        let until = ids.is_some().then_some(&mut agreed as &mut dyn FnMut(&_) -> bool);
+        let store = LinkStore { links: &mut *self.links, ids };
+        let opts = PhaseOpts { until, adversary };
+        run_phase(&ctx.run.params.network, store, ctx.churn, &phase, ctx.exchanges, rng, opts).1
     }
 
     /// Requests and decodes every node's readout (`with_units` additionally

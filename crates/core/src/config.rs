@@ -1,7 +1,5 @@
 //! Run parameters (Table 1) and the paper's experimental settings (Table 2).
 
-use serde::{Deserialize, Serialize};
-
 use chiaroscuro_dp::accountant::ProbabilisticDpParams;
 use chiaroscuro_dp::budget::{BudgetSchedule, BudgetStrategy};
 use chiaroscuro_gossip::sim::{AdversaryModel, NetworkModel};
@@ -56,7 +54,7 @@ impl std::error::Error for ConfigError {}
 
 /// How protocol frames travel between the coordinator and the node actors
 /// when a run is driven through `DistributedRun::via_actors`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
     /// Channel-backed in-memory links (`chiaroscuro_node::InMemoryTransport`
     /// behind a `LocalBus`): every frame still crosses the real codec and a
@@ -71,7 +69,7 @@ pub enum TransportKind {
 
 /// All parameters of a Chiaroscuro run (the building blocks' initialisation
 /// parameters of Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChiaroscuroParams {
     // --- k-means ---
     /// Initial number of centroids `k`.
@@ -479,7 +477,7 @@ impl ChiaroscuroParamsBuilder {
 
 /// The paper's experimental settings (Table 2), kept verbatim so the figure
 /// harness can print them and scale them down explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentParams {
     /// Number of CER time-series (3M).
     pub cer_series: usize,

@@ -24,13 +24,11 @@
 //! lane-packed *plaintext* payload — scale-mode network-load estimates must
 //! never charge a ciphertext expansion the simulated run does not pay.
 
-use serde::{Deserialize, Serialize};
-
 use chiaroscuro_crypto::wire::MeansWireModel;
 
 /// Locally measured per-ciphertext unit costs (seconds), i.e. Figure 5
 /// divided by the ciphertext count of one set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalCosts {
     /// Time to encrypt one ciphertext (seconds).
     pub encrypt_ciphertext_secs: f64,
@@ -47,7 +45,7 @@ pub struct LocalCosts {
 /// This is the packing-aware knob of the model: build it from a
 /// [`MeansWireModel`] — legacy or lane-packed — and every downstream
 /// estimate scales with the actual ciphertext count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SetShape {
     /// Ciphertexts per set of means (`k·(n+1)` legacy, `⌈k·(n+1)/L⌉ + 1`
     /// packed).
@@ -76,7 +74,7 @@ impl SetShape {
 }
 
 /// Message counts of one iteration (from the gossip simulations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationMessageCounts {
     /// Messages per participant spent on each epidemic encrypted sum
     /// (the iteration runs two of them: means and noise).
@@ -89,7 +87,7 @@ pub struct IterationMessageCounts {
 
 /// The latency model combining per-ciphertext costs, the set shape and the
 /// message counts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationCostModel {
     /// Local per-ciphertext unit costs.
     pub local: LocalCosts,

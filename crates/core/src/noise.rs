@@ -9,14 +9,13 @@
 //! surplus shares is agreed upon epidemically and subtracted.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use chiaroscuro_dp::noise_share::NoiseShareGenerator;
 
 /// The per-participant cleartext noise-share vectors for one iteration:
 /// one share per sum dimension and per count, laid out to match the flat
 /// encrypted-means vector (all sums of all clusters first, then all counts).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoiseShareVector {
     /// Shares perturbing the `k · n` sum dimensions.
     pub sum_shares: Vec<f64>,
@@ -64,7 +63,7 @@ impl NoiseShareVector {
 /// The noise-surplus correction proposal of one participant (§4.2.2): a
 /// vector equivalent in distribution to the surplus shares, tagged with a
 /// random identifier for the min-id epidemic agreement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoiseCorrection {
     /// Random identifier (the population keeps the smallest).
     pub id: u64,

@@ -113,7 +113,6 @@
 use std::marker::PhantomData;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use chiaroscuro_crypto::backend::{CipherBackend, DamgardJurik};
 use chiaroscuro_crypto::encoding::FixedPointEncoder;
@@ -146,7 +145,7 @@ use crate::noise::NoiseCorrection;
 const ARENA_FILL_CHUNK: usize = 512;
 
 /// Network-level statistics of one distributed iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationNetworkStats {
     /// Iteration index.
     pub iteration: usize,

@@ -1,53 +1,35 @@
 //! Modular-arithmetic helpers shared by the encryption scheme and the
 //! threshold machinery.
 
-use num_bigint::{BigInt, BigUint};
+use num_bigint::BigUint;
 use num_integer::Integer;
-use num_traits::{One, Signed, Zero};
-
-/// Extended Euclid: returns `(g, x, y)` with `a·x + b·y = g = gcd(a, b)`.
-///
-/// One division per step: the remainder sequence `r` and the two Bézout
-/// sequences advance together off a single `div_rem`.
-pub fn extended_gcd(a: &BigInt, b: &BigInt) -> (BigInt, BigInt, BigInt) {
-    let (mut r0, mut r1) = (a.clone(), b.clone());
-    let (mut x0, mut x1) = (BigInt::one(), BigInt::zero());
-    let (mut y0, mut y1) = (BigInt::zero(), BigInt::one());
-    while !r1.is_zero() {
-        let (q, r2) = r0.div_rem(&r1);
-        let x2 = x0 - &q * &x1;
-        let y2 = y0 - &q * &y1;
-        (r0, r1) = (r1, r2);
-        (x0, x1) = (x1, x2);
-        (y0, y1) = (y1, y2);
-    }
-    (r0, x0, y0)
-}
+use num_traits::{One, Zero};
 
 /// Modular inverse of `a` modulo `m`, if it exists.
 ///
-/// [`extended_gcd`] with the Bézout sequence of `m` left out: the inverse
-/// is the coefficient of `a` alone, and the other sequence costs as many
-/// multiplications again.  Value-identical to reading `x` off
-/// `extended_gcd(a, m)`.
+/// Extended Euclid over unsigned integers: of `a·xₖ + m·yₖ = rₖ` only the
+/// remainders and the coefficients `xₖ` of `a` are kept.  From `x₀ = 1`,
+/// `x₁ = 0` the recurrence `xₖ₊₁ = xₖ₋₁ − qₖ·xₖ` yields coefficients whose
+/// signs alternate (`xₖ ≥ 0` for even `k`, `≤ 0` for odd `k`), so their
+/// magnitudes obey `uₖ₊₁ = uₖ₋₁ + qₖ·uₖ` and the sign is the parity of the
+/// step count — no signed type.  The invariant `uₖ·rₖ₋₁ + uₖ₋₁·rₖ = m`
+/// bounds the final magnitude below `m` (at `0` when `m = 1`), so nothing
+/// is reduced along the way and a negative coefficient `−u` reads `m − u`.
 pub fn mod_inverse(a: &BigUint, m: &BigUint) -> Option<BigUint> {
-    let m_int = BigInt::from(m.clone());
-    let (mut r0, mut r1) = (BigInt::from(a.clone()), m_int.clone());
-    let (mut x0, mut x1) = (BigInt::one(), BigInt::zero());
+    let (mut r0, mut r1) = (a.clone(), m.clone());
+    let (mut u0, mut u1) = (BigUint::one(), BigUint::zero());
+    let mut negative = false;
     while !r1.is_zero() {
         let (q, r2) = r0.div_rem(&r1);
-        let x2 = x0 - &q * &x1;
+        let u2 = u0 + q * &u1;
         (r0, r1) = (r1, r2);
-        (x0, x1) = (x1, x2);
+        (u0, u1) = (u1, u2);
+        negative = !negative;
     }
     if !r0.is_one() {
         return None;
     }
-    let mut x = x0 % &m_int;
-    if x.is_negative() {
-        x += &m_int;
-    }
-    Some(x.to_biguint().expect("non-negative by construction"))
+    Some(if negative && !u0.is_zero() { m - u0 } else { u0 })
 }
 
 /// Least common multiple of two positive integers.
@@ -62,23 +44,6 @@ pub fn factorial(value: usize) -> BigUint {
         acc *= BigUint::from(i);
     }
     acc
-}
-
-/// Raises `base` to a possibly *negative* exponent modulo `modulus`.
-///
-/// A negative exponent requires `base` to be invertible modulo `modulus`.
-///
-/// # Panics
-/// Panics if the exponent is negative and `base` is not invertible.
-pub fn modpow_signed(base: &BigUint, exponent: &BigInt, modulus: &BigUint) -> BigUint {
-    if exponent.is_negative() {
-        let inv = mod_inverse(base, modulus).expect("base must be invertible for negative exponents");
-        let positive = (-exponent).to_biguint().expect("positive");
-        inv.modpow(&positive, modulus)
-    } else {
-        let positive = exponent.to_biguint().expect("non-negative");
-        base.modpow(&positive, modulus)
-    }
 }
 
 /// The Damgård–Jurik discrete-log extraction: given
@@ -122,93 +87,115 @@ pub fn extract_plaintext(a: &BigUint, n: &BigUint, s: u32) -> BigUint {
 }
 
 /// The integer Lagrange coefficient `Δ · ∏_{j ∈ subset, j ≠ index} j / (j − index)`
-/// evaluated at 0, where `Δ = ℓ!`.  The factor Δ clears every denominator so
-/// the result is an exact integer (Shoup's trick, reused by Damgård–Jurik
-/// threshold decryption).
+/// evaluated at 0, where `Δ = ℓ!`, as `(magnitude, negative)`.  The factor Δ
+/// clears every denominator so the result is an exact integer (Shoup's
+/// trick, reused by Damgård–Jurik threshold decryption).
+///
+/// The sign is all a caller needs beyond the magnitude — it decides whether
+/// a partial decryption lands in the numerator or the denominator of the
+/// combination — and it is the parity of the subset members below `index`
+/// (the negative `j − index` factors), so the product runs over magnitudes.
 ///
 /// `subset` holds the 1-based share indices participating in the
 /// reconstruction; `index` must belong to it.
-pub fn lagrange_at_zero(index: usize, subset: &[usize], delta: &BigUint) -> BigInt {
+pub fn lagrange_at_zero(index: usize, subset: &[usize], delta: &BigUint) -> (BigUint, bool) {
     assert!(subset.contains(&index), "index must be part of the reconstruction subset");
-    let mut numerator = BigInt::from(delta.clone());
-    let mut denominator = BigInt::one();
+    let mut numerator = delta.clone();
+    let mut denominator = BigUint::one();
+    let mut negative = false;
     for &j in subset {
         if j == index {
             continue;
         }
-        numerator *= BigInt::from(j);
-        denominator *= BigInt::from(j as i64 - index as i64);
+        numerator *= BigUint::from(j);
+        denominator *= BigUint::from(j.abs_diff(index));
+        negative ^= j < index;
     }
-    let (q, r) = numerator.div_rem(&denominator);
+    let (magnitude, r) = numerator.div_rem(&denominator);
     assert!(r.is_zero(), "Δ must clear the Lagrange denominator exactly");
-    q
+    (magnitude, negative)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use num_bigint::RandBigInt;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
-    /// The recursive two-division formulation `extended_gcd` replaced,
-    /// kept as the reference its values are pinned to.
-    fn extended_gcd_recursive(a: &BigInt, b: &BigInt) -> (BigInt, BigInt, BigInt) {
-        if b.is_zero() {
-            return (a.clone(), BigInt::one(), BigInt::zero());
-        }
-        let (g, x, y) = extended_gcd_recursive(b, &(a % b));
-        (g, y.clone(), x - (a / b) * y)
-    }
-
-    #[test]
-    fn extended_gcd_matches_the_recursive_reference_value_for_value() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let zero = BigInt::zero();
-        assert_eq!(extended_gcd(&zero, &zero), extended_gcd_recursive(&zero, &zero));
-        for round in 0..200u64 {
-            let a = BigInt::from(rng.gen_biguint(1 + (round * 37) % 700));
-            let b = BigInt::from(rng.gen_biguint(1 + (round * 53) % 700));
-            // Every sign combination, both argument orders, and a zero side.
-            for (a, b) in [(a.clone(), b.clone()), (-a.clone(), b.clone()), (a.clone(), -b.clone()), (b.clone(), zero.clone()), (zero.clone(), -a.clone())] {
-                let got = extended_gcd(&a, &b);
-                assert_eq!(got, extended_gcd_recursive(&a, &b), "a = {a}, b = {b}");
-                assert_eq!(&a * &got.1 + &b * &got.2, got.0, "Bézout identity");
-            }
-        }
-    }
-
-    #[test]
-    fn mod_inverse_is_the_x_coefficient_of_extended_gcd() {
-        // Coprime pairs and pairs sharing a planted factor, 1 to 2048 bits,
-        // the value below, at and above the modulus.
-        let mut rng = StdRng::seed_from_u64(5);
-        let reference = |a: &BigUint, m: &BigUint| {
-            let m_int = BigInt::from(m.clone());
-            let (g, x, _) = extended_gcd(&BigInt::from(a.clone()), &m_int);
-            g.is_one().then(|| ((x % &m_int + &m_int) % &m_int).to_biguint().expect("reduced into [0, m)"))
-        };
-        let (mut invertible, mut refused) = (0, 0);
-        for round in 0..300u64 {
-            let (a_bits, m_bits) = (1 + (round * 41) % 2048, 1 + (round * 67) % 2048);
-            let shared = if round % 3 == 0 { rng.gen_biguint(1 + round % 40) + BigUint::from(2u32) } else { BigUint::one() };
+    proptest! {
+        /// The inverse is an inverse in `[0, m)`, and is refused exactly
+        /// when the shim's own `Integer::gcd` says the pair is not coprime:
+        /// coprime pairs and pairs sharing a planted factor, odd and even
+        /// moduli, the value below, at and above the modulus, and the
+        /// values at the rim of the residue ring.
+        #[test]
+        fn mod_inverse_inverts_exactly_the_units(
+            seed in any::<u64>(),
+            m_bits in 64u64..=3072,
+            a_bits in 1u64..=3200,
+            planted in any::<bool>(),
+            even in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shared = if planted { rng.gen_biguint(1 + seed % 40) + BigUint::from(3u32) } else { BigUint::one() };
+            let mut m = rng.gen_biguint(m_bits);
+            m.set_bit(m_bits - 1, true);
+            m.set_bit(0, !even);
+            let m = m * &shared;
             let a = (rng.gen_biguint(a_bits) + BigUint::one()) * &shared;
-            let m = (rng.gen_biguint(m_bits) + BigUint::one()) * &shared;
-            for a in [a.clone(), &a % &m, &a + &m] {
-                let got = mod_inverse(&a, &m);
-                assert_eq!(got, reference(&a, &m), "a = {a}, m = {m}");
-                match got {
-                    Some(inv) => {
-                        assert!(inv < m && (a * inv % &m) == BigUint::one() % &m);
-                        invertible += 1;
-                    }
-                    None => refused += 1,
-                }
+            let one = BigUint::one();
+            let inverse = mod_inverse(&a, &m);
+            prop_assert_eq!(inverse.is_some(), a.gcd(&m).is_one(), "a = {a}, m = {m}");
+            if let Some(x) = &inverse {
+                prop_assert!(*x < m && &a * x % &m == one, "a = {a}, m = {m}");
             }
+            // The residue class decides, not the representative.
+            prop_assert_eq!(&mod_inverse(&(&a % &m), &m), &inverse);
+            prop_assert_eq!(&mod_inverse(&(&a + &m), &m), &inverse);
+            prop_assert_eq!(mod_inverse(&BigUint::zero(), &m), None);
+            prop_assert_eq!(mod_inverse(&one, &m), Some(one.clone()));
+            prop_assert_eq!(mod_inverse(&(&m - &one), &m), Some(&m - &one));
         }
-        assert!(invertible > 100 && refused > 100, "{invertible} invertible, {refused} refused");
-        assert_eq!(mod_inverse(&BigUint::zero(), &BigUint::from(7u32)), None);
+
+        /// Sign and magnitude together: over any τ-subset of `1..=ℓ`, in
+        /// any order, the coefficients interpolate a degree-`τ − 1`
+        /// polynomial at zero, scaled by Δ.
+        #[test]
+        fn lagrange_coefficients_interpolate_at_zero(
+            seed in any::<u64>(),
+            num_shares in 1usize..=12,
+            coefficients in prop::collection::vec(0u32..1000, 1..=12),
+        ) {
+            let mut points: Vec<usize> = (1..=num_shares).collect();
+            points.shuffle(&mut StdRng::seed_from_u64(seed));
+            let threshold = coefficients.len().min(num_shares);
+            let (subset, coefficients) = (&points[..threshold], &coefficients[..threshold]);
+            let delta = factorial(num_shares);
+            let f = |x: usize| coefficients.iter().rev().fold(BigUint::zero(), |acc, &c| acc * BigUint::from(x) + BigUint::from(c));
+            let (positive, negative) = signed_interpolation(subset, &delta, f);
+            prop_assert_eq!(positive, negative + delta * f(0), "subset {subset:?}");
+        }
+    }
+
+    /// `Σ ±magnitudeᵢ · f(i)` over the subset, as its positive and its
+    /// negative part.
+    fn signed_interpolation(subset: &[usize], delta: &BigUint, f: impl Fn(usize) -> BigUint) -> (BigUint, BigUint) {
+        let (mut positive, mut negative) = (BigUint::zero(), BigUint::zero());
+        for &i in subset {
+            let (magnitude, is_negative) = lagrange_at_zero(i, subset, delta);
+            *(if is_negative { &mut negative } else { &mut positive }) += magnitude * f(i);
+        }
+        (positive, negative)
+    }
+
+    #[test]
+    fn mod_inverse_modulo_one_is_zero() {
+        // The one modulus whose inverse has magnitude zero.
         assert_eq!(mod_inverse(&BigUint::from(5u32), &BigUint::one()), Some(BigUint::zero()));
+        assert_eq!(mod_inverse(&BigUint::zero(), &BigUint::one()), Some(BigUint::zero()));
     }
 
     #[test]
@@ -237,15 +224,6 @@ mod tests {
         assert_eq!(factorial(1), BigUint::one());
         assert_eq!(factorial(5), BigUint::from(120u32));
         assert_eq!(factorial(10), BigUint::from(3_628_800u32));
-    }
-
-    #[test]
-    fn modpow_signed_negative_exponent() {
-        let modulus = BigUint::from(101u32);
-        let base = BigUint::from(7u32);
-        let neg = modpow_signed(&base, &BigInt::from(-3), &modulus);
-        let pos = base.modpow(&BigUint::from(3u32), &modulus);
-        assert_eq!((neg * pos) % modulus, BigUint::one());
     }
 
     #[test]
@@ -282,13 +260,8 @@ mod tests {
         // f(x) = 7 (degree 0) shared at points 1..=5; any subset reconstructs
         // Δ·7 at zero when coefficients are summed.
         let delta = factorial(5);
-        let subset = vec![2usize, 4, 5];
-        let mut acc = BigInt::zero();
-        for &i in &subset {
-            let coeff = lagrange_at_zero(i, &subset, &delta);
-            acc += coeff * BigInt::from(7);
-        }
-        assert_eq!(acc, BigInt::from(delta) * BigInt::from(7));
+        let (positive, negative) = signed_interpolation(&[2, 4, 5], &delta, |_| BigUint::from(7u32));
+        assert_eq!(positive, negative + delta * BigUint::from(7u32));
     }
 
     #[test]
@@ -296,13 +269,10 @@ mod tests {
         // f(x) = 3 + 2x shared at x = 1..=4, threshold 2: any 2 points give
         // Σ λ_i f(i) = Δ · f(0) = Δ · 3.
         let delta = factorial(4);
-        let f = |x: usize| BigInt::from(3 + 2 * x as i64);
-        for subset in [vec![1usize, 2], vec![1, 3], vec![2, 4], vec![3, 4]] {
-            let mut acc = BigInt::zero();
-            for &i in &subset {
-                acc += lagrange_at_zero(i, &subset, &delta) * f(i);
-            }
-            assert_eq!(acc, BigInt::from(delta.clone()) * BigInt::from(3), "subset {subset:?}");
+        let f = |x: usize| BigUint::from(3 + 2 * x);
+        for subset in [[1usize, 2], [1, 3], [2, 4], [3, 4]] {
+            let (positive, negative) = signed_interpolation(&subset, &delta, f);
+            assert_eq!(positive, negative + &delta * BigUint::from(3u32), "subset {subset:?}");
         }
     }
 }

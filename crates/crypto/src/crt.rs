@@ -37,8 +37,8 @@
 //! proptests.
 
 use num_bigint::montgomery::MontgomeryCtx;
-use num_bigint::{BigInt, BigUint};
-use num_traits::{One, Signed, Zero};
+use num_bigint::BigUint;
+use num_traits::{One, Zero};
 
 use crate::arith::mod_inverse;
 
@@ -122,24 +122,6 @@ impl CrtContext {
             ctx.modpow(&residue, &p.pow(self.s))
         };
         self.recombine(&half(&self.p, &self.q, &self.p_ctx), &half(&self.q, &self.p, &self.q_ctx))
-    }
-
-    /// `base^exponent mod n^{s+1}` for a possibly *negative* exponent,
-    /// mirroring [`crate::arith::modpow_signed`] value-for-value.
-    ///
-    /// # Panics
-    /// Panics if the exponent is negative and `base` is not invertible
-    /// modulo `n^{s+1}`.
-    pub fn modpow_signed(&self, base: &BigUint, exponent: &BigInt) -> BigUint {
-        if exponent.is_negative() {
-            let inv = mod_inverse(&(base % &self.n_s1), &self.n_s1)
-                .expect("base must be invertible for negative exponents");
-            let positive = (-exponent).to_biguint().expect("positive");
-            self.modpow(&inv, &positive)
-        } else {
-            let positive = exponent.to_biguint().expect("non-negative");
-            self.modpow(base, &positive)
-        }
     }
 
     /// Garner recombination: the unique `x < n^{s+1}` with
@@ -269,27 +251,6 @@ mod tests {
         assert_eq!(ctx.modpow(&big, &e), big.modpow(&e, &n_s1));
         assert_eq!(ctx.modpow(&big, &BigUint::zero()), BigUint::one());
         assert_eq!(ctx.modpow(&BigUint::zero(), &BigUint::zero()), BigUint::one());
-    }
-
-    #[test]
-    fn modpow_signed_matches_arith_helper() {
-        let (ctx, n_s1) = small_context(1);
-        let mut rng = StdRng::seed_from_u64(13);
-        for _ in 0..10 {
-            // A unit: coprime with n almost surely for random draws below n.
-            let mut b = rng.gen_biguint_below(&n_s1);
-            b.set_bit(0, true);
-            for e in [BigInt::from(-3), BigInt::from(-1), BigInt::from(0), BigInt::from(17)] {
-                if crate::arith::mod_inverse(&(&b % &n_s1), &n_s1).is_none() {
-                    continue;
-                }
-                assert_eq!(
-                    ctx.modpow_signed(&b, &e),
-                    crate::arith::modpow_signed(&b, &e, &n_s1),
-                    "b = {b}, e = {e}"
-                );
-            }
-        }
     }
 
     #[test]

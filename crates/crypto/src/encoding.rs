@@ -21,7 +21,6 @@
 //! cutting encryptions, gossip payloads and decryptions proportionally.
 
 use num_bigint::BigUint;
-use serde::{Deserialize, Serialize};
 
 use crate::keys::PublicKey;
 
@@ -29,7 +28,7 @@ use crate::keys::PublicKey;
 pub const DEFAULT_DECIMAL_DIGITS: u32 = 3;
 
 /// A fixed-point encoder bound to a public key's plaintext space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FixedPointEncoder {
     /// Multiplicative scale (10^digits).
     scale: u64,

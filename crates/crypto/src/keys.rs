@@ -25,7 +25,6 @@ use num_integer::Integer;
 use num_traits::One;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::arith::{lcm, mod_inverse};
 use crate::crt::CrtContext;
@@ -52,7 +51,7 @@ pub(crate) const MAX_S: u32 = 16;
 /// across every operation of a run.  The caches are invisible to equality
 /// and serialisation (derived state, rebuilt on demand) and shared by
 /// clones taken after they were built.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PublicKey {
     n: BigUint,
     s: u32,
@@ -210,7 +209,7 @@ impl PublicKey {
 
 /// The secret key: the factorisation of `n` (held as the [`CrtContext`]
 /// key generation built from it) and the derived exponents.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SecretKey {
     lambda: BigUint,
     /// CRT-combined decryption exponent: `d ≡ 0 (mod λ)`, `d ≡ 1 (mod n^s)`.
@@ -249,7 +248,7 @@ impl SecretKey {
 }
 
 /// A freshly generated key pair.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyPair {
     /// The public key, distributed to every participant.
     pub public: PublicKey,

@@ -5,7 +5,6 @@ use num_bigint::montgomery::MontInt;
 use num_bigint::{BigUint, RandBigInt};
 use num_traits::Zero;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::arith::extract_plaintext;
 use crate::keys::{PublicKey, SecretKey};
@@ -25,7 +24,7 @@ use crate::keys::{PublicKey, SecretKey};
 ///
 /// Only a [`PublicKey`] makes one, and only from a value it has checked:
 /// the kernels assume every input is below the modulus.
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Ciphertext {
     value: MontInt,
 }

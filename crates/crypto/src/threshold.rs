@@ -6,7 +6,11 @@
 //! partial decryption raises the ciphertext to `2Δ·sᵢ` where `Δ = ℓ!`;
 //! combination applies integer Lagrange coefficients (scaled by `Δ`) and a
 //! final correction by `(4Δ²)⁻¹ mod n^s`, following Shoup's RSA-threshold
-//! technique as adapted by Damgård–Jurik.
+//! technique as adapted by Damgård–Jurik.  A coefficient's sign is the only
+//! sign in the scheme, and all it decides is whether a partial multiplies
+//! into the numerator or the denominator of the combination — so it
+//! travels as a flag beside an unsigned magnitude, and every integer here
+//! is a `BigUint`.
 //!
 //! In the paper every participant holds one key-share (out of millions) and
 //! the epidemic decryption protocol collects τ *distinct* partial
@@ -14,10 +18,9 @@
 //! moderate share counts (tests use ℓ ≤ 32); the protocol-level behaviour at
 //! population scale is simulated in the `gossip` crate (see DESIGN.md §4).
 
-use num_bigint::{BigInt, BigUint, RandBigInt};
-use num_traits::{One, Signed};
+use num_bigint::{BigUint, RandBigInt};
+use num_traits::One;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::arith::{extract_plaintext, factorial, lagrange_at_zero, mod_inverse};
 use crate::crt::CrtContext;
@@ -25,7 +28,7 @@ use crate::keys::{KeyPair, PublicKey};
 use crate::scheme::Ciphertext;
 
 /// One participant's private key-share `κᵢ = (i, f(i))`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyShare {
     /// 1-based share index (the evaluation point of the polynomial).
     index: usize,
@@ -78,7 +81,7 @@ impl KeyShare {
 }
 
 /// The result of applying one key-share to a ciphertext.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialDecryption {
     /// Index of the key-share that produced this partial decryption.
     pub share_index: usize,
@@ -214,9 +217,12 @@ pub fn combine(
 /// Lagrange exponentiations (which grow with `ℓ!` just like the partial
 /// decryption exponents).  Value-identical to the direct path.
 ///
-/// Partials with a negative Lagrange coefficient are gathered into one
-/// denominator and inverted together: a modular inversion costs several
-/// times the short exponentiation it would otherwise precede.
+/// A coefficient arrives as `(magnitude, negative)`
+/// ([`lagrange_at_zero`]): the magnitude, doubled, is the exponent, and the
+/// flag only picks the accumulator.  Partials with a negative coefficient
+/// are gathered into one denominator and inverted together: a modular
+/// inversion costs several times the short exponentiation it would
+/// otherwise precede.
 pub fn combine_with(
     pk: &PublicKey,
     partials: &[PartialDecryption],
@@ -244,13 +250,13 @@ pub fn combine_with(
     let modulus = pk.ciphertext_modulus();
     let (mut combined, mut denominator) = (BigUint::one(), BigUint::one());
     for p in used {
-        let coeff = lagrange_at_zero(p.share_index, &subset, &delta);
-        let exponent: BigInt = BigInt::from(2u32) * coeff;
+        let (magnitude, negative) = lagrange_at_zero(p.share_index, &subset, &delta);
+        let exponent = magnitude << 1u32;
         let factor = match crt {
-            Some(ctx) => ctx.modpow(&p.value, exponent.magnitude()),
-            None => pk.modpow_ciphertext(&p.value, exponent.magnitude()),
+            Some(ctx) => ctx.modpow(&p.value, &exponent),
+            None => pk.modpow_ciphertext(&p.value, &exponent),
         };
-        let side = if exponent.is_negative() { &mut denominator } else { &mut combined };
+        let side = if negative { &mut denominator } else { &mut combined };
         *side = &*side * factor % modulus;
     }
     if !denominator.is_one() {
@@ -270,6 +276,7 @@ mod tests {
     use super::*;
     use crate::keys::KeyPair;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
     fn setup(seed: u64, s: u32, shares: usize, threshold: usize) -> (KeyPair, Vec<KeyShare>, StdRng) {
@@ -298,9 +305,16 @@ mod tests {
         let m = BigUint::from(98_765u32);
         let c = kp.public.encrypt(&m, &mut rng);
         for subset in [[0usize, 1, 2], [3, 4, 5], [0, 2, 4], [1, 3, 5], [5, 2, 0]] {
-            let partials: Vec<PartialDecryption> =
-                subset.iter().map(|&i| shares[i].partial_decrypt(&kp.public, &c)).collect();
-            assert_eq!(combine(&kp.public, &partials, 3, 6).unwrap(), m, "subset {subset:?}");
+            // As given, reversed and shuffled: a coefficient's sign follows
+            // the share indices, not their position among the partials.
+            let (mut reversed, mut shuffled) = (subset, subset);
+            reversed.reverse();
+            shuffled.shuffle(&mut rng);
+            for order in [subset, reversed, shuffled] {
+                let partials: Vec<PartialDecryption> =
+                    order.iter().map(|&i| shares[i].partial_decrypt(&kp.public, &c)).collect();
+                assert_eq!(combine(&kp.public, &partials, 3, 6).unwrap(), m, "subset {order:?}");
+            }
         }
     }
 

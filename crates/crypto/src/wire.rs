@@ -13,12 +13,11 @@ use bytes::{BufMut, Bytes, BytesMut};
 use num_bigint::BigUint;
 use num_integer::Integer;
 use num_traits::One;
-use serde::{Deserialize, Serialize};
 
 use crate::keys::{PublicKey, MAX_S};
 
 /// Size model for one set of encrypted means.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeansWireModel {
     /// Number of means (k, the number of clusters).
     pub num_means: usize,

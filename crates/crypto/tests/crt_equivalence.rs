@@ -9,13 +9,11 @@
 //! contract: same ciphertext in, same bytes out.  (Encryption has one route
 //! — it takes no context — so there is nothing of it to compare here.)
 
-use chiaroscuro_crypto::arith::{
-    extract_plaintext, factorial, lagrange_at_zero, mod_inverse, modpow_signed,
-};
+use chiaroscuro_crypto::arith::{extract_plaintext, factorial, lagrange_at_zero, mod_inverse};
 use chiaroscuro_crypto::crt::CrtContext;
 use chiaroscuro_crypto::keys::{KeyPair, PublicKey};
 use chiaroscuro_crypto::threshold::{combine, combine_with, PartialDecryption, ThresholdDealer};
-use num_bigint::{BigInt, BigUint, RandBigInt};
+use num_bigint::{BigUint, RandBigInt};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -68,8 +66,8 @@ fn assert_crt_equivalence(seed: u64, key_bits: u64, s: u32, shares: usize, thres
 }
 
 /// `combine_with` as it was before the negative-coefficient partials were
-/// gathered under one inversion: one signed exponentiation — and so one
-/// modular inversion — per negative Lagrange coefficient.
+/// gathered under one inversion: every partial whose Lagrange coefficient
+/// is negative is inverted on its own before its exponentiation.
 fn combine_inverting_each(
     pk: &PublicKey,
     partials: &[PartialDecryption],
@@ -78,14 +76,17 @@ fn combine_inverting_each(
 ) -> BigUint {
     let subset: Vec<usize> = partials.iter().map(|p| p.share_index).collect();
     let delta = factorial(num_shares);
+    let modulus = pk.ciphertext_modulus();
     let mut combined = BigUint::from(1u32);
     for p in partials {
-        let exponent = BigInt::from(2u32) * lagrange_at_zero(p.share_index, &subset, &delta);
+        let (magnitude, negative) = lagrange_at_zero(p.share_index, &subset, &delta);
+        let exponent = BigUint::from(2u32) * magnitude;
+        let base = if negative { mod_inverse(p.raw(), modulus).unwrap() } else { p.raw().clone() };
         let factor = match crt {
-            Some(ctx) => ctx.modpow_signed(p.raw(), &exponent),
-            None => modpow_signed(p.raw(), &exponent, pk.ciphertext_modulus()),
+            Some(ctx) => ctx.modpow(&base, &exponent),
+            None => base.modpow(&exponent, modulus),
         };
-        combined = combined * factor % pk.ciphertext_modulus();
+        combined = combined * factor % modulus;
     }
     let log = extract_plaintext(&combined, pk.modulus(), pk.s());
     let four_delta_sq = BigUint::from(4u32) * &delta * &delta;

@@ -15,10 +15,8 @@
 //! [`crate::budget::BudgetSchedule`], whose cumulative spend never exceeds
 //! the total ε by construction.
 
-use serde::{Deserialize, Serialize};
-
 /// Global probabilistic-DP parameters of a Chiaroscuro run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbabilisticDpParams {
     /// Total privacy budget ε (the paper uses ln 2 ≈ 0.69).
     pub epsilon: f64,

@@ -12,10 +12,8 @@
 //! * **UNIFORM_FAST** — the number of iterations is capped at a small limit
 //!   and the budget split uniformly among them.
 
-use serde::{Deserialize, Serialize};
-
 /// Which budget-concentration strategy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BudgetStrategy {
     /// GREEDY (G): exponential decay, 1/2ⁱ of the budget to iteration i.
     Greedy,
@@ -46,7 +44,7 @@ impl BudgetStrategy {
 }
 
 /// A concrete per-iteration ε schedule for a total budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BudgetSchedule {
     strategy: BudgetStrategy,
     total_epsilon: f64,

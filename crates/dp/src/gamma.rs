@@ -9,11 +9,10 @@
 //! * shape < 1 — the standard boost `Gamma(α) = Gamma(α + 1) · U^{1/α}`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A Gamma distribution with shape `α > 0` and scale `θ > 0`, with density
 /// `g(x) = x^{α-1} e^{-x/θ} / (Γ(α) θ^α)` for `x ≥ 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gamma {
     shape: f64,
     scale: f64,

@@ -1,11 +1,10 @@
 //! The Laplace distribution and the Laplace mechanism of Definition 4.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A centred Laplace distribution `L(λ)` with probability density
 /// `f(x, λ) = 1/(2λ) · e^{-|x|/λ}`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Laplace {
     scale: f64,
 }
@@ -58,7 +57,7 @@ impl Laplace {
 /// Inserting or deleting one individual's series changes the dimension-wise
 /// sum by at most `max(|d_min|, |d_max|)` on each of the `n` dimensions, i.e.
 /// by `n · max(|d_min|, |d_max|)` in L1 norm (Definition 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sensitivity {
     /// Series length `n`.
     pub series_length: usize,
@@ -87,7 +86,7 @@ impl Sensitivity {
 
 /// The Laplace mechanism of Definition 4: perturbs the output of `Sum` with
 /// noise `L(sensitivity / ε)` on each dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaplaceMechanism {
     sensitivity: Sensitivity,
     epsilon: f64,

@@ -9,7 +9,6 @@
 //! that no single participant knows.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::gamma::Gamma;
 
@@ -24,14 +23,14 @@ use crate::gamma::Gamma;
 pub const LANE_TAIL_E_FOLDS: f64 = 64.0;
 
 /// One participant's noise share (Definition 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseShare {
     /// The sampled value `ν = G₁ − G₂`.
     pub value: f64,
 }
 
 /// Generator of noise shares for a target Laplace scale and a share count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseShareGenerator {
     /// Total number of shares `nν` whose sum forms the Laplace noise.
     num_shares: usize,

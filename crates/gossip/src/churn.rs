@@ -5,10 +5,9 @@
 //! k-means level, at each iteration).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The uniform-disconnection churn model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnModel {
     /// Probability that a given participant is offline at a given exchange.
     disconnection_probability: f64,

@@ -19,7 +19,6 @@
 //! reproduced at population scale.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::churn::ChurnModel;
 use crate::engine::{GossipEngine, PairwiseProtocol};
@@ -28,7 +27,7 @@ use crate::engine::{GossipEngine, PairwiseProtocol};
 pub type ShareId = u32;
 
 /// Per-participant decryption state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecryptionState {
     /// This participant's own key-share identifier.
     pub own_share: ShareId,
@@ -102,7 +101,7 @@ impl PairwiseProtocol<DecryptionState> for DecryptionProtocol {
 }
 
 /// Result of a simulated epidemic decryption.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecryptionSimReport {
     /// Population size.
     pub population: usize,

@@ -7,14 +7,12 @@
 //! population converges on a single, unique correction (the unicity
 //! requirement of the noise generation).
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::{PairwiseProtocol, StateStore};
 use crate::slab::{RowLayout, RowSlab};
 
 /// One participant's dissemination state: the best (smallest-id) proposal
 /// seen so far.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MinIdState<T> {
     /// Identifier of the currently retained proposal.
     pub id: u64,
@@ -83,10 +81,8 @@ pub struct MinIdLayout;
 /// population lives in one flat allocation (a [`RowSlab`] of
 /// `[identifier, payload…]` rows), so ten-million-node dissemination phases
 /// avoid per-node heap boxes and clone traffic.  Like every slab it is a
-/// [`ProtocolStore`](crate::engine::ProtocolStore) and a
-/// [`ParallelProtocolStore`](crate::engine::ParallelProtocolStore), so both
-/// the round engine and the async engine's wavefront batches drive it
-/// directly.
+/// [`ProtocolStore`](crate::engine::ProtocolStore), so both the round
+/// engine and the async engine's wavefront batches drive it directly.
 pub type MinIdArena = RowSlab<MinIdLayout>;
 
 impl RowSlab<MinIdLayout> {
@@ -169,7 +165,7 @@ impl RowLayout<DisseminationProtocol> for MinIdLayout {
 mod tests {
     use super::*;
     use crate::churn::ChurnModel;
-    use crate::engine::{GossipEngine, ParallelProtocolStore, ProtocolStore};
+    use crate::engine::{GossipEngine, ProtocolStore};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -304,7 +300,7 @@ mod tests {
         let pairs: Vec<(u32, u32)> =
             (0..population as u32 / 2).map(|k| (2 * k, 2 * k + 1)).collect();
         let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        ParallelProtocolStore::apply_exchanges(&mut parallel, &pool, &DisseminationProtocol, &pairs);
+        ProtocolStore::apply_exchanges(&mut parallel, &pool, &DisseminationProtocol, &pairs);
         for &(i, c) in &pairs {
             ProtocolStore::apply_exchange(&mut serial, &DisseminationProtocol, i as usize, c as usize);
         }

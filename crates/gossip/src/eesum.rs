@@ -15,8 +15,6 @@
 //! large-scale simulation) and homomorphic ciphertext vectors (implemented
 //! in `chiaroscuro-core`, which owns the crypto dependency).
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::PairwiseProtocol;
 
 /// A value that supports the two operations EESum needs: scaling by a power
@@ -40,7 +38,7 @@ pub trait EpidemicValue: Clone {
 /// A plaintext vector of f64s: the mirror implementation used to validate
 /// the update rule and to run large-scale latency simulations without
 /// paying the cryptographic cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlainVector(pub Vec<f64>);
 
 impl EpidemicValue for PlainVector {
@@ -65,7 +63,7 @@ impl EpidemicValue for PlainVector {
 
 /// Per-participant EESum state: the (scaled) value, the (scaled) weight and
 /// the number of exchanges performed so far.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EesState<V> {
     /// The scaled value `σ · 2^n` (encrypted in the real protocol).
     pub value: V,

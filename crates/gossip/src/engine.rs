@@ -49,7 +49,8 @@ pub trait StateStore {
     fn prefetch_node(&self, _node: usize) {}
 }
 
-/// Storage that can apply one pairwise protocol exchange in place.
+/// Storage that can apply one pairwise protocol exchange in place, and a
+/// **node-disjoint batch** of them in whatever way suits it.
 ///
 /// `Vec<N>` implements this for every [`PairwiseProtocol`] (the exchange
 /// borrows the two states with [`pair_mut`]); a
@@ -59,6 +60,31 @@ pub trait ProtocolStore<P>: StateStore {
     /// Applies one atomic push-pull exchange between `initiator` and
     /// `contact` (distinct, in-bounds indices).
     fn apply_exchange(&mut self, protocol: &P, initiator: usize, contact: usize);
+
+    /// Applies every `(initiator, contact)` exchange of a node-disjoint
+    /// batch, using up to `pool`'s workers.  The resulting states must be
+    /// identical to applying the batch serially in slice order, which is
+    /// what the default does.
+    ///
+    /// The sharded async engine ([`crate::sim::shard`]) decomposes each
+    /// barrier's ordered exchange list into waves in which no node index
+    /// appears twice; within a wave the exchanges touch disjoint state and
+    /// commute, so running them concurrently reproduces the serial in-order
+    /// result bit for bit.  Overrides rely on that contract: **every
+    /// `apply_exchanges` call guarantees the pairs are node-disjoint** (no
+    /// index occurs in more than one pair of the batch).  Both overrides in
+    /// this crate — `Vec<N>` and [`RowSlab`](crate::slab::RowSlab) — are one
+    /// call to `apply_disjoint_rows`, the only place that hands two threads
+    /// windows into one allocation.
+    ///
+    /// # Panics
+    /// Panics on an out-of-bounds index or a pair with `initiator ==
+    /// contact`.
+    fn apply_exchanges(&mut self, _pool: &rayon::ThreadPool, protocol: &P, pairs: &[(u32, u32)]) {
+        for &(initiator, contact) in pairs {
+            self.apply_exchange(protocol, initiator as usize, contact as usize);
+        }
+    }
 }
 
 impl<N> StateStore for Vec<N> {
@@ -67,10 +93,18 @@ impl<N> StateStore for Vec<N> {
     }
 }
 
-impl<N, P: PairwiseProtocol<N>> ProtocolStore<P> for Vec<N> {
+impl<N, P> ProtocolStore<P> for Vec<N>
+where
+    N: Send,
+    P: PairwiseProtocol<N> + Sync,
+{
     fn apply_exchange(&mut self, protocol: &P, initiator: usize, contact: usize) {
         let (a, b) = pair_mut(self, initiator, contact);
         protocol.exchange(a, b);
+    }
+
+    fn apply_exchanges(&mut self, pool: &rayon::ThreadPool, protocol: &P, pairs: &[(u32, u32)]) {
+        apply_disjoint_rows(pool, self, 1, pairs, |a, b| protocol.exchange(&mut a[0], &mut b[0]));
     }
 }
 
@@ -88,30 +122,6 @@ impl<N, P: PairwiseProtocol<N>> ProtocolStore<P> for Vec<N> {
 /// 4.9–6.3 / 7.9–8.6, 1 024 → 43 / 4.6 / 7.0, 4 096 → 47–48 / 3.1 / 5.5 —
 /// the heavy phase dominates the sum, and 1 024 serves it best.
 pub(crate) const PARALLEL_EXCHANGE_THRESHOLD: usize = 1024;
-
-/// Storage that can additionally apply a **node-disjoint batch** of
-/// exchanges on a worker pool.
-///
-/// The sharded async engine ([`crate::sim::shard`]) decomposes each
-/// barrier's ordered exchange list into waves in which no node index
-/// appears twice; within a wave the exchanges touch disjoint state and
-/// commute, so running them concurrently reproduces the serial in-order
-/// result bit for bit.  Implementations rely on that contract: **every
-/// `apply_exchanges` call guarantees the pairs are node-disjoint** (no
-/// index occurs in more than one pair of the batch).  Both implementations
-/// in this crate — `Vec<N>` and [`RowSlab`](crate::slab::RowSlab) — are one
-/// call to `apply_disjoint_rows`, the only place that hands two threads
-/// windows into one allocation.
-pub trait ParallelProtocolStore<P>: ProtocolStore<P> + Send {
-    /// Applies every `(initiator, contact)` exchange of the node-disjoint
-    /// batch, using up to `pool`'s workers.  The resulting states must be
-    /// identical to applying the batch serially in slice order.
-    ///
-    /// # Panics
-    /// Panics on an out-of-bounds index or a pair with `initiator ==
-    /// contact`.
-    fn apply_exchanges(&mut self, pool: &rayon::ThreadPool, protocol: &P, pairs: &[(u32, u32)]);
-}
 
 /// The one ordered apply loop of both engines: applies `pairs` one by one
 /// in iteration order on the calling thread.  The pairs hit random node
@@ -136,17 +146,18 @@ pub(crate) fn apply_in_order<S, P>(
     }
 }
 
-/// The one wavefront batch-apply every [`ParallelProtocolStore`] goes
-/// through, and the crate's one disjoint-window site.  `cells` is a row-major
-/// slab of `stride`-wide node rows (a `Vec<N>` of per-node states is the
-/// `stride == 1` case).  The function validates the pairs, re-checks
+/// The one wavefront batch-apply behind every parallel
+/// [`ProtocolStore::apply_exchanges`], and the crate's one disjoint-window
+/// site.  `cells` is a row-major slab of `stride`-wide node rows (a `Vec<N>`
+/// of per-node states is the `stride == 1` case).  The function validates the pairs, re-checks
 /// node-disjointness in debug builds, then calls `exchange(initiator row,
 /// contact row)` once per pair — in slice order on the calling thread when
 /// the pool has one worker or the batch is below
 /// [`PARALLEL_EXCHANGE_THRESHOLD`], on the pool otherwise.
 ///
-/// The caller's side of the contract is [`ParallelProtocolStore`]'s: no
-/// node index occurs in two pairs of the batch.
+/// The caller's side of the contract is
+/// [`ProtocolStore::apply_exchanges`]'s: no node index occurs in two pairs of
+/// the batch.
 ///
 /// # Panics
 /// Panics on an out-of-bounds index or a pair with `initiator == contact`.
@@ -219,16 +230,6 @@ impl<T> Copy for SendPtr<T> {}
 unsafe impl<T: Send> Send for SendPtr<T> {}
 // SAFETY: as above — shared access is only ever to disjoint rows.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<N, P> ParallelProtocolStore<P> for Vec<N>
-where
-    N: Send,
-    P: PairwiseProtocol<N> + Sync,
-{
-    fn apply_exchanges(&mut self, pool: &rayon::ThreadPool, protocol: &P, pairs: &[(u32, u32)]) {
-        apply_disjoint_rows(pool, self, 1, pairs, |a, b| protocol.exchange(&mut a[0], &mut b[0]));
-    }
-}
 
 /// The round-based engine driving one protocol over a population of nodes
 /// held in any [`StateStore`] — per-node `Vec`s, a row slab,
@@ -698,11 +699,13 @@ mod tests {
     }
 
     /// Records every exchanged pair of node labels (for mask assertions).
-    struct RecordingProtocol(std::cell::RefCell<Vec<(u64, u64)>>);
+    /// A `Mutex`, not a `RefCell`: a `Vec` store may apply a batch on a
+    /// pool, so its protocols are `Sync`.
+    struct RecordingProtocol(std::sync::Mutex<Vec<(u64, u64)>>);
 
     impl PairwiseProtocol<u64> for RecordingProtocol {
         fn exchange(&self, a: &mut u64, b: &mut u64) {
-            self.0.borrow_mut().push((*a, *b));
+            self.0.lock().unwrap().push((*a, *b));
         }
     }
 
@@ -715,9 +718,9 @@ mod tests {
         let nodes: Vec<u64> = (0..40).collect();
         let mut engine = GossipEngine::new(nodes, ChurnModel::new(0.4));
         let mask: Vec<bool> = (0..40).map(|i| i % 3 != 0).collect();
-        let protocol = RecordingProtocol(std::cell::RefCell::new(Vec::new()));
+        let protocol = RecordingProtocol(std::sync::Mutex::default());
         engine.run_round_with_mask(&protocol, &mask, &mut rng);
-        let pairs = protocol.0.into_inner();
+        let pairs = protocol.0.into_inner().unwrap();
         assert!(!pairs.is_empty(), "online majority must exchange");
         for (a, b) in pairs {
             assert!(mask[a as usize], "offline node {a} initiated or received an exchange");
@@ -755,9 +758,9 @@ mod tests {
         let mut contact_counts = [0u64; 10];
         let rounds = 20_000;
         for _ in 0..rounds {
-            let protocol = RecordingProtocol(std::cell::RefCell::new(Vec::new()));
+            let protocol = RecordingProtocol(std::sync::Mutex::default());
             engine.run_round_with_mask(&protocol, &mask, &mut rng);
-            for (a, b) in protocol.0.into_inner() {
+            for (a, b) in protocol.0.into_inner().unwrap() {
                 contact_counts[a as usize] += 1;
                 contact_counts[b as usize] += 1;
             }

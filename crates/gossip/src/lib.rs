@@ -40,7 +40,7 @@ pub mod sum;
 
 pub use churn::ChurnModel;
 pub use eesum::{EpidemicValue, EesState};
-pub use engine::{GossipEngine, PairwiseProtocol, ParallelProtocolStore};
+pub use engine::{GossipEngine, PairwiseProtocol};
 pub use metrics::ExchangeMetrics;
 pub use sim::{
     AdversaryModel, AdversaryState, AsyncNetworkConfig, FaultCounters, FaultStats, LatencyModel,

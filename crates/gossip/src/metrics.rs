@@ -1,12 +1,10 @@
 //! Message and round accounting for the latency figures.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated by the gossip engine.
 ///
 /// One push-pull exchange costs two messages (request and reply), which is
 /// how the paper reports "number of messages per participant".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExchangeMetrics {
     exchanges: u64,
     rounds: u32,

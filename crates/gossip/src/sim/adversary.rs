@@ -55,7 +55,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::sim::shard::{mix, mixed_rng, unit_f64};
 
@@ -65,7 +64,7 @@ use crate::sim::shard::{mix, mixed_rng, unit_f64};
 /// module docs); the per-class probabilities partition each
 /// byzantine-involved exchange (their sum must be ≤ 1, the remainder
 /// behaves honestly); `eclipse` poisons honest-to-honest contact sampling.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdversaryModel {
     /// Fraction of the population behaving byzantinely, in `[0, 1)`.
     pub fraction: f64,
@@ -168,7 +167,7 @@ impl AdversaryModel {
 /// freshness); *absorbed* the subset the protocol survived without a
 /// detector (idempotent merges, voided atomic exchanges).  Every injected
 /// fault is either detected or absorbed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Faults the adversary injected.
     pub injected: u64,
@@ -188,7 +187,7 @@ impl FaultCounters {
 
 /// Per-class fault accounting of one run segment (an iteration, a phase,
 /// a whole run — whatever the caller snapshots).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Corrupted ciphertexts (detected at decode).
     pub malformed: FaultCounters,

@@ -230,7 +230,7 @@ impl RowLayout<EesSumProtocol> for EesUnitLayout {
 mod tests {
     use super::*;
     use crate::eesum::{initial_states, EesState, EpidemicValue};
-    use crate::engine::{ParallelProtocolStore, ProtocolStore, StateStore, PARALLEL_EXCHANGE_THRESHOLD};
+    use crate::engine::{ProtocolStore, StateStore, PARALLEL_EXCHANGE_THRESHOLD};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

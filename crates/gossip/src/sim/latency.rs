@@ -8,12 +8,11 @@
 //! [`AsyncNetworkConfig::edge_spread`](crate::sim::AsyncNetworkConfig)).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A message-delay distribution, in simulated time units (the engine's
 /// exchange period is the natural unit: a latency of `1.0` means "one full
 /// gossip period in transit").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// Every message takes exactly this long.  `Constant(0.0)` consumes no
     /// randomness, so a zero-latency schedule stays byte-comparable to a

@@ -6,10 +6,8 @@
 //! about: how long each node took to converge, and how loaded the network
 //! was while getting there.
 
-use serde::{Deserialize, Serialize};
-
 /// Message-level accounting of one asynchronous run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimMetrics {
     /// Messages put on the wire (requests and replies, including ones that
     /// were subsequently lost).
@@ -68,7 +66,7 @@ impl SimMetrics {
 /// satisfying the tracked predicate: each time an exchange flips the
 /// predicate back to false the node's clock restarts, so a node that
 /// briefly looked converged early does not flatter the percentiles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceTimes {
     times: Vec<Option<f64>>,
 }

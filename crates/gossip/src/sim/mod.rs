@@ -51,16 +51,15 @@ pub use shard::ShardedAsyncEngine;
 pub type AsyncGossipEngine<S> = ShardedAsyncEngine<S>;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::churn::ChurnModel;
-use crate::engine::{GossipEngine, ParallelProtocolStore};
+use crate::engine::{GossipEngine, ProtocolStore};
 use crate::metrics::ExchangeMetrics;
 
 /// How gossip phases are simulated: the synchronous round engine (the
 /// PeerSim cycle-driven idealisation) or the event-driven asynchronous
 /// engine (message-level delivery).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum NetworkModel {
     /// Lockstep rounds ([`GossipEngine`]); the default.  Selecting it
     /// consumes exactly the same RNG draws as driving the round engine
@@ -92,7 +91,7 @@ impl NetworkModel {
 }
 
 /// Configuration of the simulated network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsyncNetworkConfig {
     /// Per-message delay distribution.
     pub latency: LatencyModel,
@@ -286,8 +285,7 @@ pub fn run_phase<S, P, R>(
     opts: PhaseOpts<'_, S>,
 ) -> (S, PhaseStats)
 where
-    S: ParallelProtocolStore<P>,
-    P: Sync,
+    S: ProtocolStore<P>,
     R: Rng + ?Sized,
 {
     let PhaseOpts { mut until, adversary } = opts;

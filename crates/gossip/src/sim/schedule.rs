@@ -9,10 +9,9 @@
 //! window and pass the churn coin to take part in an exchange).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One node's downtime window: offline during `[crash_at, rejoin_at)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashWindow {
     /// The node that crashes.
     pub node: usize,
@@ -23,7 +22,7 @@ pub struct CrashWindow {
 }
 
 /// A set of downtime windows (empty = nobody ever crashes).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CrashSchedule {
     windows: Vec<CrashWindow>,
 }

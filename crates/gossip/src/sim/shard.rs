@@ -61,7 +61,7 @@
 //! wave(contact))`, making every wave node-disjoint.  Exchanges that share
 //! no node commute, and same-node exchanges always land in distinct waves
 //! in their original order, so applying waves in sequence (each wave in
-//! parallel via [`ParallelProtocolStore`]) reproduces the serial in-order
+//! parallel via [`ProtocolStore::apply_exchanges`]) reproduces the serial in-order
 //! result bit for bit.  A single-worker pool skips the decomposition (and
 //! allocates no wavefront state) and applies the sorted list directly.
 //!
@@ -89,7 +89,7 @@ use rand::{Rng, SeedableRng};
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
 use crate::churn::ChurnModel;
-use crate::engine::{apply_in_order, ParallelProtocolStore, StateStore, PARALLEL_EXCHANGE_THRESHOLD};
+use crate::engine::{apply_in_order, ProtocolStore, StateStore, PARALLEL_EXCHANGE_THRESHOLD};
 use crate::metrics::ExchangeMetrics;
 use crate::sim::adversary::{classify_exchange, AdversaryState, ExchangeFate};
 use crate::sim::metrics::{ConvergenceTimes, SimMetrics};
@@ -134,7 +134,7 @@ struct ShardOutput {
 /// of nodes.  See the module docs for the design and determinism contract.
 ///
 /// The per-node state storage is pluggable ([`StateStore`] /
-/// [`ParallelProtocolStore`]): the natural `Vec<N>` array-of-structs
+/// [`ProtocolStore`]): the natural `Vec<N>` array-of-structs
 /// layout, or a row slab such as
 /// [`EesUnitArena`](crate::sim::arena::EesUnitArena) whose one flat allocation
 /// lets 100k–10M-node populations stream through the barriers.  The window
@@ -458,8 +458,7 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
     /// else wave-decomposed so each batch is node-disjoint.
     fn apply_ordered<P>(&mut self, protocol: &P, applies: &[(u32, u32)])
     where
-        S: ParallelProtocolStore<P>,
-        P: Sync,
+        S: ProtocolStore<P>,
     {
         if self.pool.current_num_threads() <= 1 || applies.len() < PARALLEL_EXCHANGE_THRESHOLD {
             let pairs = applies.iter().map(|&(i, c)| (i as usize, c as usize));
@@ -502,8 +501,7 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         mut on_barrier: F,
     ) -> bool
     where
-        S: ParallelProtocolStore<P>,
-        P: Sync,
+        S: ProtocolStore<P>,
         F: FnMut(&S, f64) -> bool,
     {
         let period = self.config.exchange_period;
@@ -597,8 +595,7 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         adversary: &mut Option<&mut AdversaryState>,
         observe: &mut Option<Observer<'_, S>>,
     ) where
-        S: ParallelProtocolStore<P>,
-        P: Sync,
+        S: ProtocolStore<P>,
     {
         let mailbox = std::mem::take(self.mailbox(w));
         let (mut due, rest): (Vec<_>, Vec<_>) =
@@ -656,8 +653,7 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
     /// Advances the simulation by `duration` time units.
     pub fn run_for<P, R>(&mut self, protocol: &P, duration: f64, rng: &mut R)
     where
-        S: ParallelProtocolStore<P>,
-        P: Sync,
+        S: ProtocolStore<P>,
         R: Rng + ?Sized,
     {
         assert!(duration >= 0.0 && duration.is_finite());
@@ -684,8 +680,7 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         adversary: Option<&mut AdversaryState>,
     ) -> bool
     where
-        S: ParallelProtocolStore<P>,
-        P: Sync,
+        S: ProtocolStore<P>,
         R: Rng + ?Sized,
         F: FnMut(&S) -> bool,
     {
@@ -729,8 +724,7 @@ impl<N> ShardedAsyncEngine<Vec<N>> {
         node_done: F,
     ) -> ConvergenceTimes
     where
-        Vec<N>: ParallelProtocolStore<P>,
-        P: Sync,
+        Vec<N>: ProtocolStore<P>,
         R: Rng + ?Sized,
         F: Fn(&N) -> bool,
     {

@@ -11,7 +11,7 @@
 //!
 //! What the cells of a row mean is the business of a [`RowLayout`]: a small
 //! value describing the row's shape, whose one method applies a protocol's
-//! pairwise exchange to two rows.  The slab implements the three store
+//! pairwise exchange to two rows.  The slab implements the two store
 //! traits of [`crate::engine`] once, for every layout; the crate's two
 //! layouts are [`EesUnitLayout`](crate::sim::arena::EesUnitLayout)
 //! (Algorithm 2 over fixed-width limb units) and
@@ -20,7 +20,7 @@
 //! another crate — Damgård–Jurik units as Montgomery limb windows — plugs
 //! into the same slab and the same engines without any `unsafe` of its own.
 
-use crate::engine::{apply_disjoint_rows, rows_mut, ParallelProtocolStore, ProtocolStore, StateStore};
+use crate::engine::{apply_disjoint_rows, rows_mut, ProtocolStore, StateStore};
 
 /// The meaning of one [`RowSlab`] row under protocol `P`.
 pub trait RowLayout<P> {
@@ -98,14 +98,12 @@ impl<L> StateStore for RowSlab<L> {
     }
 }
 
-impl<P, L: RowLayout<P>> ProtocolStore<P> for RowSlab<L> {
+impl<P: Sync, L: RowLayout<P> + Sync> ProtocolStore<P> for RowSlab<L> {
     fn apply_exchange(&mut self, protocol: &P, initiator: usize, contact: usize) {
         let (initiator, contact) = rows_mut(&mut self.cells, self.stride, initiator, contact);
         self.layout.exchange_rows(protocol, initiator, contact);
     }
-}
 
-impl<P: Sync, L: RowLayout<P> + Send + Sync> ParallelProtocolStore<P> for RowSlab<L> {
     fn apply_exchanges(&mut self, pool: &rayon::ThreadPool, protocol: &P, pairs: &[(u32, u32)]) {
         let layout = &self.layout;
         apply_disjoint_rows(pool, &mut self.cells, self.stride, pairs, |initiator, contact| {

@@ -12,12 +12,10 @@
 //! the encrypted EESum rule is validated (Appendix C.2.1 claims the two are
 //! arithmetically equivalent).
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::PairwiseProtocol;
 
 /// Per-participant state of the push-pull sum.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SumState {
     /// The running sum component σ.
     pub sigma: f64,
@@ -81,7 +79,7 @@ pub fn initial_states_seeded_at(values: &[f64], seed: usize) -> Vec<SumState> {
 }
 
 /// Summary of the convergence of an epidemic-sum run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SumConvergenceReport {
     /// The exact global sum.
     pub exact: f64,

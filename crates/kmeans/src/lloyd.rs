@@ -2,7 +2,6 @@
 //! evaluation.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use chiaroscuro_timeseries::inertia::{dataset_inertia, inertia_report, Assignment};
 use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
@@ -11,7 +10,7 @@ use crate::init::InitialCentroids;
 use crate::report::{IterationReport, RunReport};
 
 /// Configuration of a baseline k-means run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KMeansConfig {
     /// Maximum number of iterations `n_max_it`.
     pub max_iterations: usize,

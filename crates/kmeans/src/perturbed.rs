@@ -26,7 +26,6 @@
 use std::borrow::Cow;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use chiaroscuro_dp::budget::BudgetSchedule;
 use chiaroscuro_dp::laplace::{LaplaceMechanism, Sensitivity};
@@ -37,7 +36,7 @@ use crate::init::InitialCentroids;
 use crate::report::{IterationReport, RunReport};
 
 /// Means-smoothing configuration (§5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Smoothing {
     /// No smoothing.
     None,
@@ -67,7 +66,7 @@ impl Smoothing {
 }
 
 /// Configuration of a perturbed k-means run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PerturbedKMeansConfig {
     /// Per-iteration privacy-budget schedule.
     pub schedule: BudgetSchedule,

@@ -1,12 +1,10 @@
 //! Per-iteration and per-run quality reports shared by the baseline, the
 //! perturbed surrogate and the distributed execution.
 
-use serde::{Deserialize, Serialize};
-
 use chiaroscuro_timeseries::TimeSeries;
 
 /// What happened during one k-means iteration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IterationReport {
     /// Iteration index (0-based).
     pub iteration: usize,
@@ -32,7 +30,7 @@ pub struct IterationReport {
 /// The PRE/POST summary of Figures 2(e) and 2(f): the iteration with the
 /// lowest pre-perturbation inertia and the corresponding post-perturbation
 /// inertia.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrePostReport {
     /// Index of the best (lowest PRE inertia) iteration.
     pub best_iteration: usize,
@@ -43,7 +41,7 @@ pub struct PrePostReport {
 }
 
 /// The full outcome of a k-means run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// One report per executed iteration, in order.
     pub iterations: Vec<IterationReport>,

@@ -10,7 +10,6 @@
 //! noise.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use super::{stream_rng, DatasetGenerator};
 use crate::series::TimeSeries;
@@ -25,7 +24,7 @@ pub const CER_RANGE: ValueRange = ValueRange { min: 0.0, max: 80.0 };
 /// mixes.  Profiles are deliberately redundant: the paper notes the CER
 /// series are "strongly concentrated", which drives the benefit of the SMA
 /// smoothing on small clusters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HouseholdProfile {
     /// Two commuter peaks: 7–9 am and 6–10 pm.
     DoublePeak,
@@ -100,7 +99,7 @@ fn plateau_wrapping(x: f64, start: f64, end: f64, softness: f64) -> f64 {
 }
 
 /// Generator for CER-like daily electricity load curves.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CerLikeGenerator {
     seed: u64,
 }

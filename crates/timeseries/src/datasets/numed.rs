@@ -14,7 +14,6 @@
 //! is what makes SMA smoothing nearly neutral on NUMED in the paper (§6.2).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use super::{cer::standard_normal, stream_rng, DatasetGenerator};
 use crate::series::TimeSeries;
@@ -26,7 +25,7 @@ pub const NUMED_SERIES_LENGTH: usize = 20;
 pub const NUMED_RANGE: ValueRange = ValueRange { min: 0.0, max: 50.0 };
 
 /// Patient response archetypes used as ground-truth clusters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PatientProfile {
     /// Strong, durable response: fast shrinkage, negligible regrowth.
     Responder,
@@ -76,7 +75,7 @@ impl PatientProfile {
 }
 
 /// Generator for NUMED-like tumor-growth series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NumedLikeGenerator {
     seed: u64,
     /// Relative spread of the per-patient Claret parameters.

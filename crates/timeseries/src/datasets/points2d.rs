@@ -8,7 +8,6 @@
 //! time-series of length 2 for the rest of the pipeline.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use super::{cer::standard_normal, stream_rng, DatasetGenerator};
 use crate::series::TimeSeries;
@@ -20,7 +19,7 @@ pub const POINTS2D_CLUSTERS: usize = 50;
 pub const POINTS2D_RANGE: ValueRange = ValueRange { min: 0.0, max: 100.0 };
 
 /// Generator for the 2-D illustration dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Points2dGenerator {
     seed: u64,
     /// Duplication factor (the paper uses 100).

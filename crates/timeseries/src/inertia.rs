@@ -1,14 +1,12 @@
 //! Clustering quality metrics: intra-cluster, inter-cluster and full inertia
 //! (Definition 1 of the paper), and cluster assignments.
 
-use serde::{Deserialize, Serialize};
-
 use crate::distance::{closest, squared_euclidean};
 use crate::series::TimeSeries;
 use crate::set::TimeSeriesSet;
 
 /// The assignment of every series of a dataset to its closest centroid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Assignment {
     /// `labels[i]` is the index of the centroid assigned to series `i`.
     pub labels: Vec<usize>,
@@ -56,7 +54,7 @@ impl Assignment {
 }
 
 /// Inertia decomposition of a clustering (Definition 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InertiaReport {
     /// Intra-cluster inertia `q_intra` (homogeneity; lower is better).
     pub intra: f64,

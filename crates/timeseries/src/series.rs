@@ -3,15 +3,13 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 use crate::distance::squared_euclidean;
 
 /// A single time-series `s = <s[1] ... s[n]>` (§2.1).
 ///
 /// Values are stored as `f64`.  The length `n` is fixed at construction; all
 /// series of a [`crate::TimeSeriesSet`] share the same length.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct TimeSeries {
     values: Vec<f64>,
 }

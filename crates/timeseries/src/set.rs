@@ -3,7 +3,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::series::TimeSeries;
 
@@ -11,7 +10,7 @@ use crate::series::TimeSeries;
 ///
 /// The paper's Laplace mechanism (Definition 4) calibrates the noise to the
 /// sum sensitivity `n · max(|d_min|, |d_max|)`, which this type computes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValueRange {
     /// Smallest admissible measure.
     pub min: f64,
@@ -53,7 +52,7 @@ impl ValueRange {
 }
 
 /// A set of `t` time-series of identical length `n` (the matrix `S` of §2.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeriesSet {
     series: Vec<TimeSeries>,
     length: usize,

@@ -599,8 +599,6 @@ macro_rules! forward_ref_binop {
     };
 }
 
-pub(crate) use forward_ref_binop;
-
 impl std::ops::Add<&BigUint> for &BigUint {
     type Output = BigUint;
     fn add(self, rhs: &BigUint) -> BigUint {

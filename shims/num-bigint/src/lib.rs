@@ -1,8 +1,9 @@
 //! Offline stand-in for the `num-bigint` crate.
 //!
 //! The build environment cannot reach crates.io, so this workspace ships a
-//! real — not mocked — arbitrary-precision integer implementation covering
-//! the API subset the Damgård–Jurik crypto substrate uses: schoolbook
+//! real — not mocked — arbitrary-precision **unsigned** integer, [`BigUint`],
+//! covering the API subset the Damgård–Jurik crypto substrate uses (which
+//! needs no signed type: see `chiaroscuro_crypto::arith`): schoolbook
 //! multiplication, Knuth Algorithm D division, modular exponentiation,
 //! Euclidean gcd, bit manipulation, byte/limb codecs and the `RandBigInt`
 //! sampling extension over the workspace's `rand` shim.
@@ -17,12 +18,10 @@
 //! even moduli and is the reference the differential test battery
 //! compares against.
 
-mod bigint;
 mod biguint;
 pub mod montgomery;
 mod rand_support;
 
-pub use bigint::BigInt;
 pub use biguint::BigUint;
 pub use rand_support::RandBigInt;
 

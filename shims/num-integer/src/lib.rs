@@ -2,8 +2,8 @@
 //!
 //! Provides the [`Integer`] trait with the operations this workspace uses
 //! (`div_rem`, `gcd`, `lcm`, parity queries, floored division).  The big
-//! integer types of the sibling `num-bigint` shim implement this trait, just
-//! as the upstream crates do.
+//! integer type of the sibling `num-bigint` shim implements this trait, just
+//! as the upstream crate does.
 
 use num_traits::{One, Zero};
 
@@ -60,41 +60,6 @@ macro_rules! impl_integer_unsigned {
 
 impl_integer_unsigned!(u8, u16, u32, u64, u128, usize);
 
-macro_rules! impl_integer_signed {
-    ($($t:ty),*) => {$(
-        impl Integer for $t {
-            fn div_rem(&self, other: &Self) -> (Self, Self) { (self / other, self % other) }
-            fn gcd(&self, other: &Self) -> Self {
-                let (mut a, mut b) = (self.wrapping_abs(), other.wrapping_abs());
-                while b != 0 {
-                    let r = a % b;
-                    a = b;
-                    b = r;
-                }
-                a
-            }
-            fn lcm(&self, other: &Self) -> Self {
-                if *self == 0 || *other == 0 { 0 } else { (self / self.gcd(other) * other).wrapping_abs() }
-            }
-            fn div_floor(&self, other: &Self) -> Self {
-                let (q, r) = (self / other, self % other);
-                if r != 0 && (r < 0) != (*other < 0) { q - 1 } else { q }
-            }
-            fn mod_floor(&self, other: &Self) -> Self {
-                let r = self % other;
-                if r != 0 && (r < 0) != (*other < 0) { r + other } else { r }
-            }
-            fn is_even(&self) -> bool { self % 2 == 0 }
-            fn is_odd(&self) -> bool { !self.is_even() }
-            fn is_multiple_of(&self, other: &Self) -> bool {
-                if *other == 0 { *self == 0 } else { self % other == 0 }
-            }
-        }
-    )*};
-}
-
-impl_integer_signed!(i8, i16, i32, i64, i128, isize);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,13 +71,5 @@ mod tests {
         assert_eq!(4u32.lcm(&6), 12);
         assert!(4u32.is_even());
         assert!(7u32.is_odd());
-    }
-
-    #[test]
-    fn signed_floor_semantics() {
-        // Call through the trait: i64 may grow inherent div_floor/mod_floor.
-        assert_eq!(Integer::div_floor(&-7i64, &2), -4);
-        assert_eq!(Integer::mod_floor(&-7i64, &2), 1);
-        assert_eq!(Integer::gcd(&-12i32, &18), 6);
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! The build environment has no access to crates.io, so the workspace ships
 //! the small subset of `num-traits` it actually uses: the additive and
-//! multiplicative identities ([`Zero`], [`One`]) and the sign queries of
-//! [`Signed`].  The API mirrors the upstream crate so the source code keeps
-//! compiling unchanged if the real dependency is ever restored.
+//! multiplicative identities ([`Zero`], [`One`]).  The API mirrors the
+//! upstream crate so the source code keeps compiling unchanged if the real
+//! dependency is ever restored.
 
-use std::ops::{Add, Mul, Neg};
+use std::ops::{Add, Mul};
 
 /// Additive identity.
 pub trait Zero: Sized + Add<Self, Output = Self> {
@@ -22,16 +22,6 @@ pub trait One: Sized + Mul<Self, Output = Self> {
     fn one() -> Self;
     /// Whether `self` is the multiplicative identity.
     fn is_one(&self) -> bool;
-}
-
-/// Signed numbers.
-pub trait Signed: Sized + Neg<Output = Self> {
-    /// The absolute value.
-    fn abs(&self) -> Self;
-    /// Whether `self` is strictly positive.
-    fn is_positive(&self) -> bool;
-    /// Whether `self` is strictly negative.
-    fn is_negative(&self) -> bool;
 }
 
 macro_rules! impl_identities_int {
@@ -59,27 +49,10 @@ macro_rules! impl_identities_float {
             fn one() -> Self { 1.0 }
             fn is_one(&self) -> bool { *self == 1.0 }
         }
-        impl Signed for $t {
-            fn abs(&self) -> Self { <$t>::abs(*self) }
-            fn is_positive(&self) -> bool { *self > 0.0 }
-            fn is_negative(&self) -> bool { *self < 0.0 }
-        }
     )*};
 }
 
 impl_identities_float!(f32, f64);
-
-macro_rules! impl_signed_int {
-    ($($t:ty),*) => {$(
-        impl Signed for $t {
-            fn abs(&self) -> Self { <$t>::abs(*self) }
-            fn is_positive(&self) -> bool { *self > 0 }
-            fn is_negative(&self) -> bool { *self < 0 }
-        }
-    )*};
-}
-
-impl_signed_int!(i8, i16, i32, i64, i128, isize);
 
 #[cfg(test)]
 mod tests {
@@ -90,7 +63,5 @@ mod tests {
         assert!(u32::zero().is_zero());
         assert!(u64::one().is_one());
         assert!(f64::zero().is_zero());
-        assert!((-3i64).is_negative());
-        assert_eq!((-3i64).abs(), 3);
     }
 }
