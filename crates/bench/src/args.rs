@@ -1,11 +1,19 @@
 //! A minimal `--key value` command-line parser (no external dependency).
 
 use std::collections::HashMap;
+use std::str::FromStr;
 
 /// Parsed command-line options of a harness binary.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     values: HashMap<String, String>,
+}
+
+/// Prints a command-line error and exits with status 2: what every harness
+/// binary does with a value it cannot use.
+pub fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
 }
 
 impl Args {
@@ -22,7 +30,7 @@ impl Args {
     /// Numeric option with a default for an absent key; a value that is
     /// present but does not parse is an error naming it, never a silent
     /// default.
-    pub fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    pub fn try_get<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.values.get(key) {
             None => Ok(default),
             Some(value) => value.parse().map_err(|_| format!("invalid --{key} {value:?}")),
@@ -31,11 +39,46 @@ impl Args {
 
     /// [`Self::try_get`] for a harness binary's `main`: prints the error
     /// and exits non-zero on an unparsable value.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.try_get(key, default).unwrap_or_else(|message| {
-            eprintln!("{message}");
-            std::process::exit(2)
-        })
+    pub fn get<T: FromStr>(&self, key: &str, default: T) -> T {
+        self.try_get(key, default).unwrap_or_else(|message| usage_error(&message))
+    }
+
+    /// Comma-separated list option; an absent key parses `default`.  One
+    /// element that does not parse makes the whole value an error naming the
+    /// flag and that element.
+    pub fn try_get_list<T: FromStr>(&self, key: &str, default: &str) -> Result<Vec<T>, String> {
+        let value = self.values.get(key).map_or(default, String::as_str);
+        value
+            .split(',')
+            .map(|element| {
+                element.trim().parse().map_err(|_| {
+                    format!("invalid --{key} {value:?}: expected a comma-separated list, and {element:?} does not parse")
+                })
+            })
+            .collect()
+    }
+
+    /// [`Self::try_get_list`] for a harness binary's `main`.
+    pub fn get_list<T: FromStr>(&self, key: &str, default: &str) -> Vec<T> {
+        self.try_get_list(key, default).unwrap_or_else(|message| usage_error(&message))
+    }
+
+    /// Option restricted to `choices`, `default` for an absent key; any
+    /// other value is an error naming the flag and the accepted values.
+    pub fn try_get_choice<'c>(&self, key: &str, default: &'c str, choices: &[&'c str]) -> Result<&'c str, String> {
+        match self.values.get(key) {
+            None => Ok(default),
+            Some(value) => choices
+                .iter()
+                .copied()
+                .find(|choice| choice == value)
+                .ok_or_else(|| format!("invalid --{key} {value:?}: expected one of {}", choices.join(", "))),
+        }
+    }
+
+    /// [`Self::try_get_choice`] for a harness binary's `main`.
+    pub fn get_choice<'c>(&self, key: &str, default: &'c str, choices: &[&'c str]) -> &'c str {
+        self.try_get_choice(key, default, choices).unwrap_or_else(|message| usage_error(&message))
     }
 
     /// Boolean flag.
@@ -93,5 +136,26 @@ mod tests {
         assert_eq!(a.try_get("runs", 7usize), Ok(3));
         assert_eq!(a.try_get("series", 7usize), Err("invalid --series \"abc\"".to_string()));
         assert_eq!(a.try_get("max-population", 1_000_000usize), Err("invalid --max-population \"10k\"".to_string()));
+    }
+
+    #[test]
+    fn try_get_list_parses_every_element_or_names_the_bad_one() {
+        let a = args(&["--shard-counts", "1, 2,4", "--fractions", "0,x,0.2"]);
+        assert_eq!(a.try_get_list::<f64>("absent", "0,0.05"), Ok(vec![0.0, 0.05]));
+        assert_eq!(a.try_get_list::<usize>("shard-counts", "1"), Ok(vec![1, 2, 4]));
+        let rejected = a.try_get_list::<f64>("fractions", "0").expect_err("x is not a fraction");
+        assert!(rejected.starts_with("invalid --fractions \"0,x,0.2\"") && rejected.contains("\"x\""), "{rejected}");
+    }
+
+    #[test]
+    fn try_get_choice_accepts_only_the_listed_values() {
+        let choices = ["sum", "decryption", "all"];
+        let a = args(&["--part", "sum", "--metric", "xyz"]);
+        assert_eq!(a.try_get_choice("absent", "all", &choices), Ok("all"));
+        assert_eq!(a.try_get_choice("part", "all", &choices), Ok("sum"));
+        assert_eq!(
+            a.try_get_choice("metric", "all", &choices),
+            Err("invalid --metric \"xyz\": expected one of sum, decryption, all".to_string())
+        );
     }
 }

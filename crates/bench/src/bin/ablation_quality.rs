@@ -1,4 +1,4 @@
-//! Ablation study over the design choices that DESIGN.md calls out:
+//! Ablation study over the design choices of §5 and Table 2:
 //!
 //! * the SMA smoothing window (none, 10%, 20%, 40% of the series length);
 //! * the GREEDY_FLOOR floor size (1, 2, 4, 8);
@@ -13,16 +13,14 @@
 //! Usage:
 //!   ablation_quality [--dataset cer|numed] [--series 20000] [--k 50] [--seed 1]
 
-use chiaroscuro_bench::workloads::Dataset;
+use chiaroscuro_bench::workloads::{surrogate_kmeans, Dataset, MAX_ITERATIONS, PAPER_EPSILON};
 use chiaroscuro_bench::{Args, Table};
 use chiaroscuro_dp::budget::{BudgetSchedule, BudgetStrategy};
 use chiaroscuro_kmeans::init::InitialCentroids;
-use chiaroscuro_kmeans::perturbed::{PerturbedKMeans, PerturbedKMeansConfig, Smoothing};
+use chiaroscuro_kmeans::perturbed::Smoothing;
 use chiaroscuro_timeseries::TimeSeriesSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-const MAX_ITERATIONS: usize = 10;
 
 fn main() {
     let args = Args::from_env();
@@ -48,15 +46,8 @@ fn run(
     seed: u64,
 ) -> (f64, usize, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let config = PerturbedKMeansConfig {
-        schedule: BudgetSchedule::new(strategy, epsilon, MAX_ITERATIONS),
-        max_iterations: MAX_ITERATIONS,
-        convergence_threshold: 0.0,
-        smoothing,
-        iteration_churn: 0.0,
-        gossip_error_bound: 0.0,
-    };
-    let report = PerturbedKMeans::new(config).run(data, init, &mut rng);
+    let schedule = BudgetSchedule::new(strategy, epsilon, MAX_ITERATIONS);
+    let report = surrogate_kmeans(schedule, MAX_ITERATIONS, smoothing, 0.0).run(data, init, &mut rng);
     let best = report.pre_post().expect("at least one iteration");
     let surviving = *report.centroid_counts().last().unwrap_or(&0);
     (best.pre, best.best_iteration + 1, surviving)
@@ -74,7 +65,7 @@ fn smoothing_ablation(data: &TimeSeriesSet, init: &InitialCentroids, seed: u64) 
         ("40%".into(), Smoothing::MovingAverage { window_fraction: 0.4 }),
     ];
     for (label, smoothing) in windows {
-        let (pre, it, surviving) = run(data, init, BudgetStrategy::Greedy, smoothing, 0.69, seed);
+        let (pre, it, surviving) = run(data, init, BudgetStrategy::Greedy, smoothing, PAPER_EPSILON, seed);
         table.row(&[label, format!("{pre:.2}"), it.to_string(), surviving.to_string()]);
     }
     table.print();
@@ -91,7 +82,7 @@ fn floor_size_ablation(data: &TimeSeriesSet, init: &InitialCentroids, seed: u64)
             init,
             BudgetStrategy::GreedyFloor { floor_size },
             Smoothing::PAPER_DEFAULT,
-            0.69,
+            PAPER_EPSILON,
             seed,
         );
         table.row(&[floor_size.to_string(), format!("{pre:.2}"), it.to_string(), surviving.to_string()]);
@@ -110,7 +101,7 @@ fn uniform_cap_ablation(data: &TimeSeriesSet, init: &InitialCentroids, seed: u64
             init,
             BudgetStrategy::UniformFast { max_iterations: cap },
             Smoothing::PAPER_DEFAULT,
-            0.69,
+            PAPER_EPSILON,
             seed,
         );
         table.row(&[cap.to_string(), format!("{pre:.2}"), it.to_string(), surviving.to_string()]);
@@ -123,7 +114,7 @@ fn epsilon_ablation(data: &TimeSeriesSet, init: &InitialCentroids, seed: u64) {
         "Ablation — privacy budget ε (GREEDY + SMA 20%)",
         &["epsilon", "best PRE inertia", "best iteration", "surviving centroids"],
     );
-    for epsilon in [0.1f64, 0.69, 1.0, 2.0] {
+    for epsilon in [0.1f64, PAPER_EPSILON, 1.0, 2.0] {
         let (pre, it, surviving) = run(data, init, BudgetStrategy::Greedy, Smoothing::PAPER_DEFAULT, epsilon, seed);
         table.row(&[format!("{epsilon}"), format!("{pre:.2}"), it.to_string(), surviving.to_string()]);
     }

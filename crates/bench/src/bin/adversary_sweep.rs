@@ -26,142 +26,48 @@
 //!                   [--fractions 0,0.05,0.1,0.2,0.3]
 //!                   [--json-out BENCH_adversary.json]
 
-use std::time::Instant;
-
-use chiaroscuro_bench::workloads::{constant_profile_dataset, profile_levels, SWEEP_SERIES_LEN};
+use chiaroscuro_bench::workloads::{SweepPoint, SweepRun, SWEEP_SERIES_LEN};
 use chiaroscuro_bench::{Args, Json, Table};
 use chiaroscuro_core::prelude::*;
-use chiaroscuro_gossip::sim::{AsyncNetworkConfig, LatencyModel, NetworkModel};
-use chiaroscuro_timeseries::TimeSeries;
+use chiaroscuro_gossip::sim::FaultCounters;
 
 struct SweepRow {
+    point: SweepPoint,
     fraction: f64,
     byzantine_nodes: usize,
-    wall_secs: f64,
-    iterations: usize,
-    faults: FaultStats,
-    sum_messages_per_node: f64,
-    dissemination_messages_per_node: f64,
-    epsilon_spent: f64,
-    max_level_error: f64,
-    converged_clusters: usize,
 }
 
 fn main() {
     let args = Args::from_env();
-    let population = args.get("population", 2_000usize);
-    let k = args.get("k", 2usize);
-    let iterations = args.get("iterations", 2usize);
-    let exchanges = args.get("exchanges", 20u32);
-    let key_bits = args.get("key-bits", 1_024u64);
-    let epsilon = args.get("epsilon", 30.0f64);
-    let seed = args.get("seed", 1u64);
     let salt = args.get("salt", 0xB52u64);
-    let sim_shards = args.get("sim-shards", 4usize);
     let json_out = args.get_str("json-out", "BENCH_adversary.json");
-    let fractions: Vec<f64> = args
-        .get_str("fractions", "0,0.05,0.1,0.2,0.3")
-        .split(',')
-        .map(|s| s.trim().parse().expect("--fractions takes a comma-separated list in [0,1)"))
-        .collect();
+    let fractions: Vec<f64> = args.get_list("fractions", "0,0.05,0.1,0.2,0.3");
+    let mut sweep = SweepRun {
+        population: args.get("population", 2_000usize),
+        k: args.get("k", 2usize),
+        iterations: args.get("iterations", 2usize),
+        exchanges: args.get("exchanges", 20u32),
+        key_bits: args.get("key-bits", 1_024u64),
+        epsilon: args.get("epsilon", 30.0f64),
+        median: 0.25,
+        sigma: 0.5,
+        sim_shards: args.get("sim-shards", 4usize),
+        adversary: AdversaryModel::NONE,
+        seed: args.get("seed", 1u64),
+    };
 
     let mut rows = Vec::new();
     for &fraction in &fractions {
-        println!("running {population} nodes at adversary fraction {fraction}...");
-        rows.push(run_fraction(
-            fraction, salt, population, sim_shards, k, iterations, exchanges, key_bits, epsilon,
-            seed,
-        ));
+        println!("running {} nodes at adversary fraction {fraction}...", sweep.population);
+        sweep.adversary = AdversaryModel::mixed(fraction, salt);
+        let byzantine_nodes = (0..sweep.population).filter(|&i| sweep.adversary.is_byzantine(i)).count();
+        rows.push(SweepRow { point: sweep.run(), fraction, byzantine_nodes });
     }
 
     print_table(&rows);
-    let doc = render_json(
-        &rows, population, sim_shards, k, iterations, exchanges, key_bits, epsilon, seed, salt,
-    );
+    let doc = render_json(&rows, &sweep, salt);
     std::fs::write(&json_out, doc.render()).expect("writing the bench artifact");
     println!("\nwrote {json_out}");
-}
-
-#[allow(clippy::too_many_arguments, reason = "one sweep point: the parsed CLI flags, passed through flat")]
-fn run_fraction(
-    fraction: f64,
-    salt: u64,
-    population: usize,
-    sim_shards: usize,
-    k: usize,
-    iterations: usize,
-    exchanges: u32,
-    key_bits: u64,
-    epsilon: f64,
-    seed: u64,
-) -> SweepRow {
-    let data = constant_profile_dataset(population, k);
-    let levels = profile_levels(k);
-    let init: Vec<TimeSeries> = levels
-        .iter()
-        .enumerate()
-        .map(|(c, &level)| {
-            let offset = if c % 2 == 0 { 6.0 } else { -6.0 };
-            TimeSeries::constant(SWEEP_SERIES_LEN, level + offset)
-        })
-        .collect();
-    let adversary = AdversaryModel::mixed(fraction, salt);
-    let byzantine_nodes = (0..population).filter(|&i| adversary.is_byzantine(i)).count();
-    let params = ChiaroscuroParams::builder()
-        .k(k)
-        .epsilon(epsilon)
-        .strategy(BudgetStrategy::UniformFast { max_iterations: iterations })
-        .max_iterations(iterations)
-        .key_bits(key_bits)
-        .key_share_threshold(3)
-        .num_noise_shares(population)
-        .exchanges(exchanges)
-        .lane_packing(true)
-        .pool_threads(0)
-        .network(NetworkModel::Async(
-            AsyncNetworkConfig::default()
-                .with_latency(LatencyModel::LogNormal { median: 0.25, sigma: 0.5 })
-                .with_convergence_check_period(1.0),
-        ))
-        .sim_shards(sim_shards)
-        .adversary(adversary)
-        .build();
-
-    let start = Instant::now();
-    let outcome = DistributedRun::<PlaintextSurrogate>::with_backend(params, &data)
-        .with_initial_centroids(init)
-        .execute(seed);
-    let wall_secs = start.elapsed().as_secs_f64();
-
-    let ran_iterations = outcome.report.num_iterations();
-    let mut sorted_levels = levels;
-    sorted_levels.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mut means: Vec<f64> = outcome.centroids().iter().map(|c| c.mean()).collect();
-    means.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let max_level_error = means
-        .iter()
-        .zip(sorted_levels.iter())
-        .map(|(m, l)| (m - l).abs())
-        .fold(0.0f64, f64::max);
-    let last = outcome.network.last().expect("at least one iteration ran");
-
-    SweepRow {
-        fraction,
-        byzantine_nodes,
-        wall_secs,
-        iterations: ran_iterations,
-        faults: outcome.audit.fault_stats(),
-        sum_messages_per_node: last.sum_messages_per_node,
-        dissemination_messages_per_node: last.dissemination_messages_per_node,
-        epsilon_spent: outcome.report.total_epsilon(),
-        max_level_error,
-        converged_clusters: outcome
-            .report
-            .iterations
-            .last()
-            .map(|i| i.surviving_centroids)
-            .unwrap_or(0),
-    }
 }
 
 fn print_table(rows: &[SweepRow]) {
@@ -181,23 +87,25 @@ fn print_table(rows: &[SweepRow]) {
         ],
     );
     for r in rows {
+        let faults = r.point.faults();
+        let last = r.point.last_network();
         table.row(&[
             format!("{:.2}", r.fraction),
             r.byzantine_nodes.to_string(),
-            format!("{:.1}", r.wall_secs),
-            r.faults.injected_total().to_string(),
-            r.faults.detected_total().to_string(),
-            r.faults.absorbed_total().to_string(),
-            format!("{:.1}", r.sum_messages_per_node + r.dissemination_messages_per_node),
-            format!("{:.2}", r.max_level_error),
-            r.converged_clusters.to_string(),
-            format!("{:.2}", r.epsilon_spent),
+            format!("{:.1}", r.point.wall_secs),
+            faults.injected_total().to_string(),
+            faults.detected_total().to_string(),
+            faults.absorbed_total().to_string(),
+            format!("{:.1}", last.sum_messages_per_node + last.dissemination_messages_per_node),
+            format!("{:.2}", r.point.max_level_error),
+            r.point.surviving_clusters().to_string(),
+            format!("{:.2}", r.point.epsilon_spent()),
         ]);
     }
     table.print();
 }
 
-fn counters_json(c: &chiaroscuro_gossip::sim::FaultCounters) -> Json {
+fn counters_json(c: &FaultCounters) -> Json {
     Json::object()
         .set("injected", c.injected)
         .set("detected", c.detected)
@@ -216,44 +124,19 @@ fn faults_json(f: &FaultStats) -> Json {
         .set("absorbed_total", f.absorbed_total())
 }
 
-#[allow(clippy::too_many_arguments, reason = "echoes every parsed CLI flag into the JSON header")]
-fn render_json(
-    rows: &[SweepRow],
-    population: usize,
-    sim_shards: usize,
-    k: usize,
-    iterations: usize,
-    exchanges: u32,
-    key_bits: u64,
-    epsilon: f64,
-    seed: u64,
-    salt: u64,
-) -> Json {
+/// The artifact: the flags in `config`, then one object per fraction.
+fn render_json(rows: &[SweepRow], sweep: &SweepRun, salt: u64) -> Json {
     let fractions: Vec<Json> = rows
         .iter()
         .map(|r| {
             Json::object()
                 .set("fraction", r.fraction)
                 .set("byzantine_nodes", r.byzantine_nodes)
-                .set("iterations", r.iterations)
-                .set("wall_secs", r.wall_secs)
-                .set("faults", faults_json(&r.faults))
-                .set(
-                    "network",
-                    Json::object()
-                        .set("sum_messages_per_node", r.sum_messages_per_node)
-                        .set(
-                            "dissemination_messages_per_node",
-                            r.dissemination_messages_per_node,
-                        ),
-                )
-                .set(
-                    "quality",
-                    Json::object()
-                        .set("max_level_abs_error", r.max_level_error)
-                        .set("surviving_clusters", r.converged_clusters)
-                        .set("epsilon_spent", r.epsilon_spent),
-                )
+                .set("iterations", r.point.iterations())
+                .set("wall_secs", r.point.wall_secs)
+                .set("faults", faults_json(&r.point.faults()))
+                .set("network", r.point.network_json())
+                .set("quality", r.point.quality_json())
         })
         .collect();
     Json::object()
@@ -263,16 +146,16 @@ fn render_json(
             Json::object()
                 .set("backend", "plaintext-surrogate")
                 .set("adversary_profile", "mixed")
-                .set("population", population)
-                .set("sim_shards", sim_shards)
-                .set("k", k)
+                .set("population", sweep.population)
+                .set("sim_shards", sweep.sim_shards)
+                .set("k", sweep.k)
                 .set("series_length", SWEEP_SERIES_LEN)
-                .set("max_iterations", iterations)
-                .set("exchanges", exchanges)
-                .set("key_bits", key_bits)
-                .set("epsilon", epsilon)
+                .set("max_iterations", sweep.iterations)
+                .set("exchanges", sweep.exchanges)
+                .set("key_bits", sweep.key_bits)
+                .set("epsilon", sweep.epsilon)
                 .set("latency_model", "log-normal")
-                .set("seed", seed)
+                .set("seed", sweep.seed)
                 .set("salt", salt),
         )
         .set("fractions", fractions)

@@ -18,6 +18,7 @@
 //!                 [--edge-spread 0.3] [--target 0.001]
 //!                 [--json-out BENCH_latency.json]
 
+use chiaroscuro_bench::workloads::FirstHits;
 use chiaroscuro_bench::{Args, Json, Table};
 use chiaroscuro_gossip::churn::ChurnModel;
 use chiaroscuro_gossip::sim::{AsyncNetworkConfig, LatencyModel, ShardedAsyncEngine};
@@ -28,8 +29,9 @@ use rand::SeedableRng;
 /// One population's measurements.
 struct PopulationResult {
     population: usize,
-    /// `(target absolute error, first sim-time it held, messages/node then)`.
-    targets: Vec<(f64, Option<f64>, Option<f64>)>,
+    /// Per target absolute error, the first `(sim-time, messages/node)`
+    /// at which it held.
+    targets: FirstHits<(f64, f64)>,
     /// Convergence-time percentiles for the tightest target.
     p50: Option<f64>,
     p90: Option<f64>,
@@ -90,21 +92,13 @@ fn measure(
     let mut rng = StdRng::seed_from_u64(seed + population as u64);
     let mut engine =
         ShardedAsyncEngine::new(initial_states(&values), config.clone(), ChurnModel::NONE);
-    let mut targets: Vec<(f64, Option<f64>, Option<f64>)> =
-        error_targets.iter().map(|&e| (e, None, None)).collect();
+    let mut targets = FirstHits::new(error_targets);
     let mut elapsed = 0.0;
     while elapsed < horizon {
         engine.run_for(&PushPullSum, 1.0, &mut rng);
         elapsed += 1.0;
         let report = convergence_report(engine.nodes(), exact);
-        let abs_error = report.max_relative_error * exact;
-        for (target, time, messages) in targets.iter_mut() {
-            if time.is_none() && report.without_estimate == 0.0 && abs_error <= *target {
-                *time = Some(elapsed);
-                *messages = Some(engine.metrics().messages_per_node(population));
-            }
-        }
-        if targets.iter().all(|(_, t, _)| t.is_some()) {
+        if targets.record(&report, (elapsed, engine.metrics().messages_per_node(population))) {
             break;
         }
     }
@@ -148,8 +142,8 @@ fn print_tables(results: &[PopulationResult], error_targets: &[f64], horizon: f6
     );
     for r in results {
         let mut cells = vec![r.population.to_string()];
-        for (_, time, _) in &r.targets {
-            cells.push(time.map(|t| format!("{t:.0}")).unwrap_or_else(|| format!(">{horizon:.0}")));
+        for (_, hit) in r.targets.hits() {
+            cells.push(hit.map(|(t, _)| format!("{t:.0}")).unwrap_or_else(|| format!(">{horizon:.0}")));
         }
         time_table.row(&cells);
     }
@@ -188,12 +182,13 @@ fn render_json(
         .map(|r| {
             let targets: Vec<Json> = r
                 .targets
+                .hits()
                 .iter()
-                .map(|&(target, time, messages)| {
+                .map(|&(target, hit)| {
                     Json::object()
                         .set("abs_error", target)
-                        .set("sim_time", time)
-                        .set("messages_per_node", messages)
+                        .set("sim_time", hit.map(|(time, _)| time))
+                        .set("messages_per_node", hit.map(|(_, messages)| messages))
                 })
                 .collect();
             Json::object()

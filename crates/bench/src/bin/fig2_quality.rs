@@ -13,18 +13,16 @@
 //!   fig2_quality [--dataset cer|numed] [--series 20000] [--k 50]
 //!                [--runs 3] [--seed 1] [--metric inertia|centroids|prepost|all]
 
-use chiaroscuro_bench::workloads::{figure2_strategies, Dataset};
+use chiaroscuro_bench::workloads::{
+    baseline_kmeans, figure2_strategies, iteration_header, iteration_row, surrogate_kmeans, Dataset,
+    MAX_ITERATIONS, PAPER_EPSILON,
+};
 use chiaroscuro_bench::{Args, Table};
 use chiaroscuro_dp::budget::BudgetSchedule;
-use chiaroscuro_kmeans::lloyd::{KMeans, KMeansConfig};
-use chiaroscuro_kmeans::perturbed::{PerturbedKMeans, PerturbedKMeansConfig};
 use chiaroscuro_kmeans::report::RunReport;
 use chiaroscuro_timeseries::inertia::dataset_inertia;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-const MAX_ITERATIONS: usize = 10;
-const EPSILON: f64 = 0.69;
 
 fn main() {
     let args = Args::from_env();
@@ -33,7 +31,7 @@ fn main() {
     let k = args.get("k", 50usize);
     let runs = args.get("runs", 3usize);
     let seed = args.get("seed", 1u64);
-    let metric = args.get_str("metric", "all");
+    let metric = args.get_choice("metric", "all", &["inertia", "centroids", "prepost", "all"]);
 
     eprintln!("# Figure 2 — dataset {}, {series} series, k={k}, {runs} runs", dataset.name());
     let (data, init) = dataset.generate(series, k, seed);
@@ -43,8 +41,7 @@ fn main() {
     let baseline: Vec<RunReport> = (0..runs)
         .map(|r| {
             let mut rng = StdRng::seed_from_u64(seed + 1000 + r as u64);
-            KMeans::new(KMeansConfig { max_iterations: MAX_ITERATIONS, convergence_threshold: 0.0 })
-                .run(&data, &init, &mut rng)
+            baseline_kmeans(MAX_ITERATIONS).run(&data, &init, &mut rng)
         })
         .collect();
 
@@ -54,16 +51,8 @@ fn main() {
         let reports: Vec<RunReport> = (0..runs)
             .map(|r| {
                 let mut rng = StdRng::seed_from_u64(seed + 2000 + r as u64);
-                let schedule = BudgetSchedule::new(strategy, EPSILON, MAX_ITERATIONS);
-                let config = PerturbedKMeansConfig {
-                    schedule,
-                    max_iterations: MAX_ITERATIONS,
-                    convergence_threshold: 0.0,
-                    smoothing,
-                    iteration_churn: 0.0,
-                    gossip_error_bound: 0.0,
-                };
-                PerturbedKMeans::new(config).run(&data, &init, &mut rng)
+                let schedule = BudgetSchedule::new(strategy, PAPER_EPSILON, MAX_ITERATIONS);
+                surrogate_kmeans(schedule, MAX_ITERATIONS, smoothing, 0.0).run(&data, &init, &mut rng)
             })
             .collect();
         variant_reports.push((name, reports));
@@ -72,12 +61,12 @@ fn main() {
     if metric == "inertia" || metric == "all" {
         let mut table = Table::new(
             &format!("Fig 2({}) — {}: pre-perturbation intra-cluster inertia per iteration", panel(dataset, 'a'), dataset.name()),
-            &header_with_iterations("variant"),
+            &iteration_header("variant"),
         );
-        table.row(&row_from_series("Dataset inertia", &[full_inertia; MAX_ITERATIONS]));
-        table.row(&row_from_series("No perturbation", &mean_series(&baseline, |r| r.pre_inertia_series())));
+        table.row(&iteration_row("Dataset inertia", &[full_inertia; MAX_ITERATIONS]));
+        table.row(&iteration_row("No perturbation", &mean_series(&baseline, |r| r.pre_inertia_series())));
         for (name, reports) in &variant_reports {
-            table.row(&row_from_series(name, &mean_series(reports, |r| r.pre_inertia_series())));
+            table.row(&iteration_row(name, &mean_series(reports, |r| r.pre_inertia_series())));
         }
         table.print();
     }
@@ -85,15 +74,15 @@ fn main() {
     if metric == "centroids" || metric == "all" {
         let mut table = Table::new(
             &format!("Fig 2({}) — {}: number of surviving centroids per iteration", panel(dataset, 'c'), dataset.name()),
-            &header_with_iterations("variant"),
+            &iteration_header("variant"),
         );
-        table.row(&row_from_series("Initial number", &[k as f64; MAX_ITERATIONS]));
-        table.row(&row_from_series(
+        table.row(&iteration_row("Initial number", &[k as f64; MAX_ITERATIONS]));
+        table.row(&iteration_row(
             "No perturbation",
             &mean_series(&baseline, |r| r.centroid_counts().iter().map(|&c| c as f64).collect()),
         ));
         for (name, reports) in &variant_reports {
-            table.row(&row_from_series(
+            table.row(&iteration_row(
                 name,
                 &mean_series(reports, |r| r.centroid_counts().iter().map(|&c| c as f64).collect()),
             ));
@@ -135,12 +124,6 @@ fn panel(dataset: Dataset, cer_panel: char) -> char {
     }
 }
 
-fn header_with_iterations(first: &str) -> Vec<&str> {
-    let mut header = vec![first];
-    header.extend(["it1", "it2", "it3", "it4", "it5", "it6", "it7", "it8", "it9", "it10"]);
-    header
-}
-
 /// Averages a per-iteration series over several runs, padding short runs
 /// with their last value (a run that stops early keeps its final state).
 fn mean_series(reports: &[RunReport], extract: impl Fn(&RunReport) -> Vec<f64>) -> Vec<f64> {
@@ -162,12 +145,4 @@ fn mean_of(reports: &[RunReport], extract: impl Fn(&RunReport) -> Option<f64>) -
     } else {
         values.iter().sum::<f64>() / values.len() as f64
     }
-}
-
-fn row_from_series(name: &str, series: &[f64]) -> Vec<String> {
-    let mut row = vec![name.to_string()];
-    for i in 0..MAX_ITERATIONS {
-        row.push(series.get(i).map(|v| format!("{v:.2}")).unwrap_or_else(|| "-".into()));
-    }
-    row
 }

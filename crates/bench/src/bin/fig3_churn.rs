@@ -11,22 +11,22 @@
 //!   fig3_churn [--part quality|sum-error|all] [--series 20000] [--k 50]
 //!              [--max-population 1000000] [--seed 1]
 
-use chiaroscuro_bench::workloads::Dataset;
+use chiaroscuro_bench::workloads::{
+    iteration_header, iteration_row, surrogate_kmeans, Dataset, MAX_ITERATIONS, PAPER_EPSILON,
+};
 use chiaroscuro_bench::{Args, Table};
 use chiaroscuro_dp::budget::{BudgetSchedule, BudgetStrategy};
 use chiaroscuro_gossip::churn::ChurnModel;
 use chiaroscuro_gossip::engine::GossipEngine;
 use chiaroscuro_gossip::sum::{convergence_report, initial_states, PushPullSum};
-use chiaroscuro_kmeans::perturbed::{PerturbedKMeans, PerturbedKMeansConfig, Smoothing};
+use chiaroscuro_kmeans::perturbed::Smoothing;
 use chiaroscuro_timeseries::inertia::dataset_inertia;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const MAX_ITERATIONS: usize = 10;
-
 fn main() {
     let args = Args::from_env();
-    let part = args.get_str("part", "all");
+    let part = args.get_choice("part", "all", &["quality", "sum-error", "all"]);
     if part == "quality" || part == "all" {
         quality_part(&args);
     }
@@ -45,22 +45,16 @@ fn quality_part(args: &Args) {
 
     let mut table = Table::new(
         "Fig 3(a) — CER: G_SMA pre-perturbation inertia per iteration under churn",
-        &["variant", "it1", "it2", "it3", "it4", "it5", "it6", "it7", "it8", "it9", "it10"],
+        &iteration_header("variant"),
     );
-    table.row(&row(&"Dataset inertia", &[full_inertia; MAX_ITERATIONS]));
+    table.row(&iteration_row("Dataset inertia", &[full_inertia; MAX_ITERATIONS]));
     for churn in [0.0, 0.10, 0.25, 0.50] {
         let mut rng = StdRng::seed_from_u64(seed + (churn * 100.0) as u64);
-        let config = PerturbedKMeansConfig {
-            schedule: BudgetSchedule::new(BudgetStrategy::Greedy, 0.69, MAX_ITERATIONS),
-            max_iterations: MAX_ITERATIONS,
-            convergence_threshold: 0.0,
-            smoothing: Smoothing::PAPER_DEFAULT,
-            iteration_churn: churn,
-            gossip_error_bound: 0.0,
-        };
-        let report = PerturbedKMeans::new(config).run(&data, &init, &mut rng);
+        let schedule = BudgetSchedule::new(BudgetStrategy::Greedy, PAPER_EPSILON, MAX_ITERATIONS);
+        let report = surrogate_kmeans(schedule, MAX_ITERATIONS, Smoothing::PAPER_DEFAULT, churn)
+            .run(&data, &init, &mut rng);
         let label = if churn == 0.0 { "G_SMA (no churn)".to_string() } else { format!("G_SMA (churn {churn})") };
-        table.row(&row(&label, &padded(&report.pre_inertia_series())));
+        table.row(&iteration_row(&label, &report.pre_inertia_series()));
     }
     table.print();
 }
@@ -92,20 +86,4 @@ fn sum_error_part(args: &Args) {
         population *= 10;
     }
     table.print();
-}
-
-fn padded(series: &[f64]) -> Vec<f64> {
-    let mut out = series.to_vec();
-    while out.len() < MAX_ITERATIONS {
-        out.push(*out.last().unwrap_or(&0.0));
-    }
-    out
-}
-
-fn row(name: &dyn std::fmt::Display, series: &[f64]) -> Vec<String> {
-    let mut cells = vec![name.to_string()];
-    for i in 0..MAX_ITERATIONS {
-        cells.push(series.get(i).map(|v| format!("{v:.2}")).unwrap_or_else(|| "-".into()));
-    }
-    cells
 }

@@ -17,6 +17,8 @@
 //!                [--lanes 1] [--set-kb 130]
 //!                [--json-out PATH]   (machine-readable 4(a) rows)
 
+use chiaroscuro_bench::args::usage_error;
+use chiaroscuro_bench::workloads::FirstHits;
 use chiaroscuro_bench::{Args, Json, Table};
 use chiaroscuro_core::cost_model::{IterationCostModel, IterationMessageCounts, LocalCosts, SetShape};
 use chiaroscuro_crypto::wire::MeansWireModel;
@@ -30,11 +32,15 @@ use rand::{Rng, SeedableRng};
 
 fn main() {
     let args = Args::from_env();
-    let part = args.get_str("part", "all");
-    let mut sum_rows = Vec::new();
-    if part == "sum" || part == "all" {
-        sum_rows = sum_part(&args);
+    let part = args.get_choice("part", "all", &["sum", "decryption", "iteration-model", "all"]);
+    let json_out = args.get_str("json-out", "");
+    if !json_out.is_empty() && !matches!(part, "sum" | "all") {
+        usage_error(&format!(
+            "--json-out captures the 4(a) sum rows; run with --part sum or --part all \
+             (got --part {part}, which would write an empty artifact)"
+        ));
     }
+    let sum_rows = if matches!(part, "sum" | "all") { sum_part(&args) } else { Vec::new() };
     if part == "decryption" || part == "all" {
         decryption_part(&args);
     }
@@ -44,13 +50,7 @@ fn main() {
     // Machine-readable artifact (same row content as the 4(a) table), so
     // the round-based latency figures accumulate alongside the async
     // bench's BENCH_latency.json.
-    let json_out = args.get_str("json-out", "");
     if !json_out.is_empty() {
-        assert!(
-            part == "sum" || part == "all",
-            "--json-out captures the 4(a) sum rows; run with --part sum or --part all \
-             (got --part {part}, which would write an empty artifact)"
-        );
         let doc = Json::object().set("bench", "fig4_latency").set("sum", Json::Array(sum_rows));
         std::fs::write(&json_out, doc.render()).expect("writing the bench artifact");
         println!("\nwrote {json_out}");
@@ -79,22 +79,16 @@ fn sum_part(args: &Args) -> Vec<Json> {
         let mut engine = GossipEngine::new(initial_states(&values), ChurnModel::NONE);
         // Run rounds once and record the message count at which each target
         // absolute error is first satisfied.
-        let mut pending: Vec<(f64, Option<f64>)> = errors.iter().map(|&e| (e, None)).collect();
+        let mut hits = FirstHits::new(&errors);
         for _ in 0..200 {
             engine.run_round(&PushPullSum, &mut rng);
             let report = convergence_report(engine.nodes(), exact);
-            let abs_error = report.max_relative_error * exact;
-            for (target, result) in pending.iter_mut() {
-                if result.is_none() && report.without_estimate == 0.0 && abs_error <= *target {
-                    *result = Some(engine.metrics().messages_per_node(population));
-                }
-            }
-            if pending.iter().all(|(_, r)| r.is_some()) {
+            if hits.record(&report, engine.metrics().messages_per_node(population)) {
                 break;
             }
         }
         // Report tightest-to-loosest in the paper's order (0.001 first).
-        for (_, result) in pending.iter() {
+        for (_, result) in hits.hits() {
             cells.push(result.map(|m| format!("{m:.0}")).unwrap_or_else(|| ">400".into()));
         }
         // Dissemination latency.
@@ -105,7 +99,8 @@ fn sum_part(args: &Args) -> Vec<Json> {
         dis_engine.run_until(&DisseminationProtocol, 100, &mut rng, |s| converged(s), None);
         cells.push(format!("{:.0}", dis_engine.metrics().messages_per_node(population)));
         table.row(&cells);
-        let targets: Vec<Json> = pending
+        let targets: Vec<Json> = hits
+            .hits()
             .iter()
             .map(|&(target, result)| {
                 Json::object().set("abs_error", target).set("messages_per_node", result)

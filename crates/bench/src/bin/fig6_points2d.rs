@@ -9,11 +9,11 @@
 //! Usage:
 //!   fig6_points2d [--points 750000] [--duplication 100] [--k 50] [--seed 1]
 
+use chiaroscuro_bench::workloads::{baseline_kmeans, surrogate_kmeans, MAX_ITERATIONS, PAPER_EPSILON};
 use chiaroscuro_bench::{Args, Table};
 use chiaroscuro_dp::budget::{BudgetSchedule, BudgetStrategy};
 use chiaroscuro_kmeans::init::InitialCentroids;
-use chiaroscuro_kmeans::lloyd::{KMeans, KMeansConfig};
-use chiaroscuro_kmeans::perturbed::{PerturbedKMeans, PerturbedKMeansConfig, Smoothing};
+use chiaroscuro_kmeans::perturbed::Smoothing;
 use chiaroscuro_timeseries::datasets::points2d::Points2dGenerator;
 use chiaroscuro_timeseries::TimeSeries;
 use rand::rngs::StdRng;
@@ -34,26 +34,21 @@ fn main() {
 
     // Standard k-means (Figure 6(a)).
     let mut rng = StdRng::seed_from_u64(seed);
-    let clear = KMeans::new(KMeansConfig { max_iterations: 10, convergence_threshold: 0.0 }).run(&data, &init, &mut rng);
+    let clear = baseline_kmeans(MAX_ITERATIONS).run(&data, &init, &mut rng);
 
     // Perturbed k-means, GREEDY, no smoothing (Figure 6(b)).
-    let perturbed_config = |iterations: usize| PerturbedKMeansConfig {
-        schedule: BudgetSchedule::new(BudgetStrategy::Greedy, 0.69, 10),
-        max_iterations: iterations,
-        convergence_threshold: 0.0,
-        smoothing: Smoothing::None,
-        iteration_churn: 0.0,
-        gossip_error_bound: 0.0,
+    let perturbed_kmeans = |iterations: usize| {
+        let schedule = BudgetSchedule::new(BudgetStrategy::Greedy, PAPER_EPSILON, MAX_ITERATIONS);
+        surrogate_kmeans(schedule, iterations, Smoothing::None, 0.0)
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let perturbed = PerturbedKMeans::new(perturbed_config(10)).run(&data, &init, &mut rng);
+    let perturbed = perturbed_kmeans(MAX_ITERATIONS).run(&data, &init, &mut rng);
     // The paper plots the centroids of the *highest-quality* iteration
     // (iteration 6 in their run): re-run the same seeded execution stopped at
     // the best iteration to recover those centroids.
     let best_iteration = perturbed.pre_post().expect("at least one iteration").best_iteration;
     let mut rng = StdRng::seed_from_u64(seed);
-    let perturbed_best =
-        PerturbedKMeans::new(perturbed_config(best_iteration + 1)).run(&data, &init, &mut rng);
+    let perturbed_best = perturbed_kmeans(best_iteration + 1).run(&data, &init, &mut rng);
 
     let mut summary = Table::new("Fig 6 — summary", &["variant", "best iteration", "intra-cluster inertia", "centroids within 5 units of a true center"]);
     for (name, report) in [("In the clear", &clear), ("Chiaroscuro (GREEDY, no smoothing)", &perturbed_best)] {

@@ -31,154 +31,81 @@
 //! every count by construction, but throughput is not — that is the point
 //! of the sweep.
 
-use std::time::Instant;
-
-use chiaroscuro_bench::workloads::{constant_profile_dataset, profile_levels, SWEEP_SERIES_LEN};
+use chiaroscuro_bench::workloads::{SweepPoint, SweepRun, SWEEP_SERIES_LEN};
 use chiaroscuro_bench::{Args, Json, Table};
 use chiaroscuro_core::prelude::*;
-use chiaroscuro_gossip::sim::{AsyncNetworkConfig, LatencyModel, NetworkModel};
-use chiaroscuro_timeseries::TimeSeries;
 
 struct SweepRow {
+    point: SweepPoint,
     population: usize,
     /// Simulator shard (= worker) count the row ran with.
     sim_shards: usize,
-    wall_secs: f64,
+    peak_rss_mb: Option<f64>,
+}
+
+impl SweepRow {
     /// Device-iterations processed per wall-clock second (population ×
     /// iterations ÷ wall time): the honest throughput unit, since every
     /// iteration re-runs the full per-device pipeline.
-    node_iterations_per_sec: f64,
-    peak_rss_mb: Option<f64>,
-    sum_messages_per_node: f64,
-    dissemination_messages_per_node: f64,
-    payload_units: usize,
-    payload_bytes: usize,
-    gossip_sim_time: f64,
-    peak_in_flight: usize,
-    iterations: usize,
-    epsilon_spent: f64,
-    max_level_error: f64,
-    converged_clusters: usize,
+    fn node_iterations_per_sec(&self) -> f64 {
+        (self.population * self.point.iterations()) as f64 / self.point.wall_secs
+    }
+
+    /// Simulated gossip time summed over the iterations.
+    fn gossip_sim_time(&self) -> f64 {
+        self.point.outcome.network.iter().map(|s| s.gossip_sim_time).sum()
+    }
+
+    /// Largest in-flight count any iteration reached.
+    fn peak_in_flight(&self) -> usize {
+        self.point.outcome.network.iter().map(|s| s.peak_messages_in_flight).max().unwrap_or(0)
+    }
 }
 
 fn main() {
     let args = Args::from_env();
     let min_population = args.get("min-population", 1_000usize);
     let max_population = args.get("max-population", 1_000_000usize);
-    let k = args.get("k", 2usize);
-    let iterations = args.get("iterations", 2usize);
-    let exchanges = args.get("exchanges", 20u32);
-    let key_bits = args.get("key-bits", 1_024u64);
-    let epsilon = args.get("epsilon", 30.0f64);
-    let seed = args.get("seed", 1u64);
-    let median = args.get("median", 0.25f64);
-    let sigma = args.get("sigma", 0.5f64);
+    let shard_counts: Vec<usize> = args.get_list("shard-counts", "1");
     let json_out = args.get_str("json-out", "BENCH_scale.json");
-    let shard_counts: Vec<usize> = args
-        .get_str("shard-counts", "1")
-        .split(',')
-        .map(|s| s.trim().parse().expect("--shard-counts takes a comma-separated list of counts"))
-        .collect();
+    let mut sweep = SweepRun {
+        population: 0,
+        k: args.get("k", 2usize),
+        iterations: args.get("iterations", 2usize),
+        exchanges: args.get("exchanges", 20u32),
+        key_bits: args.get("key-bits", 1_024u64),
+        epsilon: args.get("epsilon", 30.0f64),
+        median: args.get("median", 0.25f64),
+        sigma: args.get("sigma", 0.5f64),
+        sim_shards: 1,
+        adversary: AdversaryModel::NONE,
+        seed: 0,
+    };
+    let seed = args.get("seed", 1u64);
 
     let mut rows = Vec::new();
     let mut population = min_population;
     while population <= max_population {
         for &sim_shards in &shard_counts {
             println!("running {population} nodes with {sim_shards} shard(s)...");
-            rows.push(run_population(
-                population, sim_shards, k, iterations, exchanges, key_bits, epsilon, seed, median,
-                sigma,
-            ));
+            sweep.population = population;
+            sweep.sim_shards = sim_shards;
+            sweep.seed = seed.wrapping_add(population as u64);
+            let point = sweep.run();
+            rows.push(SweepRow {
+                point,
+                population,
+                sim_shards,
+                peak_rss_mb: peak_rss_kb().map(|kb| kb as f64 / 1024.0),
+            });
         }
         population = population.saturating_mul(10);
     }
 
     print_table(&rows);
-    let doc = render_json(&rows, k, iterations, exchanges, key_bits, epsilon, seed, median, sigma);
+    let doc = render_json(&rows, &sweep, seed);
     std::fs::write(&json_out, doc.render()).expect("writing the bench artifact");
     println!("\nwrote {json_out}");
-}
-
-#[allow(clippy::too_many_arguments, reason = "one sweep point: the parsed CLI flags, passed through flat")]
-fn run_population(
-    population: usize,
-    sim_shards: usize,
-    k: usize,
-    iterations: usize,
-    exchanges: u32,
-    key_bits: u64,
-    epsilon: f64,
-    seed: u64,
-    median: f64,
-    sigma: f64,
-) -> SweepRow {
-    let data = constant_profile_dataset(population, k);
-    let levels = profile_levels(k);
-    let init: Vec<TimeSeries> = levels
-        .iter()
-        .enumerate()
-        .map(|(c, &level)| {
-            let offset = if c % 2 == 0 { 6.0 } else { -6.0 };
-            TimeSeries::constant(SWEEP_SERIES_LEN, level + offset)
-        })
-        .collect();
-    let params = ChiaroscuroParams::builder()
-        .k(k)
-        .epsilon(epsilon)
-        .strategy(BudgetStrategy::UniformFast { max_iterations: iterations })
-        .max_iterations(iterations)
-        .key_bits(key_bits)
-        .key_share_threshold(3)
-        .num_noise_shares(population)
-        .exchanges(exchanges)
-        .lane_packing(true)
-        .pool_threads(0)
-        .network(NetworkModel::Async(
-            AsyncNetworkConfig::default()
-                .with_latency(LatencyModel::LogNormal { median, sigma })
-                // Whole-population predicates are O(population) per check:
-                // once per simulated period keeps the dissemination phase
-                // O(population · periods) instead of O(population²).
-                .with_convergence_check_period(1.0),
-        ))
-        .sim_shards(sim_shards)
-        .build();
-
-    let start = Instant::now();
-    let outcome = DistributedRun::<PlaintextSurrogate>::with_backend(params, &data)
-        .with_initial_centroids(init)
-        .execute(seed.wrapping_add(population as u64));
-    let wall_secs = start.elapsed().as_secs_f64();
-
-    let ran_iterations = outcome.report.num_iterations();
-    let mut sorted_levels = levels;
-    sorted_levels.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mut means: Vec<f64> = outcome.centroids().iter().map(|c| c.mean()).collect();
-    means.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let max_level_error = means
-        .iter()
-        .zip(sorted_levels.iter())
-        .map(|(m, l)| (m - l).abs())
-        .fold(0.0f64, f64::max);
-    let last = outcome.network.last().expect("at least one iteration ran");
-
-    SweepRow {
-        population,
-        sim_shards,
-        wall_secs,
-        node_iterations_per_sec: (population * ran_iterations) as f64 / wall_secs,
-        peak_rss_mb: peak_rss_kb().map(|kb| kb as f64 / 1024.0),
-        sum_messages_per_node: last.sum_messages_per_node,
-        dissemination_messages_per_node: last.dissemination_messages_per_node,
-        payload_units: last.sum_payload_ciphertexts,
-        payload_bytes: last.sum_payload_bytes,
-        gossip_sim_time: outcome.network.iter().map(|s| s.gossip_sim_time).sum(),
-        peak_in_flight: outcome.network.iter().map(|s| s.peak_messages_in_flight).max().unwrap_or(0),
-        iterations: ran_iterations,
-        epsilon_spent: outcome.report.total_epsilon(),
-        max_level_error,
-        converged_clusters: outcome.report.iterations.last().map(|i| i.surviving_centroids).unwrap_or(0),
-    }
 }
 
 /// Peak resident-set size of this process in kB (`VmHWM` from
@@ -214,63 +141,48 @@ fn print_table(rows: &[SweepRow]) {
         ],
     );
     for r in rows {
+        let last = r.point.last_network();
         table.row(&[
             r.population.to_string(),
             r.sim_shards.to_string(),
-            format!("{:.1}", r.wall_secs),
-            format!("{:.0}", r.node_iterations_per_sec),
+            format!("{:.1}", r.point.wall_secs),
+            format!("{:.0}", r.node_iterations_per_sec()),
             r.peak_rss_mb.map(|m| format!("{m:.0}")).unwrap_or_else(|| "-".into()),
-            format!("{:.1}", r.sum_messages_per_node + r.dissemination_messages_per_node),
-            r.payload_units.to_string(),
-            format!("{:.2}", r.payload_bytes as f64 / 1_000.0),
-            format!("{:.1}", r.gossip_sim_time),
-            format!("{:.2}", r.max_level_error),
-            r.converged_clusters.to_string(),
-            format!("{:.2}", r.epsilon_spent),
+            format!("{:.1}", last.sum_messages_per_node + last.dissemination_messages_per_node),
+            last.sum_payload_ciphertexts.to_string(),
+            format!("{:.2}", last.sum_payload_bytes as f64 / 1_000.0),
+            format!("{:.1}", r.gossip_sim_time()),
+            format!("{:.2}", r.point.max_level_error),
+            r.point.surviving_clusters().to_string(),
+            format!("{:.2}", r.point.epsilon_spent()),
         ]);
     }
     table.print();
 }
 
-#[allow(clippy::too_many_arguments, reason = "echoes every parsed CLI flag into the JSON header")]
-fn render_json(
-    rows: &[SweepRow],
-    k: usize,
-    iterations: usize,
-    exchanges: u32,
-    key_bits: u64,
-    epsilon: f64,
-    seed: u64,
-    median: f64,
-    sigma: f64,
-) -> Json {
+/// The artifact: the flags in `config`, then one object per row.
+fn render_json(rows: &[SweepRow], sweep: &SweepRun, seed: u64) -> Json {
     let populations: Vec<Json> = rows
         .iter()
         .map(|r| {
+            let last = r.point.last_network();
             Json::object()
                 .set("population", r.population)
                 .set("sim_shards", r.sim_shards)
-                .set("iterations", r.iterations)
-                .set("wall_secs", r.wall_secs)
-                .set("node_iterations_per_sec", r.node_iterations_per_sec)
+                .set("iterations", r.point.iterations())
+                .set("wall_secs", r.point.wall_secs)
+                .set("node_iterations_per_sec", r.node_iterations_per_sec())
                 .set("peak_rss_mb", r.peak_rss_mb)
                 .set(
                     "network",
-                    Json::object()
-                        .set("sum_messages_per_node", r.sum_messages_per_node)
-                        .set("dissemination_messages_per_node", r.dissemination_messages_per_node)
-                        .set("sum_payload_units", r.payload_units)
-                        .set("sum_payload_bytes", r.payload_bytes)
-                        .set("gossip_sim_time", r.gossip_sim_time)
-                        .set("peak_messages_in_flight", r.peak_in_flight),
+                    r.point
+                        .network_json()
+                        .set("sum_payload_units", last.sum_payload_ciphertexts)
+                        .set("sum_payload_bytes", last.sum_payload_bytes)
+                        .set("gossip_sim_time", r.gossip_sim_time())
+                        .set("peak_messages_in_flight", r.peak_in_flight()),
                 )
-                .set(
-                    "quality",
-                    Json::object()
-                        .set("max_level_abs_error", r.max_level_error)
-                        .set("surviving_clusters", r.converged_clusters)
-                        .set("epsilon_spent", r.epsilon_spent),
-                )
+                .set("quality", r.point.quality_json())
         })
         .collect();
     Json::object()
@@ -279,15 +191,15 @@ fn render_json(
             "config",
             Json::object()
                 .set("backend", "plaintext-surrogate")
-                .set("k", k)
+                .set("k", sweep.k)
                 .set("series_length", SWEEP_SERIES_LEN)
-                .set("max_iterations", iterations)
-                .set("exchanges", exchanges)
-                .set("key_bits", key_bits)
-                .set("epsilon", epsilon)
+                .set("max_iterations", sweep.iterations)
+                .set("exchanges", sweep.exchanges)
+                .set("key_bits", sweep.key_bits)
+                .set("epsilon", sweep.epsilon)
                 .set("latency_model", "log-normal")
-                .set("median", median)
-                .set("sigma", sigma)
+                .set("median", sweep.median)
+                .set("sigma", sweep.sigma)
                 .set("seed", seed),
         )
         .set("populations", populations)

@@ -20,7 +20,6 @@ use rand::Rng;
 use chiaroscuro_crypto::backend::{CipherBackend, DamgardJurik};
 use chiaroscuro_crypto::encoding::FixedPointEncoder;
 use chiaroscuro_crypto::packing::PackedEncoder;
-use chiaroscuro_crypto::wire::MeansWireModel;
 use chiaroscuro_timeseries::TimeSeries;
 
 /// The encrypted-mean side of the Diptych for one cluster.
@@ -30,13 +29,6 @@ pub struct EncryptedMean<B: CipherBackend = DamgardJurik> {
     pub sums: Vec<B::Unit>,
     /// Encrypted cardinality of the cluster (`E(σ_count)`).
     pub count: B::Unit,
-}
-
-impl<B: CipherBackend> EncryptedMean<B> {
-    /// Number of measures per mean.
-    pub fn series_length(&self) -> usize {
-        self.sums.len()
-    }
 }
 
 /// The Diptych: cleartext perturbed centroids plus encrypted means.
@@ -86,17 +78,6 @@ impl<B: CipherBackend> Diptych<B> {
             })
             .collect();
         (Self { centroids: centroids.to_vec(), means }, best)
-    }
-
-    /// Number of clusters `k`.
-    pub fn k(&self) -> usize {
-        self.centroids.len()
-    }
-
-    /// The wire-size model for transferring this Diptych's encrypted side.
-    pub fn wire_model(&self, backend: &B) -> MeansWireModel {
-        let measures = self.means.first().map(EncryptedMean::series_length).unwrap_or(0);
-        MeansWireModel::for_backend(backend, self.means.len(), measures, None)
     }
 }
 
@@ -159,26 +140,6 @@ impl<B: CipherBackend> PackedMeans<B> {
         let units = packer.pack(&coordinates).iter().map(|m| backend.encrypt(m, rng)).collect();
         (Self { units }, best)
     }
-
-    /// Number of data units (excluding the shared counter).
-    pub fn len(&self) -> usize {
-        self.units.len()
-    }
-
-    /// Whether the packed means hold no unit (they never do for `k ≥ 1`).
-    pub fn is_empty(&self) -> bool {
-        self.units.is_empty()
-    }
-
-    /// The wire-size model for a packed set of means.
-    pub fn wire_model(
-        backend: &B,
-        k: usize,
-        series_length: usize,
-        packer: &PackedEncoder,
-    ) -> MeansWireModel {
-        MeansWireModel::for_backend(backend, k, series_length, Some(packer.lanes()))
-    }
 }
 
 #[cfg(test)]
@@ -205,7 +166,7 @@ mod tests {
         let series = TimeSeries::new(vec![9.0, 9.5]);
         let (diptych, assigned) = Diptych::initialise(&centroids, &series, &backend, &encoder, &mut rng);
         assert_eq!(assigned, 1);
-        assert_eq!(diptych.k(), 2);
+        assert_eq!(diptych.means.len(), 2);
         // The assigned mean decrypts to the series values; the other decrypts to zeros.
         for (j, &v) in series.values().iter().enumerate() {
             let decoded = encoder.decode(&kp.secret.decrypt(&kp.public, &diptych.means[1].sums[j]), &kp.public);
@@ -220,19 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn wire_model_counts_all_ciphertexts() {
-        let (_kp, backend, encoder, mut rng) = setup();
-        let centroids = vec![TimeSeries::zeros(4), TimeSeries::constant(4, 5.0), TimeSeries::constant(4, 9.0)];
-        let series = TimeSeries::new(vec![5.0, 5.0, 5.0, 5.0]);
-        let (diptych, _) = Diptych::initialise(&centroids, &series, &backend, &encoder, &mut rng);
-        let model = diptych.wire_model(&backend);
-        assert_eq!(model.ciphertexts_per_set(), 3 * (4 + 1));
-        assert!(model.set_bytes() > 0);
-    }
-
-    #[test]
     fn packed_initialise_matches_the_per_coordinate_diptych() {
         use chiaroscuro_crypto::packing::{LaneBudget, PackedEncoder};
+        use chiaroscuro_crypto::wire::MeansWireModel;
         use num_bigint::BigUint;
 
         let (kp, backend, encoder, mut rng) = setup();
@@ -250,9 +201,8 @@ mod tests {
             PackedMeans::initialise(&centroids, &series, &backend, &packer, &mut rng);
         let (diptych, assigned) = Diptych::initialise(&centroids, &series, &backend, &encoder, &mut rng);
         assert_eq!(packed_assigned, assigned, "both paths must agree on the assignment");
-        assert_eq!(packed.len(), packer.ciphertexts_for(k * (n + 1)));
-        assert!(packed.len() < k * (n + 1), "packing must use fewer ciphertexts");
-        assert!(!packed.is_empty());
+        assert_eq!(packed.units.len(), packer.ciphertexts_for(k * (n + 1)));
+        assert!(packed.units.len() < k * (n + 1), "packing must use fewer ciphertexts");
 
         // Decrypt + unpack (single contribution: counter C = 1, one biased
         // vector) and compare with the per-coordinate decodes.
@@ -270,8 +220,8 @@ mod tests {
             assert_eq!(decoded[k * n + cluster], legacy_count, "count {cluster}");
         }
         // The packed wire model reflects the reduced ciphertext count.
-        let model = PackedMeans::wire_model(&backend, k, n, &packer);
-        assert_eq!(model.ciphertexts_per_set(), packed.len() + 1, "data blocks + counter");
+        let model = MeansWireModel::for_backend(&backend, k, n, Some(packer.lanes()));
+        assert_eq!(model.ciphertexts_per_set(), packed.units.len() + 1, "data blocks + counter");
     }
 
     #[test]

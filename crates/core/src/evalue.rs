@@ -46,11 +46,6 @@ impl<B: CipherBackend> BackendVector<B> {
     pub fn is_empty(&self) -> bool {
         false
     }
-
-    /// The backend the units were produced under.
-    pub fn backend(&self) -> &Arc<B> {
-        &self.backend
-    }
 }
 
 impl<B: CipherBackend> Clone for BackendVector<B> {
@@ -84,12 +79,6 @@ impl<B: CipherBackend> EpidemicValue for BackendVector<B> {
 
     fn add_assign(&mut self, other: &Self) {
         self.backend.add_assign(&mut self.units, &other.units);
-    }
-
-    fn payload_units(&self) -> usize {
-        // One gossip message carries the whole vector: its unit count is the
-        // wire payload, and lane packing shrinks exactly this number.
-        self.units.len()
     }
 }
 
@@ -190,7 +179,6 @@ mod tests {
         a.scale_pow2(3);
         a.add_assign(&b);
         assert_eq!(backend.threshold_decrypt(&a.units()[0]), BigUint::from(5u32 * 8 + 7));
-        assert_eq!(a.payload_units(), 1);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! data-independent ever cross a participant boundary; the [`crate::audit`]
 //! log records every transfer so tests can verify requirement R2.
 //!
-//! One deliberate simplification (documented in DESIGN.md): the noise
+//! One deliberate simplification (box 2c of `docs/ARCHITECTURE.md`, "One
+//! `DistributedRun` iteration"): the noise
 //! surplus correction is applied to the decrypted perturbed sums rather than
 //! homomorphically before decryption.  The correction is data- and
 //! noise-independent cleartext, so the security argument (Lemma 3) is

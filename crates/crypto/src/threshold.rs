@@ -16,7 +16,8 @@
 //! the epidemic decryption protocol collects τ *distinct* partial
 //! decryptions.  The cryptographic combination here is exercised with
 //! moderate share counts (tests use ℓ ≤ 32); the protocol-level behaviour at
-//! population scale is simulated in the `gossip` crate (see DESIGN.md §4).
+//! population scale is simulated in the `gossip` crate (`gossip::decryption`;
+//! the §4.2.3 row of `docs/ARCHITECTURE.md`, "Paper-to-crate map").
 
 use num_bigint::{BigUint, RandBigInt};
 use num_traits::One;

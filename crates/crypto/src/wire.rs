@@ -256,7 +256,7 @@ mod tests {
     fn paper_setting_is_order_hundreds_of_kilobytes() {
         // Paper setting: 50 means, 20 measures, 1024-bit key.  The paper
         // reports ~125-145 kB; a Paillier ciphertext is 2x the modulus, so
-        // our model gives about twice that (see EXPERIMENTS.md).
+        // our model gives about twice that.
         let model = MeansWireModel {
             num_means: 50,
             measures_per_mean: 20,

@@ -32,17 +32,6 @@ pub enum BudgetStrategy {
     },
 }
 
-impl BudgetStrategy {
-    /// Short name used in reports and figures ("G", "GF", "UF").
-    pub fn short_name(&self) -> &'static str {
-        match self {
-            BudgetStrategy::Greedy => "G",
-            BudgetStrategy::GreedyFloor { .. } => "GF",
-            BudgetStrategy::UniformFast { .. } => "UF",
-        }
-    }
-}
-
 /// A concrete per-iteration ε schedule for a total budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BudgetSchedule {
@@ -206,13 +195,6 @@ mod tests {
         // (the paper's motivation for the iteration cap).
         let g = BudgetSchedule::new(BudgetStrategy::Greedy, EPS, 20);
         assert!(g.epsilon_for_iteration(15) < 1e-4 * EPS);
-    }
-
-    #[test]
-    fn short_names() {
-        assert_eq!(BudgetStrategy::Greedy.short_name(), "G");
-        assert_eq!(BudgetStrategy::GreedyFloor { floor_size: 4 }.short_name(), "GF");
-        assert_eq!(BudgetStrategy::UniformFast { max_iterations: 5 }.short_name(), "UF");
     }
 
     #[test]

@@ -25,14 +25,6 @@ pub trait EpidemicValue: Clone {
 
     /// Adds `other` into `self` (dimension-wise for vectors).
     fn add_assign(&mut self, other: &Self);
-
-    /// Number of wire payload units (ciphertexts, for the encrypted vectors
-    /// of the real protocol) one copy of this value occupies in a gossip
-    /// message.  Lane-packed vectors report their *packed* ciphertext
-    /// count, so bandwidth accounting reflects the packing factor.
-    fn payload_units(&self) -> usize {
-        1
-    }
 }
 
 /// A plaintext vector of f64s: the mirror implementation used to validate
@@ -54,10 +46,6 @@ impl EpidemicValue for PlainVector {
         for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
             *a += b;
         }
-    }
-
-    fn payload_units(&self) -> usize {
-        self.0.len()
     }
 }
 

@@ -104,11 +104,6 @@ impl<S: io::Read + io::Write> FramedSocketTransport<S> {
     pub fn new(stream: S) -> FramedSocketTransport<S> {
         FramedSocketTransport { stream, sent: 0, received: 0 }
     }
-
-    /// Consumes the transport and returns the underlying stream.
-    pub fn into_inner(self) -> S {
-        self.stream
-    }
 }
 
 impl<S: io::Read + io::Write> Transport for FramedSocketTransport<S> {

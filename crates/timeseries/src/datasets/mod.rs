@@ -11,8 +11,7 @@
 //!
 //! Each generator here reproduces the *shape* that matters for the
 //! experiments: series length, value range (hence DP sensitivity), and the
-//! ground-truth cluster structure.  See DESIGN.md §1 for the substitution
-//! rationale.
+//! ground-truth cluster structure.
 
 pub mod cer;
 pub mod numed;

@@ -14,7 +14,7 @@
 //!   (Definition 1 of the paper) plus cluster assignments;
 //! * [`datasets`] — synthetic generators standing in for the paper's CER
 //!   smart-meter dataset, the NUMED tumor-growth dataset and the A3
-//!   two-dimensional benchmark (see DESIGN.md for the substitution
+//!   two-dimensional benchmark (its module docs give the substitution
 //!   rationale);
 //! * [`stats`] — small statistics helpers shared by the generators and the
 //!   evaluation harness.
