@@ -8,9 +8,13 @@
 //! Usage:
 //!   fig5_local_costs [--means 50] [--measures 20] [--key-bits 1024]
 //!                    [--repetitions 3] [--shares 16] [--threshold 4]
+//!
+//! `--repetitions` ≥ 1, 1 ≤ `--threshold` ≤ `--shares` and `--key-bits` ≥
+//! 20; any other value exits 2 with a message before a key is drawn.
 
 use std::time::Instant;
 
+use chiaroscuro_bench::args::usage_error;
 use chiaroscuro_bench::{Args, Table};
 use chiaroscuro_crypto::encoding::FixedPointEncoder;
 use chiaroscuro_crypto::keys::KeyPair;
@@ -29,6 +33,17 @@ fn main() {
     let repetitions = args.get("repetitions", 3usize);
     let shares = args.get("shares", 16usize);
     let threshold = args.get("threshold", 4usize);
+    if repetitions == 0 {
+        usage_error("invalid --repetitions 0: expected at least 1");
+    }
+    if !(1..=shares).contains(&threshold) {
+        usage_error(&format!("invalid --threshold {threshold}: expected 1 ≤ threshold ≤ shares ({shares})"));
+    }
+    // Two primes of ⌊key-bits/2⌋ bits must make n/2 exceed 80 000, the
+    // largest value drawn below (80 at three decimals).
+    if key_bits < 20 {
+        usage_error(&format!("invalid --key-bits {key_bits}: expected at least 20"));
+    }
 
     eprintln!("# Figure 5 — {means} means x {measures} measures, {key_bits}-bit key, {repetitions} repetitions");
     eprintln!("# (threshold decryption with {shares} shares, tau = {threshold}; the paper assigns one share per device)");

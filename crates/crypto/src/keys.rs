@@ -178,7 +178,7 @@ impl PublicKey {
 
     /// `base^exponent mod n^{s+1}` through the cached Montgomery context —
     /// the batched form every ciphertext-space exponentiation of a run
-    /// should use (one REDC setup for all of them).  Value-identical to
+    /// should use (one Montgomery setup for all of them).  Value-identical to
     /// `base.modpow(exponent, n^{s+1})`.
     pub fn modpow_ciphertext(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
         self.ciphertext_ctx().modpow(base, exponent)

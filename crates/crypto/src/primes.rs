@@ -39,8 +39,8 @@ pub fn is_probably_prime<R: Rng + ?Sized>(candidate: &BigUint, rng: &mut R) -> b
 ///
 /// Every candidate reaching this point is odd (2 belongs to the trial
 /// divisors), so one [`MontgomeryCtx`] serves all `rounds` witness
-/// exponentiations and their follow-up squarings — the per-modulus REDC
-/// setup is paid once per candidate instead of once per modpow.
+/// exponentiations and their follow-up squarings — the per-modulus
+/// Montgomery setup is paid once per candidate instead of once per modpow.
 fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
     let one = BigUint::one();
     let two = BigUint::from(2u32);

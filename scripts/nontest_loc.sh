@@ -3,18 +3,22 @@
 # CHANGES.md quote as "non-test lines in core+gossip(+kmeans)".
 #
 #   scripts/nontest_loc.sh core gossip kmeans
+#   scripts/nontest_loc.sh num-bigint
 #
-# The rule, per file under crates/<crate>/src: every line before the first
-# column-0 `#[cfg(test)]` (the file's test module), minus blank lines and
-# lines holding only a `//`, `///` or `//!` comment.  Prints one line per
-# crate and the total.
+# A name is read from crates/<name>/src, or from shims/<name>/src when no
+# such crate exists.  The rule, per file under that directory: every line
+# before the first column-0 `#[cfg(test)]` (the file's test module), minus
+# blank lines and lines holding only a `//`, `///` or `//!` comment.
+# Prints one line per crate and the total.
 set -eu
 cd "$(dirname "$0")/.."
 [ $# -gt 0 ] || { echo "usage: $0 <crate>..." >&2; exit 2; }
 total=0
 for crate in "$@"; do
-    [ -d "crates/$crate/src" ] || { echo "no such crate: $crate" >&2; exit 2; }
-    lines=$(find "crates/$crate/src" -name '*.rs' -exec awk '
+    src="crates/$crate/src"
+    [ -d "$src" ] || src="shims/$crate/src"
+    [ -d "$src" ] || { echo "no such crate or shim: $crate" >&2; exit 2; }
+    lines=$(find "$src" -name '*.rs' -exec awk '
         FNR == 1 { in_tests = 0 }
         /^#\[cfg\(test\)\]/ { in_tests = 1 }
         in_tests { next }

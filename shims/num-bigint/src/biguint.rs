@@ -400,7 +400,7 @@ impl BigUint {
 
     /// `self^exponent mod modulus`.
     ///
-    /// Odd moduli take the Montgomery/REDC windowed path
+    /// Odd moduli take the Montgomery windowed path
     /// ([`crate::montgomery::MontgomeryCtx`]); even moduli take
     /// [`Self::modpow_schoolbook`].  The two are value-identical on every
     /// input — the differential test battery in

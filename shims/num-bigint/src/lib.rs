@@ -12,7 +12,7 @@
 //! RSA moduli with Damgård–Jurik exponent `s ≤ 2` give `n^{s+1}` ≈ 3072
 //! bits), so quadratic multiplication is the right trade-off — no Karatsuba.
 //! Modular exponentiation, the crypto hot path, additionally ships a
-//! Montgomery/REDC path ([`montgomery::MontgomeryCtx`]) with windowed
+//! Montgomery path ([`montgomery::MontgomeryCtx`]) with windowed
 //! exponentiation that [`BigUint::modpow`] takes for every odd modulus;
 //! the binary schoolbook ladder, [`BigUint::modpow_schoolbook`], serves
 //! even moduli and is the reference the differential test battery

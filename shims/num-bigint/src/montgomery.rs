@@ -3,11 +3,18 @@
 //! The Damgård–Jurik hot path is modular exponentiation over the fixed odd
 //! modulus `n^{s+1}`: thousands of modular multiplications per ciphertext,
 //! each of which the schoolbook path pays for with a full Knuth-D division.
-//! Montgomery's REDC replaces that division with two multiply-accumulate
-//! passes and a conditional subtraction, and a precomputed context
+//! Montgomery reduction folds that division into the multiplication itself,
+//! ending in one conditional subtraction, and a precomputed context
 //! ([`MontgomeryCtx`]) amortises the per-modulus setup (`n' = -n⁻¹ mod 2⁶⁴`
 //! and `R² mod n` with `R = 2^{64·L}`) across every operation on the same
 //! modulus.
+//!
+//! There are two kernels, after Koç, Acar and Kaliski ("Analyzing and
+//! Comparing Montgomery Multiplication Algorithms", IEEE Micro 1996): a
+//! product that multiplies and reduces in one pass per limb, and a square
+//! that scans its product by column, summing each off-diagonal term once
+//! and the reduction terms alongside.  Conversion out of Montgomery form is
+//! the product against 1.
 //!
 //! # Values that stay in Montgomery form
 //!
@@ -69,7 +76,7 @@ impl MontInt {
     }
 }
 
-/// Precomputed per-modulus state for Montgomery multiplication (REDC) and
+/// Precomputed per-modulus state for Montgomery multiplication and
 /// windowed modular exponentiation.
 ///
 /// Construction is a single division (`R² mod n`) plus a word inverse; a
@@ -82,7 +89,7 @@ pub struct MontgomeryCtx {
     modulus: BigUint,
     /// The modulus limbs, length `L ≥ 1`, top limb non-zero.
     n: Vec<u64>,
-    /// `-n⁻¹ mod 2⁶⁴` (the REDC word inverse `n'`).
+    /// `-n⁻¹ mod 2⁶⁴` (the reduction's word inverse `n'`).
     n0_inv: u64,
     /// `R² mod n`, padded to `L` limbs (`R = 2^{64·L}`).
     r2: Vec<u64>,
@@ -147,58 +154,67 @@ fn cmp_fixed(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
 }
 
 /// `out = a - b` over equal-length slices; requires `a >= b` unless the
-/// caller absorbs the returned borrow (the REDC final subtraction does,
-/// via the guaranteed high limb).
+/// caller absorbs the returned borrow (the final subtraction of a kernel
+/// does, via the guaranteed high limb).
 fn sub_fixed(a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
-    let mut borrow = 0i128;
-    for i in 0..a.len() {
-        let d = a[i] as i128 - b[i] as i128 + borrow;
-        out[i] = d as u64;
-        borrow = d >> 64; // arithmetic shift: 0 or -1
+    let mut borrow = false;
+    for ((limb, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        (*limb, borrow) = x.borrowing_sub(y, borrow);
     }
-    borrow.unsigned_abs() as u64
+    u64::from(borrow)
 }
 
-/// Squaring `t[..2·a.len()] = a²` exploiting symmetry: the off-diagonal
-/// products are computed once and doubled, roughly halving the multiply
-/// count against [`mul_into`].  `t` must be zeroed, `2·a.len() + 1` limbs.
-fn sqr_into(a: &[u64], t: &mut [u64]) {
-    let l = a.len();
-    assert!(t.len() == 2 * l + 1);
-    // Off-diagonal half: t += Σ_{i<j} a_i·a_j · 2^{64(i+j)}.
-    for (i, &ai) in a.iter().enumerate() {
-        if ai == 0 {
-            continue;
-        }
-        let (win, hi) = t[2 * i + 1..].split_at_mut(l - i - 1);
-        let mut carry = 0u128;
-        for (tij, &aj) in win.iter_mut().zip(&a[i + 1..]) {
-            let s = *tij as u128 + ai as u128 * aj as u128 + carry;
-            *tij = s as u64;
-            carry = s >> 64;
-        }
-        hi[0] = carry as u64;
+/// One column sum of the product-scanning square: three words, low first
+/// (a column of `L`-limb operands sums fewer than `2L` double words).
+#[derive(Clone, Copy, Default)]
+struct Column([u64; 3]);
+
+impl Column {
+    /// Adds a three-word value.
+    #[inline(always)]
+    fn add(&mut self, [x, y, z]: [u64; 3]) {
+        let (low, carry) = self.0[0].overflowing_add(x);
+        let (mid, carry) = self.0[1].carrying_add(y, carry);
+        self.0 = [low, mid, self.0[2] + z + u64::from(carry)];
     }
-    // Fused pass: t = 2·t + Σ a_i² · 2^{128·i}.  The doubling carry is one
-    // bit per limb; the diagonal addition carries through both limbs of
-    // each a_i² product.  2·offdiag + diag = a² < 2^{128·l}, so the final
-    // carries land in t[2l].
-    let mut dbl_carry = 0u64;
-    let mut add_carry = 0u128;
-    for i in 0..l {
-        let lo = t[2 * i];
-        let hi = t[2 * i + 1];
-        let aa = a[i] as u128 * a[i] as u128;
-        let s0 = (((lo << 1) | dbl_carry) as u128) + (aa as u64 as u128) + add_carry;
-        t[2 * i] = s0 as u64;
-        let s1 = (((hi << 1) | (lo >> 63)) as u128) + (aa >> 64) + (s0 >> 64);
-        t[2 * i + 1] = s1 as u64;
-        add_carry = s1 >> 64;
-        dbl_carry = hi >> 63;
+
+    /// Adds `x·y`.
+    #[inline(always)]
+    fn mac(&mut self, x: u64, y: u64) {
+        let p = x as u128 * y as u128;
+        self.add([p as u64, (p >> 64) as u64, 0]);
     }
-    let top = dbl_carry as u128 + add_carry;
-    t[2 * l] = top as u64;
-    debug_assert_eq!(top >> 64, 0, "a² must fit in 2l+1 limbs");
+
+    /// Adds `Σ xᵢ·yᵢ` over the shorter of two limb runs.
+    #[inline(always)]
+    fn dot(&mut self, x: &[u64], y: &[u64]) {
+        for (&x, &y) in x.iter().zip(y) {
+            self.mac(x, y);
+        }
+    }
+
+    /// Adds column `k` of `a²`: every `aᵢ·aⱼ` with `i < j`, `i + j = k`
+    /// once and doubled, then `a_{k/2}²`.  `rev` is `a` reversed, so both
+    /// runs of the dot product scan forward.
+    #[inline(always)]
+    fn add_square_terms(&mut self, a: &[u64], rev: &[u64], k: usize) {
+        let half = k.div_ceil(2);
+        let mut off_diagonal = Self::default();
+        off_diagonal.dot(&a[k + 1 - half..], &rev[a.len() - half..]);
+        let [x, y, z] = off_diagonal.0;
+        self.add([x << 1, y << 1 | x >> 63, z << 1 | y >> 63]);
+        if k.is_multiple_of(2) {
+            self.mac(a[k / 2], a[k / 2]);
+        }
+    }
+
+    /// Returns the low word and shifts the sum one word down.
+    #[inline(always)]
+    fn shift_out(&mut self) -> u64 {
+        let [low, mid, high] = self.0;
+        self.0 = [mid, high, 0];
+        low
+    }
 }
 
 impl MontgomeryCtx {
@@ -229,82 +245,44 @@ impl MontgomeryCtx {
         self.n.len()
     }
 
-    /// Montgomery reduction: interprets `t` (exactly `2L + 1` limbs, value
-    /// `< n·R + n·R`) as a double-width integer and writes `t·R⁻¹ mod n`
-    /// into `out` (`L` limbs).  Clobbers `t`.
-    fn redc(&self, t: &mut [u64], out: &mut [u64]) {
-        let n = self.n.as_slice();
-        let l = n.len();
-        assert!(t.len() == 2 * l + 1 && out.len() == l);
-        // The overflow out of position `i + l` lands exactly where round
-        // `i + 1` adds its own carry, so a single spill word chains the
-        // rounds together instead of an open-ended ripple loop.
-        let mut column = 0u64;
-        for i in 0..l {
-            let m = t[i].wrapping_mul(self.n0_inv);
-            let (win, hi) = t[i..].split_at_mut(l);
-            let mut carry = 0u128;
-            for (tj, &nj) in win.iter_mut().zip(n) {
-                let s = *tj as u128 + m as u128 * nj as u128 + carry;
-                *tj = s as u64;
-                carry = s >> 64;
-            }
-            let s = hi[0] as u128 + carry + column as u128;
-            hi[0] = s as u64;
-            column = (s >> 64) as u64;
-        }
-        // The running value stays below n·R + n·R < 2^{64·2l + 1}, so the
-        // last spill fits the top limb exactly.
-        let s = t[2 * l] as u128 + column as u128;
-        t[2 * l] = s as u64;
-        debug_assert_eq!(s >> 64, 0, "REDC intermediate exceeded its buffer");
-        // t / R < 2n: at most one final subtraction.
-        self.settle(&t[l..], out);
-    }
-
-    /// `t[..=L] = a·b·R⁻¹ + (0 or n)` over raw `L`-limb slices by fused CIOS
-    /// (coarsely integrated operand scanning): each outer round multiplies
-    /// one limb of `a` in and immediately folds one REDC step, so the
-    /// working set stays at `L + 2` limbs and every intermediate limb is
-    /// touched once per round instead of once per pass.  `t` is scratch of
-    /// at least `L + 2` limbs (clobbered, need not be zeroed on entry); the
-    /// caller finishes with [`Self::settle`], into a third buffer or back
-    /// into `a` — which nothing reads once the scan is over.
+    /// `t[..=L] = a·b·R⁻¹ + (0 or n)` over raw `L`-limb slices, `b ≤ n`, by
+    /// one fused multiply-reduce pass per limb of `a` (finely integrated
+    /// operand scanning): a single inner loop carries `t + aᵢ·b` and
+    /// `+ m·n` on two chains and stores each limb already shifted down one
+    /// word, so the accumulator is read and written once per round.  `t`
+    /// is scratch of at least `L + 1` limbs (clobbered, need not be zeroed
+    /// on entry); the caller finishes with [`Self::settle`], into a third
+    /// buffer or back into `a` — which nothing reads once the scan is over.
     #[inline]
-    fn cios(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
+    fn mul_reduce(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
         let n = self.n.as_slice();
         let l = n.len();
         // One up-front check lets the optimizer drop the per-limb bounds
-        // checks in the hot loops below.
-        assert!(a.len() == l && b.len() == l && t.len() >= l + 2);
-        let t = &mut t[..l + 2];
+        // checks in the hot loop below.
+        assert!(a.len() == l && b.len() == l && t.len() > l);
+        let t = &mut t[..=l];
         t.fill(0);
         for &ai in a {
-            // Multiply step: t += ai · b.
-            let mut carry = 0u128;
-            for (tj, &bj) in t.iter_mut().zip(b) {
-                let s = *tj as u128 + ai as u128 * bj as u128 + carry;
-                *tj = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[l] as u128 + carry;
-            t[l] = s as u64;
-            t[l + 1] = (s >> 64) as u64; // < 2: t stays below 2^{64(l+1)+1}
-            // Reduce step: add m·n to zero the low limb, shift right one.
-            let m = t[0].wrapping_mul(self.n0_inv);
-            let mut carry = (t[0] as u128 + m as u128 * n[0] as u128) >> 64;
+            // Limb 0: m makes t + aᵢ·b + m·n divisible by the word base.
+            let s = t[0] as u128 + ai as u128 * b[0] as u128;
+            let m = (s as u64).wrapping_mul(self.n0_inv);
+            let mut mul_carry = s >> 64;
+            let mut red_carry = (s as u64 as u128 + m as u128 * n[0] as u128) >> 64;
             for j in 1..l {
-                let s = t[j] as u128 + m as u128 * n[j] as u128 + carry;
+                let s = t[j] as u128 + ai as u128 * b[j] as u128 + mul_carry;
+                mul_carry = s >> 64;
+                let s = s as u64 as u128 + m as u128 * n[j] as u128 + red_carry;
+                red_carry = s >> 64;
                 t[j - 1] = s as u64;
-                carry = s >> 64;
             }
-            let s = t[l] as u128 + carry;
+            // t stays below 2n < 2^{64L + 1}: the top limb is 0 or 1.
+            let s = t[l] as u128 + mul_carry + red_carry;
             t[l - 1] = s as u64;
-            t[l] = t[l + 1] + (s >> 64) as u64;
+            t[l] = (s >> 64) as u64;
         }
     }
 
-    /// The one conditional subtraction that ends a CIOS or a REDC: `t` is
+    /// The one conditional subtraction that ends either kernel: `t` is
     /// `L + 1` limbs holding a value below `2n`, `out` receives it mod `n`.
     #[inline]
     fn settle(&self, t: &[u64], out: &mut [u64]) {
@@ -319,25 +297,58 @@ impl MontgomeryCtx {
         }
     }
 
-    /// `out = a·b·R⁻¹ mod n` ([`Self::cios`], settled into `out`).
+    /// `out = a·b·R⁻¹ mod n` ([`Self::mul_reduce`], settled into `out`).
     fn mul_raw(&self, a: &[u64], b: &[u64], t: &mut [u64], out: &mut [u64]) {
-        self.cios(a, b, t);
+        self.mul_reduce(a, b, t);
         self.settle(&t[..=self.n.len()], out);
     }
 
     /// `a = a·b·R⁻¹ mod n` where `a` stands.
     fn mul_assign_raw(&self, a: &mut [u64], b: &[u64], t: &mut [u64]) {
-        self.cios(a, b, t);
+        self.mul_reduce(a, b, t);
         self.settle(&t[..=self.n.len()], a);
     }
 
-    /// `a = a²·R⁻¹ mod n` where `a` stands (squaring-optimised): the
-    /// product is complete in `t`, exactly `2L + 1` limbs of scratch,
-    /// before the reduction writes anything back.
+    /// `a = a²·R⁻¹ mod n` where `a < n` stands, by one product-scanning
+    /// square-reduce on `t`, exactly [`Self::scratch_len`] limbs.  Column
+    /// `k` of `a² + M·n` (`M = Σ mᵢ·2^{64i}`) is summed in one [`Column`]:
+    /// the square's terms, then the reduction terms `mᵢ·n[k−i]`.  Below
+    /// column `L` the sum's low word picks `m_k`, which makes it vanish;
+    /// from column `L` on it is result limb `k − L`.  `t` holds `a`
+    /// reversed, the `mᵢ` from the top down (so that every dot product
+    /// scans forward), and the `L + 1` result limbs settled into `a`.
     fn sqr_assign_raw(&self, a: &mut [u64], t: &mut [u64]) {
-        t.fill(0);
-        sqr_into(a, t);
-        self.redc(t, a);
+        let n = self.n.as_slice();
+        let l = n.len();
+        assert!(a.len() == l && t.len() == self.scratch_len());
+        let (rev, rest) = t.split_at_mut(l);
+        let (m, out) = rest.split_at_mut(l);
+        rev.copy_from_slice(a);
+        rev.reverse();
+        let mut column = Column::default();
+        for k in 0..l {
+            column.add_square_terms(a, rev, k);
+            column.dot(&n[1..], &m[l - k..]);
+            let mk = column.0[0].wrapping_mul(self.n0_inv);
+            m[l - 1 - k] = mk;
+            column.mac(mk, n[0]);
+            column.shift_out();
+        }
+        for k in l..2 * l - 1 {
+            column.add_square_terms(a, rev, k);
+            column.dot(&n[k + 1 - l..], m);
+            out[k - l] = column.shift_out();
+        }
+        // (a² + M·n) / R < 2n: two words remain, the top one 0 or 1.
+        out[l - 1] = column.shift_out();
+        out[l] = column.shift_out();
+        self.settle(out, a);
+    }
+
+    /// Scratch limbs either kernel runs on: the square's reversed operand,
+    /// its `L` reduction words and its `L + 1` result limbs.
+    fn scratch_len(&self) -> usize {
+        3 * self.width() + 1
     }
 
     /// Converts a plain integer (any size — it is reduced modulo `n`
@@ -346,21 +357,22 @@ impl MontgomeryCtx {
         let l = self.width();
         let mut limbs = (x % &self.modulus).to_u64_digits();
         limbs.resize(l, 0);
-        let mut t = vec![0u64; 2 * l + 1];
+        let mut t = vec![0u64; l + 1];
         let mut out = vec![0u64; l];
         self.mul_raw(&limbs, &self.r2, &mut t, &mut out);
         MontInt { limbs: out }
     }
 
-    /// Converts a Montgomery-form value back to a plain integer `< n`.
+    /// Converts a Montgomery-form value back to a plain integer `< n`: the
+    /// product kernel against 1, `x·1·R⁻¹`.
     pub fn from_mont(&self, x: &MontInt) -> BigUint {
         let l = self.width();
         debug_assert_eq!(x.limbs.len(), l, "MontInt from a different context");
-        let mut t = vec![0u64; 2 * l + 1];
-        t[..l].copy_from_slice(&x.limbs);
-        let mut out = vec![0u64; l];
-        self.redc(&mut t, &mut out);
-        BigUint::from_limbs(out)
+        let mut unit = vec![0u64; l];
+        unit[0] = 1;
+        let mut t = vec![0u64; l + 1];
+        self.mul_assign_raw(&mut unit, &x.limbs, &mut t);
+        BigUint::from_limbs(unit)
     }
 
     /// The Montgomery form of 1 (`R mod n`).
@@ -372,19 +384,18 @@ impl MontgomeryCtx {
     pub fn mont_mul(&self, a: &MontInt, b: &MontInt) -> MontInt {
         let l = self.width();
         debug_assert!(a.limbs.len() == l && b.limbs.len() == l);
-        let mut t = vec![0u64; 2 * l + 1];
+        let mut t = vec![0u64; l + 1];
         let mut out = vec![0u64; l];
         self.mul_raw(&a.limbs, &b.limbs, &mut t, &mut out);
         MontInt { limbs: out }
     }
 
-    /// Montgomery square: `mont(a²)`, using the symmetric-product kernel
-    /// (squarings dominate every modpow, so they get the dedicated path).
+    /// Montgomery square: `mont(a²)`, using the square kernel (squarings
+    /// dominate every modpow, so they get the dedicated path).
     pub fn mont_sqr(&self, a: &MontInt) -> MontInt {
-        let l = self.width();
-        debug_assert_eq!(a.limbs.len(), l);
+        debug_assert_eq!(a.limbs.len(), self.width());
         let mut out = a.clone();
-        self.sqr_assign_raw(&mut out.limbs, &mut vec![0u64; 2 * l + 1]);
+        self.sqr_assign_raw(&mut out.limbs, &mut vec![0u64; self.scratch_len()]);
         out
     }
 
@@ -394,7 +405,7 @@ impl MontgomeryCtx {
     /// serves any number of values in turn.  Value-identical to
     /// [`Self::mont_mul`].
     pub fn mont_mul_assign(&self, a: &mut MontInt, b: &MontInt, scratch: &mut Vec<u64>) {
-        scratch.resize(2 * self.width() + 1, 0);
+        scratch.resize(self.scratch_len(), 0);
         self.mul_assign_raw(&mut a.limbs, &b.limbs, scratch);
     }
 
@@ -403,7 +414,7 @@ impl MontgomeryCtx {
     /// `a` as it is.  Value-identical to `count` calls of
     /// [`Self::mont_sqr`].
     pub fn mont_sqr_n_assign(&self, a: &mut MontInt, count: u32, scratch: &mut Vec<u64>) {
-        scratch.resize(2 * self.width() + 1, 0);
+        scratch.resize(self.scratch_len(), 0);
         for _ in 0..count {
             self.sqr_assign_raw(&mut a.limbs, scratch);
         }
@@ -475,7 +486,7 @@ impl MontgomeryCtx {
         let l = self.width();
         let w = Self::window_bits(bits);
         // table[d] = mont(base^d) for every window digit d.
-        let mut t = vec![0u64; 2 * l + 1];
+        let mut t = vec![0u64; self.scratch_len()];
         let mut table: Vec<Vec<u64>> = Vec::with_capacity(1 << w);
         table.push(self.one.clone());
         table.push(base_m.limbs);
@@ -530,7 +541,7 @@ impl MontgomeryCtx {
         let l = self.width();
         let spacing = exponent_bits.div_ceil(u64::from(teeth));
         let mut limbs = vec![0u64; ((1usize << teeth) - 1) * l];
-        let mut t = vec![0u64; 2 * l + 1];
+        let mut t = vec![0u64; self.scratch_len()];
         // base^{2^{tooth·spacing}}, the power tooth `tooth` contributes.
         let mut power = self.to_mont(base).limbs;
         for tooth in 0..teeth {
@@ -571,7 +582,7 @@ impl MontgomeryCtx {
         debug_assert_eq!(table.limbs.len(), ((1 << table.teeth) - 1) * l, "table from a different context");
         let digits = exponent.to_u64_digits();
         let bit = |i: u64| digits.get((i / 64) as usize).map_or(0, |d| (d >> (i % 64)) as usize & 1);
-        let mut t = vec![0u64; 2 * l + 1];
+        let mut t = vec![0u64; self.scratch_len()];
         // Until the first non-zero column the accumulator is the identity.
         let mut acc = self.one.clone();
         let mut started = false;

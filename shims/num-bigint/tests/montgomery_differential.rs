@@ -1,4 +1,4 @@
-//! Differential battery: Montgomery/REDC arithmetic vs the schoolbook
+//! Differential battery: Montgomery arithmetic vs the schoolbook
 //! baseline.
 //!
 //! The crypto substrate trusts `BigUint::modpow` blindly — every
@@ -12,7 +12,8 @@
 //! (`fixed_base_pow` ≡ `MontgomeryCtx::modpow` ≡ `modpow_schoolbook`), and
 //! the in-place kernels a resident value lives on — `mont_mul_assign`,
 //! `mont_sqr_n_assign`, the comb's Montgomery exit and the resident byte
-//! codec — to the allocating ones and to the schoolbook.
+//! codec — to the allocating ones and to the schoolbook.  One deterministic
+//! test drives every carry chain to saturation at limb counts from 1 to 64.
 
 use num_bigint::montgomery::MontgomeryCtx;
 use num_bigint::{BigUint, RandBigInt};
@@ -230,6 +231,45 @@ proptest! {
         let too_wide = all_ones + BigUint::one();
         prop_assert_eq!(ctx.fixed_base_pow(&table, &too_wide), None);
         prop_assert_eq!(ctx.fixed_base_pow_mont(&table, &too_wide), None);
+    }
+}
+
+/// Carry-saturating inputs, every case every run: random moduli almost
+/// never drive a `u128` carry chain or a column sum to its limit, these
+/// do.  Moduli `2^{64L} − 1` (every limb all ones) and `2^{64L−1} + 1`
+/// at limb counts around the word sizes the kernels run at, against the
+/// extreme operands `0, 1, n − 1, n − 2, R mod n, ⌊n/2⌋`.
+#[test]
+fn carry_saturating_moduli_and_operands_match_the_schoolbook() {
+    let one = BigUint::one();
+    for limbs in [1u64, 2, 3, 4, 8, 15, 16, 17, 31, 32, 33, 64] {
+        let r = &one << (64 * limbs);
+        for n in [&r - &one, (&one << (64 * limbs - 1)) + &one] {
+            let ctx = MontgomeryCtx::new(&n).expect("odd modulus");
+            let operands = [BigUint::zero(), one.clone(), &n - &one, &n - 2u32, &r % &n, &n >> 1];
+            let mut scratch = Vec::new();
+            for a in &operands {
+                let am = ctx.to_mont(a);
+                assert_eq!(&ctx.from_mont(&am), a, "round trip, {limbs} limbs");
+                let square = ctx.mont_sqr(&am);
+                assert_eq!(square, ctx.mont_mul(&am, &am), "square vs product, {limbs} limbs");
+                assert_eq!(ctx.from_mont(&square), a * a % &n);
+                let mut power = am.clone();
+                ctx.mont_sqr_n_assign(&mut power, 3, &mut scratch);
+                assert_eq!(ctx.from_mont(&power), a.modpow_schoolbook(&BigUint::from(8u32), &n));
+                for b in &operands {
+                    let bm = ctx.to_mont(b);
+                    let product = ctx.mont_mul(&am, &bm);
+                    assert_eq!(ctx.from_mont(&product), a * b % &n, "product, {limbs} limbs");
+                    let mut in_place = am.clone();
+                    ctx.mont_mul_assign(&mut in_place, &bm, &mut scratch);
+                    assert_eq!(in_place, product);
+                }
+                let table = ctx.fixed_base_table(a, 130, 4);
+                let all_ones = (&one << table.exponent_bits()) - &one;
+                assert_eq!(ctx.fixed_base_pow(&table, &all_ones), Some(a.modpow_schoolbook(&all_ones, &n)));
+            }
+        }
     }
 }
 
