@@ -250,7 +250,6 @@ impl SweepRun {
             .key_share_threshold(3)
             .num_noise_shares(self.population)
             .exchanges(self.exchanges)
-            .lane_packing(true)
             .pool_threads(0)
             .network(NetworkModel::Async(
                 AsyncNetworkConfig::default()
@@ -398,7 +397,6 @@ mod tests {
             .key_share_threshold(3)
             .num_noise_shares(population)
             .exchanges(20)
-            .lane_packing(true)
             .pool_threads(0)
             .network(NetworkModel::Async(
                 AsyncNetworkConfig::default()

@@ -90,7 +90,7 @@ pub(crate) struct NodeSpec {
     /// [`PackedEncoder::plan`] is a pure function, so shipping the inputs
     /// and re-planning on the node yields the coordinator's exact layout
     /// without serialising the encoder itself.
-    pub(crate) packing: Option<(u64, LaneBudget)>,
+    pub(crate) packing: (u64, LaneBudget),
     pub(crate) public: Vec<u8>,
     pub(crate) series: Vec<f64>,
 }
@@ -102,17 +102,12 @@ impl NodeSpec {
         put_u32(&mut buf, self.series_length);
         put_u32(&mut buf, self.encoding_digits);
         put_u32(&mut buf, self.num_noise_shares);
-        match &self.packing {
-            Some((capacity_bits, budget)) => {
-                buf.push(1);
-                put_u64(&mut buf, *capacity_bits);
-                put_u64(&mut buf, budget.contributors as u64);
-                put_u32(&mut buf, budget.doubling_budget);
-                put_f64(&mut buf, budget.max_abs_value);
-                put_u32(&mut buf, budget.biased_vectors);
-            }
-            None => buf.push(0),
-        }
+        let (capacity_bits, budget) = &self.packing;
+        put_u64(&mut buf, *capacity_bits);
+        put_u64(&mut buf, budget.contributors as u64);
+        put_u32(&mut buf, budget.doubling_budget);
+        put_f64(&mut buf, budget.max_abs_value);
+        put_u32(&mut buf, budget.biased_vectors);
         put_u32(&mut buf, self.public.len() as u32);
         buf.extend_from_slice(&self.public);
         put_u32(&mut buf, self.series.len() as u32);
@@ -221,21 +216,17 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
         self.provision.as_ref().expect("the actor must be provisioned (Hello) first")
     }
 
-    fn install(&mut self, spec: NodeSpec) {
-        let backend = Arc::new(
-            B::import_public(&spec.public)
-                .expect("the provisioned public cipher material must be well-formed"),
-        );
-        let encoder = FixedPointEncoder::new(spec.encoding_digits);
-        let packer = spec.packing.as_ref().map(|(capacity_bits, budget)| {
-            PackedEncoder::plan(*capacity_bits, &encoder, budget)
-                .expect("the coordinator validated this lane layout before provisioning")
-        });
-        assert_eq!(spec.series.len(), spec.series_length as usize, "series length mismatch");
+    /// Installs a decoded provisioning spec, or rejects it as a typed error
+    /// when its public material or lane plan cannot be installed.
+    fn install(&mut self, spec: NodeSpec) -> Result<(), FrameError> {
+        let backend = B::import_public(&spec.public)
+            .ok_or(FrameError::BadPayload("public cipher material rejected by the run's backend"))?;
+        let (capacity_bits, budget) = &spec.packing;
+        let packer = PackedEncoder::plan(*capacity_bits, &FixedPointEncoder::new(spec.encoding_digits), budget)
+            .map_err(|_| FrameError::BadPayload("the provisioned lane budget does not fit its capacity"))?;
         self.provision = Some(Provision {
             kit: DeviceKit {
-                backend,
-                encoder,
+                backend: Arc::new(backend),
                 packer,
                 num_noise_shares: spec.num_noise_shares as usize,
             },
@@ -243,6 +234,7 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
             series_length: spec.series_length as usize,
             series: TimeSeries::new(spec.series),
         });
+        Ok(())
     }
 
     /// Builds this device's contribution from its delivered seed — the
@@ -374,7 +366,7 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
     fn handle(&mut self, from: NodeId, event: NodeEvent) -> Result<Vec<(NodeId, NodeEvent)>, FrameError> {
         Ok(match event {
             NodeEvent::Hello { config } => {
-                self.install(NodeSpec::decode(&config)?);
+                self.install(NodeSpec::decode(&config)?)?;
                 Vec::new()
             }
             NodeEvent::IterationStart { payload } => {
@@ -439,7 +431,7 @@ mod tests {
             series_length: 4,
             encoding_digits: 3,
             num_noise_shares: 12,
-            packing: Some((
+            packing: (
                 254,
                 LaneBudget {
                     contributors: 16,
@@ -447,7 +439,7 @@ mod tests {
                     max_abs_value: 80.0,
                     biased_vectors: 2,
                 },
-            )),
+            ),
             public: vec![1, 2, 3, 4, 5],
             series: vec![1.5, -2.25, 0.0, 7.0],
         }
@@ -483,8 +475,8 @@ mod tests {
             provision: Some(Provision {
                 kit: DeviceKit {
                     backend: Arc::clone(backend),
-                    encoder: FixedPointEncoder::new(3),
-                    packer: None,
+                    packer: PackedEncoder::plan(120, &FixedPointEncoder::new(3), &spec().packing.1)
+                        .expect("two contributors' lanes fit 120 bits"),
                     num_noise_shares: 4,
                 },
                 k: K,
@@ -519,7 +511,6 @@ mod tests {
         let actor = provisioned(backend);
         vec![
             (0, spec().encode()),
-            (0, NodeSpec { packing: None, ..spec() }.encode()),
             (1, inputs().encode()),
             (2, encode_correction(42, &[0.25; K * N], &[-1.5, 2.0])),
             (3, actor.readout(false)),
@@ -539,11 +530,9 @@ mod tests {
     }
 
     #[test]
-    fn node_spec_round_trips_with_and_without_packing() {
+    fn node_spec_round_trips() {
         let spec = spec();
         assert_eq!(NodeSpec::decode(&spec.encode()).unwrap(), spec);
-        let legacy = NodeSpec { packing: None, ..spec };
-        assert_eq!(NodeSpec::decode(&legacy.encode()).unwrap(), legacy);
     }
 
     #[test]
@@ -596,13 +585,12 @@ mod tests {
             bad_payload(decode_phase_state(&backend, phase, &bytes, K, N), "trailing");
         }
 
-        // Flag bytes are 0 or 1: packing (offset 16), weight seed (8), and the
-        // readout's correction (24) and units (last byte without units) flags.
+        // Flag bytes are 0 or 1: weight seed (offset 8), and the readout's
+        // correction (24) and units (last byte without units) flags.
         let with_byte = |mut bytes: Vec<u8>, at: usize, value: u8| {
             bytes[at] = value;
             bytes
         };
-        bad_payload(NodeSpec::decode(&with_byte(spec().encode(), 16, 2)), "flag");
         bad_payload(IterationInputs::decode(&with_byte(inputs().encode(), 8, 2), 3, 2), "flag");
         let readout = actor.readout(false);
         let last = readout.len() - 1;
@@ -616,6 +604,34 @@ mod tests {
         put_u32(&mut empty_means, 0);
         empty_means.extend_from_slice(&[0; 8]);
         bad_payload(decode_phase_state(&backend, Phase::Means, &empty_means, K, N), "unit vector");
+
+        // A Hello the node cannot install is a typed error from `handle`,
+        // and the actor stays unprovisioned.
+        let installable = NodeSpec { public: backend.export_public(), ..spec() };
+        let (capacity_bits, budget) = installable.packing;
+        let with_budget = |edit: fn(&mut LaneBudget)| {
+            let mut budget = budget;
+            edit(&mut budget);
+            NodeSpec { packing: (capacity_bits, budget), ..installable.clone() }
+        };
+        let uninstallable = [
+            (with_budget(|b| b.contributors = 0), "lane budget"),
+            (with_budget(|b| b.biased_vectors = 0), "lane budget"),
+            (with_budget(|b| b.max_abs_value = f64::NAN), "magnitude bound"),
+            (NodeSpec { packing: (8, budget), ..installable.clone() }, "capacity"),
+            (NodeSpec { encoding_digits: 16, ..installable.clone() }, "decimal digits"),
+            (NodeSpec { series_length: 5, ..installable.clone() }, "series length"),
+            (NodeSpec { public: vec![1, 2, 3, 4, 5], ..installable.clone() }, "public cipher material"),
+            (NodeSpec { k: 0, ..installable.clone() }, "cluster"),
+            (NodeSpec { series_length: 0, series: Vec::new(), ..installable.clone() }, "measure"),
+        ];
+        let hello = |spec: &NodeSpec| NodeEvent::Hello { config: spec.encode() };
+        assert!(ChiaroscuroNodeActor::<B>::new().handle(0, hello(&installable)).is_ok());
+        for (spec, what) in &uninstallable {
+            let mut actor = ChiaroscuroNodeActor::<B>::new();
+            bad_payload(actor.handle(0, hello(spec)), what);
+            assert!(actor.provision.is_none(), "{what}: a rejected Hello must not provision the actor");
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use chiaroscuro_crypto::backend::CipherBackend;
+use chiaroscuro_crypto::encoding::MAX_DECIMAL_DIGITS;
 use chiaroscuro_crypto::packing::LaneBudget;
 use chiaroscuro_crypto::wire::deserialize_units;
 use chiaroscuro_gossip::dissemination::MinIdState;
@@ -98,32 +99,57 @@ impl<'a> Reader<'a> {
 }
 
 impl NodeSpec {
+    /// Decodes a provisioning payload and rejects every field the node could
+    /// not install: no cluster or no measure, a lane budget
+    /// [`PackedEncoder::plan`] would refuse to plan, more decimal digits
+    /// than an `f64` holds, or a series of the wrong length.  (The public
+    /// material and the lane capacity are checked when the node installs
+    /// them.)
+    ///
+    /// [`PackedEncoder::plan`]: chiaroscuro_crypto::packing::PackedEncoder::plan
     pub(crate) fn decode(bytes: &[u8]) -> Decoded<Self> {
         let mut r = Reader { bytes };
         let k = r.u32()?;
         let series_length = r.u32()?;
         let encoding_digits = r.u32()?;
         let num_noise_shares = r.u32()?;
-        let packing = if r.flag()? {
-            Some((
-                r.u64()?,
-                LaneBudget {
-                    contributors: usize::try_from(r.u64()?)
-                        .map_err(|_| FrameError::BadPayload("contributor count overflows"))?,
-                    doubling_budget: r.u32()?,
-                    max_abs_value: r.f64()?,
-                    biased_vectors: r.u32()?,
-                },
-            ))
-        } else {
-            None
+        let capacity_bits = r.u64()?;
+        let budget = LaneBudget {
+            contributors: usize::try_from(r.u64()?)
+                .map_err(|_| FrameError::BadPayload("contributor count overflows"))?,
+            doubling_budget: r.u32()?,
+            max_abs_value: r.f64()?,
+            biased_vectors: r.u32()?,
         };
         let public_len = r.u32()? as usize;
         let public = r.take(public_len)?.to_vec();
         let series_len = r.u32()? as usize;
         let series = r.f64s(Some(series_len))?;
         r.finish()?;
-        Ok(Self { k, series_length, encoding_digits, num_noise_shares, packing, public, series })
+        if k == 0 || series_length == 0 {
+            return Err(FrameError::BadPayload("a run needs at least one cluster and one measure"));
+        }
+        if budget.contributors == 0 || budget.biased_vectors == 0 {
+            return Err(FrameError::BadPayload("a lane budget needs a contributor and a biased vector"));
+        }
+        if !(budget.max_abs_value.is_finite() && budget.max_abs_value >= 0.0) {
+            return Err(FrameError::BadPayload("a lane budget's magnitude bound must be finite, non-negative"));
+        }
+        if encoding_digits > MAX_DECIMAL_DIGITS {
+            return Err(FrameError::BadPayload("more decimal digits than an f64 holds"));
+        }
+        if series.len() != series_length as usize {
+            return Err(FrameError::BadPayload("series length mismatch"));
+        }
+        Ok(Self {
+            k,
+            series_length,
+            encoding_digits,
+            num_noise_shares,
+            packing: (capacity_bits, budget),
+            public,
+            series,
+        })
     }
 }
 

@@ -269,7 +269,7 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T, B> {
     /// Public material only; the key shares stay with the driver's backend.
     fn provision(&mut self, ctx: &RunContext<'_, B>) {
         let params = &ctx.run.params;
-        let packing = ctx.run.packing_budget().map(|budget| (params.packing_capacity_bits(), budget));
+        let packing = (params.packing_capacity_bits(), ctx.run.packing_budget());
         let public = ctx.kit.backend.export_public();
         for (node, link) in self.links.iter_mut().enumerate() {
             let spec = NodeSpec {
@@ -396,7 +396,7 @@ mod tests {
     use crate::config::ChiaroscuroParams;
     use chiaroscuro_dp::budget::BudgetStrategy;
 
-    fn tiny_setup(lane_packing: bool) -> (TimeSeriesSet, ChiaroscuroParams) {
+    fn tiny_setup() -> (TimeSeriesSet, ChiaroscuroParams) {
         let series = (0..12)
             .map(|i| {
                 if i % 2 == 0 {
@@ -415,7 +415,6 @@ mod tests {
             .num_noise_shares(10)
             .exchanges(8)
             .epsilon(40.0)
-            .lane_packing(lane_packing)
             .strategy(BudgetStrategy::UniformFast { max_iterations: 2 })
             .build();
         (data, params)
@@ -430,61 +429,51 @@ mod tests {
     /// encoding the resulting `ExchangeRequest`.
     #[test]
     fn modeled_socket_payload_bytes_match_an_actual_means_frame() {
-        for lane_packing in [false, true] {
-            let (data, params) = tiny_setup(lane_packing);
-            let run = DistributedRun::<DamgardJurik>::with_backend(params.clone(), &data);
-            let packing = run.plan_packing();
-            let mut rng = StdRng::seed_from_u64(5);
-            let setup = BackendSetup {
-                key_bits: params.key_bits,
-                damgard_jurik_s: params.damgard_jurik_s,
-                population: data.len(),
-                key_share_threshold: params.key_share_threshold,
-                packed_layout: packing.as_ref().map(|p| p.layout()),
-            };
-            let backend = DamgardJurik::setup(&setup, &mut rng);
-            let n = data.series_length();
-            let k = params.k;
+        let (data, params) = tiny_setup();
+        let run = DistributedRun::<DamgardJurik>::with_backend(params.clone(), &data);
+        let packer = run.plan_packing();
+        let mut rng = StdRng::seed_from_u64(5);
+        let setup = BackendSetup {
+            key_bits: params.key_bits,
+            damgard_jurik_s: params.damgard_jurik_s,
+            population: data.len(),
+            key_share_threshold: params.key_share_threshold,
+            packed_layout: Some(packer.layout()),
+        };
+        let backend = DamgardJurik::setup(&setup, &mut rng);
+        let n = data.series_length();
+        let k = params.k;
 
-            let spec = NodeSpec {
-                k: k as u32,
-                series_length: n as u32,
-                encoding_digits: params.encoding_digits,
-                num_noise_shares: params.num_noise_shares as u32,
-                packing: run.packing_budget().map(|b| (params.packing_capacity_bits(), b)),
-                public: backend.export_public(),
-                series: data.series()[0].values().to_vec(),
-            };
-            let mut actor = ChiaroscuroNodeActor::<DamgardJurik>::new();
-            assert!(actor.on_event(COORDINATOR, NodeEvent::Hello { config: spec.encode() }).is_empty());
-            let centroids_flat: Vec<f64> =
-                data.series()[..k].iter().flat_map(|c| c.values().iter().copied()).collect();
-            let inputs = IterationInputs {
-                participant_seed: 99,
-                weight_seed: true,
-                sum_scale: 1.5,
-                count_scale: 0.5,
-                centroids_flat,
-            };
-            actor.on_event(COORDINATOR, NodeEvent::IterationStart { payload: inputs.encode() });
-            let mut replies = actor
-                .on_event(COORDINATOR, NodeEvent::InitiateExchange { phase: Phase::Means, contact: 1 });
-            assert_eq!(replies.len(), 1);
-            let (to, request) = replies.remove(0);
-            assert_eq!(to, 1);
-            let frame = request.into_frame(0, to);
+        let spec = NodeSpec {
+            k: k as u32,
+            series_length: n as u32,
+            encoding_digits: params.encoding_digits,
+            num_noise_shares: params.num_noise_shares as u32,
+            packing: (params.packing_capacity_bits(), run.packing_budget()),
+            public: backend.export_public(),
+            series: data.series()[0].values().to_vec(),
+        };
+        let mut actor = ChiaroscuroNodeActor::<DamgardJurik>::new();
+        assert!(actor.on_event(COORDINATOR, NodeEvent::Hello { config: spec.encode() }).is_empty());
+        let centroids_flat: Vec<f64> =
+            data.series()[..k].iter().flat_map(|c| c.values().iter().copied()).collect();
+        let inputs = IterationInputs {
+            participant_seed: 99,
+            weight_seed: true,
+            sum_scale: 1.5,
+            count_scale: 0.5,
+            centroids_flat,
+        };
+        actor.on_event(COORDINATOR, NodeEvent::IterationStart { payload: inputs.encode() });
+        let mut replies =
+            actor.on_event(COORDINATOR, NodeEvent::InitiateExchange { phase: Phase::Means, contact: 1 });
+        assert_eq!(replies.len(), 1);
+        let (to, request) = replies.remove(0);
+        assert_eq!(to, 1);
+        let frame = request.into_frame(0, to);
 
-            let entries = k * (n + 1);
-            let ciphertexts = match &packing {
-                Some(packer) => 2 * packer.ciphertexts_for(entries) + 1,
-                None => 2 * entries,
-            };
-            let modeled = ciphertexts * backend.unit_bytes() + MEANS_FRAME_OVERHEAD_BYTES;
-            assert_eq!(
-                frame.encoded_len(),
-                modeled,
-                "modeled socket payload must equal the transmitted frame (lane_packing: {lane_packing})"
-            );
-        }
+        let ciphertexts = 2 * packer.ciphertexts_for(k * (n + 1)) + 1;
+        let modeled = ciphertexts * backend.unit_bytes() + MEANS_FRAME_OVERHEAD_BYTES;
+        assert_eq!(frame.encoded_len(), modeled, "modeled socket payload must equal the transmitted frame");
     }
 }

@@ -101,19 +101,6 @@ pub struct ChiaroscuroParams {
     pub key_share_threshold: usize,
     /// Decimal digits preserved by the fixed-point encoding.
     pub encoding_digits: u32,
-    /// Lane-packed plaintext encoding: pack many fixed-point coordinates
-    /// into disjoint bit-lanes of each `Z_{n^s}` plaintext, cutting the
-    /// ciphertexts encrypted, gossiped and threshold-decrypted per
-    /// iteration by the lane factor (`chiaroscuro_crypto::packing`).
-    ///
-    /// `false` (the default) runs the legacy one-ciphertext-per-coordinate
-    /// path.  Decoded results are **bit-identical** either way from the
-    /// same seed — the scenario matrix asserts it — so the knob is purely
-    /// a performance/bandwidth trade-off.  The lane layout is validated up
-    /// front against the population and exchange budget; a combination
-    /// that cannot pack (e.g. a tiny key) or would not beat the legacy
-    /// path (a single-lane layout) is rejected before any encryption.
-    pub lane_packing: bool,
 
     // --- gossip ---
     /// Number of gossip exchanges `ne` per epidemic sum (if `None`, derived
@@ -321,7 +308,6 @@ impl Default for ChiaroscuroParamsBuilder {
                 damgard_jurik_s: 1,
                 key_share_threshold: 3,
                 encoding_digits: 3,
-                lane_packing: false,
                 exchanges_override: None,
                 gossip_error_bound: 1e-3,
                 churn: 0.0,
@@ -452,10 +438,16 @@ impl ChiaroscuroParamsBuilder {
         self
     }
 
-    /// Enables or disables the lane-packed plaintext encoding (off = the
-    /// bit-exact legacy one-ciphertext-per-coordinate path).
-    pub fn lane_packing(mut self, lane_packing: bool) -> Self {
-        self.params.lane_packing = lane_packing;
+    // Lane packing is the only encoding, so this setter has nothing to set:
+    // `chiarobench/src/workloads.rs` still calls `.lane_packing(true)` and
+    // cannot change in a protocol PR; the setter goes when a benchmark PR
+    // drops that call.
+    #[doc(hidden)]
+    pub fn lane_packing(self, lane_packing: bool) -> Self {
+        assert!(
+            lane_packing,
+            "the per-coordinate encoding was removed: lane packing is the only encoding"
+        );
         self
     }
 
@@ -539,6 +531,14 @@ mod tests {
         assert_eq!(p.k, 10);
         assert_eq!(p.epsilon, 0.69);
         p.validate();
+        // The conservative capacity bound is a pure function of the key
+        // parameters: 256-bit Paillier -> 254 packable bits (keygen only
+        // guarantees n >= 2^(key_bits-2), so key_bits-1 would overflow for
+        // ~39% of generated keys).
+        assert_eq!(p.packing_capacity_bits(), 254);
+        let mut dj2 = p.clone();
+        dj2.damgard_jurik_s = 2;
+        assert_eq!(dj2.packing_capacity_bits(), 508);
     }
 
     #[test]
@@ -631,18 +631,9 @@ mod tests {
     }
 
     #[test]
-    fn lane_packing_knob_round_trips() {
-        assert!(!ChiaroscuroParams::builder().build().lane_packing, "legacy path by default");
-        let p = ChiaroscuroParams::builder().lane_packing(true).build();
-        assert!(p.lane_packing);
-        // The conservative capacity bound is a pure function of the key
-        // parameters: 256-bit Paillier -> 254 packable bits (keygen only
-        // guarantees n >= 2^(key_bits-2), so key_bits-1 would overflow for
-        // ~39% of generated keys).
-        assert_eq!(p.packing_capacity_bits(), 254);
-        let mut dj2 = p.clone();
-        dj2.damgard_jurik_s = 2;
-        assert_eq!(dj2.packing_capacity_bits(), 508);
+    #[should_panic(expected = "per-coordinate encoding was removed")]
+    fn lane_packing_setter_refuses_the_removed_encoding() {
+        let _ = ChiaroscuroParams::builder().lane_packing(true).lane_packing(false);
     }
 
     #[test]

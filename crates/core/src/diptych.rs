@@ -9,7 +9,13 @@
 //!   both additively-homomorphically encrypted, with the data-independent
 //!   weight in the clear.
 //!
-//! Both Diptych shapes are generic over the [`CipherBackend`]: under the
+//! The run encrypts the means side lane-packed ([`PackedMeans`]): the same
+//! `k·(n+1)` coordinates, `L` per unit.  The per-coordinate shape
+//! (`Diptych`, one unit per coordinate) is off the run path; it stays as the
+//! reference the packed initialisation is tested against and for a
+//! benchmark probe.
+//!
+//! Both shapes are generic over the [`CipherBackend`]: under the
 //! default [`DamgardJurik`] backend the units are real ciphertexts; under
 //! the plaintext surrogate they are the exact integers those ciphertexts
 //! would decrypt to, letting million-node protocol simulations skip the
@@ -22,7 +28,13 @@ use chiaroscuro_crypto::encoding::FixedPointEncoder;
 use chiaroscuro_crypto::packing::PackedEncoder;
 use chiaroscuro_timeseries::TimeSeries;
 
+// The per-coordinate Diptych is off the run path: `chiarobench/src/layers.rs`
+// times `Diptych::initialise` as `crypto.contribution_legacy_ms` and cannot
+// change in a protocol PR, so `EncryptedMean` and `Diptych` stay until a
+// benchmark PR retires that probe.  The test below keeps the per-coordinate
+// initialisation as the packed one's reference.
 /// The encrypted-mean side of the Diptych for one cluster.
+#[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct EncryptedMean<B: CipherBackend = DamgardJurik> {
     /// Encrypted dimension-wise sum of the cluster (`E(σ_sum)`, length n).
@@ -31,7 +43,9 @@ pub struct EncryptedMean<B: CipherBackend = DamgardJurik> {
     pub count: B::Unit,
 }
 
-/// The Diptych: cleartext perturbed centroids plus encrypted means.
+/// The Diptych: cleartext perturbed centroids plus encrypted means, one
+/// unit per coordinate.
+#[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct Diptych<B: CipherBackend = DamgardJurik> {
     /// The cleartext, differentially-private centroids `C`.
@@ -82,8 +96,8 @@ impl<B: CipherBackend> Diptych<B> {
 }
 
 /// Index of the centroid closest to `series` (ties to the smallest index) —
-/// the assignment step of Algorithm 1, shared by the per-coordinate and
-/// lane-packed Diptych initialisations.
+/// the assignment step of Algorithm 1, shared by the lane-packed and
+/// per-coordinate Diptych initialisations.
 pub fn closest_centroid(centroids: &[TimeSeries], series: &TimeSeries) -> usize {
     assert!(!centroids.is_empty());
     let mut best = 0usize;
@@ -98,9 +112,9 @@ pub fn closest_centroid(centroids: &[TimeSeries], series: &TimeSeries) -> usize 
     best
 }
 
-/// The lane-packed encrypted side of a participant's initial Diptych: the
-/// same `k·(n+1)` coordinates as the [`EncryptedMean`]s (all sums
-/// cluster-major, then all counts) packed into `⌈k·(n+1)/L⌉` units.
+/// The lane-packed encrypted side of a participant's initial Diptych: its
+/// `k·(n+1)` means coordinates (all sums cluster-major, then all counts)
+/// packed into `⌈k·(n+1)/L⌉` units.
 ///
 /// The counter unit of the packed overflow contract is **not** part of
 /// this struct: one counter serves a whole gossip contribution (means
@@ -114,14 +128,12 @@ pub struct PackedMeans<B: CipherBackend = DamgardJurik> {
 }
 
 impl<B: CipherBackend> PackedMeans<B> {
-    /// Lane-packed counterpart of [`Diptych::initialise`]: the local series
-    /// is packed into the coordinates of its closest centroid's mean (count
-    /// 1), every other coordinate is zero, and the whole flat vector is
-    /// encrypted `L` lanes at a time.
+    /// Builds a participant's initial means for one iteration (Algorithm 1,
+    /// assignment step): the local series is packed into the coordinates of
+    /// its closest centroid's mean (count 1), every other coordinate is
+    /// zero, and the whole flat vector is encrypted `L` lanes at a time.
     ///
-    /// Returns the packed means and the assignment index, exactly like the
-    /// per-coordinate path (the assignment is a pure function of the
-    /// centroids, so both paths always agree).
+    /// Returns the packed means and the assignment index.
     pub fn initialise<R: Rng + ?Sized>(
         centroids: &[TimeSeries],
         local_series: &TimeSeries,
@@ -132,8 +144,7 @@ impl<B: CipherBackend> PackedMeans<B> {
         let k = centroids.len();
         let n = local_series.len();
         let best = closest_centroid(centroids, local_series);
-        // Flat coordinate layout shared with the legacy path: all sums
-        // cluster-major, then all counts.
+        // Flat coordinate layout: all sums cluster-major, then all counts.
         let mut coordinates = vec![0.0f64; k * (n + 1)];
         coordinates[best * n..(best + 1) * n].copy_from_slice(local_series.values());
         coordinates[k * n + best] = 1.0;

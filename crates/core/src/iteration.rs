@@ -33,7 +33,6 @@ use num_bigint::BigUint;
 use rand::Rng;
 
 use chiaroscuro_crypto::backend::{BackendSetup, CipherBackend};
-use chiaroscuro_crypto::encoding::FixedPointEncoder;
 use chiaroscuro_crypto::packing::PackedEncoder;
 use chiaroscuro_dp::laplace::LaplaceMechanism;
 use chiaroscuro_gossip::churn::ChurnModel;
@@ -43,30 +42,27 @@ use chiaroscuro_timeseries::inertia::Assignment;
 use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
 
 use crate::audit::{DataClass, SecurityAudit};
-use crate::diptych::{Diptych, PackedMeans};
+use crate::diptych::PackedMeans;
 use crate::noise::{NoiseCorrection, NoiseShareVector};
 use crate::runner::{DistributedRun, IterationNetworkStats, RunOutcome};
 
 /// What a device holds, beyond its own series, to build its contribution:
-/// the cipher backend (public material suffices) and the encoding plan.
+/// the cipher backend (public material suffices) and the lane plan.
 #[derive(Debug)]
 pub(crate) struct DeviceKit<B: CipherBackend> {
     pub(crate) backend: Arc<B>,
-    pub(crate) encoder: FixedPointEncoder,
-    /// The lane-packed encoder, or `None` on the legacy
-    /// one-unit-per-coordinate path.
-    pub(crate) packer: Option<PackedEncoder>,
+    pub(crate) packer: PackedEncoder,
     pub(crate) num_noise_shares: usize,
 }
 
 /// One device's assignment step: the label of its closest centroid and its
-/// flat contribution vector.
+/// flat contribution vector — `⌈k·(n+1)/L⌉` means units, as many
+/// noise-share units (same lane layout, so the driver can add them
+/// pairwise before decryption), and one shared counter unit for the
+/// accumulated bias.
 ///
 /// The device stream comes off `participant_seed` and is split into a noise
-/// sub-stream and an encryption sub-stream, so noise draws are identical
-/// whichever encoding path runs (the packed path encrypts fewer units;
-/// interleaving noise with encryption would desynchronise the two
-/// pipelines and break their bit-equality).
+/// sub-stream and an encryption sub-stream (`crate::seedmix::device_streams`).
 pub(crate) fn device_contribution<B: CipherBackend>(
     kit: &DeviceKit<B>,
     centroids: &[TimeSeries],
@@ -76,42 +72,19 @@ pub(crate) fn device_contribution<B: CipherBackend>(
     count_scale: f64,
 ) -> (usize, Vec<B::Unit>) {
     let (k, n) = (centroids.len(), series.len());
-    let backend: &B = &kit.backend;
+    let DeviceKit { backend, packer, num_noise_shares } = kit;
     let mut streams = crate::seedmix::device_streams(participant_seed);
-    let noise =
-        NoiseShareVector::generate(k, n, sum_scale, count_scale, kit.num_noise_shares, &mut streams.noise);
+    let noise = NoiseShareVector::generate(k, n, sum_scale, count_scale, *num_noise_shares, &mut streams.noise);
     let mut device_rng = streams.encryption;
-    if let Some(packer) = &kit.packer {
-        // Lane-packed contribution: ⌈k·(n+1)/L⌉ means units, as many
-        // noise-share units (same lane layout, so the driver can add them
-        // pairwise before decryption), and one shared counter unit for the
-        // accumulated bias.
-        let (means, assigned) =
-            PackedMeans::initialise(centroids, series, backend, packer, &mut device_rng);
-        let mut flat = means.units;
-        flat.reserve(flat.len() + 1);
-        for m in packer.pack(&noise.flatten()) {
-            flat.push(backend.encrypt(&m, &mut device_rng));
-        }
-        flat.push(backend.encrypt(&packer.counter_plaintext(), &mut device_rng));
-        (assigned, flat)
-    } else {
-        let (diptych, assigned) =
-            Diptych::initialise(centroids, series, backend, &kit.encoder, &mut device_rng);
-        // Flatten: all sum units (cluster-major), then all counts, then the
-        // device's encrypted noise shares in the same layout.
-        let mut flat: Vec<B::Unit> = Vec::with_capacity(2 * k * (n + 1));
-        for mean in &diptych.means {
-            flat.extend(mean.sums.iter().cloned());
-        }
-        for mean in &diptych.means {
-            flat.push(mean.count.clone());
-        }
-        for share in noise.flatten() {
-            flat.push(backend.encrypt(&backend.encode(&kit.encoder, share), &mut device_rng));
-        }
-        (assigned, flat)
+    let (means, assigned) =
+        PackedMeans::initialise(centroids, series, backend.as_ref(), packer, &mut device_rng);
+    let mut flat = means.units;
+    flat.reserve(flat.len() + 1);
+    for m in packer.pack(&noise.flatten()) {
+        flat.push(backend.encrypt(&m, &mut device_rng));
     }
+    flat.push(backend.encrypt(&packer.counter_plaintext(), &mut device_rng));
+    (assigned, flat)
 }
 
 /// Everything the bootstrap fixes for the whole run, handed to each
@@ -122,8 +95,7 @@ pub(crate) struct RunContext<'a, B: CipherBackend> {
     /// The dealer-side backend (it holds the key shares) and encoding plan.
     pub(crate) kit: DeviceKit<B>,
     /// Units in one contribution vector, i.e. in one epidemic-sum message:
-    /// `2·k·(n+1)` on the legacy path; lane packing divides the data part
-    /// by the lane count and adds one counter unit.
+    /// `2·⌈k·(n+1)/L⌉ + 1` (means, noise shares, counter).
     pub(crate) contribution_units: usize,
     pub(crate) pool: rayon::ThreadPool,
     pub(crate) churn: ChurnModel,
@@ -217,13 +189,13 @@ where
         damgard_jurik_s: params.damgard_jurik_s,
         population,
         key_share_threshold: params.key_share_threshold,
-        packed_layout: packer.as_ref().map(|p| p.layout()),
+        packed_layout: Some(packer.layout()),
     };
     let backend = Arc::new(B::setup(&setup, rng));
     // Pay for derived lookup state (Montgomery contexts) up front,
     // outside the per-iteration accounting.
     backend.precompute();
-    if let (Some(packer), Some(capacity)) = (&packer, backend.plaintext_capacity_bits()) {
+    if let Some(capacity) = backend.plaintext_capacity_bits() {
         // The layout was planned from the pre-keygen capacity bound;
         // re-check it against the modulus actually generated so a packed
         // plaintext can never reach n^s (belt and braces — the conservative
@@ -254,16 +226,8 @@ where
     let entries = k * (n + 1);
     let ctx = RunContext {
         run,
-        contribution_units: match &packer {
-            Some(packer) => 2 * packer.ciphertexts_for(entries) + 1,
-            None => 2 * entries,
-        },
-        kit: DeviceKit {
-            backend,
-            encoder: FixedPointEncoder::new(params.encoding_digits),
-            packer,
-            num_noise_shares: params.num_noise_shares,
-        },
+        contribution_units: 2 * packer.ciphertexts_for(entries) + 1,
+        kit: DeviceKit { backend, packer, num_noise_shares: params.num_noise_shares },
         pool: rayon::ThreadPoolBuilder::new()
             .num_threads(params.pool_threads)
             .build()
@@ -322,7 +286,7 @@ where
         let Self { ctx, exec, rng, adversary, audit, network } = self;
         let ctx = *ctx;
         let params = &ctx.run.params;
-        let DeviceKit { backend, encoder, packer, .. } = &ctx.kit;
+        let DeviceKit { backend, packer, .. } = &ctx.kit;
         let population = data.len();
         let n = data.series_length();
         let k = params.k;
@@ -391,33 +355,24 @@ where
         audit.record_n(iteration, "noise correction proposal", DataClass::DataIndependent, population);
 
         // --- Computation step (c): perturbation and threshold decryption. ---
-        // Each unit is independent: one homomorphic add of the means part
-        // and the noise part (same epidemic scaling because they travelled
-        // in the same vector), then one threshold decryption.  No
-        // randomness is involved, so the parallel map is trivially
+        // Each data unit is independent: one homomorphic add of the means
+        // part and the noise part (same lane layout and epidemic scaling,
+        // because they travelled in the same vector), then one threshold
+        // decryption; the counter recovers the accumulated bias (2·B·C:
+        // means and noise are both biased) and feeds the overflow guard.
+        // No randomness is involved, so the parallel map is trivially
         // deterministic.
-        let mut decrypted: Vec<f64> = match packer {
-            Some(packer) => {
-                // Packed: ⌈entries/L⌉ perturbed data units plus the counter
-                // — an ~L× cut in threshold decryptions.  The counter
-                // recovers the accumulated bias (2·B·C: means and noise are
-                // both biased) and feeds the overflow guard.
-                let blocks = packer.ciphertexts_for(entries);
-                let plaintexts: Vec<BigUint> = ctx.pool.map_range(blocks + 1, |i| {
-                    if i < blocks {
-                        backend.threshold_decrypt(&backend.add(&cts[i], &cts[blocks + i]))
-                    } else {
-                        backend.threshold_decrypt(&cts[2 * blocks])
-                    }
-                });
-                let counter = &plaintexts[blocks];
-                packer.unpack(&plaintexts[..blocks], entries, counter, 2).iter().map(|v| v / weight).collect()
+        let blocks = packer.ciphertexts_for(entries);
+        let plaintexts: Vec<BigUint> = ctx.pool.map_range(blocks + 1, |i| {
+            if i < blocks {
+                backend.threshold_decrypt(&backend.add(&cts[i], &cts[blocks + i]))
+            } else {
+                backend.threshold_decrypt(&cts[2 * blocks])
             }
-            None => ctx.pool.map_range(entries, |i| {
-                let perturbed = backend.add(&cts[i], &cts[entries + i]);
-                backend.decode(encoder, &backend.threshold_decrypt(&perturbed)) / weight
-            }),
-        };
+        });
+        let counter = &plaintexts[blocks];
+        let mut decrypted: Vec<f64> =
+            packer.unpack(&plaintexts[..blocks], entries, counter, 2).iter().map(|v| v / weight).collect();
         audit.record(iteration, "partial decryptions of perturbed means", DataClass::DifferentiallyPrivate);
 
         // The correction is laid out like the decrypted vector: k·n sums,
@@ -450,9 +405,8 @@ where
             dissemination_converged: dissemination_stats.converged,
             noise_share_deficit,
             sum_payload_ciphertexts: ctx.contribution_units,
-            // One gossip message carries one whole contribution vector
-            // (where lane packing's saving is visible); its byte size
-            // follows the backend's honest unit size.
+            // One gossip message carries one whole contribution vector; its
+            // byte size follows the backend's honest unit size.
             sum_payload_bytes: ctx.contribution_units * backend.unit_bytes(),
             gossip_sim_time: sum_stats.sim_time + counter_stats.sim_time + dissemination_stats.sim_time,
             peak_messages_in_flight: sum_stats

@@ -7,7 +7,7 @@
 //!   (Table 2);
 //! * [`diptych`] — the Diptych data structure (Definition 6): cleartext
 //!   differentially-private centroids on one side, additively-homomorphic
-//!   encrypted means on the other (per-coordinate or lane-packed);
+//!   encrypted means on the other, lane-packed ([`PackedMeans`]);
 //! * [`evalue`] — the encrypted-mean vector as an epidemic value, i.e. the
 //!   bridge between the cipher backend and the EESum gossip rule
 //!   (Algorithm 2), generic over

@@ -88,9 +88,9 @@
 //! # Parallel execution
 //!
 //! The two crypto hot spots — the per-participant Diptych/noise encryption
-//! (every participant's work is independent) and the `k·(n+1)` threshold
-//! decryptions (every ciphertext's τ partial decryptions + combine are
-//! independent) — run on a scoped thread pool sized by
+//! (every participant's work is independent) and the `⌈k·(n+1)/L⌉ + 1`
+//! threshold decryptions (every ciphertext's τ partial decryptions +
+//! combine are independent) — run on a scoped thread pool sized by
 //! [`ChiaroscuroParams::pool_threads`].  Determinism is preserved by
 //! construction: every participant encrypts under its own RNG stream whose
 //! seed is drawn from the master RNG *before* dispatch, and decryption
@@ -99,17 +99,16 @@
 //!
 //! # Lane packing
 //!
-//! With [`ChiaroscuroParams::lane_packing`] enabled the same hot spots run
-//! over lane-packed ciphertexts (`chiaroscuro_crypto::packing`): each
-//! participant encrypts `2·⌈k·(n+1)/L⌉ + 1` ciphertexts instead of
-//! `2·k·(n+1)`, gossip messages shrink by the same factor, and only
+//! The hot spots run over lane-packed ciphertexts
+//! (`chiaroscuro_crypto::packing`), the run's one encoding: each
+//! participant encrypts `2·⌈k·(n+1)/L⌉ + 1` units (means, noise shares and
+//! the bias counter), gossip messages carry that many, and
 //! `⌈k·(n+1)/L⌉ + 1` threshold decryptions recover all perturbed values.
-//! Noise sampling is seeded independently of encryption randomness, so the
-//! packed and legacy pipelines consume identical noise and decode
-//! **bit-identical** centroids from the same seed — packing composes with
-//! `pool_threads`, and both equalities are asserted by the scenario matrix.
-//! Plaintext backends *require* lane packing: its per-lane biases are what
-//! represent negative noise shares without modular arithmetic.
+//! The lane layout is planned from the parameters before key generation;
+//! a configuration whose worst-case lane sum cannot fit the key is rejected
+//! by [`DistributedRun::new`].  Per-lane biases are also what represent
+//! negative noise shares without modular arithmetic, which lets the
+//! plaintext surrogate carry the same units.
 
 use std::marker::PhantomData;
 
@@ -169,9 +168,8 @@ pub struct IterationNetworkStats {
     /// below its calibrated scale for this iteration.
     pub noise_share_deficit: usize,
     /// Payload units carried by one epidemic-sum gossip message (the whole
-    /// contribution vector).  `2·k·(n+1)` on the legacy path; lane packing
-    /// divides the data part by the lane count and adds one counter unit,
-    /// so this is where the bandwidth saving shows.
+    /// contribution vector): `2·⌈k·(n+1)/L⌉ + 1` for `L` lanes per unit —
+    /// the means and noise-share units plus the bias counter.
     pub sum_payload_ciphertexts: usize,
     /// Bytes of one epidemic-sum gossip payload under the run's cipher
     /// backend: `sum_payload_ciphertexts` × the backend's honest per-unit
@@ -310,7 +308,8 @@ impl<'a> DistributedRun<'a> {
     /// # Panics
     /// Panics if the population is smaller than 2, than the key-share
     /// threshold, or than the expected number of noise shares `nν` (see
-    /// [`ChiaroscuroParams::validate_for_population`]).
+    /// [`ChiaroscuroParams::validate_for_population`]), or if no lane
+    /// layout fits the key (see [`Self::with_backend`]).
     pub fn new(params: ChiaroscuroParams, data: &'a TimeSeriesSet) -> Self {
         Self::with_backend(params, data)
     }
@@ -320,9 +319,11 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     /// Creates a run over `data` under an explicit cipher backend.
     ///
     /// # Panics
-    /// Panics under the conditions of [`DistributedRun::new`], and when a
-    /// plaintext backend is selected without lane packing (per-lane biases
-    /// are the surrogate's only representation of negative noise shares).
+    /// Panics under the population conditions of [`DistributedRun::new`],
+    /// and when the worst-case lane sum of the run cannot fit the key: the
+    /// epidemic doubling allowance grows with the exchange count, so a
+    /// 256-bit key over 16 participants plans up to 24 exchanges and
+    /// rejects 25.
     pub fn with_backend(params: ChiaroscuroParams, data: &'a TimeSeriesSet) -> Self {
         assert!(data.len() >= 2, "Chiaroscuro needs at least two participants");
         assert!(
@@ -332,12 +333,6 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
         if let Err(e) = params.validate_for_population(data.len()) {
             panic!("{e}");
         }
-        assert!(
-            B::ENCRYPTED || params.lane_packing,
-            "the {} backend requires lane_packing: lane biases are its only \
-             representation of negative noise shares",
-            B::NAME
-        );
         let run = Self { params, data, initial_centroids: None, _backend: PhantomData };
         // Up-front lane validation (mirroring validate_for_population): an
         // overflowing lane configuration is rejected here, before any key
@@ -346,8 +341,7 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
         run
     }
 
-    /// Plans the lane-packed encoder for this run, or `None` when
-    /// [`ChiaroscuroParams::lane_packing`] is off.
+    /// Plans the lane-packed encoder for this run.
     ///
     /// The layout is a pure function of the parameters and the dataset
     /// bounds — the same plan validates the configuration in
@@ -361,44 +355,26 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     /// law for both engines with its own regression tests — so 8 per round
     /// plus slack leaves a wide margin.  Should a freak schedule ever
     /// exceed it anyway, the decode-time guard in `PackedEncoder::unpack`
-    /// fails loudly instead of corrupting lanes.
+    /// fails loudly instead of corrupting lanes.  A layout may hold a
+    /// single lane: one coordinate per unit plus the counter.
     ///
     /// # Panics
-    /// Panics if packing is enabled but no lane layout fits the key size.
-    pub(crate) fn plan_packing(&self) -> Option<PackedEncoder> {
-        let budget = self.packing_budget()?;
+    /// Panics if no lane layout fits the key size.
+    pub(crate) fn plan_packing(&self) -> PackedEncoder {
+        let budget = self.packing_budget();
         let encoder = FixedPointEncoder::new(self.params.encoding_digits);
-        match PackedEncoder::plan(self.params.packing_capacity_bits(), &encoder, &budget) {
-            Ok(packer) => {
-                // A single-lane layout is arithmetically valid but strictly
-                // worse than the legacy path (same data ciphertexts plus a
-                // counter).  The knob promises a performance win, so a
-                // configuration that cannot deliver one is rejected loudly
-                // instead of silently inflating every phase.
-                assert!(
-                    packer.lanes() >= 2,
-                    "lane_packing is enabled but the configuration cannot pack: the layout \
-                     degenerates to a single {}-bit lane in the {}-bit capacity, which would \
-                     cost more than the legacy path; use a larger key, fewer gossip \
-                     exchanges, or disable lane_packing",
-                    packer.layout().lane_bits,
-                    self.params.packing_capacity_bits(),
-                );
-                Some(packer)
-            }
-            Err(e) => panic!("lane_packing is enabled but the configuration cannot pack: {e}"),
-        }
+        PackedEncoder::plan(self.params.packing_capacity_bits(), &encoder, &budget).unwrap_or_else(|e| {
+            let exchanges = self.params.effective_exchanges(self.data.len(), self.data.series_length());
+            panic!("a {}-bit key cannot pack {exchanges} gossip exchanges: {e}", self.params.key_bits)
+        })
     }
 
-    /// The lane budget [`Self::plan_packing`] plans with, or `None` when
-    /// lane packing is off.  Exposed crate-internally so the actor driver
-    /// can ship these five scalars in its provisioning event and have each
-    /// node re-derive the coordinator's exact layout (the plan is a pure
-    /// function of the budget and the encoder).
-    pub(crate) fn packing_budget(&self) -> Option<LaneBudget> {
-        if !self.params.lane_packing {
-            return None;
-        }
+    /// The lane budget [`Self::plan_packing`] plans with.  Exposed
+    /// crate-internally so the actor driver can ship these five scalars in
+    /// its provisioning event and have each node re-derive the
+    /// coordinator's exact layout (the plan is a pure function of the
+    /// budget and the encoder).
+    pub(crate) fn packing_budget(&self) -> LaneBudget {
         let population = self.data.len();
         let n = self.data.series_length();
         let exchanges = self.params.effective_exchanges(population, n);
@@ -420,12 +396,12 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
                     .magnitude_bound(),
             );
         let range_magnitude = self.data.range().min.abs().max(self.data.range().max.abs());
-        Some(LaneBudget {
+        LaneBudget {
             contributors: population,
             doubling_budget: 8 * exchanges + 32,
             max_abs_value: range_magnitude.max(1.0).max(noise_bound),
             biased_vectors: 2, // the means vector plus the noise-share vector
-        })
+        }
     }
 
     /// Provides explicit initial centroids (otherwise `k` series are drawn
@@ -495,8 +471,7 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
         };
         let mut labels = Vec::with_capacity(population);
         self.means = if !B::ENCRYPTED {
-            let layout =
-                ctx.kit.packer.as_ref().expect("plaintext backends require lane packing").layout();
+            let layout = ctx.kit.packer.layout();
             let value_bits = layout.lanes as u64 * layout.lane_bits;
             let limbs_per_unit = value_bits.div_ceil(64) as usize + 1;
             let mut arena =
@@ -849,40 +824,30 @@ mod tests {
         assert!(named.starts_with("report.iterations[1].post_inertia"), "{named}");
     }
 
+    /// Centroid bit patterns as `f64::to_bits`, cluster by cluster.
+    fn centroid_bits(outcome: &RunOutcome) -> Vec<Vec<u64>> {
+        outcome.centroids().iter().map(|c| c.values().iter().map(|v| v.to_bits()).collect()).collect()
+    }
+
     #[test]
     fn lane_packed_and_legacy_runs_are_bit_exact() {
         // The packing contract: packing changes how many ciphertexts carry
-        // the data, never a single decoded bit.  Same seed -> identical
-        // centroids, and the packed gossip payload is a fraction of legacy.
+        // the data, never a single decoded bit.  The expected bits are the
+        // centroids the per-coordinate encoding decoded from this seed
+        // (20 ciphertexts per message) before lane packing became the only
+        // encoding.
+        const PER_COORDINATE: [[u64; 4]; 2] = [
+            [0x4044_9822_0686_946f, 0x4044_a2c8_2655_8300, 0x4044_358a_fdd0_9469, 0x4044_986c_34ab_1073],
+            [0x41ac_9c38_0000_0000; 4],
+        ];
         let data = tiny_dataset(16);
         // 8 exchanges keep the epidemic doubling allowance small enough for
         // the 256-bit test key to fit two lanes per plaintext.
-        let legacy = {
-            let mut params = tiny_params(2, 2);
-            params.exchanges_override = Some(8);
-            params.lane_packing = false;
-            DistributedRun::new(params, &data).execute(29)
-        };
-        let packed = {
-            let mut params = tiny_params(2, 2);
-            params.exchanges_override = Some(8);
-            params.lane_packing = true;
-            DistributedRun::new(params, &data).execute(29)
-        };
-        let legacy_values: Vec<Vec<f64>> =
-            legacy.centroids().iter().map(|c| c.values().to_vec()).collect();
-        let packed_values: Vec<Vec<f64>> =
-            packed.centroids().iter().map(|c| c.values().to_vec()).collect();
-        assert_eq!(legacy_values, packed_values, "lane packing must not change any decoded value");
-        assert_eq!(legacy.report.num_iterations(), packed.report.num_iterations());
-        assert_eq!(legacy.audit.events().len(), packed.audit.events().len());
-        let legacy_payload = legacy.network[0].sum_payload_ciphertexts;
-        let packed_payload = packed.network[0].sum_payload_ciphertexts;
-        assert_eq!(legacy_payload, 2 * 2 * (4 + 1), "legacy carries 2·k·(n+1) ciphertexts");
-        assert!(
-            packed_payload < legacy_payload,
-            "packing must shrink the gossip payload ({packed_payload} vs {legacy_payload})"
-        );
+        let mut params = tiny_params(2, 2);
+        params.exchanges_override = Some(8);
+        let packed = DistributedRun::new(params, &data).execute(29);
+        assert_eq!(centroid_bits(&packed), PER_COORDINATE, "lane packing must not change any decoded value");
+        assert_eq!(packed.network[0].sum_payload_ciphertexts, 2 * 5 + 1, "two lanes: 2·⌈k·(n+1)/2⌉ + 1");
     }
 
     #[test]
@@ -894,7 +859,6 @@ mod tests {
         let run = |pool_threads: usize| {
             let mut params = tiny_params(2, 2);
             params.exchanges_override = Some(8);
-            params.lane_packing = true;
             params.pool_threads = pool_threads;
             DistributedRun::new(params, &data).execute(31)
         };
@@ -914,7 +878,6 @@ mod tests {
             let mut params = tiny_params(2, 2);
             params.exchanges_override = Some(8);
             params.churn = 0.3;
-            params.lane_packing = true;
             DistributedRun::new(params, &data).execute(37)
         };
         let a = run();
@@ -934,7 +897,6 @@ mod tests {
         let make_params = || {
             let mut params = tiny_params(2, 2);
             params.exchanges_override = Some(8);
-            params.lane_packing = true;
             params
         };
         let crypto = DistributedRun::new(make_params(), &data).execute(47);
@@ -972,7 +934,6 @@ mod tests {
         let make_params = || {
             let mut params = tiny_params(2, 2);
             params.exchanges_override = Some(8);
-            params.lane_packing = true;
             params.network = NetworkModel::Async(
                 AsyncNetworkConfig::default()
                     .with_latency(LatencyModel::LogNormal { median: 0.3, sigma: 0.5 }),
@@ -1015,13 +976,10 @@ mod tests {
             .key_share_threshold(4)
             .num_noise_shares(2_000)
             .exchanges(14)
-            .lane_packing(true)
             .strategy(BudgetStrategy::UniformFast { max_iterations: 2 })
             .epsilon(40.0)
             .build();
-        let packer = DistributedRun::<PlaintextSurrogate>::with_backend(params, &data)
-            .plan_packing()
-            .expect("lane packing is on");
+        let packer = DistributedRun::<PlaintextSurrogate>::with_backend(params, &data).plan_packing();
         let value_bits = packer.layout().lanes as u64 * packer.layout().lane_bits;
         let limbs_per_unit = value_bits.div_ceil(64) as usize + 1;
         let units = 2 * packer.ciphertexts_for(4 * (8 + 1)) + 1;
@@ -1071,15 +1029,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires lane_packing")]
-    fn surrogate_without_lane_packing_is_rejected() {
-        let data = tiny_dataset(16);
-        let mut params = tiny_params(2, 1);
-        params.lane_packing = false;
-        let _ = DistributedRun::<PlaintextSurrogate>::with_backend(params, &data);
-    }
-
-    #[test]
     #[should_panic(expected = "cannot pack")]
     fn overflowing_lane_configuration_is_rejected_at_validation() {
         // A 64-bit key cannot absorb the worst-case lane accumulation: the
@@ -1088,21 +1037,41 @@ mod tests {
         let data = tiny_dataset(16);
         let mut params = tiny_params(2, 1);
         params.key_bits = 64;
-        params.lane_packing = true;
         let _ = DistributedRun::new(params, &data);
     }
 
     #[test]
-    #[should_panic(expected = "single")]
-    fn single_lane_configuration_is_rejected_at_validation() {
-        // 12 exchanges at a 256-bit key leave room for exactly one lane:
-        // arithmetically fine, but strictly worse than the legacy path
-        // (every data ciphertext plus a counter), so the performance knob
-        // must refuse instead of silently inflating every phase.
+    fn single_lane_configuration_runs_and_decodes() {
+        // 12 exchanges at a 256-bit key leave room for exactly one lane: one
+        // coordinate per unit plus the counter.  The run decodes the
+        // centroids the per-coordinate encoding decoded from this seed.
+        const PER_COORDINATE: [[u64; 4]; 2] = [
+            [0x4023_bc00_2192_13d0, 0x4027_d62f_3f78_c56b, 0x4026_f57e_ecf0_f624, 0x4025_e77b_f8fc_b42d],
+            [0x4051_5a0b_5644_db05, 0x4051_5d36_766b_171f, 0x4051_5e90_cab2_24bb, 0x4051_9fda_a4ed_d20d],
+        ];
         let data = tiny_dataset(16);
-        let mut params = tiny_params(2, 1); // .exchanges(12)
-        params.lane_packing = true;
-        let _ = DistributedRun::new(params, &data);
+        let run = DistributedRun::new(tiny_params(2, 2), &data) // .exchanges(12)
+            .with_initial_centroids(vec![TimeSeries::constant(4, 20.0), TimeSeries::constant(4, 60.0)]);
+        assert_eq!(run.plan_packing().lanes(), 1);
+        let outcome = run.execute(7);
+        assert_eq!(centroid_bits(&outcome), PER_COORDINATE);
+        assert_eq!(outcome.network[0].sum_payload_ciphertexts, 2 * 2 * (4 + 1) + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 256-bit key cannot pack 25 gossip exchanges")]
+    fn a_256_bit_key_plans_24_exchanges_and_rejects_25() {
+        // The doubling allowance is 8·exchanges + 32 bits: 24 exchanges
+        // still leave one lane in the 254 packable bits, 25 leave none, and
+        // the run refuses before any key generation.
+        let data = tiny_dataset(16);
+        let with_exchanges = |exchanges| {
+            let mut params = tiny_params(2, 1);
+            params.exchanges_override = Some(exchanges);
+            params
+        };
+        assert_eq!(DistributedRun::new(with_exchanges(24), &data).plan_packing().lanes(), 1);
+        let _ = DistributedRun::new(with_exchanges(25), &data);
     }
 
     #[test]

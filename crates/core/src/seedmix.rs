@@ -35,9 +35,9 @@ pub struct DeviceStreams {
 /// Splits one participant seed into the noise and encryption sub-streams.
 ///
 /// The noise stream is seeded from the *first* draw and the encryption
-/// stream from the *second*; noise generation therefore never perturbs
-/// the encryption stream, so the packed and legacy encoding paths (which
-/// encrypt different unit counts) still consume bit-identical noise.
+/// stream from the *second*, so noise generation never perturbs the
+/// encryption stream.  The split stays although one encoding remains:
+/// merging or reordering the two streams shifts every pinned value.
 #[expect(clippy::disallowed_methods, reason = "D3: the named device-level seed helper")]
 pub fn device_streams(participant_seed: u64) -> DeviceStreams {
     let mut device_rng = StdRng::seed_from_u64(participant_seed);

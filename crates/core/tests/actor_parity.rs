@@ -2,8 +2,8 @@
 //! per-node actors (`DistributedRun::via_actors`) reproduces the monolithic
 //! `DistributedRun::execute` **bit for bit** from the same seed — identical
 //! centroid values, identical per-iteration network statistics, identical
-//! audit events — under both transports and under every encoding path
-//! (lane-packed Damgård–Jurik, legacy Damgård–Jurik, plaintext surrogate).
+//! audit events — under both transports and both cipher backends
+//! (Damgård–Jurik and the plaintext surrogate).
 //! Both paths are executors of one iteration driver; these tests pin that
 //! the two executors consume the master RNG identically, to the last draw.
 
@@ -27,7 +27,7 @@ fn dataset(population: usize) -> TimeSeriesSet {
     TimeSeriesSet::new(series, ValueRange::new(0.0, 80.0))
 }
 
-fn params(lane_packing: bool, churn: f64) -> ChiaroscuroParams {
+fn params(churn: f64) -> ChiaroscuroParams {
     ChiaroscuroParams::builder()
         .k(2)
         .max_iterations(2)
@@ -37,7 +37,6 @@ fn params(lane_packing: bool, churn: f64) -> ChiaroscuroParams {
         .exchanges(8)
         .churn(churn)
         .epsilon(40.0)
-        .lane_packing(lane_packing)
         .strategy(BudgetStrategy::UniformFast { max_iterations: 2 })
         .build()
 }
@@ -70,24 +69,24 @@ fn assert_localbus_parity<B: CipherBackend>(
 
 #[test]
 fn localbus_actors_reproduce_the_packed_crypto_monolith_bit_for_bit() {
-    assert_localbus_parity::<DamgardJurik>(params(true, 0.25), &dataset(14), 42);
+    assert_localbus_parity::<DamgardJurik>(params(0.25), &dataset(14), 42);
 }
 
 #[test]
-fn localbus_actors_reproduce_the_legacy_crypto_monolith_bit_for_bit() {
-    assert_localbus_parity::<DamgardJurik>(params(false, 0.0), &dataset(12), 7);
+fn localbus_actors_reproduce_the_churn_free_crypto_monolith_bit_for_bit() {
+    assert_localbus_parity::<DamgardJurik>(params(0.0), &dataset(12), 7);
 }
 
 #[test]
 fn localbus_actors_reproduce_the_surrogate_monolith_bit_for_bit() {
-    assert_localbus_parity::<PlaintextSurrogate>(params(true, 0.25), &dataset(16), 9);
+    assert_localbus_parity::<PlaintextSurrogate>(params(0.25), &dataset(16), 9);
 }
 
 /// A convergence threshold no displacement can exceed: both executors must
 /// take the convergence break at iteration 0, leaving no draw behind it.
 #[test]
 fn both_executors_break_at_the_same_early_convergence() {
-    let early = ChiaroscuroParams { convergence_threshold: f64::MAX, ..params(true, 0.25) };
+    let early = ChiaroscuroParams { convergence_threshold: f64::MAX, ..params(0.25) };
     let outcome = assert_localbus_parity::<DamgardJurik>(early, &dataset(14), 5);
     assert!(outcome.report.converged);
     assert_eq!(outcome.report.iterations.len(), 1);
@@ -97,7 +96,7 @@ fn both_executors_break_at_the_same_early_convergence() {
 /// both executors must stop on the exhausted budget, unconverged.
 #[test]
 fn both_executors_stop_when_the_budget_is_exhausted() {
-    let starved = ChiaroscuroParams { max_iterations: 4, ..params(false, 0.25) };
+    let starved = ChiaroscuroParams { max_iterations: 4, ..params(0.25) };
     let outcome = assert_localbus_parity::<DamgardJurik>(starved, &dataset(12), 13);
     assert!(!outcome.report.converged);
     assert_eq!(outcome.report.iterations.len(), 2);
@@ -111,7 +110,7 @@ fn both_executors_stop_when_the_budget_is_exhausted() {
 #[test]
 fn adversary_byzantine_mix_is_bit_identical_across_executors() {
     let byzantine =
-        ChiaroscuroParams { adversary: AdversaryModel::mixed(0.25, 1), ..params(true, 0.25) };
+        ChiaroscuroParams { adversary: AdversaryModel::mixed(0.25, 1), ..params(0.25) };
     let data = dataset(16);
     assert!(!byzantine.adversary.is_byzantine(0) && (0..16).any(|i| byzantine.adversary.is_byzantine(i)));
     let outcome = assert_localbus_parity::<DamgardJurik>(byzantine, &data, 21);
@@ -129,7 +128,7 @@ fn adversary_with_a_byzantine_node_zero_is_bit_identical_across_executors() {
     for salt in [0, 3, 7, 10, 11] {
         let adversary = AdversaryModel::mixed(0.25, salt);
         assert!(adversary.is_byzantine(0), "salt {salt} must mark node 0");
-        let byzantine = ChiaroscuroParams { adversary, ..params(true, 0.25) };
+        let byzantine = ChiaroscuroParams { adversary, ..params(0.25) };
         let faults =
             assert_localbus_parity::<PlaintextSurrogate>(byzantine, &data, 21 + salt).audit.fault_stats();
         assert!(faults.injected_total() > 0, "salt {salt}: a quarter of 16 nodes must inject");
@@ -142,7 +141,7 @@ fn adversary_with_a_byzantine_node_zero_is_bit_identical_across_executors() {
 fn adversary_eclipse_is_bit_identical_across_executors() {
     let eclipsed = ChiaroscuroParams {
         adversary: AdversaryModel { eclipse: 0.3, ..AdversaryModel::NONE },
-        ..params(true, 0.25)
+        ..params(0.25)
     };
     let outcome = assert_localbus_parity::<PlaintextSurrogate>(eclipsed, &dataset(16), 9);
     let faults = outcome.audit.fault_stats();
@@ -156,8 +155,8 @@ fn adversary_eclipse_is_bit_identical_across_executors() {
 #[test]
 fn socket_actors_match_the_monolith_and_report_the_frame_overhead() {
     let data = dataset(12);
-    let monolith = DistributedRun::new(params(true, 0.0), &data).execute(11);
-    let socket_params = ChiaroscuroParams { transport: TransportKind::UnixSocket, ..params(true, 0.0) };
+    let monolith = DistributedRun::new(params(0.0), &data).execute(11);
+    let socket_params = ChiaroscuroParams { transport: TransportKind::UnixSocket, ..params(0.0) };
     let actors = DistributedRun::new(socket_params, &data).via_actors(11);
     assert_eq!(actors.first_divergence(&monolith, MEANS_FRAME_OVERHEAD_BYTES), None);
 }
@@ -168,9 +167,9 @@ fn socket_actors_match_the_monolith_and_report_the_frame_overhead() {
 #[test]
 fn in_memory_and_socket_transports_agree() {
     let data = dataset(12);
-    let in_memory = DistributedRun::new(params(false, 0.25), &data).via_actors(3);
+    let in_memory = DistributedRun::new(params(0.25), &data).via_actors(3);
     let socket_params =
-        ChiaroscuroParams { transport: TransportKind::UnixSocket, ..params(false, 0.25) };
+        ChiaroscuroParams { transport: TransportKind::UnixSocket, ..params(0.25) };
     let socket = DistributedRun::new(socket_params, &data).via_actors(3);
     assert_eq!(socket.first_divergence(&in_memory, MEANS_FRAME_OVERHEAD_BYTES), None);
 }

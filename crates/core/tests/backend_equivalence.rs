@@ -47,7 +47,6 @@ fn params(k: usize, churn: f64, asynchronous: bool) -> ChiaroscuroParams {
         .exchanges(8)
         .churn(churn)
         .epsilon(40.0)
-        .lane_packing(true)
         .strategy(BudgetStrategy::UniformFast { max_iterations: 2 })
         .build()
 }

@@ -72,8 +72,10 @@ pub struct BackendSetup<'a> {
     pub population: usize,
     /// Key-share threshold τ.
     pub key_share_threshold: usize,
-    /// The lane-packed plaintext layout the run will use, when lane packing
-    /// is enabled.  Plaintext backends size their wire units from it.
+    /// The lane-packed plaintext layout the run will use; plaintext
+    /// backends size their wire units from it.  The run always passes one;
+    /// the `Option` stays because `chiarobench/src/workloads.rs` builds a
+    /// setup with `None` and cannot change in a protocol PR.
     pub packed_layout: Option<&'a PackedLayout>,
 }
 
@@ -154,12 +156,14 @@ pub trait CipherBackend: std::fmt::Debug + Send + Sync + Sized + 'static {
     /// the million-unit arena fill never clones big integers.
     fn plaintext_of<'a>(&self, unit: &'a Self::Unit) -> &'a BigUint;
 
+    // The per-coordinate encoding is off the run path (lane packing is the
+    // only encoding); `chiarobench/src/layers.rs` still encodes through this
+    // method for its `crypto.contribution_legacy_ms` probe and cannot change
+    // in a protocol PR, so it stays until a benchmark PR retires that probe.
     /// Fixed-point-encodes a signed value into the backend's plaintext
     /// space (modular negatives for encrypted backends).
+    #[doc(hidden)]
     fn encode(&self, encoder: &FixedPointEncoder, value: f64) -> BigUint;
-
-    /// Reverses [`CipherBackend::encode`] after homomorphic accumulation.
-    fn decode(&self, encoder: &FixedPointEncoder, plaintext: &BigUint) -> f64;
 
     /// Wire size of one unit in bytes — a ciphertext for encrypted
     /// backends, the honest packed-plaintext payload for surrogates.
@@ -287,10 +291,6 @@ impl CipherBackend for DamgardJurik {
         encoder.encode(value, &self.public)
     }
 
-    fn decode(&self, encoder: &FixedPointEncoder, plaintext: &BigUint) -> f64 {
-        encoder.decode(plaintext, &self.public)
-    }
-
     fn unit_bytes(&self) -> usize {
         self.public.ciphertext_bytes()
     }
@@ -327,8 +327,9 @@ impl CipherBackend for DamgardJurik {
 /// accounting (`crate::packing`) makes every value non-negative, so no
 /// modulus is needed and the decoded sums are *bit-identical* to a crypto
 /// run from the same seed (setup replays the key-generation draws — see
-/// the module docs).  Requires lane packing: the legacy per-coordinate
-/// encoding represents negatives modularly, which has no plaintext analogue.
+/// the module docs).  The per-coordinate encoding represents negatives
+/// modularly, which has no plaintext analogue, so `CipherBackend::encode`
+/// panics here.
 #[derive(Debug, Clone)]
 pub struct PlaintextSurrogate {
     /// Honest wire size of one unit in bits: the lane payload actually
@@ -352,8 +353,8 @@ impl CipherBackend for PlaintextSurrogate {
         let _ = draw_blinding_coefficients(&sharing_modulus, config.key_share_threshold, rng);
         let payload_bits = match config.packed_layout {
             Some(layout) => layout.lanes as u64 * layout.lane_bits,
-            // No packed layout (rejected by the runner, but keep the wire
-            // model meaningful): the full conservative plaintext capacity.
+            // No packed layout (only a benchmark setup passes none): the
+            // full conservative plaintext capacity.
             None => u64::from(config.damgard_jurik_s) * (config.key_bits - 2),
         };
         Self { payload_bits }
@@ -387,16 +388,8 @@ impl CipherBackend for PlaintextSurrogate {
     fn encode(&self, _encoder: &FixedPointEncoder, _value: f64) -> BigUint {
         panic!(
             "the plaintext surrogate represents signed values via lane-packed biases \
-             only; enable lane_packing (the legacy modular-negative encoding has no \
-             plaintext analogue)"
-        );
-    }
-
-    fn decode(&self, _encoder: &FixedPointEncoder, _plaintext: &BigUint) -> f64 {
-        panic!(
-            "the plaintext surrogate represents signed values via lane-packed biases \
-             only; enable lane_packing (the legacy modular-negative encoding has no \
-             plaintext analogue)"
+             only: the per-coordinate modular-negative encoding has no plaintext \
+             analogue (lane_packing is the run's only encoding)"
         );
     }
 

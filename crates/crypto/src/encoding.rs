@@ -27,6 +27,10 @@ use crate::keys::PublicKey;
 /// Default number of decimal digits preserved by the fixed-point encoding.
 pub const DEFAULT_DECIMAL_DIGITS: u32 = 3;
 
+/// The most decimal digits a [`FixedPointEncoder`] preserves (beyond
+/// this, `10^digits` exceeds `f64` precision).
+pub const MAX_DECIMAL_DIGITS: u32 = 15;
+
 /// A fixed-point encoder bound to a public key's plaintext space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FixedPointEncoder {
@@ -38,9 +42,12 @@ impl FixedPointEncoder {
     /// Creates an encoder preserving `decimal_digits` decimal digits.
     ///
     /// # Panics
-    /// Panics if `decimal_digits > 15` (beyond f64 precision).
+    /// Panics if `decimal_digits > MAX_DECIMAL_DIGITS` (beyond f64 precision).
     pub fn new(decimal_digits: u32) -> Self {
-        assert!(decimal_digits <= 15, "more than 15 decimal digits exceeds f64 precision");
+        assert!(
+            decimal_digits <= MAX_DECIMAL_DIGITS,
+            "more than {MAX_DECIMAL_DIGITS} decimal digits exceeds f64 precision"
+        );
         Self { scale: 10u64.pow(decimal_digits) }
     }
 

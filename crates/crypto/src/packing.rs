@@ -125,8 +125,8 @@ impl std::fmt::Display for PackingError {
                 f,
                 "lane packing infeasible: one lane needs {required_bits} bits to absorb the \
                  worst-case homomorphic sum but the plaintext space only offers \
-                 {available_bits}; use a larger key, fewer decimal digits, or disable \
-                 lane_packing"
+                 {available_bits}; use a larger key, fewer gossip exchanges, or fewer \
+                 decimal digits"
             ),
             PackingError::MagnitudeOverflow { magnitude_bits } => write!(
                 f,

@@ -63,7 +63,6 @@ mod unix {
             .num_noise_shares(POPULATION)
             .exchanges(8)
             .epsilon(40.0)
-            .lane_packing(true)
             .strategy(BudgetStrategy::UniformFast { max_iterations: 2 })
             .build()
     }

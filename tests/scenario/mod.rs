@@ -66,10 +66,6 @@ pub struct ScenarioSpec {
     /// the lane-packing scenarios use 8 so the 256-bit test keys fit more
     /// than one lane under the epidemic doubling allowance).
     pub exchanges: u32,
-    /// Lane-packed plaintext encoding for the distributed run.  Must be
-    /// bit-identical to the legacy path — the matrix asserts packed-vs-
-    /// legacy equality explicitly.
-    pub lane_packing: bool,
     /// Gossip delivery model: lockstep rounds (the default) or the
     /// event-driven asynchronous simulator with per-edge latency, loss and
     /// crash/rejoin.  The matrix asserts async scenarios reach the same
@@ -86,7 +82,6 @@ pub struct ScenarioSpec {
     /// of Damgård–Jurik.  Backend setup preserves RNG parity, so surrogate
     /// scenarios decode the *same* centroids as crypto scenarios from the
     /// same seed — which is what licenses the 100k+-node scale scenarios.
-    /// Requires `lane_packing`.
     pub surrogate: bool,
     /// Paper-scale key size override (surrogate scale scenarios use
     /// 1024-bit layouts so the lane plan fits 100k-node budgets).
@@ -157,7 +152,6 @@ impl ScenarioSpec {
             .exchanges(self.exchanges)
             .churn(self.churn)
             .pool_threads(self.pool_threads)
-            .lane_packing(self.lane_packing)
             .network(self.network.clone())
             .adversary(self.adversary);
         if self.sim_shards > 1 {

@@ -33,7 +33,6 @@ fn baseline() -> ScenarioSpec {
         check_structure: true,
         pool_threads: 1,
         exchanges: 14,
-        lane_packing: false,
         network: NetworkModel::Rounds,
         sim_shards: 1,
         surrogate: false,
@@ -64,7 +63,6 @@ fn scenario_churn_uniform_fast() {
         check_structure: true,
         pool_threads: 1,
         exchanges: 14,
-        lane_packing: false,
         network: NetworkModel::Rounds,
         sim_shards: 1,
         surrogate: false,
@@ -90,7 +88,6 @@ fn scenario_three_clusters_larger_population() {
         check_structure: true,
         pool_threads: 1,
         exchanges: 14,
-        lane_packing: false,
         network: NetworkModel::Rounds,
         sim_shards: 1,
         surrogate: false,
@@ -119,7 +116,6 @@ fn scenario_tight_budget_greedy_floor() {
         check_structure: false,
         pool_threads: 1,
         exchanges: 14,
-        lane_packing: false,
         network: NetworkModel::Rounds,
         sim_shards: 1,
         surrogate: false,
@@ -146,7 +142,6 @@ fn scenario_churn_and_tight_budget_combined() {
         check_structure: false,
         pool_threads: 1,
         exchanges: 14,
-        lane_packing: false,
         network: NetworkModel::Rounds,
         sim_shards: 1,
         surrogate: false,
@@ -205,62 +200,80 @@ fn scenario_parallel_pool_is_bit_exact_with_serial() {
 #[test]
 fn scenario_lane_packing_is_bit_exact_with_legacy() {
     // The lane-packed encoding must change how many ciphertexts carry the
-    // data — never a single decoded bit.  Run two scenario shapes with the
-    // knob off and on (same seed, same exchange schedule) and require
-    // identical centroids, plus a strictly smaller gossip payload.
-    let shapes = [
-        ScenarioSpec {
-            name: "lane-packing-baseline",
-            exchanges: 8, // keeps >1 lane per 256-bit plaintext (doubling budget)
-            ..baseline()
-        },
-        ScenarioSpec {
-            name: "lane-packing-three-clusters",
-            population: 24,
-            k: 3,
-            epsilon: 60.0,
-            churn: 0.0,
-            strategy: BudgetStrategy::UniformFast { max_iterations: 2 },
-            max_iterations: 2,
-            seed: 0xC1A0_0003,
-            structure_tolerance: 9.0,
-            check_structure: false, // 8 exchanges: R2/budget still asserted
-            pool_threads: 1,
-            exchanges: 8,
-            lane_packing: false,
-            network: NetworkModel::Rounds,
-        sim_shards: 1,
-            surrogate: false,
-            key_bits: 256,
-            adversary: AdversaryModel::NONE,
-        },
+    // data — never a single decoded bit.  The expected bits are the
+    // centroids the per-coordinate encoding decoded for these two shapes
+    // (same seed, same exchange schedule; 28 and 42 ciphertexts per
+    // message) before lane packing became the only encoding.
+    const BASELINE: &[&[u64]] = &[
+        &[
+            0x403c_13dc_8404_4653, 0x403e_2e65_4f69_0bd4, 0x4038_89a0_8c39_a46d,
+            0x4033_af31_63c2_af84, 0x4031_94a8_985d_ea03, 0x4037_396d_5b8d_516b,
+        ],
+        &[
+            0x404b_033b_310a_e4e7, 0x404c_0391_a39a_9d7c, 0x404c_99ee_ca6f_c760,
+            0x404f_e3d0_c1b4_16e8, 0x404e_e37a_4f24_5e53, 0x404e_4d1d_284f_346d,
+        ],
     ];
-    for legacy_spec in shapes {
-        let mut packed_spec = legacy_spec.clone();
-        packed_spec.lane_packing = true;
-        let legacy = legacy_spec.run();
-        let packed = packed_spec.run();
-        let legacy_values: Vec<Vec<f64>> =
-            legacy.distributed.centroids().iter().map(|c| c.values().to_vec()).collect();
-        let packed_values: Vec<Vec<f64>> =
-            packed.distributed.centroids().iter().map(|c| c.values().to_vec()).collect();
-        assert_eq!(
-            legacy_values, packed_values,
-            "[{}] lane packing must not change any decoded centroid",
-            legacy_spec.name
-        );
-        assert_eq!(
-            legacy.distributed.report.num_iterations(),
-            packed.distributed.report.num_iterations()
-        );
-        for (l, p) in legacy.distributed.network.iter().zip(packed.distributed.network.iter()) {
-            assert!(
-                p.sum_payload_ciphertexts < l.sum_payload_ciphertexts,
-                "[{}] packed payload {} must undercut legacy {}",
-                legacy_spec.name,
-                p.sum_payload_ciphertexts,
-                l.sum_payload_ciphertexts
-            );
+    const THREE_CLUSTERS: &[&[u64]] = &[
+        &[
+            0x4023_9c7e_2a02_5315, 0x4028_df78_e6cd_b530, 0x4029_63da_c326_80a1,
+            0x4029_8867_7d88_34c3, 0x4024_456c_c0bc_d2a7, 0x4023_c10a_e464_0737,
+        ],
+        &[
+            0x4044_4f12_d3d2_40c5, 0x4044_5e63_ca26_c5f1, 0x4044_d0ec_8cf8_a9c5,
+            0x4043_f338_e49c_0ad5, 0x4043_e3e7_ee47_85aa, 0x4043_715f_2b75_a1d6,
+        ],
+        &[
+            0x4050_8d51_6b75_be40, 0x4050_30f6_bbe7_7e77, 0x4050_0f8a_ffb8_b307,
+            0x4050_5d5e_acca_71cd, 0x4050_b9b9_5c58_b197, 0x4050_db25_1887_7d06,
+        ],
+    ];
+    let shapes = [
+        (
+            ScenarioSpec {
+                name: "lane-packing-baseline",
+                exchanges: 8, // keeps >1 lane per 256-bit plaintext (doubling budget)
+                ..baseline()
+            },
+            BASELINE,
+            15,
+        ),
+        (
+            ScenarioSpec {
+                name: "lane-packing-three-clusters",
+                population: 24,
+                k: 3,
+                epsilon: 60.0,
+                churn: 0.0,
+                strategy: BudgetStrategy::UniformFast { max_iterations: 2 },
+                max_iterations: 2,
+                seed: 0xC1A0_0003,
+                structure_tolerance: 9.0,
+                check_structure: false, // 8 exchanges: R2/budget still asserted
+                pool_threads: 1,
+                exchanges: 8,
+                network: NetworkModel::Rounds,
+                sim_shards: 1,
+                surrogate: false,
+                key_bits: 256,
+                adversary: AdversaryModel::NONE,
+            },
+            THREE_CLUSTERS,
+            23,
+        ),
+    ];
+    for (spec, per_coordinate, payload) in shapes {
+        let packed = spec.run();
+        let bits: Vec<Vec<u64>> = packed
+            .distributed
+            .centroids()
+            .iter()
+            .map(|c| c.values().iter().map(|v| v.to_bits()).collect())
+            .collect();
+        assert_eq!(bits, per_coordinate, "[{}] lane packing must not change any decoded centroid", spec.name);
+        assert_eq!(packed.distributed.report.num_iterations(), 2);
+        for stats in &packed.distributed.network {
+            assert_eq!(stats.sum_payload_ciphertexts, payload, "[{}] two lanes per unit", spec.name);
         }
         // The packed run satisfies the whole assertion battery on its own.
         packed.assert_r2_audit();
@@ -437,13 +450,11 @@ fn scenario_surrogate_backend_is_bit_exact_with_crypto() {
         ScenarioSpec {
             name: "surrogate-baseline",
             exchanges: 8, // keeps >1 lane per 256-bit plaintext (doubling budget)
-            lane_packing: true,
             ..baseline()
         },
         ScenarioSpec {
             name: "surrogate-churny",
             exchanges: 8,
-            lane_packing: true,
             churn: 0.25,
             check_structure: false, // churn + 8 exchanges: R2/budget still asserted
             ..baseline()
@@ -486,7 +497,6 @@ fn scenario_surrogate_arena_is_bit_exact_with_crypto_under_async_delivery() {
     let mut crypto_spec = ScenarioSpec {
         name: "surrogate-arena-async",
         exchanges: 8,
-        lane_packing: true,
         ..baseline()
     };
     crypto_spec.network = wan_network();
@@ -616,8 +626,7 @@ fn scenario_adversary_fault_counters_match_across_cipher_backends() {
     // per-iteration fault counters — and decode identical centroids.
     let mut crypto_spec = baseline();
     crypto_spec.name = "adversary-backend-crypto";
-    crypto_spec.exchanges = 8; // lane packing needs >1 lane at 256-bit keys
-    crypto_spec.lane_packing = true;
+    crypto_spec.exchanges = 8; // two lanes per 256-bit plaintext
     crypto_spec.adversary = AdversaryModel::mixed(0.10, 0xB52);
     crypto_spec.check_structure = false;
     let mut surrogate_spec = crypto_spec.clone();
@@ -656,7 +665,6 @@ fn scale_100k(name: &'static str, network: NetworkModel) -> ScenarioSpec {
         check_structure: true,
         pool_threads: 0, // auto: the assignment step parallelises trivially
         exchanges: 20,
-        lane_packing: true,
         network,
         sim_shards: 1,
         surrogate: true,
@@ -804,7 +812,6 @@ fn scenario_adversary_release_e2e_2k_nodes() {
         check_structure: true,
         pool_threads: 0,
         exchanges: 20,
-        lane_packing: true,
         network: NetworkModel::Async(
             AsyncNetworkConfig::default()
                 .with_latency(LatencyModel::LogNormal { median: 0.25, sigma: 0.5 })
