@@ -5,8 +5,9 @@
 //! simulator (`chiaroscuro_gossip::sim`) with log-normal per-edge delays
 //! and message loss, so latency comes out in *simulated wall-clock time*:
 //! the time at which each target absolute error is first met, plus
-//! per-node convergence-time percentiles (p50/p90/p99) and network-load
-//! figures (peak/mean messages in flight) the round engine cannot express.
+//! per-node convergence-time percentiles (p50/p90/p99, read at the
+//! exchange-period barriers) and network-load figures (peak/mean messages
+//! in flight) the round engine cannot express.
 //!
 //! Alongside the human-readable tables the bin writes a machine-readable
 //! artifact (default `BENCH_latency.json`) so the perf trajectory
@@ -21,8 +22,10 @@
 use chiaroscuro_bench::workloads::FirstHits;
 use chiaroscuro_bench::{Args, Json, Table};
 use chiaroscuro_gossip::churn::ChurnModel;
-use chiaroscuro_gossip::sim::{AsyncNetworkConfig, LatencyModel, ShardedAsyncEngine};
-use chiaroscuro_gossip::sum::{convergence_report, initial_states, PushPullSum, SumState};
+use chiaroscuro_gossip::sim::{
+    AsyncNetworkConfig, ConvergenceTimes, LatencyModel, ShardedAsyncEngine,
+};
+use chiaroscuro_gossip::sum::{convergence_report, initial_states, PushPullSum};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -85,36 +88,29 @@ fn measure(
 ) -> PopulationResult {
     let exact = population as f64;
     let values = vec![1.0f64; population];
+    let tight = error_targets[0];
 
-    // Pass A — chunked: one period at a time, recording when each target
+    // One period at a time: at every barrier, record when each target
     // absolute error is first met across the whole population (the Fig 4(a)
-    // y-axis, now in simulated time rather than rounds).
+    // y-axis, in simulated time rather than rounds) and read each node's
+    // standing against the tightest target, for the per-node percentiles.
     let mut rng = StdRng::seed_from_u64(seed + population as u64);
     let mut engine =
         ShardedAsyncEngine::new(initial_states(&values), config.clone(), ChurnModel::NONE);
     let mut targets = FirstHits::new(error_targets);
+    let mut times = ConvergenceTimes::new(population);
     let mut elapsed = 0.0;
     while elapsed < horizon {
-        engine.run_for(&PushPullSum, 1.0, &mut rng);
-        elapsed += 1.0;
+        let step = (horizon - elapsed).min(1.0);
+        engine.run_for(&PushPullSum, step, &mut rng);
+        elapsed += step;
         let report = convergence_report(engine.nodes(), exact);
-        if targets.record(&report, (elapsed, engine.metrics().messages_per_node(population))) {
-            break;
+        targets.record(&report, (elapsed, engine.metrics().messages_per_node(population)));
+        for (node, state) in engine.nodes().iter().enumerate() {
+            let done = state.estimate().is_some_and(|est| (est - exact).abs() <= tight);
+            times.observe(node, elapsed, done);
         }
     }
-
-    // Pass B — tracked: the same simulation (same seed) replayed with a
-    // per-node predicate at the tightest target, yielding the per-node
-    // convergence-time distribution and the network-load profile.
-    let tight = error_targets[0];
-    let mut rng = StdRng::seed_from_u64(seed + population as u64);
-    let mut engine =
-        ShardedAsyncEngine::new(initial_states(&values), config.clone(), ChurnModel::NONE);
-    let node_done = move |s: &SumState| match s.estimate() {
-        Some(est) => (est - exact).abs() <= tight,
-        None => false,
-    };
-    let times = engine.run_tracked(&PushPullSum, horizon, &mut rng, node_done);
     let sim = engine.sim_metrics();
 
     PopulationResult {

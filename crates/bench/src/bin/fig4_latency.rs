@@ -18,10 +18,9 @@
 //!                [--json-out PATH]   (machine-readable 4(a) rows)
 
 use chiaroscuro_bench::args::usage_error;
+use chiaroscuro_bench::cost_model::iteration_estimate;
 use chiaroscuro_bench::workloads::FirstHits;
 use chiaroscuro_bench::{Args, Json, Table};
-use chiaroscuro_core::cost_model::{IterationCostModel, IterationMessageCounts, LocalCosts, SetShape};
-use chiaroscuro_crypto::wire::MeansWireModel;
 use chiaroscuro_gossip::churn::ChurnModel;
 use chiaroscuro_gossip::decryption::simulate_decryption;
 use chiaroscuro_gossip::dissemination::{converged, DisseminationProtocol, MinIdState};
@@ -158,46 +157,13 @@ fn iteration_model_part(args: &Args) {
         "§6.3.2 — modelled iteration duration (1M participants, 1 Mb/s links)",
         &["iteration", "surviving centroids", "ciphertexts/set", "estimated minutes"],
     );
-    // The paper's setting: 50 means x 20 measures = 1050 ciphertexts per
-    // set, `--set-kb` (130 by default) sizing the full legacy set; first
-    // iteration ~26 min, fifth ~10 min after 60% of the centroids became
-    // aberrant.  Lane packing (`--lanes L`) divides the ciphertext count
-    // by L (plus one counter ciphertext).
-    let full_set = 50 * (20 + 1);
-    let cleartext_per_mean = 16usize;
-    let ciphertext_bytes =
-        ((set_kilobytes * 1_000.0 - (50 * cleartext_per_mean) as f64) / full_set as f64) as usize;
-    let local = LocalCosts {
-        encrypt_ciphertext_secs: 3.0 / full_set as f64,
-        add_ciphertext_secs: 0.08 / full_set as f64,
-        decrypt_ciphertext_secs: 9.0 / full_set as f64,
-        bandwidth_bits_per_sec: 1_000_000.0,
-    };
     for (iteration, surviving_fraction) in [(1usize, 1.0f64), (5, 0.4)] {
-        // Derive the set shape from the canonical packing-aware wire model
-        // (one formula for ciphertexts-per-set, shared with the runner).
-        let wire = MeansWireModel {
-            num_means: (50.0 * surviving_fraction) as usize,
-            measures_per_mean: 20,
-            ciphertext_bytes,
-            cleartext_bytes_per_mean: cleartext_per_mean,
-            lanes_per_ciphertext: lanes,
-            counter_ciphertexts: if lanes == 1 { 0 } else { 1 },
-            frame_overhead_bytes: 0,
-        };
-        let shape = SetShape::from_wire_model(&wire);
-        let ciphertexts = shape.ciphertexts_per_set;
-        let messages = IterationMessageCounts {
-            sum_messages_per_node: 2.0 * 100.0,
-            dissemination_messages_per_node: 50.0,
-            decryption_messages_per_node: 100.0,
-        };
-        let model = IterationCostModel { local, shape, messages };
+        let (ciphertexts, minutes) = iteration_estimate(lanes, set_kilobytes, surviving_fraction);
         table.row(&[
             iteration.to_string(),
             format!("{:.0}%", surviving_fraction * 100.0),
             ciphertexts.to_string(),
-            format!("{:.1}", model.iteration_minutes()),
+            format!("{minutes:.1}"),
         ]);
     }
     table.print();

@@ -13,6 +13,7 @@
 //! more figures share, so a bin is its flags plus its own table and JSON.
 
 pub mod args;
+pub mod cost_model;
 pub mod json;
 pub mod table;
 pub mod workloads;

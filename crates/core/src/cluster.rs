@@ -10,8 +10,9 @@
 //! the Newscast mesh) and wraps them in a node store whose `apply_exchange`
 //! is a relay; [`run_phase`] then runs each phase over that store exactly as
 //! the monolith runs it over in-process state — one recipe, one planner,
-//! one stop rule, one fault schedule, one set of counters.  Each exchange
-//! the round engine applies is delivered as:
+//! one stop rule, one fault schedule, one set of counters — on the round
+//! engine or the event-driven one, whichever the run's network model
+//! selects.  Each exchange the engine applies is delivered as:
 //!
 //! ```text
 //! coordinator ── InitiateExchange(phase, contact) ──▶ initiator
@@ -40,7 +41,7 @@
 //! both the in-memory and the socket transports.  The contract holds by
 //! construction, with or without an adversary: the sequence and every
 //! master-RNG draw outside the gossip schedules belong to the one driver,
-//! the gossip schedules are drawn by the round engine itself, and each
+//! the gossip schedules are drawn by the gossip engine itself, and each
 //! actor builds its contribution from its delivered participant seed with
 //! the function the in-process executor uses; no RNG lives on a thread
 //! boundary.
@@ -52,7 +53,7 @@ use rand::Rng;
 
 use chiaroscuro_crypto::backend::CipherBackend;
 use chiaroscuro_gossip::engine::{ProtocolStore, StateStore};
-use chiaroscuro_gossip::sim::{run_phase, AdversaryState, NetworkModel, PhaseOpts, PhaseStats};
+use chiaroscuro_gossip::sim::{run_phase, AdversaryState, PhaseOpts, PhaseStats};
 use chiaroscuro_gossip::sum::SumState;
 use chiaroscuro_node::{
     FrameError, FramedSocketTransport, LocalBus, NodeEvent, NodeId, Phase, Transport, COORDINATOR,
@@ -79,10 +80,8 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     /// [`ChiaroscuroParams::transport`]: crate::config::ChiaroscuroParams::transport
     ///
     /// # Panics
-    /// Panics under a non-round network model (the actor path drives the
-    /// synchronous round schedule; the event-driven simulator has no
-    /// per-exchange message flow to relay), on transport I/O failure, and
-    /// on non-Unix platforms when the socket transport is selected.
+    /// Panics on transport I/O failure, and on non-Unix platforms when the
+    /// socket transport is selected.
     pub fn via_actors(&self, seed: u64) -> RunOutcome {
         let mut rng = crate::seedmix::run_rng(seed);
         let actors: Vec<ChiaroscuroNodeActor<B>> =
@@ -130,8 +129,7 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     /// in-memory links to report the monolith's figure unchanged).
     ///
     /// # Panics
-    /// Panics under a non-round network model, on a link-count mismatch,
-    /// and on transport I/O failure.
+    /// Panics on a link-count mismatch and on transport I/O failure.
     pub fn execute_via_links<T: Transport, R: Rng + ?Sized>(
         &self,
         links: &mut [T],
@@ -139,11 +137,6 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
         rng: &mut R,
     ) -> RunOutcome {
         assert_eq!(links.len(), self.data.len(), "one transport link per participant");
-        assert!(
-            matches!(self.params.network, NetworkModel::Rounds),
-            "via_actors drives the round-based schedule; the event-driven simulator models \
-             the network itself and has no per-exchange message flow to relay"
-        );
         let mut outcome = drive(self, &mut LinkExecutor { links, readouts: Vec::new() }, rng);
         for stats in &mut outcome.network {
             stats.sum_payload_bytes += frame_overhead;
@@ -221,9 +214,9 @@ struct LinkExecutor<'l, T: Transport, B: CipherBackend> {
 }
 
 impl<T: Transport, B: CipherBackend> LinkExecutor<'_, T, B> {
-    /// Runs one phase over the links (on the round engine:
-    /// `execute_via_links` admits no other).  With `ids` the phase stops
-    /// on agreement over them; without, it runs its budget.
+    /// Runs one phase over the links on the engine the run's network model
+    /// selects.  With `ids` the phase stops on agreement over them; without,
+    /// it runs its budget.
     fn relay_phase<R: Rng + ?Sized>(
         &mut self,
         ctx: &RunContext<'_, B>,
@@ -420,8 +413,8 @@ mod tests {
         (data, params)
     }
 
-    /// Satellite honesty check for `MeansWireModel`/network stats under a
-    /// socket transport: the modeled per-message byte figure
+    /// Honesty check for the network stats under a socket transport: the
+    /// modeled per-message byte figure
     /// (`sum_payload_ciphertexts × unit_bytes + MEANS_FRAME_OVERHEAD_BYTES`)
     /// must equal the encoded length of the frame a provisioned actor
     /// *actually* produces for a means exchange — measured here by driving

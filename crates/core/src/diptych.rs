@@ -194,7 +194,6 @@ mod tests {
     #[test]
     fn packed_initialise_matches_the_per_coordinate_diptych() {
         use chiaroscuro_crypto::packing::{LaneBudget, PackedEncoder};
-        use chiaroscuro_crypto::wire::MeansWireModel;
         use num_bigint::BigUint;
 
         let (kp, backend, encoder, mut rng) = setup();
@@ -230,9 +229,6 @@ mod tests {
                 .decode(&kp.secret.decrypt(&kp.public, &diptych.means[cluster].count), &kp.public);
             assert_eq!(decoded[k * n + cluster], legacy_count, "count {cluster}");
         }
-        // The packed wire model reflects the reduced ciphertext count.
-        let model = MeansWireModel::for_backend(&backend, k, n, Some(packer.lanes()));
-        assert_eq!(model.ciphertexts_per_set(), packed.units.len() + 1, "data blocks + counter");
     }
 
     #[test]

@@ -21,14 +21,12 @@
 //!   [`surrogate`] — the large-scale quality surrogate (perturbed
 //!   centralized k-means) the paper itself uses for dataset-scale quality;
 //! * [`audit`] — a security audit log asserting that nothing data-dependent
-//!   ever leaves a participant in cleartext (requirement R2);
-//! * [`cost_model`] — the per-iteration latency model of §6.3.2.
+//!   ever leaves a participant in cleartext (requirement R2).
 
 pub mod actor;
 pub mod audit;
 pub mod cluster;
 pub mod config;
-pub mod cost_model;
 pub mod diptych;
 pub mod evalue;
 mod iteration;
@@ -51,7 +49,6 @@ pub mod prelude {
     pub use crate::config::{
         ChiaroscuroParams, ChiaroscuroParamsBuilder, ConfigError, ExperimentParams, TransportKind,
     };
-    pub use crate::cost_model::IterationCostModel;
     pub use crate::diptych::{Diptych, EncryptedMean};
     pub use crate::evalue::{BackendVector, EncryptedVector};
     pub use crate::runner::{DistributedRun, RunOutcome};

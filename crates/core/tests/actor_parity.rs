@@ -2,8 +2,9 @@
 //! per-node actors (`DistributedRun::via_actors`) reproduces the monolithic
 //! `DistributedRun::execute` **bit for bit** from the same seed — identical
 //! centroid values, identical per-iteration network statistics, identical
-//! audit events — under both transports and both cipher backends
-//! (Damgård–Jurik and the plaintext surrogate).
+//! audit events — under both transports, both cipher backends
+//! (Damgård–Jurik and the plaintext surrogate) and both network models
+//! (the round engine and the event-driven simulator).
 //! Both paths are executors of one iteration driver; these tests pin that
 //! the two executors consume the master RNG identically, to the last draw.
 
@@ -39,6 +40,14 @@ fn params(churn: f64) -> ChiaroscuroParams {
         .epsilon(40.0)
         .strategy(BudgetStrategy::UniformFast { max_iterations: 2 })
         .build()
+}
+
+/// `params(churn)` on the event-driven network: log-normal edge latency
+/// (median 0.25 periods, sigma 0.5), shaped further by `config`.
+fn async_params(churn: f64, config: AsyncNetworkConfig) -> ChiaroscuroParams {
+    let latency = LatencyModel::LogNormal { median: 0.25, sigma: 0.5 };
+    let network = NetworkModel::Async(config.with_latency(latency));
+    ChiaroscuroParams { network, ..params(churn) }
 }
 
 /// Runs `params` over `data` through the in-process executor and through
@@ -82,6 +91,39 @@ fn localbus_actors_reproduce_the_surrogate_monolith_bit_for_bit() {
     assert_localbus_parity::<PlaintextSurrogate>(params(0.25), &dataset(16), 9);
 }
 
+/// The deployed path runs every network model: on the event-driven
+/// simulator the link store relays exactly the exchanges the engine applies
+/// at each barrier, in the same order as in process.
+#[test]
+fn async_localbus_actors_reproduce_the_crypto_monolith_bit_for_bit() {
+    let network = AsyncNetworkConfig::default;
+    assert_localbus_parity::<DamgardJurik>(async_params(0.0, network()), &dataset(12), 7);
+    assert_localbus_parity::<DamgardJurik>(async_params(0.25, network()), &dataset(14), 42);
+}
+
+/// Two simulator shards, 5 % message loss and churn on the links.
+#[test]
+fn async_sharded_lossy_surrogate_is_bit_identical_across_executors() {
+    let network = AsyncNetworkConfig::default().with_sim_shards(2).with_loss(0.05);
+    assert_localbus_parity::<PlaintextSurrogate>(async_params(0.1, network), &dataset(16), 9);
+}
+
+/// A crash window takes node 3 down over [1, 4): the engine skips its
+/// exchanges, on the links as in process.
+#[test]
+fn async_crash_schedule_is_bit_identical_across_executors() {
+    let crash = CrashSchedule::new(vec![CrashWindow { node: 3, crash_at: 1.0, rejoin_at: 4.0 }]);
+    let network = AsyncNetworkConfig::default().with_crash(crash);
+    let crashed =
+        assert_localbus_parity::<PlaintextSurrogate>(async_params(0.0, network), &dataset(16), 5);
+    let up = DistributedRun::<PlaintextSurrogate>::with_backend(
+        async_params(0.0, AsyncNetworkConfig::default()),
+        &dataset(16),
+    )
+    .execute(5);
+    assert!(crashed.first_divergence(&up, 0).is_some(), "the crash window must change the run");
+}
+
 /// A convergence threshold no displacement can exceed: both executors must
 /// take the convergence break at iteration 0, leaving no draw behind it.
 #[test]
@@ -103,7 +145,7 @@ fn both_executors_stop_when_the_budget_is_exhausted() {
 }
 
 /// Schedule-level faults run through the deployed path: the link executor
-/// runs the round engine itself, so the seeded fault schedule voids the same
+/// runs the gossip engine itself, so the seeded fault schedule voids the same
 /// exchanges on both executors (a voided exchange is never relayed) and the
 /// per-class counters in `IterationNetworkStats::faults` and the audit agree.
 /// Salt 1 keeps node 0 honest.
@@ -115,6 +157,19 @@ fn adversary_byzantine_mix_is_bit_identical_across_executors() {
     assert!(!byzantine.adversary.is_byzantine(0) && (0..16).any(|i| byzantine.adversary.is_byzantine(i)));
     let outcome = assert_localbus_parity::<DamgardJurik>(byzantine, &data, 21);
     assert!(outcome.audit.fault_stats().injected_total() > 0, "a quarter of 16 nodes must inject");
+}
+
+/// The byzantine mix of the round-engine case, on the sharded, lossy
+/// event-driven network.
+#[test]
+fn adversary_byzantine_mix_under_the_async_network_is_bit_identical_across_executors() {
+    let network = AsyncNetworkConfig::default().with_sim_shards(2).with_loss(0.05);
+    let adversary = AdversaryModel::mixed(0.25, 1);
+    let byzantine = ChiaroscuroParams { adversary, ..async_params(0.1, network) };
+    let outcome = assert_localbus_parity::<PlaintextSurrogate>(byzantine, &dataset(16), 21);
+    let faults = outcome.audit.fault_stats();
+    assert!(faults.injected_total() > 0, "a quarter of 16 nodes must inject");
+    assert_eq!(faults.injected_total(), faults.detected_total() + faults.absorbed_total());
 }
 
 /// Under these five salts the membership hash marks node 0 byzantine.  Both
@@ -157,6 +212,19 @@ fn socket_actors_match_the_monolith_and_report_the_frame_overhead() {
     let data = dataset(12);
     let monolith = DistributedRun::new(params(0.0), &data).execute(11);
     let socket_params = ChiaroscuroParams { transport: TransportKind::UnixSocket, ..params(0.0) };
+    let actors = DistributedRun::new(socket_params, &data).via_actors(11);
+    assert_eq!(actors.first_divergence(&monolith, MEANS_FRAME_OVERHEAD_BYTES), None);
+}
+
+/// Frames over Unix sockets on the event-driven network.
+#[cfg(unix)]
+#[test]
+fn socket_actors_match_the_async_monolith() {
+    let data = dataset(12);
+    let network = AsyncNetworkConfig::default;
+    let monolith = DistributedRun::new(async_params(0.0, network()), &data).execute(11);
+    let socket_params =
+        ChiaroscuroParams { transport: TransportKind::UnixSocket, ..async_params(0.0, network()) };
     let actors = DistributedRun::new(socket_params, &data).via_actors(11);
     assert_eq!(actors.first_divergence(&monolith, MEANS_FRAME_OVERHEAD_BYTES), None);
 }

@@ -16,6 +16,10 @@ use num_traits::One;
 
 use crate::keys::{PublicKey, MAX_S};
 
+/// Cleartext metadata bytes per mean: an 8-byte weight and an 8-byte
+/// exchange counter.
+pub const CLEARTEXT_BYTES_PER_MEAN: usize = 16;
+
 /// Size model for one set of encrypted means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeansWireModel {
@@ -25,70 +29,22 @@ pub struct MeansWireModel {
     pub measures_per_mean: usize,
     /// Size in bytes of one ciphertext (an element of `Z_{n^{s+1}}`).
     pub ciphertext_bytes: usize,
-    /// Size in bytes of the cleartext per-mean metadata (weight + exchange
-    /// counter, both 8-byte values).
-    pub cleartext_bytes_per_mean: usize,
-    /// Coordinates per ciphertext: 1 for the per-coordinate legacy encoding,
-    /// the lane count `L` when lane packing is enabled (see
-    /// `chiaroscuro_crypto::packing`).
+    /// Coordinates per ciphertext: 1 for the paper's one ciphertext per
+    /// coordinate, the lane count `L` of a lane-packed set (see
+    /// `chiaroscuro_crypto::packing`), which also carries one counter
+    /// ciphertext.
     pub lanes_per_ciphertext: usize,
-    /// Bookkeeping ciphertexts per set: 0 for the legacy encoding, 1 for a
-    /// packed set (the accumulated-bias counter).  Kept separate from the
-    /// lane count because a degenerate packed layout can have `L = 1` and
-    /// still carries its counter.
-    pub counter_ciphertexts: usize,
-    /// Per-message transport framing overhead in bytes: 0 when the set
-    /// travels as an in-memory value (the monolithic runner and the
-    /// channel-backed bus), the frame header plus state metadata when a
-    /// socket transport actually serialises it.  Honesty contract: with a
-    /// socket transport configured, reported payload bytes must match the
-    /// bytes written to the wire, framing included.
-    pub frame_overhead_bytes: usize,
 }
 
 impl MeansWireModel {
-    /// Builds the model from a public key and the clustering dimensions
-    /// (legacy per-coordinate encoding: one ciphertext per coordinate, no
-    /// counter).
+    /// Builds the paper's model from a public key and the clustering
+    /// dimensions: one ciphertext per coordinate, no counter.
     pub fn new(pk: &PublicKey, num_means: usize, measures_per_mean: usize) -> Self {
-        Self::with_unit_bytes(pk.ciphertext_bytes(), num_means, measures_per_mean, None)
-    }
-
-    /// Builds the model for whatever [`CipherBackend`](crate::backend::CipherBackend)
-    /// carries the set: `backend.unit_bytes()` is the honest per-unit wire
-    /// size — a ciphertext for the Damgård–Jurik backend, the packed
-    /// *plaintext* payload for the surrogate — so scale-mode network-load
-    /// numbers never report ciphertext expansion the run did not pay.
-    /// `lanes = None` models the legacy per-coordinate encoding.
-    pub fn for_backend<B: crate::backend::CipherBackend>(
-        backend: &B,
-        num_means: usize,
-        measures_per_mean: usize,
-        lanes: Option<usize>,
-    ) -> Self {
-        Self::with_unit_bytes(backend.unit_bytes(), num_means, measures_per_mean, lanes)
-    }
-
-    /// Builds the model from an explicit per-unit wire size.  `lanes = None`
-    /// is the legacy per-coordinate encoding (no counter unit); `Some(L)`
-    /// packs `L` coordinates per unit plus one counter unit.
-    pub fn with_unit_bytes(
-        unit_bytes: usize,
-        num_means: usize,
-        measures_per_mean: usize,
-        lanes: Option<usize>,
-    ) -> Self {
-        if let Some(lanes) = lanes {
-            assert!(lanes >= 1, "a ciphertext carries at least one coordinate");
-        }
         Self {
             num_means,
             measures_per_mean,
-            ciphertext_bytes: unit_bytes,
-            cleartext_bytes_per_mean: 16,
-            lanes_per_ciphertext: lanes.unwrap_or(1),
-            counter_ciphertexts: usize::from(lanes.is_some()),
-            frame_overhead_bytes: 0,
+            ciphertext_bytes: pk.ciphertext_bytes(),
+            lanes_per_ciphertext: 1,
         }
     }
 
@@ -98,19 +54,18 @@ impl MeansWireModel {
         self.num_means * (self.measures_per_mean + 1)
     }
 
-    /// Number of ciphertexts in one set of means: one per coordinate in the
-    /// legacy encoding, `⌈k·(n+1) / L⌉ + 1` (data lanes plus the counter)
-    /// when packed.
+    /// Number of ciphertexts in one set of means: one per coordinate
+    /// unpacked, `⌈k·(n+1) / L⌉ + 1` (data lanes plus the counter) when
+    /// packed.
     pub fn ciphertexts_per_set(&self) -> usize {
-        self.coordinates_per_set().div_ceil(self.lanes_per_ciphertext) + self.counter_ciphertexts
+        self.coordinates_per_set().div_ceil(self.lanes_per_ciphertext)
+            + usize::from(self.lanes_per_ciphertext > 1)
     }
 
-    /// Total size in bytes of one set of encrypted means (including the
-    /// transport framing overhead, when one is configured).
+    /// Total size in bytes of one set of encrypted means.
     pub fn set_bytes(&self) -> usize {
         self.ciphertexts_per_set() * self.ciphertext_bytes
-            + self.num_means * self.cleartext_bytes_per_mean
-            + self.frame_overhead_bytes
+            + self.num_means * CLEARTEXT_BYTES_PER_MEAN
     }
 
     /// Total size in kilobytes (the unit of Figure 5(b)).
@@ -261,10 +216,7 @@ mod tests {
             num_means: 50,
             measures_per_mean: 20,
             ciphertext_bytes: 256, // 2048-bit ciphertexts for a 1024-bit key
-            cleartext_bytes_per_mean: 16,
             lanes_per_ciphertext: 1,
-            counter_ciphertexts: 0,
-            frame_overhead_bytes: 0,
         };
         assert_eq!(model.ciphertexts_per_set(), 1_050);
         let kb = model.set_kilobytes();
@@ -281,14 +233,11 @@ mod tests {
             num_means: 50,
             measures_per_mean: 20,
             ciphertext_bytes: 256,
-            cleartext_bytes_per_mean: 16,
             lanes_per_ciphertext: 12,
-            counter_ciphertexts: 1,
-            frame_overhead_bytes: 0,
         };
         assert_eq!(packed.coordinates_per_set(), 1_050);
         assert_eq!(packed.ciphertexts_per_set(), 1_050usize.div_ceil(12) + 1);
-        let legacy = MeansWireModel { lanes_per_ciphertext: 1, counter_ciphertexts: 0, ..packed };
+        let legacy = MeansWireModel { lanes_per_ciphertext: 1, ..packed };
         let ratio = legacy.set_bytes() as f64 / packed.set_bytes() as f64;
         assert!(ratio > 8.0, "packed payload must shrink by ~the lane factor, got {ratio:.1}x");
     }
@@ -439,17 +388,6 @@ mod tests {
         absurd[0..4].copy_from_slice(&u32::MAX.to_be_bytes());
         absurd[4..8].copy_from_slice(&u32::MAX.to_be_bytes());
         assert!(deserialize_units(&backend, &absurd).is_none());
-    }
-
-    #[test]
-    fn frame_overhead_is_added_once_per_set() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let kp = KeyPair::generate(128, 1, &mut rng);
-        let bare = MeansWireModel::new(&kp.public, 5, 4);
-        let framed = MeansWireModel { frame_overhead_bytes: 37, ..bare };
-        assert_eq!(framed.set_bytes(), bare.set_bytes() + 37);
-        assert_eq!(framed.sum_exchange_bytes(), bare.sum_exchange_bytes() + 2 * 37);
-        assert_eq!(framed.ciphertexts_per_set(), bare.ciphertexts_per_set());
     }
 
     #[test]

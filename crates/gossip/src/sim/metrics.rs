@@ -59,12 +59,14 @@ impl SimMetrics {
     }
 }
 
-/// Per-node convergence times collected by
-/// [`ShardedAsyncEngine::run_tracked`](crate::sim::ShardedAsyncEngine::run_tracked).
+/// Per-node convergence times, fed one observation per node at each
+/// barrier the caller drives the engine to (for example one
+/// [`ShardedAsyncEngine::run_for`](crate::sim::ShardedAsyncEngine::run_for)
+/// period at a time), so the times have barrier resolution.
 ///
 /// A node's convergence time is the start of its *final* stretch of
-/// satisfying the tracked predicate: each time an exchange flips the
-/// predicate back to false the node's clock restarts, so a node that
+/// satisfying the tracked predicate: each time an observation finds the
+/// predicate false again the node's clock restarts, so a node that
 /// briefly looked converged early does not flatter the percentiles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceTimes {

@@ -92,7 +92,7 @@ use crate::churn::ChurnModel;
 use crate::engine::{apply_in_order, ProtocolStore, StateStore, PARALLEL_EXCHANGE_THRESHOLD};
 use crate::metrics::ExchangeMetrics;
 use crate::sim::adversary::{classify_exchange, AdversaryState, ExchangeFate};
-use crate::sim::metrics::{ConvergenceTimes, SimMetrics};
+use crate::sim::metrics::SimMetrics;
 use crate::sim::AsyncNetworkConfig;
 
 /// The exchange of this record applies at delivery time.
@@ -115,10 +115,6 @@ struct DeliveryRecord {
     contact: u32,
     flags: u8,
 }
-
-/// What a tracked run calls after every applied exchange: the population,
-/// the two touched indices and the delivery time.
-type Observer<'a, S> = &'a mut dyn FnMut(&S, usize, usize, f64);
 
 /// What one shard produced for one generation range.
 struct ShardOutput {
@@ -489,15 +485,12 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
     /// An adversary, when present, classifies the surviving exchanges
     /// inside each barrier's serially merged `(time, seq)`-ordered pass —
     /// so its decision stream (and all fault counters) is bit-invariant in
-    /// the shard and worker counts, like every other outcome.  `observe`,
-    /// when present, sees the population after every applied exchange (see
-    /// [`Self::barrier`]).
+    /// the shard and worker counts, like every other outcome.
     fn drive<P, F>(
         &mut self,
         protocol: &P,
         target: f64,
         mut adversary: Option<&mut AdversaryState>,
-        mut observe: Option<Observer<'_, S>>,
         mut on_barrier: F,
     ) -> bool
     where
@@ -540,9 +533,9 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
                     }
                 }
                 departs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                self.barrier(protocol, w, gen_to, &departs, &mut adversary, &mut observe);
+                self.barrier(protocol, w, gen_to, &departs, &mut adversary);
             } else {
-                self.barrier(protocol, w, gen_to, &[], &mut adversary, &mut observe);
+                self.barrier(protocol, w, gen_to, &[], &mut adversary);
             }
 
             self.sim.advance(gen_to);
@@ -583,9 +576,7 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
     /// The barrier for window `w` up to `apply_to`: drains the due
     /// mailbox records in `(time, seq)` order, replays the merged
     /// depart/arrive stream through the gauge, and applies the surviving
-    /// exchanges in order — one by one under an `observe`r, which is handed
-    /// the population, the two touched indices and the delivery time after
-    /// each.
+    /// exchanges in order.
     fn barrier<P>(
         &mut self,
         protocol: &P,
@@ -593,7 +584,6 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         apply_to: f64,
         departs: &[(f64, u32)],
         adversary: &mut Option<&mut AdversaryState>,
-        observe: &mut Option<Observer<'_, S>>,
     ) where
         S: ProtocolStore<P>,
     {
@@ -634,14 +624,7 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
                 ) == ExchangeFate::Apply
             {
                 self.metrics.record_exchange();
-                match observe {
-                    None => applies.push((record.initiator, record.contact)),
-                    Some(observe) => {
-                        let (i, c) = (record.initiator as usize, record.contact as usize);
-                        self.nodes.apply_exchange(protocol, i, c);
-                        observe(&self.nodes, i, c, record.time);
-                    }
-                }
+                applies.push((record.initiator, record.contact));
             }
         }
         for &(time, _) in &departs[di..] {
@@ -659,7 +642,7 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         assert!(duration >= 0.0 && duration.is_finite());
         self.ensure_started(rng);
         let target = self.horizon + duration;
-        self.drive(protocol, target, None, None, |_, _| false);
+        self.drive(protocol, target, None, |_, _| false);
     }
 
     /// Advances the simulation until `done` holds over the node states or
@@ -692,7 +675,7 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         let target = self.horizon + duration;
         let check_period = self.config.convergence_check_period;
         let mut next_check = self.horizon + check_period;
-        let stopped = self.drive(protocol, target, adversary, None, |nodes, time| {
+        let stopped = self.drive(protocol, target, adversary, |nodes, time| {
             if check_period > 0.0 {
                 if time < next_check {
                     return false;
@@ -708,47 +691,12 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
     }
 }
 
-impl<N> ShardedAsyncEngine<Vec<N>> {
-    /// Advances the simulation by `duration` while tracking, per node, the
-    /// start of its final stretch of satisfying `node_done` — the wall-clock
-    /// convergence times behind the latency percentiles (§6.3).  A tracked
-    /// run applies each barrier's sorted exchanges one by one and observes
-    /// the two touched nodes at the record's delivery time, so the times
-    /// keep exchange resolution and are shard-count invariant; states and
-    /// accounting end up bit-identical to [`Self::run_for`]'s.
-    pub fn run_tracked<P, R, F>(
-        &mut self,
-        protocol: &P,
-        duration: f64,
-        rng: &mut R,
-        node_done: F,
-    ) -> ConvergenceTimes
-    where
-        Vec<N>: ProtocolStore<P>,
-        R: Rng + ?Sized,
-        F: Fn(&N) -> bool,
-    {
-        assert!(duration >= 0.0 && duration.is_finite());
-        self.ensure_started(rng);
-        let mut tracker = ConvergenceTimes::new(self.nodes.len());
-        let start = self.horizon;
-        for (i, node) in self.nodes.iter().enumerate() {
-            tracker.observe(i, start, node_done(node));
-        }
-        let mut observe = |nodes: &Vec<N>, initiator: usize, contact: usize, time: f64| {
-            tracker.observe(initiator, time, node_done(&nodes[initiator]));
-            tracker.observe(contact, time, node_done(&nodes[contact]));
-        };
-        self.drive(protocol, start + duration, None, Some(&mut observe), |_, _| false);
-        tracker
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::PairwiseProtocol;
     use crate::sim::latency::LatencyModel;
+    use crate::sim::metrics::ConvergenceTimes;
     use crate::sim::schedule::{CrashSchedule, CrashWindow};
     use crate::sum::{convergence_report, initial_states, PushPullSum, SumState};
 
@@ -1012,62 +960,30 @@ mod tests {
         assert_eq!(rng, reference, "the sharded engine must consume exactly one draw");
     }
 
-    /// The full-feature run of [`full_feature_run`], tracked: each node's
-    /// predicate is "my estimate is within 5 % of the exact sum".
-    fn tracked_run(shards: usize) -> (ConvergenceTimes, Parts) {
-        let exact = exact_sum(64);
-        let mut rng = StdRng::seed_from_u64(1234);
-        let mut engine = full_feature_engine(shards);
-        let times = engine.run_tracked(&PushPullSum, 25.0, &mut rng, |s: &SumState| {
-            s.estimate().is_some_and(|e| (e - exact).abs() <= 0.05 * exact)
-        });
-        (times, engine.into_parts())
-    }
-
-    #[test]
-    fn tracked_run_leaves_the_same_bits_as_run_for() {
-        let (times, tracked) = tracked_run(4);
-        assert_eq!(tracked, full_feature_run(4));
-        // Exchange-time resolution: convergence times fall strictly inside
-        // windows, not on barrier times.
-        assert!(times.converged_fraction() > 0.5, "{}", times.converged_fraction());
-        assert!(times.times().iter().flatten().any(|t| t.fract() != 0.0));
-    }
-
     #[test]
     fn convergence_times_are_shard_count_invariant() {
-        let (times_1, _) = tracked_run(1);
-        for shards in [2usize, 4, 7] {
-            assert_eq!(tracked_run(shards).0, times_1, "times diverge at {shards} shards");
-        }
-    }
-
-    #[test]
-    fn tracked_predicate_flipping_back_restarts_the_clock() {
-        // Two nodes, synchronized start, constant latency 0.25: every
-        // window delivers two exchanges at t = w + 0.25, each adding one to
-        // both counters, so both nodes read 2(w + 1) after window w.  The
-        // predicate "count is 2 or at least 6" holds from 0.25, flips back
-        // at 1.25 (count 4) and holds for good from 2.25.
-        struct Count;
-        impl PairwiseProtocol<u64> for Count {
-            fn exchange(&self, a: &mut u64, b: &mut u64) {
-                *a += 1;
-                *b += 1;
+        // The run of `full_feature_run`, driven one period at a
+        // time with each node's "my estimate is within 5 % of the exact sum"
+        // read at every barrier.
+        let tracked_run = |shards: usize| {
+            let exact = exact_sum(64);
+            let mut rng = StdRng::seed_from_u64(1234);
+            let mut engine = full_feature_engine(shards);
+            let mut times = ConvergenceTimes::new(64);
+            for period in 1..=25 {
+                engine.run_for(&PushPullSum, 1.0, &mut rng);
+                for (i, s) in engine.nodes().iter().enumerate() {
+                    let holds = s.estimate().is_some_and(|e| (e - exact).abs() <= 0.05 * exact);
+                    times.observe(i, f64::from(period), holds);
+                }
             }
+            times
+        };
+        let times_1 = tracked_run(1);
+        assert!(times_1.converged_fraction() > 0.5, "{}", times_1.converged_fraction());
+        for shards in [2usize, 4, 7] {
+            assert_eq!(tracked_run(shards), times_1, "times diverge at {shards} shards");
         }
-        let config = AsyncNetworkConfig::default()
-            .with_latency(LatencyModel::Constant(0.25))
-            .with_synchronized_start(true);
-        let mut engine = ShardedAsyncEngine::new(vec![0u64, 0], config, ChurnModel::NONE);
-        let mut rng = StdRng::seed_from_u64(1);
-        let done = |n: &u64| *n == 2 || *n >= 6;
-        let times = engine.run_tracked(&Count, 1.0, &mut rng, done);
-        assert_eq!(times.times(), &[Some(0.25), Some(0.25)]);
-        // A second tracked call observes the standing states at its start.
-        let times = engine.run_tracked(&Count, 3.0, &mut rng, done);
-        assert_eq!(engine.nodes(), &vec![8, 8]);
-        assert_eq!(times.times(), &[Some(2.25), Some(2.25)]);
     }
 
     #[test]
