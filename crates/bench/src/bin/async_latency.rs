@@ -49,7 +49,7 @@ struct PopulationResult {
 fn main() {
     let args = Args::from_env();
     let max_population = args.get("max-population", 10_000usize);
-    let horizon = args.get("horizon", 60.0f64);
+    let horizon = args.get("horizon", 60u32);
     let seed = args.get("seed", 1u64);
     let median = args.get("median", 0.25f64);
     let sigma = args.get("sigma", 0.5f64);
@@ -83,7 +83,7 @@ fn measure(
     population: usize,
     config: &AsyncNetworkConfig,
     error_targets: &[f64],
-    horizon: f64,
+    horizon: u32,
     seed: u64,
 ) -> PopulationResult {
     let exact = population as f64;
@@ -99,11 +99,9 @@ fn measure(
         ShardedAsyncEngine::new(initial_states(&values), config.clone(), ChurnModel::NONE);
     let mut targets = FirstHits::new(error_targets);
     let mut times = ConvergenceTimes::new(population);
-    let mut elapsed = 0.0;
-    while elapsed < horizon {
-        let step = (horizon - elapsed).min(1.0);
-        engine.run_for(&PushPullSum, step, &mut rng);
-        elapsed += step;
+    for period in 1..=horizon {
+        engine.run_for(&PushPullSum, 1.0, &mut rng);
+        let elapsed = f64::from(period);
         let report = convergence_report(engine.nodes(), exact);
         targets.record(&report, (elapsed, engine.metrics().messages_per_node(population)));
         for (node, state) in engine.nodes().iter().enumerate() {
@@ -121,13 +119,13 @@ fn measure(
         p99: times.percentile(0.99),
         converged_fraction: times.converged_fraction(),
         peak_in_flight: sim.peak_in_flight,
-        mean_in_flight: sim.mean_in_flight(horizon),
+        mean_in_flight: sim.mean_in_flight(f64::from(horizon)),
         messages_sent: sim.messages_sent,
         messages_lost: sim.messages_lost,
     }
 }
 
-fn print_tables(results: &[PopulationResult], error_targets: &[f64], horizon: f64) {
+fn print_tables(results: &[PopulationResult], error_targets: &[f64], horizon: u32) {
     let headers: Vec<String> = std::iter::once("population".to_string())
         .chain(error_targets.iter().map(|e| format!("err {e}")))
         .collect();
@@ -139,7 +137,7 @@ fn print_tables(results: &[PopulationResult], error_targets: &[f64], horizon: f6
     for r in results {
         let mut cells = vec![r.population.to_string()];
         for (_, hit) in r.targets.hits() {
-            cells.push(hit.map(|(t, _)| format!("{t:.0}")).unwrap_or_else(|| format!(">{horizon:.0}")));
+            cells.push(hit.map(|(t, _)| format!("{t:.0}")).unwrap_or_else(|| format!(">{horizon}")));
         }
         time_table.row(&cells);
     }
@@ -170,7 +168,7 @@ fn render_json(
     config: &AsyncNetworkConfig,
     median: f64,
     sigma: f64,
-    horizon: f64,
+    horizon: u32,
     seed: u64,
 ) -> Json {
     let populations: Vec<Json> = results
@@ -218,7 +216,6 @@ fn render_json(
                 .set("sigma", sigma)
                 .set("loss_probability", config.loss_probability)
                 .set("edge_spread", config.edge_spread)
-                .set("exchange_period", config.exchange_period)
                 .set("horizon", horizon)
                 .set("seed", seed),
         )

@@ -253,8 +253,7 @@ impl SweepRun {
             .pool_threads(0)
             .network(NetworkModel::Async(
                 AsyncNetworkConfig::default()
-                    .with_latency(LatencyModel::LogNormal { median: self.median, sigma: self.sigma })
-                    .with_convergence_check_period(1.0),
+                    .with_latency(LatencyModel::LogNormal { median: self.median, sigma: self.sigma }),
             ))
             .sim_shards(self.sim_shards)
             .adversary(self.adversary)
@@ -400,8 +399,7 @@ mod tests {
             .pool_threads(0)
             .network(NetworkModel::Async(
                 AsyncNetworkConfig::default()
-                    .with_latency(LatencyModel::LogNormal { median: 0.25, sigma: 0.5 })
-                    .with_convergence_check_period(1.0),
+                    .with_latency(LatencyModel::LogNormal { median: 0.25, sigma: 0.5 }),
             ))
             .sim_shards(2)
             .adversary(adversary)

@@ -9,9 +9,9 @@
 
 use rand::Rng;
 
-/// A message-delay distribution, in simulated time units (the engine's
-/// exchange period is the natural unit: a latency of `1.0` means "one full
-/// gossip period in transit").
+/// A message-delay distribution, in exchange periods (the engine's only
+/// time unit: a latency of `1.0` means "one full gossip period in
+/// transit").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// Every message takes exactly this long.  `Constant(0.0)` consumes no

@@ -68,8 +68,8 @@ pub enum NetworkModel {
     Rounds,
     /// Event-driven asynchronous delivery ([`ShardedAsyncEngine`]) with the
     /// given network characteristics.  One round of budget corresponds to
-    /// one [`AsyncNetworkConfig::exchange_period`] of simulated time, and a
-    /// phase consumes exactly one draw from the caller's RNG.
+    /// one exchange period of simulated time, and a phase consumes exactly
+    /// one draw from the caller's RNG.
     Async(AsyncNetworkConfig),
 }
 
@@ -90,17 +90,15 @@ impl NetworkModel {
     }
 }
 
-/// Configuration of the simulated network.
+/// Configuration of the simulated network.  Every time in it (latencies,
+/// crash and rejoin times) is in exchange periods: each node initiates one
+/// exchange per period, the asynchronous analogue of one gossip round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AsyncNetworkConfig {
     /// Per-message delay distribution.
     pub latency: LatencyModel,
     /// Probability that any single message (request or reply) is lost.
     pub loss_probability: f64,
-    /// Time between two initiations of the same node (the asynchronous
-    /// analogue of one gossip round; `1.0` keeps horizons comparable to
-    /// round counts).
-    pub exchange_period: f64,
     /// Heterogeneous-delay spread: edge `(i, j)` scales every latency
     /// sample by a deterministic factor in `[1 − spread, 1 + spread]`
     /// derived from a hash of the pair.  `0.0` = homogeneous network.
@@ -115,14 +113,6 @@ pub struct AsyncNetworkConfig {
     pub synchronized_start: bool,
     /// Correlated downtime windows (crash/rejoin events).
     pub crash: CrashSchedule,
-    /// How often `run_until` evaluates its convergence predicate, in
-    /// simulated time: `0.0` (the default) checks at every barrier (one per
-    /// exchange period); a positive period checks at most once per that
-    /// much simulated time.  Whole-population predicates are
-    /// `O(population)` per evaluation.  Throttling consumes no RNG draws
-    /// (the predicate is deterministic), so it only moves the stopping
-    /// time, never the event schedule.
-    pub convergence_check_period: f64,
     /// How many shards (and worker threads) the simulator uses: `1` (the
     /// default) runs the engine on one worker, `0` selects the machine's
     /// available parallelism, `n >= 2` uses exactly `n` shards/workers.  A
@@ -136,12 +126,10 @@ impl Default for AsyncNetworkConfig {
         Self {
             latency: LatencyModel::ZERO,
             loss_probability: 0.0,
-            exchange_period: 1.0,
             edge_spread: 0.0,
             edge_salt: 0x1A7E_ECED,
             synchronized_start: false,
             crash: CrashSchedule::NONE,
-            convergence_check_period: 0.0,
             sim_shards: 1,
         }
     }
@@ -152,8 +140,7 @@ impl AsyncNetworkConfig {
     ///
     /// # Panics
     /// Panics on an invalid latency model, a loss probability outside
-    /// `[0, 1)`, a non-positive exchange period, or an edge spread outside
-    /// `[0, 1)`.
+    /// `[0, 1)`, or an edge spread outside `[0, 1)`.
     pub fn validate(&self) {
         self.latency.validate();
         assert!(
@@ -162,19 +149,9 @@ impl AsyncNetworkConfig {
             self.loss_probability
         );
         assert!(
-            self.exchange_period.is_finite() && self.exchange_period > 0.0,
-            "exchange period must be finite and > 0, got {}",
-            self.exchange_period
-        );
-        assert!(
             (0.0..1.0).contains(&self.edge_spread),
             "edge spread must be in [0, 1), got {}",
             self.edge_spread
-        );
-        assert!(
-            self.convergence_check_period.is_finite() && self.convergence_check_period >= 0.0,
-            "convergence check period must be finite and >= 0, got {}",
-            self.convergence_check_period
         );
     }
 
@@ -208,10 +185,16 @@ impl AsyncNetworkConfig {
         self
     }
 
-    /// Replaces the convergence-predicate check period (see
-    /// [`AsyncNetworkConfig::convergence_check_period`]).
-    pub fn with_convergence_check_period(mut self, period: f64) -> Self {
-        self.convergence_check_period = period;
+    // A no-op kept for `chiarobench/src/{workloads,layers}.rs`, which pass
+    // `1.0` and cannot change in a protocol PR: predicates are checked at
+    // every barrier, which any period up to one already meant.  The setter
+    // goes with a benchmark PR.
+    #[doc(hidden)]
+    pub fn with_convergence_check_period(self, period: f64) -> Self {
+        assert!(
+            period <= 1.0,
+            "predicates are checked every exchange period, got a check period of {period}"
+        );
         self
     }
 
@@ -247,10 +230,10 @@ pub struct PhaseStats {
 /// `run_rounds` / `run_for`.
 pub struct PhaseOpts<'a, S> {
     /// Stop as soon as this holds over the store instead of exhausting the
-    /// budget; [`PhaseStats::converged`] reports whether it did.  The round
-    /// engine evaluates it before every round, the async engine at window
-    /// barriers — a pure function of the config, whatever the shard count
-    /// (see [`ShardedAsyncEngine::run_until`]).
+    /// budget; [`PhaseStats::converged`] reports whether it did.  Both
+    /// engines evaluate it once up front and once per round — the async
+    /// engine at each window barrier, a pure function of the config,
+    /// whatever the shard count (see [`ShardedAsyncEngine::run_until`]).
     pub until: Option<&'a mut dyn FnMut(&S) -> bool>,
     /// The fault schedule (see [`adversary`]): the network schedule and its
     /// RNG draws are unchanged; the adversary only voids a seeded subset of
@@ -271,10 +254,10 @@ impl<S> Default for PhaseOpts<'_, S> {
 /// drift out of RNG-draw or accounting lockstep.
 ///
 /// [`NetworkModel::Rounds`] runs at most `budget_rounds` rounds of the
-/// [`GossipEngine`]; [`NetworkModel::Async`] runs
-/// `budget_rounds × exchange_period` of simulated time at most on the
-/// [`ShardedAsyncEngine`], with [`AsyncNetworkConfig::sim_shards`] workers
-/// (one by default) and the same result for every worker count.
+/// [`GossipEngine`]; [`NetworkModel::Async`] runs at most `budget_rounds`
+/// exchange periods of simulated time on the [`ShardedAsyncEngine`], with
+/// [`AsyncNetworkConfig::sim_shards`] workers (one by default) and the same
+/// result for every worker count.
 pub fn run_phase<S, P, R>(
     network: &NetworkModel,
     nodes: S,
@@ -301,9 +284,9 @@ where
             (stopped, 0.0, nodes, metrics, 0)
         }
         NetworkModel::Async(config) => {
-            let horizon = f64::from(budget_rounds) * config.exchange_period;
             let mut engine = ShardedAsyncEngine::new(nodes, config.clone(), churn);
-            let stopped = engine.run_until(protocol, horizon, rng, done, adversary);
+            let stopped =
+                engine.run_until(protocol, f64::from(budget_rounds), rng, done, adversary);
             let sim_time = engine.now();
             let (nodes, metrics, sim) = engine.into_parts();
             (stopped, sim_time, nodes, metrics, sim.peak_in_flight)
@@ -480,36 +463,33 @@ mod tests {
     }
 
     #[test]
-    fn convergence_check_period_only_moves_the_stop_time() {
-        // Throttling the run_until predicate consumes no RNG draws, so with
-        // an unsatisfiable predicate (both runs exhaust the horizon) the
-        // final states must be bit-identical whatever the period.
-        let run = |period: f64| {
-            let config = AsyncNetworkConfig::default()
-                .with_latency(LatencyModel::Uniform { min: 0.05, max: 0.4 })
-                .with_convergence_check_period(period);
-            let mut rng = StdRng::seed_from_u64(13);
-            let mut engine = ShardedAsyncEngine::new(sum_states(48), config, ChurnModel::NONE);
-            let done = engine.run_until(&PushPullSum, 12.0, &mut rng, |_: &Vec<SumState>| false, None);
-            assert!(!done);
-            (engine.nodes().clone(), *engine.metrics())
-        };
-        assert_eq!(run(0.0), run(3.0), "the knob must not move the event schedule");
+    fn both_engines_check_the_stop_rule_once_before_and_once_per_round() {
+        // A never-true predicate under a budget of 9: checked once before
+        // the first round and once after each, on either engine.
+        for network in [NetworkModel::Rounds, NetworkModel::Async(AsyncNetworkConfig::default())] {
+            let mut calls = 0u32;
+            let mut never = |_: &Vec<u64>| {
+                calls += 1;
+                false
+            };
+            let (_, stats) = run_phase(
+                &network,
+                (0..16u64).collect(),
+                ChurnModel::NONE,
+                &MaxProtocol,
+                9,
+                &mut StdRng::seed_from_u64(3),
+                PhaseOpts { until: Some(&mut never), adversary: None },
+            );
+            assert!(!stats.converged);
+            assert_eq!(calls, 10, "{network:?}");
+        }
+    }
 
-        // With a satisfiable predicate the throttled run still detects
-        // convergence (at a check boundary or the horizon).
-        let config = AsyncNetworkConfig::default().with_convergence_check_period(2.0);
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut engine = ShardedAsyncEngine::new((0..64u64).collect::<Vec<_>>(), config, ChurnModel::NONE);
-        let done = engine.run_until(
-            &MaxProtocol,
-            50.0,
-            &mut rng,
-            |nodes: &Vec<u64>| nodes.iter().all(|&v| v == 63),
-            None,
-        );
-        assert!(done, "the max must still be detected with throttled checks");
-        assert!(engine.now() < 50.0, "convergence detected before the horizon");
+    #[test]
+    #[should_panic(expected = "checked every exchange period")]
+    fn a_check_period_above_one_is_rejected() {
+        let _ = AsyncNetworkConfig::default().with_convergence_check_period(2.0);
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl CrashSchedule {
 
     /// A randomly drawn mass-failure schedule: each node independently
     /// crashes with probability `crash_fraction`, at a uniform time in
-    /// `[0, horizon)`, for a downtime of `downtime` time units.  Drawn from
+    /// `[0, horizon)`, for a downtime of `downtime` exchange periods.  Drawn from
     /// `rng` up front, so the schedule — like everything in the simulator —
     /// is a pure function of the seed.
     pub fn uniform_random<R: Rng + ?Sized>(

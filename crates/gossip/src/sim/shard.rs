@@ -2,12 +2,11 @@
 //! multi-threaded.
 //!
 //! Where [`GossipEngine`](crate::engine::GossipEngine) advances the whole
-//! population in lockstep rounds, this engine advances a simulated clock:
-//! every node *initiates* one exchange per
-//! [`exchange_period`](AsyncNetworkConfig::exchange_period), the request
-//! travels for a sampled per-edge latency, may be lost, and the push-pull
-//! exchange is applied **atomically at delivery time** against both peers'
-//! then-current states.  The same
+//! population in lockstep rounds, this engine advances a simulated clock
+//! counted in exchange periods: every node *initiates* one exchange per
+//! period, the request travels for a sampled per-edge latency, may be lost,
+//! and the push-pull exchange is applied **atomically at delivery time**
+//! against both peers' then-current states.  The same
 //! [`PairwiseProtocol`](crate::engine::PairwiseProtocol) implementations
 //! run unchanged.  A global event heap popped on one core would make the
 //! heap and its serial RNG stream the wall at 10M nodes; instead the
@@ -35,7 +34,9 @@
 //!
 //! # Design: windows, mailboxes, barriers
 //!
-//! Simulated time is cut into *windows* of one exchange period.
+//! Simulated time is cut into *windows* of one exchange period, the
+//! engine's only time unit: window `w` is `[w, w + 1)`, and every run call
+//! advances a whole number of windows.
 //! The engine exploits a structural property of the async gossip model:
 //! **no scheduling decision reads node state**.  Initiation times, churn
 //! coins, contact choices, loss coins and latency samples are all
@@ -77,8 +78,9 @@
 //!   partition, and the barrier merge key doesn't either) — asserted by the
 //!   invariance suite below and enforced by CI's shard-equality lanes.
 //!
-//! `run_until` evaluates its predicate at window barriers (not after every
-//! exchange), so the stop time is a pure function of the config.
+//! `run_until` evaluates its predicate once up front and once per window
+//! barrier (not after every exchange), as the round engine does once per
+//! round, so the stop time is a pure function of the config.
 //! Reply/loss accounting for a message is booked at its delivery barrier,
 //! so messages still in flight at the horizon count only their request leg.
 
@@ -116,7 +118,7 @@ struct DeliveryRecord {
     flags: u8,
 }
 
-/// What one shard produced for one generation range.
+/// What one shard produced for one window.
 struct ShardOutput {
     records: Vec<DeliveryRecord>,
     /// `(time, node)` of every request put in flight, for the gauge merge.
@@ -147,10 +149,9 @@ pub struct ShardedAsyncEngine<S> {
     downtime: HashMap<u32, Vec<(f64, f64)>>,
     run_seed: u64,
     started: bool,
-    /// Mailboxes: `pending[w - pending_base]` holds the records delivering
+    /// Mailboxes: `pending[w - next_window]` holds the records delivering
     /// in window `w`.
     pending: std::collections::VecDeque<Vec<DeliveryRecord>>,
-    pending_base: u64,
     /// Wavefront stamps (`epoch << 32 | wave`), epoch-tagged so the array
     /// never needs clearing between barriers; empty on one worker, which
     /// never decomposes.
@@ -158,13 +159,8 @@ pub struct ShardedAsyncEngine<S> {
     epoch: u64,
     metrics: ExchangeMetrics,
     sim: SimMetrics,
-    now: f64,
-    horizon: f64,
-    /// Time up to which initiations have been generated (always within the
-    /// window `next_window`).
-    generated_to: f64,
+    /// The next window to run; the simulated clock reads `next_window`.
     next_window: u64,
-    periods_recorded: u64,
 }
 
 /// SplitMix64-style mix of a seed and two coordinates; the per-event
@@ -218,9 +214,8 @@ fn online_at(downtime: &HashMap<u32, Vec<(f64, f64)>>, node: usize, t: f64) -> b
     }
 }
 
-/// Generates one shard's initiations for window `window` restricted to
-/// `[gen_from, gen_to)` (`full` widens the upper bound to the whole window,
-/// absorbing boundary rounding), resolving each message end to end.
+/// Generates one shard's initiations for window `window`, resolving each
+/// message end to end.
 #[allow(clippy::too_many_arguments, reason = "called once, from the pool closure, with the engine's fields; a parameter struct would only rename them")]
 fn generate_shard(
     shard: usize,
@@ -231,13 +226,9 @@ fn generate_shard(
     downtime: &HashMap<u32, Vec<(f64, f64)>>,
     run_seed: u64,
     window: u64,
-    gen_from: f64,
-    gen_to: f64,
-    full: bool,
 ) -> ShardOutput {
-    let period = config.exchange_period;
     let loss = config.loss_probability;
-    let window_start = window as f64 * period;
+    let window_start = window as f64;
     let lo = shard * population / shards;
     let hi = (shard + 1) * population / shards;
     let mut out = ShardOutput {
@@ -251,12 +242,9 @@ fn generate_shard(
         let phase = if config.synchronized_start {
             0.0
         } else {
-            unit_f64(mix(run_seed, node as u64, u64::MAX)) * period
+            unit_f64(mix(run_seed, node as u64, u64::MAX))
         };
         let time = window_start + phase;
-        if time < gen_from || (!full && time >= gen_to) {
-            continue;
-        }
         if !online_at(downtime, node, time) {
             // A crashed node's clock keeps running; it just stays silent.
             continue;
@@ -349,15 +337,10 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
             run_seed: 0,
             started: false,
             pending: std::collections::VecDeque::new(),
-            pending_base: 0,
             epoch: 0,
             metrics: ExchangeMetrics::default(),
             sim: SimMetrics::default(),
-            now: 0.0,
-            horizon: 0.0,
-            generated_to: 0.0,
             next_window: 0,
-            periods_recorded: 0,
         }
     }
 
@@ -388,9 +371,10 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         &self.sim
     }
 
-    /// The simulated clock (the horizon reached by the last run call).
+    /// The simulated clock, in exchange periods: the barrier the last run
+    /// call stopped at.
     pub fn now(&self) -> f64 {
-        self.now
+        self.next_window as f64
     }
 
     /// Consumes the engine, returning the node states and the accounting.
@@ -408,32 +392,10 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         self.run_seed = rng.gen();
     }
 
-    /// Records one round per exchange period boundary fully elapsed by
-    /// `time`.
-    ///
-    /// The boundary test needs slack because `time` reaches a boundary
-    /// through accumulated additions (horizon + duration, barrier times)
-    /// while the boundary itself is computed as `k * period` — the two can
-    /// disagree by rounding noise.  An absolute `1e-9` covers that at small
-    /// times, but at the simulated times a 10M-node run reaches (≥ 1e7) a
-    /// single f64 ULP already exceeds `1e-9`, so the slack is additionally
-    /// scaled to a few ULPs of the boundary's own magnitude.
-    fn record_rounds_up_to(&mut self, time: f64) {
-        loop {
-            let boundary = (self.periods_recorded + 1) as f64 * self.config.exchange_period;
-            let slack = 1e-9_f64.max(boundary * 4.0 * f64::EPSILON);
-            if boundary > time + slack {
-                break;
-            }
-            self.metrics.record_round();
-            self.periods_recorded += 1;
-        }
-    }
-
     /// The mailbox of window `w`, growing the deque as needed.
     fn mailbox(&mut self, w: u64) -> &mut Vec<DeliveryRecord> {
-        debug_assert!(w >= self.pending_base);
-        let idx = (w - self.pending_base) as usize;
+        debug_assert!(w >= self.next_window);
+        let idx = (w - self.next_window) as usize;
         while self.pending.len() <= idx {
             self.pending.push_back(Vec::new());
         }
@@ -478,9 +440,9 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         }
     }
 
-    /// The window loop: generates and applies up to `target`; `on_barrier`
-    /// sees the population at every barrier time and returns `true` to
-    /// stop.  Returns `true` if stopped early.
+    /// The window loop: runs whole windows until the clock reads `target`;
+    /// `on_barrier` sees the population at every barrier and returns `true`
+    /// to stop.  Returns `true` if stopped early.
     ///
     /// An adversary, when present, classifies the surviving exchanges
     /// inside each barrier's serially merged `(time, seq)`-ordered pass —
@@ -489,108 +451,60 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
     fn drive<P, F>(
         &mut self,
         protocol: &P,
-        target: f64,
+        target: u64,
         mut adversary: Option<&mut AdversaryState>,
         mut on_barrier: F,
     ) -> bool
     where
         S: ProtocolStore<P>,
-        F: FnMut(&S, f64) -> bool,
+        F: FnMut(&S) -> bool,
     {
-        let period = self.config.exchange_period;
         let population = self.nodes.population();
-        loop {
+        while self.next_window < target {
             let w = self.next_window;
-            let w_start = w as f64 * period;
-            if w_start >= target {
-                break;
-            }
-            let w_end = (w + 1) as f64 * period;
-            let gen_from = self.generated_to.max(w_start);
-            let gen_to = target.min(w_end);
-            let full = gen_to == w_end;
-
             // Parallel generation: every shard resolves its own initiations
             // of this window (deterministic per-event streams, so the
             // partition cannot move any draw).
-            if gen_to > gen_from {
-                let (config, churn, downtime, run_seed, shards) =
-                    (&self.config, self.churn, &self.downtime, self.run_seed, self.shards);
-                let outputs: Vec<ShardOutput> = self.pool.map_range(shards, |s| {
-                    generate_shard(
-                        s, shards, population, config, churn, downtime, run_seed, w, gen_from,
-                        gen_to, full,
-                    )
-                });
-                let mut departs: Vec<(f64, u32)> = Vec::new();
-                for out in outputs {
-                    self.sim.messages_sent += out.sent;
-                    self.sim.messages_lost += out.lost;
-                    departs.extend_from_slice(&out.departs);
-                    for record in out.records {
-                        let dest = ((record.time / period) as u64).max(w);
-                        self.mailbox(dest).push(record);
-                    }
+            let (config, churn, downtime, run_seed, shards) =
+                (&self.config, self.churn, &self.downtime, self.run_seed, self.shards);
+            let outputs: Vec<ShardOutput> = self.pool.map_range(shards, |s| {
+                generate_shard(s, shards, population, config, churn, downtime, run_seed, w)
+            });
+            let mut departs: Vec<(f64, u32)> = Vec::new();
+            for out in outputs {
+                self.sim.messages_sent += out.sent;
+                self.sim.messages_lost += out.lost;
+                departs.extend_from_slice(&out.departs);
+                for record in out.records {
+                    // Delivery at or after departure: window `w` or later.
+                    self.mailbox(record.time as u64).push(record);
                 }
-                departs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                self.barrier(protocol, w, gen_to, &departs, &mut adversary);
-            } else {
-                self.barrier(protocol, w, gen_to, &[], &mut adversary);
             }
+            departs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            self.barrier(protocol, &departs, &mut adversary);
 
-            self.sim.advance(gen_to);
-            self.record_rounds_up_to(gen_to);
-            self.generated_to = gen_to;
-            if full {
-                // Roll the completed mailbox forward: boundary-rounded
-                // stragglers (delivery times that landed at or past the
-                // window end) belong to the next window.
-                let leftovers = if self.pending.is_empty() {
-                    Vec::new()
-                } else {
-                    self.pending.pop_front().expect("checked non-empty")
-                };
-                self.pending_base = w + 1;
-                if !leftovers.is_empty() {
-                    self.mailbox(w + 1).extend_from_slice(&leftovers);
-                }
-                self.next_window = w + 1;
-            }
-            if on_barrier(&self.nodes, gen_to) {
-                self.now = gen_to;
-                self.horizon = gen_to;
+            self.next_window = w + 1;
+            self.sim.advance(self.now());
+            self.metrics.record_round();
+            if on_barrier(&self.nodes) {
                 return true;
             }
-            if !full {
-                break;
-            }
         }
-        self.now = target;
-        self.horizon = target;
-        self.sim.advance(target);
-        self.record_rounds_up_to(target);
-        self.generated_to = self.generated_to.max(target);
         false
     }
 
-    /// The barrier for window `w` up to `apply_to`: drains the due
-    /// mailbox records in `(time, seq)` order, replays the merged
-    /// depart/arrive stream through the gauge, and applies the surviving
-    /// exchanges in order.
+    /// The barrier of window `next_window`: drains its mailbox in
+    /// `(time, seq)` order, replays the merged depart/arrive stream through
+    /// the gauge, and applies the surviving exchanges in order.
     fn barrier<P>(
         &mut self,
         protocol: &P,
-        w: u64,
-        apply_to: f64,
         departs: &[(f64, u32)],
         adversary: &mut Option<&mut AdversaryState>,
     ) where
         S: ProtocolStore<P>,
     {
-        let mailbox = std::mem::take(self.mailbox(w));
-        let (mut due, rest): (Vec<_>, Vec<_>) =
-            mailbox.into_iter().partition(|r| r.time < apply_to);
-        *self.mailbox(w) = rest;
+        let mut due = self.pending.pop_front().unwrap_or_default();
         due.sort_unstable_by(|a, b| {
             a.time
                 .total_cmp(&b.time)
@@ -633,27 +547,40 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         self.apply_ordered(protocol, &applies);
     }
 
-    /// Advances the simulation by `duration` time units.
+    /// The window the clock reads after `duration` more exchange periods.
+    fn target(&self, duration: f64) -> u64 {
+        assert!(
+            duration >= 0.0 && duration.is_finite() && duration.fract() == 0.0,
+            "run durations are whole exchange periods, got {duration}"
+        );
+        self.next_window + duration as u64
+    }
+
+    /// Advances the simulation by `duration` exchange periods.
+    ///
+    /// # Panics
+    /// Panics unless `duration` is a whole, non-negative number.
     pub fn run_for<P, R>(&mut self, protocol: &P, duration: f64, rng: &mut R)
     where
         S: ProtocolStore<P>,
         R: Rng + ?Sized,
     {
-        assert!(duration >= 0.0 && duration.is_finite());
+        let target = self.target(duration);
         self.ensure_started(rng);
-        let target = self.horizon + duration;
-        self.drive(protocol, target, None, |_, _| false);
+        self.drive(protocol, target, None, |_| false);
     }
 
     /// Advances the simulation until `done` holds over the node states or
-    /// `duration` time units have elapsed; returns whether the predicate
-    /// was satisfied.  It is checked up front, after the horizon, and at
-    /// window **barriers** (further throttled by
-    /// [`AsyncNetworkConfig::convergence_check_period`] when positive) —
-    /// barrier times are pure functions of the config, so the stop time is
-    /// shard-count invariant.  Under an adversary (see
+    /// `duration` exchange periods have elapsed; returns whether the
+    /// predicate was satisfied.  It is checked once up front and once at
+    /// every window **barrier**, as the round engine checks once before
+    /// and once per round — barrier times are pure functions of the config,
+    /// so the stop time is shard-count invariant.  Under an adversary (see
     /// [`crate::sim::adversary`]) a seeded subset of the delivered exchanges
     /// is voided; `None` applies every one.
+    ///
+    /// # Panics
+    /// Panics unless `duration` is a whole, non-negative number.
     pub fn run_until<P, R, F>(
         &mut self,
         protocol: &P,
@@ -667,27 +594,12 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         R: Rng + ?Sized,
         F: FnMut(&S) -> bool,
     {
-        assert!(duration >= 0.0 && duration.is_finite());
+        let target = self.target(duration);
         if done(&self.nodes) {
             return true;
         }
         self.ensure_started(rng);
-        let target = self.horizon + duration;
-        let check_period = self.config.convergence_check_period;
-        let mut next_check = self.horizon + check_period;
-        let stopped = self.drive(protocol, target, adversary, |nodes, time| {
-            if check_period > 0.0 {
-                if time < next_check {
-                    return false;
-                }
-                next_check = time + check_period;
-            }
-            done(nodes)
-        });
-        if stopped {
-            return true;
-        }
-        done(&self.nodes)
+        self.drive(protocol, target, adversary, done)
     }
 }
 
@@ -779,8 +691,8 @@ mod tests {
 
     #[test]
     fn incremental_driving_matches_one_shot_driving() {
-        // Partial-window resume: driving in odd increments must land on the
-        // same bits as one run_for of the total duration.
+        // Resume across calls: driving in uneven whole-period chunks must
+        // land on the same bits as one run_for of the total duration.
         let run = |chunks: &[f64]| {
             let mut rng = StdRng::seed_from_u64(77);
             let mut engine = ShardedAsyncEngine::new(
@@ -794,7 +706,7 @@ mod tests {
             engine.into_parts()
         };
         let whole = run(&[12.0]);
-        let pieces = run(&[0.3, 0.45, 1.25, 6.0, 4.0]);
+        let pieces = run(&[1.0, 2.0, 5.0, 4.0]);
         assert_eq!(whole.0, pieces.0, "node states");
         assert_eq!(whole.1, pieces.1, "exchange metrics");
         assert_eq!(whole.2, pieces.2, "sim metrics");
@@ -824,7 +736,6 @@ mod tests {
         let run = |shards: usize| {
             let config = AsyncNetworkConfig::default()
                 .with_latency(LatencyModel::LogNormal { median: 0.2, sigma: 0.5 })
-                .with_convergence_check_period(2.0)
                 .with_sim_shards(shards);
             let mut rng = StdRng::seed_from_u64(11);
             let nodes: Vec<u64> = (0..100).collect();
@@ -878,7 +789,7 @@ mod tests {
         let nodes: Vec<u64> = (0..population as u64).collect();
         let mut rng = StdRng::seed_from_u64(3);
         let mut engine = ShardedAsyncEngine::new(nodes, config, ChurnModel::NONE);
-        engine.run_for(&MaxProtocol, 19.5, &mut rng);
+        engine.run_for(&MaxProtocol, 19.0, &mut rng);
         assert_eq!(engine.nodes()[5], 5, "a crashed node's state must not move");
         assert!(
             engine.nodes().iter().enumerate().filter(|&(i, _)| i != 5).all(|(_, &v)| v == 31),
@@ -1015,24 +926,18 @@ mod tests {
     }
 
     #[test]
-    fn round_accounting_stays_exact_at_large_sim_times() {
-        // At sim times >= 1e7 one f64 ULP exceeds the historical absolute
-        // 1e-9 slack: with period 2.5e7/11 the 11th boundary (11 * period)
-        // rounds ~3.7e-9 ABOVE the exactly-representable horizon 2.5e7, so
-        // an absolute slack miscounts the final boundary round.  The
-        // ULP-scaled slack must record all 11.
-        let period = 2.5e7 / 11.0;
-        let config = AsyncNetworkConfig::default()
-            .with_synchronized_start(true)
-            .with_latency(LatencyModel::ZERO);
-        let config = AsyncNetworkConfig { exchange_period: period, ..config };
-        let mut engine = ShardedAsyncEngine::new(vec![0u64, 1u64], config, ChurnModel::NONE);
-        let mut rng = StdRng::seed_from_u64(9);
-        engine.run_for(&MaxProtocol, 2.5e7, &mut rng);
-        assert_eq!(
-            engine.metrics().rounds(),
-            11,
-            "boundary round at t = 2.5e7 miscounted by the period slack"
-        );
+    #[should_panic(expected = "whole exchange periods")]
+    fn run_for_rejects_a_fractional_duration() {
+        let mut engine =
+            ShardedAsyncEngine::new(vec![0u64, 1u64], AsyncNetworkConfig::default(), ChurnModel::NONE);
+        engine.run_for(&MaxProtocol, 2.5, &mut StdRng::seed_from_u64(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "whole exchange periods")]
+    fn run_until_rejects_a_fractional_duration() {
+        let mut engine =
+            ShardedAsyncEngine::new(vec![0u64, 1u64], AsyncNetworkConfig::default(), ChurnModel::NONE);
+        engine.run_until(&MaxProtocol, 0.5, &mut StdRng::seed_from_u64(1), |_: &Vec<u64>| false, None);
     }
 }

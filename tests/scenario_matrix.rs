@@ -700,10 +700,7 @@ fn scenario_scale_100k_surrogate_async() {
         "scale-100k-surrogate",
         NetworkModel::Async(
             AsyncNetworkConfig::default()
-                .with_latency(LatencyModel::LogNormal { median: 0.25, sigma: 0.5 })
-                // Whole-population convergence checks are O(population);
-                // once per simulated period is plenty at this scale.
-                .with_convergence_check_period(1.0),
+                .with_latency(LatencyModel::LogNormal { median: 0.25, sigma: 0.5 }),
         ),
     );
     let scale = scale_spec.run();
@@ -814,8 +811,7 @@ fn scenario_adversary_release_e2e_2k_nodes() {
         exchanges: 20,
         network: NetworkModel::Async(
             AsyncNetworkConfig::default()
-                .with_latency(LatencyModel::LogNormal { median: 0.25, sigma: 0.5 })
-                .with_convergence_check_period(1.0),
+                .with_latency(LatencyModel::LogNormal { median: 0.25, sigma: 0.5 }),
         ),
         sim_shards: 4,
         surrogate: true,
