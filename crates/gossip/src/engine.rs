@@ -251,19 +251,9 @@ impl<S: StateStore> GossipEngine<S> {
         Self { nodes, churn, metrics: ExchangeMetrics::default() }
     }
 
-    /// The population size.
-    pub fn population(&self) -> usize {
-        self.nodes.population()
-    }
-
     /// Immutable access to the node store.
     pub fn nodes(&self) -> &S {
         &self.nodes
-    }
-
-    /// The churn model in force.
-    pub fn churn(&self) -> ChurnModel {
-        self.churn
     }
 
     /// Accumulated message/round metrics.
@@ -291,21 +281,9 @@ impl<S: StateStore> GossipEngine<S> {
         self.round(protocol, &online, rng, None);
     }
 
-    /// Runs one gossip round against an explicit per-round connectivity
-    /// mask (`online[i]` ⇔ node `i` participates this round).  Exposed so
-    /// tests can pin the mask and assert that offline nodes are untouched.
-    ///
-    /// # Panics
-    /// Panics if the mask length differs from the population.
-    pub fn run_round_with_mask<P, R>(&mut self, protocol: &P, online: &[bool], rng: &mut R)
-    where
-        S: ProtocolStore<P>,
-        R: Rng + ?Sized,
-    {
-        self.round(protocol, online, rng, None);
-    }
-
-    /// One round under an optional adversary.  The exchange schedule (and
+    /// One round against an explicit per-round connectivity mask
+    /// (`online[i]` ⇔ node `i` participates this round), under an optional
+    /// adversary.  The exchange schedule (and
     /// thus the caller's RNG stream) is planned exactly as without one; the
     /// adversary only decides, per planned exchange and from its own
     /// dedicated sub-stream, whether the exchange applies or is voided
@@ -380,8 +358,8 @@ impl<S: StateStore> GossipEngine<S> {
 /// schedule the round performs.
 ///
 /// The schedule is *state-independent* and consumes **exactly** the RNG
-/// draws of [`GossipEngine::run_round_with_mask`] (which is implemented on
-/// top of this function): the full 0..population order is shuffled, then
+/// draws a [`GossipEngine`] round makes after sampling its online mask
+/// (the engine is implemented on top of this function): the full 0..population order is shuffled, then
 /// every online initiator draws one uniform contact over the online set
 /// minus itself.  A coordinator can therefore precompute the schedule and
 /// deliver each exchange as a pair of messages — the actor deployment path —
@@ -719,7 +697,7 @@ mod tests {
         let mut engine = GossipEngine::new(nodes, ChurnModel::new(0.4));
         let mask: Vec<bool> = (0..40).map(|i| i % 3 != 0).collect();
         let protocol = RecordingProtocol(std::sync::Mutex::default());
-        engine.run_round_with_mask(&protocol, &mask, &mut rng);
+        engine.round(&protocol, &mask, &mut rng, None);
         let pairs = protocol.0.into_inner().unwrap();
         assert!(!pairs.is_empty(), "online majority must exchange");
         for (a, b) in pairs {
@@ -740,7 +718,7 @@ mod tests {
         mask[0] = true;
         mask[999] = true;
         for _ in 0..10 {
-            engine.run_round_with_mask(&MaxProtocol, &mask, &mut rng);
+            engine.round(&MaxProtocol, &mask, &mut rng, None);
         }
         // Every online initiator completes its exchange, every round.
         assert_eq!(engine.metrics().exchanges(), 2 * 10);
@@ -759,7 +737,7 @@ mod tests {
         let rounds = 20_000;
         for _ in 0..rounds {
             let protocol = RecordingProtocol(std::sync::Mutex::default());
-            engine.run_round_with_mask(&protocol, &mask, &mut rng);
+            engine.round(&protocol, &mask, &mut rng, None);
             for (a, b) in protocol.0.into_inner().unwrap() {
                 contact_counts[a as usize] += 1;
                 contact_counts[b as usize] += 1;
@@ -784,7 +762,7 @@ mod tests {
         let mut engine = GossipEngine::new(vec![0u64; 50], ChurnModel::NONE);
         let mut mask = vec![false; 50];
         mask[13] = true;
-        engine.run_round_with_mask(&MaxProtocol, &mask, &mut rng);
+        engine.round(&MaxProtocol, &mask, &mut rng, None);
         assert_eq!(engine.metrics().exchanges(), 0);
         assert_eq!(engine.metrics().rounds(), 1, "the empty round is still counted");
     }
@@ -803,7 +781,7 @@ mod tests {
         for _ in 0..10 {
             implicit.run_round(&MaxProtocol, &mut rng_a);
             let mask = churn.sample_mask(64, &mut rng_b);
-            explicit.run_round_with_mask(&MaxProtocol, &mask, &mut rng_b);
+            explicit.round(&MaxProtocol, &mask, &mut rng_b, None);
         }
         assert_eq!(rng_a, rng_b, "run_round must consume exactly one mask of churn draws");
         assert_eq!(implicit.nodes(), explicit.nodes());

@@ -49,8 +49,8 @@
 //! * Decisions are indexed by a monotone counter advanced only for
 //!   byzantine-involved (or eclipse-eligible) exchanges, evaluated in each
 //!   engine's globally ordered apply stream (the planned round order on
-//!   the round engine, the `(time, init_window, initiator)` barrier merge
-//!   on the async engine) — so fault outcomes are bit-invariant in the
+//!   the round engine, the barrier's `(time, initiation window, initiator)`
+//!   order on the async engine) — so fault outcomes are bit-invariant in the
 //!   shard and worker counts.
 
 use rand::rngs::StdRng;

@@ -49,13 +49,20 @@
 //! Per window, each worker drains its shard's implicit event queue (one
 //! initiation per owned node per window) and posts a `DeliveryRecord`
 //! into the **mailbox** of the window the message lands in.  At the
-//! barrier, the current window's mailbox is merged and sorted by the
-//! shard-count-invariant key `(time, seq)` where `seq = (initiation
-//! window, initiator)` — a total order, since a node initiates at most once
-//! per window — and the surviving exchanges are applied in exactly that
-//! order.  Message accounting ([`SimMetrics`]) is rebuilt from the same
-//! merged order, so counters, the in-flight gauge and its peak are
-//! deterministic too.
+//! barrier, the current window's mailbox is put in the shard-count-invariant
+//! order `(time, seq)` where `seq = (initiation window, initiator)` — a
+//! total order, since a node initiates at most once per window — and the
+//! surviving exchanges are applied in exactly that order.  No comparison
+//! sort builds it.  Shards are contiguous ascending node ranges and each
+//! window's shard outputs are posted in shard order, so every mailbox
+//! receives its records in `seq` order; every delivery time in mailbox `w`
+//! lies in `[w, w + 1)`, so one stable pass over equal-width time buckets
+//! completes the order in expected linear time.  Message accounting
+//! ([`SimMetrics`]) is rebuilt from the same merged order, so counters, the
+//! in-flight gauge and its peak are deterministic too.  The gauge's
+//! departures need no sort either: a node initiates at the same phase
+//! offset in every window, so one order of the nodes by phase, built when
+//! the run seed is drawn, orders every window's departures.
 //!
 //! The ordered application itself is parallelised by **wavefront
 //! decomposition**: exchange `e` is assigned wave `1 + max(wave(initiator),
@@ -106,13 +113,12 @@ const FLAG_LOST: u8 = 1 << 2;
 
 /// One fully resolved message: generated by the initiator's shard, parked
 /// in the mailbox of its delivery window, applied at that window's barrier.
+/// A mailbox receives its records in `(initiation window, initiator)`
+/// order, the tie-break the barrier's stable time pass keeps.
 #[derive(Debug, Clone, Copy)]
 struct DeliveryRecord {
     /// Delivery time (request departure time + sampled edge latency).
     time: f64,
-    /// Window in which the request departed — with `initiator`, the
-    /// sequence number that makes the barrier merge key a total order.
-    init_window: u64,
     initiator: u32,
     contact: u32,
     flags: u8,
@@ -121,8 +127,8 @@ struct DeliveryRecord {
 /// What one shard produced for one window.
 struct ShardOutput {
     records: Vec<DeliveryRecord>,
-    /// `(time, node)` of every request put in flight, for the gauge merge.
-    departs: Vec<(f64, u32)>,
+    /// The nodes whose request went in flight, for the gauge merge.
+    departs: Vec<u32>,
     sent: u64,
     lost: u64,
 }
@@ -148,7 +154,14 @@ pub struct ShardedAsyncEngine<S> {
     /// nobody crashes), queried statelessly as `online(node, t)`.
     downtime: HashMap<u32, Vec<(f64, f64)>>,
     run_seed: u64,
-    started: bool,
+    /// Every node in initiation-phase order, ties by node: the order of
+    /// every window's departures.  Built when the run seed is drawn, so it
+    /// is empty until the engine has started.
+    phase_order: Vec<u32>,
+    /// `w + 1` for a node whose request departed in window `w`: the
+    /// current window's stamp picks its departures out of `phase_order`,
+    /// and older stamps never need clearing.
+    departed: Vec<u64>,
     /// Mailboxes: `pending[w - next_window]` holds the records delivering
     /// in window `w`.
     pending: std::collections::VecDeque<Vec<DeliveryRecord>>,
@@ -186,6 +199,47 @@ pub(crate) fn mixed_rng(seed: u64, a: u64, b: u64) -> StdRng {
 /// Maps a hash to a uniform f64 in `[0, 1)`.
 pub(crate) fn unit_f64(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// A node's initiation offset in every window: `0` under a synchronized
+/// start, else a pure hash of the run seed and the node.
+fn phase(config: &AsyncNetworkConfig, run_seed: u64, node: usize) -> f64 {
+    if config.synchronized_start {
+        0.0
+    } else {
+        unit_f64(mix(run_seed, node as u64, u64::MAX))
+    }
+}
+
+/// `items` stably sorted by `key`, for keys in `[origin, origin + 1)`:
+/// one counting pass scatters the items, in input order, into
+/// `items.len()` equal-width buckets, and each bucket is then sorted
+/// stably.  Spread keys sort in expected linear time; keys that share one
+/// bucket cost one comparison sort.
+fn sort_unit_keys<T: Copy>(items: &[T], origin: f64, key: impl Fn(&T) -> f64) -> Vec<T> {
+    let n = items.len();
+    let bucket = |item: &T| (((key(item) - origin) * n as f64) as usize).min(n - 1);
+    // `ends[b + 1]` counts bucket `b`, then the prefix sum makes `ends[b]`
+    // the start of bucket `b`, and the scatter moves it to the bucket's end.
+    let mut ends = vec![0usize; n + 1];
+    for item in items {
+        ends[bucket(item) + 1] += 1;
+    }
+    for b in 1..=n {
+        ends[b] += ends[b - 1];
+    }
+    let mut sorted = items.to_vec();
+    for item in items {
+        let slot = &mut ends[bucket(item)];
+        sorted[*slot] = *item;
+        *slot += 1;
+    }
+    let mut start = 0;
+    for &end in &ends[..n] {
+        sorted[start..end].sort_by(|a, b| key(a).total_cmp(&key(b)));
+        start = end;
+    }
+    sorted
 }
 
 /// The deterministic per-edge latency factor: a pure SplitMix64 hash of
@@ -238,13 +292,8 @@ fn generate_shard(
         lost: 0,
     };
     for node in lo..hi {
-        // One initiation per node per window, at a pure-hash phase offset.
-        let phase = if config.synchronized_start {
-            0.0
-        } else {
-            unit_f64(mix(run_seed, node as u64, u64::MAX))
-        };
-        let time = window_start + phase;
+        // One initiation per node per window, at its phase offset.
+        let time = window_start + phase(config, run_seed, node);
         if !online_at(downtime, node, time) {
             // A crashed node's clock keeps running; it just stays silent.
             continue;
@@ -266,7 +315,7 @@ fn generate_shard(
         }
         let delay = config.latency.sample(&mut ev)
             * edge_factor(config.edge_spread, config.edge_salt, node, contact);
-        out.departs.push((time, node as u32));
+        out.departs.push(node as u32);
         let delivery = time + delay;
         // Resolve the delivery-side outcome now (all draws are
         // state-independent); its metrics effects are booked at the
@@ -285,7 +334,6 @@ fn generate_shard(
         }
         out.records.push(DeliveryRecord {
             time: delivery,
-            init_window: window,
             initiator: node as u32,
             contact: contact as u32,
             flags,
@@ -328,6 +376,7 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         }
         Self {
             stamps: if shards > 1 { vec![0u64; population] } else { Vec::new() },
+            departed: vec![0u64; population],
             nodes,
             config,
             churn,
@@ -335,23 +384,13 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
             pool,
             downtime,
             run_seed: 0,
-            started: false,
+            phase_order: Vec::new(),
             pending: std::collections::VecDeque::new(),
             epoch: 0,
             metrics: ExchangeMetrics::default(),
             sim: SimMetrics::default(),
             next_window: 0,
         }
-    }
-
-    /// The population size.
-    pub fn population(&self) -> usize {
-        self.nodes.population()
-    }
-
-    /// The effective shard (= worker) count.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Immutable access to the node-state storage.
@@ -383,22 +422,22 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
     }
 
     /// Draws the run seed — the single draw this engine consumes from the
-    /// caller's RNG; everything else derives from it per event.
+    /// caller's RNG; everything else derives from it per event — and orders
+    /// the nodes by the initiation phase it fixes.
     fn ensure_started<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        if self.started {
-            return;
+        if self.phase_order.is_empty() {
+            self.run_seed = rng.gen();
+            let (config, run_seed) = (&self.config, self.run_seed);
+            let nodes: Vec<u32> = (0..self.nodes.population() as u32).collect();
+            self.phase_order = sort_unit_keys(&nodes, 0.0, |&node| phase(config, run_seed, node as usize));
         }
-        self.started = true;
-        self.run_seed = rng.gen();
     }
 
     /// The mailbox of window `w`, growing the deque as needed.
     fn mailbox(&mut self, w: u64) -> &mut Vec<DeliveryRecord> {
         debug_assert!(w >= self.next_window);
         let idx = (w - self.next_window) as usize;
-        while self.pending.len() <= idx {
-            self.pending.push_back(Vec::new());
-        }
+        self.pending.resize_with(self.pending.len().max(idx + 1), Vec::new);
         &mut self.pending[idx]
     }
 
@@ -470,18 +509,21 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
             let outputs: Vec<ShardOutput> = self.pool.map_range(shards, |s| {
                 generate_shard(s, shards, population, config, churn, downtime, run_seed, w)
             });
-            let mut departs: Vec<(f64, u32)> = Vec::new();
             for out in outputs {
                 self.sim.messages_sent += out.sent;
                 self.sim.messages_lost += out.lost;
-                departs.extend_from_slice(&out.departs);
+                for node in out.departs {
+                    self.departed[node as usize] = w + 1;
+                }
                 for record in out.records {
                     // Delivery at or after departure: window `w` or later.
+                    // Shards are ascending node ranges, so every mailbox
+                    // receives its records in `(initiation window,
+                    // initiator)` order.
                     self.mailbox(record.time as u64).push(record);
                 }
             }
-            departs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            self.barrier(protocol, &departs, &mut adversary);
+            self.barrier(protocol, &mut adversary);
 
             self.next_window = w + 1;
             self.sim.advance(self.now());
@@ -493,35 +535,30 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
         false
     }
 
-    /// The barrier of window `next_window`: drains its mailbox in
-    /// `(time, seq)` order, replays the merged depart/arrive stream through
-    /// the gauge, and applies the surviving exchanges in order.
-    fn barrier<P>(
-        &mut self,
-        protocol: &P,
-        departs: &[(f64, u32)],
-        adversary: &mut Option<&mut AdversaryState>,
-    ) where
+    /// The barrier of window `next_window`: puts its mailbox in `(time, seq)`
+    /// order by one stable pass on `time` (the push order supplies `seq`),
+    /// replays the merged depart/arrive stream through the gauge, and
+    /// applies the surviving exchanges in order.
+    fn barrier<P>(&mut self, protocol: &P, adversary: &mut Option<&mut AdversaryState>)
+    where
         S: ProtocolStore<P>,
     {
-        let mut due = self.pending.pop_front().unwrap_or_default();
-        due.sort_unstable_by(|a, b| {
-            a.time
-                .total_cmp(&b.time)
-                .then(a.init_window.cmp(&b.init_window))
-                .then(a.initiator.cmp(&b.initiator))
-        });
+        let w = self.next_window;
+        let due = sort_unit_keys(&self.pending.pop_front().unwrap_or_default(), w as f64, |r| r.time);
+        let (config, run_seed, departed) = (&self.config, self.run_seed, &self.departed);
+        let mut departs = self.phase_order.iter()
+            .filter(|&&node| departed[node as usize] == w + 1)
+            .map(|&node| w as f64 + phase(config, run_seed, node as usize))
+            .peekable();
 
         // Replay the merged event stream through the in-flight gauge.
         // Departs at or before an arrival time go first, so the gauge can
         // never go negative (a zero-latency message arrives the instant it
         // departs).
         let mut applies: Vec<(u32, u32)> = Vec::new();
-        let mut di = 0usize;
         for record in &due {
-            while di < departs.len() && departs[di].0 <= record.time {
-                self.sim.depart(departs[di].0);
-                di += 1;
+            while let Some(time) = departs.next_if(|&time| time <= record.time) {
+                self.sim.depart(time);
             }
             self.sim.arrive(record.time);
             if record.flags & FLAG_REPLY_SENT != 0 {
@@ -541,7 +578,7 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
                 applies.push((record.initiator, record.contact));
             }
         }
-        for &(time, _) in &departs[di..] {
+        for time in departs {
             self.sim.depart(time);
         }
         self.apply_ordered(protocol, &applies);
@@ -658,6 +695,106 @@ mod tests {
         let mut engine = full_feature_engine(shards);
         engine.run_for(&PushPullSum, 25.0, &mut rng);
         engine.into_parts()
+    }
+
+    /// Folds every output bit of a run into one word: the node states, the
+    /// exchange metrics, and every sim-metrics field with the in-flight
+    /// integral read over `horizon`.
+    fn digest((nodes, metrics, sim): &Parts, horizon: f64) -> u64 {
+        let states = nodes.iter().flat_map(|s| [s.sigma.to_bits(), s.omega.to_bits()]);
+        let counts = [metrics.exchanges(), metrics.messages(), u64::from(metrics.rounds())];
+        let traffic = [sim.messages_sent, sim.messages_lost, sim.in_flight as u64, sim.peak_in_flight as u64];
+        states
+            .chain(counts)
+            .chain(traffic)
+            .chain([sim.mean_in_flight(horizon).to_bits()])
+            .enumerate()
+            .fold(0, |h, (i, word)| mix(h, i as u64, word))
+    }
+
+    #[test]
+    fn barrier_order_matches_the_parent_bit_for_bit() {
+        // The invariance suite compares shard counts of one build, so a
+        // reordering that every count shares would pass it.  These digests
+        // pin the barrier's delivery and departure orders themselves: a
+        // change to how the engine builds them must leave every bit.
+        for shards in [1usize, 2, 4] {
+            assert_eq!(digest(&full_feature_run(shards), 25.0), 0xB886_32E3_98D1_2476, "{shards} shards");
+        }
+        // Synchronized start with constant latency: every delivery of a
+        // window lands at one instant, so the push order alone breaks ties.
+        let config = AsyncNetworkConfig::default()
+            .with_latency(LatencyModel::Constant(0.5))
+            .with_synchronized_start(true)
+            .with_sim_shards(2);
+        let mut engine = ShardedAsyncEngine::new(sum_states(64), config, ChurnModel::new(0.2));
+        engine.run_for(&PushPullSum, 25.0, &mut StdRng::seed_from_u64(1234));
+        assert_eq!(digest(&engine.into_parts(), 25.0), 0xD47D_5772_A711_BD24, "synchronized start");
+    }
+
+    /// Keys tagged with their input position.
+    type Tagged = Vec<(f64, u32)>;
+
+    /// `keys`, tagged, bucket-sorted from `origin` and, as the reference,
+    /// by the std stable sort.
+    fn both_sorts(keys: &[f64], origin: f64) -> (Tagged, Tagged) {
+        let items: Tagged = keys.iter().zip(0..).map(|(&key, i)| (key, i)).collect();
+        let mut reference = items.clone();
+        reference.sort_by(|a, b| a.0.total_cmp(&b.0));
+        (sort_unit_keys(&items, origin, |item| item.0), reference)
+    }
+
+    #[test]
+    fn the_bucket_sort_keeps_ties_in_input_order() {
+        let (sorted, reference) = both_sorts(&[7.5, 7.25, 7.5, 7.0, 7.25, 7.5, 7.999_999_999], 7.0);
+        assert_eq!(sorted.iter().map(|item| item.1).collect::<Vec<_>>(), [3, 1, 4, 0, 2, 5, 6]);
+        assert_eq!(sorted, reference);
+    }
+
+    #[test]
+    fn the_bucket_sort_handles_equal_empty_and_single_inputs() {
+        let (sorted, reference) = both_sorts(&[3.5; 100], 3.0);
+        assert_eq!(sorted, reference, "all keys equal keep the input order");
+        for keys in [&[][..], &[0.25]] {
+            let (sorted, reference) = both_sorts(keys, 0.0);
+            assert_eq!(sorted, reference, "{keys:?}");
+        }
+    }
+
+    #[test]
+    fn the_bucket_sort_orders_distinct_keys_that_share_one_bucket() {
+        // 300 buckets of width 1/300; every key lies in the first, with
+        // three distinct values repeated, so only a stable sort inside the
+        // bucket both orders them and keeps each value's ties in place.
+        let keys: Vec<f64> = (0..300).map(|i| 2.0 + f64::from((i * 7) % 3) * 1e-6).collect();
+        let (sorted, reference) = both_sorts(&keys, 2.0);
+        assert_eq!(sorted, reference);
+    }
+
+    proptest::proptest! {
+        /// On keys in `[origin, origin + 1)`, drawn from the whole interval
+        /// or from a grid of `steps` points (coarser or finer than the
+        /// buckets, so ties, and distinct keys sharing a bucket, are
+        /// common), the bucket pass is the std stable sort.
+        #[test]
+        fn the_bucket_sort_is_the_std_stable_sort(
+            origin in 0u32..1_000,
+            whole in proptest::prelude::any::<bool>(),
+            steps in 1u32..4_096,
+            len in 0usize..400,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let origin = f64::from(origin);
+            let keys: Vec<f64> = (0..len)
+                .map(|_| {
+                    let unit = if whole { rng.gen() } else { f64::from(rng.gen_range(0..steps)) / f64::from(steps) };
+                    origin + unit
+                })
+                .collect();
+            let (sorted, reference) = both_sorts(&keys, origin);
+            proptest::prop_assert_eq!(sorted, reference);
+        }
     }
 
     #[test]

@@ -191,6 +191,7 @@ impl ThreadPool {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Mutex;
 
     fn pool(threads: usize) -> ThreadPool {
@@ -272,17 +273,26 @@ mod tests {
 
     #[test]
     fn a_panic_poisons_the_cursor_so_siblings_stop_early() {
-        // A panic at item 0 of a huge range must not leave the other workers
-        // draining the remaining ten million items before the panic can
-        // propagate: the panicking worker stores `len` into the shared cursor
-        // first, so siblings run off the end on their next claim.
-        let len = 10_000_000usize;
+        // A panic at item 0 of a large range must not leave the other workers
+        // draining the remaining items before the panic can propagate: the
+        // panicking worker stores `len` into the shared cursor first, so
+        // siblings run off the end on their next claim.  Every other item
+        // waits until item 0 is panicking, so a late start of item 0 cannot
+        // let the siblings drain the range first, then yields once more, so
+        // the panicking worker reaches the cursor within a few items.
+        let len = 2_000_000usize;
         let visited = AtomicUsize::new(0);
+        let panicking = AtomicBool::new(false);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool(4).map_range(len, |i| {
                 if i == 0 {
+                    panicking.store(true, Ordering::Release);
                     panic!("poison");
                 }
+                while !panicking.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                std::thread::yield_now();
                 visited.fetch_add(1, Ordering::Relaxed);
             })
         }));
