@@ -618,6 +618,8 @@ mod tests {
             (with_budget(|b| b.contributors = 0), "lane budget"),
             (with_budget(|b| b.biased_vectors = 0), "lane budget"),
             (with_budget(|b| b.max_abs_value = f64::NAN), "magnitude bound"),
+            // Sized, not shifted: no 512 MiB worst case is built first.
+            (with_budget(|b| b.doubling_budget = u32::MAX), "capacity"),
             (NodeSpec { packing: (8, budget), ..installable.clone() }, "capacity"),
             (NodeSpec { encoding_digits: 16, ..installable.clone() }, "decimal digits"),
             (NodeSpec { series_length: 5, ..installable.clone() }, "series length"),

@@ -8,11 +8,12 @@
 //!
 //! The coordinator holds one link per node (a star overlay standing in for
 //! the Newscast mesh) and wraps them in a node store whose `apply_exchange`
-//! is a relay; [`run_phase`] then runs each phase over that store exactly as
-//! the monolith runs it over in-process state — one recipe, one planner,
-//! one stop rule, one fault schedule, one set of counters — on the round
-//! engine or the event-driven one, whichever the run's network model
-//! selects.  Each exchange the engine applies is delivered as:
+//! is a relay; each `gossip(Phase)` call is one [`run_phase`] over that
+//! store, exactly as the monolith runs it over in-process state — one
+//! recipe, one planner, one stop rule, one fault schedule, one set of
+//! counters — on the round engine or the event-driven one, whichever the
+//! run's network model selects.  Each exchange the engine applies is
+//! delivered as:
 //!
 //! ```text
 //! coordinator ── InitiateExchange(phase, contact) ──▶ initiator
@@ -47,7 +48,9 @@
 //! boundary.
 //!
 //! Only the driver ever threshold-decrypts: nodes are provisioned with
-//! exported *public* material, so the key shares never cross a link.
+//! exported *public* material, so the key shares never cross a link.  The
+//! coordinator reads the nodes out only when the driver asks: `views`
+//! after the counter phase, `read_out` after the dissemination.
 
 use rand::Rng;
 
@@ -137,7 +140,7 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
         rng: &mut R,
     ) -> RunOutcome {
         assert_eq!(links.len(), self.data.len(), "one transport link per participant");
-        let mut outcome = drive(self, &mut LinkExecutor { links, readouts: Vec::new() }, rng);
+        let mut outcome = drive(self, &mut LinkExecutor { links, ids: Vec::new() }, rng);
         for stats in &mut outcome.network {
             stats.sum_payload_bytes += frame_overhead;
         }
@@ -204,48 +207,30 @@ impl<T: Transport> ProtocolStore<Phase> for LinkStore<'_, T> {
     }
 }
 
-/// The link executor: the deployed population plus what the coordinator
-/// has read out of it.
-struct LinkExecutor<'l, T: Transport, B: CipherBackend> {
+/// The link executor: the deployed population plus the coordinator's
+/// shadow of the nodes' correction identifiers.
+struct LinkExecutor<'l, T> {
     links: &'l mut [T],
-    /// Every node's view once the epidemic weights and counters are frozen
-    /// (dissemination never touches them).
-    readouts: Vec<Readout<B>>,
+    /// Each node's proposal identifier, from `propose` on; the correction
+    /// phase mirrors the min-id rule over it to stop on agreement.
+    ids: Vec<u64>,
 }
 
-impl<T: Transport, B: CipherBackend> LinkExecutor<'_, T, B> {
-    /// Runs one phase over the links on the engine the run's network model
-    /// selects.  With `ids` the phase stops on agreement over them; without,
-    /// it runs its budget.
-    fn relay_phase<R: Rng + ?Sized>(
-        &mut self,
-        ctx: &RunContext<'_, B>,
-        phase: Phase,
-        rng: &mut R,
-        ids: Option<&mut [u64]>,
-        adversary: Option<&mut AdversaryState>,
-    ) -> PhaseStats {
-        let mut agreed = LinkStore::agreed;
-        let until = ids.is_some().then_some(&mut agreed as &mut dyn FnMut(&_) -> bool);
-        let store = LinkStore { links: &mut *self.links, ids };
-        let opts = PhaseOpts { until, adversary };
-        run_phase(&ctx.run.params.network, store, ctx.churn, &phase, ctx.exchanges, rng, opts).1
-    }
-
-    /// Requests and decodes every node's readout (`with_units` additionally
-    /// asks that one node for its accumulated unit vector).  Every request
+impl<T: Transport> LinkExecutor<'_, T> {
+    /// Requests and decodes every node's readout (`units` additionally asks
+    /// that one node for its accumulated unit vector).  Every request
     /// goes out before the first reply is awaited, so the nodes answer
     /// concurrently instead of one socket round trip after another.
     #[expect(
         clippy::expect_used,
-        reason = "Executor::settle cannot return an error: until a ProtocolError can, a readout that \
-                  fails to arrive or decode stops the run instead of entering the decrypted aggregate"
+        reason = "the Executor methods cannot return an error: until a ProtocolError can, a readout \
+                  that fails to arrive or decode stops the run instead of entering the decrypted aggregate"
     )]
-    fn read_out(&mut self, ctx: &RunContext<'_, B>, with_units: Option<usize>) -> Vec<Readout<B>> {
+    fn readout_round<B: CipherBackend>(&mut self, ctx: &RunContext<'_, B>, units: Option<usize>) -> Vec<Readout<B>> {
         let (k, n) = (ctx.run.params.k, ctx.run.data.series_length());
         let backend: &B = &ctx.kit.backend;
         for (node, link) in self.links.iter_mut().enumerate() {
-            send(link, node, NodeEvent::ReadoutRequest { include_units: with_units == Some(node) });
+            send(link, node, NodeEvent::ReadoutRequest { include_units: units == Some(node) });
         }
         self.links
             .iter_mut()
@@ -258,7 +243,7 @@ impl<T: Transport, B: CipherBackend> LinkExecutor<'_, T, B> {
     }
 }
 
-impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T, B> {
+impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T> {
     /// Public material only; the key shares stay with the driver's backend.
     fn provision(&mut self, ctx: &RunContext<'_, B>) {
         let params = &ctx.run.params;
@@ -304,58 +289,49 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T, B> {
         ctx.run.data.series().iter().map(|s| closest_centroid(centroids, s)).collect()
     }
 
-    fn means_phase<R: Rng + ?Sized>(
+    /// Runs the phase over the links on the engine the run's network model
+    /// selects.  The correction phase stops on agreement over the shadow
+    /// identifiers; the others run their budget.
+    fn gossip<R: Rng + ?Sized>(
         &mut self,
         ctx: &RunContext<'_, B>,
+        phase: Phase,
         rng: &mut R,
         adversary: Option<&mut AdversaryState>,
     ) -> PhaseStats {
-        self.relay_phase(ctx, Phase::Means, rng, None, adversary)
+        let tracked = phase == Phase::Correction;
+        let mut agreed = LinkStore::agreed;
+        let until = tracked.then_some(&mut agreed as &mut dyn FnMut(&_) -> bool);
+        let store = LinkStore { links: &mut *self.links, ids: tracked.then_some(&mut self.ids[..]) };
+        let opts = PhaseOpts { until, adversary };
+        run_phase(&ctx.run.params.network, store, ctx.churn, &phase, ctx.exchanges, rng, opts).1
     }
 
-    fn counter_phase<R: Rng + ?Sized>(
-        &mut self,
-        ctx: &RunContext<'_, B>,
-        rng: &mut R,
-        adversary: Option<&mut AdversaryState>,
-    ) -> PhaseStats {
-        let stats = self.relay_phase(ctx, Phase::Counter, rng, None, adversary);
-        self.readouts = self.read_out(ctx, None);
-        stats
+    /// One readout round: the epidemic weights and counters are frozen
+    /// after the counter phase (dissemination never touches them).
+    fn views(&mut self, ctx: &RunContext<'_, B>) -> impl Iterator<Item = (f64, Option<f64>)> {
+        self.readout_round(ctx, None)
+            .into_iter()
+            .map(|Readout::<B> { weight, sigma, omega, .. }| (weight, SumState { sigma, omega }.estimate()))
     }
 
-    fn weight(&self, node: usize) -> f64 {
-        self.readouts[node].weight
-    }
-
-    fn counter_estimate(&self, node: usize) -> Option<f64> {
-        let Readout { sigma, omega, .. } = self.readouts[node];
-        SumState { sigma, omega }.estimate()
-    }
-
-    fn settle<R: Rng + ?Sized>(
-        &mut self,
-        ctx: &RunContext<'_, B>,
-        proposals: Vec<NoiseCorrection>,
-        reference: usize,
-        rng: &mut R,
-        adversary: Option<&mut AdversaryState>,
-    ) -> (Vec<f64>, PhaseStats, Vec<B::Unit>) {
+    fn propose(&mut self, _ctx: &RunContext<'_, B>, proposals: Vec<NoiseCorrection>) {
         for ((node, link), c) in self.links.iter_mut().enumerate().zip(&proposals) {
             let payload = encode_correction(c.id, &c.sum_correction, &c.count_correction);
             send(link, node, NodeEvent::CorrectionProposal { payload });
         }
         // The coordinator shadows only the identifiers; payloads stay on
-        // the nodes and are cross-checked below.
-        let mut ids: Vec<u64> = proposals.iter().map(|c| c.id).collect();
-        let stats = self.relay_phase(ctx, Phase::Correction, rng, Some(&mut ids), adversary);
+        // the nodes and are cross-checked by `read_out`.
+        self.ids = proposals.iter().map(|c| c.id).collect();
+    }
 
-        let mut readouts = self.read_out(ctx, Some(reference));
-        let winner_id = *ids.iter().min().expect("non-empty population");
+    fn read_out(&mut self, ctx: &RunContext<'_, B>, reference: usize) -> (Vec<f64>, Vec<B::Unit>) {
+        let mut readouts = self.readout_round(ctx, Some(reference));
+        let winner_id = *self.ids.iter().min().expect("non-empty population");
         let mut winning_row: Option<&[f64]> = None;
         for (node, readout) in readouts.iter().enumerate() {
             let (id, row) = readout.correction.as_ref().expect("every node holds a correction state");
-            assert_eq!(*id, ids[node], "the coordinator's shadow ids must match the nodes'");
+            assert_eq!(*id, self.ids[node], "the coordinator's shadow ids must match the nodes'");
             if *id == winner_id {
                 let expected = *winning_row.get_or_insert(row);
                 assert_eq!(
@@ -368,7 +344,7 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T, B> {
         let winning = winning_row.expect("the winning identifier is held somewhere").to_vec();
         let units =
             readouts[reference].units.take().expect("the reference node reports its accumulated units");
-        (winning, stats, units)
+        (winning, units)
     }
 }
 

@@ -15,17 +15,20 @@
 //! reference the packed initialisation is tested against and for a
 //! benchmark probe.
 //!
-//! Both shapes are generic over the [`CipherBackend`]: under the
+//! [`PackedMeans`] is generic over the [`CipherBackend`]: under the
 //! default [`DamgardJurik`] backend the units are real ciphertexts; under
 //! the plaintext surrogate they are the exact integers those ciphertexts
 //! would decrypt to, letting million-node protocol simulations skip the
-//! modular arithmetic.
+//! modular arithmetic.  The per-coordinate shape is Damgård–Jurik only: it
+//! encodes a negative coordinate as its modular complement, which only a
+//! real plaintext space has.
 
 use rand::Rng;
 
 use chiaroscuro_crypto::backend::{CipherBackend, DamgardJurik};
 use chiaroscuro_crypto::encoding::FixedPointEncoder;
 use chiaroscuro_crypto::packing::PackedEncoder;
+use chiaroscuro_crypto::scheme::Ciphertext;
 use chiaroscuro_timeseries::TimeSeries;
 
 // The per-coordinate Diptych is off the run path: `chiarobench/src/layers.rs`
@@ -36,25 +39,25 @@ use chiaroscuro_timeseries::TimeSeries;
 /// The encrypted-mean side of the Diptych for one cluster.
 #[doc(hidden)]
 #[derive(Debug, Clone)]
-pub struct EncryptedMean<B: CipherBackend = DamgardJurik> {
+pub struct EncryptedMean {
     /// Encrypted dimension-wise sum of the cluster (`E(σ_sum)`, length n).
-    pub sums: Vec<B::Unit>,
+    pub sums: Vec<Ciphertext>,
     /// Encrypted cardinality of the cluster (`E(σ_count)`).
-    pub count: B::Unit,
+    pub count: Ciphertext,
 }
 
 /// The Diptych: cleartext perturbed centroids plus encrypted means, one
 /// unit per coordinate.
 #[doc(hidden)]
 #[derive(Debug, Clone)]
-pub struct Diptych<B: CipherBackend = DamgardJurik> {
+pub struct Diptych {
     /// The cleartext, differentially-private centroids `C`.
     pub centroids: Vec<TimeSeries>,
     /// The encrypted means `M` (one per centroid).
-    pub means: Vec<EncryptedMean<B>>,
+    pub means: Vec<EncryptedMean>,
 }
 
-impl<B: CipherBackend> Diptych<B> {
+impl Diptych {
     /// Builds a participant's initial Diptych for one iteration
     /// (Algorithm 1, assignment step): the participant's series is encrypted
     /// into the mean of its closest centroid, every other mean is an
@@ -63,7 +66,7 @@ impl<B: CipherBackend> Diptych<B> {
     pub fn initialise<R: Rng + ?Sized>(
         centroids: &[TimeSeries],
         local_series: &TimeSeries,
-        backend: &B,
+        backend: &DamgardJurik,
         encoder: &FixedPointEncoder,
         rng: &mut R,
     ) -> (Self, usize) {

@@ -16,11 +16,15 @@
 //! between deployment shapes — where per-node state lives — sits behind
 //! [`Executor`]: the in-process executor of [`crate::runner`] (per-node
 //! `Vec`s or the arenas) and the link executor of [`crate::cluster`] (node
-//! actors behind transport links).  *How* one gossip phase is carried out
-//! is not theirs to decide: each names its node store and hands it to the
-//! gossip crate's engines, so under the round model both run the one round
-//! loop — schedule draws, fault schedule and accounting included — and are
-//! bit-identical from one seed.
+//! actors behind transport links).  The seam has one method per kind of
+//! work, not one per phase: `gossip(Phase)` runs the means, counter or
+//! correction phase, `views` reads every node's weight and counter
+//! estimate, `propose` installs the correction proposals and `read_out`
+//! hands back the winning correction and the reference node's units.  *How*
+//! one gossip phase is carried out is not the executors' to decide: each
+//! names its node store and hands it to the gossip crate's engines, so both
+//! run the one engine loop — schedule draws, fault schedule and accounting
+//! included — and are bit-identical from one seed.
 //!
 //! [`device_contribution`] is likewise the only copy of what one device
 //! computes per iteration; the in-process executor maps it over the
@@ -38,6 +42,7 @@ use chiaroscuro_dp::laplace::LaplaceMechanism;
 use chiaroscuro_gossip::churn::ChurnModel;
 use chiaroscuro_gossip::sim::{AdversaryState, FaultStats, PhaseStats};
 use chiaroscuro_kmeans::perturbed::{AggregateStep, Aggregates};
+use chiaroscuro_node::Phase;
 use chiaroscuro_timeseries::inertia::Assignment;
 use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
 
@@ -108,11 +113,15 @@ pub(crate) struct RunContext<'a, B: CipherBackend> {
     pub(crate) weight_seed: usize,
 }
 
-/// Where per-node state lives and how a gossip phase is carried out.  The
-/// methods are called once per iteration, in declaration order
-/// ([`Self::provision`] once per run, first).  Every `rng` is the run's
-/// master RNG, to be consumed exactly as the round or event-driven engine
-/// would consume it for that phase's schedule.
+/// Where per-node state lives and how a gossip phase is carried out: one
+/// method per kind of work, the phase a parameter.  Per iteration the
+/// driver calls [`Self::contribute`], [`Self::gossip`] for
+/// [`Phase::Means`] and [`Phase::Counter`], [`Self::views`],
+/// [`Self::propose`], [`Self::gossip`] for [`Phase::Correction`] and
+/// [`Self::read_out`], in that order ([`Self::provision`] once per run,
+/// first).  Every `rng` is the run's master RNG, to be consumed exactly as
+/// the round or event-driven engine would consume it for that phase's
+/// schedule.
 pub(crate) trait Executor<B: CipherBackend> {
     /// Hands the nodes whatever they need before the first iteration.
     fn provision(&mut self, _ctx: &RunContext<'_, B>) {}
@@ -129,43 +138,31 @@ pub(crate) trait Executor<B: CipherBackend> {
         count_scale: f64,
     ) -> Vec<usize>;
 
-    /// Runs the EESum phase over the contributions.
-    fn means_phase<R: Rng + ?Sized>(
+    /// Runs one gossip phase: EESum over the contributions, the cleartext
+    /// push-pull contributor counter (every device contributes 1), or the
+    /// min-identifier dissemination of the installed proposals, which stops
+    /// on agreement or at the budget.
+    fn gossip<R: Rng + ?Sized>(
         &mut self,
         ctx: &RunContext<'_, B>,
+        phase: Phase,
         rng: &mut R,
         adversary: Option<&mut AdversaryState>,
     ) -> PhaseStats;
 
-    /// Runs the cleartext push-pull contributor counter (every device
-    /// contributes 1).
-    fn counter_phase<R: Rng + ?Sized>(
-        &mut self,
-        ctx: &RunContext<'_, B>,
-        rng: &mut R,
-        adversary: Option<&mut AdversaryState>,
-    ) -> PhaseStats;
+    /// Each node's epidemic weight after the means phase and its
+    /// contributor-count estimate after the counter phase, in node order.
+    fn views(&mut self, ctx: &RunContext<'_, B>) -> impl Iterator<Item = (f64, Option<f64>)>;
 
-    /// The node's epidemic weight after the means phase.
-    fn weight(&self, node: usize) -> f64;
+    /// Installs one correction proposal per node, in node order.
+    fn propose(&mut self, ctx: &RunContext<'_, B>, proposals: Vec<NoiseCorrection>);
 
-    /// The node's contributor-count estimate after the counter phase.
-    fn counter_estimate(&self, node: usize) -> Option<f64>;
-
-    /// Installs one correction proposal per node (in node order), runs the
-    /// min-identifier dissemination until agreement or the budget, and
-    /// returns the flat row (all sum corrections, then all count
-    /// corrections) of the proposal with the globally smallest identifier —
-    /// the value dissemination converges to, not whatever one node happens
-    /// to hold — plus the accumulated contribution vector `reference` holds.
-    fn settle<R: Rng + ?Sized>(
-        &mut self,
-        ctx: &RunContext<'_, B>,
-        proposals: Vec<NoiseCorrection>,
-        reference: usize,
-        rng: &mut R,
-        adversary: Option<&mut AdversaryState>,
-    ) -> (Vec<f64>, PhaseStats, Vec<B::Unit>);
+    /// The flat row (all sum corrections, then all count corrections) of
+    /// the proposal with the globally smallest identifier — the value
+    /// dissemination converges to, not whatever one node happens to hold —
+    /// and the accumulated contribution vector `reference` holds.  The
+    /// iteration's per-node state is spent afterwards.
+    fn read_out(&mut self, ctx: &RunContext<'_, B>, reference: usize) -> (Vec<f64>, Vec<B::Unit>);
 }
 
 /// Executes `run` on `exec`: bootstrap (backend key material, initial
@@ -302,7 +299,7 @@ where
         let labels = exec.contribute(ctx, centroids, &participant_seeds, sum_scale, count_scale);
 
         // --- Computation step (a): epidemic encrypted sums + counter. ---
-        let sum_stats = exec.means_phase(ctx, rng, adversary.as_mut());
+        let sum_stats = exec.gossip(ctx, Phase::Means, rng, adversary.as_mut());
         audit.record_n(iteration, "encrypted means contribution", DataClass::Encrypted, population);
         audit.record_n(iteration, "encrypted noise shares", DataClass::Encrypted, population);
         audit.record_n(
@@ -311,7 +308,7 @@ where
             DataClass::DataIndependent,
             population,
         );
-        let counter_stats = exec.counter_phase(ctx, rng, adversary.as_mut());
+        let counter_stats = exec.gossip(ctx, Phase::Counter, rng, adversary.as_mut());
         audit.record(iteration, "cleartext contributor counter", DataClass::DataIndependent);
 
         // Reference participant: the single node that reads out the
@@ -322,11 +319,10 @@ where
         // reference: `is_byzantine` is a pure hash (no RNG), and with an
         // inactive adversary it is false for every node, so honest runs
         // pick the same reference as ever.
-        let (reference, counter_estimate) = (0..population)
-            .filter(|&i| !params.adversary.is_byzantine(i) && exec.weight(i) > 0.0)
-            .find_map(|i| Some((i, exec.counter_estimate(i)?)))
+        let (reference, weight, counter_estimate) = exec.views(ctx).enumerate()
+            .filter(|&(i, (weight, _))| !params.adversary.is_byzantine(i) && weight > 0.0)
+            .find_map(|(i, (weight, estimate))| Some((i, weight, estimate?)))
             .expect("after the epidemic sums at least one honest node holds both weights");
-        let weight = exec.weight(reference);
 
         // --- Computation step (b): noise surplus correction. ---
         // More contributors than the expected nν means surplus noise to
@@ -350,8 +346,9 @@ where
                 NoiseCorrection::generate(surplus, k, n, sum_scale, count_scale, params.num_noise_shares, rng)
             })
             .collect();
-        let (correction, dissemination_stats, cts) =
-            exec.settle(ctx, proposals, reference, rng, adversary.as_mut());
+        exec.propose(ctx, proposals);
+        let dissemination_stats = exec.gossip(ctx, Phase::Correction, rng, adversary.as_mut());
+        let (correction, cts) = exec.read_out(ctx, reference);
         audit.record_n(iteration, "noise correction proposal", DataClass::DataIndependent, population);
 
         // --- Computation step (c): perturbation and threshold decryption. ---

@@ -4,8 +4,9 @@
 //! devices, one per time-series.  The sequence itself is written once, in
 //! the crate-private iteration driver; this module holds its *in-process
 //! executor* (the whole population simulated in one address space, on the
-//! gossip engines), and [`crate::cluster`] holds the other one (node actors
-//! behind transport links).  Either way one iteration is:
+//! gossip engines; each `gossip(Phase)` call is one `run_phase` over the
+//! store that phase lives in), and [`crate::cluster`] holds the other one
+//! (node actors behind transport links).  Either way one iteration is:
 //!
 //! 1. **Assignment step** — each participant assigns its series to the
 //!    closest cleartext (differentially-private) centroid and initialises
@@ -67,7 +68,8 @@
 //! state lives in one flat allocation and each exchange is one sweep over
 //! two contiguous rows); an encrypted backend's units are
 //! ciphertexts only the backend can combine, so it keeps per-node vectors.
-//! The correction dissemination always runs on a [`MinIdArena`].
+//! The correction dissemination always runs on a [`MinIdArena`], which
+//! holds the proposals from `propose` to `read_out` and no rows between.
 //!
 //! # Network models
 //!
@@ -119,12 +121,13 @@ use chiaroscuro_crypto::encoding::FixedPointEncoder;
 use chiaroscuro_crypto::packing::{LaneBudget, PackedEncoder};
 use chiaroscuro_dp::laplace::{LaplaceMechanism, Sensitivity};
 use chiaroscuro_dp::noise_share::NoiseShareGenerator;
-use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdArena};
+use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdArena, MinIdLayout};
 use chiaroscuro_gossip::eesum::{initial_states_seeded_at as eesum_states_seeded_at, EesState, EesSumProtocol};
 use chiaroscuro_gossip::sim::arena::EesUnitArena;
 use chiaroscuro_gossip::sim::{run_phase, AdversaryState, FaultStats, PhaseOpts, PhaseStats};
 use chiaroscuro_gossip::sum::{initial_states_seeded_at as sum_states_seeded_at, PushPullSum, SumState};
 use chiaroscuro_kmeans::report::RunReport;
+use chiaroscuro_node::Phase;
 use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
 
 use crate::audit::SecurityAudit;
@@ -425,7 +428,8 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     /// Executes the run with the provided RNG: the one iteration driver
     /// (`crate::iteration`) on the in-process executor.
     pub fn execute_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> RunOutcome {
-        drive(self, &mut InProcessExecutor { means: MeansStore::default(), counter: Vec::new() }, rng)
+        let corrections = no_corrections();
+        drive(self, &mut InProcessExecutor { means: MeansStore::default(), counter: Vec::new(), corrections }, rng)
     }
 }
 
@@ -447,6 +451,8 @@ enum MeansStore<B: CipherBackend> {
 struct InProcessExecutor<B: CipherBackend> {
     means: MeansStore<B>,
     counter: Vec<SumState>,
+    /// The correction proposals, from `propose` to `read_out`.
+    corrections: MinIdArena,
 }
 
 impl<B: CipherBackend> Default for MeansStore<B> {
@@ -504,90 +510,79 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
         labels
     }
 
-    fn means_phase<R: Rng + ?Sized>(
+    fn gossip<R: Rng + ?Sized>(
         &mut self,
         ctx: &RunContext<'_, B>,
+        phase: Phase,
         rng: &mut R,
         adversary: Option<&mut AdversaryState>,
     ) -> PhaseStats {
         let (network, churn, budget) = (&ctx.run.params.network, ctx.churn, ctx.exchanges);
-        let protocol = &EesSumProtocol;
-        let (means, stats) = match std::mem::take(&mut self.means) {
-            MeansStore::Arena(arena) => {
-                let opts = PhaseOpts { until: None, adversary };
-                let (arena, stats) = run_phase(network, arena, churn, protocol, budget, rng, opts);
-                (MeansStore::Arena(arena), stats)
+        let stats;
+        match phase {
+            Phase::Means => {
+                (self.means, stats) = match std::mem::take(&mut self.means) {
+                    MeansStore::Arena(arena) => {
+                        let opts = PhaseOpts { until: None, adversary };
+                        let (arena, stats) = run_phase(network, arena, churn, &EesSumProtocol, budget, rng, opts);
+                        (MeansStore::Arena(arena), stats)
+                    }
+                    MeansStore::PerNode(nodes) => {
+                        let opts = PhaseOpts { until: None, adversary };
+                        let (nodes, stats) = run_phase(network, nodes, churn, &EesSumProtocol, budget, rng, opts);
+                        (MeansStore::PerNode(nodes), stats)
+                    }
+                };
             }
-            MeansStore::PerNode(nodes) => {
+            Phase::Counter => {
+                let states = sum_states_seeded_at(&vec![1.0; ctx.run.data.len()], ctx.weight_seed);
                 let opts = PhaseOpts { until: None, adversary };
-                let (nodes, stats) = run_phase(network, nodes, churn, protocol, budget, rng, opts);
-                (MeansStore::PerNode(nodes), stats)
+                (self.counter, stats) = run_phase(network, states, churn, &PushPullSum, budget, rng, opts);
             }
-        };
-        self.means = means;
-        stats
-    }
-
-    fn counter_phase<R: Rng + ?Sized>(
-        &mut self,
-        ctx: &RunContext<'_, B>,
-        rng: &mut R,
-        adversary: Option<&mut AdversaryState>,
-    ) -> PhaseStats {
-        let states = sum_states_seeded_at(&vec![1.0; ctx.run.data.len()], ctx.weight_seed);
-        let opts = PhaseOpts { until: None, adversary };
-        let (counter, stats) =
-            run_phase(&ctx.run.params.network, states, ctx.churn, &PushPullSum, ctx.exchanges, rng, opts);
-        self.counter = counter;
-        stats
-    }
-
-    fn weight(&self, node: usize) -> f64 {
-        match &self.means {
-            MeansStore::PerNode(nodes) => nodes[node].weight,
-            MeansStore::Arena(arena) => arena.weight(node),
+            Phase::Correction => {
+                let arena = std::mem::replace(&mut self.corrections, no_corrections());
+                let opts = PhaseOpts { until: Some(&mut MinIdArena::converged), adversary };
+                (self.corrections, stats) =
+                    run_phase(network, arena, churn, &DisseminationProtocol, budget, rng, opts);
+            }
         }
+        stats
     }
 
-    fn counter_estimate(&self, node: usize) -> Option<f64> {
-        self.counter[node].estimate()
+    /// Read in place, node by node: no population-sized buffer sits beside
+    /// the stores.
+    fn views(&mut self, _ctx: &RunContext<'_, B>) -> impl Iterator<Item = (f64, Option<f64>)> {
+        let means = &self.means;
+        self.counter.iter().enumerate().map(move |(node, counter)| {
+            let weight = match means {
+                MeansStore::PerNode(nodes) => nodes[node].weight,
+                MeansStore::Arena(arena) => arena.weight(node),
+            };
+            (weight, counter.estimate())
+        })
     }
 
-    fn settle<R: Rng + ?Sized>(
-        &mut self,
-        ctx: &RunContext<'_, B>,
-        proposals: Vec<NoiseCorrection>,
-        reference: usize,
-        rng: &mut R,
-        adversary: Option<&mut AdversaryState>,
-    ) -> (Vec<f64>, PhaseStats, Vec<B::Unit>) {
-        // Slab dissemination on every engine: one flat `[id, payload…]` row
-        // per node instead of per-node boxed proposals.
-        let population = proposals.len();
+    /// Slab dissemination on every engine: one flat `[id, payload…]` row
+    /// per node instead of per-node boxed proposals.
+    fn propose(&mut self, _ctx: &RunContext<'_, B>, proposals: Vec<NoiseCorrection>) {
         let sums = proposals[0].sum_correction.len();
         let width = sums + proposals[0].count_correction.len();
-        let arena = MinIdArena::build(population, width, |node, row| {
+        self.corrections = MinIdArena::build(proposals.len(), width, |node, row| {
             let c = &proposals[node];
             row[..sums].copy_from_slice(&c.sum_correction);
             row[sums..].copy_from_slice(&c.count_correction);
             c.id
         });
-        drop(proposals);
-        let opts = PhaseOpts { until: Some(&mut MinIdArena::converged), adversary };
-        let (arena, stats) = run_phase(
-            &ctx.run.params.network,
-            arena,
-            ctx.churn,
-            &DisseminationProtocol,
-            ctx.exchanges,
-            rng,
-            opts,
-        );
+    }
+
+    fn read_out(&mut self, ctx: &RunContext<'_, B>, reference: usize) -> (Vec<f64>, Vec<B::Unit>) {
+        let arena = std::mem::replace(&mut self.corrections, no_corrections());
         let winner = arena.winning_node();
         // A row is the identifier and its payload: whoever holds the winning
         // identifier must hold the winner's row, bit for bit.
         assert!(
-            (0..population).all(|node| arena.id(node) != arena.id(winner) || arena.row(node) == arena.row(winner)),
+            (0..ctx.run.data.len())
+                .all(|node| arena.id(node) != arena.id(winner) || arena.row(node) == arena.row(winner)),
             "every node holding the winning identifier must carry the same payload"
         );
         let winning = arena.payload(winner);
@@ -607,8 +602,13 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
                 })
                 .collect(),
         };
-        (winning, stats, units)
+        (winning, units)
     }
+}
+
+/// The dissemination store between iterations: no rows.
+fn no_corrections() -> MinIdArena {
+    MinIdArena::zeroed(MinIdLayout, 1, 0)
 }
 
 #[cfg(test)]
@@ -822,6 +822,51 @@ mod tests {
         moved.report.iterations[1].post_inertia += 1.0;
         let named = moved.first_divergence(&run, 0).expect("a report row moved");
         assert!(named.starts_with("report.iterations[1].post_inertia"), "{named}");
+    }
+
+    /// FNV-1a over `run`'s outcome projection, then over the master RNG's
+    /// next `u64` after the run.  `actor_parity` compares two executors of
+    /// one build; this digest also sees a draw-order change both executors
+    /// would share, such as proposals drawn after they are installed.
+    fn driver_digest<B: CipherBackend>(run: &DistributedRun<'_, B>, seed: u64) -> u64 {
+        let mut rng = crate::seedmix::run_rng(seed);
+        let outcome = run.execute_with_rng(&mut rng);
+        let mut bytes: Vec<u8> = outcome.projection(0).join("\n").into_bytes();
+        bytes.extend_from_slice(&rng.gen::<u64>().to_le_bytes());
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h: u64, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3))
+    }
+
+    /// The driver's draw order, audit trail and arithmetic, pinned against
+    /// digests recorded before the executor seam took one `gossip(Phase)`
+    /// method: Damgård–Jurik on the round engine with churn and a surplus
+    /// correction (8 expected noise shares among 16 devices), and the
+    /// surrogate on the sharded, lossy event-driven network with a crash
+    /// window and a byzantine quarter.
+    #[test]
+    fn the_driver_reproduces_its_pinned_digests() {
+        use chiaroscuro_gossip::sim::{
+            AdversaryModel, AsyncNetworkConfig, CrashSchedule, CrashWindow, LatencyModel, NetworkModel,
+        };
+        let data = tiny_dataset(16);
+        let mut params = tiny_params(2, 2);
+        params.churn = 0.1;
+        params.num_noise_shares = 8;
+        let crypto = DistributedRun::new(params, &data);
+        assert!(crypto.execute(31).network.iter().all(|s| s.noise_share_deficit == 0));
+        assert_eq!(driver_digest(&crypto, 31), 0xFB14_14C5_477B_13A9);
+
+        let mut params = tiny_params(2, 2);
+        let crash = CrashSchedule::new(vec![CrashWindow { node: 5, crash_at: 1.0, rejoin_at: 3.5 }]);
+        params.network = NetworkModel::Async(
+            AsyncNetworkConfig::default()
+                .with_latency(LatencyModel::LogNormal { median: 0.25, sigma: 0.5 })
+                .with_loss(0.05)
+                .with_sim_shards(2)
+                .with_crash(crash),
+        );
+        params.adversary = AdversaryModel::mixed(0.25, 1);
+        let surrogate = DistributedRun::<PlaintextSurrogate>::with_backend(params, &data);
+        assert_eq!(driver_digest(&surrogate, 13), 0xC7D5_E86F_6B0B_2946);
     }
 
     /// Centroid bit patterns as `f64::to_bits`, cluster by cluster.

@@ -156,15 +156,6 @@ pub trait CipherBackend: std::fmt::Debug + Send + Sync + Sized + 'static {
     /// the million-unit arena fill never clones big integers.
     fn plaintext_of<'a>(&self, unit: &'a Self::Unit) -> &'a BigUint;
 
-    // The per-coordinate encoding is off the run path (lane packing is the
-    // only encoding); `chiarobench/src/layers.rs` still encodes through this
-    // method for its `crypto.contribution_legacy_ms` probe and cannot change
-    // in a protocol PR, so it stays until a benchmark PR retires that probe.
-    /// Fixed-point-encodes a signed value into the backend's plaintext
-    /// space (modular negatives for encrypted backends).
-    #[doc(hidden)]
-    fn encode(&self, encoder: &FixedPointEncoder, value: f64) -> BigUint;
-
     /// Wire size of one unit in bytes — a ciphertext for encrypted
     /// backends, the honest packed-plaintext payload for surrogates.
     fn unit_bytes(&self) -> usize;
@@ -234,6 +225,17 @@ impl DamgardJurik {
     fn crt(&self) -> Option<&CrtContext> {
         self.crt.as_deref()
     }
+
+    // The per-coordinate encoding is off the run path (lane packing is the
+    // only encoding); `chiarobench/src/layers.rs` still encodes through this
+    // method for its `crypto.contribution_legacy_ms` probe and cannot change
+    // in a protocol PR, so it stays until a benchmark PR retires that probe.
+    /// Fixed-point-encodes a signed value into the plaintext space, a
+    /// negative one as its modular complement.
+    #[doc(hidden)]
+    pub fn encode(&self, encoder: &FixedPointEncoder, value: f64) -> BigUint {
+        encoder.encode(value, &self.public)
+    }
 }
 
 impl CipherBackend for DamgardJurik {
@@ -285,10 +287,6 @@ impl CipherBackend for DamgardJurik {
             "Damgård–Jurik units are semantically secure ciphertexts; the plaintext \
              bridge exists only for surrogate backends"
         );
-    }
-
-    fn encode(&self, encoder: &FixedPointEncoder, value: f64) -> BigUint {
-        encoder.encode(value, &self.public)
     }
 
     fn unit_bytes(&self) -> usize {
@@ -383,14 +381,6 @@ impl CipherBackend for PlaintextSurrogate {
 
     fn plaintext_of<'a>(&self, unit: &'a Self::Unit) -> &'a BigUint {
         unit
-    }
-
-    fn encode(&self, _encoder: &FixedPointEncoder, _value: f64) -> BigUint {
-        panic!(
-            "the plaintext surrogate represents signed values via lane-packed biases \
-             only: the per-coordinate modular-negative encoding has no plaintext \
-             analogue (lane_packing is the run's only encoding)"
-        );
     }
 
     fn unit_bytes(&self) -> usize {
@@ -524,14 +514,6 @@ mod tests {
         let mut crypto_rng = StdRng::seed_from_u64(42);
         let crypto = DamgardJurik::setup(&setup_config(4, 2), &mut crypto_rng);
         assert!(surrogate.unit_bytes() < crypto.unit_bytes() * 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "lane_packing")]
-    fn surrogate_rejects_the_legacy_signed_encoding() {
-        let mut rng = StdRng::seed_from_u64(51);
-        let surrogate = PlaintextSurrogate::setup(&setup_config(4, 2), &mut rng);
-        let _ = surrogate.encode(&FixedPointEncoder::new(3), -1.5);
     }
 
     #[test]

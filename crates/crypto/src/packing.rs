@@ -220,14 +220,15 @@ impl PackedEncoder {
         let bias = magnitude_limit;
         // Worst-case lane accumulation:
         //   A vectors · C_max coefficient mass · (B + M) per contribution,
-        // with C_max = contributors · 2^doubling_budget.
-        let worst: BigUint = (BigUint::from(budget.biased_vectors)
+        // with C_max = contributors · 2^doubling_budget.  `bits()` =
+        // ⌊log2⌋ + 1, so every sum ≤ that worst case fits strictly below
+        // 2^lane_bits; the mass is at least 2 (M ≥ 1 and B = M), so the
+        // shift adds exactly `doubling_budget` bits and is never built —
+        // a budget of `u32::MAX` would otherwise allocate 512 MiB.
+        let mass = BigUint::from(budget.biased_vectors)
             * BigUint::from(budget.contributors)
-            * BigUint::from(bias + magnitude_limit))
-            << budget.doubling_budget;
-        // `bits()` = ⌊log2⌋ + 1, so every sum ≤ `worst` fits strictly below
-        // 2^lane_bits.
-        let lane_bits = worst.bits();
+            * BigUint::from(bias + magnitude_limit);
+        let lane_bits = mass.bits() + u64::from(budget.doubling_budget);
         let lanes = (capacity_bits / lane_bits) as usize;
         if lanes == 0 {
             return Err(PackingError::LaneOverflow {
@@ -445,6 +446,39 @@ mod tests {
         assert!(required_bits > available_bits);
         assert_eq!(available_bits, 63);
         assert!(err.to_string().contains("lane packing infeasible"));
+    }
+
+    /// The mass of `budget()`: 2 vectors · 16 contributors · (B + M), with
+    /// B = M = 100 001 at three decimal digits.
+    const MASS_BITS: u64 = 23;
+
+    #[test]
+    fn plan_sizes_the_largest_doubling_budget_without_building_it() {
+        let widest = LaneBudget { doubling_budget: u32::MAX, ..budget() };
+        assert_eq!(
+            PackedEncoder::plan(1023, &encoder(), &widest),
+            Err(PackingError::LaneOverflow {
+                required_bits: MASS_BITS + u64::from(u32::MAX),
+                available_bits: 1023,
+            })
+        );
+    }
+
+    proptest::proptest! {
+        /// The lane width is the bit length of the shifted worst case,
+        /// built here as the reference.
+        #[test]
+        fn plan_matches_the_shifted_worst_case(doubling_budget in 0u32..=4096, contributors in 1usize..5000) {
+            let budget = LaneBudget { doubling_budget, contributors, ..budget() };
+            let limit = (100.0 * encoder().scale() as f64).round() as u128 + 1;
+            let worst = (BigUint::from(2u32 * contributors as u32) * BigUint::from(2 * limit)) << doubling_budget;
+            let planned = match PackedEncoder::plan(1023, &encoder(), &budget) {
+                Ok(packer) => packer.layout().lane_bits,
+                Err(PackingError::LaneOverflow { required_bits, .. }) => required_bits,
+                Err(other) => panic!("unexpected {other:?}"),
+            };
+            proptest::prop_assert_eq!(planned, worst.bits());
+        }
     }
 
     #[test]

@@ -126,9 +126,9 @@ struct DeliveryRecord {
 
 /// What one shard produced for one window.
 struct ShardOutput {
+    /// One per request that went in flight, so its initiators are the
+    /// window's departures.
     records: Vec<DeliveryRecord>,
-    /// The nodes whose request went in flight, for the gauge merge.
-    departs: Vec<u32>,
     sent: u64,
     lost: u64,
 }
@@ -287,7 +287,6 @@ fn generate_shard(
     let hi = (shard + 1) * population / shards;
     let mut out = ShardOutput {
         records: Vec::with_capacity(hi - lo),
-        departs: Vec::with_capacity(hi - lo),
         sent: 0,
         lost: 0,
     };
@@ -315,7 +314,6 @@ fn generate_shard(
         }
         let delay = config.latency.sample(&mut ev)
             * edge_factor(config.edge_spread, config.edge_salt, node, contact);
-        out.departs.push(node as u32);
         let delivery = time + delay;
         // Resolve the delivery-side outcome now (all draws are
         // state-independent); its metrics effects are booked at the
@@ -512,10 +510,8 @@ impl<S: StateStore> ShardedAsyncEngine<S> {
             for out in outputs {
                 self.sim.messages_sent += out.sent;
                 self.sim.messages_lost += out.lost;
-                for node in out.departs {
-                    self.departed[node as usize] = w + 1;
-                }
                 for record in out.records {
+                    self.departed[record.initiator as usize] = w + 1;
                     // Delivery at or after departure: window `w` or later.
                     // Shards are ascending node ranges, so every mailbox
                     // receives its records in `(initiation window,
