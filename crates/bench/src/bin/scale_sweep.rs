@@ -5,7 +5,7 @@
 //! (§6.1).  With the pluggable cipher backend the repo no longer has that
 //! limitation for *protocol* questions: this bin runs the complete
 //! distributed pipeline — Diptych assignment, lane-packed EESum on the
-//! row-slab arena, cleartext counter, noise-surplus dissemination,
+//! row-slab arena, the contributor count, noise-surplus dissemination,
 //! packed decode, ε accounting — on the plaintext-surrogate backend over
 //! the event-driven asynchronous network, sweeping the population by
 //! decades and reporting throughput (node-iterations/sec), peak RSS, network load

@@ -3,14 +3,14 @@
 //!
 //! [`ChiaroscuroNodeActor`] owns exactly the state one device holds in the
 //! deployed protocol — its time series, a seed-derived RNG stream, its
-//! Diptych/EESum contribution, the push-pull counter and the min-id
-//! correction state — and reacts to typed [`NodeEvent`]s.  The coordinator
+//! Diptych/EESum contribution and the min-id correction state — and reacts
+//! to typed [`NodeEvent`]s.  The coordinator
 //! (see [`crate::cluster`]) plans the gossip schedule; each planned exchange
 //! reaches the initiator as [`NodeEvent::InitiateExchange`] and is carried
 //! out peer-to-peer as one [`NodeEvent::ExchangeRequest`] plus one
 //! [`NodeEvent::ExchangeReply`] — two wire messages, exactly the accounting
-//! of the monolithic engine.  Because every pairwise protocol of the run
-//! (EESum, push-pull sum, min-id dissemination) leaves both peers with
+//! of the monolithic engine.  Because both pairwise protocols of the run
+//! (EESum, min-id dissemination) leave both peers with
 //! identical state, the contact can apply the exchange locally and the
 //! initiator adopts the replied merged state wholesale, bit for bit.
 //!
@@ -38,7 +38,6 @@ use chiaroscuro_crypto::wire::serialize_units;
 use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdState};
 use chiaroscuro_gossip::eesum::{EesState, EesSumProtocol};
 use chiaroscuro_gossip::engine::PairwiseProtocol;
-use chiaroscuro_gossip::sum::{PushPullSum, SumState};
 use chiaroscuro_node::frame::HEADER_BYTES;
 use chiaroscuro_node::{Actor, FrameError, NodeEvent, NodeId, Phase};
 use chiaroscuro_timeseries::TimeSeries;
@@ -126,8 +125,7 @@ impl NodeSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct IterationInputs {
     pub(crate) participant_seed: u64,
-    /// Whether this node is the one that seeds both epidemic weights (EESum
-    /// and push-pull counter) with 1.
+    /// Whether this node is the one that seeds the EESum weight with 1.
     pub(crate) weight_seed: bool,
     pub(crate) sum_scale: f64,
     pub(crate) count_scale: f64,
@@ -168,10 +166,6 @@ pub(crate) fn encode_correction(id: u64, sums: &[f64], counts: &[f64]) -> Vec<u8
 pub(crate) struct Readout<B: CipherBackend> {
     /// EESum weight (scaled; the divisor cancels in `value / weight`).
     pub(crate) weight: f64,
-    /// Push-pull counter σ.
-    pub(crate) sigma: f64,
-    /// Push-pull counter ω.
-    pub(crate) omega: f64,
     /// Min-id correction state `(id, flat payload)`, once proposals exist.
     pub(crate) correction: Option<(u64, Vec<f64>)>,
     /// The accumulated means/noise unit vector (reference node only).
@@ -195,7 +189,6 @@ struct Provision<B: CipherBackend> {
 pub struct ChiaroscuroNodeActor<B: CipherBackend> {
     provision: Option<Provision<B>>,
     ees: Option<EesState<BackendVector<B>>>,
-    counter: Option<SumState>,
     correction: Option<MinIdState<Vec<f64>>>,
 }
 
@@ -209,7 +202,7 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
     /// A blank actor; every capability arrives via [`NodeEvent::Hello`],
     /// and its identity is the link it serves.
     pub fn new() -> Self {
-        Self { provision: None, ees: None, counter: None, correction: None }
+        Self { provision: None, ees: None, correction: None }
     }
 
     fn provision(&self) -> &Provision<B> {
@@ -257,14 +250,8 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
             inputs.count_scale,
         );
         let value = BackendVector::new(p.kit.backend.clone(), flat);
-        // One node seeds both epidemic weights, as in the simulated phases.
-        let (ees, counter) = if inputs.weight_seed {
-            (EesState::new_seed(value), SumState::new_seed(1.0))
-        } else {
-            (EesState::new(value), SumState::new(1.0))
-        };
-        self.ees = Some(ees);
-        self.counter = Some(counter);
+        // One node seeds the epidemic weight, as in the simulated phase.
+        self.ees = Some(if inputs.weight_seed { EesState::new_seed(value) } else { EesState::new(value) });
         self.correction = None;
     }
 
@@ -279,13 +266,6 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
                     self.provision().kit.backend.as_ref(),
                     ees.value.units(),
                 ));
-                buf
-            }
-            Phase::Counter => {
-                let s = self.counter.as_ref().expect("no counter state before IterationStart");
-                let mut buf = Vec::with_capacity(16);
-                put_f64(&mut buf, s.sigma);
-                put_f64(&mut buf, s.omega);
                 buf
             }
             Phase::Correction => {
@@ -310,10 +290,6 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
                 let own = self.ees.as_mut().expect("exchange before IterationStart");
                 EesSumProtocol.exchange(&mut peer, own);
             }
-            PhaseState::Counter(mut peer) => {
-                let own = self.counter.as_mut().expect("exchange before IterationStart");
-                PushPullSum.exchange(&mut peer, own);
-            }
             PhaseState::Correction(mut peer) => {
                 let own = self.correction.as_mut().expect("exchange before any proposal");
                 DisseminationProtocol.exchange(&mut peer, own);
@@ -326,7 +302,6 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
     fn adopt(&mut self, phase: Phase, merged: &[u8]) -> Result<(), FrameError> {
         match self.phase_state(phase, merged)? {
             PhaseState::Means(state) => self.ees = Some(state),
-            PhaseState::Counter(state) => self.counter = Some(state),
             PhaseState::Correction(state) => self.correction = Some(state),
         }
         Ok(())
@@ -334,11 +309,8 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
 
     fn readout(&self, include_units: bool) -> Vec<u8> {
         let ees = self.ees.as_ref().expect("readout before IterationStart");
-        let counter = self.counter.as_ref().expect("readout before IterationStart");
         let mut buf = Vec::new();
         put_f64(&mut buf, ees.weight);
-        put_f64(&mut buf, counter.sigma);
-        put_f64(&mut buf, counter.omega);
         match &self.correction {
             Some(c) => {
                 buf.push(1);
@@ -484,13 +456,12 @@ mod tests {
                 series: TimeSeries::constant(N, 1.0),
             }),
             ees: Some(EesState::new_seed(BackendVector::new(Arc::clone(backend), units))),
-            counter: Some(SumState::new_seed(1.0)),
             correction: Some(MinIdState::new(7, vec![0.5; K * N + K])),
         }
     }
 
     /// The entry points of `actor::decode`, by index.
-    const DECODERS: usize = 7;
+    const DECODERS: usize = 6;
 
     /// Whether decoder `which` accepts `bytes`.
     fn accepts<B: CipherBackend>(backend: &Arc<B>, which: usize, bytes: &[u8]) -> bool {
@@ -501,7 +472,6 @@ mod tests {
             2 => decode_correction(bytes, K, N).is_ok(),
             3 => decode_readout(backend.as_ref(), bytes, K, N).is_ok(),
             4 => phase(Phase::Means),
-            5 => phase(Phase::Counter),
             _ => phase(Phase::Correction),
         }
     }
@@ -516,8 +486,7 @@ mod tests {
             (3, actor.readout(false)),
             (3, actor.readout(true)),
             (4, actor.serialize_phase_state(Phase::Means)),
-            (5, actor.serialize_phase_state(Phase::Counter)),
-            (6, actor.serialize_phase_state(Phase::Correction)),
+            (5, actor.serialize_phase_state(Phase::Correction)),
         ]
     }
 
@@ -580,13 +549,11 @@ mod tests {
         bad_payload(decode_correction(&with_tail(encode_correction(1, &[0.0; K * N], &[0.0; K])), K, N), "trailing");
         bad_payload(decode_readout(backend.as_ref(), &with_tail(actor.readout(false)), K, N), "trailing");
         bad_payload(decode_readout(backend.as_ref(), &with_tail(actor.readout(true)), K, N), "unit vector");
-        for phase in [Phase::Counter, Phase::Correction] {
-            let bytes = with_tail(actor.serialize_phase_state(phase));
-            bad_payload(decode_phase_state(&backend, phase, &bytes, K, N), "trailing");
-        }
+        let bytes = with_tail(actor.serialize_phase_state(Phase::Correction));
+        bad_payload(decode_phase_state(&backend, Phase::Correction, &bytes, K, N), "trailing");
 
         // Flag bytes are 0 or 1: weight seed (offset 8), and the readout's
-        // correction (24) and units (last byte without units) flags.
+        // correction (8) and units (last byte without units) flags.
         let with_byte = |mut bytes: Vec<u8>, at: usize, value: u8| {
             bytes[at] = value;
             bytes
@@ -594,7 +561,7 @@ mod tests {
         bad_payload(IterationInputs::decode(&with_byte(inputs().encode(), 8, 2), 3, 2), "flag");
         let readout = actor.readout(false);
         let last = readout.len() - 1;
-        bad_payload(decode_readout(backend.as_ref(), &with_byte(readout.clone(), 24, 0xFF), K, N), "flag");
+        bad_payload(decode_readout(backend.as_ref(), &with_byte(readout.clone(), 8, 0xFF), K, N), "flag");
         bad_payload(decode_readout(backend.as_ref(), &with_byte(readout, last, 2), K, N), "flag");
 
         // An epidemic vector is never empty: a zero-unit means state is
@@ -648,7 +615,7 @@ mod tests {
     #[should_panic(expected = "malformed actor payload")]
     fn the_actor_boundary_stops_on_a_malformed_exchange_request() {
         let mut actor = provisioned(&backend::<PlaintextSurrogate>());
-        actor.on_event(1, NodeEvent::ExchangeRequest { phase: Phase::Counter, state: vec![0; 15] });
+        actor.on_event(1, NodeEvent::ExchangeRequest { phase: Phase::Correction, state: vec![0; 15] });
     }
 
     proptest! {

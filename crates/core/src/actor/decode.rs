@@ -18,7 +18,6 @@ use chiaroscuro_crypto::packing::LaneBudget;
 use chiaroscuro_crypto::wire::deserialize_units;
 use chiaroscuro_gossip::dissemination::MinIdState;
 use chiaroscuro_gossip::eesum::EesState;
-use chiaroscuro_gossip::sum::SumState;
 use chiaroscuro_node::{FrameError, Phase};
 
 use super::{IterationInputs, NodeSpec, Readout};
@@ -181,8 +180,6 @@ pub(crate) fn decode_readout<B: CipherBackend>(
 ) -> Decoded<Readout<B>> {
     let mut r = Reader { bytes };
     let weight = r.f64()?;
-    let sigma = r.f64()?;
-    let omega = r.f64()?;
     let correction = if r.flag()? { Some(r.correction(k, series_length)?) } else { None };
     let units = if r.flag()? {
         Some(r.units(backend)?)
@@ -190,13 +187,12 @@ pub(crate) fn decode_readout<B: CipherBackend>(
         r.finish()?;
         None
     };
-    Ok(Readout { weight, sigma, omega, correction, units })
+    Ok(Readout { weight, correction, units })
 }
 
-/// A decoded phase state (the three protocols the run gossips).
+/// A decoded phase state (the two protocols the run gossips).
 pub(crate) enum PhaseState<B: CipherBackend> {
     Means(EesState<BackendVector<B>>),
-    Counter(SumState),
     Correction(MinIdState<Vec<f64>>),
 }
 
@@ -219,11 +215,6 @@ pub(crate) fn decode_phase_state<B: CipherBackend>(
                 weight,
                 exchanges,
             })
-        }
-        Phase::Counter => {
-            let state = SumState { sigma: r.f64()?, omega: r.f64()? };
-            r.finish()?;
-            PhaseState::Counter(state)
         }
         Phase::Correction => {
             let (id, payload) = r.correction(k, series_length)?;

@@ -49,15 +49,17 @@
 //!
 //! Only the driver ever threshold-decrypts: nodes are provisioned with
 //! exported *public* material, so the key shares never cross a link.  The
-//! coordinator reads the nodes out only when the driver asks: `views`
-//! after the counter phase, `read_out` after the dissemination.
+//! coordinator reads the nodes out only when the driver asks: `views` and
+//! `units` (the reference node alone) after the means phase, `read_out`
+//! after the dissemination.
+
+use std::ops::Range;
 
 use rand::Rng;
 
 use chiaroscuro_crypto::backend::CipherBackend;
 use chiaroscuro_gossip::engine::{ProtocolStore, StateStore};
 use chiaroscuro_gossip::sim::{run_phase, AdversaryState, PhaseOpts, PhaseStats};
-use chiaroscuro_gossip::sum::SumState;
 use chiaroscuro_node::{
     FrameError, FramedSocketTransport, LocalBus, NodeEvent, NodeId, Phase, Transport, COORDINATOR,
 };
@@ -217,25 +219,32 @@ struct LinkExecutor<'l, T> {
 }
 
 impl<T: Transport> LinkExecutor<'_, T> {
-    /// Requests and decodes every node's readout (`units` additionally asks
-    /// that one node for its accumulated unit vector).  Every request
-    /// goes out before the first reply is awaited, so the nodes answer
-    /// concurrently instead of one socket round trip after another.
+    /// Requests the readouts of `nodes` (with their accumulated unit vectors
+    /// when `include_units`) and decodes each through `read`.  Every
+    /// request goes out before the first reply is awaited, so the nodes
+    /// answer concurrently instead of one socket round trip after another.
     #[expect(
         clippy::expect_used,
         reason = "the Executor methods cannot return an error: until a ProtocolError can, a readout \
                   that fails to arrive or decode stops the run instead of entering the decrypted aggregate"
     )]
-    fn readout_round<B: CipherBackend>(&mut self, ctx: &RunContext<'_, B>, units: Option<usize>) -> Vec<Readout<B>> {
+    fn readout_round<B: CipherBackend, V>(
+        &mut self,
+        ctx: &RunContext<'_, B>,
+        nodes: Range<usize>,
+        include_units: bool,
+        read: impl Fn(Readout<B>) -> Result<V, FrameError>,
+    ) -> Vec<V> {
         let (k, n) = (ctx.run.params.k, ctx.run.data.series_length());
         let backend: &B = &ctx.kit.backend;
-        for (node, link) in self.links.iter_mut().enumerate() {
-            send(link, node, NodeEvent::ReadoutRequest { include_units: units == Some(node) });
+        let links = &mut self.links[nodes.clone()];
+        for (node, link) in nodes.zip(links.iter_mut()) {
+            send(link, node, NodeEvent::ReadoutRequest { include_units });
         }
-        self.links
+        links
             .iter_mut()
             .map(|link| match NodeEvent::from_frame(&link.recv()?)? {
-                NodeEvent::ReadoutReply { payload } => decode_readout::<B>(backend, &payload, k, n),
+                NodeEvent::ReadoutReply { payload } => read(decode_readout::<B>(backend, &payload, k, n)?),
                 _ => Err(FrameError::BadPayload("expected a readout reply")),
             })
             .collect::<Result<_, FrameError>>()
@@ -307,12 +316,17 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T> {
         run_phase(&ctx.run.params.network, store, ctx.churn, &phase, ctx.exchanges, rng, opts).1
     }
 
-    /// One readout round: the epidemic weights and counters are frozen
-    /// after the counter phase (dissemination never touches them).
-    fn views(&mut self, ctx: &RunContext<'_, B>) -> impl Iterator<Item = (f64, Option<f64>)> {
-        self.readout_round(ctx, None)
-            .into_iter()
-            .map(|Readout::<B> { weight, sigma, omega, .. }| (weight, SumState { sigma, omega }.estimate()))
+    /// One readout round over every node.
+    fn views(&mut self, ctx: &RunContext<'_, B>) -> impl Iterator<Item = f64> {
+        self.readout_round(ctx, 0..self.links.len(), false, |readout| Ok(readout.weight)).into_iter()
+    }
+
+    /// One readout of the reference node alone, with its units.
+    fn units(&mut self, ctx: &RunContext<'_, B>, reference: usize) -> Vec<B::Unit> {
+        let units = |readout: Readout<B>| {
+            readout.units.ok_or(FrameError::BadPayload("the reference's readout carries no units"))
+        };
+        self.readout_round(ctx, reference..reference + 1, true, units).into_iter().flatten().collect()
     }
 
     fn propose(&mut self, _ctx: &RunContext<'_, B>, proposals: Vec<NoiseCorrection>) {
@@ -325,8 +339,8 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T> {
         self.ids = proposals.iter().map(|c| c.id).collect();
     }
 
-    fn read_out(&mut self, ctx: &RunContext<'_, B>, reference: usize) -> (Vec<f64>, Vec<B::Unit>) {
-        let mut readouts = self.readout_round(ctx, Some(reference));
+    fn read_out(&mut self, ctx: &RunContext<'_, B>) -> Vec<f64> {
+        let readouts = self.readout_round(ctx, 0..self.links.len(), false, Ok);
         let winner_id = *self.ids.iter().min().expect("non-empty population");
         let mut winning_row: Option<&[f64]> = None;
         for (node, readout) in readouts.iter().enumerate() {
@@ -341,10 +355,7 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T> {
                 );
             }
         }
-        let winning = winning_row.expect("the winning identifier is held somewhere").to_vec();
-        let units =
-            readouts[reference].units.take().expect("the reference node reports its accumulated units");
-        (winning, units)
+        winning_row.expect("the winning identifier is held somewhere").to_vec()
     }
 }
 

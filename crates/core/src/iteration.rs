@@ -8,23 +8,24 @@
 //! the same code the centralized quality surrogate runs.  [`drive`] is the
 //! bootstrap plus that loop over this module's `DistributedStep`, which
 //! produces one iteration's perturbed sums and counts: assign → epidemic
-//! sums → surplus-correction dissemination → threshold decryption.  The
-//! step owns every master-RNG draw that is not a gossip schedule, every
-//! audit record, the reference-node choice and the surplus arithmetic, the
-//! decryption and the network statistics; the draw order is tabulated once,
-//! in `docs/ARCHITECTURE.md` ("Master-RNG draw order").  What differs
-//! between deployment shapes — where per-node state lives — sits behind
-//! [`Executor`]: the in-process executor of [`crate::runner`] (per-node
-//! `Vec`s or the arenas) and the link executor of [`crate::cluster`] (node
-//! actors behind transport links).  The seam has one method per kind of
-//! work, not one per phase: `gossip(Phase)` runs the means, counter or
-//! correction phase, `views` reads every node's weight and counter
-//! estimate, `propose` installs the correction proposals and `read_out`
-//! hands back the winning correction and the reference node's units.  *How*
-//! one gossip phase is carried out is not the executors' to decide: each
-//! names its node store and hands it to the gossip crate's engines, so both
-//! run the one engine loop — schedule draws, fault schedule and accounting
-//! included — and are bit-identical from one seed.
+//! sums → contributor count → surplus-correction dissemination → threshold
+//! decryption.  The step owns every master-RNG draw that is not a gossip
+//! schedule, every audit record, the reference-node choice and the surplus
+//! arithmetic, the decryption and the network statistics; the draw order is
+//! tabulated once, in `docs/ARCHITECTURE.md` ("Master-RNG draw order").
+//! What differs between deployment shapes — where per-node state lives —
+//! sits behind [`Executor`]: the in-process executor of [`crate::runner`]
+//! (per-node `Vec`s or the arenas) and the link executor of
+//! [`crate::cluster`] (node actors behind transport links).  The seam has
+//! one method per kind of work, not one per phase: `gossip(Phase)` runs the
+//! means or the correction phase, `views` reads every node's epidemic
+//! weight, `units` hands back the reference node's accumulated vector,
+//! `propose` installs the correction proposals and `read_out` hands back
+//! the winning correction.  *How* one gossip phase is carried out is not
+//! the executors' to decide: each names its node store and hands it to the
+//! gossip crate's engines, so both run the one engine loop — schedule
+//! draws, fault schedule and accounting included — and are bit-identical
+//! from one seed.
 //!
 //! [`device_contribution`] is likewise the only copy of what one device
 //! computes per iteration; the in-process executor maps it over the
@@ -106,22 +107,20 @@ pub(crate) struct RunContext<'a, B: CipherBackend> {
     pub(crate) churn: ChurnModel,
     /// Gossip budget of every phase, in rounds (or exchange periods).
     pub(crate) exchanges: u32,
-    /// The node that seeds both epidemic weights (EESum and the push-pull
-    /// counter) with 1: the lowest-indexed honest one.  A byzantine seed
-    /// would have most of its exchanges voided and could starve the epidemic
-    /// of its only weight.
+    /// The node that seeds the EESum weight with 1: the lowest-indexed
+    /// honest one.  A byzantine seed would have most of its exchanges voided
+    /// and could starve the epidemic of its only weight.
     pub(crate) weight_seed: usize,
 }
 
 /// Where per-node state lives and how a gossip phase is carried out: one
 /// method per kind of work, the phase a parameter.  Per iteration the
 /// driver calls [`Self::contribute`], [`Self::gossip`] for
-/// [`Phase::Means`] and [`Phase::Counter`], [`Self::views`],
-/// [`Self::propose`], [`Self::gossip`] for [`Phase::Correction`] and
-/// [`Self::read_out`], in that order ([`Self::provision`] once per run,
-/// first).  Every `rng` is the run's master RNG, to be consumed exactly as
-/// the round or event-driven engine would consume it for that phase's
-/// schedule.
+/// [`Phase::Means`], [`Self::views`], [`Self::units`], [`Self::propose`],
+/// [`Self::gossip`] for [`Phase::Correction`] and [`Self::read_out`], in
+/// that order ([`Self::provision`] once per run, first).  Every `rng` is
+/// the run's master RNG, to be consumed exactly as the round or
+/// event-driven engine would consume it for that phase's schedule.
 pub(crate) trait Executor<B: CipherBackend> {
     /// Hands the nodes whatever they need before the first iteration.
     fn provision(&mut self, _ctx: &RunContext<'_, B>) {}
@@ -138,8 +137,7 @@ pub(crate) trait Executor<B: CipherBackend> {
         count_scale: f64,
     ) -> Vec<usize>;
 
-    /// Runs one gossip phase: EESum over the contributions, the cleartext
-    /// push-pull contributor counter (every device contributes 1), or the
+    /// Runs one gossip phase: EESum over the contributions, or the
     /// min-identifier dissemination of the installed proposals, which stops
     /// on agreement or at the budget.
     fn gossip<R: Rng + ?Sized>(
@@ -150,19 +148,21 @@ pub(crate) trait Executor<B: CipherBackend> {
         adversary: Option<&mut AdversaryState>,
     ) -> PhaseStats;
 
-    /// Each node's epidemic weight after the means phase and its
-    /// contributor-count estimate after the counter phase, in node order.
-    fn views(&mut self, ctx: &RunContext<'_, B>) -> impl Iterator<Item = (f64, Option<f64>)>;
+    /// Each node's epidemic weight after the means phase, in node order.
+    fn views(&mut self, ctx: &RunContext<'_, B>) -> impl Iterator<Item = f64>;
+
+    /// The accumulated contribution vector `reference` holds after the
+    /// means phase.  The iteration's means state is spent afterwards.
+    fn units(&mut self, ctx: &RunContext<'_, B>, reference: usize) -> Vec<B::Unit>;
 
     /// Installs one correction proposal per node, in node order.
     fn propose(&mut self, ctx: &RunContext<'_, B>, proposals: Vec<NoiseCorrection>);
 
     /// The flat row (all sum corrections, then all count corrections) of
     /// the proposal with the globally smallest identifier — the value
-    /// dissemination converges to, not whatever one node happens to hold —
-    /// and the accumulated contribution vector `reference` holds.  The
-    /// iteration's per-node state is spent afterwards.
-    fn read_out(&mut self, ctx: &RunContext<'_, B>, reference: usize) -> (Vec<f64>, Vec<B::Unit>);
+    /// dissemination converges to, not whatever one node happens to hold.
+    /// The proposals are spent afterwards.
+    fn read_out(&mut self, ctx: &RunContext<'_, B>) -> Vec<f64>;
 }
 
 /// Executes `run` on `exec`: bootstrap (backend key material, initial
@@ -253,10 +253,10 @@ where
 
 /// The distributed [`AggregateStep`]: one iteration's perturbed sums and
 /// counts out of the population — participant seeds → contributions →
-/// epidemic sums and counter → reference readout → surplus-correction
-/// dissemination → threshold decryption → correction subtracted.  It owns
-/// every per-iteration master-RNG draw (the numbered table in
-/// `docs/ARCHITECTURE.md`), every audit record and every
+/// epidemic sums → reference readout → contributor count from the counter
+/// unit → surplus-correction dissemination → threshold decryption →
+/// correction subtracted.  It owns every per-iteration master-RNG draw (the
+/// numbered table in `docs/ARCHITECTURE.md`), every audit record and every
 /// [`IterationNetworkStats`] row.
 struct DistributedStep<'a, B: CipherBackend, X, R: ?Sized> {
     ctx: &'a RunContext<'a, B>,
@@ -298,7 +298,7 @@ where
         let participant_seeds: Vec<u64> = (0..population).map(|_| rng.gen()).collect();
         let labels = exec.contribute(ctx, centroids, &participant_seeds, sum_scale, count_scale);
 
-        // --- Computation step (a): epidemic encrypted sums + counter. ---
+        // --- Computation step (a): epidemic encrypted sums. ---
         let sum_stats = exec.gossip(ctx, Phase::Means, rng, adversary.as_mut());
         audit.record_n(iteration, "encrypted means contribution", DataClass::Encrypted, population);
         audit.record_n(iteration, "encrypted noise shares", DataClass::Encrypted, population);
@@ -308,33 +308,34 @@ where
             DataClass::DataIndependent,
             population,
         );
-        let counter_stats = exec.gossip(ctx, Phase::Counter, rng, adversary.as_mut());
-        audit.record(iteration, "cleartext contributor counter", DataClass::DataIndependent);
 
         // Reference participant: the single node that reads out the
-        // aggregates.  Counter estimate and perturbed sums MUST come from
-        // the same device — mixing two nodes' views can pair a counter that
-        // saw the weight with sums that did not (or vice versa) and mis-size
-        // the surplus correction.  Byzantine nodes are never trusted as the
-        // reference: `is_byzantine` is a pure hash (no RNG), and with an
-        // inactive adversary it is false for every node, so honest runs
-        // pick the same reference as ever.
-        let (reference, weight, counter_estimate) = exec.views(ctx).enumerate()
-            .filter(|&(i, (weight, _))| !params.adversary.is_byzantine(i) && weight > 0.0)
-            .find_map(|(i, (weight, estimate))| Some((i, weight, estimate?)))
-            .expect("after the epidemic sums at least one honest node holds both weights");
+        // aggregates.  Its counter unit and its perturbed sums travelled in
+        // one vector, so the contributor count and the sums it sizes the
+        // correction for are one node's view.  Byzantine nodes are never
+        // trusted as the reference: `is_byzantine` is a pure hash (no RNG),
+        // and with an inactive adversary it is false for every node, so
+        // honest runs pick the same reference as ever.
+        let (reference, weight) = exec.views(ctx).enumerate()
+            .find(|&(i, weight)| !params.adversary.is_byzantine(i) && weight > 0.0)
+            .expect("after the epidemic sums at least one honest node holds the weight");
+        let cts = exec.units(ctx, reference);
+        let blocks = packer.ciphertexts_for(entries);
 
         // --- Computation step (b): noise surplus correction. ---
-        // More contributors than the expected nν means surplus noise to
-        // subtract; fewer means a deficit — there is nothing to subtract,
-        // and the shortfall is surfaced in the iteration's stats rather
-        // than silently mapped to zero.  The push-pull counter is only an
-        // estimate of the contributor count; before full mixing it can
-        // transiently overshoot the population by orders of magnitude, and
-        // no run can have more contributors than devices, so the estimate
-        // is clamped to the population rather than over-correcting by a
-        // physically impossible surplus.
-        let contributors = (counter_estimate.round() as i64).min(population as i64);
+        // Every contribution carries a counter unit encrypting 1, so the
+        // reference's decrypted counter is the coefficient mass C of the
+        // contributions it accumulated, and C / weight its estimate of the
+        // contributor count.  More contributors than the expected nν means
+        // surplus noise to subtract; fewer means a deficit — there is
+        // nothing to subtract, and the shortfall is surfaced in the
+        // iteration's stats rather than silently mapped to zero.  No run can
+        // have more contributors than devices, so the estimate is clamped
+        // to the population rather than over-correcting by a physically
+        // impossible surplus.
+        let counter = backend.threshold_decrypt(&cts[2 * blocks]);
+        let mass = counter.to_u64_digits().iter().rev().fold(0.0, |acc, &d| acc * 2f64.powi(64) + d as f64);
+        let contributors = ((mass / weight).round() as i64).min(population as i64);
         let expected_shares = params.num_noise_shares as i64;
         let surplus = (contributors - expected_shares).max(0) as usize;
         let noise_share_deficit = (expected_shares - contributors).max(0) as usize;
@@ -348,7 +349,7 @@ where
             .collect();
         exec.propose(ctx, proposals);
         let dissemination_stats = exec.gossip(ctx, Phase::Correction, rng, adversary.as_mut());
-        let (correction, cts) = exec.read_out(ctx, reference);
+        let correction = exec.read_out(ctx);
         audit.record_n(iteration, "noise correction proposal", DataClass::DataIndependent, population);
 
         // --- Computation step (c): perturbation and threshold decryption. ---
@@ -359,17 +360,10 @@ where
         // means and noise are both biased) and feeds the overflow guard.
         // No randomness is involved, so the parallel map is trivially
         // deterministic.
-        let blocks = packer.ciphertexts_for(entries);
-        let plaintexts: Vec<BigUint> = ctx.pool.map_range(blocks + 1, |i| {
-            if i < blocks {
-                backend.threshold_decrypt(&backend.add(&cts[i], &cts[blocks + i]))
-            } else {
-                backend.threshold_decrypt(&cts[2 * blocks])
-            }
-        });
-        let counter = &plaintexts[blocks];
+        let plaintexts: Vec<BigUint> =
+            ctx.pool.map_range(blocks, |i| backend.threshold_decrypt(&backend.add(&cts[i], &cts[blocks + i])));
         let mut decrypted: Vec<f64> =
-            packer.unpack(&plaintexts[..blocks], entries, counter, 2).iter().map(|v| v / weight).collect();
+            packer.unpack(&plaintexts, entries, &counter, 2).iter().map(|v| v / weight).collect();
         audit.record(iteration, "partial decryptions of perturbed means", DataClass::DifferentiallyPrivate);
 
         // The correction is laid out like the decrypted vector: k·n sums,
@@ -395,8 +389,7 @@ where
         };
         network.push(IterationNetworkStats {
             iteration,
-            sum_messages_per_node: sum_stats.metrics.messages_per_node(population)
-                + counter_stats.metrics.messages_per_node(population),
+            sum_messages_per_node: sum_stats.metrics.messages_per_node(population),
             dissemination_messages_per_node: dissemination_stats.metrics.messages_per_node(population),
             sum_rounds: sum_stats.metrics.rounds(),
             dissemination_converged: dissemination_stats.converged,
@@ -405,11 +398,8 @@ where
             // One gossip message carries one whole contribution vector; its
             // byte size follows the backend's honest unit size.
             sum_payload_bytes: ctx.contribution_units * backend.unit_bytes(),
-            gossip_sim_time: sum_stats.sim_time + counter_stats.sim_time + dissemination_stats.sim_time,
-            peak_messages_in_flight: sum_stats
-                .peak_in_flight
-                .max(counter_stats.peak_in_flight)
-                .max(dissemination_stats.peak_in_flight),
+            gossip_sim_time: sum_stats.sim_time + dissemination_stats.sim_time,
+            peak_messages_in_flight: sum_stats.peak_in_flight.max(dissemination_stats.peak_in_flight),
             faults,
         });
 

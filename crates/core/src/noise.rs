@@ -3,10 +3,11 @@
 //! Each participant locally draws one noise share per perturbed value
 //! (`k` sums of length `n` plus `k` counts), encrypts them, and the epidemic
 //! sum of all shares yields the collaborative Laplace perturbation.  Because
-//! the number of actual contributors may exceed the expected `nν`, a
-//! cleartext contributor counter travels alongside, and a unique correction
-//! (chosen by smallest random identifier) equivalent in distribution to the
-//! surplus shares is agreed upon epidemically and subtracted.
+//! the number of actual contributors may exceed the expected `nν`, each
+//! contribution also carries a counter unit encrypting 1, whose decrypted
+//! sum counts the contributors; a unique correction (chosen by smallest
+//! random identifier) equivalent in distribution to the surplus shares is
+//! agreed upon epidemically and subtracted.
 
 use rand::Rng;
 
@@ -80,7 +81,7 @@ impl NoiseCorrection {
     /// Each dimension draws the aggregated surplus in one shot
     /// ([`NoiseShareGenerator::sample_correction`], exact by Gamma
     /// additivity) instead of accumulating `surplus` individual shares, so
-    /// the cost is O(k·n) however far an unconverged contributor counter
+    /// the cost is O(k·n) however far an unconverged contributor count
     /// overshoots.
     pub fn generate<R: Rng + ?Sized>(
         surplus: usize,

@@ -13,10 +13,11 @@
 //!    its encrypted means (Diptych);
 //! 2. **Computation step** —
 //!    a. the encrypted means and the encrypted noise shares are summed by
-//!    the EESum gossip protocol (Algorithm 2), alongside a cleartext
-//!    contributor counter,
-//!    b. the noise surplus correction is agreed upon by min-identifier
-//!    epidemic dissemination,
+//!    the EESum gossip protocol (Algorithm 2), together with a counter unit
+//!    encrypting 1 per contribution,
+//!    b. the reference node's counter unit is threshold-decrypted to count
+//!    the contributors, and the noise surplus correction is agreed upon by
+//!    min-identifier epidemic dissemination,
 //!    c. the perturbed encrypted means are threshold-decrypted with τ
 //!    distinct key-shares and smoothed;
 //! 3. **Convergence step** — the new perturbed centroids replace the old
@@ -73,8 +74,8 @@
 //!
 //! # Network models
 //!
-//! Every gossip phase (EESum means/noise sum, cleartext counter, correction
-//! dissemination) dispatches on [`ChiaroscuroParams::network`]: the
+//! Both gossip phases (EESum means/noise sum, correction dissemination)
+//! dispatch on [`ChiaroscuroParams::network`]: the
 //! round-based engine (the default — the dispatcher consumes exactly the
 //! RNG draws the engine would directly, so the knob never moves a
 //! round-based schedule) or the deterministic event-driven asynchronous simulator
@@ -125,7 +126,6 @@ use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdArena, MinId
 use chiaroscuro_gossip::eesum::{initial_states_seeded_at as eesum_states_seeded_at, EesState, EesSumProtocol};
 use chiaroscuro_gossip::sim::arena::EesUnitArena;
 use chiaroscuro_gossip::sim::{run_phase, AdversaryState, FaultStats, PhaseOpts, PhaseStats};
-use chiaroscuro_gossip::sum::{initial_states_seeded_at as sum_states_seeded_at, PushPullSum, SumState};
 use chiaroscuro_kmeans::report::RunReport;
 use chiaroscuro_node::Phase;
 use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
@@ -153,7 +153,7 @@ pub struct IterationNetworkStats {
     /// Iteration index.
     pub iteration: usize,
     /// Average number of messages per participant spent on the epidemic
-    /// sums (means + noise + counter).
+    /// sums (means, noise shares and counter unit, in one vector).
     pub sum_messages_per_node: f64,
     /// Average number of messages per participant spent on the correction
     /// dissemination.
@@ -181,7 +181,7 @@ pub struct IterationNetworkStats {
     /// ciphertext blow-up and must not report it.
     pub sum_payload_bytes: usize,
     /// Simulated wall-clock time consumed by this iteration's gossip phases
-    /// (epidemic sums + counter + dissemination) under the asynchronous
+    /// (epidemic sums + dissemination) under the asynchronous
     /// network model, in exchange periods.  `0.0` under the round-based
     /// model, which has no clock.
     pub gossip_sim_time: f64,
@@ -429,7 +429,7 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     /// (`crate::iteration`) on the in-process executor.
     pub fn execute_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> RunOutcome {
         let corrections = no_corrections();
-        drive(self, &mut InProcessExecutor { means: MeansStore::default(), counter: Vec::new(), corrections }, rng)
+        drive(self, &mut InProcessExecutor { means: MeansStore::default(), corrections }, rng)
     }
 }
 
@@ -450,7 +450,6 @@ enum MeansStore<B: CipherBackend> {
 /// the engine [`ChiaroscuroParams::network`] selects.
 struct InProcessExecutor<B: CipherBackend> {
     means: MeansStore<B>,
-    counter: Vec<SumState>,
     /// The correction proposals, from `propose` to `read_out`.
     corrections: MinIdArena,
 }
@@ -534,11 +533,6 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
                     }
                 };
             }
-            Phase::Counter => {
-                let states = sum_states_seeded_at(&vec![1.0; ctx.run.data.len()], ctx.weight_seed);
-                let opts = PhaseOpts { until: None, adversary };
-                (self.counter, stats) = run_phase(network, states, churn, &PushPullSum, budget, rng, opts);
-            }
             Phase::Correction => {
                 let arena = std::mem::replace(&mut self.corrections, no_corrections());
                 let opts = PhaseOpts { until: Some(&mut MinIdArena::converged), adversary };
@@ -551,15 +545,29 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
 
     /// Read in place, node by node: no population-sized buffer sits beside
     /// the stores.
-    fn views(&mut self, _ctx: &RunContext<'_, B>) -> impl Iterator<Item = (f64, Option<f64>)> {
+    fn views(&mut self, ctx: &RunContext<'_, B>) -> impl Iterator<Item = f64> {
         let means = &self.means;
-        self.counter.iter().enumerate().map(move |(node, counter)| {
-            let weight = match means {
-                MeansStore::PerNode(nodes) => nodes[node].weight,
-                MeansStore::Arena(arena) => arena.weight(node),
-            };
-            (weight, counter.estimate())
+        (0..ctx.run.data.len()).map(move |node| match means {
+            MeansStore::PerNode(nodes) => nodes[node].weight,
+            MeansStore::Arena(arena) => arena.weight(node),
         })
+    }
+
+    /// The means store is released here, before the dissemination store is
+    /// built, so the two never coexist.
+    fn units(&mut self, ctx: &RunContext<'_, B>, reference: usize) -> Vec<B::Unit> {
+        match std::mem::take(&mut self.means) {
+            MeansStore::PerNode(nodes) => nodes[reference].value.units().to_vec(),
+            // The arena carries the plaintext lane integers a plaintext
+            // backend's units are; its own codec turns them back into units.
+            MeansStore::Arena(arena) => (0..arena.units_per_node())
+                .map(|u| {
+                    let bytes: Vec<u8> =
+                        arena.unit_limbs(reference, u).iter().rev().flat_map(|limb| limb.to_be_bytes()).collect();
+                    ctx.kit.backend.unit_from_bytes(&bytes).expect("a plaintext unit is any integer")
+                })
+                .collect(),
+        }
     }
 
     /// Slab dissemination on every engine: one flat `[id, payload…]` row
@@ -575,7 +583,7 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
         });
     }
 
-    fn read_out(&mut self, ctx: &RunContext<'_, B>, reference: usize) -> (Vec<f64>, Vec<B::Unit>) {
+    fn read_out(&mut self, ctx: &RunContext<'_, B>) -> Vec<f64> {
         let arena = std::mem::replace(&mut self.corrections, no_corrections());
         let winner = arena.winning_node();
         // A row is the identifier and its payload: whoever holds the winning
@@ -585,24 +593,7 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
                 .all(|node| arena.id(node) != arena.id(winner) || arena.row(node) == arena.row(winner)),
             "every node holding the winning identifier must carry the same payload"
         );
-        let winning = arena.payload(winner);
-        // The iteration's per-node state is spent once the reference is read
-        // out: release it before the driver decrypts, so it never coexists
-        // with the next iteration's.
-        self.counter = Vec::new();
-        let units = match std::mem::take(&mut self.means) {
-            MeansStore::PerNode(nodes) => nodes[reference].value.units().to_vec(),
-            // The arena carries the plaintext lane integers a plaintext
-            // backend's units are; its own codec turns them back into units.
-            MeansStore::Arena(arena) => (0..arena.units_per_node())
-                .map(|u| {
-                    let bytes: Vec<u8> =
-                        arena.unit_limbs(reference, u).iter().rev().flat_map(|limb| limb.to_be_bytes()).collect();
-                    ctx.kit.backend.unit_from_bytes(&bytes).expect("a plaintext unit is any integer")
-                })
-                .collect(),
-        };
-        (winning, units)
+        arena.payload(winner)
     }
 }
 
@@ -836,9 +827,8 @@ mod tests {
         bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h: u64, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3))
     }
 
-    /// The driver's draw order, audit trail and arithmetic, pinned against
-    /// digests recorded before the executor seam took one `gossip(Phase)`
-    /// method: Damgård–Jurik on the round engine with churn and a surplus
+    /// The driver's draw order, audit trail and arithmetic, pinned as
+    /// digests: Damgård–Jurik on the round engine with churn and a surplus
     /// correction (8 expected noise shares among 16 devices), and the
     /// surrogate on the sharded, lossy event-driven network with a crash
     /// window and a byzantine quarter.
@@ -853,7 +843,7 @@ mod tests {
         params.num_noise_shares = 8;
         let crypto = DistributedRun::new(params, &data);
         assert!(crypto.execute(31).network.iter().all(|s| s.noise_share_deficit == 0));
-        assert_eq!(driver_digest(&crypto, 31), 0xFB14_14C5_477B_13A9);
+        assert_eq!(driver_digest(&crypto, 31), 0x7A45_86D3_1048_C483);
 
         let mut params = tiny_params(2, 2);
         let crash = CrashSchedule::new(vec![CrashWindow { node: 5, crash_at: 1.0, rejoin_at: 3.5 }]);
@@ -866,7 +856,7 @@ mod tests {
         );
         params.adversary = AdversaryModel::mixed(0.25, 1);
         let surrogate = DistributedRun::<PlaintextSurrogate>::with_backend(params, &data);
-        assert_eq!(driver_digest(&surrogate, 13), 0xC7D5_E86F_6B0B_2946);
+        assert_eq!(driver_digest(&surrogate, 13), 0x2EDE_740A_0178_754C);
     }
 
     /// Centroid bit patterns as `f64::to_bits`, cluster by cluster.
@@ -874,15 +864,56 @@ mod tests {
         outcome.centroids().iter().map(|c| c.values().iter().map(|v| v.to_bits()).collect()).collect()
     }
 
+    /// One iteration with as many expected noise shares as devices decodes
+    /// fixed bits: everything it decodes is drawn before the correction
+    /// phase, and no contributor count can exceed the population, so the
+    /// surplus is 0 however the count is estimated.  Damgård–Jurik on the
+    /// round engine with churn, and the surrogate on the sharded, lossy
+    /// event-driven network.
+    #[test]
+    fn one_iteration_at_full_noise_shares_decodes_its_pinned_bits() {
+        use chiaroscuro_gossip::sim::{AsyncNetworkConfig, LatencyModel, NetworkModel};
+        const ROUNDS: [[u64; 4]; 2] = [
+            [0x4021_fbf0_2db6_3fef, 0x4022_1a28_0ac0_c6c7, 0x4023_4a19_6d7c_33ed, 0x4022_e4e4_d665_4ca4],
+            [0x4051_7ab0_c928_bf4e, 0x4051_6869_d8ad_0c25, 0x4051_6e95_8045_b411, 0x4051_6912_1986_354b],
+        ];
+        const ASYNC: [[u64; 4]; 2] = [
+            [0x4024_07ba_3d8d_87a9, 0x4023_d359_688f_e724, 0x4023_d7d5_f992_4318, 0x4023_d88b_6bf4_0124],
+            [0x4051_83ec_213e_9f78, 0x4051_843c_8b6d_7d9d, 0x4051_7f95_4dd2_2e46, 0x4051_8473_9510_3fa1],
+        ];
+        let data = tiny_dataset(16);
+        let mut params = tiny_params(2, 1);
+        params.churn = 0.1;
+        params.num_noise_shares = 16;
+        let initial = || vec![TimeSeries::constant(4, 20.0), TimeSeries::constant(4, 60.0)];
+        let crypto = DistributedRun::new(params, &data).with_initial_centroids(initial()).execute(59);
+        assert_eq!(crypto.network[0].noise_share_deficit, 0);
+        assert_eq!(centroid_bits(&crypto), ROUNDS);
+
+        let data = tiny_dataset(200);
+        let mut params = tiny_params(2, 1);
+        params.num_noise_shares = 200;
+        params.network = NetworkModel::Async(
+            AsyncNetworkConfig::default()
+                .with_latency(LatencyModel::LogNormal { median: 0.3, sigma: 0.5 })
+                .with_loss(0.05)
+                .with_sim_shards(2),
+        );
+        let surrogate = DistributedRun::<PlaintextSurrogate>::with_backend(params, &data)
+            .with_initial_centroids(initial())
+            .execute(61);
+        assert_eq!(centroid_bits(&surrogate), ASYNC);
+    }
+
     #[test]
     fn lane_packed_and_legacy_runs_are_bit_exact() {
         // The packing contract: packing changes how many ciphertexts carry
-        // the data, never a single decoded bit.  The expected bits are the
-        // centroids the per-coordinate encoding decoded from this seed
-        // (20 ciphertexts per message) before lane packing became the only
-        // encoding.
-        const PER_COORDINATE: [[u64; 4]; 2] = [
-            [0x4044_9822_0686_946f, 0x4044_a2c8_2655_8300, 0x4044_358a_fdd0_9469, 0x4044_986c_34ab_1073],
+        // the data, never a single decoded bit.  The expected bits are this
+        // seed's two-lane run; that the packed encoding decodes what the
+        // per-coordinate one would is pinned bit for bit by the crypto
+        // proptest `packing_matches_the_per_coordinate_encoding_bit_for_bit`.
+        const PINNED: [[u64; 4]; 2] = [
+            [0x4044_7fe2_24db_5237, 0x4044_a9b1_712c_445b, 0x4044_8c32_85be_b3d9, 0x4044_95d8_032d_985d],
             [0x41ac_9c38_0000_0000; 4],
         ];
         let data = tiny_dataset(16);
@@ -891,7 +922,7 @@ mod tests {
         let mut params = tiny_params(2, 2);
         params.exchanges_override = Some(8);
         let packed = DistributedRun::new(params, &data).execute(29);
-        assert_eq!(centroid_bits(&packed), PER_COORDINATE, "lane packing must not change any decoded value");
+        assert_eq!(centroid_bits(&packed), PINNED, "lane packing must not change any decoded value");
         assert_eq!(packed.network[0].sum_payload_ciphertexts, 2 * 5 + 1, "two lanes: 2·⌈k·(n+1)/2⌉ + 1");
     }
 
@@ -1088,18 +1119,18 @@ mod tests {
     #[test]
     fn single_lane_configuration_runs_and_decodes() {
         // 12 exchanges at a 256-bit key leave room for exactly one lane: one
-        // coordinate per unit plus the counter.  The run decodes the
-        // centroids the per-coordinate encoding decoded from this seed.
-        const PER_COORDINATE: [[u64; 4]; 2] = [
-            [0x4023_bc00_2192_13d0, 0x4027_d62f_3f78_c56b, 0x4026_f57e_ecf0_f624, 0x4025_e77b_f8fc_b42d],
-            [0x4051_5a0b_5644_db05, 0x4051_5d36_766b_171f, 0x4051_5e90_cab2_24bb, 0x4051_9fda_a4ed_d20d],
+        // coordinate per unit plus the counter.  The run decodes this seed's
+        // pinned centroids.
+        const PINNED: [[u64; 4]; 2] = [
+            [0x4022_87be_fe08_68d0, 0x4023_9dc7_271a_7e59, 0x4023_5784_9f93_58db, 0x4024_5b95_8f36_80b8],
+            [0x4051_421a_6661_2837, 0x4051_3cb4_6eb1_8de5, 0x4051_6e92_d088_e243, 0x4051_3fa5_ab8b_6889],
         ];
         let data = tiny_dataset(16);
         let run = DistributedRun::new(tiny_params(2, 2), &data) // .exchanges(12)
             .with_initial_centroids(vec![TimeSeries::constant(4, 20.0), TimeSeries::constant(4, 60.0)]);
         assert_eq!(run.plan_packing().lanes(), 1);
         let outcome = run.execute(7);
-        assert_eq!(centroid_bits(&outcome), PER_COORDINATE);
+        assert_eq!(centroid_bits(&outcome), PINNED);
         assert_eq!(outcome.network[0].sum_payload_ciphertexts, 2 * 2 * (4 + 1) + 1);
     }
 
@@ -1122,7 +1153,7 @@ mod tests {
     #[test]
     fn heavy_churn_run_reports_dissemination_and_deficit_state() {
         // Under 50% churn with few exchanges the correction dissemination
-        // can fail to converge and the gossip counter can undershoot nν;
+        // can fail to converge and the contributor count can undershoot nν;
         // both conditions must be surfaced, and the run must still complete
         // deterministically (using the global min-id proposal).
         let data = tiny_dataset(16);
@@ -1145,7 +1176,7 @@ mod tests {
         );
         assert!(
             a.network.iter().any(|s| s.noise_share_deficit > 0),
-            "the gossip counter should undershoot nν = population at this churn level"
+            "the contributor count should undershoot nν = population at this churn level"
         );
     }
 

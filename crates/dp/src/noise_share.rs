@@ -109,7 +109,7 @@ impl NoiseShareGenerator {
     /// each share is `G₁(1/nν, λ) − G₂(1/nν, λ)`, and Gamma variables of a
     /// common scale are additive in the shape, so the sum of `extra` i.i.d.
     /// shares equals in distribution `G₁(extra/nν, λ) − G₂(extra/nν, λ)`.
-    /// An unconverged contributor counter can report a surplus on the order
+    /// An unconverged contributor count can report a surplus on the order
     /// of the population, which made the per-share loop
     /// O(population · dimensions) per proposal — quadratic across the
     /// population — where the aggregate draw is constant-time.
@@ -240,7 +240,7 @@ mod tests {
 
     #[test]
     fn correction_cost_is_independent_of_the_surplus() {
-        // Regression: an unconverged contributor counter can report a
+        // Regression: an unconverged contributor count can report a
         // surplus on the order of the population; a population-sized
         // correction must be a constant-time draw, not a 10M-share
         // accumulation (which made the runner's correction phase quadratic

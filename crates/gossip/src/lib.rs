@@ -10,8 +10,8 @@
 //! * [`engine`] — the round-based pairwise-exchange simulation engine with
 //!   churn and message accounting;
 //! * [`sum`] — the plaintext push-pull epidemic sum (Kempe et al. /
-//!   Jelasity et al.), used for the count aggregate and the latency/error
-//!   experiments (Figures 3(b) and 4(a));
+//!   Jelasity et al.), used for the latency/error experiments (Figures
+//!   3(b) and 4(a)) and as the plaintext mirror of EESum;
 //! * [`eesum`] — the EESum local update rule over *encrypted* (or otherwise
 //!   division-free) values, i.e. Algorithm 2 of the paper;
 //! * [`dissemination`] — epidemic min-identifier dissemination, used for the

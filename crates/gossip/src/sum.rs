@@ -7,10 +7,12 @@
 //! the combined state.  The local estimate of the global sum is `σ / ω`,
 //! which converges to the exact value exponentially fast.
 //!
-//! This protocol is used directly for the cleartext population counter of
-//! the noise generation (§4.2.2), and is the plaintext mirror against which
-//! the encrypted EESum rule is validated (Appendix C.2.1 claims the two are
-//! arithmetically equivalent).
+//! The figures measure its latency and error (Figures 3(b) and 4(a)), and
+//! it is the plaintext mirror against which the encrypted EESum rule is
+//! validated (Appendix C.2.1 claims the two are arithmetically
+//! equivalent).  The run itself never gossips it: the contributor count of
+//! the noise generation (§4.2.2) is read from the counter unit every
+//! encrypted contribution carries.
 
 use crate::engine::PairwiseProtocol;
 
@@ -64,17 +66,10 @@ impl PairwiseProtocol<SumState> for PushPullSum {
 /// (the first participant is the weight seed, as footnote 5 of the paper
 /// prescribes: exactly one participant sets ω = 1).
 pub fn initial_states(values: &[f64]) -> Vec<SumState> {
-    initial_states_seeded_at(values, 0)
-}
-
-/// [`initial_states`] with participant `seed` as the weight seed (a run
-/// under a byzantine adversary seeds at an honest node).
-pub fn initial_states_seeded_at(values: &[f64], seed: usize) -> Vec<SumState> {
-    assert!(seed < values.len(), "the weight seed must be a participant");
     values
         .iter()
         .enumerate()
-        .map(|(i, &v)| if i == seed { SumState::new_seed(v) } else { SumState::new(v) })
+        .map(|(i, &v)| if i == 0 { SumState::new_seed(v) } else { SumState::new(v) })
         .collect()
 }
 

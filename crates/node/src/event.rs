@@ -15,8 +15,6 @@ use crate::NodeId;
 pub enum Phase {
     /// The EESum epidemic sum over the encrypted contribution vectors.
     Means,
-    /// The cleartext push-pull contributor counter.
-    Counter,
     /// The min-identifier dissemination of the noise-surplus correction.
     Correction,
 }
@@ -25,7 +23,6 @@ impl Phase {
     fn to_byte(self) -> u8 {
         match self {
             Phase::Means => 0,
-            Phase::Counter => 1,
             Phase::Correction => 2,
         }
     }
@@ -33,7 +30,6 @@ impl Phase {
     fn from_byte(b: u8) -> Result<Self, FrameError> {
         match b {
             0 => Ok(Phase::Means),
-            1 => Ok(Phase::Counter),
             2 => Ok(Phase::Correction),
             _ => Err(FrameError::BadPayload("unknown gossip phase")),
         }
@@ -234,7 +230,7 @@ mod tests {
         round_trip(&NodeEvent::Hello { config: vec![9, 8, 7] });
         round_trip(&NodeEvent::IterationStart { payload: vec![1; 40] });
         round_trip(&NodeEvent::InitiateExchange { phase: Phase::Means, contact: 17 });
-        round_trip(&NodeEvent::ExchangeRequest { phase: Phase::Counter, state: vec![5; 16] });
+        round_trip(&NodeEvent::ExchangeRequest { phase: Phase::Means, state: vec![5; 16] });
         round_trip(&NodeEvent::ExchangeReply { phase: Phase::Correction, state: Vec::new() });
         round_trip(&NodeEvent::CorrectionProposal { payload: vec![0xAB; 24] });
         round_trip(&NodeEvent::ReadoutRequest { include_units: true });
@@ -257,5 +253,11 @@ mod tests {
             assert!(matches!(NodeEvent::decode(7, &[byte]), Err(FrameError::BadPayload(_))), "flag byte {byte}");
         }
         assert!(matches!(NodeEvent::decode(9, &[1]), Err(FrameError::BadPayload(_))));
+        // The phase bytes are 0 (means) and 2 (correction); 1 names no phase.
+        let unknown = |decoded| matches!(decoded, Err(FrameError::BadPayload("unknown gossip phase")));
+        for kind in [4, 5] {
+            assert!(unknown(NodeEvent::decode(kind, &[1, 0xAB])), "exchange kind {kind}");
+        }
+        assert!(unknown(NodeEvent::decode(3, &[1, 0, 0, 0, 1])));
     }
 }

@@ -14,11 +14,7 @@ use chiaroscuro_node::{
 
 /// Builds one event of each wire variant, parameterised by a payload.
 fn event_variant(index: usize, payload: Vec<u8>) -> NodeEvent {
-    let phase = match index % 3 {
-        0 => Phase::Means,
-        1 => Phase::Counter,
-        _ => Phase::Correction,
-    };
+    let phase = if index.is_multiple_of(2) { Phase::Means } else { Phase::Correction };
     match index % 9 {
         0 => NodeEvent::Hello { config: payload },
         1 => NodeEvent::IterationStart { payload },
