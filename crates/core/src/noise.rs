@@ -92,12 +92,14 @@ impl NoiseCorrection {
         num_shares: usize,
         rng: &mut R,
     ) -> Self {
-        let sum_generator = NoiseShareGenerator::new(num_shares, sum_scale);
-        let count_generator = NoiseShareGenerator::new(num_shares, count_scale);
-        let sum_correction =
-            (0..k * series_length).map(|_| sum_generator.sample_correction(surplus, rng)).collect();
-        let count_correction =
-            (0..k).map(|_| count_generator.sample_correction(surplus, rng)).collect();
+        // No surplus, no draw: not even a generator (and its prepared
+        // Gamma) is built for a correction that is all zeros.
+        let mut correction = |scale, len| {
+            let generator = (surplus > 0).then(|| NoiseShareGenerator::new(num_shares, scale));
+            (0..len).map(|_| generator.map_or(0.0, |g| g.sample_correction(surplus, rng))).collect()
+        };
+        let sum_correction = correction(sum_scale, k * series_length);
+        let count_correction = correction(count_scale, k);
         Self { id: rng.gen(), sum_correction, count_correction }
     }
 }

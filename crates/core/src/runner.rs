@@ -136,17 +136,6 @@ use crate::evalue::BackendVector;
 use crate::iteration::{device_contribution, drive, Executor, RunContext};
 use crate::noise::NoiseCorrection;
 
-/// Participants per work batch when filling the lane arena: bounds the
-/// transient boxed per-node contributions that co-reside with the slab, so
-/// the peak footprint stays close to the arena itself.  The bound must bite
-/// below the smallest populations that matter, not only at a million nodes:
-/// at 16 384 a 2 000-node round-based run held every contribution beside the
-/// slab (peak RSS 11.9 MB against 9.2 MB on per-node vectors); at 512 it
-/// reads 9.3 MB, and the 20 000-node sharded run drops 30–31 → 26 MB at an
-/// unchanged iteration time — its 40 batches carry ≈ 1.5 ms of work each,
-/// against ≈ 60 µs of pool overhead per batch.
-const ARENA_FILL_CHUNK: usize = 512;
-
 /// Network-level statistics of one distributed iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationNetworkStats {
@@ -470,42 +459,31 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
         count_scale: f64,
     ) -> Vec<usize> {
         let series_all = ctx.run.data.series();
-        let population = series_all.len();
         let device = |i: usize, series: &TimeSeries| {
             device_contribution(&ctx.kit, centroids, series, participant_seeds[i], sum_scale, count_scale)
         };
-        let mut labels = Vec::with_capacity(population);
-        self.means = if !B::ENCRYPTED {
-            let layout = ctx.kit.packer.layout();
-            let value_bits = layout.lanes as u64 * layout.lane_bits;
-            let limbs_per_unit = value_bits.div_ceil(64) as usize + 1;
-            let mut arena =
-                EesUnitArena::seeded_at(population, ctx.contribution_units, limbs_per_unit, ctx.weight_seed);
-            let mut start = 0usize;
-            while start < population {
-                let end = (start + ARENA_FILL_CHUNK).min(population);
-                let chunk = ctx.pool.map(&series_all[start..end], |offset, series| device(start + offset, series));
-                for (offset, (assigned, units)) in chunk.into_iter().enumerate() {
-                    labels.push(assigned);
-                    for (u, unit) in units.iter().enumerate() {
-                        arena.set_unit_from_digits(
-                            start + offset,
-                            u,
-                            ctx.kit.backend.plaintext_of(unit).iter_u64_digits(),
-                        );
-                    }
-                }
-                start = end;
+        if B::ENCRYPTED {
+            let (labels, units): (Vec<usize>, Vec<_>) = ctx.pool.map(series_all, device).into_iter().unzip();
+            let backend_vector = |units| BackendVector::new(ctx.kit.backend.clone(), units);
+            let vectors = units.into_iter().map(backend_vector).collect();
+            self.means = MeansStore::PerNode(eesum_states_seeded_at(vectors, ctx.weight_seed));
+            return labels;
+        }
+        let layout = ctx.kit.packer.layout();
+        let limbs_per_unit = (layout.lanes as u64 * layout.lane_bits).div_ceil(64) as usize + 1;
+        let (population, units) = (series_all.len(), ctx.contribution_units);
+        let mut arena = EesUnitArena::seeded_at(population, units, limbs_per_unit, ctx.weight_seed);
+        // Each worker writes a device's units straight into its row and
+        // drops them: no boxed contribution outlives its device.
+        let rows = arena.layout().clone();
+        let labels = arena.fill_rows(&ctx.pool, |node, row| {
+            let (assigned, units) = device(node, &series_all[node]);
+            for (u, unit) in units.iter().enumerate() {
+                rows.set_unit_from_digits(row, u, ctx.kit.backend.plaintext_of(unit).iter_u64_digits());
             }
-            MeansStore::Arena(arena)
-        } else {
-            let mut vectors = Vec::with_capacity(population);
-            for (assigned, units) in ctx.pool.map(series_all, device) {
-                labels.push(assigned);
-                vectors.push(BackendVector::new(ctx.kit.backend.clone(), units));
-            }
-            MeansStore::PerNode(eesum_states_seeded_at(vectors, ctx.weight_seed))
-        };
+            assigned
+        });
+        self.means = MeansStore::Arena(arena);
         labels
     }
 
@@ -1272,5 +1250,87 @@ mod tests {
         let data = tiny_dataset(4);
         let params = ChiaroscuroParams::builder().k(2).key_share_threshold(10).build();
         let _ = DistributedRun::new(params, &data);
+    }
+
+    /// The arena fill as it was before contributions were written in
+    /// place: devices in pool batches of 512 as boxed unit vectors, then a
+    /// serial copy of each unit's digits into the arena.  The reference the
+    /// in-place fill must reproduce bit for bit.
+    fn batched_fill<B: CipherBackend>(
+        ctx: &RunContext<'_, B>,
+        centroids: &[TimeSeries],
+        seeds: &[u64],
+        scales: (f64, f64),
+    ) -> (Vec<usize>, EesUnitArena) {
+        const BATCH: usize = 512;
+        let series_all = ctx.run.data.series();
+        let population = series_all.len();
+        let layout = ctx.kit.packer.layout();
+        let limbs_per_unit = (layout.lanes as u64 * layout.lane_bits).div_ceil(64) as usize + 1;
+        let mut arena =
+            EesUnitArena::seeded_at(population, ctx.contribution_units, limbs_per_unit, ctx.weight_seed);
+        let mut labels = Vec::with_capacity(population);
+        for start in (0..population).step_by(BATCH) {
+            let end = (start + BATCH).min(population);
+            let batch = ctx.pool.map(&series_all[start..end], |offset, series| {
+                device_contribution(&ctx.kit, centroids, series, seeds[start + offset], scales.0, scales.1)
+            });
+            for (offset, (assigned, units)) in batch.into_iter().enumerate() {
+                labels.push(assigned);
+                for (u, unit) in units.iter().enumerate() {
+                    let digits = ctx.kit.backend.plaintext_of(unit).iter_u64_digits();
+                    arena.set_unit_from_digits(start + offset, u, digits);
+                }
+            }
+        }
+        (labels, arena)
+    }
+
+    #[test]
+    fn contributions_written_in_place_fill_the_arena_as_the_batched_copy_did() {
+        use crate::iteration::DeviceKit;
+        use chiaroscuro_crypto::backend::BackendSetup;
+        use chiaroscuro_gossip::churn::ChurnModel;
+        use rand::SeedableRng;
+        use std::sync::Arc;
+        // 1 100 nodes: four full 256-row fill blocks and a ragged fifth, and
+        // two full 512-device batches and a ragged third.
+        let data = CerLikeGenerator::new(3).generate(1_100);
+        let params = ChiaroscuroParams::builder().k(3).num_noise_shares(1_100).epsilon(2.0).build();
+        let run = DistributedRun::<PlaintextSurrogate>::with_backend(params, &data);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(37);
+        let packer = run.plan_packing();
+        let setup = BackendSetup {
+            key_bits: run.params.key_bits,
+            damgard_jurik_s: run.params.damgard_jurik_s,
+            population: data.len(),
+            key_share_threshold: run.params.key_share_threshold,
+            packed_layout: Some(packer.layout()),
+        };
+        let backend = Arc::new(PlaintextSurrogate::setup(&setup, &mut rng));
+        let seeds: Vec<u64> = (0..data.len()).map(|_| rng.gen()).collect();
+        let centroids = data.series()[..3].to_vec();
+        let contribution_units = 2 * packer.ciphertexts_for(3 * (data.series_length() + 1)) + 1;
+        let kit = DeviceKit { backend, packer, num_noise_shares: 1_100 };
+        let mut ctx = RunContext {
+            run: &run,
+            kit,
+            contribution_units,
+            pool: rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap(),
+            churn: ChurnModel::NONE,
+            exchanges: 1,
+            weight_seed: 0,
+        };
+        for (threads, weight_seed) in [(1, 0), (2, 0), (3, 0), (1, 417), (2, 1_099), (3, 256)] {
+            ctx.pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            ctx.weight_seed = weight_seed;
+            let (expected_labels, expected) = batched_fill(&ctx, &centroids, &seeds, (3.5, 0.75));
+            let (means, corrections) = (MeansStore::default(), no_corrections());
+            let mut exec = InProcessExecutor::<PlaintextSurrogate> { means, corrections };
+            let labels = exec.contribute(&ctx, &centroids, &seeds, 3.5, 0.75);
+            let MeansStore::Arena(arena) = exec.means else { panic!("a plaintext backend fills the arena") };
+            assert_eq!(labels, expected_labels, "{threads} threads, weight seed {weight_seed}");
+            assert!(arena == expected, "{threads} threads, weight seed {weight_seed}: the cells differ");
+        }
     }
 }

@@ -36,6 +36,9 @@ pub struct NoiseShareGenerator {
     num_shares: usize,
     /// Target Laplace scale `λ`.
     scale: f64,
+    /// The Gamma distribution of each half of a share, shape `1/nν` and
+    /// scale `λ`, prepared once for every draw of this generator.
+    component: Gamma,
 }
 
 impl NoiseShareGenerator {
@@ -46,7 +49,7 @@ impl NoiseShareGenerator {
     pub fn new(num_shares: usize, scale: f64) -> Self {
         assert!(num_shares > 0, "the number of noise shares must be positive");
         assert!(scale.is_finite() && scale > 0.0, "the Laplace scale must be positive");
-        Self { num_shares, scale }
+        Self { num_shares, scale, component: Gamma::new(1.0 / num_shares as f64, scale) }
     }
 
     /// The number of shares `nν`.
@@ -59,15 +62,9 @@ impl NoiseShareGenerator {
         self.scale
     }
 
-    /// The Gamma distribution of each half of a share: shape `1/nν`,
-    /// scale `λ`.
-    fn component(&self) -> Gamma {
-        Gamma::new(1.0 / self.num_shares as f64, self.scale)
-    }
-
     /// Draws one noise share.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> NoiseShare {
-        let g = self.component();
+        let g = &self.component;
         NoiseShare { value: g.sample(rng) - g.sample(rng) }
     }
 

@@ -104,7 +104,7 @@ where
     }
 
     fn apply_exchanges(&mut self, pool: &rayon::ThreadPool, protocol: &P, pairs: &[(u32, u32)]) {
-        apply_disjoint_rows(pool, self, 1, pairs, |a, b| protocol.exchange(&mut a[0], &mut b[0]));
+        apply_disjoint_rows(pool, self, 1, pairs, |_| {}, |a, b| protocol.exchange(&mut a[0], &mut b[0]));
     }
 }
 
@@ -123,9 +123,12 @@ where
 /// the heavy phase dominates the sum, and 1 024 serves it best.
 pub(crate) const PARALLEL_EXCHANGE_THRESHOLD: usize = 1024;
 
+/// How many pairs ahead both apply paths hint the rows they will exchange.
+const PREFETCH_AHEAD: usize = 8;
+
 /// The one ordered apply loop of both engines: applies `pairs` one by one
 /// in iteration order on the calling thread.  The pairs hit random node
-/// rows, so each step first hints the pair eight steps on
+/// rows, so each step first hints the pair [`PREFETCH_AHEAD`] steps on
 /// ([`StateStore::prefetch_node`]): a no-op for `Vec` stores, most of the
 /// DRAM latency hidden for slab-backed ones.
 pub(crate) fn apply_in_order<S, P>(
@@ -135,7 +138,6 @@ pub(crate) fn apply_in_order<S, P>(
 ) where
     S: ProtocolStore<P>,
 {
-    const PREFETCH_AHEAD: usize = 8;
     let mut ahead = pairs.clone().skip(PREFETCH_AHEAD);
     for (initiator, contact) in pairs {
         if let Some((i, c)) = ahead.next() {
@@ -153,7 +155,12 @@ pub(crate) fn apply_in_order<S, P>(
 /// node-disjointness in debug builds, then calls `exchange(initiator row,
 /// contact row)` once per pair — in slice order on the calling thread when
 /// the pool has one worker or the batch is below
-/// [`PARALLEL_EXCHANGE_THRESHOLD`], on the pool otherwise.
+/// [`PARALLEL_EXCHANGE_THRESHOLD`], on the pool otherwise.  On either path
+/// each step first hands `hint` the start of both rows of the pair
+/// [`PREFETCH_AHEAD`] positions on, as [`apply_in_order`] does: the store
+/// passes its [`StateStore::prefetch_node`] block (a no-op for `Vec`
+/// stores).  A hint gets an address, never a reference: the row it names
+/// may be under another worker's exchange.
 ///
 /// The caller's side of the contract is
 /// [`ProtocolStore::apply_exchanges`]'s: no node index occurs in two pairs of
@@ -166,6 +173,7 @@ pub(crate) fn apply_disjoint_rows<T: Send>(
     cells: &mut [T],
     stride: usize,
     pairs: &[(u32, u32)],
+    hint: impl Fn(*const T) + Sync,
     exchange: impl Fn(&mut [T], &mut [T]) + Sync,
 ) {
     let population = cells.len() / stride;
@@ -204,10 +212,19 @@ pub(crate) fn apply_disjoint_rows<T: Send>(
         };
         exchange(initiator, contact);
     };
+    let step = |k: usize| {
+        if let Some(&(i, c)) = pairs.get(k + PREFETCH_AHEAD) {
+            let base = slab; // the whole wrapper, as in `apply`
+            let base = base.0.cast_const();
+            hint(base.wrapping_add(i as usize * stride));
+            hint(base.wrapping_add(c as usize * stride));
+        }
+        apply(&pairs[k]);
+    };
     if pool.current_num_threads() <= 1 || pairs.len() < PARALLEL_EXCHANGE_THRESHOLD {
-        pairs.iter().for_each(apply);
+        (0..pairs.len()).for_each(step);
     } else {
-        pool.map_range(pairs.len(), |k| apply(&pairs[k]));
+        pool.map_range(pairs.len(), step);
     }
 }
 
@@ -504,13 +521,13 @@ mod tests {
     fn overlapping_exchange_batch_panics_in_debug() {
         let mut cells: Vec<u64> = vec![3, 1, 4, 1];
         // Node 1 appears in two pairs of the same wavefront.
-        apply_disjoint_rows(&pool(2), &mut cells, 1, &[(0, 1), (1, 2)], mix_rows);
+        apply_disjoint_rows(&pool(2), &mut cells, 1, &[(0, 1), (1, 2)], |_| {}, mix_rows);
     }
 
     #[test]
     fn disjoint_exchange_batch_passes_the_debug_check() {
         let mut cells: Vec<u64> = vec![3, 1, 4, 1, 5, 9, 2, 6];
-        apply_disjoint_rows(&pool(2), &mut cells, 2, &[(0, 1), (3, 2)], |i, c| {
+        apply_disjoint_rows(&pool(2), &mut cells, 2, &[(0, 1), (3, 2)], |_| {}, |i, c| {
             let max = [i[0].max(c[0]), i[1].max(c[1])];
             i.copy_from_slice(&max);
             c.copy_from_slice(&max);
@@ -530,7 +547,7 @@ mod tests {
             let mut cells = vec![7u64; 7];
             let untouched = cells.clone();
             let message = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                apply_disjoint_rows(&pool(2), &mut cells, 2, &[(0, 2), bad], mix_rows);
+                apply_disjoint_rows(&pool(2), &mut cells, 2, &[(0, 2), bad], |_| {}, mix_rows);
             }))
             .expect_err("a bad pair must panic");
             let message = message.downcast_ref::<String>().expect("a formatted message");
@@ -543,7 +560,9 @@ mod tests {
         /// Whatever the stride, the pool and the side of
         /// `PARALLEL_EXCHANGE_THRESHOLD` the batch falls on, a node-disjoint
         /// batch leaves the slab as in-order application over safe
-        /// `rows_mut` windows does.
+        /// `rows_mut` windows does, and the prefetch hint is handed the row
+        /// starts of exactly the pairs `PREFETCH_AHEAD` positions on: every
+        /// hinted address is a row of the slab.
         #[test]
         fn apply_disjoint_rows_matches_in_order_serial_application(
             stride_index in 0usize..3,
@@ -570,8 +589,29 @@ mod tests {
                 let (i, c) = rows_mut(&mut expected, stride, i as usize, c as usize);
                 mix_rows(i, c);
             }
-            apply_disjoint_rows(&pool(threads), &mut cells, stride, &pairs, mix_rows);
+            let base = cells.as_ptr() as usize;
+            let hinted = std::sync::Mutex::new(Vec::new());
+            let hint = |row: *const u64| hinted.lock().unwrap().push(row as usize);
+            apply_disjoint_rows(&pool(threads), &mut cells, stride, &pairs, hint, mix_rows);
             proptest::prop_assert_eq!(cells, expected);
+            let row_bytes = stride * std::mem::size_of::<u64>();
+            let mut hinted: Vec<usize> = hinted
+                .into_inner()
+                .unwrap()
+                .into_iter()
+                .map(|address| {
+                    let offset = address.checked_sub(base).expect("a hint below the slab");
+                    assert_eq!(offset % row_bytes, 0, "{address:#x}: not a row start");
+                    let node = offset / row_bytes;
+                    assert!(node < population, "hinted node {node} of {population}");
+                    node
+                })
+                .collect();
+            let mut upcoming: Vec<usize> =
+                pairs.iter().skip(PREFETCH_AHEAD).flat_map(|&(i, c)| [i as usize, c as usize]).collect();
+            hinted.sort_unstable();
+            upcoming.sort_unstable();
+            proptest::prop_assert_eq!(hinted, upcoming);
         }
     }
 

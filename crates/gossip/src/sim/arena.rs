@@ -48,6 +48,28 @@ pub struct EesUnitLayout {
 /// integer units.
 pub type EesUnitArena = RowSlab<EesUnitLayout>;
 
+impl EesUnitLayout {
+    /// [`EesUnitArena::set_unit_from_digits`] on a row already in hand — the
+    /// row [`RowSlab::fill_rows`] passes its callback.
+    ///
+    /// # Panics
+    /// Panics if the iterator yields more digits than the unit width, the
+    /// unit is out of bounds or the row is shorter than the layout's.
+    pub fn set_unit_from_digits(&self, row: &mut [u64], unit: usize, digits_le: impl Iterator<Item = u64>) {
+        let mut digits = digits_le.fuse();
+        for limb in &mut row[self.unit_offset(unit)..][..self.limbs_per_unit] {
+            *limb = digits.next().unwrap_or(0);
+        }
+        assert!(digits.next().is_none(), "unit value exceeds the arena's {}-limb unit width", self.limbs_per_unit);
+    }
+
+    /// Where `unit` starts inside a node's row.
+    fn unit_offset(&self, unit: usize) -> usize {
+        assert!(unit < self.units_per_node, "unit {unit} out of {}", self.units_per_node);
+        HEAD + unit * self.limbs_per_unit
+    }
+}
+
 impl RowSlab<EesUnitLayout> {
     /// Creates a zeroed arena for `population` nodes of `units_per_node`
     /// units of `limbs_per_unit` limbs each.  Node 0 seeds the epidemic
@@ -92,15 +114,7 @@ impl RowSlab<EesUnitLayout> {
     /// Panics if the limbs do not fit the unit width or the indices are out
     /// of bounds.
     pub fn set_unit(&mut self, node: usize, unit: usize, limbs_le: &[u64]) {
-        let window = self.unit_limbs_mut(node, unit);
-        assert!(
-            limbs_le.len() <= window.len(),
-            "unit value of {} limbs exceeds the arena's {}-limb unit width",
-            limbs_le.len(),
-            window.len()
-        );
-        window[..limbs_le.len()].copy_from_slice(limbs_le);
-        window[limbs_le.len()..].fill(0);
+        self.set_unit_from_digits(node, unit, limbs_le.iter().copied());
     }
 
     /// Writes one unit of one node from a little-endian digit iterator
@@ -110,30 +124,13 @@ impl RowSlab<EesUnitLayout> {
     /// # Panics
     /// Panics if the iterator yields more digits than the unit width or
     /// the indices are out of bounds.
-    pub fn set_unit_from_digits(
-        &mut self,
-        node: usize,
-        unit: usize,
-        digits_le: impl Iterator<Item = u64>,
-    ) {
-        let window = self.unit_limbs_mut(node, unit);
-        let mut len = 0;
-        for digit in digits_le {
-            assert!(
-                len < window.len(),
-                "unit value exceeds the arena's {}-limb unit width",
-                window.len()
-            );
-            window[len] = digit;
-            len += 1;
-        }
-        window[len..].fill(0);
+    pub fn set_unit_from_digits(&mut self, node: usize, unit: usize, digits_le: impl Iterator<Item = u64>) {
+        self.layout().clone().set_unit_from_digits(self.row_mut(node), unit, digits_le);
     }
 
     /// The little-endian limbs of one unit of one node.
     pub fn unit_limbs(&self, node: usize, unit: usize) -> &[u64] {
-        let start = self.unit_offset(unit);
-        &self.row(node)[start..start + self.limbs_per_unit()]
+        &self.row(node)[self.layout().unit_offset(unit)..][..self.limbs_per_unit()]
     }
 
     /// The scaled epidemic weight `ω · 2^n` of a node.
@@ -144,17 +141,6 @@ impl RowSlab<EesUnitLayout> {
     /// The exchange counter of a node.
     pub fn exchange_counter(&self, node: usize) -> u32 {
         self.row(node)[1] as u32
-    }
-
-    fn unit_limbs_mut(&mut self, node: usize, unit: usize) -> &mut [u64] {
-        let (start, limbs_per_unit) = (self.unit_offset(unit), self.limbs_per_unit());
-        &mut self.row_mut(node)[start..start + limbs_per_unit]
-    }
-
-    /// Where `unit` starts inside a node's row.
-    fn unit_offset(&self, unit: usize) -> usize {
-        assert!(unit < self.units_per_node(), "unit {unit} out of {}", self.units_per_node());
-        HEAD + unit * self.limbs_per_unit()
     }
 }
 

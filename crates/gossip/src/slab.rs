@@ -73,7 +73,29 @@ impl<L> RowSlab<L> {
     pub fn rows(&self) -> impl Iterator<Item = &[u64]> {
         self.cells.chunks_exact(self.stride)
     }
+
+    /// Calls `fill(node, row)` once for every node, on `pool`'s workers, and
+    /// returns the results in node order.  Workers claim blocks of 256
+    /// consecutive rows, so each writes its rows in place and holds nothing
+    /// but what one `fill` call makes.
+    pub fn fill_rows<U: Send>(
+        &mut self,
+        pool: &rayon::ThreadPool,
+        fill: impl Fn(usize, &mut [u64]) -> U + Sync,
+    ) -> Vec<U> {
+        let stride = self.stride;
+        let blocks = pool.map_chunks_mut(&mut self.cells, FILL_BLOCK_ROWS * stride, |block, rows| {
+            let first = block * FILL_BLOCK_ROWS;
+            rows.chunks_exact_mut(stride).enumerate().map(|(r, row)| fill(first + r, row)).collect::<Vec<_>>()
+        });
+        blocks.into_iter().flatten().collect()
+    }
 }
+
+/// Rows per block of [`RowSlab::fill_rows`]: enough that a block's lock and
+/// cursor claim are paid once per 256 `fill` calls, few enough that a
+/// 2 000-node population still spreads over eight blocks.
+const FILL_BLOCK_ROWS: usize = 256;
 
 impl<L> StateStore for RowSlab<L> {
     fn population(&self) -> usize {
@@ -81,21 +103,37 @@ impl<L> StateStore for RowSlab<L> {
     }
 
     fn prefetch_node(&self, node: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            debug_assert!(node < self.population());
-            // SAFETY: prefetch is a pure cache hint with no memory access
-            // semantics, and the address is in-bounds for the slab.  One
-            // line is enough: it holds the row's scalars, and the hardware
-            // streamer follows the row once its head is resident.
-            unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch(self.cells.as_ptr().add(node * self.stride).cast::<i8>(), _MM_HINT_T0);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = node;
+        debug_assert!(node < self.population());
+        prefetch_row(self.cells.as_ptr().wrapping_add(node * self.stride), self.stride);
     }
+}
+
+/// The most bytes of one row [`prefetch_row`] hints: 16 cache lines.
+const MAX_HINTED_BYTES: usize = 1024;
+
+/// Hints every 64-byte cache line of the `stride`-cell row starting at
+/// `row`, up to [`MAX_HINTED_BYTES`]: the one prefetch block behind both
+/// apply paths ([`StateStore::prefetch_node`] for the ordered loop, the hint
+/// `apply_disjoint_rows` is handed for the wavefront one).  An exchange
+/// sweeps both rows end to end, and hinting only the head line leaves the
+/// rest of a random row to demand misses; hints past the cap only queue
+/// behind the first lines' fills while the hardware streamer follows a row
+/// that long on its own.
+fn prefetch_row(row: *const u64, stride: usize) {
+    let bytes = (stride * std::mem::size_of::<u64>()).min(MAX_HINTED_BYTES);
+    // The last byte's line too: a row need not start on a line boundary.
+    #[cfg(target_arch = "x86_64")]
+    for offset in (0..bytes).step_by(64).chain([bytes - 1]) {
+        // SAFETY: prefetch is a pure cache hint with no memory access
+        // semantics: it never faults and reads or writes nothing, so any
+        // address is sound; the ones hinted here lie inside the row.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch(row.cast::<i8>().wrapping_add(offset), _MM_HINT_T0);
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (row, bytes);
 }
 
 impl<P: Sync, L: RowLayout<P> + Sync> ProtocolStore<P> for RowSlab<L> {
@@ -105,8 +143,9 @@ impl<P: Sync, L: RowLayout<P> + Sync> ProtocolStore<P> for RowSlab<L> {
     }
 
     fn apply_exchanges(&mut self, pool: &rayon::ThreadPool, protocol: &P, pairs: &[(u32, u32)]) {
-        let layout = &self.layout;
-        apply_disjoint_rows(pool, &mut self.cells, self.stride, pairs, |initiator, contact| {
+        let (layout, stride) = (&self.layout, self.stride);
+        let hint = |row| prefetch_row(row, stride);
+        apply_disjoint_rows(pool, &mut self.cells, stride, pairs, hint, |initiator, contact| {
             layout.exchange_rows(protocol, initiator, contact);
         });
     }

@@ -5,9 +5,10 @@
 //! maps a closure over an index range in parallel.  Upstream rayon expresses
 //! the same computation as `pool.install(|| items.par_iter().map(f).collect())`;
 //! re-implementing the full `ParallelIterator` machinery offline would be
-//! out of proportion, so the pool exposes the two ordered-map entry points
-//! the crypto hot path actually uses ([`ThreadPool::map_range`] and
-//! [`ThreadPool::map`]) plus the familiar [`ThreadPoolBuilder`] front door.
+//! out of proportion, so the pool exposes the ordered-map entry points the
+//! workspace actually uses ([`ThreadPool::map_range`], [`ThreadPool::map`]
+//! and, for `par_chunks_mut`, [`ThreadPool::map_chunks_mut`]) plus the
+//! familiar [`ThreadPoolBuilder`] front door.
 //!
 //! Scheduling model: a call with `t` usable threads spawns `t − 1` scoped
 //! workers (`std::thread::scope`, so borrowed data needs no `'static` bound)
@@ -20,9 +21,10 @@
 //! bound the tail imbalance at an eighth of a share, and a range shorter
 //! than `16·t` is claimed one index at a time, so the coarse maps (a couple of
 //! dozen participant encryptions, nine threshold decryptions, one task per
-//! simulator shard) are balanced item by item while the fine ones (20 000
-//! surrogate contributions at ≈ 1.6 µs, wave applies at a few nanoseconds
-//! per exchange) pay tens of cursor hits per call instead of one per item.
+//! simulator shard) are balanced item by item while the fine ones (79
+//! 256-row arena fill blocks for 20 000 surrogate contributions, wave
+//! applies at a few nanoseconds per exchange) pay tens of cursor hits per
+//! call instead of one per item.
 //! What remains per call is the spawn and join of the extra workers:
 //! ≈ 60 µs at the median (10–18 µs at best) for a two-thread pool on the
 //! 2-vCPU reference box (`chiarobench`'s `pool.map_overhead_us`), which is
@@ -43,6 +45,7 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Error returned by [`ThreadPoolBuilder::build`].
 ///
@@ -184,6 +187,31 @@ impl ThreadPool {
         F: Fn(usize, &T) -> U + Sync,
     {
         self.map_range(items.len(), |i| f(i, &items[i]))
+    }
+
+    /// Applies `f` to every `(chunk index, chunk)` of `items` cut into
+    /// `chunk_len`-long chunks (the last may be shorter) and returns the
+    /// results in chunk order — upstream's
+    /// `items.par_chunks_mut(chunk_len).enumerate().map(f).collect()`.
+    ///
+    /// Each chunk sits behind its own `Mutex`, which [`Self::map_range`]'s
+    /// exactly-once visit locks once and never contends: the disjoint
+    /// mutable windows are handed out without `unsafe`.
+    ///
+    /// # Panics
+    /// Panics if `chunk_len` is zero; propagates the panic of any call of
+    /// `f`, on whichever thread it ran.
+    pub fn map_chunks_mut<T, U, F>(&self, items: &mut [T], chunk_len: usize, f: F) -> Vec<U>
+    where
+        T: Send,
+        U: Send,
+        F: Fn(usize, &mut [T]) -> U + Sync,
+    {
+        let chunks: Vec<Mutex<&mut [T]>> = items.chunks_mut(chunk_len).map(Mutex::new).collect();
+        self.map_range(chunks.len(), |c| {
+            let mut chunk = chunks[c].lock().unwrap_or_else(PoisonError::into_inner);
+            f(c, &mut chunk)
+        })
     }
 }
 
@@ -403,6 +431,23 @@ mod tests {
                 })
             }));
             assert!(result.is_err(), "threads = {t}");
+        }
+    }
+
+    #[test]
+    fn map_chunks_mut_writes_every_chunk_once_in_chunk_order() {
+        let cases = [(1usize, 1_003usize, 256usize), (2, 1_003, 256), (3, 512, 256), (7, 5, 2), (4, 0, 3)];
+        for (t, len, chunk_len) in cases {
+            let mut items = vec![0usize; len];
+            let firsts = pool(t).map_chunks_mut(&mut items, chunk_len, |c, chunk| {
+                for (offset, item) in chunk.iter_mut().enumerate() {
+                    *item += c * chunk_len + offset + 1;
+                }
+                chunk[0]
+            });
+            assert_eq!(items, (1..=len).collect::<Vec<_>>(), "threads = {t}, len = {len}");
+            let expected: Vec<usize> = (0..len).step_by(chunk_len).map(|i| i + 1).collect();
+            assert_eq!(firsts, expected, "threads = {t}");
         }
     }
 
