@@ -32,8 +32,6 @@
 use std::sync::Arc;
 
 use chiaroscuro_crypto::backend::CipherBackend;
-use chiaroscuro_crypto::encoding::FixedPointEncoder;
-use chiaroscuro_crypto::packing::{LaneBudget, PackedEncoder};
 use chiaroscuro_crypto::wire::serialize_units;
 use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdState};
 use chiaroscuro_gossip::eesum::{EesState, EesSumProtocol};
@@ -44,6 +42,7 @@ use chiaroscuro_timeseries::TimeSeries;
 
 use crate::evalue::BackendVector;
 use crate::iteration::{device_contribution, DeviceKit};
+use crate::plan::DevicePlan;
 
 mod decode;
 
@@ -75,21 +74,17 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
 
 // --- provisioning (Hello) ---
 
-/// Everything a node actor needs to participate: run shape, public cipher
-/// material, and the node's own series (in a deployment the series never
-/// leaves the device — here the coordinator is the simulation harness that
-/// holds the dataset, so provisioning stands in for local data).
+/// Everything a node actor needs to participate: the device half of the
+/// run's plan, public cipher material, and the node's own series (in a
+/// deployment the series never leaves the device — here the coordinator is
+/// the simulation harness that holds the dataset, so provisioning stands in
+/// for local data).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct NodeSpec {
-    pub(crate) k: u32,
-    pub(crate) series_length: u32,
-    pub(crate) encoding_digits: u32,
-    pub(crate) num_noise_shares: u32,
-    /// The lane-packing plan inputs (capacity bits and lane budget):
-    /// [`PackedEncoder::plan`] is a pure function, so shipping the inputs
-    /// and re-planning on the node yields the coordinator's exact layout
-    /// without serialising the encoder itself.
-    pub(crate) packing: (u64, LaneBudget),
+    /// The run shape, as the coordinator planned it.  The lane layout is a
+    /// pure function of it ([`DevicePlan::packer`]), so the node plans the
+    /// coordinator's exact layout without the encoder being serialised.
+    pub(crate) plan: DevicePlan,
     pub(crate) public: Vec<u8>,
     pub(crate) series: Vec<f64>,
 }
@@ -97,12 +92,12 @@ pub(crate) struct NodeSpec {
 impl NodeSpec {
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        put_u32(&mut buf, self.k);
-        put_u32(&mut buf, self.series_length);
-        put_u32(&mut buf, self.encoding_digits);
-        put_u32(&mut buf, self.num_noise_shares);
-        let (capacity_bits, budget) = &self.packing;
-        put_u64(&mut buf, *capacity_bits);
+        let DevicePlan { k, series_length, encoding_digits, num_noise_shares, capacity_bits, budget } = self.plan;
+        put_u32(&mut buf, k as u32);
+        put_u32(&mut buf, series_length as u32);
+        put_u32(&mut buf, encoding_digits);
+        put_u32(&mut buf, num_noise_shares as u32);
+        put_u64(&mut buf, capacity_bits);
         put_u64(&mut buf, budget.contributors as u64);
         put_u32(&mut buf, budget.doubling_budget);
         put_f64(&mut buf, budget.max_abs_value);
@@ -178,8 +173,6 @@ pub(crate) struct Readout<B: CipherBackend> {
 #[derive(Debug)]
 struct Provision<B: CipherBackend> {
     kit: DeviceKit<B>,
-    k: usize,
-    series_length: usize,
     series: TimeSeries,
 }
 
@@ -209,24 +202,16 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
         self.provision.as_ref().expect("the actor must be provisioned (Hello) first")
     }
 
-    /// Installs a decoded provisioning spec, or rejects it as a typed error
-    /// when its public material or lane plan cannot be installed.
+    /// Installs a decoded provisioning spec — its lane layout planned once,
+    /// here — or rejects it as a typed error when its public material or
+    /// lane plan cannot be installed.
     fn install(&mut self, spec: NodeSpec) -> Result<(), FrameError> {
         let backend = B::import_public(&spec.public)
             .ok_or(FrameError::BadPayload("public cipher material rejected by the run's backend"))?;
-        let (capacity_bits, budget) = &spec.packing;
-        let packer = PackedEncoder::plan(*capacity_bits, &FixedPointEncoder::new(spec.encoding_digits), budget)
-            .map_err(|_| FrameError::BadPayload("the provisioned lane budget does not fit its capacity"))?;
-        self.provision = Some(Provision {
-            kit: DeviceKit {
-                backend: Arc::new(backend),
-                packer,
-                num_noise_shares: spec.num_noise_shares as usize,
-            },
-            k: spec.k as usize,
-            series_length: spec.series_length as usize,
-            series: TimeSeries::new(spec.series),
-        });
+        let unfit = FrameError::BadPayload("the provisioned lane budget does not fit its capacity");
+        let packer = spec.plan.packer().map_err(|_| unfit)?;
+        let kit = DeviceKit { backend: Arc::new(backend), plan: spec.plan, packer };
+        self.provision = Some(Provision { kit, series: TimeSeries::new(spec.series) });
         Ok(())
     }
 
@@ -237,10 +222,10 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
         let p = self.provision.as_ref().expect("IterationStart before Hello");
         let centroids: Vec<TimeSeries> = inputs
             .centroids_flat
-            .chunks_exact(p.series_length)
+            .chunks_exact(p.kit.plan.series_length)
             .map(|c| TimeSeries::new(c.to_vec()))
             .collect();
-        assert_eq!(centroids.len(), p.k, "IterationStart must carry k centroids");
+        assert_eq!(centroids.len(), p.kit.plan.k, "IterationStart must carry k centroids");
         let (_assigned, flat) = device_contribution(
             &p.kit,
             &centroids,
@@ -276,8 +261,7 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
     }
 
     fn phase_state(&self, phase: Phase, bytes: &[u8]) -> Result<PhaseState<B>, FrameError> {
-        let p = self.provision();
-        decode_phase_state(&p.kit.backend, phase, bytes, p.k, p.series_length)
+        decode_phase_state(&self.provision().kit, phase, bytes)
     }
 
     /// Contact side of one exchange: merge the initiator's state into our
@@ -342,8 +326,7 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
                 Vec::new()
             }
             NodeEvent::IterationStart { payload } => {
-                let p = self.provision();
-                let inputs = IterationInputs::decode(&payload, p.k, p.series_length)?;
+                let inputs = IterationInputs::decode(&payload, &self.provision().kit.plan)?;
                 self.start_iteration(&inputs);
                 Vec::new()
             }
@@ -360,8 +343,7 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
                 Vec::new()
             }
             NodeEvent::CorrectionProposal { payload } => {
-                let p = self.provision();
-                let (id, row) = decode_correction(&payload, p.k, p.series_length)?;
+                let (id, row) = decode_correction(&payload, &self.provision().kit.plan)?;
                 self.correction = Some(MinIdState::new(id, row));
                 Vec::new()
             }
@@ -389,6 +371,7 @@ impl<B: CipherBackend> Actor for ChiaroscuroNodeActor<B> {
 mod tests {
     use super::*;
     use chiaroscuro_crypto::backend::{BackendSetup, DamgardJurik, PlaintextSurrogate};
+    use chiaroscuro_crypto::packing::LaneBudget;
     use num_bigint::BigUint;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -399,19 +382,19 @@ mod tests {
 
     fn spec() -> NodeSpec {
         NodeSpec {
-            k: 3,
-            series_length: 4,
-            encoding_digits: 3,
-            num_noise_shares: 12,
-            packing: (
-                254,
-                LaneBudget {
+            plan: DevicePlan {
+                k: 3,
+                series_length: 4,
+                encoding_digits: 3,
+                num_noise_shares: 12,
+                capacity_bits: 254,
+                budget: LaneBudget {
                     contributors: 16,
                     doubling_budget: 96,
                     max_abs_value: 80.0,
                     biased_vectors: 2,
                 },
-            ),
+            },
             public: vec![1, 2, 3, 4, 5],
             series: vec![1.5, -2.25, 0.0, 7.0],
         }
@@ -438,23 +421,20 @@ mod tests {
         Arc::new(B::setup(&setup, &mut StdRng::seed_from_u64(17)))
     }
 
+    /// The device kit of a `K × N` run: what every decoder decodes against.
+    fn kit<B: CipherBackend>(backend: &Arc<B>) -> DeviceKit<B> {
+        let plan = DevicePlan { k: K, series_length: N, num_noise_shares: 4, capacity_bits: 120, ..spec().plan };
+        let packer = plan.packer().expect("two contributors' lanes fit 120 bits");
+        DeviceKit { backend: Arc::clone(backend), plan, packer }
+    }
+
     /// An actor of a `K × N` run after one iteration start and a correction
     /// proposal: it serialises a well-formed payload of every kind.
     fn provisioned<B: CipherBackend>(backend: &Arc<B>) -> ChiaroscuroNodeActor<B> {
         let mut rng = StdRng::seed_from_u64(18);
         let units = (1..=4u32).map(|v| backend.encrypt(&BigUint::from(v), &mut rng)).collect();
         ChiaroscuroNodeActor {
-            provision: Some(Provision {
-                kit: DeviceKit {
-                    backend: Arc::clone(backend),
-                    packer: PackedEncoder::plan(120, &FixedPointEncoder::new(3), &spec().packing.1)
-                        .expect("two contributors' lanes fit 120 bits"),
-                    num_noise_shares: 4,
-                },
-                k: K,
-                series_length: N,
-                series: TimeSeries::constant(N, 1.0),
-            }),
+            provision: Some(Provision { kit: kit(backend), series: TimeSeries::constant(N, 1.0) }),
             ees: Some(EesState::new_seed(BackendVector::new(Arc::clone(backend), units))),
             correction: Some(MinIdState::new(7, vec![0.5; K * N + K])),
         }
@@ -464,13 +444,13 @@ mod tests {
     const DECODERS: usize = 6;
 
     /// Whether decoder `which` accepts `bytes`.
-    fn accepts<B: CipherBackend>(backend: &Arc<B>, which: usize, bytes: &[u8]) -> bool {
-        let phase = |phase| decode_phase_state(backend, phase, bytes, K, N).is_ok();
+    fn accepts<B: CipherBackend>(kit: &DeviceKit<B>, which: usize, bytes: &[u8]) -> bool {
+        let phase = |phase| decode_phase_state(kit, phase, bytes).is_ok();
         match which {
             0 => NodeSpec::decode(bytes).is_ok(),
-            1 => IterationInputs::decode(bytes, K, N).is_ok(),
-            2 => decode_correction(bytes, K, N).is_ok(),
-            3 => decode_readout(backend.as_ref(), bytes, K, N).is_ok(),
+            1 => IterationInputs::decode(bytes, &kit.plan).is_ok(),
+            2 => decode_correction(bytes, &kit.plan).is_ok(),
+            3 => decode_readout(kit, bytes).is_ok(),
             4 => phase(Phase::Means),
             _ => phase(Phase::Correction),
         }
@@ -507,7 +487,8 @@ mod tests {
     #[test]
     fn iteration_inputs_round_trip_bit_exactly() {
         let inputs = inputs();
-        let decoded = IterationInputs::decode(&inputs.encode(), 3, 2).unwrap();
+        let plan = DevicePlan { k: 3, series_length: 2, ..spec().plan };
+        let decoded = IterationInputs::decode(&inputs.encode(), &plan).unwrap();
         assert_eq!(decoded.participant_seed, inputs.participant_seed);
         assert!(decoded.weight_seed);
         assert_eq!(decoded.sum_scale.to_bits(), inputs.sum_scale.to_bits());
@@ -520,7 +501,7 @@ mod tests {
         let sums = vec![0.25; 6];
         let counts = vec![-1.5, 2.0];
         let bytes = encode_correction(42, &sums, &counts);
-        let (id, row) = decode_correction(&bytes, 2, 3).unwrap();
+        let (id, row) = decode_correction(&bytes, &DevicePlan { k: 2, series_length: 3, ..spec().plan }).unwrap();
         assert_eq!(id, 42);
         assert_eq!(row[..6], sums[..]);
         assert_eq!(row[6..], counts[..]);
@@ -529,13 +510,14 @@ mod tests {
     fn malformed_payloads_are_typed_errors<B: CipherBackend>() {
         let backend = backend::<B>();
         let actor = provisioned(&backend);
+        let kit = &actor.provision().kit;
 
         // Truncated: every strict prefix of every well-formed payload.
-        bad_payload(decode_correction(&[0, 0, 0], K, N), "truncated");
+        bad_payload(decode_correction(&[0, 0, 0], &kit.plan), "truncated");
         for (which, payload) in well_formed(&backend) {
-            assert!(accepts(&backend, which, &payload), "decoder {which} rejected its own payload");
+            assert!(accepts(kit, which, &payload), "decoder {which} rejected its own payload");
             for cut in 0..payload.len() {
-                assert!(!accepts(&backend, which, &payload[..cut]), "decoder {which} took a {cut}-byte prefix");
+                assert!(!accepts(kit, which, &payload[..cut]), "decoder {which} took a {cut}-byte prefix");
             }
         }
 
@@ -545,12 +527,13 @@ mod tests {
             bytes
         };
         bad_payload(NodeSpec::decode(&with_tail(spec().encode())), "trailing");
-        bad_payload(IterationInputs::decode(&with_tail(inputs().encode()), 3, 2), "trailing");
-        bad_payload(decode_correction(&with_tail(encode_correction(1, &[0.0; K * N], &[0.0; K])), K, N), "trailing");
-        bad_payload(decode_readout(backend.as_ref(), &with_tail(actor.readout(false)), K, N), "trailing");
-        bad_payload(decode_readout(backend.as_ref(), &with_tail(actor.readout(true)), K, N), "unit vector");
+        bad_payload(IterationInputs::decode(&with_tail(inputs().encode()), &kit.plan), "trailing");
+        let correction = with_tail(encode_correction(1, &[0.0; K * N], &[0.0; K]));
+        bad_payload(decode_correction(&correction, &kit.plan), "trailing");
+        bad_payload(decode_readout(kit, &with_tail(actor.readout(false))), "trailing");
+        bad_payload(decode_readout(kit, &with_tail(actor.readout(true))), "unit vector");
         let bytes = with_tail(actor.serialize_phase_state(Phase::Correction));
-        bad_payload(decode_phase_state(&backend, Phase::Correction, &bytes, K, N), "trailing");
+        bad_payload(decode_phase_state(kit, Phase::Correction, &bytes), "trailing");
 
         // Flag bytes are 0 or 1: weight seed (offset 8), and the readout's
         // correction (8) and units (last byte without units) flags.
@@ -558,11 +541,11 @@ mod tests {
             bytes[at] = value;
             bytes
         };
-        bad_payload(IterationInputs::decode(&with_byte(inputs().encode(), 8, 2), 3, 2), "flag");
+        bad_payload(IterationInputs::decode(&with_byte(inputs().encode(), 8, 2), &kit.plan), "flag");
         let readout = actor.readout(false);
         let last = readout.len() - 1;
-        bad_payload(decode_readout(backend.as_ref(), &with_byte(readout.clone(), 8, 0xFF), K, N), "flag");
-        bad_payload(decode_readout(backend.as_ref(), &with_byte(readout, last, 2), K, N), "flag");
+        bad_payload(decode_readout(kit, &with_byte(readout.clone(), 8, 0xFF)), "flag");
+        bad_payload(decode_readout(kit, &with_byte(readout, last, 2)), "flag");
 
         // An epidemic vector is never empty: a zero-unit means state is
         // rejected here rather than tripping `BackendVector::new`.
@@ -570,29 +553,28 @@ mod tests {
         put_f64(&mut empty_means, 1.0);
         put_u32(&mut empty_means, 0);
         empty_means.extend_from_slice(&[0; 8]);
-        bad_payload(decode_phase_state(&backend, Phase::Means, &empty_means, K, N), "unit vector");
+        bad_payload(decode_phase_state(kit, Phase::Means, &empty_means), "unit vector");
 
         // A Hello the node cannot install is a typed error from `handle`,
         // and the actor stays unprovisioned.
         let installable = NodeSpec { public: backend.export_public(), ..spec() };
-        let (capacity_bits, budget) = installable.packing;
-        let with_budget = |edit: fn(&mut LaneBudget)| {
-            let mut budget = budget;
-            edit(&mut budget);
-            NodeSpec { packing: (capacity_bits, budget), ..installable.clone() }
+        let with_plan = |edit: fn(&mut DevicePlan)| {
+            let mut plan = installable.plan;
+            edit(&mut plan);
+            NodeSpec { plan, ..installable.clone() }
         };
         let uninstallable = [
-            (with_budget(|b| b.contributors = 0), "lane budget"),
-            (with_budget(|b| b.biased_vectors = 0), "lane budget"),
-            (with_budget(|b| b.max_abs_value = f64::NAN), "magnitude bound"),
+            (with_plan(|p| p.budget.contributors = 0), "lane budget"),
+            (with_plan(|p| p.budget.biased_vectors = 0), "lane budget"),
+            (with_plan(|p| p.budget.max_abs_value = f64::NAN), "magnitude bound"),
             // Sized, not shifted: no 512 MiB worst case is built first.
-            (with_budget(|b| b.doubling_budget = u32::MAX), "capacity"),
-            (NodeSpec { packing: (8, budget), ..installable.clone() }, "capacity"),
-            (NodeSpec { encoding_digits: 16, ..installable.clone() }, "decimal digits"),
-            (NodeSpec { series_length: 5, ..installable.clone() }, "series length"),
+            (with_plan(|p| p.budget.doubling_budget = u32::MAX), "capacity"),
+            (with_plan(|p| p.capacity_bits = 8), "capacity"),
+            (with_plan(|p| p.encoding_digits = 16), "decimal digits"),
+            (with_plan(|p| p.series_length = 5), "series length"),
             (NodeSpec { public: vec![1, 2, 3, 4, 5], ..installable.clone() }, "public cipher material"),
-            (NodeSpec { k: 0, ..installable.clone() }, "cluster"),
-            (NodeSpec { series_length: 0, series: Vec::new(), ..installable.clone() }, "measure"),
+            (with_plan(|p| p.k = 0), "cluster"),
+            (NodeSpec { series: Vec::new(), ..with_plan(|p| p.series_length = 0) }, "measure"),
         ];
         let hello = |spec: &NodeSpec| NodeEvent::Hello { config: spec.encode() };
         assert!(ChiaroscuroNodeActor::<B>::new().handle(0, hello(&installable)).is_ok());
@@ -629,6 +611,7 @@ mod tests {
         ) {
             fn fuzz<B: CipherBackend>(noise: &[u8], pick: usize, cut: usize) {
                 let backend = backend::<B>();
+                let kit = kit(&backend);
                 let samples = well_formed(&backend);
                 let (_, sample) = &samples[pick % samples.len()];
                 let cut = cut % (sample.len() + 1);
@@ -639,7 +622,7 @@ mod tests {
                 }
                 for which in 0..DECODERS {
                     for bytes in [noise, &spliced, &overwritten] {
-                        accepts(&backend, which, bytes);
+                        accepts(&kit, which, bytes);
                     }
                 }
             }

@@ -22,6 +22,8 @@ use chiaroscuro_node::{FrameError, Phase};
 
 use super::{IterationInputs, NodeSpec, Readout};
 use crate::evalue::BackendVector;
+use crate::iteration::DeviceKit;
+use crate::plan::DevicePlan;
 
 type Decoded<T> = Result<T, FrameError>;
 
@@ -76,7 +78,8 @@ impl<'a> Reader<'a> {
 
     /// A correction row: the proposal identifier, then `k·n` sums and `k`
     /// counts.
-    fn correction(&mut self, k: usize, series_length: usize) -> Decoded<(u64, Vec<f64>)> {
+    fn correction(&mut self, plan: &DevicePlan) -> Decoded<(u64, Vec<f64>)> {
+        let DevicePlan { k, series_length, .. } = *plan;
         Ok((self.u64()?, self.f64s(k.checked_mul(series_length).and_then(|sums| sums.checked_add(k)))?))
     }
 
@@ -100,31 +103,34 @@ impl<'a> Reader<'a> {
 impl NodeSpec {
     /// Decodes a provisioning payload and rejects every field the node could
     /// not install: no cluster or no measure, a lane budget
-    /// [`PackedEncoder::plan`] would refuse to plan, more decimal digits
+    /// [`DevicePlan::packer`] would refuse to plan, more decimal digits
     /// than an `f64` holds, or a series of the wrong length.  (The public
     /// material and the lane capacity are checked when the node installs
     /// them.)
-    ///
-    /// [`PackedEncoder::plan`]: chiaroscuro_crypto::packing::PackedEncoder::plan
     pub(crate) fn decode(bytes: &[u8]) -> Decoded<Self> {
         let mut r = Reader { bytes };
-        let k = r.u32()?;
-        let series_length = r.u32()?;
-        let encoding_digits = r.u32()?;
-        let num_noise_shares = r.u32()?;
-        let capacity_bits = r.u64()?;
-        let budget = LaneBudget {
-            contributors: usize::try_from(r.u64()?)
-                .map_err(|_| FrameError::BadPayload("contributor count overflows"))?,
-            doubling_budget: r.u32()?,
-            max_abs_value: r.f64()?,
-            biased_vectors: r.u32()?,
+        // Fields are read in the order they are written, which is the wire
+        // order.
+        let plan = DevicePlan {
+            k: r.u32()? as usize,
+            series_length: r.u32()? as usize,
+            encoding_digits: r.u32()?,
+            num_noise_shares: r.u32()? as usize,
+            capacity_bits: r.u64()?,
+            budget: LaneBudget {
+                contributors: usize::try_from(r.u64()?)
+                    .map_err(|_| FrameError::BadPayload("contributor count overflows"))?,
+                doubling_budget: r.u32()?,
+                max_abs_value: r.f64()?,
+                biased_vectors: r.u32()?,
+            },
         };
         let public_len = r.u32()? as usize;
         let public = r.take(public_len)?.to_vec();
         let series_len = r.u32()? as usize;
         let series = r.f64s(Some(series_len))?;
         r.finish()?;
+        let DevicePlan { k, series_length, encoding_digits, budget, .. } = plan;
         if k == 0 || series_length == 0 {
             return Err(FrameError::BadPayload("a run needs at least one cluster and one measure"));
         }
@@ -137,52 +143,39 @@ impl NodeSpec {
         if encoding_digits > MAX_DECIMAL_DIGITS {
             return Err(FrameError::BadPayload("more decimal digits than an f64 holds"));
         }
-        if series.len() != series_length as usize {
+        if series.len() != series_length {
             return Err(FrameError::BadPayload("series length mismatch"));
         }
-        Ok(Self {
-            k,
-            series_length,
-            encoding_digits,
-            num_noise_shares,
-            packing: (capacity_bits, budget),
-            public,
-            series,
-        })
+        Ok(Self { plan, public, series })
     }
 }
 
 impl IterationInputs {
-    pub(crate) fn decode(bytes: &[u8], k: usize, series_length: usize) -> Decoded<Self> {
+    pub(crate) fn decode(bytes: &[u8], plan: &DevicePlan) -> Decoded<Self> {
         let mut r = Reader { bytes };
         let participant_seed = r.u64()?;
         let weight_seed = r.flag()?;
         let sum_scale = r.f64()?;
         let count_scale = r.f64()?;
-        let centroids_flat = r.f64s(k.checked_mul(series_length))?;
+        let centroids_flat = r.f64s(plan.k.checked_mul(plan.series_length))?;
         r.finish()?;
         Ok(Self { participant_seed, weight_seed, sum_scale, count_scale, centroids_flat })
     }
 }
 
-pub(crate) fn decode_correction(bytes: &[u8], k: usize, series_length: usize) -> Decoded<(u64, Vec<f64>)> {
+pub(crate) fn decode_correction(bytes: &[u8], plan: &DevicePlan) -> Decoded<(u64, Vec<f64>)> {
     let mut r = Reader { bytes };
-    let correction = r.correction(k, series_length)?;
+    let correction = r.correction(plan)?;
     r.finish()?;
     Ok(correction)
 }
 
-pub(crate) fn decode_readout<B: CipherBackend>(
-    backend: &B,
-    bytes: &[u8],
-    k: usize,
-    series_length: usize,
-) -> Decoded<Readout<B>> {
+pub(crate) fn decode_readout<B: CipherBackend>(kit: &DeviceKit<B>, bytes: &[u8]) -> Decoded<Readout<B>> {
     let mut r = Reader { bytes };
     let weight = r.f64()?;
-    let correction = if r.flag()? { Some(r.correction(k, series_length)?) } else { None };
+    let correction = if r.flag()? { Some(r.correction(&kit.plan)?) } else { None };
     let units = if r.flag()? {
-        Some(r.units(backend)?)
+        Some(r.units(kit.backend.as_ref())?)
     } else {
         r.finish()?;
         None
@@ -198,26 +191,24 @@ pub(crate) enum PhaseState<B: CipherBackend> {
 
 /// Decodes the state bytes of one `ExchangeRequest`/`ExchangeReply`.
 pub(crate) fn decode_phase_state<B: CipherBackend>(
-    backend: &Arc<B>,
+    kit: &DeviceKit<B>,
     phase: Phase,
     bytes: &[u8],
-    k: usize,
-    series_length: usize,
 ) -> Decoded<PhaseState<B>> {
     let mut r = Reader { bytes };
     Ok(match phase {
         Phase::Means => {
             let weight = r.f64()?;
             let exchanges = r.u32()?;
-            let units = r.units(backend.as_ref())?;
+            let units = r.units(kit.backend.as_ref())?;
             PhaseState::Means(EesState {
-                value: BackendVector::new(Arc::clone(backend), units),
+                value: BackendVector::new(Arc::clone(&kit.backend), units),
                 weight,
                 exchanges,
             })
         }
         Phase::Correction => {
-            let (id, payload) = r.correction(k, series_length)?;
+            let (id, payload) = r.correction(&kit.plan)?;
             r.finish()?;
             PhaseState::Correction(MinIdState::new(id, payload))
         }

@@ -235,8 +235,6 @@ impl<T: Transport> LinkExecutor<'_, T> {
         include_units: bool,
         read: impl Fn(Readout<B>) -> Result<V, FrameError>,
     ) -> Vec<V> {
-        let (k, n) = (ctx.run.params.k, ctx.run.data.series_length());
-        let backend: &B = &ctx.kit.backend;
         let links = &mut self.links[nodes.clone()];
         for (node, link) in nodes.zip(links.iter_mut()) {
             send(link, node, NodeEvent::ReadoutRequest { include_units });
@@ -244,7 +242,7 @@ impl<T: Transport> LinkExecutor<'_, T> {
         links
             .iter_mut()
             .map(|link| match NodeEvent::from_frame(&link.recv()?)? {
-                NodeEvent::ReadoutReply { payload } => read(decode_readout::<B>(backend, &payload, k, n)?),
+                NodeEvent::ReadoutReply { payload } => read(decode_readout(&ctx.kit, &payload)?),
                 _ => Err(FrameError::BadPayload("expected a readout reply")),
             })
             .collect::<Result<_, FrameError>>()
@@ -254,17 +252,12 @@ impl<T: Transport> LinkExecutor<'_, T> {
 
 impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T> {
     /// Public material only; the key shares stay with the driver's backend.
+    /// Each node receives the device half of the run's plan as it stands.
     fn provision(&mut self, ctx: &RunContext<'_, B>) {
-        let params = &ctx.run.params;
-        let packing = (params.packing_capacity_bits(), ctx.run.packing_budget());
         let public = ctx.kit.backend.export_public();
         for (node, link) in self.links.iter_mut().enumerate() {
             let spec = NodeSpec {
-                k: params.k as u32,
-                series_length: ctx.run.data.series_length() as u32,
-                encoding_digits: params.encoding_digits,
-                num_noise_shares: params.num_noise_shares as u32,
-                packing,
+                plan: ctx.run.plan.device,
                 public: public.clone(),
                 series: ctx.run.data.series()[node].values().to_vec(),
             };
@@ -285,7 +278,7 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T> {
         for (node, link) in self.links.iter_mut().enumerate() {
             let inputs = IterationInputs {
                 participant_seed: participant_seeds[node],
-                weight_seed: node == ctx.weight_seed,
+                weight_seed: node == ctx.run.plan.weight_seed,
                 sum_scale,
                 count_scale,
                 centroids_flat: centroids_flat.clone(),
@@ -313,7 +306,7 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T> {
         let until = tracked.then_some(&mut agreed as &mut dyn FnMut(&_) -> bool);
         let store = LinkStore { links: &mut *self.links, ids: tracked.then_some(&mut self.ids[..]) };
         let opts = PhaseOpts { until, adversary };
-        run_phase(&ctx.run.params.network, store, ctx.churn, &phase, ctx.exchanges, rng, opts).1
+        run_phase(&ctx.run.params.network, store, ctx.churn, &phase, ctx.run.plan.exchanges, rng, opts).1
     }
 
     /// One readout round over every node.
@@ -411,25 +404,19 @@ mod tests {
     fn modeled_socket_payload_bytes_match_an_actual_means_frame() {
         let (data, params) = tiny_setup();
         let run = DistributedRun::<DamgardJurik>::with_backend(params.clone(), &data);
-        let packer = run.plan_packing();
         let mut rng = StdRng::seed_from_u64(5);
         let setup = BackendSetup {
             key_bits: params.key_bits,
             damgard_jurik_s: params.damgard_jurik_s,
             population: data.len(),
             key_share_threshold: params.key_share_threshold,
-            packed_layout: Some(packer.layout()),
+            packed_layout: Some(run.plan.packer.layout()),
         };
         let backend = DamgardJurik::setup(&setup, &mut rng);
-        let n = data.series_length();
         let k = params.k;
 
         let spec = NodeSpec {
-            k: k as u32,
-            series_length: n as u32,
-            encoding_digits: params.encoding_digits,
-            num_noise_shares: params.num_noise_shares as u32,
-            packing: (params.packing_capacity_bits(), run.packing_budget()),
+            plan: run.plan.device,
             public: backend.export_public(),
             series: data.series()[0].values().to_vec(),
         };
@@ -452,8 +439,71 @@ mod tests {
         assert_eq!(to, 1);
         let frame = request.into_frame(0, to);
 
-        let ciphertexts = 2 * packer.ciphertexts_for(k * (n + 1)) + 1;
-        let modeled = ciphertexts * backend.unit_bytes() + MEANS_FRAME_OVERHEAD_BYTES;
+        let modeled = run.plan.contribution_units * backend.unit_bytes() + MEANS_FRAME_OVERHEAD_BYTES;
         assert_eq!(frame.encoded_len(), modeled, "modeled socket payload must equal the transmitted frame");
+    }
+
+    /// A link that keeps a copy of every `Hello` payload sent down it.
+    struct HelloTap<'l, T> {
+        link: &'l mut T,
+        hello: Vec<u8>,
+    }
+
+    impl<T: Transport> Transport for HelloTap<'_, T> {
+        fn send(&mut self, frame: &chiaroscuro_node::Frame) -> std::io::Result<()> {
+            if let Ok(NodeEvent::Hello { config }) = NodeEvent::from_frame(frame) {
+                self.hello.extend_from_slice(&config);
+            }
+            self.link.send(frame)
+        }
+
+        fn recv(&mut self) -> std::io::Result<chiaroscuro_node::Frame> {
+            self.link.recv()
+        }
+
+        fn bytes_sent(&self) -> u64 {
+            self.link.bytes_sent()
+        }
+
+        fn bytes_received(&self) -> u64 {
+            self.link.bytes_received()
+        }
+    }
+
+    /// Every node's `Hello` payload of one actor run, concatenated in node
+    /// order, as its length and FNV-1a digest.
+    fn hello_bytes<B: CipherBackend>(params: ChiaroscuroParams, data: &TimeSeriesSet, seed: u64) -> (usize, u64) {
+        let run = DistributedRun::<B>::with_backend(params, data);
+        let actors: Vec<ChiaroscuroNodeActor<B>> = (0..data.len()).map(|_| ChiaroscuroNodeActor::new()).collect();
+        let mut bus = LocalBus::spawn(actors);
+        let mut taps: Vec<_> = bus.links_mut().iter_mut().map(|link| HelloTap { link, hello: Vec::new() }).collect();
+        run.execute_via_links(&mut taps, 0, &mut crate::seedmix::run_rng(seed));
+        let bytes: Vec<u8> = taps.into_iter().flat_map(|tap| tap.hello).collect();
+        bus.shutdown().expect("the node actors shut down");
+        let digest =
+            bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h: u64, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3));
+        (bytes.len(), digest)
+    }
+
+    /// The provisioning bytes on the wire, pinned for a Damgård–Jurik run
+    /// and a surrogate run: how the coordinator derives and ships the run
+    /// shape may change, the bytes every node receives may not.
+    #[test]
+    fn hello_payloads_keep_their_pinned_bytes() {
+        use chiaroscuro_crypto::backend::PlaintextSurrogate;
+        let (data, params) = tiny_setup();
+        assert_eq!(hello_bytes::<DamgardJurik>(params, &data, 3), (2_448, 0x97C7_DA84_B8C4_C0CD));
+        let data = TimeSeriesSet::new(
+            (0..20).map(|i| TimeSeries::constant(6, f64::from(i % 5) * 15.0 + 2.5)).collect(),
+            ValueRange::new(0.0, 75.0),
+        );
+        let params = ChiaroscuroParams::builder()
+            .k(3)
+            .max_iterations(1)
+            .key_share_threshold(4)
+            .num_noise_shares(16)
+            .epsilon(5.0)
+            .build();
+        assert_eq!(hello_bytes::<PlaintextSurrogate>(params, &data, 9), (2_240, 0xF2F1_407D_9E54_65CD));
     }
 }

@@ -1,13 +1,17 @@
 //! Run parameters (Table 1) and the paper's experimental settings (Table 2).
 
+use chiaroscuro_crypto::packing::PackingError;
 use chiaroscuro_dp::accountant::ProbabilisticDpParams;
 use chiaroscuro_dp::budget::{BudgetSchedule, BudgetStrategy};
 use chiaroscuro_gossip::sim::{AdversaryModel, NetworkModel};
 use chiaroscuro_kmeans::perturbed::{PerturbedKMeans, PerturbedKMeansConfig, Smoothing};
 
-/// A typed rejection from [`ChiaroscuroParams::validate_for_population`]:
-/// a parameter combination that is well-formed in isolation but wrong for
-/// the run it is about to drive.  Unlike the panicking [`validate`]
+/// A typed rejection of a configuration the run cannot execute: from
+/// [`ChiaroscuroParams::validate_for_population`], or from planning the
+/// run's shape when a `DistributedRun` is constructed (before any key
+/// generation).  Each is a parameter combination that is well-formed in
+/// isolation but wrong for the run it is about to drive.  Unlike the
+/// panicking [`validate`]
 /// (nonsensical values — k = 0, ε ≤ 0 — that no caller can meaningfully
 /// handle), these are configuration mistakes a harness may want to report
 /// or fall back from, so they surface as values.
@@ -30,6 +34,23 @@ pub enum ConfigError {
         /// The requested shard count.
         requested: usize,
     },
+    /// The budget schedule grants no iteration any ε, so the run has no
+    /// noise scale to size its lanes for.
+    NoEpsilon,
+    /// No lane layout fits the key: the worst-case lane sum, whose epidemic
+    /// doubling allowance grows with the exchange count, needs more bits
+    /// than the plaintext space offers.
+    LanesDoNotFit {
+        /// The configured key size.
+        key_bits: u64,
+        /// The run's gossip budget per phase.
+        exchanges: u32,
+        /// Why the packer refused the layout.
+        cause: PackingError,
+    },
+    /// Every node is byzantine under the adversary model, so no honest node
+    /// can seed the epidemic weights.
+    NoHonestNode,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -46,6 +67,11 @@ impl std::fmt::Display for ConfigError {
                 "sim_shards ({requested}) applies to the event-driven simulator, but the \
                  network model is round-based; select NetworkModel::Async with .network(..)"
             ),
+            ConfigError::NoEpsilon => write!(f, "the budget schedule grants no iteration any ε"),
+            ConfigError::LanesDoNotFit { key_bits, exchanges, cause } => {
+                write!(f, "a {key_bits}-bit key cannot pack {exchanges} gossip exchanges: {cause}")
+            }
+            ConfigError::NoHonestNode => write!(f, "the epidemic weights need an honest node to seed them"),
         }
     }
 }

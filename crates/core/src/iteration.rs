@@ -30,6 +30,12 @@
 //! [`device_contribution`] is likewise the only copy of what one device
 //! computes per iteration; the in-process executor maps it over the
 //! population and each node actor calls it for itself.
+//!
+//! Neither the driver nor an executor derives the run's shape: the gossip
+//! budget, the contribution size, the weight seed and the lane layout are
+//! the run's plan (`crate::plan`), fixed when the run was constructed.  The
+//! bootstrap only adds what needs the master RNG or the key: the backend,
+//! the initial centroids and the adversary seed.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -50,15 +56,19 @@ use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
 use crate::audit::{DataClass, SecurityAudit};
 use crate::diptych::PackedMeans;
 use crate::noise::{NoiseCorrection, NoiseShareVector};
+use crate::plan::{DevicePlan, RunPlan};
 use crate::runner::{DistributedRun, IterationNetworkStats, RunOutcome};
 
 /// What a device holds, beyond its own series, to build its contribution:
-/// the cipher backend (public material suffices) and the lane plan.
+/// the cipher backend (public material suffices), the device half of the
+/// run's plan and the lane layout planned from it.  A node actor builds its
+/// kit from the [`DevicePlan`] its `Hello` carries; the driver builds the
+/// coordinator's from the run's plan, whose layout is already planned.
 #[derive(Debug)]
 pub(crate) struct DeviceKit<B: CipherBackend> {
     pub(crate) backend: Arc<B>,
+    pub(crate) plan: DevicePlan,
     pub(crate) packer: PackedEncoder,
-    pub(crate) num_noise_shares: usize,
 }
 
 /// One device's assignment step: the label of its closest centroid and its
@@ -78,9 +88,9 @@ pub(crate) fn device_contribution<B: CipherBackend>(
     count_scale: f64,
 ) -> (usize, Vec<B::Unit>) {
     let (k, n) = (centroids.len(), series.len());
-    let DeviceKit { backend, packer, num_noise_shares } = kit;
+    let DeviceKit { backend, plan, packer } = kit;
     let mut streams = crate::seedmix::device_streams(participant_seed);
-    let noise = NoiseShareVector::generate(k, n, sum_scale, count_scale, *num_noise_shares, &mut streams.noise);
+    let noise = NoiseShareVector::generate(k, n, sum_scale, count_scale, plan.num_noise_shares, &mut streams.noise);
     let mut device_rng = streams.encryption;
     let (means, assigned) =
         PackedMeans::initialise(centroids, series, backend.as_ref(), packer, &mut device_rng);
@@ -93,24 +103,18 @@ pub(crate) fn device_contribution<B: CipherBackend>(
     (assigned, flat)
 }
 
-/// Everything the bootstrap fixes for the whole run, handed to each
-/// executor call.
+/// What the bootstrap adds to the run for its whole duration, handed to
+/// each executor call.  The run's shape — gossip budget, contribution size,
+/// weight seed, lane layout — is not here: it is the run's plan
+/// (`ctx.run.plan`), derived once when the run was constructed.
 pub(crate) struct RunContext<'a, B: CipherBackend> {
-    /// The run's parameters and dataset.
+    /// The run's parameters, dataset and plan.
     pub(crate) run: &'a DistributedRun<'a, B>,
-    /// The dealer-side backend (it holds the key shares) and encoding plan.
+    /// The dealer-side backend (it holds the key shares) and the device
+    /// half of the plan.
     pub(crate) kit: DeviceKit<B>,
-    /// Units in one contribution vector, i.e. in one epidemic-sum message:
-    /// `2·⌈k·(n+1)/L⌉ + 1` (means, noise shares, counter).
-    pub(crate) contribution_units: usize,
     pub(crate) pool: rayon::ThreadPool,
     pub(crate) churn: ChurnModel,
-    /// Gossip budget of every phase, in rounds (or exchange periods).
-    pub(crate) exchanges: u32,
-    /// The node that seeds the EESum weight with 1: the lowest-indexed
-    /// honest one.  A byzantine seed would have most of its exchanges voided
-    /// and could starve the epidemic of its only weight.
-    pub(crate) weight_seed: usize,
 }
 
 /// Where per-node state lives and how a gossip phase is carried out: one
@@ -176,15 +180,13 @@ where
 {
     let params = &run.params;
     let data = run.data;
-    let population = data.len();
-    let n = data.series_length();
     let k = params.k;
-    let packer = run.plan_packing();
+    let packer = &run.plan.packer;
 
     let setup = BackendSetup {
         key_bits: params.key_bits,
         damgard_jurik_s: params.damgard_jurik_s,
-        population,
+        population: data.len(),
         key_share_threshold: params.key_share_threshold,
         packed_layout: Some(packer.layout()),
     };
@@ -218,24 +220,14 @@ where
     let adversary =
         params.adversary.is_active().then(|| AdversaryState::new(params.adversary, rng.gen()));
 
-    // Coordinates of one perturbed-values vector: k dimension-wise sums of
-    // length n plus k counts.
-    let entries = k * (n + 1);
     let ctx = RunContext {
         run,
-        contribution_units: 2 * packer.ciphertexts_for(entries) + 1,
-        kit: DeviceKit { backend, packer, num_noise_shares: params.num_noise_shares },
+        kit: DeviceKit { backend, plan: run.plan.device, packer: packer.clone() },
         pool: rayon::ThreadPoolBuilder::new()
             .num_threads(params.pool_threads)
             .build()
             .expect("the offline pool cannot fail to build"),
         churn: ChurnModel::new(params.churn),
-        exchanges: params.effective_exchanges(population, n),
-        // `is_byzantine` is a pure hash (no RNG) and false for every node
-        // under an inactive adversary, so honest runs seed at node 0 as ever.
-        weight_seed: (0..population)
-            .find(|&node| !params.adversary.is_byzantine(node))
-            .expect("the epidemic weights need an honest node to seed them"),
     };
     exec.provision(&ctx);
 
@@ -283,11 +275,10 @@ where
         let Self { ctx, exec, rng, adversary, audit, network } = self;
         let ctx = *ctx;
         let params = &ctx.run.params;
-        let DeviceKit { backend, packer, .. } = &ctx.kit;
+        let RunPlan { device, ref packer, means_units: blocks, contribution_units, .. } = ctx.run.plan;
+        let backend = &ctx.kit.backend;
         let population = data.len();
-        let n = data.series_length();
-        let k = params.k;
-        let entries = k * (n + 1);
+        let (k, n) = (device.k, device.series_length);
         let sum_scale = mechanism.sum_scale();
         let count_scale = mechanism.count_scale();
 
@@ -320,7 +311,6 @@ where
             .find(|&(i, weight)| !params.adversary.is_byzantine(i) && weight > 0.0)
             .expect("after the epidemic sums at least one honest node holds the weight");
         let cts = exec.units(ctx, reference);
-        let blocks = packer.ciphertexts_for(entries);
 
         // --- Computation step (b): noise surplus correction. ---
         // Every contribution carries a counter unit encrypting 1, so the
@@ -363,7 +353,7 @@ where
         let plaintexts: Vec<BigUint> =
             ctx.pool.map_range(blocks, |i| backend.threshold_decrypt(&backend.add(&cts[i], &cts[blocks + i])));
         let mut decrypted: Vec<f64> =
-            packer.unpack(&plaintexts, entries, &counter, 2).iter().map(|v| v / weight).collect();
+            packer.unpack(&plaintexts, device.coordinates(), &counter, 2).iter().map(|v| v / weight).collect();
         audit.record(iteration, "partial decryptions of perturbed means", DataClass::DifferentiallyPrivate);
 
         // The correction is laid out like the decrypted vector: k·n sums,
@@ -394,10 +384,10 @@ where
             sum_rounds: sum_stats.metrics.rounds(),
             dissemination_converged: dissemination_stats.converged,
             noise_share_deficit,
-            sum_payload_ciphertexts: ctx.contribution_units,
+            sum_payload_ciphertexts: contribution_units,
             // One gossip message carries one whole contribution vector; its
             // byte size follows the backend's honest unit size.
-            sum_payload_bytes: ctx.contribution_units * backend.unit_bytes(),
+            sum_payload_bytes: contribution_units * backend.unit_bytes(),
             gossip_sim_time: sum_stats.sim_time + dissemination_stats.sim_time,
             peak_messages_in_flight: sum_stats.peak_in_flight.max(dissemination_stats.peak_in_flight),
             faults,

@@ -31,6 +31,7 @@ pub mod diptych;
 pub mod evalue;
 mod iteration;
 pub mod noise;
+mod plan;
 pub mod runner;
 pub mod seedmix;
 pub mod surrogate;

@@ -6,12 +6,14 @@
 //! the number of actual contributors may exceed the expected `nν`, each
 //! contribution also carries a counter unit encrypting 1, whose decrypted
 //! sum counts the contributors; a unique correction (chosen by smallest
-//! random identifier) equivalent in distribution to the surplus shares is
-//! agreed upon epidemically and subtracted.
+//! random identifier) distributed as the sum of the surplus shares is
+//! agreed upon epidemically and subtracted.  The correction is an
+//! independent draw, so it adds variance rather than removing the surplus
+//! (see [`NoiseCorrection`]).
 
 use rand::Rng;
 
-use chiaroscuro_dp::noise_share::NoiseShareGenerator;
+use chiaroscuro_dp::noise_share::{NoiseShareGenerator, SurplusCorrection};
 
 /// The per-participant cleartext noise-share vectors for one iteration:
 /// one share per sum dimension and per count, laid out to match the flat
@@ -62,8 +64,12 @@ impl NoiseShareVector {
 }
 
 /// The noise-surplus correction proposal of one participant (§4.2.2): a
-/// vector equivalent in distribution to the surplus shares, tagged with a
-/// random identifier for the min-id epidemic agreement.
+/// vector distributed as the sum of the surplus shares, tagged with a
+/// random identifier for the min-id epidemic agreement.  It is a fresh
+/// draw, independent of the surplus shares actually aggregated, so
+/// subtracting it adds its variance to the released noise instead of
+/// cancelling the surplus: with `s` surplus contributors the noise variance
+/// is `(nν + 2s)/nν · 2λ²`, not Laplace's `2λ²`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NoiseCorrection {
     /// Random identifier (the population keeps the smallest).
@@ -75,13 +81,16 @@ pub struct NoiseCorrection {
 }
 
 impl NoiseCorrection {
-    /// Builds a correction equivalent to `surplus` extra contributors.
-    /// With no surplus the correction is all zeros (and harmless).
+    /// Builds a correction distributed as the noise of `surplus` extra
+    /// contributors.  With no surplus the correction is all zeros (and
+    /// harmless).  The draw is independent of the aggregated noise it is
+    /// subtracted from, so it adds variance rather than removing the
+    /// surplus ([`SurplusCorrection`] quantifies it).
     ///
     /// Each dimension draws the aggregated surplus in one shot
-    /// ([`NoiseShareGenerator::sample_correction`], exact by Gamma
-    /// additivity) instead of accumulating `surplus` individual shares, so
-    /// the cost is O(k·n) however far an unconverged contributor count
+    /// ([`SurplusCorrection::sample`], exact by Gamma additivity, prepared
+    /// once per scale) instead of accumulating `surplus` individual shares,
+    /// so the cost is O(k·n) however far an unconverged contributor count
     /// overshoots.
     pub fn generate<R: Rng + ?Sized>(
         surplus: usize,
@@ -92,11 +101,10 @@ impl NoiseCorrection {
         num_shares: usize,
         rng: &mut R,
     ) -> Self {
-        // No surplus, no draw: not even a generator (and its prepared
-        // Gamma) is built for a correction that is all zeros.
+        // One prepared Gamma per scale; no surplus, no Gamma and no draw.
         let mut correction = |scale, len| {
-            let generator = (surplus > 0).then(|| NoiseShareGenerator::new(num_shares, scale));
-            (0..len).map(|_| generator.map_or(0.0, |g| g.sample_correction(surplus, rng))).collect()
+            let correction = SurplusCorrection::new(num_shares, scale, surplus);
+            (0..len).map(|_| correction.sample(rng)).collect()
         };
         let sum_correction = correction(sum_scale, k * series_length);
         let count_correction = correction(count_scale, k);
@@ -157,6 +165,48 @@ mod tests {
         assert_eq!(c.sum_correction.len(), 12);
         assert_eq!(c.count_correction.len(), 3);
         assert!(c.sum_correction.iter().any(|&v| v != 0.0));
+    }
+
+    /// The correction as it was drawn before its Gamma was prepared once
+    /// per scale: a fresh `Gamma(s/nν, λ)` for every coordinate.
+    fn per_coordinate_correction(
+        surplus: usize,
+        (k, n): (usize, usize),
+        (sum_scale, count_scale): (f64, f64),
+        num_shares: usize,
+        rng: &mut StdRng,
+    ) -> NoiseCorrection {
+        use chiaroscuro_dp::gamma::Gamma;
+        let mut correction = |scale, len| -> Vec<f64> {
+            (0..len)
+                .map(|_| {
+                    if surplus == 0 {
+                        return 0.0;
+                    }
+                    let g = Gamma::new(surplus as f64 / num_shares as f64, scale);
+                    g.sample(rng) - g.sample(rng)
+                })
+                .collect()
+        };
+        let sum_correction = correction(sum_scale, k * n);
+        let count_correction = correction(count_scale, k);
+        NoiseCorrection { id: rng.gen(), sum_correction, count_correction }
+    }
+
+    #[test]
+    fn a_prepared_correction_draws_what_the_per_coordinate_one_drew() {
+        let bits = |c: &NoiseCorrection| -> Vec<u64> {
+            c.sum_correction.iter().chain(&c.count_correction).map(|v| v.to_bits()).chain([c.id]).collect()
+        };
+        for (surplus, seed) in [(0, 30), (1, 31), (17, 32), (2_000, 33)] {
+            let (mut prepared, mut reference) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for _ in 0..3 {
+                let got = NoiseCorrection::generate(surplus, 3, 5, 40.0, 2.5, 40, &mut prepared);
+                let want = per_coordinate_correction(surplus, (3, 5), (40.0, 2.5), 40, &mut reference);
+                assert_eq!(bits(&got), bits(&want), "surplus {surplus}");
+            }
+            assert_eq!(prepared.gen::<u64>(), reference.gen::<u64>(), "surplus {surplus}: RNG end state");
+        }
     }
 
     #[test]

@@ -107,21 +107,21 @@
 //! participant encrypts `2·⌈k·(n+1)/L⌉ + 1` units (means, noise shares and
 //! the bias counter), gossip messages carry that many, and
 //! `⌈k·(n+1)/L⌉ + 1` threshold decryptions recover all perturbed values.
-//! The lane layout is planned from the parameters before key generation;
-//! a configuration whose worst-case lane sum cannot fit the key is rejected
-//! by [`DistributedRun::new`].  Per-lane biases are also what represent
-//! negative noise shares without modular arithmetic, which lets the
-//! plaintext surrogate carry the same units.
+//! The lane layout is part of the run's plan (`crate::plan`): it is derived
+//! once, with the gossip budget, the contribution size and the weight seed,
+//! when the run is constructed and before key generation, and the driver,
+//! both executors and every node actor work from that one plan.  A
+//! configuration the run cannot execute — a worst-case lane sum that cannot
+//! fit the key among them — is rejected there, by [`DistributedRun::new`],
+//! with its [`ConfigError`](crate::config::ConfigError).  Per-lane biases
+//! are also what represent negative noise shares without modular
+//! arithmetic, which lets the plaintext surrogate carry the same units.
 
 use std::marker::PhantomData;
 
 use rand::Rng;
 
 use chiaroscuro_crypto::backend::{CipherBackend, DamgardJurik};
-use chiaroscuro_crypto::encoding::FixedPointEncoder;
-use chiaroscuro_crypto::packing::{LaneBudget, PackedEncoder};
-use chiaroscuro_dp::laplace::{LaplaceMechanism, Sensitivity};
-use chiaroscuro_dp::noise_share::NoiseShareGenerator;
 use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdArena, MinIdLayout};
 use chiaroscuro_gossip::eesum::{initial_states_seeded_at as eesum_states_seeded_at, EesState, EesSumProtocol};
 use chiaroscuro_gossip::sim::arena::EesUnitArena;
@@ -135,6 +135,7 @@ use crate::config::ChiaroscuroParams;
 use crate::evalue::BackendVector;
 use crate::iteration::{device_contribution, drive, Executor, RunContext};
 use crate::noise::NoiseCorrection;
+use crate::plan::RunPlan;
 
 /// Network-level statistics of one distributed iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -289,6 +290,7 @@ impl RunOutcome {
 pub struct DistributedRun<'a, B: CipherBackend = DamgardJurik> {
     pub(crate) params: ChiaroscuroParams,
     pub(crate) data: &'a TimeSeriesSet,
+    pub(crate) plan: RunPlan,
     pub(crate) initial_centroids: Option<Vec<TimeSeries>>,
     _backend: PhantomData<B>,
 }
@@ -300,100 +302,36 @@ impl<'a> DistributedRun<'a> {
     /// # Panics
     /// Panics if the population is smaller than 2, than the key-share
     /// threshold, or than the expected number of noise shares `nν` (see
-    /// [`ChiaroscuroParams::validate_for_population`]), or if no lane
-    /// layout fits the key (see [`Self::with_backend`]).
+    /// [`ChiaroscuroParams::validate_for_population`]), or if the run
+    /// cannot execute its configuration (see [`Self::with_backend`]).
     pub fn new(params: ChiaroscuroParams, data: &'a TimeSeriesSet) -> Self {
         Self::with_backend(params, data)
     }
 }
 
 impl<'a, B: CipherBackend> DistributedRun<'a, B> {
-    /// Creates a run over `data` under an explicit cipher backend.
+    /// Creates a run over `data` under an explicit cipher backend, and
+    /// plans its shape (the crate-private `RunPlan`) once, before any key
+    /// generation.
     ///
     /// # Panics
     /// Panics under the population conditions of [`DistributedRun::new`],
-    /// and when the worst-case lane sum of the run cannot fit the key: the
-    /// epidemic doubling allowance grows with the exchange count, so a
-    /// 256-bit key over 16 participants plans up to 24 exchanges and
-    /// rejects 25.
+    /// and with the [`ConfigError`] of any configuration the run cannot
+    /// execute: a budget schedule that grants no ε, a worst-case lane sum
+    /// that cannot fit the key (the epidemic doubling allowance grows with
+    /// the exchange count, so a 256-bit key over 16 participants plans up
+    /// to 24 exchanges and rejects 25), or a population with no honest node
+    /// to seed the epidemic weights.
+    ///
+    /// [`ConfigError`]: crate::config::ConfigError
     pub fn with_backend(params: ChiaroscuroParams, data: &'a TimeSeriesSet) -> Self {
         assert!(data.len() >= 2, "Chiaroscuro needs at least two participants");
         assert!(
             params.key_share_threshold <= data.len(),
             "the key-share threshold cannot exceed the population"
         );
-        if let Err(e) = params.validate_for_population(data.len()) {
-            panic!("{e}");
-        }
-        let run = Self { params, data, initial_centroids: None, _backend: PhantomData };
-        // Up-front lane validation (mirroring validate_for_population): an
-        // overflowing lane configuration is rejected here, before any key
-        // generation or encryption, never discovered as corruption later.
-        let _ = run.plan_packing();
-        run
-    }
-
-    /// Plans the lane-packed encoder for this run.
-    ///
-    /// The layout is a pure function of the parameters and the dataset
-    /// bounds — the same plan validates the configuration in
-    /// [`Self::with_backend`] and drives the hot path in
-    /// [`Self::execute_with_rng`].  Its lane budget covers the population,
-    /// the worst per-iteration noise scale of the ε schedule (64 Laplace
-    /// e-folds of tail headroom per share), and an epidemic doubling
-    /// allowance of `8·exchanges + 32`: the EESum exchange counter cascades
-    /// within a round (sequential exchanges reuse freshly bumped states),
-    /// growing by ~5–6 per round empirically — the gossip crate pins that
-    /// law for both engines with its own regression tests — so 8 per round
-    /// plus slack leaves a wide margin.  Should a freak schedule ever
-    /// exceed it anyway, the decode-time guard in `PackedEncoder::unpack`
-    /// fails loudly instead of corrupting lanes.  A layout may hold a
-    /// single lane: one coordinate per unit plus the counter.
-    ///
-    /// # Panics
-    /// Panics if no lane layout fits the key size.
-    pub(crate) fn plan_packing(&self) -> PackedEncoder {
-        let budget = self.packing_budget();
-        let encoder = FixedPointEncoder::new(self.params.encoding_digits);
-        PackedEncoder::plan(self.params.packing_capacity_bits(), &encoder, &budget).unwrap_or_else(|e| {
-            let exchanges = self.params.effective_exchanges(self.data.len(), self.data.series_length());
-            panic!("a {}-bit key cannot pack {exchanges} gossip exchanges: {e}", self.params.key_bits)
-        })
-    }
-
-    /// The lane budget [`Self::plan_packing`] plans with.  Exposed
-    /// crate-internally so the actor driver can ship these five scalars in
-    /// its provisioning event and have each node re-derive the
-    /// coordinator's exact layout (the plan is a pure function of the
-    /// budget and the encoder).
-    pub(crate) fn packing_budget(&self) -> LaneBudget {
-        let population = self.data.len();
-        let n = self.data.series_length();
-        let exchanges = self.params.effective_exchanges(population, n);
-        // The largest noise scales of the whole run come from the leanest
-        // per-iteration budget of the schedule.
-        let schedule = self.params.budget_schedule();
-        let min_epsilon = (0..self.params.max_iterations)
-            .map(|i| schedule.epsilon_for_iteration(i))
-            .filter(|&e| e > 0.0)
-            .fold(f64::INFINITY, f64::min);
-        assert!(min_epsilon.is_finite(), "the budget schedule grants no iteration any ε");
-        let sensitivity = Sensitivity::from_range(n, self.data.range().min, self.data.range().max);
-        let mechanism = LaplaceMechanism::new(sensitivity, min_epsilon)
-            .with_gossip_error_bound(self.params.gossip_error_bound);
-        let noise_bound = NoiseShareGenerator::new(self.params.num_noise_shares, mechanism.sum_scale())
-            .magnitude_bound()
-            .max(
-                NoiseShareGenerator::new(self.params.num_noise_shares, mechanism.count_scale())
-                    .magnitude_bound(),
-            );
-        let range_magnitude = self.data.range().min.abs().max(self.data.range().max.abs());
-        LaneBudget {
-            contributors: population,
-            doubling_budget: 8 * exchanges + 32,
-            max_abs_value: range_magnitude.max(1.0).max(noise_bound),
-            biased_vectors: 2, // the means vector plus the noise-share vector
-        }
+        let plan = RunPlan::new(&params, data).unwrap_or_else(|e| panic!("{e}"));
+        Self { params, data, plan, initial_centroids: None, _backend: PhantomData }
     }
 
     /// Provides explicit initial centroids (otherwise `k` series are drawn
@@ -466,13 +404,13 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
             let (labels, units): (Vec<usize>, Vec<_>) = ctx.pool.map(series_all, device).into_iter().unzip();
             let backend_vector = |units| BackendVector::new(ctx.kit.backend.clone(), units);
             let vectors = units.into_iter().map(backend_vector).collect();
-            self.means = MeansStore::PerNode(eesum_states_seeded_at(vectors, ctx.weight_seed));
+            self.means = MeansStore::PerNode(eesum_states_seeded_at(vectors, ctx.run.plan.weight_seed));
             return labels;
         }
         let layout = ctx.kit.packer.layout();
         let limbs_per_unit = (layout.lanes as u64 * layout.lane_bits).div_ceil(64) as usize + 1;
-        let (population, units) = (series_all.len(), ctx.contribution_units);
-        let mut arena = EesUnitArena::seeded_at(population, units, limbs_per_unit, ctx.weight_seed);
+        let RunPlan { contribution_units, weight_seed, .. } = ctx.run.plan;
+        let mut arena = EesUnitArena::seeded_at(series_all.len(), contribution_units, limbs_per_unit, weight_seed);
         // Each worker writes a device's units straight into its row and
         // drops them: no boxed contribution outlives its device.
         let rows = arena.layout().clone();
@@ -494,7 +432,7 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
         rng: &mut R,
         adversary: Option<&mut AdversaryState>,
     ) -> PhaseStats {
-        let (network, churn, budget) = (&ctx.run.params.network, ctx.churn, ctx.exchanges);
+        let (network, churn, budget) = (&ctx.run.params.network, ctx.churn, ctx.run.plan.exchanges);
         let stats;
         match phase {
             Phase::Means => {
@@ -1033,10 +971,10 @@ mod tests {
             .strategy(BudgetStrategy::UniformFast { max_iterations: 2 })
             .epsilon(40.0)
             .build();
-        let packer = DistributedRun::<PlaintextSurrogate>::with_backend(params, &data).plan_packing();
+        let RunPlan { packer, contribution_units: units, .. } =
+            DistributedRun::<PlaintextSurrogate>::with_backend(params, &data).plan;
         let value_bits = packer.layout().lanes as u64 * packer.layout().lane_bits;
         let limbs_per_unit = value_bits.div_ceil(64) as usize + 1;
-        let units = 2 * packer.ciphertexts_for(4 * (8 + 1)) + 1;
         assert_eq!((units, limbs_per_unit), (17, 15));
 
         let population = 96;
@@ -1106,7 +1044,7 @@ mod tests {
         let data = tiny_dataset(16);
         let run = DistributedRun::new(tiny_params(2, 2), &data) // .exchanges(12)
             .with_initial_centroids(vec![TimeSeries::constant(4, 20.0), TimeSeries::constant(4, 60.0)]);
-        assert_eq!(run.plan_packing().lanes(), 1);
+        assert_eq!(run.plan.packer.lanes(), 1);
         let outcome = run.execute(7);
         assert_eq!(centroid_bits(&outcome), PINNED);
         assert_eq!(outcome.network[0].sum_payload_ciphertexts, 2 * 2 * (4 + 1) + 1);
@@ -1124,7 +1062,7 @@ mod tests {
             params.exchanges_override = Some(exchanges);
             params
         };
-        assert_eq!(DistributedRun::new(with_exchanges(24), &data).plan_packing().lanes(), 1);
+        assert_eq!(DistributedRun::new(with_exchanges(24), &data).plan.packer.lanes(), 1);
         let _ = DistributedRun::new(with_exchanges(25), &data);
     }
 
@@ -1225,6 +1163,30 @@ mod tests {
         assert_eq!(zeroed.audit.fault_stats(), FaultStats::ZERO);
     }
 
+    /// At salt 27 every node of a four-device, half-byzantine population is
+    /// byzantine, so no node can seed the epidemic weights.
+    fn all_byzantine_params() -> ChiaroscuroParams {
+        use chiaroscuro_gossip::sim::AdversaryModel;
+        let mut params = tiny_params(2, 1);
+        params.num_noise_shares = 4;
+        params.adversary = AdversaryModel::mixed(0.5, 27);
+        assert!((0..4).all(|node| params.adversary.is_byzantine(node)));
+        params
+    }
+
+    #[test]
+    fn a_population_with_no_honest_node_is_a_config_error() {
+        let error = RunPlan::new(&all_byzantine_params(), &tiny_dataset(4)).unwrap_err();
+        assert_eq!(error, crate::config::ConfigError::NoHonestNode);
+    }
+
+    #[test]
+    #[should_panic(expected = "the epidemic weights need an honest node to seed them")]
+    fn a_population_with_no_honest_node_is_rejected_at_construction() {
+        // Construction generates no key: the run refuses before any.
+        let _ = DistributedRun::new(all_byzantine_params(), &tiny_dataset(4));
+    }
+
     #[test]
     #[should_panic(expected = "num_noise_shares")]
     fn population_below_noise_share_expectation_rejected() {
@@ -1267,8 +1229,8 @@ mod tests {
         let population = series_all.len();
         let layout = ctx.kit.packer.layout();
         let limbs_per_unit = (layout.lanes as u64 * layout.lane_bits).div_ceil(64) as usize + 1;
-        let mut arena =
-            EesUnitArena::seeded_at(population, ctx.contribution_units, limbs_per_unit, ctx.weight_seed);
+        let RunPlan { contribution_units, weight_seed, .. } = ctx.run.plan;
+        let mut arena = EesUnitArena::seeded_at(population, contribution_units, limbs_per_unit, weight_seed);
         let mut labels = Vec::with_capacity(population);
         for start in (0..population).step_by(BATCH) {
             let end = (start + BATCH).min(population);
@@ -1299,31 +1261,25 @@ mod tests {
         let params = ChiaroscuroParams::builder().k(3).num_noise_shares(1_100).epsilon(2.0).build();
         let run = DistributedRun::<PlaintextSurrogate>::with_backend(params, &data);
         let mut rng = rand::rngs::StdRng::seed_from_u64(37);
-        let packer = run.plan_packing();
         let setup = BackendSetup {
             key_bits: run.params.key_bits,
             damgard_jurik_s: run.params.damgard_jurik_s,
             population: data.len(),
             key_share_threshold: run.params.key_share_threshold,
-            packed_layout: Some(packer.layout()),
+            packed_layout: Some(run.plan.packer.layout()),
         };
         let backend = Arc::new(PlaintextSurrogate::setup(&setup, &mut rng));
         let seeds: Vec<u64> = (0..data.len()).map(|_| rng.gen()).collect();
         let centroids = data.series()[..3].to_vec();
-        let contribution_units = 2 * packer.ciphertexts_for(3 * (data.series_length() + 1)) + 1;
-        let kit = DeviceKit { backend, packer, num_noise_shares: 1_100 };
-        let mut ctx = RunContext {
-            run: &run,
-            kit,
-            contribution_units,
-            pool: rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap(),
-            churn: ChurnModel::NONE,
-            exchanges: 1,
-            weight_seed: 0,
-        };
         for (threads, weight_seed) in [(1, 0), (2, 0), (3, 0), (1, 417), (2, 1_099), (3, 256)] {
-            ctx.pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            ctx.weight_seed = weight_seed;
+            let mut run = run.clone();
+            run.plan.weight_seed = weight_seed;
+            let ctx = RunContext {
+                run: &run,
+                kit: DeviceKit { backend: backend.clone(), plan: run.plan.device, packer: run.plan.packer.clone() },
+                pool: rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap(),
+                churn: ChurnModel::NONE,
+            };
             let (expected_labels, expected) = batched_fill(&ctx, &centroids, &seeds, (3.5, 0.75));
             let (means, corrections) = (MeansStore::default(), no_corrections());
             let mut exec = InProcessExecutor::<PlaintextSurrogate> { means, corrections };

@@ -26,12 +26,12 @@ pub mod noise_share;
 pub use accountant::ProbabilisticDpParams;
 pub use budget::{BudgetSchedule, BudgetStrategy};
 pub use laplace::{Laplace, LaplaceMechanism, Sensitivity};
-pub use noise_share::{NoiseShare, NoiseShareGenerator};
+pub use noise_share::{NoiseShare, NoiseShareGenerator, SurplusCorrection};
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::accountant::ProbabilisticDpParams;
     pub use crate::budget::{BudgetSchedule, BudgetStrategy};
     pub use crate::laplace::{Laplace, LaplaceMechanism, Sensitivity};
-    pub use crate::noise_share::{NoiseShare, NoiseShareGenerator};
+    pub use crate::noise_share::{NoiseShare, NoiseShareGenerator, SurplusCorrection};
 }

@@ -96,26 +96,61 @@ impl NoiseShareGenerator {
         (0..dimensions).map(|_| self.sample(rng)).collect()
     }
 
-    /// Draws the *surplus correction* of §4.2.2: when `extra` more
-    /// participants than expected contributed shares, the correction is
-    /// distributed as the sum of `extra` freshly drawn shares, to be
-    /// subtracted from the aggregated noise so that exactly `nν` shares
-    /// remain in expectation.
-    ///
-    /// Sampled in O(1) rather than by summing `extra` individual shares:
-    /// each share is `G₁(1/nν, λ) − G₂(1/nν, λ)`, and Gamma variables of a
-    /// common scale are additive in the shape, so the sum of `extra` i.i.d.
-    /// shares equals in distribution `G₁(extra/nν, λ) − G₂(extra/nν, λ)`.
-    /// An unconverged contributor count can report a surplus on the order
-    /// of the population, which made the per-share loop
-    /// O(population · dimensions) per proposal — quadratic across the
-    /// population — where the aggregate draw is constant-time.
+    /// Draws one *surplus correction* of §4.2.2 for `extra` contributors
+    /// beyond `nν`: a value distributed as the sum of `extra` shares, which
+    /// the run subtracts from the aggregated noise.  See
+    /// [`SurplusCorrection`] for what that subtraction does to the noise,
+    /// and use it directly to draw many corrections for one surplus.
     pub fn sample_correction<R: Rng + ?Sized>(&self, extra: usize, rng: &mut R) -> f64 {
-        if extra == 0 {
-            return 0.0;
-        }
-        let g = Gamma::new(extra as f64 / self.num_shares as f64, self.scale);
-        g.sample(rng) - g.sample(rng)
+        SurplusCorrection::new(self.num_shares, self.scale, extra).sample(rng)
+    }
+}
+
+/// The surplus correction of §4.2.2 for one surplus, prepared once: when
+/// `extra` more participants than the expected `nν` contributed shares, each
+/// correction is distributed as the sum of `extra` shares.
+///
+/// **What subtracting it does.**  The draw is *independent* of the shares
+/// already aggregated, so it cannot cancel their surplus: both are
+/// zero-mean, and subtracting an independent variable adds its variance.
+/// The aggregate of `nν + extra` shares has variance
+/// `(nν + extra)/nν · 2λ²`; after the correction it is
+/// `(nν + 2·extra)/nν · 2λ²`, where Laplace(λ) has `2λ²`.  The released
+/// noise is therefore larger than Laplace(λ), never smaller — privacy is
+/// not weakened, utility is — and it is not the Laplace(λ) the privacy
+/// accounting assumes whenever `extra > 0`.  (A test pins this variance.)
+///
+/// Sampled in O(1) rather than by summing `extra` individual shares: each
+/// share is `G₁(1/nν, λ) − G₂(1/nν, λ)`, and Gamma variables of a common
+/// scale are additive in the shape, so the sum of `extra` i.i.d. shares
+/// equals in distribution `G₁(extra/nν, λ) − G₂(extra/nν, λ)`.  An
+/// unconverged contributor count can report a surplus on the order of the
+/// population, which made the per-share loop O(population · dimensions) per
+/// proposal — quadratic across the population — where the aggregate draw
+/// is constant-time.  The `Gamma(extra/nν, λ)` is prepared once here, not
+/// per draw; preparing draws nothing, so every draw is the same.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SurplusCorrection {
+    /// `Gamma(extra/nν, λ)`; `None` without a surplus, whose correction is
+    /// `0` and draws nothing.
+    half: Option<Gamma>,
+}
+
+impl SurplusCorrection {
+    /// Prepares the correction for `extra` contributors beyond
+    /// `num_shares`, at Laplace scale `scale`.
+    ///
+    /// # Panics
+    /// With `extra > 0`, panics unless `extra / num_shares` and `scale` are
+    /// strictly positive and finite.
+    pub fn new(num_shares: usize, scale: f64, extra: usize) -> Self {
+        Self { half: (extra > 0).then(|| Gamma::new(extra as f64 / num_shares as f64, scale)) }
+    }
+
+    /// Draws one correction: `0` without a surplus, else
+    /// `G₁(extra/nν, λ) − G₂(extra/nν, λ)`.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        self.half.map_or(0.0, |g| g.sample(rng) - g.sample(rng))
     }
 }
 
@@ -233,6 +268,30 @@ mod tests {
         assert!((vs - expected).abs() / expected < 0.1, "summed var {vs} vs {expected}");
         let mean = aggregate.iter().sum::<f64>() / trials as f64;
         assert!(mean.abs() < 0.05, "aggregate mean {mean}");
+    }
+
+    #[test]
+    fn surplus_correction_adds_variance_instead_of_removing_it() {
+        // nc = nν + s contributors aggregate nc shares; subtracting an
+        // independent correction of s shares' worth leaves noise of variance
+        // (nν + 2s)/nν · 2λ², not Laplace's 2λ² (and not the uncorrected
+        // nc/nν · 2λ² either).
+        let (nu, scale, trials) = (40usize, 10.0, 4_000);
+        let gen = NoiseShareGenerator::new(nu, scale);
+        for (surplus, seed) in [(0usize, 41), (20, 42), (40, 43)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let released: Vec<f64> = (0..trials)
+                .map(|_| {
+                    let shares: f64 = (0..nu + surplus).map(|_| gen.sample(&mut rng).value).sum();
+                    shares - gen.sample_correction(surplus, &mut rng)
+                })
+                .collect();
+            let mean = released.iter().sum::<f64>() / trials as f64;
+            let variance = released.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / trials as f64;
+            let ratio = variance / (2.0 * scale * scale);
+            let expected = (nu + 2 * surplus) as f64 / nu as f64;
+            assert!((ratio - expected).abs() < 0.1 * expected, "surplus {surplus}: ratio {ratio} vs {expected}");
+        }
     }
 
     #[test]
