@@ -22,6 +22,9 @@ use chiaroscuro_timeseries::TimeSeriesSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// One ablation row: its label, budget strategy, smoothing and ε.
+type Configuration = (String, BudgetStrategy, Smoothing, f64);
+
 fn main() {
     let args = Args::from_env();
     let dataset = Dataset::parse_or_exit(&args.get_str("dataset", "cer"));
@@ -31,10 +34,52 @@ fn main() {
     eprintln!("# Ablations — dataset {}, {series} series, k={k}", dataset.name());
     let (data, init) = dataset.generate(series, k, seed);
 
-    smoothing_ablation(&data, &init, seed);
-    floor_size_ablation(&data, &init, seed);
-    uniform_cap_ablation(&data, &init, seed);
-    epsilon_ablation(&data, &init, seed);
+    // One table per design choice: its title, the varied column and one
+    // configuration per row.
+    let sma = Smoothing::PAPER_DEFAULT;
+    let window = |window_fraction| Smoothing::MovingAverage { window_fraction };
+    let ablations: [(&str, &str, Vec<Configuration>); 4] = [
+        (
+            "Ablation — SMA window (GREEDY strategy, ε = 0.69)",
+            "window",
+            [("none", Smoothing::None), ("10%", window(0.1)), ("20% (paper)", window(0.2)), ("40%", window(0.4))]
+                .map(|(label, smoothing)| (label.into(), BudgetStrategy::Greedy, smoothing, PAPER_EPSILON))
+                .into(),
+        ),
+        (
+            "Ablation — GREEDY_FLOOR floor size (SMA 20%, ε = 0.69)",
+            "floor size",
+            [1usize, 2, 4, 8]
+                .map(|floor_size| {
+                    (floor_size.to_string(), BudgetStrategy::GreedyFloor { floor_size }, sma, PAPER_EPSILON)
+                })
+                .into(),
+        ),
+        (
+            "Ablation — UNIFORM_FAST iteration cap (SMA 20%, ε = 0.69)",
+            "iteration cap",
+            [3usize, 5, 10]
+                .map(|cap| {
+                    (cap.to_string(), BudgetStrategy::UniformFast { max_iterations: cap }, sma, PAPER_EPSILON)
+                })
+                .into(),
+        ),
+        (
+            "Ablation — privacy budget ε (GREEDY + SMA 20%)",
+            "epsilon",
+            [0.1f64, PAPER_EPSILON, 1.0, 2.0]
+                .map(|epsilon| (format!("{epsilon}"), BudgetStrategy::Greedy, sma, epsilon))
+                .into(),
+        ),
+    ];
+    for (title, column, configurations) in ablations {
+        let mut table = Table::new(title, &[column, "best PRE inertia", "best iteration", "surviving centroids"]);
+        for (label, strategy, smoothing, epsilon) in configurations {
+            let (pre, it, surviving) = run(&data, &init, strategy, smoothing, epsilon, seed);
+            table.row(&[label, format!("{pre:.2}"), it.to_string(), surviving.to_string()]);
+        }
+        table.print();
+    }
 }
 
 fn run(
@@ -51,72 +96,4 @@ fn run(
     let best = report.pre_post().expect("at least one iteration");
     let surviving = *report.centroid_counts().last().unwrap_or(&0);
     (best.pre, best.best_iteration + 1, surviving)
-}
-
-fn smoothing_ablation(data: &TimeSeriesSet, init: &InitialCentroids, seed: u64) {
-    let mut table = Table::new(
-        "Ablation — SMA window (GREEDY strategy, ε = 0.69)",
-        &["window", "best PRE inertia", "best iteration", "surviving centroids"],
-    );
-    let windows: [(String, Smoothing); 4] = [
-        ("none".into(), Smoothing::None),
-        ("10%".into(), Smoothing::MovingAverage { window_fraction: 0.1 }),
-        ("20% (paper)".into(), Smoothing::MovingAverage { window_fraction: 0.2 }),
-        ("40%".into(), Smoothing::MovingAverage { window_fraction: 0.4 }),
-    ];
-    for (label, smoothing) in windows {
-        let (pre, it, surviving) = run(data, init, BudgetStrategy::Greedy, smoothing, PAPER_EPSILON, seed);
-        table.row(&[label, format!("{pre:.2}"), it.to_string(), surviving.to_string()]);
-    }
-    table.print();
-}
-
-fn floor_size_ablation(data: &TimeSeriesSet, init: &InitialCentroids, seed: u64) {
-    let mut table = Table::new(
-        "Ablation — GREEDY_FLOOR floor size (SMA 20%, ε = 0.69)",
-        &["floor size", "best PRE inertia", "best iteration", "surviving centroids"],
-    );
-    for floor_size in [1usize, 2, 4, 8] {
-        let (pre, it, surviving) = run(
-            data,
-            init,
-            BudgetStrategy::GreedyFloor { floor_size },
-            Smoothing::PAPER_DEFAULT,
-            PAPER_EPSILON,
-            seed,
-        );
-        table.row(&[floor_size.to_string(), format!("{pre:.2}"), it.to_string(), surviving.to_string()]);
-    }
-    table.print();
-}
-
-fn uniform_cap_ablation(data: &TimeSeriesSet, init: &InitialCentroids, seed: u64) {
-    let mut table = Table::new(
-        "Ablation — UNIFORM_FAST iteration cap (SMA 20%, ε = 0.69)",
-        &["iteration cap", "best PRE inertia", "best iteration", "surviving centroids"],
-    );
-    for cap in [3usize, 5, 10] {
-        let (pre, it, surviving) = run(
-            data,
-            init,
-            BudgetStrategy::UniformFast { max_iterations: cap },
-            Smoothing::PAPER_DEFAULT,
-            PAPER_EPSILON,
-            seed,
-        );
-        table.row(&[cap.to_string(), format!("{pre:.2}"), it.to_string(), surviving.to_string()]);
-    }
-    table.print();
-}
-
-fn epsilon_ablation(data: &TimeSeriesSet, init: &InitialCentroids, seed: u64) {
-    let mut table = Table::new(
-        "Ablation — privacy budget ε (GREEDY + SMA 20%)",
-        &["epsilon", "best PRE inertia", "best iteration", "surviving centroids"],
-    );
-    for epsilon in [0.1f64, PAPER_EPSILON, 1.0, 2.0] {
-        let (pre, it, surviving) = run(data, init, BudgetStrategy::Greedy, Smoothing::PAPER_DEFAULT, epsilon, seed);
-        table.row(&[format!("{epsilon}"), format!("{pre:.2}"), it.to_string(), surviving.to_string()]);
-    }
-    table.print();
 }

@@ -23,7 +23,7 @@ use chiaroscuro_bench::workloads::FirstHits;
 use chiaroscuro_bench::{Args, Json, Table};
 use chiaroscuro_gossip::churn::ChurnModel;
 use chiaroscuro_gossip::decryption::simulate_decryption;
-use chiaroscuro_gossip::dissemination::{converged, DisseminationProtocol, MinIdState};
+use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdArena};
 use chiaroscuro_gossip::engine::GossipEngine;
 use chiaroscuro_gossip::sum::{convergence_report, initial_states, PushPullSum};
 use rand::rngs::StdRng;
@@ -92,10 +92,13 @@ fn sum_part(args: &Args) -> Vec<Json> {
         }
         // Dissemination latency.
         let mut rng = StdRng::seed_from_u64(seed + 7 + population as u64);
-        let states: Vec<MinIdState<u64>> =
-            (0..population).map(|_| MinIdState::new(rng.gen(), rng.gen())).collect();
-        let mut dis_engine = GossipEngine::new(states, ChurnModel::NONE);
-        dis_engine.run_until(&DisseminationProtocol, 100, &mut rng, |s| converged(s), None);
+        let arena = MinIdArena::build(population, 1, |_, payload| {
+            let id = rng.gen();
+            payload[0] = f64::from_bits(rng.gen());
+            id
+        });
+        let mut dis_engine = GossipEngine::new(arena, ChurnModel::NONE);
+        dis_engine.run_until(&DisseminationProtocol, 100, &mut rng, MinIdArena::converged, None);
         cells.push(format!("{:.0}", dis_engine.metrics().messages_per_node(population)));
         table.row(&cells);
         let targets: Vec<Json> = hits

@@ -33,9 +33,10 @@ use std::sync::Arc;
 
 use chiaroscuro_crypto::backend::CipherBackend;
 use chiaroscuro_crypto::wire::serialize_units;
-use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdState};
+use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdLayout};
 use chiaroscuro_gossip::eesum::{EesState, EesSumProtocol};
 use chiaroscuro_gossip::engine::PairwiseProtocol;
+use chiaroscuro_gossip::slab::RowLayout;
 use chiaroscuro_node::frame::HEADER_BYTES;
 use chiaroscuro_node::{Actor, FrameError, NodeEvent, NodeId, Phase};
 use chiaroscuro_timeseries::TimeSeries;
@@ -144,13 +145,18 @@ impl IterationInputs {
 
 // --- correction proposals ---
 
-pub(crate) fn encode_correction(id: u64, sums: &[f64], counts: &[f64]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 + 8 * (sums.len() + counts.len()));
-    put_u64(&mut buf, id);
-    for &v in sums.iter().chain(counts.iter()) {
-        put_f64(&mut buf, v);
-    }
+/// A correction proposal on the wire: its [`MinIdLayout`] row's cells,
+/// big-endian (the identifier, then the payload's `f64` bit patterns).
+pub(crate) fn encode_correction(row: &[u64]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(8 * row.len());
+    put_row(&mut buf, row);
     buf
+}
+
+fn put_row(buf: &mut Vec<u8>, row: &[u64]) {
+    for &cell in row {
+        put_u64(buf, cell);
+    }
 }
 
 // --- end-of-iteration readout ---
@@ -161,8 +167,8 @@ pub(crate) fn encode_correction(id: u64, sums: &[f64], counts: &[f64]) -> Vec<u8
 pub(crate) struct Readout<B: CipherBackend> {
     /// EESum weight (scaled; the divisor cancels in `value / weight`).
     pub(crate) weight: f64,
-    /// Min-id correction state `(id, flat payload)`, once proposals exist.
-    pub(crate) correction: Option<(u64, Vec<f64>)>,
+    /// The node's [`MinIdLayout`] correction row, once proposals exist.
+    pub(crate) correction: Option<Vec<u64>>,
     /// The accumulated means/noise unit vector (reference node only).
     pub(crate) units: Option<Vec<B::Unit>>,
 }
@@ -182,7 +188,8 @@ struct Provision<B: CipherBackend> {
 pub struct ChiaroscuroNodeActor<B: CipherBackend> {
     provision: Option<Provision<B>>,
     ees: Option<EesState<BackendVector<B>>>,
-    correction: Option<MinIdState<Vec<f64>>>,
+    /// This node's correction proposal, one [`MinIdLayout`] row.
+    correction: Option<Vec<u64>>,
 }
 
 impl<B: CipherBackend> Default for ChiaroscuroNodeActor<B> {
@@ -254,8 +261,7 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
                 buf
             }
             Phase::Correction => {
-                let s = self.correction.as_ref().expect("no correction proposal installed");
-                encode_correction(s.id, &s.payload, &[])
+                encode_correction(self.correction.as_ref().expect("no correction proposal installed"))
             }
         }
     }
@@ -276,7 +282,7 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
             }
             PhaseState::Correction(mut peer) => {
                 let own = self.correction.as_mut().expect("exchange before any proposal");
-                DisseminationProtocol.exchange(&mut peer, own);
+                MinIdLayout.exchange_rows(&DisseminationProtocol, &mut peer, own);
             }
         }
         Ok(self.serialize_phase_state(phase))
@@ -296,12 +302,9 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
         let mut buf = Vec::new();
         put_f64(&mut buf, ees.weight);
         match &self.correction {
-            Some(c) => {
+            Some(row) => {
                 buf.push(1);
-                put_u64(&mut buf, c.id);
-                for &v in &c.payload {
-                    put_f64(&mut buf, v);
-                }
+                put_row(&mut buf, row);
             }
             None => buf.push(0),
         }
@@ -343,8 +346,7 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
                 Vec::new()
             }
             NodeEvent::CorrectionProposal { payload } => {
-                let (id, row) = decode_correction(&payload, &self.provision().kit.plan)?;
-                self.correction = Some(MinIdState::new(id, row));
+                self.correction = Some(decode_correction(&payload, &self.provision().kit.plan)?);
                 Vec::new()
             }
             NodeEvent::ReadoutRequest { include_units } => {
@@ -405,7 +407,7 @@ mod tests {
             participant_seed: 0xDEAD_BEEF_0BAD_F00D,
             weight_seed: true,
             sum_scale: 123.456,
-            count_scale: -0.0,
+            count_scale: 5e-324,
             centroids_flat: vec![10.0, f64::MIN_POSITIVE, -3.5, 0.1, 1e300, 2.0],
         }
     }
@@ -436,7 +438,7 @@ mod tests {
         ChiaroscuroNodeActor {
             provision: Some(Provision { kit: kit(backend), series: TimeSeries::constant(N, 1.0) }),
             ees: Some(EesState::new_seed(BackendVector::new(Arc::clone(backend), units))),
-            correction: Some(MinIdState::new(7, vec![0.5; K * N + K])),
+            correction: Some(MinIdLayout::row(7, [0.5; K * N + K])),
         }
     }
 
@@ -462,7 +464,7 @@ mod tests {
         vec![
             (0, spec().encode()),
             (1, inputs().encode()),
-            (2, encode_correction(42, &[0.25; K * N], &[-1.5, 2.0])),
+            (2, encode_correction(&MinIdLayout::row(42, [0.25; K * N].into_iter().chain([-1.5, 2.0])))),
             (3, actor.readout(false)),
             (3, actor.readout(true)),
             (4, actor.serialize_phase_state(Phase::Means)),
@@ -498,13 +500,37 @@ mod tests {
 
     #[test]
     fn correction_payloads_round_trip() {
-        let sums = vec![0.25; 6];
-        let counts = vec![-1.5, 2.0];
-        let bytes = encode_correction(42, &sums, &counts);
-        let (id, row) = decode_correction(&bytes, &DevicePlan { k: 2, series_length: 3, ..spec().plan }).unwrap();
-        assert_eq!(id, 42);
-        assert_eq!(row[..6], sums[..]);
-        assert_eq!(row[6..], counts[..]);
+        let sums = [0.25; 6];
+        let counts = [-1.5, 2.0];
+        let row = MinIdLayout::row(42, sums.into_iter().chain(counts));
+        let plan = DevicePlan { k: 2, series_length: 3, ..spec().plan };
+        let decoded = decode_correction(&encode_correction(&row), &plan).unwrap();
+        assert_eq!(decoded, row);
+        assert_eq!(decoded[0], 42);
+        assert_eq!(MinIdLayout::payload(&decoded), [sums.as_slice(), &counts].concat());
+    }
+
+    /// Length and FNV-1a digest of a payload.
+    fn digest(bytes: &[u8]) -> (usize, u64) {
+        let hash =
+            bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h: u64, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3));
+        (bytes.len(), hash)
+    }
+
+    /// One fixed proposal on the wire: its `CorrectionProposal` payload, the
+    /// `Phase::Correction` exchange state of an actor holding it and that
+    /// actor's readout are pinned by length and digest.  How a node stores
+    /// and merges a proposal may change; the bytes it sends may not.
+    #[test]
+    fn correction_bytes_keep_their_pinned_values() {
+        let sums = [0.25, -0.0, f64::MIN_POSITIVE, -1e300, 5e-324, 3.5];
+        let counts = [-1.5, 2.0];
+        let payload = encode_correction(&MinIdLayout::row(0x0123_4567_89AB_CDEF, sums.into_iter().chain(counts)));
+        let mut actor = provisioned(&backend::<PlaintextSurrogate>());
+        assert!(actor.handle(0, NodeEvent::CorrectionProposal { payload: payload.clone() }).unwrap().is_empty());
+        assert_eq!(digest(&payload), (72, 0x2B35_89F1_3A9D_93A8));
+        assert_eq!(digest(&actor.serialize_phase_state(Phase::Correction)), (72, 0x2B35_89F1_3A9D_93A8));
+        assert_eq!(digest(&actor.readout(false)), (82, 0xC90B_930C_4A10_D514));
     }
 
     fn malformed_payloads_are_typed_errors<B: CipherBackend>() {
@@ -528,7 +554,7 @@ mod tests {
         };
         bad_payload(NodeSpec::decode(&with_tail(spec().encode())), "trailing");
         bad_payload(IterationInputs::decode(&with_tail(inputs().encode()), &kit.plan), "trailing");
-        let correction = with_tail(encode_correction(1, &[0.0; K * N], &[0.0; K]));
+        let correction = with_tail(encode_correction(&MinIdLayout::row(1, [0.0; K * N + K])));
         bad_payload(decode_correction(&correction, &kit.plan), "trailing");
         bad_payload(decode_readout(kit, &with_tail(actor.readout(false))), "trailing");
         bad_payload(decode_readout(kit, &with_tail(actor.readout(true))), "unit vector");
@@ -546,6 +572,19 @@ mod tests {
         let last = readout.len() - 1;
         bad_payload(decode_readout(kit, &with_byte(readout.clone(), 8, 0xFF)), "flag");
         bad_payload(decode_readout(kit, &with_byte(readout, last, 2)), "flag");
+
+        // A Laplace scale the noise shares cannot be drawn at is a typed
+        // error, not a panic at the next `IterationStart`.
+        for scale in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -1.5] {
+            let bad_sum = IterationInputs { sum_scale: scale, ..inputs() };
+            let bad_count = IterationInputs { count_scale: scale, ..inputs() };
+            for inputs in [bad_sum, bad_count] {
+                bad_payload(IterationInputs::decode(&inputs.encode(), &kit.plan), "Laplace scale");
+            }
+        }
+        let mut started = provisioned(&backend);
+        let start = NodeEvent::IterationStart { payload: IterationInputs { sum_scale: 0.0, ..inputs() }.encode() };
+        bad_payload(started.handle(0, start), "Laplace scale");
 
         // An epidemic vector is never empty: a zero-unit means state is
         // rejected here rather than tripping `BackendVector::new`.
@@ -574,6 +613,7 @@ mod tests {
             (with_plan(|p| p.series_length = 5), "series length"),
             (NodeSpec { public: vec![1, 2, 3, 4, 5], ..installable.clone() }, "public cipher material"),
             (with_plan(|p| p.k = 0), "cluster"),
+            (with_plan(|p| p.num_noise_shares = 0), "noise share"),
             (NodeSpec { series: Vec::new(), ..with_plan(|p| p.series_length = 0) }, "measure"),
         ];
         let hello = |spec: &NodeSpec| NodeEvent::Hello { config: spec.encode() };

@@ -16,7 +16,6 @@ use chiaroscuro_crypto::backend::CipherBackend;
 use chiaroscuro_crypto::encoding::MAX_DECIMAL_DIGITS;
 use chiaroscuro_crypto::packing::LaneBudget;
 use chiaroscuro_crypto::wire::deserialize_units;
-use chiaroscuro_gossip::dissemination::MinIdState;
 use chiaroscuro_gossip::eesum::EesState;
 use chiaroscuro_node::{FrameError, Phase};
 
@@ -67,20 +66,26 @@ impl<'a> Reader<'a> {
         self.u64().map(f64::from_bits)
     }
 
-    /// `n` values (`None`: the caller's count arithmetic overflowed), taken
+    /// `n` cells (`None`: the caller's count arithmetic overflowed), taken
     /// as one slice first so a wire-supplied `n` can never reserve more than
     /// the payload holds.
-    fn f64s(&mut self, n: Option<usize>) -> Decoded<Vec<f64>> {
+    fn u64s(&mut self, n: Option<usize>) -> Decoded<Vec<u64>> {
         let len = n.and_then(|n| n.checked_mul(8)).ok_or(FrameError::BadPayload("value count overflows"))?;
-        let (values, _) = self.take(len)?.as_chunks::<8>();
-        Ok(values.iter().map(|v| f64::from_bits(u64::from_be_bytes(*v))).collect())
+        let (cells, _) = self.take(len)?.as_chunks::<8>();
+        Ok(cells.iter().map(|cell| u64::from_be_bytes(*cell)).collect())
+    }
+
+    /// `n` values, as [`Self::u64s`] reads cells.
+    fn f64s(&mut self, n: Option<usize>) -> Decoded<Vec<f64>> {
+        Ok(self.u64s(n)?.into_iter().map(f64::from_bits).collect())
     }
 
     /// A correction row: the proposal identifier, then `k·n` sums and `k`
-    /// counts.
-    fn correction(&mut self, plan: &DevicePlan) -> Decoded<(u64, Vec<f64>)> {
+    /// counts as `f64` bit patterns.
+    fn correction(&mut self, plan: &DevicePlan) -> Decoded<Vec<u64>> {
         let DevicePlan { k, series_length, .. } = *plan;
-        Ok((self.u64()?, self.f64s(k.checked_mul(series_length).and_then(|sums| sums.checked_add(k)))?))
+        let payload = k.checked_mul(series_length).and_then(|sums| sums.checked_add(k));
+        self.u64s(payload.and_then(|payload| payload.checked_add(1)))
     }
 
     /// The rest of the payload as a non-empty unit vector (an epidemic
@@ -102,7 +107,7 @@ impl<'a> Reader<'a> {
 
 impl NodeSpec {
     /// Decodes a provisioning payload and rejects every field the node could
-    /// not install: no cluster or no measure, a lane budget
+    /// not install: no cluster or no measure, no noise share, a lane budget
     /// [`DevicePlan::packer`] would refuse to plan, more decimal digits
     /// than an `f64` holds, or a series of the wrong length.  (The public
     /// material and the lane capacity are checked when the node installs
@@ -130,9 +135,12 @@ impl NodeSpec {
         let series_len = r.u32()? as usize;
         let series = r.f64s(Some(series_len))?;
         r.finish()?;
-        let DevicePlan { k, series_length, encoding_digits, budget, .. } = plan;
+        let DevicePlan { k, series_length, encoding_digits, num_noise_shares, budget, .. } = plan;
         if k == 0 || series_length == 0 {
             return Err(FrameError::BadPayload("a run needs at least one cluster and one measure"));
+        }
+        if num_noise_shares == 0 {
+            return Err(FrameError::BadPayload("a run needs at least one noise share"));
         }
         if budget.contributors == 0 || budget.biased_vectors == 0 {
             return Err(FrameError::BadPayload("a lane budget needs a contributor and a biased vector"));
@@ -151,6 +159,8 @@ impl NodeSpec {
 }
 
 impl IterationInputs {
+    /// Decodes one iteration's inputs and rejects a Laplace scale the noise
+    /// shares cannot be drawn at: one that is not finite and positive.
     pub(crate) fn decode(bytes: &[u8], plan: &DevicePlan) -> Decoded<Self> {
         let mut r = Reader { bytes };
         let participant_seed = r.u64()?;
@@ -159,11 +169,14 @@ impl IterationInputs {
         let count_scale = r.f64()?;
         let centroids_flat = r.f64s(plan.k.checked_mul(plan.series_length))?;
         r.finish()?;
+        if ![sum_scale, count_scale].iter().all(|scale| scale.is_finite() && *scale > 0.0) {
+            return Err(FrameError::BadPayload("a Laplace scale must be finite and positive"));
+        }
         Ok(Self { participant_seed, weight_seed, sum_scale, count_scale, centroids_flat })
     }
 }
 
-pub(crate) fn decode_correction(bytes: &[u8], plan: &DevicePlan) -> Decoded<(u64, Vec<f64>)> {
+pub(crate) fn decode_correction(bytes: &[u8], plan: &DevicePlan) -> Decoded<Vec<u64>> {
     let mut r = Reader { bytes };
     let correction = r.correction(plan)?;
     r.finish()?;
@@ -186,7 +199,8 @@ pub(crate) fn decode_readout<B: CipherBackend>(kit: &DeviceKit<B>, bytes: &[u8])
 /// A decoded phase state (the two protocols the run gossips).
 pub(crate) enum PhaseState<B: CipherBackend> {
     Means(EesState<BackendVector<B>>),
-    Correction(MinIdState<Vec<f64>>),
+    /// A [`MinIdLayout`](chiaroscuro_gossip::dissemination::MinIdLayout) row.
+    Correction(Vec<u64>),
 }
 
 /// Decodes the state bytes of one `ExchangeRequest`/`ExchangeReply`.
@@ -208,9 +222,9 @@ pub(crate) fn decode_phase_state<B: CipherBackend>(
             })
         }
         Phase::Correction => {
-            let (id, payload) = r.correction(&kit.plan)?;
+            let row = r.correction(&kit.plan)?;
             r.finish()?;
-            PhaseState::Correction(MinIdState::new(id, payload))
+            PhaseState::Correction(row)
         }
     })
 }

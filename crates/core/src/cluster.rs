@@ -58,6 +58,7 @@ use std::ops::Range;
 use rand::Rng;
 
 use chiaroscuro_crypto::backend::CipherBackend;
+use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdArena, MinIdLayout};
 use chiaroscuro_gossip::engine::{ProtocolStore, StateStore};
 use chiaroscuro_gossip::sim::{run_phase, AdversaryState, PhaseOpts, PhaseStats};
 use chiaroscuro_node::{
@@ -73,7 +74,7 @@ use crate::config::TransportKind;
 use crate::diptych::closest_centroid;
 use crate::iteration::{drive, Executor, RunContext};
 use crate::noise::NoiseCorrection;
-use crate::runner::{DistributedRun, RunOutcome};
+use crate::runner::{no_corrections, DistributedRun, RunOutcome};
 
 impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     /// Executes the run through per-node actors over the transport selected
@@ -142,7 +143,7 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
         rng: &mut R,
     ) -> RunOutcome {
         assert_eq!(links.len(), self.data.len(), "one transport link per participant");
-        let mut outcome = drive(self, &mut LinkExecutor { links, ids: Vec::new() }, rng);
+        let mut outcome = drive(self, &mut LinkExecutor { links, shadow: no_corrections() }, rng);
         for stats in &mut outcome.network {
             stats.sum_payload_bytes += frame_overhead;
         }
@@ -157,17 +158,10 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
 /// nodes.
 struct LinkStore<'l, T> {
     links: &'l mut [T],
-    /// The coordinator's shadow of the nodes' proposal identifiers, when the
-    /// phase stops on agreement: the min-id rule is mirrored per relayed
-    /// exchange, which saves a readout per round.
-    ids: Option<&'l mut [u64]>,
-}
-
-impl<T> LinkStore<'_, T> {
-    /// Whether the tracked identifiers all agree (`false` when none are).
-    fn agreed(&self) -> bool {
-        self.ids.as_ref().is_some_and(|ids| ids.iter().all(|&id| id == ids[0]))
-    }
+    /// The coordinator's shadow of the nodes' proposals: every relayed
+    /// correction exchange is applied to it too, by the nodes' own min-id
+    /// rule, so the phase stops on agreement without a readout per round.
+    shadow: &'l mut MinIdArena,
 }
 
 impl<T> StateStore for LinkStore<'_, T> {
@@ -201,21 +195,20 @@ impl<T: Transport> ProtocolStore<Phase> for LinkStore<'_, T> {
         self.links[initiator]
             .send(&reply)
             .unwrap_or_else(|e| panic!("routing to node {initiator} failed: {e}"));
-        if let Some(ids) = &mut self.ids {
-            let merged = ids[initiator].min(ids[contact]);
-            ids[initiator] = merged;
-            ids[contact] = merged;
+        if *phase == Phase::Correction {
+            self.shadow.apply_exchange(&DisseminationProtocol, initiator, contact);
         }
     }
 }
 
 /// The link executor: the deployed population plus the coordinator's
-/// shadow of the nodes' correction identifiers.
+/// shadow of the nodes' correction proposals.
 struct LinkExecutor<'l, T> {
     links: &'l mut [T],
-    /// Each node's proposal identifier, from `propose` on; the correction
-    /// phase mirrors the min-id rule over it to stop on agreement.
-    ids: Vec<u64>,
+    /// Each node's proposal identifier, from `propose` on: a [`MinIdArena`]
+    /// with an empty payload, which the correction phase drives through the
+    /// min-id rule to stop on agreement.
+    shadow: MinIdArena,
 }
 
 impl<T: Transport> LinkExecutor<'_, T> {
@@ -293,7 +286,7 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T> {
 
     /// Runs the phase over the links on the engine the run's network model
     /// selects.  The correction phase stops on agreement over the shadow
-    /// identifiers; the others run their budget.
+    /// proposals; the others run their budget.
     fn gossip<R: Rng + ?Sized>(
         &mut self,
         ctx: &RunContext<'_, B>,
@@ -301,10 +294,9 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T> {
         rng: &mut R,
         adversary: Option<&mut AdversaryState>,
     ) -> PhaseStats {
-        let tracked = phase == Phase::Correction;
-        let mut agreed = LinkStore::agreed;
-        let until = tracked.then_some(&mut agreed as &mut dyn FnMut(&_) -> bool);
-        let store = LinkStore { links: &mut *self.links, ids: tracked.then_some(&mut self.ids[..]) };
+        let mut agreed = |store: &LinkStore<'_, T>| store.shadow.converged();
+        let until = (phase == Phase::Correction).then_some(&mut agreed as &mut dyn FnMut(&_) -> bool);
+        let store = LinkStore { links: &mut *self.links, shadow: &mut self.shadow };
         let opts = PhaseOpts { until, adversary };
         run_phase(&ctx.run.params.network, store, ctx.churn, &phase, ctx.run.plan.exchanges, rng, opts).1
     }
@@ -324,31 +316,30 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T> {
 
     fn propose(&mut self, _ctx: &RunContext<'_, B>, proposals: Vec<NoiseCorrection>) {
         for ((node, link), c) in self.links.iter_mut().enumerate().zip(&proposals) {
-            let payload = encode_correction(c.id, &c.sum_correction, &c.count_correction);
+            let payload = encode_correction(&MinIdLayout::row(c.id, c.payload()));
             send(link, node, NodeEvent::CorrectionProposal { payload });
         }
         // The coordinator shadows only the identifiers; payloads stay on
         // the nodes and are cross-checked by `read_out`.
-        self.ids = proposals.iter().map(|c| c.id).collect();
+        self.shadow = MinIdArena::build(proposals.len(), 0, |node, _| proposals[node].id);
     }
 
     fn read_out(&mut self, ctx: &RunContext<'_, B>) -> Vec<f64> {
-        let readouts = self.readout_round(ctx, 0..self.links.len(), false, Ok);
-        let winner_id = *self.ids.iter().min().expect("non-empty population");
-        let mut winning_row: Option<&[f64]> = None;
-        for (node, readout) in readouts.iter().enumerate() {
-            let (id, row) = readout.correction.as_ref().expect("every node holds a correction state");
-            assert_eq!(*id, self.ids[node], "the coordinator's shadow ids must match the nodes'");
-            if *id == winner_id {
-                let expected = *winning_row.get_or_insert(row);
-                assert_eq!(
-                    &row[..],
-                    expected,
-                    "every node holding the winning identifier must carry the same payload"
-                );
-            }
+        let row = |readout: Readout<B>| {
+            readout.correction.ok_or(FrameError::BadPayload("the readout carries no correction row"))
+        };
+        let rows = self.readout_round(ctx, 0..self.links.len(), false, row);
+        let winner = &rows[self.shadow.winning_node()];
+        for (node, row) in rows.iter().enumerate() {
+            assert_eq!(row[0], self.shadow.id(node), "the coordinator's shadow ids must match the nodes'");
+            // A row is the identifier and its payload: whoever holds the
+            // winning identifier must hold the winner's row, bit for bit.
+            assert!(
+                row[0] != winner[0] || row == winner,
+                "every node holding the winning identifier must carry the same payload"
+            );
         }
-        winning_row.expect("the winning identifier is held somewhere").to_vec()
+        MinIdLayout::payload(winner)
     }
 }
 

@@ -29,6 +29,7 @@ use chiaroscuro_crypto::backend::{CipherBackend, DamgardJurik};
 use chiaroscuro_crypto::encoding::FixedPointEncoder;
 use chiaroscuro_crypto::packing::PackedEncoder;
 use chiaroscuro_crypto::scheme::Ciphertext;
+use chiaroscuro_timeseries::distance::closest;
 use chiaroscuro_timeseries::TimeSeries;
 
 // The per-coordinate Diptych is off the run path: `chiarobench/src/layers.rs`
@@ -99,20 +100,11 @@ impl Diptych {
 }
 
 /// Index of the centroid closest to `series` (ties to the smallest index) —
-/// the assignment step of Algorithm 1, shared by the lane-packed and
-/// per-coordinate Diptych initialisations.
+/// the assignment step of Algorithm 1, by the workspace's one
+/// nearest-centroid rule, [`closest`].  The benchmark's
+/// `core.closest_centroid_ns` probe times it by this name.
 pub fn closest_centroid(centroids: &[TimeSeries], series: &TimeSeries) -> usize {
-    assert!(!centroids.is_empty());
-    let mut best = 0usize;
-    let mut best_d = f64::INFINITY;
-    for (i, c) in centroids.iter().enumerate() {
-        let d = c.squared_distance(series);
-        if d < best_d {
-            best_d = d;
-            best = i;
-        }
-    }
-    best
+    closest(series.values(), centroids).0
 }
 
 /// The lane-packed encrypted side of a participant's initial Diptych: its

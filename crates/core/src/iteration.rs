@@ -395,18 +395,9 @@ where
 
         Aggregates {
             participants: Cow::Borrowed(data),
-            assignment: assignment_from_labels(labels, k),
+            assignment: Assignment::from_labels(labels, k),
             sums: decrypted,
             counts,
         }
     }
-}
-
-/// Builds an [`Assignment`] from per-participant labels.
-fn assignment_from_labels(labels: Vec<usize>, k: usize) -> Assignment {
-    let mut sizes = vec![0usize; k];
-    for &l in &labels {
-        sizes[l] += 1;
-    }
-    Assignment { labels, sizes }
 }

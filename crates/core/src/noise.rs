@@ -110,6 +110,12 @@ impl NoiseCorrection {
         let count_correction = correction(count_scale, k);
         Self { id: rng.gen(), sum_correction, count_correction }
     }
+
+    /// The payload of the proposal's min-id row: every sum correction, then
+    /// every count correction.
+    pub fn payload(&self) -> impl Iterator<Item = f64> + '_ {
+        self.sum_correction.iter().chain(&self.count_correction).copied()
+    }
 }
 
 #[cfg(test)]

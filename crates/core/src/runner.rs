@@ -489,12 +489,10 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
     /// Slab dissemination on every engine: one flat `[id, payload…]` row
     /// per node instead of per-node boxed proposals.
     fn propose(&mut self, _ctx: &RunContext<'_, B>, proposals: Vec<NoiseCorrection>) {
-        let sums = proposals[0].sum_correction.len();
-        let width = sums + proposals[0].count_correction.len();
+        let width = proposals[0].payload().count();
         self.corrections = MinIdArena::build(proposals.len(), width, |node, row| {
             let c = &proposals[node];
-            row[..sums].copy_from_slice(&c.sum_correction);
-            row[sums..].copy_from_slice(&c.count_correction);
+            row.iter_mut().zip(c.payload()).for_each(|(cell, value)| *cell = value);
             c.id
         });
     }
@@ -514,7 +512,7 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
 }
 
 /// The dissemination store between iterations: no rows.
-fn no_corrections() -> MinIdArena {
+pub(crate) fn no_corrections() -> MinIdArena {
     MinIdArena::zeroed(MinIdLayout, 1, 0)
 }
 

@@ -134,23 +134,18 @@ impl ThresholdDealer {
         self.num_shares
     }
 
-    /// Draws the sharing polynomial's coefficients: `a0 = d`, then `τ − 1`
-    /// uniform draws below the sharing modulus.
-    ///
-    /// This is the *only* randomness dealing consumes — share evaluation is
-    /// deterministic — so an RNG-parity surrogate (see
-    /// `crate::backend::PlaintextSurrogate`) can replay the exact dealing
-    /// draws without paying the population-sized evaluation.
-    pub fn draw_coefficients<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<BigUint> {
-        let mut coefficients = vec![self.d.clone()];
-        coefficients.extend(draw_blinding_coefficients(&self.sharing_modulus, self.threshold, rng));
-        coefficients
-    }
-
     /// Deals the key-shares: a random polynomial `f` of degree `τ − 1` with
     /// `f(0) = d`, evaluated at `1..=ℓ` modulo `n^s·λ`.
+    ///
+    /// The `τ − 1` blinding coefficients (`draw_blinding_coefficients`)
+    /// are the *only* randomness dealing consumes — share evaluation is
+    /// deterministic — so an RNG-parity surrogate (see
+    /// `crate::backend::PlaintextSurrogate`) replays the exact dealing
+    /// draws through that function without paying the population-sized
+    /// evaluation.
     pub fn deal<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<KeyShare> {
-        let coefficients = self.draw_coefficients(rng);
+        let mut coefficients = vec![self.d.clone()];
+        coefficients.extend(draw_blinding_coefficients(&self.sharing_modulus, self.threshold, rng));
         (1..=self.num_shares)
             .map(|i| {
                 let x = BigUint::from(i);

@@ -6,67 +6,19 @@
 //! both peers keep the proposal with the smallest identifier, so the whole
 //! population converges on a single, unique correction (the unicity
 //! requirement of the noise generation).
+//!
+//! A proposal is one row of `u64` cells, `[identifier, payload…]`, with the
+//! `f64` payload stored as IEEE-754 bit patterns, and [`MinIdLayout`]'s
+//! exchange is the one min-id rule over such rows: the simulated population
+//! holds its rows in a [`MinIdArena`], a node actor holds its own row, and
+//! the rows' cells, big-endian, are the proposal's wire form.
 
-use crate::engine::{PairwiseProtocol, StateStore};
+use crate::engine::StateStore;
 use crate::slab::{RowLayout, RowSlab};
-
-/// One participant's dissemination state: the best (smallest-id) proposal
-/// seen so far.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MinIdState<T> {
-    /// Identifier of the currently retained proposal.
-    pub id: u64,
-    /// The payload of that proposal (e.g. the noise-correction vector).
-    pub payload: T,
-}
-
-impl<T> MinIdState<T> {
-    /// Creates a state holding this participant's own proposal.
-    pub fn new(id: u64, payload: T) -> Self {
-        Self { id, payload }
-    }
-}
 
 /// The min-identifier dissemination protocol.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DisseminationProtocol;
-
-impl<T: Clone> PairwiseProtocol<MinIdState<T>> for DisseminationProtocol {
-    fn exchange(&self, initiator: &mut MinIdState<T>, contact: &mut MinIdState<T>) {
-        if initiator.id <= contact.id {
-            contact.id = initiator.id;
-            contact.payload = initiator.payload.clone();
-        } else {
-            initiator.id = contact.id;
-            initiator.payload = contact.payload.clone();
-        }
-    }
-}
-
-/// Whether every participant has converged on the same proposal identifier.
-pub fn converged<T>(states: &[MinIdState<T>]) -> bool {
-    states.windows(2).all(|w| w[0].id == w[1].id)
-}
-
-/// The smallest identifier present in the population (the value everyone
-/// must converge to).
-pub fn global_minimum<T>(states: &[MinIdState<T>]) -> u64 {
-    states.iter().map(|s| s.id).min().expect("non-empty population")
-}
-
-/// The state holding the globally smallest identifier — the proposal the
-/// population is converging to, whether or not dissemination has finished.
-///
-/// The min-id exchange can only ever *lower* a node's identifier, so the
-/// global minimum present after any number of rounds is the true winner; a
-/// reader must take this state rather than an arbitrary node's (under churn
-/// an unconverged node may still hold a losing proposal).
-///
-/// # Panics
-/// Panics on an empty population.
-pub fn winning_state<T>(states: &[MinIdState<T>]) -> &MinIdState<T> {
-    states.iter().min_by_key(|s| s.id).expect("non-empty population")
-}
 
 /// The shape of a min-identifier row: the proposal identifier, then the
 /// `f64` payload as IEEE-754 bit patterns (the form it already travels in on
@@ -74,11 +26,23 @@ pub fn winning_state<T>(states: &[MinIdState<T>]) -> &MinIdState<T> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MinIdLayout;
 
+impl MinIdLayout {
+    /// One proposal as a row: its identifier, then its payload's bit
+    /// patterns.
+    pub fn row(id: u64, payload: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        std::iter::once(id).chain(payload.into_iter().map(f64::to_bits)).collect()
+    }
+
+    /// The payload of a row, as `f64` values.
+    pub fn payload(row: &[u64]) -> Vec<f64> {
+        row[1..].iter().map(|&bits| f64::from_bits(bits)).collect()
+    }
+}
+
 /// Flat storage for min-identifier dissemination over fixed-width `f64`
 /// payload vectors.
 ///
-/// Semantically equivalent to `Vec<MinIdState<Vec<f64>>>`, but the whole
-/// population lives in one flat allocation (a [`RowSlab`] of
+/// The whole population lives in one flat allocation (a [`RowSlab`] of
 /// `[identifier, payload…]` rows), so ten-million-node dissemination phases
 /// avoid per-node heap boxes and clone traffic.  Like every slab it is a
 /// [`ProtocolStore`](crate::engine::ProtocolStore), so both the round
@@ -112,11 +76,6 @@ impl RowSlab<MinIdLayout> {
         arena
     }
 
-    /// Width of every payload row.
-    pub fn payload_len(&self) -> usize {
-        self.row(0).len() - 1
-    }
-
     /// The proposal identifier currently retained by `node`.
     pub fn id(&self, node: usize) -> u64 {
         self.row(node)[0]
@@ -124,7 +83,7 @@ impl RowSlab<MinIdLayout> {
 
     /// The payload currently retained by `node`.
     pub fn payload(&self, node: usize) -> Vec<f64> {
-        self.row(node)[1..].iter().map(|&bits| f64::from_bits(bits)).collect()
+        MinIdLayout::payload(self.row(node))
     }
 
     /// Whether every node retains the same proposal identifier.
@@ -133,9 +92,14 @@ impl RowSlab<MinIdLayout> {
         self.rows().all(|row| row[0] == first)
     }
 
-    /// The node holding the globally smallest identifier — the arena
-    /// counterpart of [`winning_state`], valid whether or not dissemination
-    /// has converged.
+    /// The node holding the globally smallest identifier (the first such
+    /// node) — the proposal the population is converging to, whether or not
+    /// dissemination has finished.
+    ///
+    /// The min-id exchange can only ever *lower* a node's identifier, so the
+    /// global minimum present after any number of rounds is the true winner;
+    /// a reader must take this node's row rather than an arbitrary node's
+    /// (under churn an unconverged node may still hold a losing proposal).
     pub fn winning_node(&self) -> usize {
         let mut best = 0;
         for node in 1..self.population() {
@@ -149,8 +113,7 @@ impl RowSlab<MinIdLayout> {
 
 /// The min-id rule over one pair of rows: the smaller identifier wins on
 /// both sides, ties going to the initiator, and the winning row overwrites
-/// the losing one — exactly [`DisseminationProtocol`]'s exchange over
-/// `MinIdState<Vec<f64>>`.
+/// the losing one.
 impl RowLayout<DisseminationProtocol> for MinIdLayout {
     fn exchange_rows(&self, _protocol: &DisseminationProtocol, initiator: &mut [u64], contact: &mut [u64]) {
         if initiator[0] <= contact[0] {
@@ -165,39 +128,51 @@ impl RowLayout<DisseminationProtocol> for MinIdLayout {
 mod tests {
     use super::*;
     use crate::churn::ChurnModel;
-    use crate::engine::{GossipEngine, ProtocolStore};
+    use crate::engine::{GossipEngine, PairwiseProtocol, ProtocolStore};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_states(population: usize, seed: u64) -> Vec<MinIdState<f64>> {
+    /// An arena of `population` random proposals, each an identifier and a
+    /// one-value payload drawn in that order.
+    fn random_arena(population: usize, seed: u64) -> MinIdArena {
         let mut rng = StdRng::seed_from_u64(seed);
-        (0..population)
-            .map(|_| MinIdState::new(rng.gen::<u64>(), rng.gen::<f64>()))
-            .collect()
+        MinIdArena::build(population, 1, |_, payload| {
+            let id = rng.gen::<u64>();
+            payload[0] = rng.gen::<f64>();
+            id
+        })
+    }
+
+    /// The smallest identifier present and the row that carries it.
+    fn minimum(arena: &MinIdArena) -> (u64, Vec<u64>) {
+        let row = arena.rows().min_by_key(|row| row[0]).expect("non-empty population");
+        (row[0], row.to_vec())
     }
 
     #[test]
     fn exchange_keeps_smaller_identifier_on_both_sides() {
-        let mut a = MinIdState::new(5, "a".to_string());
-        let mut b = MinIdState::new(2, "b".to_string());
-        DisseminationProtocol.exchange(&mut a, &mut b);
-        assert_eq!(a.id, 2);
-        assert_eq!(b.id, 2);
-        assert_eq!(a.payload, "b");
+        let mut a = MinIdLayout::row(5, [1.5]);
+        let mut b = MinIdLayout::row(2, [-0.25]);
+        MinIdLayout.exchange_rows(&DisseminationProtocol, &mut a, &mut b);
+        assert_eq!(a[0], 2);
+        assert_eq!(b[0], 2);
+        assert_eq!(MinIdLayout::payload(&a), [-0.25]);
+        // Ties go to the initiator, whose row is copied bit for bit.
+        let mut c = MinIdLayout::row(2, [-0.0]);
+        MinIdLayout.exchange_rows(&DisseminationProtocol, &mut c, &mut a);
+        assert_eq!(a, MinIdLayout::row(2, [-0.0]));
     }
 
     #[test]
     fn dissemination_converges_to_global_minimum() {
         let mut rng = StdRng::seed_from_u64(1);
-        let states = random_states(2_000, 7);
-        let expected_min = global_minimum(&states);
-        let expected_payload = states.iter().find(|s| s.id == expected_min).unwrap().payload;
-        let mut engine = GossipEngine::new(states, ChurnModel::NONE);
-        let ok = engine.run_until(&DisseminationProtocol, 40, &mut rng, |s| converged(s), None);
+        let arena = random_arena(2_000, 7);
+        let (_, expected) = minimum(&arena);
+        let mut engine = GossipEngine::new(arena, ChurnModel::NONE);
+        let ok = engine.run_until(&DisseminationProtocol, 40, &mut rng, MinIdArena::converged, None);
         assert!(ok, "dissemination must converge within 40 rounds");
-        for s in engine.nodes() {
-            assert_eq!(s.id, expected_min);
-            assert_eq!(s.payload, expected_payload);
+        for row in engine.nodes().rows() {
+            assert_eq!(row, expected);
         }
     }
 
@@ -209,9 +184,8 @@ mod tests {
         let mut rounds = Vec::new();
         for (seed, population) in [(1u64, 500usize), (2, 5_000)] {
             let mut rng = StdRng::seed_from_u64(seed);
-            let states = random_states(population, seed);
-            let mut engine = GossipEngine::new(states, ChurnModel::NONE);
-            let ok = engine.run_until(&DisseminationProtocol, 60, &mut rng, |s| converged(s), None);
+            let mut engine = GossipEngine::new(random_arena(population, seed), ChurnModel::NONE);
+            let ok = engine.run_until(&DisseminationProtocol, 60, &mut rng, MinIdArena::converged, None);
             assert!(ok);
             rounds.push(engine.metrics().rounds());
         }
@@ -221,40 +195,53 @@ mod tests {
 
     #[test]
     fn winning_state_is_correct_even_when_dissemination_did_not_converge() {
-        // Regression for reading nodes()[0] after a non-converged run: cut
+        // Regression for reading node 0 after a non-converged run: cut
         // dissemination short under heavy churn so run_until returns false,
         // then check that node 0 may hold a losing proposal while the
-        // winning_state is always the global-minimum one.
-        let states = random_states(600, 13);
-        let expected_min = global_minimum(&states);
-        let expected_payload = states.iter().find(|s| s.id == expected_min).unwrap().payload;
+        // winning node always holds the global-minimum one.
+        let arena = random_arena(600, 13);
+        let (expected_min, expected) = minimum(&arena);
         let mut rng = StdRng::seed_from_u64(4);
-        let mut engine = GossipEngine::new(states, ChurnModel::new(0.6));
-        let ok = engine.run_until(&DisseminationProtocol, 3, &mut rng, |s| converged(s), None);
+        let mut engine = GossipEngine::new(arena, ChurnModel::new(0.6));
+        let ok = engine.run_until(&DisseminationProtocol, 3, &mut rng, MinIdArena::converged, None);
         assert!(!ok, "3 rounds at 60% churn must not converge a 600-node population");
-        let winner = winning_state(engine.nodes());
-        assert_eq!(winner.id, expected_min, "the global minimum can never be displaced");
-        assert_eq!(winner.payload, expected_payload);
+        let arena = engine.nodes();
+        assert_eq!(arena.row(arena.winning_node()), expected, "the global minimum can never be displaced");
         // The old bug: some node (node 0 among them, for this seed) still
         // holds a different proposal — reading it would disagree with the
         // population's eventual agreement.
         assert!(
-            engine.nodes().iter().any(|s| s.id != expected_min),
+            arena.rows().any(|row| row[0] != expected_min),
             "the run must be genuinely unconverged for this regression to bite"
         );
     }
 
-    fn arena_and_vec_twins(
-        population: usize,
-        payload_len: usize,
-        seed: u64,
-    ) -> (MinIdArena, Vec<MinIdState<Vec<f64>>>) {
+    /// An independent reference for the row rule: one boxed proposal per
+    /// node, the smaller identifier overwriting the other (ties to the
+    /// initiator).
+    #[derive(Debug, Clone, PartialEq)]
+    struct Reference {
+        id: u64,
+        payload: Vec<f64>,
+    }
+
+    impl PairwiseProtocol<Reference> for DisseminationProtocol {
+        fn exchange(&self, initiator: &mut Reference, contact: &mut Reference) {
+            if initiator.id <= contact.id {
+                *contact = initiator.clone();
+            } else {
+                *initiator = contact.clone();
+            }
+        }
+    }
+
+    fn arena_and_vec_twins(population: usize, payload_len: usize, seed: u64) -> (MinIdArena, Vec<Reference>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let states: Vec<MinIdState<Vec<f64>>> = (0..population)
+        let states: Vec<Reference> = (0..population)
             .map(|_| {
                 let id = rng.gen::<u64>();
                 let payload: Vec<f64> = (0..payload_len).map(|_| rng.gen::<f64>()).collect();
-                MinIdState::new(id, payload)
+                Reference { id, payload }
             })
             .collect();
         let arena = MinIdArena::build(population, payload_len, |node, row| {
@@ -264,11 +251,16 @@ mod tests {
         (arena, states)
     }
 
-    fn assert_arena_matches_vec(arena: &MinIdArena, states: &[MinIdState<Vec<f64>>]) {
+    fn assert_arena_matches_vec(arena: &MinIdArena, states: &[Reference]) {
         for (node, state) in states.iter().enumerate() {
             assert_eq!(arena.id(node), state.id, "id of node {node}");
             assert_eq!(arena.payload(node), state.payload.as_slice(), "payload of node {node}");
         }
+    }
+
+    /// The reference population's winner: the first node of smallest id.
+    fn reference_winner(states: &[Reference]) -> &Reference {
+        states.iter().min_by_key(|s| s.id).expect("non-empty population")
     }
 
     #[test]
@@ -287,8 +279,8 @@ mod tests {
             states.apply_exchange(&DisseminationProtocol, i, c);
         }
         assert_arena_matches_vec(&arena, &states);
-        assert_eq!(arena.converged(), converged(&states));
-        assert_eq!(arena.id(arena.winning_node()), global_minimum(&states));
+        assert_eq!(arena.converged(), states.windows(2).all(|w| w[0].id == w[1].id));
+        assert_eq!(arena.id(arena.winning_node()), reference_winner(&states).id);
     }
 
     #[test]
@@ -334,6 +326,7 @@ mod tests {
         // The round plan is state-independent too, so clones of one RNG
         // drive both storages through the same exchanges and stop them at
         // the same round, converged or not.
+        let agreed = |states: &Vec<Reference>| states.windows(2).all(|w| w[0].id == w[1].id);
         for churn in [0.0, 0.3, 0.6] {
             let model = if churn == 0.0 { ChurnModel::NONE } else { ChurnModel::new(churn) };
             let (arena, states) = arena_and_vec_twins(120, 3, 77);
@@ -343,14 +336,13 @@ mod tests {
             let mut rng_b = rng_a.clone();
             let stopped_a =
                 arena_engine.run_until(&DisseminationProtocol, 12, &mut rng_a, MinIdArena::converged, None);
-            let stopped_b =
-                vec_engine.run_until(&DisseminationProtocol, 12, &mut rng_b, |s| converged(s), None);
+            let stopped_b = vec_engine.run_until(&DisseminationProtocol, 12, &mut rng_b, agreed, None);
             assert_eq!(stopped_a, stopped_b, "stop flag at churn {churn}");
             assert_eq!(rng_a, rng_b, "RNG end state at churn {churn}");
             assert_eq!(arena_engine.metrics(), vec_engine.metrics(), "metrics at churn {churn}");
             let (arena, states) = (arena_engine.nodes(), vec_engine.nodes());
             assert_arena_matches_vec(arena, states);
-            let (winner, expected) = (arena.winning_node(), winning_state(states));
+            let (winner, expected) = (arena.winning_node(), reference_winner(states));
             assert_eq!(arena.id(winner), expected.id);
             assert_eq!(arena.payload(winner), expected.payload.as_slice());
         }
@@ -359,11 +351,11 @@ mod tests {
     #[test]
     fn dissemination_survives_churn() {
         let mut rng = StdRng::seed_from_u64(3);
-        let states = random_states(1_000, 11);
-        let expected_min = global_minimum(&states);
-        let mut engine = GossipEngine::new(states, ChurnModel::new(0.25));
-        let ok = engine.run_until(&DisseminationProtocol, 80, &mut rng, |s| converged(s), None);
+        let arena = random_arena(1_000, 11);
+        let (expected_min, _) = minimum(&arena);
+        let mut engine = GossipEngine::new(arena, ChurnModel::new(0.25));
+        let ok = engine.run_until(&DisseminationProtocol, 80, &mut rng, MinIdArena::converged, None);
         assert!(ok, "dissemination must still converge under 25% churn");
-        assert_eq!(engine.nodes()[0].id, expected_min);
+        assert_eq!(engine.nodes().id(0), expected_min);
     }
 }

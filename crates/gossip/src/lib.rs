@@ -51,7 +51,7 @@ pub use sim::{
 pub mod prelude {
     pub use crate::churn::ChurnModel;
     pub use crate::decryption::{DecryptionProtocol, DecryptionSimReport};
-    pub use crate::dissemination::{DisseminationProtocol, MinIdArena, MinIdState};
+    pub use crate::dissemination::{DisseminationProtocol, MinIdArena};
     pub use crate::eesum::{EesState, EesSumProtocol, EpidemicValue, PlainVector};
     pub use crate::engine::{GossipEngine, PairwiseProtocol};
     pub use crate::metrics::ExchangeMetrics;

@@ -103,9 +103,6 @@ pub struct AsyncNetworkConfig {
     /// sample by a deterministic factor in `[1 − spread, 1 + spread]`
     /// derived from a hash of the pair.  `0.0` = homogeneous network.
     pub edge_spread: f64,
-    /// Salt of the per-edge factor hash (lets two runs disagree about which
-    /// edges are slow without touching the RNG stream).
-    pub edge_salt: u64,
     /// When `true`, every node's first initiation fires at time 0 — with
     /// zero latency this reproduces the synchronous round structure.  When
     /// `false` (default), initiations are staggered across the period by a
@@ -127,7 +124,6 @@ impl Default for AsyncNetworkConfig {
             latency: LatencyModel::ZERO,
             loss_probability: 0.0,
             edge_spread: 0.0,
-            edge_salt: 0x1A7E_ECED,
             synchronized_start: false,
             crash: CrashSchedule::NONE,
             sim_shards: 1,
@@ -444,22 +440,18 @@ mod tests {
 
     #[test]
     fn heterogeneous_edges_scale_latency_deterministically() {
-        // edge_spread stretches per-edge delays; the factor is a pure hash,
-        // so two engines with the same salt agree and a different salt
-        // reshuffles which edges are slow without touching the RNG stream.
-        let base = AsyncNetworkConfig::default()
-            .with_latency(LatencyModel::Constant(0.2))
-            .with_edge_spread(0.9);
-        let run = |salt: u64| {
-            let mut config = base.clone();
-            config.edge_salt = salt;
+        // edge_spread stretches per-edge delays; the factor is a pure hash
+        // of the edge, so two engines with the same configuration agree.
+        let run = |spread: f64| {
+            let config =
+                AsyncNetworkConfig::default().with_latency(LatencyModel::Constant(0.2)).with_edge_spread(spread);
             let mut rng = StdRng::seed_from_u64(77);
             let mut engine = ShardedAsyncEngine::new(sum_states(32), config, ChurnModel::NONE);
             engine.run_for(&PushPullSum, 15.0, &mut rng);
             engine.nodes().to_vec()
         };
-        assert_eq!(run(1), run(1), "same salt: same simulation");
-        assert_ne!(run(1), run(2), "a different salt re-draws the slow edges");
+        assert_eq!(run(0.9), run(0.9), "same configuration: same simulation");
+        assert_ne!(run(0.9), run(0.0), "the spread stretches the slow edges");
     }
 
     #[test]

@@ -242,15 +242,18 @@ fn sort_unit_keys<T: Copy>(items: &[T], origin: f64, key: impl Fn(&T) -> f64) ->
     sorted
 }
 
+/// Salt of the per-edge latency factor hash.
+const EDGE_SALT: u64 = 0x1A7E_ECED;
+
 /// The deterministic per-edge latency factor: a pure SplitMix64 hash of
-/// `(edge, salt)` mapped into `[1 − spread, 1 + spread]`.
-fn edge_factor(spread: f64, salt: u64, a: usize, b: usize) -> f64 {
+/// `(edge, EDGE_SALT)` mapped into `[1 − spread, 1 + spread]`.
+fn edge_factor(spread: f64, a: usize, b: usize) -> f64 {
     if spread == 0.0 {
         return 1.0;
     }
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
     // SplitMix64 finalizer over (edge, salt).
-    let mut x = ((lo as u64) << 32 | hi as u64).wrapping_add(salt);
+    let mut x = ((lo as u64) << 32 | hi as u64).wrapping_add(EDGE_SALT);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^= x >> 31;
@@ -313,7 +316,7 @@ fn generate_shard(
             continue;
         }
         let delay = config.latency.sample(&mut ev)
-            * edge_factor(config.edge_spread, config.edge_salt, node, contact);
+            * edge_factor(config.edge_spread, node, contact);
         let delivery = time + delay;
         // Resolve the delivery-side outcome now (all draws are
         // state-independent); its metrics effects are booked at the

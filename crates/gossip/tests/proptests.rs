@@ -3,7 +3,7 @@
 //! convergence of the min-id dissemination, and engine bookkeeping.
 
 use chiaroscuro_gossip::churn::ChurnModel;
-use chiaroscuro_gossip::dissemination::{converged, global_minimum, DisseminationProtocol, MinIdState};
+use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdArena};
 use chiaroscuro_gossip::eesum::{initial_states as ees_states, EesSumProtocol, PlainVector};
 use chiaroscuro_gossip::engine::{pair_mut, GossipEngine, PairwiseProtocol};
 use chiaroscuro_gossip::sum::{initial_states, PushPullSum, SumState};
@@ -92,24 +92,27 @@ proptest! {
         rounds in 1u32..40,
         seed in any::<u64>(),
     ) {
-        let states: Vec<MinIdState<u64>> = ids.iter().map(|&id| MinIdState::new(id, id)).collect();
-        let expected = global_minimum(&states);
-        let mut engine = GossipEngine::new(states, ChurnModel::NONE);
+        let arena = MinIdArena::build(ids.len(), 1, |node, payload| {
+            payload[0] = ids[node] as f64;
+            ids[node]
+        });
+        let expected = *ids.iter().min().unwrap();
+        let mut engine = GossipEngine::new(arena, ChurnModel::NONE);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut previous: Vec<u64> = engine.nodes().iter().map(|s| s.id).collect();
+        let mut previous = ids.clone();
         for _ in 0..rounds {
             engine.run_round(&DisseminationProtocol, &mut rng);
-            let current: Vec<u64> = engine.nodes().iter().map(|s| s.id).collect();
+            let current: Vec<u64> = engine.nodes().rows().map(|row| row[0]).collect();
             for (before, after) in previous.iter().zip(current.iter()) {
                 prop_assert!(after <= before, "the retained id must never increase");
             }
             previous = current;
         }
-        for state in engine.nodes() {
-            prop_assert!(state.id >= expected);
+        for &id in &previous {
+            prop_assert!(id >= expected);
         }
-        if converged(engine.nodes()) {
-            prop_assert!(engine.nodes().iter().all(|s| s.id == expected));
+        if engine.nodes().converged() {
+            prop_assert!(previous.iter().all(|&id| id == expected));
         }
     }
 

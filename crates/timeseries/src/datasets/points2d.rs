@@ -161,7 +161,8 @@ mod tests {
     fn labels_match_closest_true_center_mostly() {
         let generator = Points2dGenerator::new(7).with_duplication(10);
         let (set, labels) = generator.generate_labelled(2_000);
-        let centers: Vec<Vec<f64>> = generator.true_centers().iter().map(|c| c.to_vec()).collect();
+        let centers: Vec<TimeSeries> =
+            generator.true_centers().iter().map(|c| TimeSeries::new(c.to_vec())).collect();
         let mut correct = 0usize;
         for (point, &label) in set.iter().zip(labels.iter()) {
             let (idx, _) = closest(point.values(), &centers);

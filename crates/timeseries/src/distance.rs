@@ -3,6 +3,8 @@
 //! The paper's clustering quality (Definition 1) and the k-means assignment
 //! step both use the squared Euclidean distance.
 
+use crate::series::TimeSeries;
+
 /// Squared Euclidean distance `||a - b||²`.
 ///
 /// # Panics
@@ -37,19 +39,21 @@ pub fn l1(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Index of the closest centroid to `point` under squared Euclidean
-/// distance, together with that distance.
+/// distance, together with that distance: the assignment step of k-means
+/// (§3.1) and of Algorithm 1, the one nearest-centroid rule of the
+/// workspace.
 ///
 /// Ties are broken towards the smallest index, which makes the assignment
 /// step deterministic.
 ///
 /// # Panics
 /// Panics if `centroids` is empty.
-pub fn closest(point: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
+pub fn closest(point: &[f64], centroids: &[TimeSeries]) -> (usize, f64) {
     assert!(!centroids.is_empty(), "closest() needs at least one centroid");
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
     for (i, c) in centroids.iter().enumerate() {
-        let d = squared_euclidean(point, c);
+        let d = squared_euclidean(point, c.values());
         if d < best_d {
             best_d = d;
             best = i;
@@ -88,7 +92,7 @@ mod tests {
 
     #[test]
     fn closest_picks_minimum() {
-        let centroids = vec![vec![0.0, 0.0], vec![10.0, 10.0], vec![2.0, 2.0]];
+        let centroids = [[0.0, 0.0], [10.0, 10.0], [2.0, 2.0]].map(|c| TimeSeries::new(c.to_vec()));
         let (idx, d) = closest(&[2.5, 2.5], &centroids);
         assert_eq!(idx, 2);
         assert!((d - 0.5).abs() < 1e-12);
@@ -96,7 +100,7 @@ mod tests {
 
     #[test]
     fn closest_breaks_ties_to_smallest_index() {
-        let centroids = vec![vec![1.0], vec![3.0]];
+        let centroids = [1.0, 3.0].map(|c| TimeSeries::new(vec![c]));
         let (idx, _) = closest(&[2.0], &centroids);
         assert_eq!(idx, 0);
     }

@@ -23,13 +23,19 @@ impl Assignment {
     /// Panics if `centroids` is empty.
     pub fn compute(data: &TimeSeriesSet, centroids: &[TimeSeries]) -> Self {
         assert!(!centroids.is_empty(), "assignment needs at least one centroid");
-        let centroid_vecs: Vec<Vec<f64>> = centroids.iter().map(|c| c.values().to_vec()).collect();
-        let mut labels = Vec::with_capacity(data.len());
-        let mut sizes = vec![0usize; centroids.len()];
-        for s in data.iter() {
-            let (idx, _) = closest(s.values(), &centroid_vecs);
-            labels.push(idx);
-            sizes[idx] += 1;
+        let labels = data.iter().map(|s| closest(s.values(), centroids).0).collect();
+        Self::from_labels(labels, centroids.len())
+    }
+
+    /// The assignment that puts series `i` in cluster `labels[i]`, over `k`
+    /// clusters.
+    ///
+    /// # Panics
+    /// Panics if a label is `k` or more.
+    pub fn from_labels(labels: Vec<usize>, k: usize) -> Self {
+        let mut sizes = vec![0usize; k];
+        for &label in &labels {
+            sizes[label] += 1;
         }
         Self { labels, sizes }
     }
