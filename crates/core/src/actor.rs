@@ -28,6 +28,25 @@
 //! in the private `decode` sub-module and fails closed: exchange state
 //! bytes originate at peers, so a malformed payload is a typed
 //! [`FrameError`], never a panic inside a decoder.
+//!
+//! The actor is a total state machine over `(state, event)`: every pair
+//! below has a meaning, and every other pair — a second `Hello`, an
+//! exchange before the iteration starts, any `ReadoutReply` — is a
+//! [`FrameError::OutOfOrder`] naming the event's kind and the state, which
+//! it leaves untouched.
+//!
+//! | State | Event | Effect |
+//! |---|---|---|
+//! | blank | `Hello` | installs the plan, cipher material and series: provisioned |
+//! | provisioned | `IterationStart` | builds the contribution: iterating |
+//! | iterating | `IterationStart` | the next iteration: fresh means state, no proposal |
+//! | iterating | means-phase `InitiateExchange` / `ExchangeRequest` / `ExchangeReply` | one EESum exchange |
+//! | iterating | `CorrectionProposal` | installs the proposal row |
+//! | iterating, with a proposal | correction-phase exchange events (the same three) | one min-id exchange |
+//! | iterating | `ReadoutRequest` | replies with a `ReadoutReply` |
+//! | any | `Shutdown` | nothing: the serve loop consumes it first |
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::sync::Arc;
 
@@ -48,7 +67,7 @@ use crate::plan::DevicePlan;
 mod decode;
 
 pub(crate) use decode::decode_readout;
-use decode::{decode_correction, decode_phase_state, PhaseState};
+use decode::{decode_correction, decode_means};
 
 /// Encoded-frame overhead of one means-phase exchange message beyond the
 /// raw unit payload: the frame header plus the phase byte, the EESum
@@ -175,21 +194,102 @@ pub(crate) struct Readout<B: CipherBackend> {
 
 // --- the actor ---
 
-/// Provisioned per-node material, installed by [`NodeEvent::Hello`].
+/// The actor's lifecycle (the module docs tabulate the events each state
+/// accepts).
 #[derive(Debug)]
-struct Provision<B: CipherBackend> {
-    kit: DeviceKit<B>,
-    series: TimeSeries,
+enum NodeState<B: CipherBackend> {
+    /// Before `Hello`.
+    Blank,
+    /// Provisioned by `Hello`; iterating from the first `IterationStart` on.
+    Ready { kit: Box<DeviceKit<B>>, series: TimeSeries, iteration: Option<Iteration<B>> },
+}
+
+impl<B: CipherBackend> NodeState<B> {
+    /// Installs a decoded provisioning spec — its lane layout planned once,
+    /// here — or rejects it as a typed error when its public material or
+    /// lane plan cannot be installed.
+    fn install(spec: NodeSpec) -> Result<Self, FrameError> {
+        let backend = B::import_public(&spec.public)
+            .ok_or(FrameError::BadPayload("public cipher material rejected by the run's backend"))?;
+        let unfit = FrameError::BadPayload("the provisioned lane budget does not fit its capacity");
+        let packer = spec.plan.packer().map_err(|_| unfit)?;
+        let kit = Box::new(DeviceKit { backend: Arc::new(backend), plan: spec.plan, packer });
+        Ok(NodeState::Ready { kit, series: TimeSeries::new(spec.series), iteration: None })
+    }
+
+    /// The state as a [`FrameError::OutOfOrder`] names it.
+    fn name(&self) -> &'static str {
+        match self {
+            NodeState::Blank => "blank",
+            NodeState::Ready { iteration: None, .. } => "provisioned",
+            NodeState::Ready { iteration: Some(Iteration { correction: None, .. }), .. } => "iterating",
+            NodeState::Ready { iteration: Some(_), .. } => "iterating with a correction proposal",
+        }
+    }
+}
+
+/// One iteration's protocol state.
+#[derive(Debug)]
+struct Iteration<B: CipherBackend> {
+    ees: EesState<BackendVector<B>>,
+    /// This node's correction proposal, one [`MinIdLayout`] row.
+    correction: Option<Vec<u64>>,
+}
+
+impl<B: CipherBackend> Iteration<B> {
+    /// Builds this device's contribution from its delivered seed — the
+    /// same `device_contribution` the in-process executor maps over the
+    /// population — with no proposal yet.  The decoder read exactly `k·n`
+    /// centroid values, so the chunks are the run's `k` centroids.
+    fn start(kit: &DeviceKit<B>, series: &TimeSeries, inputs: &IterationInputs) -> Self {
+        let centroids: Vec<TimeSeries> = inputs
+            .centroids_flat
+            .chunks_exact(kit.plan.series_length)
+            .map(|c| TimeSeries::new(c.to_vec()))
+            .collect();
+        let (_assigned, flat) = device_contribution(
+            kit,
+            &centroids,
+            series,
+            inputs.participant_seed,
+            inputs.sum_scale,
+            inputs.count_scale,
+        );
+        let value = BackendVector::new(kit.backend.clone(), flat);
+        // One node seeds the epidemic weight, as in the simulated phase.
+        let ees = if inputs.weight_seed { EesState::new_seed(value) } else { EesState::new(value) };
+        Self { ees, correction: None }
+    }
+
+    /// The means-phase exchange state: weight, exchange count and units.
+    fn means(&self, kit: &DeviceKit<B>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_f64(&mut buf, self.ees.weight);
+        put_u32(&mut buf, self.ees.exchanges);
+        buf.extend_from_slice(&serialize_units::<B>(kit.backend.as_ref(), self.ees.value.units()));
+        buf
+    }
+
+    /// The `ReadoutReply` payload: the weight, then the correction row and
+    /// the units, each behind a presence flag.
+    fn readout(&self, kit: &DeviceKit<B>, include_units: bool) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_f64(&mut buf, self.ees.weight);
+        buf.push(u8::from(self.correction.is_some()));
+        put_row(&mut buf, self.correction.as_deref().unwrap_or_default());
+        buf.push(u8::from(include_units));
+        if include_units {
+            buf.extend_from_slice(&serialize_units::<B>(kit.backend.as_ref(), self.ees.value.units()));
+        }
+        buf
+    }
 }
 
 /// One Chiaroscuro participant as a message-driven actor (see the module
 /// docs for the event lifecycle and the determinism contract).
 #[derive(Debug)]
 pub struct ChiaroscuroNodeActor<B: CipherBackend> {
-    provision: Option<Provision<B>>,
-    ees: Option<EesState<BackendVector<B>>>,
-    /// This node's correction proposal, one [`MinIdLayout`] row.
-    correction: Option<Vec<u64>>,
+    state: NodeState<B>,
 }
 
 impl<B: CipherBackend> Default for ChiaroscuroNodeActor<B> {
@@ -202,158 +302,75 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
     /// A blank actor; every capability arrives via [`NodeEvent::Hello`],
     /// and its identity is the link it serves.
     pub fn new() -> Self {
-        Self { provision: None, ees: None, correction: None }
+        Self { state: NodeState::Blank }
     }
 
-    fn provision(&self) -> &Provision<B> {
-        self.provision.as_ref().expect("the actor must be provisioned (Hello) first")
-    }
-
-    /// Installs a decoded provisioning spec — its lane layout planned once,
-    /// here — or rejects it as a typed error when its public material or
-    /// lane plan cannot be installed.
-    fn install(&mut self, spec: NodeSpec) -> Result<(), FrameError> {
-        let backend = B::import_public(&spec.public)
-            .ok_or(FrameError::BadPayload("public cipher material rejected by the run's backend"))?;
-        let unfit = FrameError::BadPayload("the provisioned lane budget does not fit its capacity");
-        let packer = spec.plan.packer().map_err(|_| unfit)?;
-        let kit = DeviceKit { backend: Arc::new(backend), plan: spec.plan, packer };
-        self.provision = Some(Provision { kit, series: TimeSeries::new(spec.series) });
-        Ok(())
-    }
-
-    /// Builds this device's contribution from its delivered seed — the
-    /// same `device_contribution` the in-process executor maps over the
-    /// population — and resets the per-iteration protocol state.
-    fn start_iteration(&mut self, inputs: &IterationInputs) {
-        let p = self.provision.as_ref().expect("IterationStart before Hello");
-        let centroids: Vec<TimeSeries> = inputs
-            .centroids_flat
-            .chunks_exact(p.kit.plan.series_length)
-            .map(|c| TimeSeries::new(c.to_vec()))
-            .collect();
-        assert_eq!(centroids.len(), p.kit.plan.k, "IterationStart must carry k centroids");
-        let (_assigned, flat) = device_contribution(
-            &p.kit,
-            &centroids,
-            &p.series,
-            inputs.participant_seed,
-            inputs.sum_scale,
-            inputs.count_scale,
-        );
-        let value = BackendVector::new(p.kit.backend.clone(), flat);
-        // One node seeds the epidemic weight, as in the simulated phase.
-        self.ees = Some(if inputs.weight_seed { EesState::new_seed(value) } else { EesState::new(value) });
-        self.correction = None;
-    }
-
-    fn serialize_phase_state(&self, phase: Phase) -> Vec<u8> {
-        match phase {
-            Phase::Means => {
-                let ees = self.ees.as_ref().expect("no means state before IterationStart");
-                let mut buf = Vec::new();
-                put_f64(&mut buf, ees.weight);
-                put_u32(&mut buf, ees.exchanges);
-                buf.extend_from_slice(&serialize_units::<B>(
-                    self.provision().kit.backend.as_ref(),
-                    ees.value.units(),
-                ));
-                buf
-            }
-            Phase::Correction => {
-                encode_correction(self.correction.as_ref().expect("no correction proposal installed"))
-            }
-        }
-    }
-
-    fn phase_state(&self, phase: Phase, bytes: &[u8]) -> Result<PhaseState<B>, FrameError> {
-        decode_phase_state(&self.provision().kit, phase, bytes)
-    }
-
-    /// Contact side of one exchange: merge the initiator's state into our
-    /// own with the real pairwise protocol (initiator first — the engines'
-    /// argument order), then report the merged state, which both peers end
-    /// the exchange holding.
-    fn apply_exchange(&mut self, phase: Phase, initiator_state: &[u8]) -> Result<Vec<u8>, FrameError> {
-        match self.phase_state(phase, initiator_state)? {
-            PhaseState::Means(mut peer) => {
-                let own = self.ees.as_mut().expect("exchange before IterationStart");
-                EesSumProtocol.exchange(&mut peer, own);
-            }
-            PhaseState::Correction(mut peer) => {
-                let own = self.correction.as_mut().expect("exchange before any proposal");
-                MinIdLayout.exchange_rows(&DisseminationProtocol, &mut peer, own);
-            }
-        }
-        Ok(self.serialize_phase_state(phase))
-    }
-
-    /// Initiator side, reply half: adopt the merged state wholesale.
-    fn adopt(&mut self, phase: Phase, merged: &[u8]) -> Result<(), FrameError> {
-        match self.phase_state(phase, merged)? {
-            PhaseState::Means(state) => self.ees = Some(state),
-            PhaseState::Correction(state) => self.correction = Some(state),
-        }
-        Ok(())
-    }
-
-    fn readout(&self, include_units: bool) -> Vec<u8> {
-        let ees = self.ees.as_ref().expect("readout before IterationStart");
-        let mut buf = Vec::new();
-        put_f64(&mut buf, ees.weight);
-        match &self.correction {
-            Some(row) => {
-                buf.push(1);
-                put_row(&mut buf, row);
-            }
-            None => buf.push(0),
-        }
-        if include_units {
-            buf.push(1);
-            buf.extend_from_slice(&serialize_units::<B>(
-                self.provision().kit.backend.as_ref(),
-                ees.value.units(),
-            ));
-        } else {
-            buf.push(0);
-        }
-        buf
-    }
-
-    /// Reacts to one event; a payload that does not decode is a typed error
-    /// and leaves the actor's state untouched.
+    /// Reacts to one event: one arm per legal `(state, event)` pair.  Any
+    /// other pair is a [`FrameError::OutOfOrder`], and a payload that does
+    /// not decode is a typed error; either leaves the state untouched,
+    /// because every payload is decoded before anything is written.
+    ///
+    /// On an exchange the contact merges the initiator's state into its own
+    /// with the real pairwise protocol (initiator first — the engines'
+    /// argument order) and replies with the merged state, which both peers
+    /// end the exchange holding: the initiator adopts it wholesale.
     fn handle(&mut self, from: NodeId, event: NodeEvent) -> Result<Vec<(NodeId, NodeEvent)>, FrameError> {
-        Ok(match event {
-            NodeEvent::Hello { config } => {
-                self.install(NodeSpec::decode(&config)?)?;
+        use NodeEvent::{
+            CorrectionProposal, ExchangeReply, ExchangeRequest, Hello, InitiateExchange, IterationStart, ReadoutReply,
+            ReadoutRequest, Shutdown,
+        };
+        use Phase::{Correction, Means};
+
+        let out_of_order = FrameError::OutOfOrder { kind: event.kind(), state: self.state.name() };
+        let NodeState::Ready { kit, series, iteration } = &mut self.state else {
+            return match event {
+                Hello { config } => {
+                    self.state = NodeState::install(NodeSpec::decode(&config)?)?;
+                    Ok(Vec::new())
+                }
+                Shutdown => Ok(Vec::new()),
+                _ => Err(out_of_order),
+            };
+        };
+        Ok(match (event, iteration) {
+            (IterationStart { payload }, iteration) => {
+                let inputs = IterationInputs::decode(&payload, &kit.plan)?;
+                *iteration = Some(Iteration::start(kit, series, &inputs));
                 Vec::new()
             }
-            NodeEvent::IterationStart { payload } => {
-                let inputs = IterationInputs::decode(&payload, &self.provision().kit.plan)?;
-                self.start_iteration(&inputs);
+            (InitiateExchange { phase: Means, contact }, Some(it)) => {
+                vec![(contact, ExchangeRequest { phase: Means, state: it.means(kit) })]
+            }
+            (ExchangeRequest { phase: Means, state }, Some(it)) => {
+                let mut peer = decode_means(kit, &state)?;
+                EesSumProtocol.exchange(&mut peer, &mut it.ees);
+                vec![(from, ExchangeReply { phase: Means, state: it.means(kit) })]
+            }
+            (ExchangeReply { phase: Means, state }, Some(it)) => {
+                it.ees = decode_means(kit, &state)?;
                 Vec::new()
             }
-            NodeEvent::InitiateExchange { phase, contact } => {
-                let state = self.serialize_phase_state(phase);
-                vec![(contact, NodeEvent::ExchangeRequest { phase, state })]
-            }
-            NodeEvent::ExchangeRequest { phase, state } => {
-                let merged = self.apply_exchange(phase, &state)?;
-                vec![(from, NodeEvent::ExchangeReply { phase, state: merged })]
-            }
-            NodeEvent::ExchangeReply { phase, state } => {
-                self.adopt(phase, &state)?;
+            (CorrectionProposal { payload }, Some(it)) => {
+                it.correction = Some(decode_correction(&payload, &kit.plan)?);
                 Vec::new()
             }
-            NodeEvent::CorrectionProposal { payload } => {
-                self.correction = Some(decode_correction(&payload, &self.provision().kit.plan)?);
+            (InitiateExchange { phase: Correction, contact }, Some(Iteration { correction: Some(row), .. })) => {
+                vec![(contact, ExchangeRequest { phase: Correction, state: encode_correction(row) })]
+            }
+            (ExchangeRequest { phase: Correction, state }, Some(Iteration { correction: Some(row), .. })) => {
+                let mut peer = decode_correction(&state, &kit.plan)?;
+                MinIdLayout.exchange_rows(&DisseminationProtocol, &mut peer, row);
+                vec![(from, ExchangeReply { phase: Correction, state: encode_correction(row) })]
+            }
+            (ExchangeReply { phase: Correction, state }, Some(Iteration { correction: Some(row), .. })) => {
+                *row = decode_correction(&state, &kit.plan)?;
                 Vec::new()
             }
-            NodeEvent::ReadoutRequest { include_units } => {
-                let payload = self.readout(include_units);
-                vec![(from, NodeEvent::ReadoutReply { payload })]
+            (ReadoutRequest { include_units }, Some(it)) => {
+                vec![(from, ReadoutReply { payload: it.readout(kit, include_units) })]
             }
-            NodeEvent::Shutdown | NodeEvent::ReadoutReply { .. } => Vec::new(),
+            (Shutdown, _) => Vec::new(),
+            _ => return Err(out_of_order),
         })
     }
 }
@@ -362,7 +379,8 @@ impl<B: CipherBackend> Actor for ChiaroscuroNodeActor<B> {
     #[expect(
         clippy::expect_used,
         reason = "Actor::on_event cannot return an error: until a ProtocolError can travel back, a payload \
-                  that fails to decode stops this node's serve loop loudly instead of being merged"
+                  that fails to decode or an event out of order stops this node's serve loop loudly instead \
+                  of being merged"
     )]
     fn on_event(&mut self, from: NodeId, event: NodeEvent) -> Vec<(NodeId, NodeEvent)> {
         self.handle(from, event).expect("malformed actor payload")
@@ -435,26 +453,51 @@ mod tests {
     fn provisioned<B: CipherBackend>(backend: &Arc<B>) -> ChiaroscuroNodeActor<B> {
         let mut rng = StdRng::seed_from_u64(18);
         let units = (1..=4u32).map(|v| backend.encrypt(&BigUint::from(v), &mut rng)).collect();
-        ChiaroscuroNodeActor {
-            provision: Some(Provision { kit: kit(backend), series: TimeSeries::constant(N, 1.0) }),
-            ees: Some(EesState::new_seed(BackendVector::new(Arc::clone(backend), units))),
+        let iteration = Iteration {
+            ees: EesState::new_seed(BackendVector::new(Arc::clone(backend), units)),
             correction: Some(MinIdLayout::row(7, [0.5; K * N + K])),
+        };
+        let (kit, series) = (Box::new(kit(backend)), TimeSeries::constant(N, 1.0));
+        ChiaroscuroNodeActor { state: NodeState::Ready { kit, series, iteration: Some(iteration) } }
+    }
+
+    impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
+        /// The kit and iteration state of an iterating actor.
+        fn iterating(&self) -> (&DeviceKit<B>, &Iteration<B>) {
+            match &self.state {
+                NodeState::Ready { kit, iteration: Some(iteration), .. } => (kit, iteration),
+                state => panic!("the actor is {}, not iterating", state.name()),
+            }
+        }
+
+        /// The state an `InitiateExchange` in `phase` sends.
+        fn serialize_phase_state(&self, phase: Phase) -> Vec<u8> {
+            let (kit, iteration) = self.iterating();
+            match phase {
+                Phase::Means => iteration.means(kit),
+                Phase::Correction => encode_correction(iteration.correction.as_ref().expect("a correction proposal")),
+            }
+        }
+
+        /// The payload of the `ReadoutReply` to a `ReadoutRequest`.
+        fn readout(&self, include_units: bool) -> Vec<u8> {
+            let (kit, iteration) = self.iterating();
+            iteration.readout(kit, include_units)
         }
     }
 
-    /// The entry points of `actor::decode`, by index.
-    const DECODERS: usize = 6;
+    /// The entry points of `actor::decode`, by index (a correction-phase
+    /// exchange state is a correction row, decoder 2).
+    const DECODERS: usize = 5;
 
     /// Whether decoder `which` accepts `bytes`.
     fn accepts<B: CipherBackend>(kit: &DeviceKit<B>, which: usize, bytes: &[u8]) -> bool {
-        let phase = |phase| decode_phase_state(kit, phase, bytes).is_ok();
         match which {
             0 => NodeSpec::decode(bytes).is_ok(),
             1 => IterationInputs::decode(bytes, &kit.plan).is_ok(),
             2 => decode_correction(bytes, &kit.plan).is_ok(),
             3 => decode_readout(kit, bytes).is_ok(),
-            4 => phase(Phase::Means),
-            _ => phase(Phase::Correction),
+            _ => decode_means(kit, bytes).is_ok(),
         }
     }
 
@@ -468,7 +511,7 @@ mod tests {
             (3, actor.readout(false)),
             (3, actor.readout(true)),
             (4, actor.serialize_phase_state(Phase::Means)),
-            (5, actor.serialize_phase_state(Phase::Correction)),
+            (2, actor.serialize_phase_state(Phase::Correction)),
         ]
     }
 
@@ -536,7 +579,7 @@ mod tests {
     fn malformed_payloads_are_typed_errors<B: CipherBackend>() {
         let backend = backend::<B>();
         let actor = provisioned(&backend);
-        let kit = &actor.provision().kit;
+        let (kit, _) = actor.iterating();
 
         // Truncated: every strict prefix of every well-formed payload.
         bad_payload(decode_correction(&[0, 0, 0], &kit.plan), "truncated");
@@ -559,7 +602,7 @@ mod tests {
         bad_payload(decode_readout(kit, &with_tail(actor.readout(false))), "trailing");
         bad_payload(decode_readout(kit, &with_tail(actor.readout(true))), "unit vector");
         let bytes = with_tail(actor.serialize_phase_state(Phase::Correction));
-        bad_payload(decode_phase_state(kit, Phase::Correction, &bytes), "trailing");
+        bad_payload(decode_correction(&bytes, &kit.plan), "trailing");
 
         // Flag bytes are 0 or 1: weight seed (offset 8), and the readout's
         // correction (8) and units (last byte without units) flags.
@@ -592,7 +635,7 @@ mod tests {
         put_f64(&mut empty_means, 1.0);
         put_u32(&mut empty_means, 0);
         empty_means.extend_from_slice(&[0; 8]);
-        bad_payload(decode_phase_state(kit, Phase::Means, &empty_means), "unit vector");
+        bad_payload(decode_means(kit, &empty_means), "unit vector");
 
         // A Hello the node cannot install is a typed error from `handle`,
         // and the actor stays unprovisioned.
@@ -621,7 +664,7 @@ mod tests {
         for (spec, what) in &uninstallable {
             let mut actor = ChiaroscuroNodeActor::<B>::new();
             bad_payload(actor.handle(0, hello(spec)), what);
-            assert!(actor.provision.is_none(), "{what}: a rejected Hello must not provision the actor");
+            assert!(matches!(actor.state, NodeState::Blank), "{what}: a rejected Hello must not provision the actor");
         }
     }
 
@@ -638,6 +681,225 @@ mod tests {
     fn the_actor_boundary_stops_on_a_malformed_exchange_request() {
         let mut actor = provisioned(&backend::<PlaintextSurrogate>());
         actor.on_event(1, NodeEvent::ExchangeRequest { phase: Phase::Correction, state: vec![0; 15] });
+    }
+
+    // --- the state machine ---
+
+    /// The `Hello` of a `K × N` run: the run's plan and public material.
+    fn hello<B: CipherBackend>(backend: &Arc<B>) -> NodeEvent {
+        let spec = NodeSpec { plan: kit(backend).plan, public: backend.export_public(), series: vec![1.0, 2.0, 3.0] };
+        NodeEvent::Hello { config: spec.encode() }
+    }
+
+    /// An `IterationStart` whose noise fits the `K × N` run's lane budget.
+    fn iteration_start(weight_seed: bool) -> NodeEvent {
+        let centroids_flat = vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
+        let inputs = IterationInputs { weight_seed, sum_scale: 0.5, count_scale: 0.25, centroids_flat, ..inputs() };
+        NodeEvent::IterationStart { payload: inputs.encode() }
+    }
+
+    fn proposal() -> NodeEvent {
+        NodeEvent::CorrectionProposal { payload: encode_correction(&MinIdLayout::row(3, [0.75; K * N + K])) }
+    }
+
+    /// Well-formed events of a real `K × N` run, every kind: provisioning,
+    /// two iteration starts, a proposal, both phases' exchange events with
+    /// a peer's states, both readout requests, a peer's readout reply and
+    /// the shutdown.
+    fn real_events<B: CipherBackend>(backend: &Arc<B>) -> Vec<NodeEvent> {
+        let mut peer = ChiaroscuroNodeActor::<B>::new();
+        for event in [hello(backend), iteration_start(false), proposal()] {
+            assert!(peer.handle(1, event).unwrap().is_empty());
+        }
+        let (means, row) = (peer.serialize_phase_state(Phase::Means), peer.serialize_phase_state(Phase::Correction));
+        let exchange = |phase, state: &Vec<u8>| {
+            [
+                NodeEvent::InitiateExchange { phase, contact: 1 },
+                NodeEvent::ExchangeRequest { phase, state: state.clone() },
+                NodeEvent::ExchangeReply { phase, state: state.clone() },
+            ]
+        };
+        [hello(backend), iteration_start(true), iteration_start(false), proposal()]
+            .into_iter()
+            .chain(exchange(Phase::Means, &means))
+            .chain(exchange(Phase::Correction, &row))
+            .chain([
+                NodeEvent::ReadoutRequest { include_units: false },
+                NodeEvent::ReadoutRequest { include_units: true },
+                NodeEvent::ReadoutReply { payload: peer.readout(true) },
+                NodeEvent::Shutdown,
+            ])
+            .collect()
+    }
+
+    /// Everything the actor's state holds, as bytes: its variant, plan,
+    /// public material and series bits, means state and correction row.
+    fn state_digest<B: CipherBackend>(actor: &ChiaroscuroNodeActor<B>) -> Vec<u8> {
+        let mut digest = actor.state.name().as_bytes().to_vec();
+        if let NodeState::Ready { kit, series, iteration } = &actor.state {
+            let series = series.values().to_vec();
+            digest.extend(NodeSpec { plan: kit.plan, public: kit.backend.export_public(), series }.encode());
+            if let Some(iteration) = iteration {
+                digest.extend(iteration.means(kit));
+                digest.extend(iteration.correction.as_deref().map(encode_correction).unwrap_or_default());
+            }
+        }
+        digest
+    }
+
+    /// Asserts that `handle` rejects `event` as out of order in `state`,
+    /// naming its kind, and leaves the actor's state as it was.
+    fn assert_out_of_order<B: CipherBackend>(actor: &mut ChiaroscuroNodeActor<B>, event: NodeEvent, state: &str) {
+        let (before, kind) = (state_digest(actor), event.kind());
+        match actor.handle(1, event) {
+            Err(FrameError::OutOfOrder { kind: named, state: named_state }) => {
+                assert_eq!((named, named_state), (kind, state));
+            }
+            other => panic!("event kind {kind} in state {state}: expected OutOfOrder, got {other:?}"),
+        }
+        assert_eq!(state_digest(actor), before, "a rejected event of kind {kind} moved the {state} state");
+    }
+
+    /// The actor after `events`, each accepted.
+    fn driven<B: CipherBackend>(events: impl IntoIterator<Item = NodeEvent>) -> ChiaroscuroNodeActor<B> {
+        let mut actor = ChiaroscuroNodeActor::new();
+        for event in events {
+            actor.handle(1, event).unwrap();
+        }
+        actor
+    }
+
+    /// Regression: a correction-phase exchange request to a fresh actor used
+    /// to panic the node on its missing provision; it is a typed error and
+    /// the actor stays blank.
+    #[test]
+    fn a_correction_exchange_to_a_blank_actor_is_out_of_order() {
+        let mut actor = ChiaroscuroNodeActor::<PlaintextSurrogate>::new();
+        let request = NodeEvent::ExchangeRequest { phase: Phase::Correction, state: vec![0; 72] };
+        assert!(matches!(actor.handle(1, request), Err(FrameError::OutOfOrder { kind: 4, state: "blank" })));
+        assert!(matches!(actor.state, NodeState::Blank));
+    }
+
+    #[test]
+    fn an_iteration_start_before_hello_is_out_of_order() {
+        let mut actor = ChiaroscuroNodeActor::<PlaintextSurrogate>::new();
+        assert_out_of_order(&mut actor, iteration_start(true), "blank");
+    }
+
+    #[test]
+    fn exchanges_proposals_and_readouts_before_iteration_start_are_out_of_order() {
+        let backend = backend::<PlaintextSurrogate>();
+        let events = real_events(&backend);
+        let mut actor = driven::<PlaintextSurrogate>([hello(&backend)]);
+        let early = events.into_iter().filter(|e| matches!(e.kind(), 3..=7));
+        for event in early {
+            assert_out_of_order(&mut actor, event, "provisioned");
+        }
+    }
+
+    #[test]
+    fn correction_exchanges_before_a_proposal_are_out_of_order() {
+        let backend = backend::<PlaintextSurrogate>();
+        let mut actor = driven::<PlaintextSurrogate>([hello(&backend), iteration_start(true)]);
+        for event in real_events(&backend) {
+            if matches!(event, NodeEvent::InitiateExchange { phase: Phase::Correction, .. }
+                | NodeEvent::ExchangeRequest { phase: Phase::Correction, .. }
+                | NodeEvent::ExchangeReply { phase: Phase::Correction, .. })
+            {
+                assert_out_of_order(&mut actor, event, "iterating");
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_hello_is_out_of_order_in_every_state() {
+        let backend = backend::<PlaintextSurrogate>();
+        let lifecycle = [hello(&backend), iteration_start(true), proposal()];
+        let states = ["provisioned", "iterating", "iterating with a correction proposal"];
+        for (accepted, state) in (1..=lifecycle.len()).zip(states) {
+            let mut actor = driven::<PlaintextSurrogate>(lifecycle[..accepted].iter().cloned());
+            assert_out_of_order(&mut actor, hello(&backend), state);
+        }
+    }
+
+    #[test]
+    fn a_readout_reply_is_out_of_order_in_every_state() {
+        let backend = backend::<PlaintextSurrogate>();
+        let reply = || NodeEvent::ReadoutReply { payload: provisioned(&backend).readout(true) };
+        let lifecycle = [hello(&backend), iteration_start(true), proposal()];
+        let states = ["blank", "provisioned", "iterating", "iterating with a correction proposal"];
+        for (accepted, state) in states.into_iter().enumerate() {
+            let mut actor = driven::<PlaintextSurrogate>(lifecycle[..accepted].iter().cloned());
+            assert_out_of_order(&mut actor, reply(), state);
+        }
+    }
+
+    /// One event of a fuzzed sequence: the `i`-th of [`real_events`], or
+    /// arbitrary bytes under an arbitrary kind.
+    #[derive(Debug, Clone)]
+    enum Fuzzed {
+        Real(usize),
+        Random(Vec<u8>),
+    }
+
+    impl Fuzzed {
+        /// The event: a random one takes its kind from its first byte, and
+        /// its phase or flag from its length.
+        fn event(self, real: &[NodeEvent]) -> NodeEvent {
+            let bytes = match self {
+                Fuzzed::Real(i) => return real[i % real.len()].clone(),
+                Fuzzed::Random(bytes) => bytes,
+            };
+            let (kind, payload) = bytes.split_first().map_or((0, Vec::new()), |(&k, rest)| (k, rest.to_vec()));
+            let (phase, flag) = if payload.len() % 2 == 0 { (Phase::Means, false) } else { (Phase::Correction, true) };
+            match kind % 9 {
+                0 => NodeEvent::Hello { config: payload },
+                1 => NodeEvent::IterationStart { payload },
+                2 => NodeEvent::InitiateExchange { phase, contact: 1 },
+                3 => NodeEvent::ExchangeRequest { phase, state: payload },
+                4 => NodeEvent::ExchangeReply { phase, state: payload },
+                5 => NodeEvent::CorrectionProposal { payload },
+                6 => NodeEvent::ReadoutRequest { include_units: flag },
+                7 => NodeEvent::ReadoutReply { payload },
+                _ => NodeEvent::Shutdown,
+            }
+        }
+    }
+
+    proptest! {
+        /// No sequence of events — real payloads in any order, the lifecycle
+        /// events favoured so later states are reached, and arbitrary bytes
+        /// under every kind — panics `handle`, and every event it rejects
+        /// leaves the actor's state as it was.
+        #[test]
+        fn no_event_sequence_panics_the_actor(
+            sequence in prop::collection::vec(
+                prop_oneof![
+                    Just(Fuzzed::Real(0)),
+                    Just(Fuzzed::Real(1)),
+                    Just(Fuzzed::Real(3)),
+                    (0..16usize).prop_map(Fuzzed::Real),
+                    prop::collection::vec(any::<u8>(), 0..96).prop_map(Fuzzed::Random),
+                ],
+                0..40,
+            ),
+        ) {
+            fn drive<B: CipherBackend>(sequence: &[Fuzzed]) -> Result<(), TestCaseError> {
+                let real = real_events(&backend::<B>());
+                let mut actor = ChiaroscuroNodeActor::<B>::new();
+                for fuzzed in sequence {
+                    let before = state_digest(&actor);
+                    let event = fuzzed.clone().event(&real);
+                    let kind = event.kind();
+                    if actor.handle(1, event).is_err() {
+                        prop_assert!(state_digest(&actor) == before, "a rejected event of kind {kind} moved the state");
+                    }
+                }
+                Ok(())
+            }
+            drive::<PlaintextSurrogate>(&sequence)?;
+            drive::<DamgardJurik>(&sequence)?;
+        }
     }
 
     proptest! {

@@ -6,9 +6,8 @@
 //! otherwise malformed payload is a [`FrameError::BadPayload`], every flag
 //! byte is `0` or `1`, every decoder consumes its payload exactly, and a
 //! length read from the wire is checked against the bytes present before
-//! anything is allocated for it.
-
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+//! anything is allocated for it.  The parent module's `deny` of `unwrap`,
+//! `expect` and `panic!` covers this one.
 
 use std::sync::Arc;
 
@@ -17,7 +16,7 @@ use chiaroscuro_crypto::encoding::MAX_DECIMAL_DIGITS;
 use chiaroscuro_crypto::packing::LaneBudget;
 use chiaroscuro_crypto::wire::deserialize_units;
 use chiaroscuro_gossip::eesum::EesState;
-use chiaroscuro_node::{FrameError, Phase};
+use chiaroscuro_node::FrameError;
 
 use super::{IterationInputs, NodeSpec, Readout};
 use crate::evalue::BackendVector;
@@ -196,35 +195,13 @@ pub(crate) fn decode_readout<B: CipherBackend>(kit: &DeviceKit<B>, bytes: &[u8])
     Ok(Readout { weight, correction, units })
 }
 
-/// A decoded phase state (the two protocols the run gossips).
-pub(crate) enum PhaseState<B: CipherBackend> {
-    Means(EesState<BackendVector<B>>),
-    /// A [`MinIdLayout`](chiaroscuro_gossip::dissemination::MinIdLayout) row.
-    Correction(Vec<u64>),
-}
-
-/// Decodes the state bytes of one `ExchangeRequest`/`ExchangeReply`.
-pub(crate) fn decode_phase_state<B: CipherBackend>(
-    kit: &DeviceKit<B>,
-    phase: Phase,
-    bytes: &[u8],
-) -> Decoded<PhaseState<B>> {
+/// Decodes the state bytes of one means-phase `ExchangeRequest` or
+/// `ExchangeReply` (a correction-phase state is a [`decode_correction`]
+/// row).
+pub(crate) fn decode_means<B: CipherBackend>(kit: &DeviceKit<B>, bytes: &[u8]) -> Decoded<EesState<BackendVector<B>>> {
     let mut r = Reader { bytes };
-    Ok(match phase {
-        Phase::Means => {
-            let weight = r.f64()?;
-            let exchanges = r.u32()?;
-            let units = r.units(kit.backend.as_ref())?;
-            PhaseState::Means(EesState {
-                value: BackendVector::new(Arc::clone(&kit.backend), units),
-                weight,
-                exchanges,
-            })
-        }
-        Phase::Correction => {
-            let row = r.correction(&kit.plan)?;
-            r.finish()?;
-            PhaseState::Correction(row)
-        }
-    })
+    let weight = r.f64()?;
+    let exchanges = r.u32()?;
+    let units = r.units(kit.backend.as_ref())?;
+    Ok(EesState { value: BackendVector::new(Arc::clone(&kit.backend), units), weight, exchanges })
 }

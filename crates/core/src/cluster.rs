@@ -236,7 +236,7 @@ impl<T: Transport> LinkExecutor<'_, T> {
             .iter_mut()
             .map(|link| match NodeEvent::from_frame(&link.recv()?)? {
                 NodeEvent::ReadoutReply { payload } => read(decode_readout(&ctx.kit, &payload)?),
-                _ => Err(FrameError::BadPayload("expected a readout reply")),
+                other => Err(FrameError::OutOfOrder { kind: other.kind(), state: "awaiting a readout reply" }),
             })
             .collect::<Result<_, FrameError>>()
             .expect("every node answers the readout request with a well-formed readout")

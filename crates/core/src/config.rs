@@ -19,6 +19,28 @@ use chiaroscuro_kmeans::perturbed::{PerturbedKMeans, PerturbedKMeansConfig, Smoo
 /// [`validate`]: ChiaroscuroParams::validate
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
+    /// Fewer than two participants: nobody to gossip with.
+    TooFewParticipants {
+        /// The concrete population the run would cover.
+        population: usize,
+    },
+    /// The key-share threshold τ exceeds the population, so no quorum of
+    /// share-holders could ever decrypt.
+    ThresholdAbovePopulation {
+        /// The configured threshold τ.
+        threshold: usize,
+        /// The concrete population the run would cover.
+        population: usize,
+    },
+    /// More clusters than participants: `k` initial centroids cannot be
+    /// sampled from the participants' series, and at least `k − P` clusters
+    /// would stay empty.
+    MoreClustersThanParticipants {
+        /// The configured number of clusters.
+        k: usize,
+        /// The concrete population the run would cover.
+        population: usize,
+    },
     /// `num_noise_shares > population`: the collaborative noise would be a
     /// permanent deficit and the DP guarantee would silently not hold.
     NoiseShareDeficit {
@@ -56,6 +78,17 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ConfigError::TooFewParticipants { population } => {
+                write!(f, "Chiaroscuro needs at least two participants (the population is {population})")
+            }
+            ConfigError::ThresholdAbovePopulation { threshold, population } => write!(
+                f,
+                "the key-share threshold cannot exceed the population (τ = {threshold}, population {population})"
+            ),
+            ConfigError::MoreClustersThanParticipants { k, population } => write!(
+                f,
+                "k ({k}) exceeds the population ({population}): there are fewer participants than clusters"
+            ),
             ConfigError::NoiseShareDeficit { num_noise_shares, population } => write!(
                 f,
                 "num_noise_shares ({num_noise_shares}) exceeds the population ({population}): \
@@ -280,7 +313,8 @@ impl ChiaroscuroParams {
         }
     }
 
-    /// Validates consistency against a concrete population size: the number
+    /// Validates consistency against a concrete population size: it needs
+    /// two participants, at least `τ` and at least `k` of them.  The number
     /// of noise shares `nν` is the *expected lower bound* on contributors
     /// (§4.2.2), so a population smaller than `nν` is a standing noise
     /// deficit — the aggregated Laplace noise would be systematically under
@@ -289,6 +323,10 @@ impl ChiaroscuroParams {
     /// network model would silently ignore.
     ///
     /// # Errors
+    /// [`ConfigError::TooFewParticipants`] if `population < 2`;
+    /// [`ConfigError::ThresholdAbovePopulation`] if
+    /// `key_share_threshold > population`;
+    /// [`ConfigError::MoreClustersThanParticipants`] if `k > population`;
     /// [`ConfigError::NoiseShareDeficit`] if `num_noise_shares > population`;
     /// [`ConfigError::SimShardsUnderRounds`] if `sim_shards > 1` was
     /// requested but the network model is still round-based.
@@ -297,6 +335,15 @@ impl ChiaroscuroParams {
     /// Panics if [`Self::validate`] fails (nonsensical parameters).
     pub fn validate_for_population(&self, population: usize) -> Result<(), ConfigError> {
         self.validate();
+        if population < 2 {
+            return Err(ConfigError::TooFewParticipants { population });
+        }
+        if self.key_share_threshold > population {
+            return Err(ConfigError::ThresholdAbovePopulation { threshold: self.key_share_threshold, population });
+        }
+        if self.k > population {
+            return Err(ConfigError::MoreClustersThanParticipants { k: self.k, population });
+        }
         if self.num_noise_shares > population {
             return Err(ConfigError::NoiseShareDeficit {
                 num_noise_shares: self.num_noise_shares,

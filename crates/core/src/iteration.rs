@@ -212,7 +212,6 @@ where
             data.series().choose_multiple(rng, k).cloned().collect()
         }
     };
-    assert_eq!(centroids.len(), k, "k must not exceed the population when sampling initial centroids");
     // Byzantine adversary: the fault schedule runs on a dedicated
     // seed-derived RNG sub-stream.  An inactive model draws NOTHING here and
     // is never materialised, so honest runs stay bit-identical to every

@@ -112,8 +112,9 @@
 //! when the run is constructed and before key generation, and the driver,
 //! both executors and every node actor work from that one plan.  A
 //! configuration the run cannot execute — a worst-case lane sum that cannot
-//! fit the key among them — is rejected there, by [`DistributedRun::new`],
-//! with its [`ConfigError`](crate::config::ConfigError).  Per-lane biases
+//! fit the key among them — is rejected there, by
+//! [`DistributedRun::try_with_backend`], with its [`ConfigError`].
+//! Per-lane biases
 //! are also what represent negative noise shares without modular
 //! arithmetic, which lets the plaintext surrogate carry the same units.
 
@@ -131,7 +132,7 @@ use chiaroscuro_node::Phase;
 use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
 
 use crate::audit::SecurityAudit;
-use crate::config::ChiaroscuroParams;
+use crate::config::{ChiaroscuroParams, ConfigError};
 use crate::evalue::BackendVector;
 use crate::iteration::{device_contribution, drive, Executor, RunContext};
 use crate::noise::NoiseCorrection;
@@ -300,10 +301,9 @@ impl<'a> DistributedRun<'a> {
     /// default Damgård–Jurik backend.
     ///
     /// # Panics
-    /// Panics if the population is smaller than 2, than the key-share
-    /// threshold, or than the expected number of noise shares `nν` (see
-    /// [`ChiaroscuroParams::validate_for_population`]), or if the run
-    /// cannot execute its configuration (see [`Self::with_backend`]).
+    /// Panics with the text of the [`ConfigError`] that
+    /// [`DistributedRun::try_with_backend`] returns for a configuration the
+    /// run cannot execute.
     pub fn new(params: ChiaroscuroParams, data: &'a TimeSeriesSet) -> Self {
         Self::with_backend(params, data)
     }
@@ -314,24 +314,31 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     /// plans its shape (the crate-private `RunPlan`) once, before any key
     /// generation.
     ///
-    /// # Panics
-    /// Panics under the population conditions of [`DistributedRun::new`],
-    /// and with the [`ConfigError`] of any configuration the run cannot
-    /// execute: a budget schedule that grants no ε, a worst-case lane sum
-    /// that cannot fit the key (the epidemic doubling allowance grows with
-    /// the exchange count, so a 256-bit key over 16 participants plans up
-    /// to 24 exchanges and rejects 25), or a population with no honest node
-    /// to seed the epidemic weights.
+    /// # Errors
+    /// The [`ConfigError`] of any configuration the run cannot execute:
+    /// every [`ChiaroscuroParams::validate_for_population`] error (fewer
+    /// than two participants, or fewer than the key-share threshold, the
+    /// cluster count or the noise shares `nν`), a budget schedule that
+    /// grants no ε, a worst-case lane sum that cannot fit the key (the
+    /// epidemic doubling allowance grows with the exchange count, so a
+    /// 256-bit key over 16 participants plans up to 24 exchanges and rejects
+    /// 25), or a population with no honest node to seed the epidemic weights.
     ///
-    /// [`ConfigError`]: crate::config::ConfigError
+    /// # Panics
+    /// Panics if [`ChiaroscuroParams::validate`] fails (nonsensical values).
+    pub fn try_with_backend(params: ChiaroscuroParams, data: &'a TimeSeriesSet) -> Result<Self, ConfigError> {
+        let plan = RunPlan::new(&params, data)?;
+        Ok(Self { params, data, plan, initial_centroids: None, _backend: PhantomData })
+    }
+
+    /// [`Self::try_with_backend`], for a configuration known to be
+    /// executable.
+    ///
+    /// # Panics
+    /// Panics with the text of the [`ConfigError`] that
+    /// [`Self::try_with_backend`] returns.
     pub fn with_backend(params: ChiaroscuroParams, data: &'a TimeSeriesSet) -> Self {
-        assert!(data.len() >= 2, "Chiaroscuro needs at least two participants");
-        assert!(
-            params.key_share_threshold <= data.len(),
-            "the key-share threshold cannot exceed the population"
-        );
-        let plan = RunPlan::new(&params, data).unwrap_or_else(|e| panic!("{e}"));
-        Self { params, data, plan, initial_centroids: None, _backend: PhantomData }
+        Self::try_with_backend(params, data).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Provides explicit initial centroids (otherwise `k` series are drawn
@@ -1210,6 +1217,32 @@ mod tests {
         let data = tiny_dataset(4);
         let params = ChiaroscuroParams::builder().k(2).key_share_threshold(10).build();
         let _ = DistributedRun::new(params, &data);
+    }
+
+    /// The fallible constructor's verdict on a configuration.
+    fn config_error(params: ChiaroscuroParams, population: usize) -> Option<ConfigError> {
+        DistributedRun::<PlaintextSurrogate>::try_with_backend(params, &tiny_dataset(population)).err()
+    }
+
+    #[test]
+    fn a_single_participant_is_a_config_error() {
+        let expected = ConfigError::TooFewParticipants { population: 1 };
+        assert_eq!(config_error(tiny_params(1, 1), 1), Some(expected));
+    }
+
+    #[test]
+    fn a_threshold_above_the_population_is_a_config_error() {
+        let expected = ConfigError::ThresholdAbovePopulation { threshold: 3, population: 2 };
+        assert_eq!(config_error(tiny_params(2, 1), 2), Some(expected));
+    }
+
+    /// `k > P` used to pass construction and panic after key generation,
+    /// when `k` initial centroids could not be sampled from `P` series.
+    #[test]
+    fn more_clusters_than_participants_is_a_config_error() {
+        let expected = ConfigError::MoreClustersThanParticipants { k: 13, population: 12 };
+        assert_eq!(config_error(tiny_params(13, 1), 12), Some(expected));
+        assert!(config_error(tiny_params(12, 1), 12).is_none(), "k = P is a valid run");
     }
 
     /// The arena fill as it was before contributions were written in

@@ -65,6 +65,15 @@ pub enum FrameError {
     UnknownKind(u8),
     /// The payload does not parse as the event its kind byte names.
     BadPayload(&'static str),
+    /// A well-formed event the receiver's state gives no meaning to: a
+    /// node's second `Hello`, an exchange before its iteration starts, a
+    /// `ReadoutReply` sent to a node.
+    OutOfOrder {
+        /// The event's kind byte (see [`crate::event::NodeEvent::kind`]).
+        kind: u8,
+        /// The receiver's state when the event arrived.
+        state: &'static str,
+    },
     /// The underlying stream failed.
     Io(io::Error),
 }
@@ -84,6 +93,9 @@ impl std::fmt::Display for FrameError {
             }
             FrameError::UnknownKind(k) => write!(f, "unknown event kind {k}"),
             FrameError::BadPayload(what) => write!(f, "malformed event payload: {what}"),
+            FrameError::OutOfOrder { kind, state } => {
+                write!(f, "event kind {kind} out of order: the receiver is {state}")
+            }
             FrameError::Io(e) => write!(f, "transport I/O error: {e}"),
         }
     }
@@ -237,6 +249,18 @@ mod tests {
 
     fn sample() -> Frame {
         Frame { kind: 4, from: 7, to: 2, payload: vec![1, 2, 3, 4, 5] }
+    }
+
+    /// An out-of-order event names its kind and the receiver's state, and
+    /// crosses an `io::Error` boundary as `InvalidData`, as every other
+    /// non-I/O variant does.
+    #[test]
+    fn out_of_order_names_the_event_and_the_state() {
+        let error = FrameError::OutOfOrder { kind: 4, state: "blank" };
+        assert_eq!(error.to_string(), "event kind 4 out of order: the receiver is blank");
+        let io_error = io::Error::from(error);
+        assert_eq!(io_error.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(io_error.to_string(), "event kind 4 out of order: the receiver is blank");
     }
 
     #[test]
