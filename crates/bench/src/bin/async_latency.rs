@@ -1,4 +1,5 @@
-//! Figure 4(a) under realistic latencies — the asynchronous epidemic sum.
+//! Figure 4(a) under realistic latencies — the asynchronous epidemic sum
+//! (EESum, Algorithm 2, over its plaintext mirror).
 //!
 //! The round-based `fig4_latency` harness reports latency as message
 //! counts; this bin replays the same experiment on the event-driven
@@ -25,7 +26,7 @@ use chiaroscuro_gossip::churn::ChurnModel;
 use chiaroscuro_gossip::sim::{
     AsyncNetworkConfig, ConvergenceTimes, LatencyModel, ShardedAsyncEngine,
 };
-use chiaroscuro_gossip::sum::{convergence_report, initial_states, PushPullSum};
+use chiaroscuro_gossip::eesum::{convergence_report, initial_states, EesSumProtocol, PlainVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -87,7 +88,6 @@ fn measure(
     seed: u64,
 ) -> PopulationResult {
     let exact = population as f64;
-    let values = vec![1.0f64; population];
     let tight = error_targets[0];
 
     // One period at a time: at every barrier, record when each target
@@ -95,17 +95,17 @@ fn measure(
     // y-axis, in simulated time rather than rounds) and read each node's
     // standing against the tightest target, for the per-node percentiles.
     let mut rng = StdRng::seed_from_u64(seed + population as u64);
-    let mut engine =
-        ShardedAsyncEngine::new(initial_states(&values), config.clone(), ChurnModel::NONE);
+    let states = initial_states(vec![PlainVector(vec![1.0]); population]);
+    let mut engine = ShardedAsyncEngine::new(states, config.clone(), ChurnModel::NONE);
     let mut targets = FirstHits::new(error_targets);
     let mut times = ConvergenceTimes::new(population);
     for period in 1..=horizon {
-        engine.run_for(&PushPullSum, 1.0, &mut rng);
+        engine.run_for(&EesSumProtocol, 1.0, &mut rng);
         let elapsed = f64::from(period);
         let report = convergence_report(engine.nodes(), exact);
         targets.record(&report, (elapsed, engine.metrics().messages_per_node(population)));
         for (node, state) in engine.nodes().iter().enumerate() {
-            let done = state.estimate().is_some_and(|est| (est - exact).abs() <= tight);
+            let done = state.estimate(0).is_some_and(|est| (est - exact).abs() <= tight);
             times.observe(node, elapsed, done);
         }
     }

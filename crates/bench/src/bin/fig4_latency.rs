@@ -2,8 +2,9 @@
 //!
 //! * 4(a): average number of messages per participant for the epidemic
 //!   encrypted sum to reach a target absolute approximation error
-//!   (±0.001 … ±1), plus the latency of the min-id dissemination, for
-//!   populations from 1K to 1M;
+//!   (±0.001 … ±1; EESum's rule, Algorithm 2, over its plaintext mirror),
+//!   plus the latency of the min-id dissemination, for populations from 1K
+//!   to 1M;
 //! * 4(b): average number of messages per peer for the epidemic decryption
 //!   as a function of the key-share threshold (fraction of the population);
 //! * `--part iteration-model`: the §6.3.2 composition of per-ciphertext
@@ -25,7 +26,7 @@ use chiaroscuro_gossip::churn::ChurnModel;
 use chiaroscuro_gossip::decryption::simulate_decryption;
 use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdArena};
 use chiaroscuro_gossip::engine::GossipEngine;
-use chiaroscuro_gossip::sum::{convergence_report, initial_states, PushPullSum};
+use chiaroscuro_gossip::eesum::{convergence_report, initial_states, EesSumProtocol, PlainVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -73,15 +74,14 @@ fn sum_part(args: &Args) -> Vec<Json> {
         let mut cells = vec![population.to_string()];
         // Sum: run round by round until each target error is met.
         let mut rng = StdRng::seed_from_u64(seed + population as u64);
-        let values = vec![1.0f64; population];
-        let exact = population as f64;
-        let mut engine = GossipEngine::new(initial_states(&values), ChurnModel::NONE);
+        let states = initial_states(vec![PlainVector(vec![1.0]); population]);
+        let mut engine = GossipEngine::new(states, ChurnModel::NONE);
         // Run rounds once and record the message count at which each target
         // absolute error is first satisfied.
         let mut hits = FirstHits::new(&errors);
         for _ in 0..200 {
-            engine.run_round(&PushPullSum, &mut rng);
-            let report = convergence_report(engine.nodes(), exact);
+            engine.run_round(&EesSumProtocol, &mut rng);
+            let report = convergence_report(engine.nodes(), population as f64);
             if hits.record(&report, engine.metrics().messages_per_node(population)) {
                 break;
             }

@@ -7,7 +7,7 @@ use std::time::Instant;
 use chiaroscuro_core::prelude::*;
 use chiaroscuro_core::runner::IterationNetworkStats;
 use chiaroscuro_dp::budget::BudgetSchedule;
-use chiaroscuro_gossip::sum::SumConvergenceReport;
+use chiaroscuro_gossip::eesum::SumConvergenceReport;
 use chiaroscuro_kmeans::init::InitialCentroids;
 use chiaroscuro_kmeans::lloyd::{KMeans, KMeansConfig};
 use chiaroscuro_kmeans::perturbed::{PerturbedKMeans, PerturbedKMeansConfig};
@@ -164,7 +164,7 @@ pub fn iteration_row(name: &str, series: &[f64]) -> Vec<String> {
 
 /// Fig 4(a)'s measurement: per target absolute error, the first
 /// observation at which every node holds an estimate within it.  A hit is
-/// never overwritten.
+/// never overwritten, and a report with an overflowed state is never one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FirstHits<T> {
     hits: Vec<(f64, Option<T>)>,
@@ -181,7 +181,7 @@ impl<T: Copy> FirstHits<T> {
     pub fn record(&mut self, report: &SumConvergenceReport, at: T) -> bool {
         let abs_error = report.max_relative_error * report.exact;
         for (target, hit) in &mut self.hits {
-            if hit.is_none() && report.without_estimate == 0.0 && abs_error <= *target {
+            if hit.is_none() && report.without_estimate == 0.0 && report.overflowed == 0.0 && abs_error <= *target {
                 *hit = Some(at);
             }
         }
@@ -475,6 +475,7 @@ mod tests {
             max_relative_error,
             mean_relative_error: max_relative_error,
             without_estimate,
+            overflowed: 0.0,
         };
         let mut hits = FirstHits::new(&[0.01, 1.0]);
         assert!(!hits.record(&report(0.0, 0.5), 5.0), "a node without an estimate meets nothing");
@@ -483,5 +484,25 @@ mod tests {
         assert!(hits.record(&report(0.0, 0.0), 20.0));
         assert!(hits.record(&report(0.0, 0.0), 30.0));
         assert_eq!(hits.hits(), [(0.01, Some(20.0)), (1.0, Some(10.0))]);
+    }
+
+    #[test]
+    fn an_overflowed_run_meets_no_target() {
+        // 200 rounds take 10³ nodes' exchange counters past f64's range
+        // (Fig 4(a)'s round cap on a run that never converged): the report
+        // says so, and no target counts it as met.
+        use chiaroscuro_gossip::eesum::{convergence_report, initial_states, EesSumProtocol, PlainVector};
+        use chiaroscuro_gossip::{ChurnModel, GossipEngine};
+        use rand::SeedableRng;
+        let mut engine = GossipEngine::new(initial_states(vec![PlainVector(vec![1.0]); 1_000]), ChurnModel::NONE);
+        engine.run_rounds(&EesSumProtocol, 200, &mut rand::rngs::StdRng::seed_from_u64(1));
+        assert!(engine.nodes().iter().any(|node| node.exchanges > 1_023));
+        let report = convergence_report(engine.nodes(), 1_000.0);
+        assert!(report.overflowed > 0.0, "{report:?}");
+        assert!(!report.max_relative_error.is_nan() && !report.mean_relative_error.is_nan(), "{report:?}");
+        let mut hits = FirstHits::new(&[0.001, 1.0, f64::INFINITY]);
+        assert!(!hits.record(&report, 400.0));
+        assert!(!hits.record(&SumConvergenceReport { max_relative_error: 0.0, ..report }, 400.0));
+        assert!(hits.hits().iter().all(|(_, hit)| hit.is_none()), "{:?}", hits.hits());
     }
 }

@@ -424,7 +424,8 @@ mod tests {
         IterationInputs {
             participant_seed: 0xDEAD_BEEF_0BAD_F00D,
             weight_seed: true,
-            sum_scale: 123.456,
+            // 64 e-folds of 1.2345 fit the fixture's 80-magnitude lanes.
+            sum_scale: 1.2345,
             count_scale: 5e-324,
             centroids_flat: vec![10.0, f64::MIN_POSITIVE, -3.5, 0.1, 1e300, 2.0],
         }
@@ -778,6 +779,31 @@ mod tests {
         let request = NodeEvent::ExchangeRequest { phase: Phase::Correction, state: vec![0; 72] };
         assert!(matches!(actor.handle(1, request), Err(FrameError::OutOfOrder { kind: 4, state: "blank" })));
         assert!(matches!(actor.state, NodeState::Blank));
+    }
+
+    /// Regression: a well-formed `IterationStart` whose Laplace scale the
+    /// provisioned lanes were not sized for used to panic the node at the
+    /// packing magnitude assert.  It is a typed error, the state stays as it
+    /// was, and a scale exactly at the budget is still accepted.
+    #[test]
+    fn an_iteration_start_beyond_the_lane_budget_is_a_typed_error() {
+        let backend = backend::<PlaintextSurrogate>();
+        let start = |sum_scale, count_scale| {
+            let centroids_flat = vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
+            NodeEvent::IterationStart {
+                payload: IterationInputs { sum_scale, count_scale, centroids_flat, ..inputs() }.encode(),
+            }
+        };
+        assert_eq!(kit(&backend).plan.budget.max_abs_value, 80.0);
+        for accepted in [1, 2] {
+            let mut actor = driven::<PlaintextSurrogate>([hello(&backend), iteration_start(true)].into_iter().take(accepted));
+            let before = state_digest(&actor);
+            for event in [start(1e6, 0.25), start(0.5, 1e6), start(1.25 + 1e-12, 0.25)] {
+                bad_payload(actor.handle(0, event), "lane budget");
+                assert_eq!(state_digest(&actor), before, "a rejected IterationStart moved the state");
+            }
+            assert!(actor.handle(0, start(1.25, 1.25)).is_ok(), "64 e-folds of 1.25 fill the 80 budget exactly");
+        }
     }
 
     #[test]

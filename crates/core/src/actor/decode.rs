@@ -15,6 +15,7 @@ use chiaroscuro_crypto::backend::CipherBackend;
 use chiaroscuro_crypto::encoding::MAX_DECIMAL_DIGITS;
 use chiaroscuro_crypto::packing::LaneBudget;
 use chiaroscuro_crypto::wire::deserialize_units;
+use chiaroscuro_dp::noise_share::NoiseShareGenerator;
 use chiaroscuro_gossip::eesum::EesState;
 use chiaroscuro_node::FrameError;
 
@@ -159,7 +160,10 @@ impl NodeSpec {
 
 impl IterationInputs {
     /// Decodes one iteration's inputs and rejects a Laplace scale the noise
-    /// shares cannot be drawn at: one that is not finite and positive.
+    /// shares cannot be drawn at (one that is not finite and positive) or
+    /// the provisioned lanes cannot hold: one whose share magnitude bound
+    /// exceeds the plan's `max_abs_value`, the rule `RunPlan::new` sized
+    /// that budget by.
     pub(crate) fn decode(bytes: &[u8], plan: &DevicePlan) -> Decoded<Self> {
         let mut r = Reader { bytes };
         let participant_seed = r.u64()?;
@@ -170,6 +174,10 @@ impl IterationInputs {
         r.finish()?;
         if ![sum_scale, count_scale].iter().all(|scale| scale.is_finite() && *scale > 0.0) {
             return Err(FrameError::BadPayload("a Laplace scale must be finite and positive"));
+        }
+        let bound = |scale| NoiseShareGenerator::new(plan.num_noise_shares, scale).magnitude_bound();
+        if bound(sum_scale).max(bound(count_scale)) > plan.budget.max_abs_value {
+            return Err(FrameError::BadPayload("a Laplace scale exceeds the provisioned lane budget"));
         }
         Ok(Self { participant_seed, weight_seed, sum_scale, count_scale, centroids_flat })
     }

@@ -8,12 +8,20 @@
 //! number of exchanges `n`, and when two peers with different exchange
 //! counts meet, the lagging state is scaled by `2^{Δn}` before the addition.
 //! Appendix C.2.1 shows the rule is arithmetically equivalent to the plain
-//! rule; the property tests of this module check exactly that.
+//! rule; the crate's property tests check it bit for bit against a
+//! halving reference.
 //!
 //! The rule is expressed over the [`EpidemicValue`] trait so the same code
-//! drives both a plaintext mirror ([`PlainVector`], used for validation and
-//! large-scale simulation) and homomorphic ciphertext vectors (implemented
-//! in `chiaroscuro-core`, which owns the crypto dependency).
+//! drives both a plaintext mirror ([`PlainVector`]: the latency and error
+//! experiments of Figures 3(b) and 4(a), read through
+//! [`convergence_report`], and large-scale simulation) and homomorphic
+//! ciphertext vectors (implemented in `chiaroscuro-core`, which owns the
+//! crypto dependency).
+//!
+//! A [`PlainVector`] holds the scaled value `σ · 2^n` as an `f64`, so it
+//! overflows once an exchange counter `n` passes ≈ 1,023.  The report
+//! counts such states as overflowed rather than reading their `∞ / ∞`
+//! estimate as a number.
 
 use crate::engine::PairwiseProtocol;
 
@@ -84,15 +92,11 @@ impl<V: EpidemicValue> EesState<V> {
 }
 
 impl EesState<PlainVector> {
-    /// The local estimate of the global per-dimension sums: `value / weight`
-    /// (the pending power-of-two divisor cancels between numerator and
-    /// denominator).  `None` while the weight is still zero.
-    pub fn estimate(&self) -> Option<Vec<f64>> {
-        if self.weight > 0.0 {
-            Some(self.value.0.iter().map(|v| v / self.weight).collect())
-        } else {
-            None
-        }
+    /// The local estimate of the global sum of `dimension`:
+    /// `value / weight` (the pending power-of-two divisor cancels between
+    /// numerator and denominator).  `None` while the weight is still zero.
+    pub fn estimate(&self, dimension: usize) -> Option<f64> {
+        (self.weight > 0.0).then(|| self.value.0[dimension] / self.weight)
     }
 }
 
@@ -135,12 +139,60 @@ pub fn initial_states_seeded_at<V: EpidemicValue>(values: Vec<V>, seed: usize) -
         .collect()
 }
 
+/// Summary of the convergence of a one-dimensional epidemic sum.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SumConvergenceReport {
+    /// The exact global sum.
+    pub exact: f64,
+    /// The worst (largest) relative estimation error across participants
+    /// that hold an estimate.
+    pub max_relative_error: f64,
+    /// The mean relative error across participants that hold an estimate.
+    pub mean_relative_error: f64,
+    /// Fraction of participants that still have no estimate (weight 0).
+    pub without_estimate: f64,
+    /// Fraction of participants whose scaled value or weight is no longer
+    /// finite: their exchange counter outgrew `f64`.  They hold no
+    /// estimate and enter neither error.
+    pub overflowed: f64,
+}
+
+/// Measures the convergence of dimension 0 of `states` against the exact
+/// value.
+pub fn convergence_report(states: &[EesState<PlainVector>], exact: f64) -> SumConvergenceReport {
+    let (mut max, mut total, mut estimates) = (0.0f64, 0.0, 0usize);
+    let (mut missing, mut overflowed) = (0usize, 0usize);
+    for s in states {
+        if !(s.weight.is_finite() && s.value.0[0].is_finite()) {
+            overflowed += 1;
+        } else if let Some(est) = s.estimate(0) {
+            let err = if exact == 0.0 { est.abs() } else { (est - exact).abs() / exact.abs() };
+            max = max.max(err);
+            total += err;
+            estimates += 1;
+        } else {
+            missing += 1;
+        }
+    }
+    // A run where *no* participant holds an estimate has not converged at
+    // all: both aggregate errors must be infinite (a zero max would make a
+    // fully-failed run look perfect on the worst-case metric).
+    let (max, mean) = if estimates == 0 { (f64::INFINITY, f64::INFINITY) } else { (max, total / estimates as f64) };
+    let share = |count: usize| count as f64 / states.len() as f64;
+    SumConvergenceReport {
+        exact,
+        max_relative_error: max,
+        mean_relative_error: mean,
+        without_estimate: share(missing),
+        overflowed: share(overflowed),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::churn::ChurnModel;
     use crate::engine::GossipEngine;
-    use crate::sum::{initial_states as plain_initial_states, PushPullSum, SumState};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -153,6 +205,17 @@ mod tests {
             }
         }
         acc
+    }
+
+    /// One-dimensional states over `values`, the first seeding the weight.
+    fn scalar_states(values: &[f64]) -> Vec<EesState<PlainVector>> {
+        initial_states(values.iter().map(|&v| PlainVector(vec![v])).collect())
+    }
+
+    /// A state's unscaled `(σ, ω)`: the pending `2^n` divided out.
+    fn unscaled(state: &EesState<PlainVector>) -> (f64, f64) {
+        let divisor = 2f64.powi(state.exchanges as i32);
+        (state.value.0[0] / divisor, state.weight / divisor)
     }
 
     #[test]
@@ -179,6 +242,23 @@ mod tests {
     }
 
     #[test]
+    fn exchange_conserves_mass() {
+        let mut a = EesState::new_seed(PlainVector(vec![10.0]));
+        let mut b = EesState::new(PlainVector(vec![4.0]));
+        EesSumProtocol.exchange(&mut a, &mut b);
+        assert_eq!(a, b);
+        let ((sigma_a, omega_a), (sigma_b, omega_b)) = (unscaled(&a), unscaled(&b));
+        assert_eq!(sigma_a + sigma_b, 14.0);
+        assert_eq!(omega_a + omega_b, 1.0);
+    }
+
+    #[test]
+    fn estimate_requires_weight() {
+        assert_eq!(EesState::new(PlainVector(vec![5.0])).estimate(0), None);
+        assert_eq!(EesState::new_seed(PlainVector(vec![5.0])).estimate(0), Some(5.0));
+    }
+
+    #[test]
     fn eesum_converges_to_exact_sums() {
         let mut rng = StdRng::seed_from_u64(1);
         let values: Vec<Vec<f64>> = (0..400).map(|i| vec![(i % 7) as f64, 1.0, (i % 3) as f64 * 0.5]).collect();
@@ -187,60 +267,120 @@ mod tests {
         let mut engine = GossipEngine::new(states, ChurnModel::NONE);
         engine.run_rounds(&EesSumProtocol, 60, &mut rng);
         for node in engine.nodes() {
-            let est = node.estimate().expect("weight must have spread");
-            for (e, x) in est.iter().zip(exact.iter()) {
+            for (dimension, x) in exact.iter().enumerate() {
+                let e = node.estimate(dimension).expect("weight must have spread");
                 assert!((e - x).abs() / x.abs().max(1.0) < 1e-6, "estimate {e} vs exact {x}");
             }
         }
     }
 
     #[test]
-    fn eesum_matches_plain_push_pull_sum() {
-        // Appendix C.2.1: the scaled update rule is arithmetically equivalent
-        // to the plain halving rule.  Drive both protocols with the same
-        // exchange schedule and compare the estimates.
-        let values: Vec<f64> = (0..128).map(|i| (i * 13 % 29) as f64).collect();
+    fn epidemic_sum_converges_to_exact_value() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let values: Vec<f64> = (0..1_000).map(|i| (i % 17) as f64).collect();
         let exact: f64 = values.iter().sum();
-        let mut plain: Vec<SumState> = plain_initial_states(&values);
-        let mut scaled: Vec<EesState<PlainVector>> =
-            initial_states(values.iter().map(|&v| PlainVector(vec![v])).collect());
-        // A fixed deterministic schedule of exchanges.
-        let mut rng = StdRng::seed_from_u64(99);
-        for _ in 0..4_000 {
-            let i = rand::Rng::gen_range(&mut rng, 0..values.len());
-            let mut j = rand::Rng::gen_range(&mut rng, 0..values.len());
-            while j == i {
-                j = rand::Rng::gen_range(&mut rng, 0..values.len());
-            }
-            {
-                let (a, b) = crate::engine::pair_mut(&mut plain, i, j);
-                PushPullSum.exchange(a, b);
-            }
-            {
-                let (a, b) = crate::engine::pair_mut(&mut scaled, i, j);
-                EesSumProtocol.exchange(a, b);
-            }
-        }
-        for (p, s) in plain.iter().zip(scaled.iter()) {
-            match (p.estimate(), s.estimate()) {
-                (Some(pe), Some(se)) => {
-                    assert!((pe - se[0]).abs() / exact < 1e-9, "plain {pe} vs scaled {}", se[0]);
-                }
-                (None, None) => {}
-                other => panic!("weight spread differs between the two rules: {other:?}"),
-            }
-        }
+        let mut engine = GossipEngine::new(scalar_states(&values), ChurnModel::NONE);
+        engine.run_rounds(&EesSumProtocol, 60, &mut rng);
+        let report = convergence_report(engine.nodes(), exact);
+        assert_eq!((report.without_estimate, report.overflowed), (0.0, 0.0));
+        assert!(report.max_relative_error < 1e-6, "max err = {}", report.max_relative_error);
+    }
+
+    #[test]
+    fn error_decreases_with_more_rounds() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let exact = 500.0;
+        let mut engine = GossipEngine::new(scalar_states(&[1.0; 500]), ChurnModel::NONE);
+        engine.run_rounds(&EesSumProtocol, 10, &mut rng);
+        let early = convergence_report(engine.nodes(), exact).mean_relative_error;
+        engine.run_rounds(&EesSumProtocol, 30, &mut rng);
+        let late = convergence_report(engine.nodes(), exact).mean_relative_error;
+        assert!(late < early, "early={early}, late={late}");
+        assert!(late < 1e-8);
+    }
+
+    #[test]
+    fn epidemic_sum_tolerates_churn() {
+        // Figure 3(b): even with 50% disconnection probability per exchange
+        // the relative error remains a small fraction of the exact sum.
+        let mut rng = StdRng::seed_from_u64(3);
+        let exact = 2_000.0;
+        let mut engine = GossipEngine::new(scalar_states(&[1.0; 2_000]), ChurnModel::new(0.5));
+        engine.run_rounds(&EesSumProtocol, 100, &mut rng);
+        let report = convergence_report(engine.nodes(), exact);
+        assert_eq!(report.overflowed, 0.0);
+        assert!(report.mean_relative_error < 1e-2, "mean err = {}", report.mean_relative_error);
+    }
+
+    #[test]
+    fn fully_failed_run_reports_infinite_errors_on_both_metrics() {
+        // Regression: when every node lacks an estimate (weight 0
+        // everywhere, e.g. the weight seed crashed before its first
+        // exchange), the max metric used to read 0.0 — a perfect score for
+        // a run that computed nothing — while the mean was already INFINITY.
+        let states = vec![EesState::new(PlainVector(vec![3.0])); 10];
+        let report = convergence_report(&states, 30.0);
+        assert_eq!(report.without_estimate, 1.0);
+        assert!(report.mean_relative_error.is_infinite());
+        assert!(
+            report.max_relative_error.is_infinite(),
+            "a fully-failed run must not look perfect on the max metric (got {})",
+            report.max_relative_error
+        );
+    }
+
+    #[test]
+    fn partial_weight_spread_still_reports_finite_errors() {
+        // One node with an estimate is enough for finite aggregates; the
+        // missing fraction is reported separately.
+        let mut states = vec![EesState::new(PlainVector(vec![3.0])); 4];
+        states[0] = EesState::new_seed(PlainVector(vec![33.0]));
+        let report = convergence_report(&states, 30.0);
+        assert!((report.without_estimate - 0.75).abs() < 1e-12);
+        assert!((report.max_relative_error - 0.1).abs() < 1e-12);
+        assert!((report.mean_relative_error - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn count_aggregate_is_a_sum_of_ones() {
+        // The population counter of the noise generation counts participants
+        // by summing local 1s.
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut engine = GossipEngine::new(scalar_states(&[1.0; 300]), ChurnModel::NONE);
+        engine.run_rounds(&EesSumProtocol, 50, &mut rng);
+        let estimate = engine.nodes()[42].estimate(0).unwrap();
+        assert!((estimate - 300.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn overflowed_states_are_counted_apart_from_the_errors() {
+        // Past ≈ 1,023 exchanges `2^n` leaves f64: a value or weight reads
+        // ∞ and the estimate ∞ or NaN (`NaN.max(x)` is `x`, so a NaN error
+        // would print as a perfect run).  Such states are overflowed, not
+        // estimates, and the remaining states still report their errors.
+        let overflowed = |value: f64, weight: f64| EesState { value: PlainVector(vec![value]), weight, exchanges: 1_100 };
+        let states = [
+            EesState::new_seed(PlainVector(vec![33.0])),
+            overflowed(f64::INFINITY, f64::INFINITY),
+            overflowed(f64::INFINITY, 1e300),
+            EesState::new(PlainVector(vec![3.0])),
+        ];
+        let report = convergence_report(&states, 30.0);
+        assert_eq!((report.overflowed, report.without_estimate), (0.5, 0.25));
+        assert!((report.max_relative_error - 0.1).abs() < 1e-12, "{report:?}");
+        assert_eq!(report.max_relative_error, report.mean_relative_error);
     }
 
     #[test]
     fn exchange_counter_growth_stays_within_the_packing_budget() {
         // The lane-packed encoding sizes its lanes for a worst-case
         // epidemic doubling allowance of 8·rounds + 32 (see
-        // `chiaroscuro_core`'s runner).  The exchange counter grows faster
-        // than the naive "2 per round" guess — within one round, sequential
-        // exchanges cascade the max counter by ~5-6 (weakly increasing with
-        // the population) — but it must stay comfortably inside that
-        // budget, or packed runs would trip their decode-time guard.
+        // `chiaroscuro_core`'s `plan::RunPlan::new`).  The exchange counter
+        // grows faster than the naive "2 per round" guess — within one
+        // round, sequential exchanges cascade the max counter by ~5-6
+        // (weakly increasing with the population) — but it must stay
+        // comfortably inside that budget, or packed runs would trip their
+        // decode-time guard.
         for &pop in &[16usize, 100, 1_000] {
             for &rounds in &[8u32, 12, 48] {
                 for seed in 0..3u64 {
@@ -272,7 +412,7 @@ mod tests {
         let mut engine = GossipEngine::new(states, ChurnModel::NONE);
         engine.run_rounds(&EesSumProtocol, 20, &mut rng);
         // The *unscaled* weights (weight / 2^exchanges) must still sum to 1.
-        let total: f64 = engine.nodes().iter().map(|n| n.weight / 2f64.powi(n.exchanges as i32)).sum();
+        let total: f64 = engine.nodes().iter().map(|n| unscaled(n).1).sum();
         assert!((total - 1.0).abs() < 1e-9, "total unscaled weight = {total}");
     }
 
@@ -286,7 +426,7 @@ mod tests {
         let with_estimate: Vec<f64> = engine
             .nodes()
             .iter()
-            .filter_map(|n| n.estimate().map(|e| e[0]))
+            .filter_map(|n| n.estimate(0))
             .collect();
         assert!(!with_estimate.is_empty());
         let mean = with_estimate.iter().sum::<f64>() / with_estimate.len() as f64;

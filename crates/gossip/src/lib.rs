@@ -9,11 +9,11 @@
 //!
 //! * [`engine`] — the round-based pairwise-exchange simulation engine with
 //!   churn and message accounting;
-//! * [`sum`] — the plaintext push-pull epidemic sum (Kempe et al. /
-//!   Jelasity et al.), used for the latency/error experiments (Figures
-//!   3(b) and 4(a)) and as the plaintext mirror of EESum;
 //! * [`eesum`] — the EESum local update rule over *encrypted* (or otherwise
-//!   division-free) values, i.e. Algorithm 2 of the paper;
+//!   division-free) values, i.e. Algorithm 2 of the paper (the
+//!   delayed-division form of Kempe et al.'s push-pull sum), and its
+//!   plaintext mirror's convergence report, which the latency/error
+//!   experiments (Figures 3(b) and 4(a)) read;
 //! * [`dissemination`] — epidemic min-identifier dissemination, used for the
 //!   noise-surplus correction (§4.2.2);
 //! * [`decryption`] — the epidemic threshold-decryption protocol of §4.2.3
@@ -36,7 +36,6 @@ pub mod engine;
 pub mod metrics;
 pub mod sim;
 pub mod slab;
-pub mod sum;
 
 pub use churn::ChurnModel;
 pub use eesum::{EpidemicValue, EesState};
@@ -59,5 +58,4 @@ pub mod prelude {
         AdversaryModel, AdversaryState, AsyncNetworkConfig, CrashSchedule, CrashWindow,
         FaultCounters, FaultStats, LatencyModel, NetworkModel, ShardedAsyncEngine,
     };
-    pub use crate::sum::{PushPullSum, SumState};
 }

@@ -295,7 +295,7 @@ where
 mod tests {
     use super::*;
     use crate::engine::PairwiseProtocol;
-    use crate::sum::{convergence_report, initial_states, PushPullSum, SumState};
+    use crate::eesum::{convergence_report, initial_states, EesState, EesSumProtocol, PlainVector};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -310,9 +310,8 @@ mod tests {
         }
     }
 
-    fn sum_states(population: usize) -> Vec<SumState> {
-        let values: Vec<f64> = (0..population).map(|i| (i % 13) as f64).collect();
-        initial_states(&values)
+    fn sum_states(population: usize) -> Vec<EesState<PlainVector>> {
+        initial_states((0..population).map(|i| PlainVector(vec![(i % 13) as f64])).collect())
     }
 
     fn exact_sum(population: usize) -> f64 {
@@ -340,14 +339,14 @@ mod tests {
         // directly, or threading the knob would move every pinned seed.
         let mut direct_rng = StdRng::seed_from_u64(21);
         let mut engine = GossipEngine::new(sum_states(48), ChurnModel::new(0.2));
-        engine.run_rounds(&PushPullSum, 12, &mut direct_rng);
+        engine.run_rounds(&EesSumProtocol, 12, &mut direct_rng);
 
         let mut phase_rng = StdRng::seed_from_u64(21);
         let (nodes, stats) = run_phase(
             &NetworkModel::Rounds,
             sum_states(48),
             ChurnModel::new(0.2),
-            &PushPullSum,
+            &EesSumProtocol,
             12,
             &mut phase_rng,
             PhaseOpts::default(),
@@ -393,7 +392,7 @@ mod tests {
             &NetworkModel::Async(config),
             sum_states(48),
             ChurnModel::NONE,
-            &PushPullSum,
+            &EesSumProtocol,
             16,
             &mut rng,
             PhaseOpts::default(),
@@ -447,7 +446,7 @@ mod tests {
                 AsyncNetworkConfig::default().with_latency(LatencyModel::Constant(0.2)).with_edge_spread(spread);
             let mut rng = StdRng::seed_from_u64(77);
             let mut engine = ShardedAsyncEngine::new(sum_states(32), config, ChurnModel::NONE);
-            engine.run_for(&PushPullSum, 15.0, &mut rng);
+            engine.run_for(&EesSumProtocol, 15.0, &mut rng);
             engine.nodes().to_vec()
         };
         assert_eq!(run(0.9), run(0.9), "same configuration: same simulation");
@@ -501,14 +500,14 @@ mod tests {
             let mut direct_rng = StdRng::seed_from_u64(23);
             let mut engine =
                 ShardedAsyncEngine::new(sum_states(40), config.clone(), ChurnModel::new(0.1));
-            engine.run_for(&PushPullSum, 10.0, &mut direct_rng);
+            engine.run_for(&EesSumProtocol, 10.0, &mut direct_rng);
 
             let mut phase_rng = StdRng::seed_from_u64(23);
             let (nodes, stats) = run_phase(
                 &NetworkModel::Async(config),
                 sum_states(40),
                 ChurnModel::new(0.1),
-                &PushPullSum,
+                &EesSumProtocol,
                 10,
                 &mut phase_rng,
                 PhaseOpts::default(),

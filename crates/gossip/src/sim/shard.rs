@@ -646,7 +646,7 @@ mod tests {
     use crate::sim::latency::LatencyModel;
     use crate::sim::metrics::ConvergenceTimes;
     use crate::sim::schedule::{CrashSchedule, CrashWindow};
-    use crate::sum::{convergence_report, initial_states, PushPullSum, SumState};
+    use crate::eesum::{convergence_report, initial_states, EesState, EesSumProtocol, PlainVector};
 
     /// A toy protocol: both peers keep the max of their values.
     struct MaxProtocol;
@@ -659,9 +659,8 @@ mod tests {
         }
     }
 
-    fn sum_states(population: usize) -> Vec<SumState> {
-        let values: Vec<f64> = (0..population).map(|i| (i % 13) as f64).collect();
-        initial_states(&values)
+    fn sum_states(population: usize) -> Vec<EesState<PlainVector>> {
+        initial_states((0..population).map(|i| PlainVector(vec![(i % 13) as f64])).collect())
     }
 
     fn exact_sum(population: usize) -> f64 {
@@ -683,24 +682,29 @@ mod tests {
             .with_sim_shards(shards)
     }
 
-    type Parts = (Vec<SumState>, ExchangeMetrics, SimMetrics);
+    type Parts = (Vec<EesState<PlainVector>>, ExchangeMetrics, SimMetrics);
 
-    fn full_feature_engine(shards: usize) -> ShardedAsyncEngine<Vec<SumState>> {
+    fn full_feature_engine(shards: usize) -> ShardedAsyncEngine<Vec<EesState<PlainVector>>> {
         ShardedAsyncEngine::new(sum_states(64), full_feature_config(shards), ChurnModel::new(0.2))
     }
 
     fn full_feature_run(shards: usize) -> Parts {
         let mut rng = StdRng::seed_from_u64(1234);
         let mut engine = full_feature_engine(shards);
-        engine.run_for(&PushPullSum, 25.0, &mut rng);
+        engine.run_for(&EesSumProtocol, 25.0, &mut rng);
         engine.into_parts()
     }
 
     /// Folds every output bit of a run into one word: the node states, the
     /// exchange metrics, and every sim-metrics field with the in-flight
-    /// integral read over `horizon`.
+    /// integral read over `horizon`.  A state enters as its unscaled
+    /// `(σ, ω)`: dividing out the exact `2^n` leaves the halving rule's
+    /// bits, which the digests were pinned on.
     fn digest((nodes, metrics, sim): &Parts, horizon: f64) -> u64 {
-        let states = nodes.iter().flat_map(|s| [s.sigma.to_bits(), s.omega.to_bits()]);
+        let states = nodes.iter().flat_map(|s| {
+            let divisor = 2f64.powi(s.exchanges as i32);
+            [(s.value.0[0] / divisor).to_bits(), (s.weight / divisor).to_bits()]
+        });
         let counts = [metrics.exchanges(), metrics.messages(), u64::from(metrics.rounds())];
         let traffic = [sim.messages_sent, sim.messages_lost, sim.in_flight as u64, sim.peak_in_flight as u64];
         states
@@ -727,7 +731,7 @@ mod tests {
             .with_synchronized_start(true)
             .with_sim_shards(2);
         let mut engine = ShardedAsyncEngine::new(sum_states(64), config, ChurnModel::new(0.2));
-        engine.run_for(&PushPullSum, 25.0, &mut StdRng::seed_from_u64(1234));
+        engine.run_for(&EesSumProtocol, 25.0, &mut StdRng::seed_from_u64(1234));
         assert_eq!(digest(&engine.into_parts(), 25.0), 0xD47D_5772_A711_BD24, "synchronized start");
     }
 
@@ -821,7 +825,7 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(1235);
         let mut engine = full_feature_engine(4);
-        engine.run_for(&PushPullSum, 25.0, &mut rng);
+        engine.run_for(&EesSumProtocol, 25.0, &mut rng);
         assert_ne!(engine.nodes(), &nodes_a, "a different seed must diverge");
     }
 
@@ -837,7 +841,7 @@ mod tests {
                 ChurnModel::new(0.1),
             );
             for &d in chunks {
-                engine.run_for(&PushPullSum, d, &mut rng);
+                engine.run_for(&EesSumProtocol, d, &mut rng);
             }
             engine.into_parts()
         };
@@ -852,14 +856,14 @@ mod tests {
     fn zero_latency_synchronized_run_matches_round_engine_quality() {
         // With zero latency and synchronized starts every initiation
         // applies within its own window, so exchange counts match the
-        // round structure and the push-pull sum converges tightly.
+        // round structure and the epidemic sum converges tightly.
         let population = 512;
         let config = AsyncNetworkConfig::default()
             .with_synchronized_start(true)
             .with_sim_shards(4);
         let mut rng = StdRng::seed_from_u64(41);
         let mut engine = ShardedAsyncEngine::new(sum_states(population), config, ChurnModel::NONE);
-        engine.run_for(&PushPullSum, 40.0, &mut rng);
+        engine.run_for(&EesSumProtocol, 40.0, &mut rng);
         assert_eq!(engine.metrics().exchanges(), population as u64 * 40);
         assert_eq!(engine.metrics().rounds(), 40);
         let report = convergence_report(engine.nodes(), exact_sum(population));
@@ -937,10 +941,10 @@ mod tests {
 
     #[test]
     fn exchange_counter_growth_stays_within_the_packing_budget() {
-        // The lane-packing doubling allowance (8·budget + 32, see the core
-        // runner) must hold under the sharded schedule too, or packed
-        // decodes would trip their overflow guard at scale.
-        use crate::eesum::{initial_states as ees_states, EesSumProtocol, PlainVector};
+        // The lane-packing doubling allowance (8·budget + 32, see
+        // `chiaroscuro_core`'s `plan::RunPlan::new`) must hold under the
+        // sharded schedule too, or packed decodes would trip their overflow
+        // guard at scale.
         for &population in &[64usize, 1_000] {
             for &periods in &[8u32, 24] {
                 for latency in
@@ -951,7 +955,7 @@ mod tests {
                         .with_sim_shards(4);
                     let mut rng = StdRng::seed_from_u64(5);
                     let states =
-                        ees_states((0..population).map(|i| PlainVector(vec![i as f64])).collect());
+                        initial_states((0..population).map(|i| PlainVector(vec![i as f64])).collect());
                     let mut engine = ShardedAsyncEngine::new(states, config, ChurnModel::NONE);
                     engine.run_for(&EesSumProtocol, f64::from(periods), &mut rng);
                     let max_n = engine.nodes().iter().map(|n| n.exchanges).max().unwrap();
@@ -980,7 +984,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(21);
             let mut engine =
                 ShardedAsyncEngine::new(sum_states(population), config, ChurnModel::NONE);
-            engine.run_for(&PushPullSum, 3.0, &mut rng);
+            engine.run_for(&EesSumProtocol, 3.0, &mut rng);
             assert_eq!(engine.stamps.len(), if shards == 1 { 0 } else { population });
             engine.into_parts()
         };
@@ -1002,8 +1006,8 @@ mod tests {
         let _: u64 = reference.gen();
         let config = AsyncNetworkConfig::default().with_sim_shards(2);
         let mut engine = ShardedAsyncEngine::new(sum_states(32), config, ChurnModel::NONE);
-        engine.run_for(&PushPullSum, 7.0, &mut rng);
-        engine.run_for(&PushPullSum, 5.0, &mut rng);
+        engine.run_for(&EesSumProtocol, 7.0, &mut rng);
+        engine.run_for(&EesSumProtocol, 5.0, &mut rng);
         assert_eq!(rng, reference, "the sharded engine must consume exactly one draw");
     }
 
@@ -1018,9 +1022,9 @@ mod tests {
             let mut engine = full_feature_engine(shards);
             let mut times = ConvergenceTimes::new(64);
             for period in 1..=25 {
-                engine.run_for(&PushPullSum, 1.0, &mut rng);
+                engine.run_for(&EesSumProtocol, 1.0, &mut rng);
                 for (i, s) in engine.nodes().iter().enumerate() {
-                    let holds = s.estimate().is_some_and(|e| (e - exact).abs() <= 0.05 * exact);
+                    let holds = s.estimate(0).is_some_and(|e| (e - exact).abs() <= 0.05 * exact);
                     times.observe(i, f64::from(period), holds);
                 }
             }
