@@ -372,6 +372,41 @@ mod tests {
     }
 
     #[test]
+    fn eesum_matches_plain_push_pull_sum() {
+        // Appendix C.2.1: the scaled update rule is arithmetically equivalent
+        // to the plain halving rule.  Drive both with the same exchange
+        // schedule and compare the estimates; the halving reference is the
+        // inline `(σ, ω)` average, not a second protocol.
+        let values: Vec<f64> = (0..128).map(|i| (i * 13 % 29) as f64).collect();
+        let exact: f64 = values.iter().sum();
+        let mut plain: Vec<(f64, f64)> =
+            values.iter().enumerate().map(|(i, &v)| (v, if i == 0 { 1.0 } else { 0.0 })).collect();
+        let mut scaled = scalar_states(&values);
+        // A fixed deterministic schedule of exchanges.
+        let mut rng = StdRng::seed_from_u64(99);
+        for _ in 0..4_000 {
+            let i = rand::Rng::gen_range(&mut rng, 0..values.len());
+            let mut j = rand::Rng::gen_range(&mut rng, 0..values.len());
+            while j == i {
+                j = rand::Rng::gen_range(&mut rng, 0..values.len());
+            }
+            let half = (0.5 * (plain[i].0 + plain[j].0), 0.5 * (plain[i].1 + plain[j].1));
+            (plain[i], plain[j]) = (half, half);
+            let (a, b) = crate::engine::pair_mut(&mut scaled, i, j);
+            EesSumProtocol.exchange(a, b);
+        }
+        for (&(sigma, omega), s) in plain.iter().zip(scaled.iter()) {
+            match ((omega > 0.0).then(|| sigma / omega), s.estimate(0)) {
+                (Some(pe), Some(se)) => {
+                    assert!((pe - se).abs() / exact < 1e-9, "plain {pe} vs scaled {se}");
+                }
+                (None, None) => {}
+                other => panic!("weight spread differs between the two rules: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn exchange_counter_growth_stays_within_the_packing_budget() {
         // The lane-packed encoding sizes its lanes for a worst-case
         // epidemic doubling allowance of 8·rounds + 32 (see

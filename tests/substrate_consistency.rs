@@ -15,6 +15,7 @@ use chiaroscuro::dp::noise_share::NoiseShareGenerator;
 use chiaroscuro::gossip::churn::ChurnModel;
 use chiaroscuro::gossip::eesum::{initial_states, EesSumProtocol, PlainVector};
 use chiaroscuro::gossip::engine::{pair_mut, GossipEngine, PairwiseProtocol};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -136,4 +137,43 @@ fn threshold_decryption_of_a_gossip_summed_ciphertext() {
     let plaintext = combine(&keypair.public, &partials, 4, 10).unwrap();
     let estimate = encoder.decode(&plaintext, &keypair.public) / reference.weight;
     assert!((estimate - exact).abs() < 0.05, "estimate {estimate} vs exact {exact}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The arithmetic-equivalence claim of Appendix C.2.1, as a property over
+    /// random values and random exchange schedules (plaintext mirror only,
+    /// so the case count can stay high enough to matter).  The plain rule is
+    /// the inline halving of `(σ, ω)`.
+    #[test]
+    fn eesum_estimates_track_push_pull_estimates(
+        values in prop::collection::vec(-50.0f64..50.0, 4..24),
+        schedule_seed in any::<u64>(),
+    ) {
+        let mut scaled = initial_states(values.iter().map(|&v| PlainVector(vec![v])).collect());
+        let mut plain: Vec<(f64, f64)> =
+            values.iter().enumerate().map(|(i, &v)| (v, if i == 0 { 1.0 } else { 0.0 })).collect();
+        let mut rng = StdRng::seed_from_u64(schedule_seed);
+        for _ in 0..500 {
+            let i = rand::Rng::gen_range(&mut rng, 0..values.len());
+            let mut j = rand::Rng::gen_range(&mut rng, 0..values.len());
+            while j == i {
+                j = rand::Rng::gen_range(&mut rng, 0..values.len());
+            }
+            {
+                let (a, b) = pair_mut(&mut scaled, i, j);
+                EesSumProtocol.exchange(a, b);
+            }
+            let half = (0.5 * (plain[i].0 + plain[j].0), 0.5 * (plain[i].1 + plain[j].1));
+            (plain[i], plain[j]) = (half, half);
+        }
+        for (s, &(sigma, omega)) in scaled.iter().zip(plain.iter()) {
+            match (s.estimate(0), (omega > 0.0).then(|| sigma / omega)) {
+                (Some(se), Some(pe)) => prop_assert!((se - pe).abs() < 1e-6 * pe.abs().max(1.0)),
+                (None, None) => {}
+                other => prop_assert!(false, "weight spread mismatch: {other:?}"),
+            }
+        }
+    }
 }
