@@ -26,7 +26,7 @@ use chiaroscuro_gossip::churn::ChurnModel;
 use chiaroscuro_gossip::sim::{
     AsyncNetworkConfig, ConvergenceTimes, LatencyModel, ShardedAsyncEngine,
 };
-use chiaroscuro_gossip::eesum::{convergence_report, initial_states, EesSumProtocol, PlainVector};
+use chiaroscuro_gossip::eesum::{convergence_report, initial_states, EesSumProtocol};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -95,7 +95,7 @@ fn measure(
     // y-axis, in simulated time rather than rounds) and read each node's
     // standing against the tightest target, for the per-node percentiles.
     let mut rng = StdRng::seed_from_u64(seed + population as u64);
-    let states = initial_states(vec![PlainVector(vec![1.0]); population]);
+    let states = initial_states(vec![1.0; population]);
     let mut engine = ShardedAsyncEngine::new(states, config.clone(), ChurnModel::NONE);
     let mut targets = FirstHits::new(error_targets);
     let mut times = ConvergenceTimes::new(population);
@@ -105,7 +105,7 @@ fn measure(
         let report = convergence_report(engine.nodes(), exact);
         targets.record(&report, (elapsed, engine.metrics().messages_per_node(population)));
         for (node, state) in engine.nodes().iter().enumerate() {
-            let done = state.estimate(0).is_some_and(|est| (est - exact).abs() <= tight);
+            let done = state.estimate().is_some_and(|est| (est - exact).abs() <= tight);
             times.observe(node, elapsed, done);
         }
     }

@@ -20,7 +20,7 @@ use chiaroscuro_bench::{Args, Table};
 use chiaroscuro_dp::budget::{BudgetSchedule, BudgetStrategy};
 use chiaroscuro_gossip::churn::ChurnModel;
 use chiaroscuro_gossip::engine::GossipEngine;
-use chiaroscuro_gossip::eesum::{convergence_report, initial_states, EesSumProtocol, PlainVector};
+use chiaroscuro_gossip::eesum::{convergence_report, initial_states, EesSumProtocol};
 use chiaroscuro_kmeans::perturbed::Smoothing;
 use chiaroscuro_timeseries::inertia::dataset_inertia;
 use rand::rngs::StdRng;
@@ -77,7 +77,7 @@ fn sum_error_part(args: &Args) {
         let mut cells = vec![population.to_string()];
         for churn in [0.10, 0.25, 0.50] {
             let mut rng = StdRng::seed_from_u64(seed + population as u64 + (churn * 1000.0) as u64);
-            let states = initial_states(vec![PlainVector(vec![1.0]); population]);
+            let states = initial_states(vec![1.0; population]);
             let mut engine = GossipEngine::new(states, ChurnModel::new(churn));
             engine.run_rounds(&EesSumProtocol, rounds, &mut rng);
             let report = convergence_report(engine.nodes(), population as f64);

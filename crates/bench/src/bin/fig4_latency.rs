@@ -26,7 +26,7 @@ use chiaroscuro_gossip::churn::ChurnModel;
 use chiaroscuro_gossip::decryption::simulate_decryption;
 use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdArena};
 use chiaroscuro_gossip::engine::GossipEngine;
-use chiaroscuro_gossip::eesum::{convergence_report, initial_states, EesSumProtocol, PlainVector};
+use chiaroscuro_gossip::eesum::{convergence_report, initial_states, EesSumProtocol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,7 +74,7 @@ fn sum_part(args: &Args) -> Vec<Json> {
         let mut cells = vec![population.to_string()];
         // Sum: run round by round until each target error is met.
         let mut rng = StdRng::seed_from_u64(seed + population as u64);
-        let states = initial_states(vec![PlainVector(vec![1.0]); population]);
+        let states = initial_states(vec![1.0; population]);
         let mut engine = GossipEngine::new(states, ChurnModel::NONE);
         // Run rounds once and record the message count at which each target
         // absolute error is first satisfied.

@@ -491,10 +491,10 @@ mod tests {
         // 200 rounds take 10³ nodes' exchange counters past f64's range
         // (Fig 4(a)'s round cap on a run that never converged): the report
         // says so, and no target counts it as met.
-        use chiaroscuro_gossip::eesum::{convergence_report, initial_states, EesSumProtocol, PlainVector};
+        use chiaroscuro_gossip::eesum::{convergence_report, initial_states, EesSumProtocol};
         use chiaroscuro_gossip::{ChurnModel, GossipEngine};
         use rand::SeedableRng;
-        let mut engine = GossipEngine::new(initial_states(vec![PlainVector(vec![1.0]); 1_000]), ChurnModel::NONE);
+        let mut engine = GossipEngine::new(initial_states(vec![1.0; 1_000]), ChurnModel::NONE);
         engine.run_rounds(&EesSumProtocol, 200, &mut rand::rngs::StdRng::seed_from_u64(1));
         assert!(engine.nodes().iter().any(|node| node.exchanges > 1_023));
         let report = convergence_report(engine.nodes(), 1_000.0);

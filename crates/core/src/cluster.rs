@@ -72,7 +72,7 @@ use crate::actor::{
 };
 use crate::config::TransportKind;
 use crate::diptych::closest_centroid;
-use crate::iteration::{drive, Executor, RunContext};
+use crate::iteration::{drive, fold_contribution, Executor, RunContext};
 use crate::noise::NoiseCorrection;
 use crate::runner::{no_corrections, DistributedRun, RunOutcome};
 
@@ -306,12 +306,16 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T> {
         self.readout_round(ctx, 0..self.links.len(), false, |readout| Ok(readout.weight)).into_iter()
     }
 
-    /// One readout of the reference node alone, with its units.
+    /// One readout of the reference node alone, with its units.  The node
+    /// actors gossip the protocol's two halves, so the reference returns
+    /// `2·means_units + 1` units; they are folded here, by the rule the
+    /// in-process executor applies at contribution.
     fn units(&mut self, ctx: &RunContext<'_, B>, reference: usize) -> Vec<B::Unit> {
         let units = |readout: Readout<B>| {
             readout.units.ok_or(FrameError::BadPayload("the reference's readout carries no units"))
         };
-        self.readout_round(ctx, reference..reference + 1, true, units).into_iter().flatten().collect()
+        let split = self.readout_round(ctx, reference..reference + 1, true, units).into_iter().flatten().collect();
+        fold_contribution(ctx.kit.backend.as_ref(), split, ctx.run.plan.means_units)
     }
 
     fn propose(&mut self, _ctx: &RunContext<'_, B>, proposals: Vec<NoiseCorrection>) {

@@ -19,7 +19,7 @@
 //! [`crate::cluster`] (node actors behind transport links).  The seam has
 //! one method per kind of work, not one per phase: `gossip(Phase)` runs the
 //! means or the correction phase, `views` reads every node's epidemic
-//! weight, `units` hands back the reference node's accumulated vector,
+//! weight, `units` hands back the reference node's perturbed vector,
 //! `propose` installs the correction proposals and `read_out` hands back
 //! the winning correction.  *How* one gossip phase is carried out is not
 //! the executors' to decide: each names its node store and hands it to the
@@ -30,6 +30,23 @@
 //! [`device_contribution`] is likewise the only copy of what one device
 //! computes per iteration; the in-process executor maps it over the
 //! population and each node actor calls it for itself.
+//!
+//! A contribution carries the protocol's two halves — the encrypted means
+//! and the encrypted noise shares, in the same lane layout — and the counter
+//! unit.  The driver uses the halves exactly once, added together before
+//! threshold decryption, and EESum's scale and add are linear, so the
+//! pairwise sum of two accumulated halves equals the accumulated pairwise
+//! sum.  [`fold_contribution`] is that one fold rule: the simulator applies
+//! it where a contribution enters its own state (the in-process executor, as
+//! soon as a device returns one, so each simulated node holds
+//! `⌈k·(n+1)/L⌉ + 1` units instead of `2·⌈k·(n+1)/L⌉ + 1`) or where it reads
+//! the reference's state back (the link executor, whose node actors carry
+//! both halves).  [`Executor::units`] therefore hands the driver the
+//! reference's perturbed vector, then the counter.  The wire, the node
+//! actors and the message accounting keep the protocol's two halves: every
+//! device still encrypts both, every message is charged
+//! `2·⌈k·(n+1)/L⌉ + 1` units.  The fold is a saving of the simulator's
+//! memory and arithmetic, not of a participant's.
 //!
 //! Neither the driver nor an executor derives the run's shape: the gossip
 //! budget, the contribution size, the weight seed and the lane layout are
@@ -73,9 +90,8 @@ pub(crate) struct DeviceKit<B: CipherBackend> {
 
 /// One device's assignment step: the label of its closest centroid and its
 /// flat contribution vector — `⌈k·(n+1)/L⌉` means units, as many
-/// noise-share units (same lane layout, so the driver can add them
-/// pairwise before decryption), and one shared counter unit for the
-/// accumulated bias.
+/// noise-share units (same lane layout, so [`fold_contribution`] can add
+/// them pairwise), and one shared counter unit for the accumulated bias.
 ///
 /// The device stream comes off `participant_seed` and is split into a noise
 /// sub-stream and an encryption sub-stream (`crate::seedmix::device_streams`).
@@ -95,12 +111,23 @@ pub(crate) fn device_contribution<B: CipherBackend>(
     let (means, assigned) =
         PackedMeans::initialise(centroids, series, backend.as_ref(), packer, &mut device_rng);
     let mut flat = means.units;
-    flat.reserve(flat.len() + 1);
-    for m in packer.pack(&noise.flatten()) {
-        flat.push(backend.encrypt(&m, &mut device_rng));
-    }
-    flat.push(backend.encrypt(&packer.counter_plaintext(), &mut device_rng));
+    let noise_then_counter = packer.pack(&noise.flatten()).into_iter().chain([packer.counter_plaintext()]);
+    flat.extend(noise_then_counter.map(|m| backend.encrypt(&m, &mut device_rng)));
     (assigned, flat)
+}
+
+/// Folds a [`device_contribution`] (or an EESum state accumulated from
+/// them): noise unit `i` is added into means unit `i` with
+/// [`CipherBackend::add_assign`] and the noise half is dropped, leaving the
+/// perturbed vector's `means_units` units, then the counter.  Summing before
+/// or after any exchange schedule gives the same units, since EESum only
+/// scales and adds.
+pub(crate) fn fold_contribution<B: CipherBackend>(backend: &B, mut units: Vec<B::Unit>, means_units: usize) -> Vec<B::Unit> {
+    assert_eq!(units.len(), 2 * means_units + 1, "a contribution is two halves and a counter");
+    let (means, noise) = units.split_at_mut(means_units);
+    backend.add_assign(means, &noise[..means_units]);
+    units.drain(means_units..2 * means_units);
+    units
 }
 
 /// What the bootstrap adds to the run for its whole duration, handed to
@@ -155,8 +182,10 @@ pub(crate) trait Executor<B: CipherBackend> {
     /// Each node's epidemic weight after the means phase, in node order.
     fn views(&mut self, ctx: &RunContext<'_, B>) -> impl Iterator<Item = f64>;
 
-    /// The accumulated contribution vector `reference` holds after the
-    /// means phase.  The iteration's means state is spent afterwards.
+    /// The reference's perturbed vector, then the counter: the
+    /// `means_units + 1` units of the contribution state `reference` holds
+    /// after the means phase, folded by [`fold_contribution`] (wherever the
+    /// executor folds it).  The iteration's means state is spent afterwards.
     fn units(&mut self, ctx: &RunContext<'_, B>, reference: usize) -> Vec<B::Unit>;
 
     /// Installs one correction proposal per node, in node order.
@@ -322,7 +351,7 @@ where
         // have more contributors than devices, so the estimate is clamped
         // to the population rather than over-correcting by a physically
         // impossible surplus.
-        let counter = backend.threshold_decrypt(&cts[2 * blocks]);
+        let counter = backend.threshold_decrypt(&cts[blocks]);
         let mass = counter.to_u64_digits().iter().rev().fold(0.0, |acc, &d| acc * 2f64.powi(64) + d as f64);
         let contributors = ((mass / weight).round() as i64).min(population as i64);
         let expected_shares = params.num_noise_shares as i64;
@@ -342,15 +371,12 @@ where
         audit.record_n(iteration, "noise correction proposal", DataClass::DataIndependent, population);
 
         // --- Computation step (c): perturbation and threshold decryption. ---
-        // Each data unit is independent: one homomorphic add of the means
-        // part and the noise part (same lane layout and epidemic scaling,
-        // because they travelled in the same vector), then one threshold
-        // decryption; the counter recovers the accumulated bias (2·B·C:
-        // means and noise are both biased) and feeds the overflow guard.
-        // No randomness is involved, so the parallel map is trivially
-        // deterministic.
-        let plaintexts: Vec<BigUint> =
-            ctx.pool.map_range(blocks, |i| backend.threshold_decrypt(&backend.add(&cts[i], &cts[blocks + i])));
+        // Each unit of the perturbed vector (means and noise shares already
+        // folded, see `fold_contribution`) is one threshold decryption; the
+        // counter recovers the accumulated bias (2·B·C: means and noise are
+        // both biased) and feeds the overflow guard.  No randomness is
+        // involved, so the parallel map is trivially deterministic.
+        let plaintexts: Vec<BigUint> = ctx.pool.map_range(blocks, |i| backend.threshold_decrypt(&cts[i]));
         let mut decrypted: Vec<f64> =
             packer.unpack(&plaintexts, device.coordinates(), &counter, 2).iter().map(|v| v / weight).collect();
         audit.record(iteration, "partial decryptions of perturbed means", DataClass::DifferentiallyPrivate);

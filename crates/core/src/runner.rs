@@ -69,6 +69,14 @@
 //! state lives in one flat allocation and each exchange is one sweep over
 //! two contiguous rows); an encrypted backend's units are
 //! ciphertexts only the backend can combine, so it keeps per-node vectors.
+//! Either store (`MeansStore`) holds each node's contribution folded at
+//! `contribute`: the noise half is added into the means half as soon as a
+//! device returns it, so an arena row holds `⌈k·(n+1)/L⌉ + 1` units (the
+//! perturbed vector and the counter), not the protocol's
+//! `2·⌈k·(n+1)/L⌉ + 1`.  EESum only scales and adds, so the folded state is
+//! exactly the pairwise sum of the split one after any schedule; the saving
+//! is the simulator's memory and gossip arithmetic, and the message
+//! accounting still charges the protocol's units.
 //! The correction dissemination always runs on a [`MinIdArena`], which
 //! holds the proposals from `propose` to `read_out` and no rows between.
 //!
@@ -105,8 +113,9 @@
 //! The hot spots run over lane-packed ciphertexts
 //! (`chiaroscuro_crypto::packing`), the run's one encoding: each
 //! participant encrypts `2·⌈k·(n+1)/L⌉ + 1` units (means, noise shares and
-//! the bias counter), gossip messages carry that many, and
-//! `⌈k·(n+1)/L⌉ + 1` threshold decryptions recover all perturbed values.
+//! the bias counter), gossip messages are charged that many, and
+//! `⌈k·(n+1)/L⌉ + 1` threshold decryptions recover all perturbed values
+//! from the reference's folded state.
 //! The lane layout is part of the run's plan (`crate::plan`): it is derived
 //! once, with the gossip budget, the contribution size and the weight seed,
 //! when the run is constructed and before key generation, and the driver,
@@ -134,7 +143,7 @@ use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
 use crate::audit::SecurityAudit;
 use crate::config::{ChiaroscuroParams, ConfigError};
 use crate::evalue::BackendVector;
-use crate::iteration::{device_contribution, drive, Executor, RunContext};
+use crate::iteration::{device_contribution, drive, fold_contribution, Executor, RunContext};
 use crate::noise::NoiseCorrection;
 use crate::plan::RunPlan;
 
@@ -163,7 +172,8 @@ pub struct IterationNetworkStats {
     pub noise_share_deficit: usize,
     /// Payload units carried by one epidemic-sum gossip message (the whole
     /// contribution vector): `2·⌈k·(n+1)/L⌉ + 1` for `L` lanes per unit —
-    /// the means and noise-share units plus the bias counter.
+    /// the means and noise-share units plus the bias counter, as the
+    /// protocol sends them, however the simulator stores them.
     pub sum_payload_ciphertexts: usize,
     /// Bytes of one epidemic-sum gossip payload under the run's cipher
     /// backend: `sum_payload_ciphertexts` × the backend's honest per-unit
@@ -368,7 +378,10 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
 }
 
 /// The epidemic-sum state of the population in the storage its unit kind
-/// calls for, whichever engine runs the phase.
+/// calls for, whichever engine runs the phase.  Either store holds each
+/// node's folded contribution (`crate::iteration::fold_contribution`): the
+/// perturbed vector's `⌈k·(n+1)/L⌉` units, then the counter — not the
+/// protocol's two halves, which only the wire and the node actors carry.
 enum MeansStore<B: CipherBackend> {
     /// Per-node vectors of backend units: encrypted backends, whose
     /// ciphertexts only the backend itself can scale and add.
@@ -404,8 +417,12 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
         count_scale: f64,
     ) -> Vec<usize> {
         let series_all = ctx.run.data.series();
+        // Each contribution is folded as soon as its device returns it: the
+        // store holds one perturbed vector and the counter per node.
         let device = |i: usize, series: &TimeSeries| {
-            device_contribution(&ctx.kit, centroids, series, participant_seeds[i], sum_scale, count_scale)
+            let (assigned, units) =
+                device_contribution(&ctx.kit, centroids, series, participant_seeds[i], sum_scale, count_scale);
+            (assigned, fold_contribution(ctx.kit.backend.as_ref(), units, ctx.run.plan.means_units))
         };
         if B::ENCRYPTED {
             let (labels, units): (Vec<usize>, Vec<_>) = ctx.pool.map(series_all, device).into_iter().unzip();
@@ -414,10 +431,8 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
             self.means = MeansStore::PerNode(eesum_states_seeded_at(vectors, ctx.run.plan.weight_seed));
             return labels;
         }
-        let layout = ctx.kit.packer.layout();
-        let limbs_per_unit = (layout.lanes as u64 * layout.lane_bits).div_ceil(64) as usize + 1;
-        let RunPlan { contribution_units, weight_seed, .. } = ctx.run.plan;
-        let mut arena = EesUnitArena::seeded_at(series_all.len(), contribution_units, limbs_per_unit, weight_seed);
+        let (units_per_node, limbs) = arena_shape(&ctx.run.plan);
+        let mut arena = EesUnitArena::seeded_at(series_all.len(), units_per_node, limbs, ctx.run.plan.weight_seed);
         // Each worker writes a device's units straight into its row and
         // drops them: no boxed contribution outlives its device.
         let rows = arena.layout().clone();
@@ -516,6 +531,14 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
         );
         arena.payload(winner)
     }
+}
+
+/// The shape of a plaintext backend's EESum row: the perturbed vector's
+/// `means_units` units and the counter, of `lanes · lane_bits` bits each
+/// plus a head-room limb.
+fn arena_shape(plan: &RunPlan) -> (usize, usize) {
+    let layout = plan.packer.layout();
+    (plan.means_units + 1, (layout.lanes as u64 * layout.lane_bits).div_ceil(64) as usize + 1)
 }
 
 /// The dissemination store between iterations: no rows.
@@ -1025,6 +1048,193 @@ mod tests {
         }
     }
 
+    /// The plan of a 2-iteration, 1024-bit, ε = 40 run over `population`
+    /// series of `n` measures in `[0, 80]`, every device a noise
+    /// contributor.
+    fn plan_of(population: usize, k: usize, n: usize, exchanges: u32, threshold: usize) -> RunPlan {
+        let series = (0..population).map(|i| TimeSeries::constant(n, (i % 4) as f64 * 20.0 + 10.0)).collect();
+        let data = TimeSeriesSet::new(series, ValueRange::new(0.0, 80.0));
+        let params = ChiaroscuroParams::builder()
+            .k(k)
+            .max_iterations(2)
+            .key_bits(1024)
+            .key_share_threshold(threshold)
+            .num_noise_shares(population)
+            .exchanges(exchanges)
+            .strategy(BudgetStrategy::UniformFast { max_iterations: 2 })
+            .epsilon(40.0)
+            .build();
+        RunPlan::new(&params, &data).expect("an executable plan")
+    }
+
+    /// The in-process row of a plaintext backend holds the perturbed vector
+    /// and the counter, while a message is still charged the protocol's two
+    /// halves.  Widths in `u64` cells, from the plans of the benchmark's two
+    /// surrogate shapes: `sim_sharded` (P = 20 000, k = 2, n = 6,
+    /// 8 exchanges) and `sur_rounds` (P = 2 000, k = 4, n = 8, 14 exchanges).
+    #[test]
+    fn an_arena_row_holds_one_perturbed_vector_and_the_counter() {
+        let row_cells = |units, limbs| EesUnitArena::new(2, units, limbs).row(0).len();
+        for (shape, plan, (units, limbs), split_cells, cells) in [
+            ("sim_sharded", plan_of(20_000, 2, 6, 8, 3), (3, 16), 82, 50), // 400 B per node
+            ("sur_rounds", plan_of(2_000, 4, 8, 14, 4), (9, 15), 257, 137),
+        ] {
+            assert_eq!(arena_shape(&plan), (units, limbs), "{shape}");
+            assert_eq!((units, plan.contribution_units), (plan.means_units + 1, 2 * plan.means_units + 1), "{shape}");
+            assert_eq!(row_cells(plan.contribution_units, limbs), split_cells, "{shape}: the protocol's two halves");
+            assert_eq!(row_cells(units, limbs), cells, "{shape}: one perturbed vector and the counter");
+        }
+    }
+
+    /// Every barrier's store of one seeded EESum phase over `store` — the
+    /// round engine's after every round, the two-shard event engine's after
+    /// every window — under 25 % churn with a tenth of the nodes byzantine,
+    /// then the phase's accounting and fault counters.
+    fn barrier_snapshots<S>(store: S, sharded: bool, budget: u32) -> (Vec<S>, PhaseStats, FaultStats)
+    where
+        S: chiaroscuro_gossip::engine::ProtocolStore<EesSumProtocol> + Clone,
+    {
+        use chiaroscuro_gossip::churn::ChurnModel;
+        use chiaroscuro_gossip::sim::{AdversaryModel, AsyncNetworkConfig, LatencyModel, NetworkModel};
+        use rand::SeedableRng;
+        let network = if sharded {
+            let latency = LatencyModel::LogNormal { median: 0.25, sigma: 0.5 };
+            NetworkModel::Async(AsyncNetworkConfig::default().with_latency(latency).with_sim_shards(2))
+        } else {
+            NetworkModel::Rounds
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(71);
+        let mut adversary = AdversaryState::new(AdversaryModel::mixed(0.10, 5), 67);
+        let mut snapshots = Vec::new();
+        let mut record = |nodes: &S| {
+            snapshots.push(nodes.clone());
+            false
+        };
+        let opts = PhaseOpts { until: Some(&mut record), adversary: Some(&mut adversary) };
+        let (_, stats) = run_phase(&network, store, ChurnModel::new(0.25), &EesSumProtocol, budget, &mut rng, opts);
+        assert!(snapshots.len() > 2, "one snapshot up front and one per round or window");
+        (snapshots, stats, adversary.take_stats())
+    }
+
+    /// Folding before the gossip is folding after it, on the lane arena:
+    /// one schedule drives a split arena (`2b + 1` units of a sur_rounds
+    /// layout) and the folded one (`b + 1`), and after every round or
+    /// window each node's folded unit `i` is split unit `i` plus split unit
+    /// `b + i`, limb for limb, with the counter unit, the weight and the
+    /// exchange counter bit-equal.
+    #[test]
+    fn a_folded_arena_is_the_pairwise_sum_of_the_split_one_after_every_barrier() {
+        use rand::SeedableRng;
+        let plan = plan_of(2_000, 4, 8, 14, 4);
+        let (blocks, packer) = (plan.means_units, &plan.packer);
+        let (_, limbs) = arena_shape(&plan);
+        let value_bits = packer.layout().lanes as u64 * packer.layout().lane_bits;
+        let backend = PlaintextSurrogate::import_public(&value_bits.to_be_bytes()).expect("eight bytes");
+        let population = 96;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(61);
+        let mut split = EesUnitArena::new(population, 2 * blocks + 1, limbs);
+        let mut folded = EesUnitArena::new(population, blocks + 1, limbs);
+        for node in 0..population {
+            let means: Vec<f64> = (0..36).map(|_| rng.gen_range(0.0..80.0)).collect();
+            let noise: Vec<f64> = (0..36).map(|_| rng.gen_range(-3.0..3.0)).collect();
+            let mut contribution = packer.pack(&means);
+            contribution.extend(packer.pack(&noise));
+            contribution.push(packer.counter_plaintext());
+            for (u, unit) in contribution.iter().enumerate() {
+                split.set_unit_from_digits(node, u, unit.iter_u64_digits());
+            }
+            for (u, unit) in fold_contribution(&backend, contribution, blocks).iter().enumerate() {
+                folded.set_unit_from_digits(node, u, unit.iter_u64_digits());
+            }
+        }
+        for sharded in [false, true] {
+            let (splits, split_stats, split_faults) = barrier_snapshots(split.clone(), sharded, plan.exchanges);
+            let (folds, fold_stats, fold_faults) = barrier_snapshots(folded.clone(), sharded, plan.exchanges);
+            assert_eq!((fold_stats, fold_faults), (split_stats, split_faults), "sharded: {sharded}");
+            assert!(split_faults.injected_total() > 0, "the adversary must have voided exchanges");
+            assert_eq!(folds.len(), splits.len());
+            for (barrier, (split, folded)) in splits.iter().zip(&folds).enumerate() {
+                for node in 0..population {
+                    let at = format!("sharded: {sharded}, barrier {barrier}, node {node}");
+                    assert_eq!(folded.weight(node).to_bits(), split.weight(node).to_bits(), "{at}");
+                    assert_eq!(folded.exchange_counter(node), split.exchange_counter(node), "{at}");
+                    assert_eq!(folded.unit_limbs(node, blocks), split.unit_limbs(node, 2 * blocks), "{at}: counter");
+                    for i in 0..blocks {
+                        let mut carry = 0u128;
+                        let sum: Vec<u64> = split.unit_limbs(node, i).iter().zip(split.unit_limbs(node, blocks + i))
+                            .map(|(&a, &b)| {
+                                let limb = u128::from(a) + u128::from(b) + carry;
+                                carry = limb >> 64;
+                                limb as u64
+                            })
+                            .collect();
+                        assert_eq!(carry, 0, "{at}: unit {i} outgrew its window");
+                        assert_eq!(folded.unit_limbs(node, i), sum, "{at}: unit {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The same on Damgård–Jurik ciphertexts at a 256-bit key: after every
+    /// round or window each node's folded unit `i` is the residue of split
+    /// unit `i` times split unit `b + i`, and the counter residue, the
+    /// weight and the exchange counter are equal.
+    #[test]
+    fn folded_ciphertext_states_are_the_pairwise_sums_of_the_split_ones_after_every_barrier() {
+        use chiaroscuro_crypto::backend::BackendSetup;
+        use chiaroscuro_gossip::eesum::initial_states;
+        use rand::SeedableRng;
+        use std::sync::Arc;
+        let population = 24;
+        let mut params = tiny_params(2, 1);
+        params.exchanges_override = Some(8);
+        params.num_noise_shares = population;
+        let data = tiny_dataset(population);
+        let plan = DistributedRun::new(params.clone(), &data).plan;
+        let (blocks, packer) = (plan.means_units, &plan.packer);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(73);
+        let setup = BackendSetup {
+            key_bits: params.key_bits,
+            damgard_jurik_s: params.damgard_jurik_s,
+            population,
+            key_share_threshold: params.key_share_threshold,
+            packed_layout: Some(packer.layout()),
+        };
+        let backend = Arc::new(DamgardJurik::setup(&setup, &mut rng));
+        let (mut split, mut folded) = (Vec::new(), Vec::new());
+        for _ in 0..population {
+            let mut values = |range: std::ops::Range<f64>| (0..10).map(|_| rng.gen_range(range.clone())).collect::<Vec<f64>>();
+            let (means, noise) = (values(0.0..80.0), values(-3.0..3.0));
+            let plaintexts = packer.pack(&means).into_iter().chain(packer.pack(&noise)).chain([packer.counter_plaintext()]);
+            let units: Vec<_> = plaintexts.map(|m| backend.encrypt(&m, &mut rng)).collect();
+            split.push(BackendVector::new(backend.clone(), units.clone()));
+            folded.push(BackendVector::new(backend.clone(), fold_contribution(backend.as_ref(), units, blocks)));
+        }
+        let residue = |unit: &<DamgardJurik as CipherBackend>::Unit| backend.unit_to_bytes(unit);
+        for sharded in [false, true] {
+            let (splits, split_stats, split_faults) =
+                barrier_snapshots(initial_states(split.clone()), sharded, plan.exchanges);
+            let (folds, fold_stats, fold_faults) =
+                barrier_snapshots(initial_states(folded.clone()), sharded, plan.exchanges);
+            assert_eq!((fold_stats, fold_faults), (split_stats, split_faults), "sharded: {sharded}");
+            assert_eq!(folds.len(), splits.len());
+            for (barrier, (split, folded)) in splits.iter().zip(&folds).enumerate() {
+                for (node, (s, f)) in split.iter().zip(folded).enumerate() {
+                    let at = format!("sharded: {sharded}, barrier {barrier}, node {node}");
+                    assert_eq!(f.weight.to_bits(), s.weight.to_bits(), "{at}");
+                    assert_eq!(f.exchanges, s.exchanges, "{at}");
+                    let (s, f) = (s.value.units(), f.value.units());
+                    assert_eq!(f.len(), blocks + 1, "{at}");
+                    assert_eq!(residue(&f[blocks]), residue(&s[2 * blocks]), "{at}: counter");
+                    for i in 0..blocks {
+                        assert_eq!(residue(&f[i]), residue(&backend.add(&s[i], &s[blocks + i])), "{at}: unit {i}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "cannot pack")]
     fn overflowing_lane_configuration_is_rejected_at_validation() {
@@ -1247,8 +1457,9 @@ mod tests {
 
     /// The arena fill as it was before contributions were written in
     /// place: devices in pool batches of 512 as boxed unit vectors, then a
-    /// serial copy of each unit's digits into the arena.  The reference the
-    /// in-place fill must reproduce bit for bit.
+    /// serial copy of each unit's digits into the arena, each contribution
+    /// folded before it is written.  The reference the in-place fill must
+    /// reproduce bit for bit.
     fn batched_fill<B: CipherBackend>(
         ctx: &RunContext<'_, B>,
         centroids: &[TimeSeries],
@@ -1258,10 +1469,9 @@ mod tests {
         const BATCH: usize = 512;
         let series_all = ctx.run.data.series();
         let population = series_all.len();
-        let layout = ctx.kit.packer.layout();
-        let limbs_per_unit = (layout.lanes as u64 * layout.lane_bits).div_ceil(64) as usize + 1;
-        let RunPlan { contribution_units, weight_seed, .. } = ctx.run.plan;
-        let mut arena = EesUnitArena::seeded_at(population, contribution_units, limbs_per_unit, weight_seed);
+        let (units_per_node, limbs_per_unit) = arena_shape(&ctx.run.plan);
+        let RunPlan { means_units, weight_seed, .. } = ctx.run.plan;
+        let mut arena = EesUnitArena::seeded_at(population, units_per_node, limbs_per_unit, weight_seed);
         let mut labels = Vec::with_capacity(population);
         for start in (0..population).step_by(BATCH) {
             let end = (start + BATCH).min(population);
@@ -1270,7 +1480,7 @@ mod tests {
             });
             for (offset, (assigned, units)) in batch.into_iter().enumerate() {
                 labels.push(assigned);
-                for (u, unit) in units.iter().enumerate() {
+                for (u, unit) in fold_contribution(ctx.kit.backend.as_ref(), units, means_units).iter().enumerate() {
                     let digits = ctx.kit.backend.plaintext_of(unit).iter_u64_digits();
                     arena.set_unit_from_digits(start + offset, u, digits);
                 }

@@ -12,16 +12,16 @@
 //! halving reference.
 //!
 //! The rule is expressed over the [`EpidemicValue`] trait so the same code
-//! drives both a plaintext mirror ([`PlainVector`]: the latency and error
-//! experiments of Figures 3(b) and 4(a), read through
-//! [`convergence_report`], and large-scale simulation) and homomorphic
-//! ciphertext vectors (implemented in `chiaroscuro-core`, which owns the
-//! crypto dependency).
+//! drives both a one-dimensional plaintext mirror (`f64`: the latency and
+//! error experiments of Figures 3(b) and 4(a), read through
+//! [`convergence_report`]) and homomorphic ciphertext vectors (implemented
+//! in `chiaroscuro-core`, which owns the crypto dependency).  The mirror is
+//! the bare `f64`, held inline in each [`EesState`]: a million-node figure
+//! run allocates nothing per node.
 //!
-//! A [`PlainVector`] holds the scaled value `σ · 2^n` as an `f64`, so it
-//! overflows once an exchange counter `n` passes ≈ 1,023.  The report
-//! counts such states as overflowed rather than reading their `∞ / ∞`
-//! estimate as a number.
+//! An `f64` state holds the scaled value `σ · 2^n`, so it overflows once an
+//! exchange counter `n` passes ≈ 1,023.  The report counts such states as
+//! overflowed rather than reading their `∞ / ∞` estimate as a number.
 
 use crate::engine::PairwiseProtocol;
 
@@ -35,25 +35,15 @@ pub trait EpidemicValue: Clone {
     fn add_assign(&mut self, other: &Self);
 }
 
-/// A plaintext vector of f64s: the mirror implementation used to validate
-/// the update rule and to run large-scale latency simulations without
-/// paying the cryptographic cost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlainVector(pub Vec<f64>);
-
-impl EpidemicValue for PlainVector {
+/// A one-dimensional plaintext value: scaling multiplies by `2^exponent`,
+/// addition is `+`.
+impl EpidemicValue for f64 {
     fn scale_pow2(&mut self, exponent: u32) {
-        let factor = 2f64.powi(exponent as i32);
-        for v in &mut self.0 {
-            *v *= factor;
-        }
+        *self *= 2f64.powi(exponent as i32);
     }
 
     fn add_assign(&mut self, other: &Self) {
-        assert_eq!(self.0.len(), other.0.len(), "dimension mismatch in EESum addition");
-        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
-            *a += b;
-        }
+        *self += other;
     }
 }
 
@@ -91,12 +81,12 @@ impl<V: EpidemicValue> EesState<V> {
     }
 }
 
-impl EesState<PlainVector> {
-    /// The local estimate of the global sum of `dimension`:
-    /// `value / weight` (the pending power-of-two divisor cancels between
-    /// numerator and denominator).  `None` while the weight is still zero.
-    pub fn estimate(&self, dimension: usize) -> Option<f64> {
-        (self.weight > 0.0).then(|| self.value.0[dimension] / self.weight)
+impl EesState<f64> {
+    /// The local estimate of the global sum: `value / weight` (the pending
+    /// power-of-two divisor cancels between numerator and denominator).
+    /// `None` while the weight is still zero.
+    pub fn estimate(&self) -> Option<f64> {
+        (self.weight > 0.0).then(|| self.value / self.weight)
     }
 }
 
@@ -157,15 +147,14 @@ pub struct SumConvergenceReport {
     pub overflowed: f64,
 }
 
-/// Measures the convergence of dimension 0 of `states` against the exact
-/// value.
-pub fn convergence_report(states: &[EesState<PlainVector>], exact: f64) -> SumConvergenceReport {
+/// Measures the convergence of `states` against the exact value.
+pub fn convergence_report(states: &[EesState<f64>], exact: f64) -> SumConvergenceReport {
     let (mut max, mut total, mut estimates) = (0.0f64, 0.0, 0usize);
     let (mut missing, mut overflowed) = (0usize, 0usize);
     for s in states {
-        if !(s.weight.is_finite() && s.value.0[0].is_finite()) {
+        if !(s.weight.is_finite() && s.value.is_finite()) {
             overflowed += 1;
-        } else if let Some(est) = s.estimate(0) {
+        } else if let Some(est) = s.estimate() {
             let err = if exact == 0.0 { est.abs() } else { (est - exact).abs() / exact.abs() };
             max = max.max(err);
             total += err;
@@ -196,39 +185,28 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn exact_sums(values: &[Vec<f64>]) -> Vec<f64> {
-        let dims = values[0].len();
-        let mut acc = vec![0.0; dims];
-        for v in values {
-            for (a, b) in acc.iter_mut().zip(v.iter()) {
-                *a += b;
-            }
-        }
-        acc
-    }
-
     /// One-dimensional states over `values`, the first seeding the weight.
-    fn scalar_states(values: &[f64]) -> Vec<EesState<PlainVector>> {
-        initial_states(values.iter().map(|&v| PlainVector(vec![v])).collect())
+    fn scalar_states(values: &[f64]) -> Vec<EesState<f64>> {
+        initial_states(values.to_vec())
     }
 
     /// A state's unscaled `(σ, ω)`: the pending `2^n` divided out.
-    fn unscaled(state: &EesState<PlainVector>) -> (f64, f64) {
+    fn unscaled(state: &EesState<f64>) -> (f64, f64) {
         let divisor = 2f64.powi(state.exchanges as i32);
-        (state.value.0[0] / divisor, state.weight / divisor)
+        (state.value / divisor, state.weight / divisor)
     }
 
     #[test]
     fn scale_pow2_multiplies_plain_vectors() {
-        let mut v = PlainVector(vec![1.0, -2.0, 0.5]);
-        v.scale_pow2(3);
-        assert_eq!(v.0, vec![8.0, -16.0, 4.0]);
+        let mut v = [1.0f64, -2.0, 0.5];
+        v.iter_mut().for_each(|x| x.scale_pow2(3));
+        assert_eq!(v, [8.0, -16.0, 4.0]);
     }
 
     #[test]
     fn exchange_aligns_exchange_counts() {
-        let mut a = EesState::new_seed(PlainVector(vec![4.0]));
-        let mut b = EesState::new(PlainVector(vec![2.0]));
+        let mut a = EesState::new_seed(4.0);
+        let mut b = EesState::new(2.0);
         // Give `a` a head start of 2 exchanges.
         a.exchanges = 2;
         a.value.scale_pow2(2);
@@ -238,13 +216,13 @@ mod tests {
         assert_eq!(b.exchanges, 3);
         assert_eq!(a.value, b.value);
         // b's value must have been scaled by 2^2 before the addition.
-        assert_eq!(a.value.0[0], 4.0 * 4.0 + 2.0 * 4.0);
+        assert_eq!(a.value, 4.0 * 4.0 + 2.0 * 4.0);
     }
 
     #[test]
     fn exchange_conserves_mass() {
-        let mut a = EesState::new_seed(PlainVector(vec![10.0]));
-        let mut b = EesState::new(PlainVector(vec![4.0]));
+        let mut a = EesState::new_seed(10.0);
+        let mut b = EesState::new(4.0);
         EesSumProtocol.exchange(&mut a, &mut b);
         assert_eq!(a, b);
         let ((sigma_a, omega_a), (sigma_b, omega_b)) = (unscaled(&a), unscaled(&b));
@@ -254,21 +232,37 @@ mod tests {
 
     #[test]
     fn estimate_requires_weight() {
-        assert_eq!(EesState::new(PlainVector(vec![5.0])).estimate(0), None);
-        assert_eq!(EesState::new_seed(PlainVector(vec![5.0])).estimate(0), Some(5.0));
+        assert_eq!(EesState::new(5.0).estimate(), None);
+        assert_eq!(EesState::new_seed(5.0).estimate(), Some(5.0));
+    }
+
+    /// A three-dimensional plaintext value, for the vector form of the rule
+    /// the ciphertext vectors use.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Triple([f64; 3]);
+
+    impl EpidemicValue for Triple {
+        fn scale_pow2(&mut self, exponent: u32) {
+            self.0.iter_mut().for_each(|v| v.scale_pow2(exponent));
+        }
+
+        fn add_assign(&mut self, other: &Self) {
+            self.0.iter_mut().zip(&other.0).for_each(|(a, b)| *a += b);
+        }
     }
 
     #[test]
     fn eesum_converges_to_exact_sums() {
         let mut rng = StdRng::seed_from_u64(1);
-        let values: Vec<Vec<f64>> = (0..400).map(|i| vec![(i % 7) as f64, 1.0, (i % 3) as f64 * 0.5]).collect();
-        let exact = exact_sums(&values);
-        let states = initial_states(values.into_iter().map(PlainVector).collect());
+        let values: Vec<[f64; 3]> = (0..400).map(|i| [(i % 7) as f64, 1.0, (i % 3) as f64 * 0.5]).collect();
+        let exact = values.iter().fold([0.0; 3], |acc, v| [acc[0] + v[0], acc[1] + v[1], acc[2] + v[2]]);
+        let states = initial_states(values.into_iter().map(Triple).collect());
         let mut engine = GossipEngine::new(states, ChurnModel::NONE);
         engine.run_rounds(&EesSumProtocol, 60, &mut rng);
         for node in engine.nodes() {
-            for (dimension, x) in exact.iter().enumerate() {
-                let e = node.estimate(dimension).expect("weight must have spread");
+            assert!(node.weight > 0.0, "weight must have spread");
+            for (value, x) in node.value.0.iter().zip(&exact) {
+                let e = value / node.weight;
                 assert!((e - x).abs() / x.abs().max(1.0) < 1e-6, "estimate {e} vs exact {x}");
             }
         }
@@ -318,7 +312,7 @@ mod tests {
         // everywhere, e.g. the weight seed crashed before its first
         // exchange), the max metric used to read 0.0 — a perfect score for
         // a run that computed nothing — while the mean was already INFINITY.
-        let states = vec![EesState::new(PlainVector(vec![3.0])); 10];
+        let states = vec![EesState::new(3.0); 10];
         let report = convergence_report(&states, 30.0);
         assert_eq!(report.without_estimate, 1.0);
         assert!(report.mean_relative_error.is_infinite());
@@ -333,8 +327,8 @@ mod tests {
     fn partial_weight_spread_still_reports_finite_errors() {
         // One node with an estimate is enough for finite aggregates; the
         // missing fraction is reported separately.
-        let mut states = vec![EesState::new(PlainVector(vec![3.0])); 4];
-        states[0] = EesState::new_seed(PlainVector(vec![33.0]));
+        let mut states = vec![EesState::new(3.0); 4];
+        states[0] = EesState::new_seed(33.0);
         let report = convergence_report(&states, 30.0);
         assert!((report.without_estimate - 0.75).abs() < 1e-12);
         assert!((report.max_relative_error - 0.1).abs() < 1e-12);
@@ -348,7 +342,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut engine = GossipEngine::new(scalar_states(&[1.0; 300]), ChurnModel::NONE);
         engine.run_rounds(&EesSumProtocol, 50, &mut rng);
-        let estimate = engine.nodes()[42].estimate(0).unwrap();
+        let estimate = engine.nodes()[42].estimate().unwrap();
         assert!((estimate - 300.0).abs() < 1e-3);
     }
 
@@ -358,12 +352,12 @@ mod tests {
         // ∞ and the estimate ∞ or NaN (`NaN.max(x)` is `x`, so a NaN error
         // would print as a perfect run).  Such states are overflowed, not
         // estimates, and the remaining states still report their errors.
-        let overflowed = |value: f64, weight: f64| EesState { value: PlainVector(vec![value]), weight, exchanges: 1_100 };
+        let overflowed = |value: f64, weight: f64| EesState { value, weight, exchanges: 1_100 };
         let states = [
-            EesState::new_seed(PlainVector(vec![33.0])),
+            EesState::new_seed(33.0),
             overflowed(f64::INFINITY, f64::INFINITY),
             overflowed(f64::INFINITY, 1e300),
-            EesState::new(PlainVector(vec![3.0])),
+            EesState::new(3.0),
         ];
         let report = convergence_report(&states, 30.0);
         assert_eq!((report.overflowed, report.without_estimate), (0.5, 0.25));
@@ -396,7 +390,7 @@ mod tests {
             EesSumProtocol.exchange(a, b);
         }
         for (&(sigma, omega), s) in plain.iter().zip(scaled.iter()) {
-            match ((omega > 0.0).then(|| sigma / omega), s.estimate(0)) {
+            match ((omega > 0.0).then(|| sigma / omega), s.estimate()) {
                 (Some(pe), Some(se)) => {
                     assert!((pe - se).abs() / exact < 1e-9, "plain {pe} vs scaled {se}");
                 }
@@ -425,7 +419,7 @@ mod tests {
                     for churn in [ChurnModel::NONE, ChurnModel::new(0.25), ChurnModel::new(0.5)] {
                     let mut rng = StdRng::seed_from_u64(seed);
                     let states =
-                        initial_states((0..pop).map(|i| PlainVector(vec![i as f64])).collect());
+                        initial_states((0..pop).map(|i| i as f64).collect());
                     let mut engine = GossipEngine::new(states, churn);
                     engine.run_rounds(&EesSumProtocol, rounds, &mut rng);
                     let max_n = engine.nodes().iter().map(|n| n.exchanges).max().unwrap();
@@ -443,7 +437,7 @@ mod tests {
     #[test]
     fn weights_conserve_mass() {
         let mut rng = StdRng::seed_from_u64(3);
-        let states = initial_states((0..50).map(|i| PlainVector(vec![i as f64])).collect());
+        let states = initial_states((0..50).map(|i| i as f64).collect());
         let mut engine = GossipEngine::new(states, ChurnModel::NONE);
         engine.run_rounds(&EesSumProtocol, 20, &mut rng);
         // The *unscaled* weights (weight / 2^exchanges) must still sum to 1.
@@ -454,14 +448,13 @@ mod tests {
     #[test]
     fn eesum_with_churn_still_approximates() {
         let mut rng = StdRng::seed_from_u64(4);
-        let values: Vec<Vec<f64>> = vec![vec![1.0]; 1_000];
-        let states = initial_states(values.into_iter().map(PlainVector).collect());
+        let states = initial_states(vec![1.0; 1_000]);
         let mut engine = GossipEngine::new(states, ChurnModel::new(0.25));
         engine.run_rounds(&EesSumProtocol, 80, &mut rng);
         let with_estimate: Vec<f64> = engine
             .nodes()
             .iter()
-            .filter_map(|n| n.estimate(0))
+            .filter_map(|n| n.estimate())
             .collect();
         assert!(!with_estimate.is_empty());
         let mean = with_estimate.iter().sum::<f64>() / with_estimate.len() as f64;

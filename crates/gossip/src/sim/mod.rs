@@ -295,7 +295,7 @@ where
 mod tests {
     use super::*;
     use crate::engine::PairwiseProtocol;
-    use crate::eesum::{convergence_report, initial_states, EesState, EesSumProtocol, PlainVector};
+    use crate::eesum::{convergence_report, initial_states, EesState, EesSumProtocol};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -310,8 +310,8 @@ mod tests {
         }
     }
 
-    fn sum_states(population: usize) -> Vec<EesState<PlainVector>> {
-        initial_states((0..population).map(|i| PlainVector(vec![(i % 13) as f64])).collect())
+    fn sum_states(population: usize) -> Vec<EesState<f64>> {
+        initial_states((0..population).map(|i| (i % 13) as f64).collect())
     }
 
     fn exact_sum(population: usize) -> f64 {

@@ -646,7 +646,7 @@ mod tests {
     use crate::sim::latency::LatencyModel;
     use crate::sim::metrics::ConvergenceTimes;
     use crate::sim::schedule::{CrashSchedule, CrashWindow};
-    use crate::eesum::{convergence_report, initial_states, EesState, EesSumProtocol, PlainVector};
+    use crate::eesum::{convergence_report, initial_states, EesState, EesSumProtocol};
 
     /// A toy protocol: both peers keep the max of their values.
     struct MaxProtocol;
@@ -659,8 +659,8 @@ mod tests {
         }
     }
 
-    fn sum_states(population: usize) -> Vec<EesState<PlainVector>> {
-        initial_states((0..population).map(|i| PlainVector(vec![(i % 13) as f64])).collect())
+    fn sum_states(population: usize) -> Vec<EesState<f64>> {
+        initial_states((0..population).map(|i| (i % 13) as f64).collect())
     }
 
     fn exact_sum(population: usize) -> f64 {
@@ -682,9 +682,9 @@ mod tests {
             .with_sim_shards(shards)
     }
 
-    type Parts = (Vec<EesState<PlainVector>>, ExchangeMetrics, SimMetrics);
+    type Parts = (Vec<EesState<f64>>, ExchangeMetrics, SimMetrics);
 
-    fn full_feature_engine(shards: usize) -> ShardedAsyncEngine<Vec<EesState<PlainVector>>> {
+    fn full_feature_engine(shards: usize) -> ShardedAsyncEngine<Vec<EesState<f64>>> {
         ShardedAsyncEngine::new(sum_states(64), full_feature_config(shards), ChurnModel::new(0.2))
     }
 
@@ -703,7 +703,7 @@ mod tests {
     fn digest((nodes, metrics, sim): &Parts, horizon: f64) -> u64 {
         let states = nodes.iter().flat_map(|s| {
             let divisor = 2f64.powi(s.exchanges as i32);
-            [(s.value.0[0] / divisor).to_bits(), (s.weight / divisor).to_bits()]
+            [(s.value / divisor).to_bits(), (s.weight / divisor).to_bits()]
         });
         let counts = [metrics.exchanges(), metrics.messages(), u64::from(metrics.rounds())];
         let traffic = [sim.messages_sent, sim.messages_lost, sim.in_flight as u64, sim.peak_in_flight as u64];
@@ -955,7 +955,7 @@ mod tests {
                         .with_sim_shards(4);
                     let mut rng = StdRng::seed_from_u64(5);
                     let states =
-                        initial_states((0..population).map(|i| PlainVector(vec![i as f64])).collect());
+                        initial_states((0..population).map(|i| i as f64).collect());
                     let mut engine = ShardedAsyncEngine::new(states, config, ChurnModel::NONE);
                     engine.run_for(&EesSumProtocol, f64::from(periods), &mut rng);
                     let max_n = engine.nodes().iter().map(|n| n.exchanges).max().unwrap();
@@ -1024,7 +1024,7 @@ mod tests {
             for period in 1..=25 {
                 engine.run_for(&EesSumProtocol, 1.0, &mut rng);
                 for (i, s) in engine.nodes().iter().enumerate() {
-                    let holds = s.estimate(0).is_some_and(|e| (e - exact).abs() <= 0.05 * exact);
+                    let holds = s.estimate().is_some_and(|e| (e - exact).abs() <= 0.05 * exact);
                     times.observe(i, f64::from(period), holds);
                 }
             }

@@ -5,21 +5,21 @@
 
 use chiaroscuro_gossip::churn::ChurnModel;
 use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdArena};
-use chiaroscuro_gossip::eesum::{initial_states, EesState, EesSumProtocol, PlainVector};
+use chiaroscuro_gossip::eesum::{initial_states, EesState, EesSumProtocol};
 use chiaroscuro_gossip::engine::{GossipEngine, PairwiseProtocol};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// One-dimensional EESum states over `values`, the first seeding the weight.
-fn scalar_states(values: &[f64]) -> Vec<EesState<PlainVector>> {
-    initial_states(values.iter().map(|&v| PlainVector(vec![v])).collect())
+fn scalar_states(values: &[f64]) -> Vec<EesState<f64>> {
+    initial_states(values.to_vec())
 }
 
 /// A state's unscaled `(σ, ω)`: the pending `2^n` divided out.
-fn unscaled(state: &EesState<PlainVector>) -> (f64, f64) {
+fn unscaled(state: &EesState<f64>) -> (f64, f64) {
     let divisor = 2f64.powi(state.exchanges as i32);
-    (state.value.0[0] / divisor, state.weight / divisor)
+    (state.value / divisor, state.weight / divisor)
 }
 
 /// The plain push-pull rule (Kempe et al.): both peers replace their
@@ -71,8 +71,8 @@ proptest! {
         for state in engine.nodes() {
             let (sigma, omega) = unscaled(state);
             prop_assert!((0.0..=1.0 + 1e-12).contains(&omega));
-            prop_assert!(sigma >= -1e-12 && state.value.0[0].is_finite() && state.weight.is_finite());
-            if let Some(estimate) = state.estimate(0) {
+            prop_assert!(sigma >= -1e-12 && state.value.is_finite() && state.weight.is_finite());
+            if let Some(estimate) = state.estimate() {
                 prop_assert!(estimate >= -1e-6 && estimate.is_finite());
             }
         }
@@ -100,7 +100,7 @@ proptest! {
             for (node, (&(sigma, omega), state)) in plain.nodes().iter().zip(scaled.nodes()).enumerate() {
                 prop_assert!(state.exchanges < 1_000, "node {} left the f64 range's margin", node);
                 let reference = (omega > 0.0).then(|| (sigma / omega).to_bits());
-                prop_assert_eq!(state.estimate(0).map(f64::to_bits), reference, "node {} after round {}", node, round);
+                prop_assert_eq!(state.estimate().map(f64::to_bits), reference, "node {} after round {}", node, round);
             }
         }
         prop_assert_eq!(plain.metrics(), scaled.metrics(), "one schedule");

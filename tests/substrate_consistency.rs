@@ -13,7 +13,7 @@ use chiaroscuro::crypto::threshold::{combine, PartialDecryption, ThresholdDealer
 use chiaroscuro::dp::laplace::Laplace;
 use chiaroscuro::dp::noise_share::NoiseShareGenerator;
 use chiaroscuro::gossip::churn::ChurnModel;
-use chiaroscuro::gossip::eesum::{initial_states, EesSumProtocol, PlainVector};
+use chiaroscuro::gossip::eesum::{initial_states, EesSumProtocol};
 use chiaroscuro::gossip::engine::{pair_mut, GossipEngine, PairwiseProtocol};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -40,7 +40,7 @@ fn encrypted_and_plaintext_eesum_agree() {
         })
         .collect();
     let mut enc_states = initial_states(encrypted);
-    let mut plain_states_vec = initial_states(values.iter().map(|&v| PlainVector(vec![v])).collect());
+    let mut plain_states_vec = initial_states(values.to_vec());
 
     let mut schedule_rng = StdRng::seed_from_u64(99);
     for _ in 0..300 {
@@ -65,7 +65,7 @@ fn encrypted_and_plaintext_eesum_agree() {
         }
         let decrypted = encoder.decode(&keypair.secret.decrypt(&keypair.public, &enc.value.units()[0]), &keypair.public);
         let enc_estimate = decrypted / enc.weight;
-        let plain_estimate = plain.value.0[0] / plain.weight;
+        let plain_estimate = plain.value / plain.weight;
         assert!(
             (enc_estimate - plain_estimate).abs() < 0.05,
             "encrypted {enc_estimate} vs plaintext {plain_estimate}"
@@ -89,10 +89,10 @@ fn gossip_aggregated_noise_matches_centralized_laplace_statistics() {
         let shares: Vec<f64> = (0..population).map(|_| generator.sample(&mut rng).value).collect();
         let exact: f64 = shares.iter().sum();
         // Aggregate via gossip and read one participant's estimate.
-        let states = initial_states(shares.iter().map(|&share| PlainVector(vec![share])).collect());
+        let states = initial_states(shares.to_vec());
         let mut engine = GossipEngine::new(states, ChurnModel::NONE);
         engine.run_rounds(&EesSumProtocol, 40, &mut rng);
-        let estimate = engine.nodes()[7].estimate(0).unwrap();
+        let estimate = engine.nodes()[7].estimate().unwrap();
         // The gossip approximation error is relative to the magnitude of the
         // summed shares (≈ scale), not to the near-zero total.
         assert!((estimate - exact).abs() < 1e-3 * scale * population as f64, "estimate {estimate} vs exact {exact}");
@@ -151,7 +151,7 @@ proptest! {
         values in prop::collection::vec(-50.0f64..50.0, 4..24),
         schedule_seed in any::<u64>(),
     ) {
-        let mut scaled = initial_states(values.iter().map(|&v| PlainVector(vec![v])).collect());
+        let mut scaled = initial_states(values.to_vec());
         let mut plain: Vec<(f64, f64)> =
             values.iter().enumerate().map(|(i, &v)| (v, if i == 0 { 1.0 } else { 0.0 })).collect();
         let mut rng = StdRng::seed_from_u64(schedule_seed);
@@ -169,7 +169,7 @@ proptest! {
             (plain[i], plain[j]) = (half, half);
         }
         for (s, &(sigma, omega)) in scaled.iter().zip(plain.iter()) {
-            match (s.estimate(0), (omega > 0.0).then(|| sigma / omega)) {
+            match (s.estimate(), (omega > 0.0).then(|| sigma / omega)) {
                 (Some(se), Some(pe)) => prop_assert!((se - pe).abs() < 1e-6 * pe.abs().max(1.0)),
                 (None, None) => {}
                 other => prop_assert!(false, "weight spread mismatch: {other:?}"),
