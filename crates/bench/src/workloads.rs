@@ -121,9 +121,9 @@ pub fn figure2_strategies() -> Vec<(String, BudgetStrategy, Smoothing)> {
 /// `max_iterations` (no displacement stop) and no Lemma 2 gossip-error
 /// compensation.
 ///
-/// Not [`QualitySurrogate`], which maps [`ChiaroscuroParams`]: its
-/// `gossip_error_bound` rescales the noise and its threshold stops early,
-/// so the figures would no longer plot the paper's surrogate.
+/// Not [`ChiaroscuroParams::perturbed_kmeans`]: its `gossip_error_bound`
+/// rescales the noise and its threshold stops early, so the figures would
+/// no longer plot the paper's surrogate.
 pub fn surrogate_kmeans(
     schedule: BudgetSchedule,
     max_iterations: usize,

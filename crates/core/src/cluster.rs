@@ -49,9 +49,11 @@
 //!
 //! Only the driver ever threshold-decrypts: nodes are provisioned with
 //! exported *public* material, so the key shares never cross a link.  The
-//! coordinator reads the nodes out only when the driver asks: `views` and
-//! `units` (the reference node alone) after the means phase, `read_out`
-//! after the dissemination.
+//! coordinator reads the nodes out twice per iteration: `views` and `units`
+//! (the reference node alone) after the means phase, and every node's
+//! correction row at the end of the dissemination, to check the nodes
+//! against its shadow identifiers and the proposal the driver took as the
+//! winner.
 
 use std::ops::Range;
 
@@ -143,7 +145,7 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
         rng: &mut R,
     ) -> RunOutcome {
         assert_eq!(links.len(), self.data.len(), "one transport link per participant");
-        let mut outcome = drive(self, &mut LinkExecutor { links, shadow: no_corrections() }, rng);
+        let mut outcome = drive(self, &mut LinkExecutor { links, shadow: no_corrections(), winner: Vec::new() }, rng);
         for stats in &mut outcome.network {
             stats.sum_payload_bytes += frame_overhead;
         }
@@ -209,6 +211,9 @@ struct LinkExecutor<'l, T> {
     /// with an empty payload, which the correction phase drives through the
     /// min-id rule to stop on agreement.
     shadow: MinIdArena,
+    /// The row proposed with the smallest identifier: what every node that
+    /// ends the phase holding that identifier must carry.
+    winner: Vec<u64>,
 }
 
 impl<T: Transport> LinkExecutor<'_, T> {
@@ -240,6 +245,23 @@ impl<T: Transport> LinkExecutor<'_, T> {
             })
             .collect::<Result<_, FrameError>>()
             .expect("every node answers the readout request with a well-formed readout")
+    }
+
+    /// Reads every node's correction row back at the end of the phase: each
+    /// node's identifier must equal the shadow's, and whoever holds the
+    /// smallest identifier must hold the row proposed with it, bit for bit.
+    fn check_corrections<B: CipherBackend>(&mut self, ctx: &RunContext<'_, B>) {
+        let row = |readout: Readout<B>| {
+            readout.correction.ok_or(FrameError::BadPayload("the readout carries no correction row"))
+        };
+        let rows = self.readout_round(ctx, 0..self.links.len(), false, row);
+        for (node, row) in rows.iter().enumerate() {
+            assert_eq!(row[0], self.shadow.id(node), "the coordinator's shadow ids must match the nodes'");
+            assert!(
+                row[0] != self.winner[0] || *row == self.winner,
+                "every node holding the winning identifier must carry the same payload"
+            );
+        }
     }
 }
 
@@ -286,7 +308,8 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T> {
 
     /// Runs the phase over the links on the engine the run's network model
     /// selects.  The correction phase stops on agreement over the shadow
-    /// proposals; the others run their budget.
+    /// proposals, then checks the nodes' rows; the means phase runs its
+    /// budget.
     fn gossip<R: Rng + ?Sized>(
         &mut self,
         ctx: &RunContext<'_, B>,
@@ -298,7 +321,11 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T> {
         let until = (phase == Phase::Correction).then_some(&mut agreed as &mut dyn FnMut(&_) -> bool);
         let store = LinkStore { links: &mut *self.links, shadow: &mut self.shadow };
         let opts = PhaseOpts { until, adversary };
-        run_phase(&ctx.run.params.network, store, ctx.churn, &phase, ctx.run.plan.exchanges, rng, opts).1
+        let stats = run_phase(&ctx.run.params.network, store, ctx.churn, &phase, ctx.run.plan.exchanges, rng, opts).1;
+        if phase == Phase::Correction {
+            self.check_corrections(ctx);
+        }
+        stats
     }
 
     /// One readout round over every node.
@@ -324,26 +351,10 @@ impl<T: Transport, B: CipherBackend> Executor<B> for LinkExecutor<'_, T> {
             send(link, node, NodeEvent::CorrectionProposal { payload });
         }
         // The coordinator shadows only the identifiers; payloads stay on
-        // the nodes and are cross-checked by `read_out`.
+        // the nodes and are cross-checked at the end of the phase.
         self.shadow = MinIdArena::build(proposals.len(), 0, |node, _| proposals[node].id);
-    }
-
-    fn read_out(&mut self, ctx: &RunContext<'_, B>) -> Vec<f64> {
-        let row = |readout: Readout<B>| {
-            readout.correction.ok_or(FrameError::BadPayload("the readout carries no correction row"))
-        };
-        let rows = self.readout_round(ctx, 0..self.links.len(), false, row);
-        let winner = &rows[self.shadow.winning_node()];
-        for (node, row) in rows.iter().enumerate() {
-            assert_eq!(row[0], self.shadow.id(node), "the coordinator's shadow ids must match the nodes'");
-            // A row is the identifier and its payload: whoever holds the
-            // winning identifier must hold the winner's row, bit for bit.
-            assert!(
-                row[0] != winner[0] || row == winner,
-                "every node holding the winning identifier must carry the same payload"
-            );
-        }
-        MinIdLayout::payload(winner)
+        let winner = &proposals[self.shadow.winning_node()];
+        self.winner = MinIdLayout::row(winner.id, winner.payload());
     }
 }
 

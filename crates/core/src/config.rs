@@ -1,5 +1,7 @@
 //! Run parameters (Table 1) and the paper's experimental settings (Table 2).
 
+use chiaroscuro_crypto::encoding::MAX_DECIMAL_DIGITS;
+use chiaroscuro_crypto::keys::MAX_S;
 use chiaroscuro_crypto::packing::PackingError;
 use chiaroscuro_dp::accountant::ProbabilisticDpParams;
 use chiaroscuro_dp::budget::{BudgetSchedule, BudgetStrategy};
@@ -228,11 +230,20 @@ impl ChiaroscuroParams {
     }
 
     /// These parameters as the perturbed k-means they configure: the one
-    /// Algorithm-1 loop both the quality surrogate and the distributed
-    /// execution run.  `iteration_churn` is the surrogate's per-iteration
-    /// offline probability (§6.1.5); the distributed run models churn per
-    /// gossip exchange instead and passes 0.
-    pub(crate) fn perturbed_kmeans(&self, iteration_churn: f64) -> PerturbedKMeans {
+    /// Algorithm-1 loop both the distributed execution and the paper's §6
+    /// quality proxy run.  The proxy is this runner's
+    /// [`run`](PerturbedKMeans::run): the perturbed *centralized* k-means
+    /// with the run's budget strategy, smoothing and iteration limit, for
+    /// dataset-scale quality (§6.1); its "No perturbation" baseline is
+    /// `chiaroscuro_kmeans::KMeans` with the same iteration limit and
+    /// threshold.  `iteration_churn` is the proxy's per-iteration offline
+    /// probability (§6.1.5); the distributed run models churn per gossip
+    /// exchange instead and passes 0.
+    ///
+    /// # Panics
+    /// Panics if `iteration_churn` is outside `[0, 1)`.
+    pub fn perturbed_kmeans(&self, iteration_churn: f64) -> PerturbedKMeans {
+        assert!((0.0..1.0).contains(&iteration_churn), "the iteration churn must be in [0, 1)");
         PerturbedKMeans::new(PerturbedKMeansConfig {
             schedule: self.budget_schedule(),
             max_iterations: self.max_iterations,
@@ -300,7 +311,14 @@ impl ChiaroscuroParams {
         assert!(self.delta > 0.0 && self.delta <= 1.0);
         assert!(self.num_noise_shares >= 1);
         assert!(self.key_bits >= 64, "keys below 64 bits cannot hold the encoded sums");
-        assert!(self.damgard_jurik_s >= 1);
+        assert!(
+            (1..=MAX_S).contains(&self.damgard_jurik_s),
+            "the Damgard-Jurik exponent s must be in 1..={MAX_S}"
+        );
+        assert!(
+            self.encoding_digits <= MAX_DECIMAL_DIGITS,
+            "encoding_digits above {MAX_DECIMAL_DIGITS} exceed f64 precision"
+        );
         assert!(self.key_share_threshold >= 1);
         assert!((0.0..1.0).contains(&self.churn));
         assert!(self.gossip_error_bound >= 0.0 && self.gossip_error_bound < 1.0);
@@ -597,6 +615,11 @@ impl ExperimentParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chiaroscuro_kmeans::init::InitialCentroids;
+    use chiaroscuro_kmeans::lloyd::{KMeans, KMeansConfig};
+    use chiaroscuro_timeseries::datasets::{cer::CerLikeGenerator, DatasetGenerator};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn builder_produces_valid_defaults() {
@@ -789,6 +812,60 @@ mod tests {
         let p = ChiaroscuroParams::builder().pool_threads(4).build();
         assert_eq!(p.pool_threads, 4);
         ChiaroscuroParams::builder().pool_threads(0).build().validate(); // 0 = auto is valid
+    }
+
+    #[test]
+    #[should_panic(expected = "the Damgard-Jurik exponent s must be in 1..=16")]
+    fn damgard_jurik_exponent_above_the_key_limit_rejected() {
+        let mut p = ChiaroscuroParams::builder().build();
+        p.damgard_jurik_s = MAX_S + 1;
+        p.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "encoding_digits above 15 exceed f64 precision")]
+    fn encoding_digits_beyond_f64_precision_rejected() {
+        let mut p = ChiaroscuroParams::builder().build();
+        p.encoding_digits = MAX_DECIMAL_DIGITS + 1;
+        p.validate();
+    }
+
+    #[test]
+    fn surrogate_runs_both_variants_with_shared_settings() {
+        let params = ChiaroscuroParams::builder()
+            .k(10)
+            .strategy(BudgetStrategy::Greedy)
+            .max_iterations(5)
+            .build();
+        let data = CerLikeGenerator::new(1).generate(1_500);
+        let init = InitialCentroids::RandomFromData { k: 10 };
+        let config = KMeansConfig {
+            max_iterations: params.max_iterations,
+            convergence_threshold: params.convergence_threshold,
+        };
+        let mut rng = StdRng::seed_from_u64(1);
+        let baseline = KMeans::new(config).run(&data, &init, &mut rng);
+        let mut rng = StdRng::seed_from_u64(1);
+        let perturbed = params.perturbed_kmeans(0.0).run(&data, &init, &mut rng);
+        assert!(baseline.num_iterations() >= 1);
+        assert!(perturbed.num_iterations() >= 1);
+        assert!(perturbed.total_epsilon() <= 0.69 + 1e-9);
+        // Perturbation cannot beat the exact baseline by more than noise.
+        let base_best = baseline.pre_inertia_series().iter().cloned().fold(f64::INFINITY, f64::min);
+        let pert_best = perturbed.pre_post().unwrap().pre;
+        assert!(pert_best >= 0.5 * base_best);
+    }
+
+    #[test]
+    fn churn_surrogate_reduces_participation() {
+        let params = ChiaroscuroParams::builder().k(5).max_iterations(3).build();
+        let data = CerLikeGenerator::new(2).generate(800);
+        let init = InitialCentroids::RandomFromData { k: 5 };
+        let mut rng = StdRng::seed_from_u64(2);
+        let report = params.perturbed_kmeans(0.5).run(&data, &init, &mut rng);
+        for it in &report.iterations {
+            assert!(it.participating_series < 650);
+        }
     }
 
     #[test]

@@ -19,13 +19,18 @@
 //! [`crate::cluster`] (node actors behind transport links).  The seam has
 //! one method per kind of work, not one per phase: `gossip(Phase)` runs the
 //! means or the correction phase, `views` reads every node's epidemic
-//! weight, `units` hands back the reference node's perturbed vector,
-//! `propose` installs the correction proposals and `read_out` hands back
-//! the winning correction.  *How* one gossip phase is carried out is not
-//! the executors' to decide: each names its node store and hands it to the
-//! gossip crate's engines, so both run the one engine loop — schedule
-//! draws, fault schedule and accounting included — and are bit-identical
-//! from one seed.
+//! weight, `units` hands back the reference node's perturbed vector and
+//! `propose` installs the correction proposals.  The winning correction is
+//! the driver's own: min-id dissemination only ever copies a smaller
+//! identifier over a larger one, so whatever the schedule it settles on the
+//! smallest identifier drawn (ties to the lower node,
+//! [`winning_index`]), and the step takes that proposal's payload before
+//! handing the proposals over.  The correction phase is still gossiped, for
+//! its message count, its stop rule and its convergence flag.  *How* one
+//! gossip phase is carried out is not the executors' to decide: each names
+//! its node store and hands it to the gossip crate's engines, so both run
+//! the one engine loop — schedule draws, fault schedule and accounting
+//! included — and are bit-identical from one seed.
 //!
 //! [`device_contribution`] is likewise the only copy of what one device
 //! computes per iteration; the in-process executor maps it over the
@@ -64,6 +69,7 @@ use chiaroscuro_crypto::backend::{BackendSetup, CipherBackend};
 use chiaroscuro_crypto::packing::PackedEncoder;
 use chiaroscuro_dp::laplace::LaplaceMechanism;
 use chiaroscuro_gossip::churn::ChurnModel;
+use chiaroscuro_gossip::dissemination::winning_index;
 use chiaroscuro_gossip::sim::{AdversaryState, FaultStats, PhaseStats};
 use chiaroscuro_kmeans::perturbed::{AggregateStep, Aggregates};
 use chiaroscuro_node::Phase;
@@ -147,9 +153,9 @@ pub(crate) struct RunContext<'a, B: CipherBackend> {
 /// Where per-node state lives and how a gossip phase is carried out: one
 /// method per kind of work, the phase a parameter.  Per iteration the
 /// driver calls [`Self::contribute`], [`Self::gossip`] for
-/// [`Phase::Means`], [`Self::views`], [`Self::units`], [`Self::propose`],
-/// [`Self::gossip`] for [`Phase::Correction`] and [`Self::read_out`], in
-/// that order ([`Self::provision`] once per run, first).  Every `rng` is
+/// [`Phase::Means`], [`Self::views`], [`Self::units`], [`Self::propose`]
+/// and [`Self::gossip`] for [`Phase::Correction`], in that order
+/// ([`Self::provision`] once per run, first).  Every `rng` is
 /// the run's master RNG, to be consumed exactly as the round or
 /// event-driven engine would consume it for that phase's schedule.
 pub(crate) trait Executor<B: CipherBackend> {
@@ -170,7 +176,7 @@ pub(crate) trait Executor<B: CipherBackend> {
 
     /// Runs one gossip phase: EESum over the contributions, or the
     /// min-identifier dissemination of the installed proposals, which stops
-    /// on agreement or at the budget.
+    /// on agreement or at the budget and spends them.
     fn gossip<R: Rng + ?Sized>(
         &mut self,
         ctx: &RunContext<'_, B>,
@@ -190,17 +196,14 @@ pub(crate) trait Executor<B: CipherBackend> {
 
     /// Installs one correction proposal per node, in node order.
     fn propose(&mut self, ctx: &RunContext<'_, B>, proposals: Vec<NoiseCorrection>);
-
-    /// The flat row (all sum corrections, then all count corrections) of
-    /// the proposal with the globally smallest identifier — the value
-    /// dissemination converges to, not whatever one node happens to hold.
-    /// The proposals are spent afterwards.
-    fn read_out(&mut self, ctx: &RunContext<'_, B>) -> Vec<f64>;
 }
 
 /// Executes `run` on `exec`: bootstrap (backend key material, initial
-/// centroids, adversary seed — in that master-RNG order), then the one
-/// Algorithm-1 loop of `chiaroscuro_kmeans` over the [`DistributedStep`].
+/// centroids by the run's [`InitialCentroids`], adversary seed — in that
+/// master-RNG order), then the one Algorithm-1 loop of `chiaroscuro_kmeans`
+/// over the [`DistributedStep`].
+///
+/// [`InitialCentroids`]: chiaroscuro_kmeans::init::InitialCentroids
 pub(crate) fn drive<B, X, R>(run: &DistributedRun<'_, B>, exec: &mut X, rng: &mut R) -> RunOutcome
 where
     B: CipherBackend,
@@ -209,7 +212,6 @@ where
 {
     let params = &run.params;
     let data = run.data;
-    let k = params.k;
     let packer = &run.plan.packer;
 
     let setup = BackendSetup {
@@ -234,13 +236,7 @@ where
             "planned lane layout exceeds the generated key's plaintext capacity"
         );
     }
-    let centroids = match &run.initial_centroids {
-        Some(c) => c.clone(),
-        None => {
-            use rand::seq::SliceRandom;
-            data.series().choose_multiple(rng, k).cloned().collect()
-        }
-    };
+    let centroids = run.initial_centroids.materialize(data, rng);
     // Byzantine adversary: the fault schedule runs on a dedicated
     // seed-derived RNG sub-stream.  An inactive model draws NOTHING here and
     // is never materialised, so honest runs stay bit-identical to every
@@ -274,9 +270,10 @@ where
 /// The distributed [`AggregateStep`]: one iteration's perturbed sums and
 /// counts out of the population — participant seeds → contributions →
 /// epidemic sums → reference readout → contributor count from the counter
-/// unit → surplus-correction dissemination → threshold decryption →
-/// correction subtracted.  It owns every per-iteration master-RNG draw (the
-/// numbered table in `docs/ARCHITECTURE.md`), every audit record and every
+/// unit → winning correction → surplus-correction dissemination →
+/// threshold decryption → correction subtracted.  It owns every
+/// per-iteration master-RNG draw (the numbered table in
+/// `docs/ARCHITECTURE.md`), every audit record and every
 /// [`IterationNetworkStats`] row.
 struct DistributedStep<'a, B: CipherBackend, X, R: ?Sized> {
     ctx: &'a RunContext<'a, B>,
@@ -359,15 +356,18 @@ where
         let noise_share_deficit = (expected_shares - contributors).max(0) as usize;
         // Proposals are always generated in node order from the run RNG,
         // whatever storage the dissemination runs on, so the draw sequence
-        // (and hence the whole run) is executor-independent.
+        // (and hence the whole run) is executor-independent.  The flat row
+        // (all sum corrections, then all count corrections) of the smallest
+        // identifier is the value dissemination settles on, whatever the
+        // phase then reaches.
         let proposals: Vec<NoiseCorrection> = (0..population)
             .map(|_| {
                 NoiseCorrection::generate(surplus, k, n, sum_scale, count_scale, params.num_noise_shares, rng)
             })
             .collect();
+        let correction: Vec<f64> = proposals[winning_index(proposals.iter().map(|c| c.id))].payload().collect();
         exec.propose(ctx, proposals);
         let dissemination_stats = exec.gossip(ctx, Phase::Correction, rng, adversary.as_mut());
-        let correction = exec.read_out(ctx);
         audit.record_n(iteration, "noise correction proposal", DataClass::DataIndependent, population);
 
         // --- Computation step (c): perturbation and threshold decryption. ---

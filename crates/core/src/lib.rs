@@ -3,8 +3,10 @@
 //!
 //! The crate exposes:
 //!
-//! * [`config`] — the run parameters (Table 1) and the experimental defaults
-//!   (Table 2);
+//! * [`config`] — the run parameters (Table 1), the experimental defaults
+//!   (Table 2) and the paper's §6 quality proxy,
+//!   [`ChiaroscuroParams::perturbed_kmeans`]: the perturbed centralized
+//!   k-means the paper itself uses for dataset-scale quality;
 //! * [`diptych`] — the Diptych data structure (Definition 6): cleartext
 //!   differentially-private centroids on one side, additively-homomorphic
 //!   encrypted means on the other, lane-packed ([`PackedMeans`]);
@@ -17,9 +19,7 @@
 //! * [`noise`] — the epidemic noise generation and surplus correction
 //!   (§4.2.2);
 //! * [`runner`] — [`runner::DistributedRun`], the end-to-end execution of
-//!   Algorithms 1 and 3 over the gossip simulator, plus
-//!   [`surrogate`] — the large-scale quality surrogate (perturbed
-//!   centralized k-means) the paper itself uses for dataset-scale quality;
+//!   Algorithms 1 and 3 over the gossip simulator;
 //! * [`audit`] — a security audit log asserting that nothing data-dependent
 //!   ever leaves a participant in cleartext (requirement R2).
 
@@ -34,7 +34,6 @@ pub mod noise;
 mod plan;
 pub mod runner;
 pub mod seedmix;
-pub mod surrogate;
 
 pub use actor::{ChiaroscuroNodeActor, MEANS_FRAME_OVERHEAD_BYTES};
 pub use config::{
@@ -53,7 +52,6 @@ pub mod prelude {
     pub use crate::diptych::{Diptych, EncryptedMean};
     pub use crate::evalue::{BackendVector, EncryptedVector};
     pub use crate::runner::{DistributedRun, RunOutcome};
-    pub use crate::surrogate::QualitySurrogate;
     pub use chiaroscuro_crypto::backend::{CipherBackend, DamgardJurik, PlaintextSurrogate};
     pub use chiaroscuro_dp::budget::BudgetStrategy;
     pub use chiaroscuro_gossip::sim::{

@@ -77,8 +77,10 @@
 //! exactly the pairwise sum of the split one after any schedule; the saving
 //! is the simulator's memory and gossip arithmetic, and the message
 //! accounting still charges the protocol's units.
-//! The correction dissemination always runs on a [`MinIdArena`], which
-//! holds the proposals from `propose` to `read_out` and no rows between.
+//! The correction dissemination always runs on an identifier-only
+//! [`MinIdArena`] (one cell per node): the driver has already taken the
+//! winning payload, and the phase only needs the identifiers for its stop
+//! rule.  The arena lives from `propose` to the end of the phase.
 //!
 //! # Network models
 //!
@@ -136,6 +138,7 @@ use chiaroscuro_gossip::dissemination::{DisseminationProtocol, MinIdArena, MinId
 use chiaroscuro_gossip::eesum::{initial_states_seeded_at as eesum_states_seeded_at, EesState, EesSumProtocol};
 use chiaroscuro_gossip::sim::arena::EesUnitArena;
 use chiaroscuro_gossip::sim::{run_phase, AdversaryState, FaultStats, PhaseOpts, PhaseStats};
+use chiaroscuro_kmeans::init::InitialCentroids;
 use chiaroscuro_kmeans::report::RunReport;
 use chiaroscuro_node::Phase;
 use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
@@ -302,7 +305,7 @@ pub struct DistributedRun<'a, B: CipherBackend = DamgardJurik> {
     pub(crate) params: ChiaroscuroParams,
     pub(crate) data: &'a TimeSeriesSet,
     pub(crate) plan: RunPlan,
-    pub(crate) initial_centroids: Option<Vec<TimeSeries>>,
+    pub(crate) initial_centroids: InitialCentroids,
     _backend: PhantomData<B>,
 }
 
@@ -338,7 +341,8 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     /// Panics if [`ChiaroscuroParams::validate`] fails (nonsensical values).
     pub fn try_with_backend(params: ChiaroscuroParams, data: &'a TimeSeriesSet) -> Result<Self, ConfigError> {
         let plan = RunPlan::new(&params, data)?;
-        Ok(Self { params, data, plan, initial_centroids: None, _backend: PhantomData })
+        let initial_centroids = InitialCentroids::RandomFromData { k: params.k };
+        Ok(Self { params, data, plan, initial_centroids, _backend: PhantomData })
     }
 
     /// [`Self::try_with_backend`], for a configuration known to be
@@ -359,7 +363,7 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
         for c in &centroids {
             assert_eq!(c.len(), self.data.series_length());
         }
-        self.initial_centroids = Some(centroids);
+        self.initial_centroids = InitialCentroids::Provided(centroids);
         self
     }
 
@@ -397,7 +401,8 @@ enum MeansStore<B: CipherBackend> {
 /// the engine [`ChiaroscuroParams::network`] selects.
 struct InProcessExecutor<B: CipherBackend> {
     means: MeansStore<B>,
-    /// The correction proposals, from `propose` to `read_out`.
+    /// The correction proposals' identifiers, from `propose` to the end of
+    /// the correction phase.
     corrections: MinIdArena,
 }
 
@@ -471,11 +476,12 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
                     }
                 };
             }
+            // The phase's store is dropped with it: it never lives into
+            // the next iteration's means store.
             Phase::Correction => {
                 let arena = std::mem::replace(&mut self.corrections, no_corrections());
                 let opts = PhaseOpts { until: Some(&mut MinIdArena::converged), adversary };
-                (self.corrections, stats) =
-                    run_phase(network, arena, churn, &DisseminationProtocol, budget, rng, opts);
+                stats = run_phase(network, arena, churn, &DisseminationProtocol, budget, rng, opts).1;
             }
         }
         stats
@@ -508,28 +514,9 @@ impl<B: CipherBackend> Executor<B> for InProcessExecutor<B> {
         }
     }
 
-    /// Slab dissemination on every engine: one flat `[id, payload…]` row
-    /// per node instead of per-node boxed proposals.
+    /// One identifier per node: the payloads are the driver's business.
     fn propose(&mut self, _ctx: &RunContext<'_, B>, proposals: Vec<NoiseCorrection>) {
-        let width = proposals[0].payload().count();
-        self.corrections = MinIdArena::build(proposals.len(), width, |node, row| {
-            let c = &proposals[node];
-            row.iter_mut().zip(c.payload()).for_each(|(cell, value)| *cell = value);
-            c.id
-        });
-    }
-
-    fn read_out(&mut self, ctx: &RunContext<'_, B>) -> Vec<f64> {
-        let arena = std::mem::replace(&mut self.corrections, no_corrections());
-        let winner = arena.winning_node();
-        // A row is the identifier and its payload: whoever holds the winning
-        // identifier must hold the winner's row, bit for bit.
-        assert!(
-            (0..ctx.run.data.len())
-                .all(|node| arena.id(node) != arena.id(winner) || arena.row(node) == arena.row(winner)),
-            "every node holding the winning identifier must carry the same payload"
-        );
-        arena.payload(winner)
+        self.corrections = MinIdArena::build(proposals.len(), 0, |node, _| proposals[node].id);
     }
 }
 

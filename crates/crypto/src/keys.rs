@@ -40,7 +40,7 @@ const MASK_COMB_TEETH: u32 = 6;
 /// Largest supported Damgård–Jurik exponent `s`.  Key generation refuses a
 /// larger one and so does the wire parser, which has to raise a peer's `n`
 /// to a peer's `s` before it can check anything else about the key.
-pub(crate) const MAX_S: u32 = 16;
+pub const MAX_S: u32 = 16;
 
 /// The public encryption key `χ = (n, g, h_s)` plus the precomputed powers
 /// of `n`.

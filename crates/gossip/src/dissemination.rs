@@ -13,7 +13,6 @@
 //! holds its rows in a [`MinIdArena`], a node actor holds its own row, and
 //! the rows' cells, big-endian, are the proposal's wire form.
 
-use crate::engine::StateStore;
 use crate::slab::{RowLayout, RowSlab};
 
 /// The min-identifier dissemination protocol.
@@ -93,22 +92,29 @@ impl RowSlab<MinIdLayout> {
     }
 
     /// The node holding the globally smallest identifier (the first such
-    /// node) — the proposal the population is converging to, whether or not
-    /// dissemination has finished.
+    /// node, by [`winning_index`]) — the proposal the population is
+    /// converging to, whether or not dissemination has finished.
     ///
     /// The min-id exchange can only ever *lower* a node's identifier, so the
     /// global minimum present after any number of rounds is the true winner;
     /// a reader must take this node's row rather than an arbitrary node's
     /// (under churn an unconverged node may still hold a losing proposal).
     pub fn winning_node(&self) -> usize {
-        let mut best = 0;
-        for node in 1..self.population() {
-            if self.id(node) < self.id(best) {
-                best = node;
-            }
-        }
-        best
+        winning_index(self.rows().map(|row| row[0]))
     }
+}
+
+/// The position of the smallest identifier in `ids`, ties going to the
+/// lower position: the proposal min-id dissemination settles on.  The
+/// exchange only ever copies a smaller identifier over a larger one, so
+/// over the proposals as drawn this is the winner of any exchange schedule
+/// — converged or not, under churn, voids and crash windows alike.
+///
+/// # Panics
+/// Panics if `ids` is empty.
+pub fn winning_index(ids: impl IntoIterator<Item = u64>) -> usize {
+    // `min_by_key` returns the first of equal minima.
+    ids.into_iter().enumerate().min_by_key(|&(_, id)| id).expect("a winner needs at least one proposal").0
 }
 
 /// The min-id rule over one pair of rows: the smaller identifier wins on
@@ -346,6 +352,49 @@ mod tests {
             assert_eq!(arena.id(winner), expected.id);
             assert_eq!(arena.payload(winner), expected.payload.as_slice());
         }
+    }
+
+    #[test]
+    fn an_identifier_only_arena_gossips_in_lockstep_with_the_full_rows() {
+        // The min-id rule reads and writes identifiers only by copying
+        // whole rows, so dropping the payload changes no schedule, stop or
+        // fault: one seed drives both arenas to equal identifiers and equal
+        // accounting after every round (window), converged or not, and the
+        // full rows' winner carries the payload proposed with the smallest
+        // identifier.
+        use crate::sim::{run_phase, AdversaryModel, AdversaryState, AsyncNetworkConfig, NetworkModel, PhaseOpts};
+        let population = 300;
+        let (full, _) = arena_and_vec_twins(population, 3, 91);
+        let ids = MinIdArena::build(population, 0, |node, _| full.id(node));
+        let proposed = full.row(winning_index(full.rows().map(|row| row[0]))).to_vec();
+        let async_two_shards = NetworkModel::Async(AsyncNetworkConfig::default().with_sim_shards(2));
+        for network in [NetworkModel::Rounds, async_two_shards] {
+            for budget in 1..=4 {
+                let phase = |arena: &MinIdArena| {
+                    let mut rng = StdRng::seed_from_u64(17);
+                    let mut adversary = AdversaryState::new(AdversaryModel::mixed(0.3, 5), 23);
+                    let opts = PhaseOpts { until: Some(&mut MinIdArena::converged), adversary: Some(&mut adversary) };
+                    let (arena, stats) =
+                        run_phase(&network, arena.clone(), ChurnModel::new(0.5), &DisseminationProtocol, budget, &mut rng, opts);
+                    (arena, stats, adversary.take_stats())
+                };
+                let ((full, full_stats, full_faults), (ids, id_stats, id_faults)) = (phase(&full), phase(&ids));
+                let at = format!("{network:?}, budget {budget}");
+                assert_eq!(full_stats, id_stats, "{at}");
+                assert_eq!(full_faults, id_faults, "{at}");
+                assert!(full_faults.injected_total() > 0, "{at}: the adversary must void exchanges");
+                assert!((0..population).all(|node| full.id(node) == ids.id(node)), "{at}");
+                assert_eq!(full.converged(), ids.converged(), "{at}");
+                assert!(!full_stats.converged, "{at}: the budget must be too short to converge");
+                assert_eq!(full.row(full.winning_node()), proposed, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn winning_index_takes_the_smallest_identifier_and_the_lower_position_on_ties() {
+        assert_eq!(winning_index([9, 4, 7, 4]), 1);
+        assert_eq!(winning_index([3]), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! per direction) and the number of rounds are tracked so that the latency
 //! figures can be reproduced.
 //!
-//! Like the two event-driven engines of [`crate::sim`], the round engine is
+//! Like the event-driven engine of [`crate::sim`], the round engine is
 //! generic over its storage: it plans a state-independent schedule
 //! ([`plan_round_with_mask`]) and applies each exchange through
 //! [`ProtocolStore::apply_exchange`], so the same round loop drives per-node

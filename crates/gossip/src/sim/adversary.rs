@@ -4,7 +4,7 @@
 //! participants, so the gap to a real fleet is the set of nodes that
 //! *misbehave*.  This module defines that adversary as data —
 //! [`AdversaryModel`] — and the runtime that injects its faults into any of
-//! the three gossip engines ([`AdversaryState`]), with per-class damage
+//! the two gossip engines ([`AdversaryState`]), with per-class damage
 //! accounting ([`FaultStats`]) the runner surfaces in every iteration's
 //! network stats and in the security audit.
 //!

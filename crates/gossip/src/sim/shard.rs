@@ -181,9 +181,12 @@ pub struct ShardedAsyncEngine<S> {
 /// byzantine membership and fault-decision streams
 /// ([`crate::sim::adversary`]), so those stay engine-invariant.
 pub(crate) fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut x = seed
-        ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+    finalize(seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+}
+
+/// The SplitMix64 finalizer: the avalanche step behind [`mix`] and the
+/// per-edge latency factor.
+fn finalize(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
@@ -252,11 +255,7 @@ fn edge_factor(spread: f64, a: usize, b: usize) -> f64 {
         return 1.0;
     }
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    // SplitMix64 finalizer over (edge, salt).
-    let mut x = ((lo as u64) << 32 | hi as u64).wrapping_add(EDGE_SALT);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
+    let x = finalize(((lo as u64) << 32 | hi as u64).wrapping_add(EDGE_SALT));
     1.0 - spread + 2.0 * spread * unit_f64(x)
 }
 

@@ -3,13 +3,11 @@
 //! The paper seeds k-means either with synthetic realistic curves (CER via
 //! the CourboGen generator — never raw member series, for privacy) or with
 //! series drawn uniformly at random (NUMED, 2-D points).  Both options are
-//! provided here, plus k-means++ as an extension for the non-private
-//! baseline.
+//! provided here; the distributed run seeds through them too.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use chiaroscuro_timeseries::distance::squared_euclidean;
 use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
 
 /// How to obtain the initial centroids `C_init`.
@@ -19,11 +17,6 @@ pub enum InitialCentroids {
     Provided(Vec<TimeSeries>),
     /// Draw `k` distinct series from the dataset uniformly at random.
     RandomFromData {
-        /// Number of centroids.
-        k: usize,
-    },
-    /// k-means++ seeding (non-private extension; not used by the paper).
-    PlusPlus {
         /// Number of centroids.
         k: usize,
     },
@@ -52,10 +45,6 @@ impl InitialCentroids {
                 assert!(*k >= 1 && *k <= data.len(), "k must be in 1..=t");
                 data.series().choose_multiple(rng, *k).cloned().collect()
             }
-            InitialCentroids::PlusPlus { k } => {
-                assert!(*k >= 1 && *k <= data.len(), "k must be in 1..=t");
-                plus_plus(data, *k, rng)
-            }
         }
     }
 
@@ -63,45 +52,9 @@ impl InitialCentroids {
     pub fn k(&self) -> usize {
         match self {
             InitialCentroids::Provided(centroids) => centroids.len(),
-            InitialCentroids::RandomFromData { k } | InitialCentroids::PlusPlus { k } => *k,
+            InitialCentroids::RandomFromData { k } => *k,
         }
     }
-}
-
-/// Standard k-means++ seeding.
-fn plus_plus<R: Rng + ?Sized>(data: &TimeSeriesSet, k: usize, rng: &mut R) -> Vec<TimeSeries> {
-    let mut centroids = Vec::with_capacity(k);
-    centroids.push(data.get(rng.gen_range(0..data.len())).clone());
-    let mut distances: Vec<f64> = data
-        .iter()
-        .map(|s| squared_euclidean(s.values(), centroids[0].values()))
-        .collect();
-    while centroids.len() < k {
-        let total: f64 = distances.iter().sum();
-        let next = if total <= f64::EPSILON {
-            // All remaining points coincide with an existing centroid.
-            data.get(rng.gen_range(0..data.len())).clone()
-        } else {
-            let mut target = rng.gen::<f64>() * total;
-            let mut chosen = data.len() - 1;
-            for (i, d) in distances.iter().enumerate() {
-                target -= d;
-                if target <= 0.0 {
-                    chosen = i;
-                    break;
-                }
-            }
-            data.get(chosen).clone()
-        };
-        for (i, s) in data.iter().enumerate() {
-            let d = squared_euclidean(s.values(), next.values());
-            if d < distances[i] {
-                distances[i] = d;
-            }
-        }
-        centroids.push(next);
-    }
-    centroids
 }
 
 #[cfg(test)]
@@ -144,20 +97,6 @@ mod tests {
         assert_eq!(centroids.len(), 5);
         for c in &centroids {
             assert!(data.iter().any(|s| s == c), "random centroids must be dataset members");
-        }
-    }
-
-    #[test]
-    fn plus_plus_returns_k_distinct_spread_centroids() {
-        let data = dataset();
-        let mut rng = StdRng::seed_from_u64(3);
-        let centroids = InitialCentroids::PlusPlus { k: 4 }.materialize(&data, &mut rng);
-        assert_eq!(centroids.len(), 4);
-        // k-means++ on distinct points should not pick the same point twice.
-        for i in 0..centroids.len() {
-            for j in (i + 1)..centroids.len() {
-                assert_ne!(centroids[i], centroids[j]);
-            }
         }
     }
 

@@ -4,7 +4,7 @@
 use rand::Rng;
 
 use chiaroscuro_timeseries::inertia::{dataset_inertia, inertia_report, Assignment};
-use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
+use chiaroscuro_timeseries::TimeSeriesSet;
 
 use crate::init::InitialCentroids;
 use crate::report::{IterationReport, RunReport};
@@ -41,7 +41,6 @@ impl KMeans {
     /// Runs k-means on `data` starting from `init` centroids.
     pub fn run<R: Rng + ?Sized>(&self, data: &TimeSeriesSet, init: &InitialCentroids, rng: &mut R) -> RunReport {
         let mut centroids = init.materialize(data, rng);
-        let k = centroids.len();
         let mut iterations = Vec::new();
         let mut converged = false;
 
@@ -49,21 +48,7 @@ impl KMeans {
             // Assignment step.
             let assignment = Assignment::compute(data, &centroids);
             // Computation step: exact cluster means.
-            let (sums, counts) = assignment.cluster_sums(data, k);
-            let means: Vec<TimeSeries> = sums
-                .into_iter()
-                .zip(counts.iter())
-                .enumerate()
-                .map(|(i, (mut sum, &count))| {
-                    if count > 0.0 {
-                        sum.scale(1.0 / count);
-                        sum
-                    } else {
-                        // An empty cluster keeps its previous centroid.
-                        centroids[i].clone()
-                    }
-                })
-                .collect();
+            let means = assignment.cluster_means(data, &centroids);
             let report = inertia_report(data, &means, &assignment);
             iterations.push(IterationReport {
                 iteration,
@@ -95,7 +80,7 @@ impl KMeans {
 mod tests {
     use super::*;
     use chiaroscuro_timeseries::datasets::{cer::CerLikeGenerator, points2d::Points2dGenerator, DatasetGenerator};
-    use chiaroscuro_timeseries::ValueRange;
+    use chiaroscuro_timeseries::{TimeSeries, ValueRange};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -163,15 +148,16 @@ mod tests {
     fn converges_on_well_separated_2d_blobs() {
         let generator = Points2dGenerator::new(3).with_duplication(5);
         let (data, _) = generator.generate_labelled(2_000);
+        let centers = generator.true_centers().into_iter().map(|c| TimeSeries::new(c.to_vec())).collect();
         let mut rng = StdRng::seed_from_u64(4);
         let report = KMeans::new(KMeansConfig { max_iterations: 20, convergence_threshold: 1e-3 }).run(
             &data,
-            &InitialCentroids::PlusPlus { k: 50 },
+            &InitialCentroids::Provided(centers),
             &mut rng,
         );
         let last = report.iterations.last().unwrap();
-        // k-means++ on 50 well-separated blobs should keep most clusters alive
-        // and explain the vast majority of the variance.
+        // Seeded at the 50 ground-truth centers, Lloyd should keep most
+        // clusters alive and explain the vast majority of the variance.
         assert!(last.surviving_centroids >= 40);
         assert!(last.pre_inertia < 0.1 * report.dataset_inertia);
     }

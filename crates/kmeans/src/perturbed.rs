@@ -230,14 +230,7 @@ impl PerturbedKMeans {
             let active: &TimeSeriesSet = &participants;
 
             // Reporting-only PRE metric: the exact means of this assignment.
-            let (exact_sums, exact_counts) = assignment.cluster_sums(active, k);
-            let exact_means: Vec<TimeSeries> = exact_sums
-                .iter()
-                .zip(exact_counts.iter())
-                .enumerate()
-                .map(|(i, (sum, &count))| if count > 0.0 { sum.scaled(1.0 / count) } else { centroids[i].clone() })
-                .collect();
-            let pre_inertia = intra_inertia(active, &exact_means, &assignment);
+            let pre_inertia = intra_inertia(active, &assignment.cluster_means(active, &centroids), &assignment);
 
             // Perturbed means: division, then smoothing.
             let mut aberrant = vec![false; k];

@@ -57,6 +57,26 @@ impl Assignment {
         }
         (sums, counts)
     }
+
+    /// The exact cluster means: each cluster's sum scaled by one over its
+    /// count, an empty cluster keeping its centroid from `previous` (one
+    /// per cluster).  Lloyd's update and Algorithm 1's PRE inertia both
+    /// read them.
+    pub fn cluster_means(&self, data: &TimeSeriesSet, previous: &[TimeSeries]) -> Vec<TimeSeries> {
+        let (sums, counts) = self.cluster_sums(data, previous.len());
+        sums.into_iter()
+            .zip(counts)
+            .zip(previous)
+            .map(|((mut sum, count), previous)| {
+                if count > 0.0 {
+                    sum.scale(1.0 / count);
+                    sum
+                } else {
+                    previous.clone()
+                }
+            })
+            .collect()
+    }
 }
 
 /// Inertia decomposition of a clustering (Definition 1).

@@ -49,9 +49,8 @@ fn main() {
     );
 
     // Quality at cohort scale via the paper's surrogate methodology.
-    let surrogate = QualitySurrogate::new(params);
     let mut rng = StdRng::seed_from_u64(11);
-    let report = surrogate.run_perturbed(&data, &init, &mut rng);
+    let report = params.perturbed_kmeans(0.0).run(&data, &init, &mut rng);
     let best = report.pre_post().expect("at least one iteration");
     println!(
         "Clustered {} patients: best intra-cluster inertia {:.2} at iteration {} (dataset inertia {:.2})",

@@ -10,6 +10,7 @@
 
 use chiaroscuro::core::prelude::*;
 use chiaroscuro::kmeans::init::InitialCentroids;
+use chiaroscuro::kmeans::lloyd::{KMeans, KMeansConfig};
 use chiaroscuro::timeseries::datasets::{cer::CerLikeGenerator, DatasetGenerator};
 use chiaroscuro::timeseries::inertia::dataset_inertia;
 use rand::rngs::StdRng;
@@ -39,9 +40,12 @@ fn main() {
 
     // Non-private baseline for reference.
     let params = ChiaroscuroParams::builder().k(k).max_iterations(10).build();
-    let surrogate = QualitySurrogate::new(params);
+    let config = KMeansConfig {
+        max_iterations: params.max_iterations,
+        convergence_threshold: params.convergence_threshold,
+    };
     let mut rng = StdRng::seed_from_u64(1);
-    let baseline = surrogate.run_baseline(&data, &init, &mut rng);
+    let baseline = KMeans::new(config).run(&data, &init, &mut rng);
     let baseline_best = baseline
         .pre_inertia_series()
         .iter()
@@ -57,9 +61,8 @@ fn main() {
             .smoothing(smoothing)
             .max_iterations(10)
             .build();
-        let surrogate = QualitySurrogate::new(params);
         let mut rng = StdRng::seed_from_u64(1);
-        let report = surrogate.run_perturbed(&data, &init, &mut rng);
+        let report = params.perturbed_kmeans(0.0).run(&data, &init, &mut rng);
         let best = report.pre_post().expect("at least one iteration");
         println!(
             "{:<26} best intra-cluster inertia {:.2} at iteration {} ({} centroids survive, ε spent {:.2})",

@@ -45,9 +45,8 @@ fn distributed_run_matches_the_centralized_surrogate_structure() {
         .with_initial_centroids(init.clone())
         .execute(1);
 
-    let surrogate = QualitySurrogate::new(params);
     let mut rng = StdRng::seed_from_u64(1);
-    let centralized = surrogate.run_perturbed(&data, &InitialCentroids::Provided(init), &mut rng);
+    let centralized = params.perturbed_kmeans(0.0).run(&data, &InitialCentroids::Provided(init), &mut rng);
 
     // Both runs keep the two clusters alive and reach a small intra-cluster
     // inertia compared to the dataset inertia.
@@ -127,7 +126,7 @@ fn smoothing_and_strategy_settings_propagate_to_the_surrogate() {
     ] {
         let params = ChiaroscuroParams::builder().k(10).strategy(strategy).max_iterations(10).build();
         let mut rng = StdRng::seed_from_u64(3);
-        let report = QualitySurrogate::new(params).run_perturbed(&data, &init, &mut rng);
+        let report = params.perturbed_kmeans(0.0).run(&data, &init, &mut rng);
         assert!(report.total_epsilon() <= 0.69 + 1e-9, "{strategy:?} overspent the budget");
         assert!(report.num_iterations() >= 1);
         if let BudgetStrategy::UniformFast { max_iterations } = strategy {

@@ -177,8 +177,7 @@ impl ScenarioSpec {
         };
 
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let centralized = QualitySurrogate::new(params)
-            .run_perturbed(&data, &InitialCentroids::Provided(init), &mut rng);
+        let centralized = params.perturbed_kmeans(0.0).run(&data, &InitialCentroids::Provided(init), &mut rng);
 
         ScenarioOutcome { spec: self.clone(), distributed, centralized }
     }
